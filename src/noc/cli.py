@@ -12,8 +12,11 @@ Subcommands:
 * ``oracle cone <set> <u> <v> [<w>]`` queries first/second-order cone
   membership for a convex set described inline.
 
-All failures surface as one-line diagnostics on stderr, never tracebacks.
-Worker threads are capped by the NOC_THREADS environment variable.
+All failures surface as one-line diagnostics on stderr, never tracebacks:
+input errors and unexpected failures alike exit 2. A sweep records a
+failing cell as a row with verdict ``error``, finishes the other cells and
+then exits 2. The NOC_THREADS environment variable caps the worker threads
+of the finite-dimensional (``op``) grid scan, the only threaded stage.
 """
 from __future__ import annotations
 
@@ -101,8 +104,16 @@ def main(argv=None) -> int:
             return _cmd_sweep(args)
         return _cmd_oracle(args)
     except (NocError, ValueError, OSError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
+        print(f"error: {_one_line(ex)}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as ex:  # noqa: BLE001 - the CLI promises no tracebacks
+        print(f"error: unexpected {type(ex).__name__}: {_one_line(ex)}",
+              file=sys.stderr)
+        return EXIT_INPUT_ERROR
+
+
+def _one_line(ex: BaseException) -> str:
+    return " ".join(str(ex).split())
 
 
 # ----------------------------------------------------------------------------
@@ -146,6 +157,10 @@ def _apply_overrides(pf: ProblemFile, args) -> ProblemFile:
             key, value = _split_kv(spec, "--tol")
             tols[key] = value
         pf = replace(pf, tolerances=tuple(tols.items()))
+    return _revalidated(pf)
+
+
+def _revalidated(pf: ProblemFile) -> ProblemFile:
     # round-trip through the canonical form: re-validates every field and
     # guarantees the echoed problem text describes exactly what runs
     return parse_problem_file(serialize_problem_file(pf))
@@ -398,16 +413,21 @@ def _cmd_sweep(args) -> int:
     specs = [_parse_param_spec(spec) for spec in args.param]
     names = [name for name, _ in specs]
     rows = []
+    failed = 0
     for combo in itertools.product(*(values for _, values in specs)):
+        row = dict(zip(names, combo))
         run_pf = pf
         for name, value in zip(names, combo):
-            run_pf = run_pf.with_param(name, value)
-        report, notes = _run(run_pf, preset_name)
-        row = dict(zip(names, combo))
-        row["verdict"] = report["verdict"]
-        second = report.get("second_order", {})
-        row["lhs"] = second.get("chosen_lhs")
-        row["notes"] = "; ".join(notes)
+            run_pf = run_pf.with_param(name, value)   # unknown names end the sweep
+        try:
+            report, notes = _run(_revalidated(run_pf), preset_name)
+        except Exception as ex:  # noqa: BLE001 - one bad cell must not end the sweep
+            failed += 1
+            row.update(verdict="error", lhs=None, notes=_one_line(ex))
+        else:
+            row["verdict"] = report["verdict"]
+            row["lhs"] = report.get("second_order", {}).get("chosen_lhs")
+            row["notes"] = "; ".join(notes)
         rows.append(row)
     text = sweep_csv(names + ["verdict", "lhs", "notes"], rows)
     if args.out:
@@ -416,6 +436,9 @@ def _cmd_sweep(args) -> int:
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     else:
         print(text, end="")
+    if failed:
+        print(f"error: {failed} of {len(rows)} cells failed", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     return 0
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +20,10 @@ from .cones import (adjacent_cone_member, quadratic_distance_bound,
                     second_adjacent_member, second_cone_vrep,
                     tangent_cone_vrep)
 from .dynamics import (ControlProblem, EndpointMap, FieldAlongCurve,
-                       Trajectory, curvature_pairing,
-                       dynamics_from_expressions, hamiltonian_blocks,
+                       Trajectory, TrajectoryJet, dynamics_from_expressions,
                        integrate_adjoint, integrate_variational,
-                       lagrange_data, make_problem, trapezoid_cellwise)
+                       lagrange_data, make_problem, trajectory_jet,
+                       trapezoid_cellwise)
 from .errors import (BoundNotVerified, ChartEscape, ConeViolation,
                      DegenerateCone, EndpointRowViolation, NoMultiplier,
                      SigmaNotInB)
@@ -72,7 +71,7 @@ LHS_TERM_NAMES = (
 
 
 def thread_count(num_items: int) -> int:
-    """Worker count for embarrassingly parallel stages (NOC_THREADS caps it)."""
+    """Worker count for the finite-dimensional grid scan (NOC_THREADS caps it)."""
     raw = os.environ.get("NOC_THREADS", "")
     try:
         cap = int(raw)
@@ -81,15 +80,6 @@ def thread_count(num_items: int) -> int:
     if cap <= 0:
         cap = min(4, os.cpu_count() or 1)
     return max(1, min(cap, num_items))
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    workers = thread_count(len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ----------------------------------------------------------------------------
@@ -210,9 +200,13 @@ def verify_singular_direction(problem: ControlProblem, trajectory: Trajectory,
     """
     v_seq = np.asarray(control_directions, float)
     U = problem.control_set
+    memo: dict = {}
     for i in range(trajectory.num_cells):
-        cert = adjacent_cone_member(U, trajectory.controls[i], v_seq[i],
-                                    with_oracle=False)
+        key = (trajectory.controls[i].tobytes(), v_seq[i].tobytes())
+        cert = memo.get(key)
+        if cert is None:
+            cert = memo[key] = adjacent_cone_member(
+                U, trajectory.controls[i], v_seq[i], with_oracle=False)
         if not cert.member:
             raise ConeViolation(
                 f"direction leaves the control tangent cone in cell {i} "
@@ -282,37 +276,34 @@ def _inf_normalize(w: np.ndarray) -> np.ndarray:
     return w / peak
 
 
-def _basis_adjoints(problem: ControlProblem, trajectory: Trajectory):
-    """Adjoint field and endpoint-aggregate data per unit multiplier slot."""
-    dim = problem.multiplier_dim
-    fields, data = [], []
-    for s in range(dim):
-        e = np.zeros(dim)
-        e[s] = 1.0
-        data.append(lagrange_data(problem, trajectory.states[0],
-                                  trajectory.states[-1], e))
-        fields.append(integrate_adjoint(problem, trajectory, e))
-    return fields, data
+@dataclass(frozen=True, eq=False)
+class _MultiplierJet:
+    """The trajectory's derivative data and everything linear in the
+    multiplier, one trailing column per multiplier slot.
+
+    Column s holds the quantity for the unit multiplier e_s, so the value
+    for a multiplier w is the contraction with w. ``adjoint`` is (N+1, n,
+    dim); ``endpoint`` holds the LagrangeData of each unit slot; ``hu`` is
+    the Hamiltonian control gradient on both sides of every cell,
+    (2, N, m, dim), with sides laid out as in ``TrajectoryJet``.
+    """
+
+    jet: TrajectoryJet
+    adjoint: np.ndarray
+    endpoint: tuple
+    hu: np.ndarray
 
 
-def _control_jacobian_arrays(problem: ControlProblem, trajectory: Trajectory):
-    """rhs_u at both endpoints of every cell (the cell's control at both)."""
-    dyn = problem.dynamics
-    N = trajectory.num_cells
-    n, m = problem.state_dim, problem.control_dim
-    fuL = np.empty((N, n, m))
-    fuR = np.empty((N, n, m))
-    for i in range(N):
-        u = trajectory.controls[i]
-        fuL[i] = dyn.rhs_u(trajectory.grid[i], trajectory.states[i], u)
-        fuR[i] = dyn.rhs_u(trajectory.grid[i + 1], trajectory.states[i + 1], u)
-    return fuL, fuR
-
-
-def _hu_arrays(fuL, fuR, p_values):
-    """Control gradient of the Hamiltonian at both cell endpoints: (N, m) each."""
-    return (np.einsum("ikm,ik->im", fuL, p_values[:-1]),
-            np.einsum("ikm,ik->im", fuR, p_values[1:]))
+def _multiplier_jet(problem: ControlProblem, trajectory: Trajectory) -> _MultiplierJet:
+    """Build the derivative data once and the adjoint of every unit
+    multiplier slot in one backward pass."""
+    slots = np.eye(problem.multiplier_dim)
+    jet = trajectory_jet(problem, trajectory)
+    adjoint = integrate_adjoint(problem, trajectory, slots).values
+    endpoint = tuple(lagrange_data(problem, trajectory.states[0],
+                                   trajectory.states[-1], e) for e in slots)
+    hu = np.einsum("sckm,sckd->scmd", jet.fu, adjoint[jet.nodes])
+    return _MultiplierJet(jet=jet, adjoint=adjoint, endpoint=endpoint, hu=hu)
 
 
 def _clean_rows(rows, dim: int) -> np.ndarray:
@@ -329,8 +320,9 @@ def _clean_rows(rows, dim: int) -> np.ndarray:
     return M[np.sort(idx)]
 
 
-def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory, *,
-                          act_tol: float, extra_zero_rows=()):
+def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory,
+                          mjet: _MultiplierJet, *, act_tol: float,
+                          extra_zero_rows=()):
     """H-representation of the admissible multiplier cone.
 
     Rows express, linearly in the multiplier: (a) the sign pattern on
@@ -342,7 +334,6 @@ def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory, *,
     (the gradient must vanish on two-sided directions).
     """
     dim = problem.multiplier_dim
-    fields, data = _basis_adjoints(problem, trajectory)
     sets = active_sets(problem, trajectory, act_tol)
     ineq_rows: list[np.ndarray] = []
     eq_rows: list[np.ndarray] = []
@@ -359,14 +350,10 @@ def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory, *,
         row[i] = 1.0
         eq_rows.append(row)
     # start-boundary identity: one equality row per state coordinate
-    boundary = np.stack([f.values[0] + d.grad_start
-                         for f, d in zip(fields, data)], axis=1)  # (n, dim)
-    eq_rows.extend(boundary)
+    grad_start = np.stack([d.grad_start for d in mjet.endpoint], axis=1)
+    eq_rows.extend(mjet.adjoint[0] + grad_start)            # (n, dim)
     # control-gradient rows at every cell endpoint, on the node-cone generators
-    fuL, fuR = _control_jacobian_arrays(problem, trajectory)
-    hu = [_hu_arrays(fuL, fuR, f.values) for f in fields]   # dim x (left, right)
-    huL = np.stack([h[0] for h in hu])                      # (dim, N, m)
-    huR = np.stack([h[1] for h in hu])
+    huL, huR = mjet.hu                                      # (N, m, dim) each
     vrep_cache: dict = {}
     for i in range(trajectory.num_cells):
         key = trajectory.controls[i].tobytes()
@@ -375,11 +362,11 @@ def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory, *,
             rep = tangent_cone_vrep(problem.control_set, trajectory.controls[i])
             vrep_cache[key] = rep
         for w in rep.lineality:
-            eq_rows.append(huL[:, i, :] @ w)
-            eq_rows.append(huR[:, i, :] @ w)
+            eq_rows.append(w @ huL[i])
+            eq_rows.append(w @ huR[i])
         for w in rep.rays:
-            ineq_rows.append(huL[:, i, :] @ w)
-            ineq_rows.append(huR[:, i, :] @ w)
+            ineq_rows.append(w @ huL[i])
+            ineq_rows.append(w @ huR[i])
     return _clean_rows(ineq_rows, dim), _clean_rows(eq_rows, dim)
 
 
@@ -417,7 +404,9 @@ def _enumerate_normalized_rays(A_le, A_eq, dim: int) -> list[MultiplierVector]:
 
 def find_first_order_multipliers(problem: ControlProblem, trajectory: Trajectory,
                                  *, act_tol: float = ACTIVITY_TOL,
-                                 restrict_zero=()) -> list[MultiplierVector]:
+                                 restrict_zero=(),
+                                 _jet: _MultiplierJet | None = None
+                                 ) -> list[MultiplierVector]:
     """Enumerate the extreme rays of the admissible multiplier cone.
 
     Returns |.|_inf-normalized representatives: the extreme rays plus a +/-
@@ -426,7 +415,9 @@ def find_first_order_multipliers(problem: ControlProblem, trajectory: Trajectory
     conditions. ``restrict_zero`` forces additional rows' weights to zero
     (used for the direction-restricted second-order cone).
     """
-    A_le, A_eq = _multiplier_cone_rows(problem, trajectory, act_tol=act_tol,
+    mjet = _jet if _jet is not None else _multiplier_jet(problem, trajectory)
+    A_le, A_eq = _multiplier_cone_rows(problem, trajectory, mjet,
+                                       act_tol=act_tol,
                                        extra_zero_rows=restrict_zero)
     return _enumerate_normalized_rays(A_le, A_eq, problem.multiplier_dim)
 
@@ -435,12 +426,16 @@ def stationarity_residual(problem: ControlProblem, trajectory: Trajectory,
                           multiplier, direction: SingularDirection) -> float:
     """Largest |control gradient of H paired with the direction| over the grid."""
     weights = _weights_of(multiplier)
-    p = integrate_adjoint(problem, trajectory, weights)
-    fuL, fuR = _control_jacobian_arrays(problem, trajectory)
-    huL, huR = _hu_arrays(fuL, fuR, p.values)
-    v = direction.control_directions
-    return float(max(np.max(np.abs(np.einsum("im,im->i", huL, v))),
-                     np.max(np.abs(np.einsum("im,im->i", huR, v)))))
+    mjet = _multiplier_jet(problem, trajectory)
+    return float(_stationarity(mjet, direction, weights[:, None])[0])
+
+
+def _stationarity(mjet: _MultiplierJet, direction: SingularDirection,
+                  W: np.ndarray) -> np.ndarray:
+    """Per column of W (dim, R): the largest |hu paired with v| over both
+    sides of every cell."""
+    paired = np.einsum("cm,scmd->scd", direction.control_directions, mjet.hu)
+    return np.max(np.abs(paired @ W), axis=(0, 1))
 
 
 # ----------------------------------------------------------------------------
@@ -450,9 +445,14 @@ def stationarity_residual(problem: ControlProblem, trajectory: Trajectory,
 def _check_sigma_membership(problem: ControlProblem, trajectory: Trajectory,
                             v_seq: np.ndarray, sigma: np.ndarray):
     U = problem.control_set
+    memo: dict = {}
     for i in range(trajectory.num_cells):
-        cert = second_adjacent_member(U, trajectory.controls[i], v_seq[i],
-                                      sigma[i], with_oracle=False)
+        key = (trajectory.controls[i].tobytes(), v_seq[i].tobytes(),
+               sigma[i].tobytes())
+        cert = memo.get(key)
+        if cert is None:
+            cert = memo[key] = second_adjacent_member(
+                U, trajectory.controls[i], v_seq[i], sigma[i], with_oracle=False)
         if not cert.member:
             raise SigmaNotInB(
                 f"acceleration candidate leaves the second-order admissible "
@@ -470,39 +470,58 @@ def _check_quadratic_bound(problem: ControlProblem, trajectory: Trajectory,
     return bound
 
 
-def _lhs_terms(problem: ControlProblem, trajectory: Trajectory,
-               weights: np.ndarray, direction: SingularDirection,
-               sigma: np.ndarray) -> dict:
-    """All named summands of the second-order form for one multiplier."""
-    p = integrate_adjoint(problem, trajectory, weights)
-    X = direction.field
+def _form_coefficients(mjet: _MultiplierJet, direction: SingularDirection,
+                       sigmas) -> tuple:
+    """The second-order form as coefficients over the multiplier slots.
+
+    Returns (sigma, terms): ``sigma`` (S, dim) holds the sigma_integral
+    coefficients of each acceleration candidate, ``terms`` maps every other
+    summand name to its (dim,) coefficients. The value for a multiplier w
+    is the coefficients contracted with w.
+    """
+    grid = mjet.jet.trajectory.grid
+    X = direction.field.values
     v = direction.control_directions
-    N = trajectory.num_cells
-    grid = trajectory.grid
-    states = trajectory.states
-    cols = {name: (np.empty(N), np.empty(N))
-            for name in ("sigma_integral", "state_state", "state_control",
-                         "control_control", "curvature")}
-    for i in range(N):
-        u = trajectory.controls[i]
-        for side, node in ((0, i), (1, i + 1)):
-            blocks = hamiltonian_blocks(problem, grid[node], states[node],
-                                        p.values[node], u)
-            Xn = X.values[node]
-            cols["sigma_integral"][side][i] = blocks["hu"] @ sigma[i]
-            cols["state_state"][side][i] = 0.5 * Xn @ blocks["hxx"] @ Xn
-            cols["state_control"][side][i] = Xn @ blocks["hxu"] @ v[i]
-            cols["control_control"][side][i] = 0.5 * v[i] @ blocks["huu"] @ v[i]
-            cols["curvature"][side][i] = -0.5 * curvature_pairing(
-                problem, trajectory, p, X, node, cell=i)
-    terms = {name: float(trapezoid_cellwise(grid, L, R))
-             for name, (L, R) in cols.items()}
-    ld = lagrange_data(problem, states[0], states[-1], weights)
-    X0, XT = X.values[0], X.values[-1]
-    terms["start_start"] = 0.5 * float(X0 @ ld.hess_start_start @ X0)
-    terms["start_end"] = float(X0 @ ld.hess_start_end @ XT)
-    terms["end_end"] = 0.5 * float(XT @ ld.hess_end_end @ XT)
-    return terms
+    at_sides = mjet.adjoint[mjet.jet.nodes]                     # (2, N, n, dim)
+
+    def integral(paired):                                      # (2, N, ...)
+        return trapezoid_cellwise(grid, paired[0], paired[1])
+
+    sigma = np.array([integral(np.einsum("cm,scmd->scd", s, mjet.hu))
+                      for s in sigmas]).reshape(len(sigmas), -1)
+    terms = {name: integral(np.einsum("sck,sckd->scd", vec, at_sides))
+             for name, vec in mjet.jet.form_integrands(X, v).items()}
+    X0, XT = X[0], X[-1]
+    terms["start_start"] = np.array([0.5 * X0 @ d.hess_start_start @ X0
+                                     for d in mjet.endpoint])
+    terms["start_end"] = np.array([X0 @ d.hess_start_end @ XT
+                                   for d in mjet.endpoint])
+    terms["end_end"] = np.array([0.5 * XT @ d.hess_end_end @ XT
+                                 for d in mjet.endpoint])
+    return sigma, terms
+
+
+def _form_values(sigma: np.ndarray, terms: dict, W: np.ndarray) -> tuple:
+    """Contract form coefficients with the multiplier columns of W (dim, R).
+
+    Returns (lhs, values): ``values`` maps every summand name to its values,
+    (S, R) for sigma_integral and (R,) for the rest; ``lhs`` (S, R) adds
+    them in the order of LHS_TERM_NAMES, so it equals the sum of the
+    per-term values exactly.
+    """
+    values = {"sigma_integral": sigma @ W}
+    values.update((name, c @ W) for name, c in terms.items())
+    lhs = values["sigma_integral"]
+    for name in LHS_TERM_NAMES[1:]:
+        lhs = lhs + values[name]
+    return lhs, values
+
+
+def _terms_at(values: dict, candidate: int, ray: int) -> dict:
+    """The named summands for one (acceleration candidate, ray) pair."""
+    out = {"sigma_integral": float(values["sigma_integral"][candidate, ray])}
+    out.update((name, float(values[name][ray])) for name in LHS_TERM_NAMES[1:])
+    return out
 
 
 def second_order_lhs(problem: ControlProblem, trajectory: Trajectory,
@@ -526,11 +545,12 @@ def second_order_lhs(problem: ControlProblem, trajectory: Trajectory,
     if check:
         _check_quadratic_bound(problem, trajectory, v_seq, eps0)
         _check_sigma_membership(problem, trajectory, v_seq, sigma)
-    terms = _lhs_terms(problem, trajectory, weights, direction, sigma)
-    total = float(sum(terms.values()))
+    mjet = _multiplier_jet(problem, trajectory)
+    lhs, values = _form_values(*_form_coefficients(mjet, direction, [sigma]),
+                               weights[:, None])
     if with_terms:
-        return total, terms
-    return total
+        return float(lhs[0, 0]), _terms_at(values, 0, 0)
+    return float(lhs[0, 0])
 
 
 # ----------------------------------------------------------------------------
@@ -600,15 +620,17 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
     """
     notes: list[str] = []
     sets = critical_sets(problem, trajectory, direction, act_tol)
+    mjet = _multiplier_jet(problem, trajectory)
     if multipliers is None:
         zero_rows = sorted(set(range(1 + problem.num_inequalities))
                            - set(sets.critical))
         rays = find_first_order_multipliers(problem, trajectory,
                                             act_tol=act_tol,
-                                            restrict_zero=zero_rows)
+                                            restrict_zero=zero_rows, _jet=mjet)
         if not rays:
             unrestricted = find_first_order_multipliers(problem, trajectory,
-                                                        act_tol=act_tol)
+                                                        act_tol=act_tol,
+                                                        _jet=mjet)
             if unrestricted:
                 raise NoMultiplier(
                     "no first-order multiplier survives the restriction to "
@@ -652,36 +674,24 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
                              "direction shape")
         _check_sigma_membership(problem, trajectory, v_seq, s)
 
-    fuL, fuR = _control_jacobian_arrays(problem, trajectory)
-
-    def ray_values(ray: MultiplierVector):
-        weights = _evaluation_scale(ray.weights)
-        p = integrate_adjoint(problem, trajectory, weights)
-        huL, huR = _hu_arrays(fuL, fuR, p.values)
-        residual = float(max(np.max(np.abs(np.einsum("im,im->i", huL, v_seq))),
-                             np.max(np.abs(np.einsum("im,im->i", huR, v_seq)))))
-        rest_terms = _lhs_terms(problem, trajectory, weights, direction,
-                                np.zeros_like(v_seq))
-        rest = float(sum(rest_terms.values()))
-        vals = [rest + float(trapezoid_cellwise(
-                    trajectory.grid,
-                    np.einsum("im,im->i", huL, s),
-                    np.einsum("im,im->i", huR, s))) for s in sigmas]
-        return vals, residual
-
-    results = _parallel_map(ray_values, rays)
-    stationarity = tuple(res for _, res in results)
+    W = np.stack([_evaluation_scale(ray.weights) for ray in rays], axis=1)
+    stationarity = tuple(float(res) for res in _stationarity(mjet, direction, W))
     for ray, res in zip(rays, stationarity):
         if res > stationarity_tol:
             notes.append(f"stationarity residual {res:.3e} for ray "
                          f"{np.round(ray.weights, 6).tolist()} exceeds "
                          f"{stationarity_tol:g}")
-    per_sigma = np.array([vals for vals, _ in results]).T   # (S, num_rays)
+    per_sigma, values = _form_values(
+        *_form_coefficients(mjet, direction, sigmas), W)   # (S, num_rays)
     lhs = np.repeat(per_sigma, len(ws), axis=0)             # W slot is inert
     worst = lhs.min(axis=1)
     best_idx = int(np.argmax(worst))
     best = float(worst[best_idx])
-    if best > 10.0 * margin:
+    if not (math.isfinite(best) and math.isfinite(margin)):
+        verdict = "inconclusive"
+        notes.append(f"best worst-case value {best!r} or refutation margin "
+                     f"{margin!r} is not finite; no verdict")
+    elif best > 10.0 * margin:
         verdict = "refuted"
     elif best > margin:
         verdict = "inconclusive"
@@ -691,9 +701,7 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
         verdict = "consistent"
     chosen = (best_idx // len(ws), best_idx % len(ws))
     worst_ray = int(np.argmin(lhs[best_idx]))
-    _, chosen_terms = second_order_lhs(
-        problem, trajectory, _evaluation_scale(rays[worst_ray].weights),
-        direction, sigmas[chosen[0]], check=False, with_terms=True)
+    chosen_terms = _terms_at(values, chosen[0], worst_ray)
     return RefutationCertificate(
         verdict=verdict, multipliers=tuple(rays),
         sigma_candidates=tuple(sigmas), w_candidates=tuple(ws),

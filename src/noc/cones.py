@@ -521,16 +521,25 @@ def quadratic_distance_bound(U, u_seq, v_seq, eps0: float) -> QuadraticBoundResu
     v_seq = np.atleast_2d(np.asarray(v_seq, float))
     if u_seq.shape != v_seq.shape:
         raise ValueError("u and v sequences must have equal shapes")
+    # nodes often repeat one (control, direction) pair: evaluate each once
+    inside: dict = {}
     for i, u in enumerate(u_seq):
-        if not contains(U, u, tol=1e-9):
+        key = u.tobytes()
+        if key not in inside:
+            inside[key] = contains(U, u, tol=1e-9)
+        if not inside[key]:
             raise PointNotInSet(f"grid node {i}: control outside the set")
     eps = np.geomspace(1e-3 * eps0, eps0, 32)
+    memo: dict = {}
     ells = []
     for u, v in zip(u_seq, v_seq):
-        vals = np.array([dist_and_project(U, u + e * v)[0] / (e * e) for e in eps])
-        increasing_tail = vals[2] < vals[1] < vals[0]  # eps sorted ascending: vals[0] is smallest ε
-        diverges = increasing_tail and vals[0] > 1.5 * vals[-1] and vals[0] > 1e-9
-        ells.append(math.inf if diverges else float(vals.max()))
+        key = (u.tobytes(), v.tobytes())
+        if key not in memo:
+            vals = np.array([dist_and_project(U, u + e * v)[0] / (e * e) for e in eps])
+            increasing_tail = vals[2] < vals[1] < vals[0]  # eps sorted ascending: vals[0] is smallest ε
+            diverges = increasing_tail and vals[0] > 1.5 * vals[-1] and vals[0] > 1e-9
+            memo[key] = math.inf if diverges else float(vals.max())
+        ells.append(memo[key])
     ells_arr = np.asarray(ells)
     passed = bool(np.all(np.isfinite(ells_arr)))
     nrm = float(np.sqrt(np.mean(ells_arr ** 2))) if passed else math.inf

@@ -3,7 +3,10 @@
 Forward state integration, first/second variational fields along a nominal
 trajectory, backward adjoint covectors, Hamiltonian derivative blocks with
 covariant corrections, and the second-order expansion residual used by
-refutation certificates.
+refutation certificates. ``trajectory_jet`` evaluates every derivative the
+second-order form needs along a whole trajectory at once; the form and the
+adjoint are linear in the multiplier, so one jet and one (matrix) adjoint
+pass serve every multiplier.
 
 Controls are piecewise constant on a uniform grid; every integrator takes a
 single classical RK4 step per grid cell, so variational fields produced by
@@ -27,19 +30,20 @@ from .errors import (BasePointMismatch, BoundViolated, ChartEscape, NocError,
                      NonFiniteState)
 from .expr import compile_expr, parse_expr
 from .geometry import (CotangentVector, ManifoldChart, TangentVector,
-                       christoffel, christoffel_apply, dchristoffel, exp_map,
-                       log_map, musical_dual, norm, parallel_transport,
-                       riemann_apply, valid_point)
+                       christoffel, christoffel_apply, curvature, dchristoffel,
+                       exp_map, log_map, musical_dual, norm, parallel_transport,
+                       valid_point)
 
 __all__ = [
     "ControlProblem", "DynamicsModel", "EndpointMap", "FieldAlongCurve",
-    "LagrangeData", "Trajectory", "builtin_dynamics", "dynamics_from_callbacks",
+    "LagrangeData", "Trajectory", "TrajectoryJet", "builtin_dynamics",
+    "curvature_pairing", "dynamics_from_callbacks",
     "dynamics_from_expressions", "endpoint_from_expressions", "endpoint_map",
     "expansion_residual", "hamiltonian", "hamiltonian_blocks",
     "integrate_adjoint", "integrate_second_variation", "integrate_state",
     "integrate_variational", "lagrange_data", "make_problem",
     "refine_controls", "trajectory_from_csv", "trajectory_to_csv",
-    "trapezoid_cellwise", "trapezoid_quadrature",
+    "trajectory_jet", "trapezoid_cellwise", "trapezoid_quadrature",
 ]
 
 # finite-difference steps for missing derivative callbacks
@@ -67,6 +71,13 @@ class DynamicsModel:
         rhs_yy[k, i, j] = d2 f^k / d y_i d y_j (n, n, n)
         rhs_yu[k, i, a] = d2 f^k / d y_i d u_a (n, n, m)
         rhs_uu[k, a, b] = d2 f^k / d u_a d u_b (n, m, m)
+
+    ``blocks_many`` (optional) evaluates all six blocks over a batch of B
+    points at once: ``blocks_many(t, y, u)`` with t (B,), y (B, n) and
+    u (B, m) returns (f, f_y, f_u, f_yy, f_yu, f_uu), each with a leading
+    batch axis. Trajectory-wide derivative data (``trajectory_jet``,
+    ``integrate_adjoint``) use it when present and otherwise call the
+    per-node callbacks once per point.
     """
 
     state_dim: int
@@ -79,6 +90,22 @@ class DynamicsModel:
     rhs_uu: Callable
     supplied: frozenset
     label: str = "custom"
+    blocks_many: Callable | None = None
+
+
+def _blocks_along(dyn: DynamicsModel, t, y, u, count: int = 6) -> tuple:
+    """The first ``count`` of (f, f_y, f_u, f_yy, f_yu, f_uu) at a batch of
+    points, each block with a leading batch axis."""
+    if dyn.blocks_many is not None:
+        return tuple(np.asarray(b, float) for b in dyn.blocks_many(t, y, u)[:count])
+    return _blocks_per_node(dyn, t, y, u, count)
+
+
+def _blocks_per_node(dyn: DynamicsModel, t, y, u, count: int = 6) -> tuple:
+    """``_blocks_along`` by one per-node callback call per point."""
+    callbacks = (dyn.rhs, dyn.rhs_y, dyn.rhs_u, dyn.rhs_yy, dyn.rhs_yu, dyn.rhs_uu)
+    return tuple(np.array([cb(ti, yi, ui) for ti, yi, ui in zip(t, y, u)], float)
+                 for cb in callbacks[:count])
 
 
 def _fd_first_block(fun, t, y, u, wrt: str):
@@ -221,13 +248,25 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
                               for i in range(d1)] for k in range(rows)], float)
         return cb
 
+    def stacked(fns, a, size):
+        # nested callables -> (size, *nesting); constants broadcast
+        if callable(fns):
+            return np.broadcast_to(np.asarray(fns(*a), float), (size,))
+        return np.stack([stacked(g, a, size) for g in fns], axis=1)
+
+    def blocks_many(t, y, u):
+        t = np.asarray(t, float)
+        a = (t, *np.asarray(y, float).T, *np.asarray(u, float).T)
+        return tuple(stacked(fns, a, t.shape[0])
+                     for fns in (f_fn, fy_fn, fu_fn, fyy_fn, fyu_fn, fuu_fn))
+
     return DynamicsModel(
         state_dim=n, control_dim=m, rhs=rhs,
         rhs_y=block1(fy_fn, n, n), rhs_u=block1(fu_fn, n, m),
         rhs_yy=block2(fyy_fn, n, n, n), rhs_yu=block2(fyu_fn, n, n, m),
         rhs_uu=block2(fuu_fn, n, m, m),
         supplied=frozenset({"rhs_y", "rhs_u", "rhs_yy", "rhs_yu", "rhs_uu"}),
-        label=label)
+        label=label, blocks_many=blocks_many)
 
 
 def builtin_dynamics(name: str, **params) -> DynamicsModel:
@@ -414,6 +453,7 @@ def _validate_dynamics(problem: ControlProblem, probe_base, rng, tol: float):
         ("rhs_yu", dyn.rhs_yu, lambda t, y, u: _fd_second_block(dyn.rhs, t, y, u, "yu")),
         ("rhs_uu", dyn.rhs_uu, lambda t, y, u: _fd_second_block(dyn.rhs, t, y, u, "uu")),
     ]
+    probes = []
     for _ in range(20):
         t = rng.uniform(0.0, problem.horizon)
         for _ in range(40):
@@ -431,6 +471,16 @@ def _validate_dynamics(problem: ControlProblem, probe_base, rng, tol: float):
                 raise NocError(
                     f"dynamics block {name} disagrees with central differences "
                     f"by {np.max(np.abs(a - b)):.3e} (tol {tol * scale:.3e})")
+        probes.append((t, y, u))
+    if dyn.blocks_many is not None:
+        # the batched evaluator must reproduce the (validated) per-node blocks
+        t, y, u = (np.array(a) for a in zip(*probes))
+        names = ("rhs",) + tuple(name for name, _, _ in checks)
+        for name, got, want in zip(names, dyn.blocks_many(t, y, u),
+                                   _blocks_per_node(dyn, t, y, u)):
+            if not np.allclose(got, want, rtol=1e-12, atol=1e-12):
+                raise NocError(f"batched dynamics block {name} disagrees "
+                               f"with the per-node callback")
 
 
 def _validate_endpoints(problem: ControlProblem, probe_base, rng, tol: float):
@@ -516,7 +566,7 @@ class FieldAlongCurve:
     """One vector (or covector) per grid node, based at the matching state."""
 
     trajectory: Trajectory
-    values: np.ndarray     # (N+1, n)
+    values: np.ndarray     # (N+1, n); (N+1, n, k) for k adjoints at once
     kind: str              # "tangent" | "cotangent"
 
     def at(self, i: int):
@@ -689,33 +739,55 @@ def integrate_second_variation(problem: ControlProblem, trajectory: Trajectory,
     return FieldAlongCurve(trajectory=trajectory, values=values, kind="tangent")
 
 
+def _adjoint_steps(problem: ControlProblem, trajectory: Trajectory) -> np.ndarray:
+    """Per-cell maps G_i (N, n, n) of one backward RK4 step of pdot = -f_y^T p.
+
+    The state is re-integrated backwards from each stored node, so the stage
+    states track the forward pass to RK4 accuracy. Cells restart from their
+    own node, hence every cell's stages are evaluated in one batch, and the
+    step is linear in p: p_i = G_i p_{i+1}.
+    """
+    dyn = problem.dynamics
+    h = trajectory.step
+    u = trajectory.controls
+    t1 = trajectory.grid[1:]
+    y1 = trajectory.states[1:]
+    f1, J1 = _blocks_along(dyn, t1, y1, u, 2)
+    f2, J2 = _blocks_along(dyn, t1 - 0.5 * h, y1 - (0.5 * h) * f1, u, 2)
+    f3, J3 = _blocks_along(dyn, t1 - 0.5 * h, y1 - (0.5 * h) * f2, u, 2)
+    _, J4 = _blocks_along(dyn, t1 - h, y1 - h * f3, u, 2)
+    A1, A2, A3, A4 = (np.swapaxes(J, 1, 2) for J in (J1, J2, J3, J4))
+    eye = np.eye(problem.state_dim)
+    Q2 = eye + (0.5 * h) * A1
+    Q3 = eye + (0.5 * h) * (A2 @ Q2)
+    Q4 = eye + h * (A3 @ Q3)
+    return eye + (h / 6.0) * (A1 + 2.0 * (A2 @ Q2) + 2.0 * (A3 @ Q3) + A4 @ Q4)
+
+
 def integrate_adjoint(problem: ControlProblem, trajectory: Trajectory,
                       multiplier) -> FieldAlongCurve:
     """Backward covector field with terminal value = endpoint-gradient of the
     weighted endpoint aggregate at the terminal slot.
 
-    Per cell the pair (y, p) is re-integrated backwards from the stored node
-    state, so the stage states track the forward pass to RK4 accuracy. The
-    connection terms cancel in the chart, leaving pdot = -f_y^T p.
+    Each cell takes one classical RK4 step backwards, with the state
+    re-integrated from the cell's stored right node. The connection terms
+    cancel in the chart, leaving pdot = -f_y^T p. The field is linear in the
+    multiplier, so a (dim, k) matrix whose columns are multipliers gives all
+    k adjoints in the same pass: values then have shape (N+1, n, k).
     """
-    data = lagrange_data(problem, trajectory.states[0], trajectory.states[-1], multiplier)
-    dyn = problem.dynamics
-    n = problem.state_dim
+    ell = np.asarray(multiplier, float)
+    y0, yT = trajectory.states[0], trajectory.states[-1]
+    columns = ell.T if ell.ndim == 2 else [ell]
+    p = np.stack([lagrange_data(problem, y0, yT, w).grad_end for w in columns],
+                 axis=-1)
+    if ell.ndim != 2:
+        p = p[:, 0]
+    steps = _adjoint_steps(problem, trajectory)
     N = trajectory.num_cells
-    h = trajectory.step
-    values = np.empty((N + 1, n))
-    p = np.asarray(data.grad_end, float).copy()
+    values = np.empty((N + 1,) + p.shape)
     values[N] = p
     for i in range(N - 1, -1, -1):
-        u = trajectory.controls[i]
-
-        def fun(t, z):
-            y, pc = z[:n], z[n:]
-            return np.concatenate([dyn.rhs(t, y, u), -dyn.rhs_y(t, y, u).T @ pc])
-
-        z = _rk4_step(fun, trajectory.grid[i + 1],
-                      np.concatenate([trajectory.states[i + 1], p]), -h)
-        p = z[n:]
+        p = steps[i] @ p
         if not np.all(np.isfinite(p)):
             raise NonFiniteState(f"adjoint became non-finite in cell {i}")
         values[i] = p
@@ -811,6 +883,29 @@ def hamiltonian(problem: ControlProblem, t: float, point, covector, control) -> 
     return float(pc @ problem.dynamics.rhs(t, y, u))
 
 
+def _covariant_blocks(f, fy, fu, fyy, fyu, gamma=None, dgamma=None):
+    """Covariant derivatives of the dynamics, batched over leading axes.
+
+    Returns (A, H2, M): the state Jacobian A^k_j = d_j f^k + Γ^k_{jm} f^m,
+    the Hessian (∇²f)^k_{ij} = ∇_i (∇f)^k_j and the mixed block
+    M^k_{ja} = d_j d_a f^k + Γ^k_{jm} d_a f^m. Paired with a covector they
+    give the Hamiltonian blocks hx, hxx and hxu. ``gamma`` None is a flat
+    chart, where all three are the plain coordinate derivatives.
+    """
+    if gamma is None:
+        return fy, fyy, fyu
+    A = fy + np.einsum("...kjm,...m->...kj", gamma, f)
+    H2 = (fyy
+          + np.einsum("...ikjm,...m->...kij", dgamma, f)
+          + np.einsum("...kjm,...mi->...kij", gamma, fy)
+          + np.einsum("...kim,...mj->...kij", gamma, fy)
+          + np.einsum("...kim,...mjl,...l->...kij", gamma, gamma, f)
+          - np.einsum("...mij,...km->...kij", gamma, fy)
+          - np.einsum("...mij,...kml,...l->...kij", gamma, gamma, f))
+    M = fyu + np.einsum("...kjm,...ma->...kja", gamma, fu)
+    return A, H2, M
+
+
 def hamiltonian_blocks(problem: ControlProblem, t: float, point, covector, control,
                        self_check: bool = False) -> dict:
     """All derivative blocks of the Hamiltonian used by the second-order form.
@@ -830,43 +925,21 @@ def hamiltonian_blocks(problem: ControlProblem, t: float, point, covector, contr
     chart = problem.chart
     y = np.asarray(point, float)
     u = np.asarray(control, float)
-    n, m = problem.state_dim, problem.control_dim
+    n = problem.state_dim
     pc = _covector_components(covector, y, n)
     dyn = problem.dynamics
     f = dyn.rhs(t, y, u)
-    fy = dyn.rhs_y(t, y, u)
     fu = dyn.rhs_u(t, y, u)
-    fyy = dyn.rhs_yy(t, y, u)
-    fyu = dyn.rhs_yu(t, y, u)
-    fuu = dyn.rhs_uu(t, y, u)
-    value = float(pc @ f)
-    hu = fu.T @ pc
-    huu = np.einsum("k,kab->ab", pc, fuu)
-    if chart.kind == "euclidean":
-        hx = fy.T @ pc
-        hxx = np.einsum("k,kij->ij", pc, fyy)
-        hxu = np.einsum("k,kja->ja", pc, fyu)
-    else:
-        gamma = christoffel(chart, y)
-        dgamma = dchristoffel(chart, y)
-        # covariant state Jacobian A^k_j = d_j f^k + Γ^k_{jm} f^m
-        A = fy + np.einsum("kjm,m->kj", gamma, f)
-        hx = A.T @ pc
-        # covariant Hessian (∇²f)^k_{ij} = ∇_i (∇f)^k_j
-        H2 = (fyy
-              + np.einsum("ikjm,m->kij", dgamma, f)
-              + np.einsum("kjm,mi->kij", gamma, fy)
-              + np.einsum("kim,mj->kij", gamma, fy)
-              + np.einsum("kim,mjl,l->kij", gamma, gamma, f)
-              - np.einsum("mij,km->kij", gamma, fy)
-              - np.einsum("mij,kml,l->kij", gamma, gamma, f))
-        hxx = np.einsum("k,kij->ij", pc, H2)
-        hxu = (np.einsum("k,kja->ja", pc, fyu)
-               + np.einsum("k,kjm,ma->ja", pc, gamma, fu))
-    hxx = 0.5 * (hxx + hxx.T)
-    blocks = {"value": value, "hu": hu,
-              "hx": CotangentVector(base=y, components=hx),
-              "hxx": hxx, "hxu": hxu, "huu": huu}
+    geometry = ((None, None) if chart.kind == "euclidean"
+                else (christoffel(chart, y), dchristoffel(chart, y)))
+    A, H2, M = _covariant_blocks(f, dyn.rhs_y(t, y, u), fu, dyn.rhs_yy(t, y, u),
+                                 dyn.rhs_yu(t, y, u), *geometry)
+    hxx = np.einsum("k,kij->ij", pc, H2)
+    blocks = {"value": float(pc @ f), "hu": fu.T @ pc,
+              "hx": CotangentVector(base=y, components=A.T @ pc),
+              "hxx": 0.5 * (hxx + hxx.T),
+              "hxu": np.einsum("k,kja->ja", pc, M),
+              "huu": np.einsum("k,kab->ab", pc, dyn.rhs_uu(t, y, u))}
     if self_check:
         _self_check_blocks(problem, t, y, pc, u, blocks)
     return blocks
@@ -922,6 +995,11 @@ def _self_check_blocks(problem, t, y, pc, u, blocks):
                     f"{an_val:.10g} vs {fd_val:.10g}")
 
 
+def _curvature_vectors(riemann, X, f):
+    """R(X, f)X, batched over leading axes: R^l_{ijk} X^i f^j X^k."""
+    return np.einsum("...lijk,...i,...j,...k->...l", riemann, X, f, X)
+
+
 def curvature_pairing(problem: ControlProblem, trajectory: Trajectory,
                       adjoint: FieldAlongCurve, first_field: FieldAlongCurve,
                       node: int, cell: int | None = None) -> float:
@@ -937,10 +1015,73 @@ def curvature_pairing(problem: ControlProblem, trajectory: Trajectory,
     y = trajectory.states[i]
     u = trajectory.controls[min(i, trajectory.num_cells - 1) if cell is None else cell]
     f = problem.dynamics.rhs(trajectory.grid[i], y, u)
-    p_vec = musical_dual(chart, adjoint.at(i))
-    X = first_field.at(i)
-    F = TangentVector(base=y, components=f)
-    return riemann_apply(chart, p_vec, X, F, X)
+    RXfX = _curvature_vectors(curvature(chart, y).components,
+                              first_field.values[i], f)
+    return float(adjoint.values[i] @ RXfX)
+
+
+@dataclass(frozen=True, eq=False)
+class TrajectoryJet:
+    """Derivative data of the dynamics along a trajectory, built once.
+
+    Per-side arrays have leading axes (2, N): side 0 is cell i's left node
+    t_i, side 1 its right node t_{i+1}, both with cell i's control; ``nodes``
+    maps each side to its grid node. ``hess`` and ``mixed`` are the
+    covariant blocks of ``_covariant_blocks`` (plain derivatives on flat
+    charts); ``riemann`` holds R^l_{ijk} at every node, None on flat charts.
+    Paired with an adjoint covector these give every integrand of the
+    second-order form, so one jet serves every multiplier.
+    """
+
+    trajectory: Trajectory
+    nodes: np.ndarray      # (2, N)
+    f: np.ndarray          # (2, N, n)
+    fu: np.ndarray         # (2, N, n, m)
+    fuu: np.ndarray        # (2, N, n, m, m)
+    hess: np.ndarray       # (2, N, n, n, n)
+    mixed: np.ndarray      # (2, N, n, n, m)
+    riemann: np.ndarray | None   # (N+1, n, n, n, n)
+
+    def form_integrands(self, first_values, directions) -> dict:
+        """The state, mixed, control and curvature integrands of the
+        second-order form for first-order field values X (N+1, n) and
+        control directions v (N, m), before pairing with the adjoint.
+
+        Each entry is (2, N, n): the vector whose pairing with the adjoint
+        covector at the side's node gives that summand's integrand there.
+        """
+        X = np.asarray(first_values, float)[self.nodes]
+        v = np.asarray(directions, float)
+        out = {
+            "state_state": 0.5 * np.einsum("sckij,sci,scj->sck", self.hess, X, X),
+            "state_control": np.einsum("sckja,scj,ca->sck", self.mixed, X, v),
+            "control_control": 0.5 * np.einsum("sckab,ca,cb->sck", self.fuu, v, v),
+        }
+        out["curvature"] = (np.zeros_like(X) if self.riemann is None else
+                            -0.5 * _curvature_vectors(self.riemann[self.nodes],
+                                                      X, self.f))
+        return out
+
+
+def trajectory_jet(problem: ControlProblem, trajectory: Trajectory) -> TrajectoryJet:
+    """Evaluate f and its first and second derivatives on both sides of every
+    cell, plus Γ, ∂Γ and R at every node on curved charts."""
+    N, n = trajectory.num_cells, problem.state_dim
+    nodes = np.stack([np.arange(N), np.arange(1, N + 1)])
+    controls = np.concatenate([trajectory.controls, trajectory.controls])
+    blocks = _blocks_along(problem.dynamics, trajectory.grid[nodes].ravel(),
+                           trajectory.states[nodes].reshape(2 * N, n), controls)
+    f, fy, fu, fyy, fyu, fuu = (b.reshape((2, N) + b.shape[1:]) for b in blocks)
+    chart = problem.chart
+    geometry, riemann = (None, None), None
+    if chart.kind != "euclidean":
+        gamma, dgamma, riemann = (np.array(a) for a in zip(*[
+            (christoffel(chart, y), dchristoffel(chart, y),
+             curvature(chart, y).components) for y in trajectory.states]))
+        geometry = (gamma[nodes], dgamma[nodes])
+    _, hess, mixed = _covariant_blocks(f, fy, fu, fyy, fyu, *geometry)
+    return TrajectoryJet(trajectory=trajectory, nodes=nodes, f=f, fu=fu, fuu=fuu,
+                         hess=hess, mixed=mixed, riemann=riemann)
 
 
 # ----------------------------------------------------------------------------

@@ -14,6 +14,7 @@ horizon is always available under the implicit name ``T``.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -654,7 +655,28 @@ def _checked_set(spec: tuple, where: str):
         raise ProblemFileError(f"{where}: {ex}") from None
 
 
+def _validate_numbers(pf: ProblemFile):
+    """Parameters, the horizon and tolerances must be finite; tolerances
+    must also be positive."""
+    for name, value in pf.params:
+        if not math.isfinite(value):
+            raise ProblemFileError(
+                f"param {name}: value must be finite, got {value!r}")
+    if pf.horizon is not None and not math.isfinite(pf.horizon):
+        raise ProblemFileError(
+            f"grid: horizon must be finite, got {pf.horizon!r}")
+    for key, value in pf.tolerances:
+        if not math.isfinite(value):
+            raise ProblemFileError(
+                f"tolerances: {key} must be finite, got {value!r}")
+        if value <= 0:
+            raise ProblemFileError(
+                f"tolerances: {key} must be positive, got {value!r}")
+
+
 def _validate_fields(pf: ProblemFile):
+    _validate_numbers(pf)
+
     def need(name: str, cond: bool = True):
         if cond and getattr(pf, name) in (None, ()):
             raise ProblemFileError(

@@ -158,6 +158,42 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "must be a number" in capsys.readouterr().err
 
 
+def test_non_finite_overrides_exit_2_with_one_line(capsys):
+    for flags, fragment in ((["--set", "T=nan"], "horizon must be finite"),
+                            (["--set", "theta=inf"], "param theta"),
+                            (["--tol", "margin=nan"], "margin must be finite"),
+                            (["--tol", "row=0"], "row must be positive")):
+        assert _check(["preset:ccs126"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert fragment in err
+
+
+def test_unexpected_failure_exits_2_with_one_line(monkeypatch, capsys):
+    import noc.cli
+
+    def broken(pf, preset_name):
+        raise RuntimeError("internal\nfailure")
+
+    monkeypatch.setattr(noc.cli, "_run", broken)
+    assert _check(["preset:ccs126"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unexpected RuntimeError: internal failure\n"
+
+
+def test_sweep_survives_a_failing_cell(capsys):
+    code = main(["sweep", "preset:ccs126", "--grid", "100",
+                 "--param", "T=0.2,0.0,0.4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == 3
+    assert [row.split(",")[1] for row in rows] == ["refuted", "error",
+                                                   "refuted"]
+    assert "horizon must be positive" in rows[1]
+    assert captured.err.strip() == "error: 1 of 3 cells failed"
+
+
 def test_inadmissible_direction_is_an_input_error(tmp_path, capsys):
     from noc.presets import preset_text
     text = preset_text("ccs126").replace("v 1 ; 0", "v 0 ; 1")

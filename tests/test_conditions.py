@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from noc.cones import Box
+from noc.cones import Ball, Box
 from noc.conditions import (active_sets, critical_sets,
                             default_sigma_candidates,
                             find_first_order_multipliers, mayer_augment,
@@ -465,3 +465,242 @@ def test_mayer_augment_rejects_unreachable_chart_point():
     with pytest.raises(ChartEscape):
         mayer_augment(sphere(1.0), 1.0, ("u1", "0"), "u1^2",
                       [0.1, 0.0], [100.0, 0.0], control_dim=1)
+
+
+# ----------------------------------------------------------------------------
+# trajectory jet against the per-node reference
+# ----------------------------------------------------------------------------
+
+
+def _reference_terms(problem, traj, ell, direction, sigma):
+    """The second-order form node by node: one adjoint per multiplier,
+    hamiltonian_blocks and curvature_pairing at both sides of every cell."""
+    from noc.dynamics import (curvature_pairing, hamiltonian_blocks,
+                              integrate_adjoint, lagrange_data,
+                              trapezoid_cellwise)
+
+    p = integrate_adjoint(problem, traj, ell)
+    X = direction.field
+    v = direction.control_directions
+    N = traj.num_cells
+    names = ("sigma_integral", "state_state", "state_control",
+             "control_control", "curvature")
+    cols = {name: np.empty((2, N)) for name in names}
+    for i in range(N):
+        for side, node in ((0, i), (1, i + 1)):
+            b = hamiltonian_blocks(problem, traj.grid[node], traj.states[node],
+                                   p.values[node], traj.controls[i])
+            Xn = X.values[node]
+            cols["sigma_integral"][side, i] = b["hu"] @ sigma[i]
+            cols["state_state"][side, i] = 0.5 * Xn @ b["hxx"] @ Xn
+            cols["state_control"][side, i] = Xn @ b["hxu"] @ v[i]
+            cols["control_control"][side, i] = 0.5 * v[i] @ b["huu"] @ v[i]
+            cols["curvature"][side, i] = -0.5 * curvature_pairing(
+                problem, traj, p, X, node, cell=i)
+    terms = {name: float(trapezoid_cellwise(traj.grid, *cols[name]))
+             for name in names}
+    ld = lagrange_data(problem, traj.states[0], traj.states[-1], ell)
+    X0, XT = X.values[0], X.values[-1]
+    terms["start_start"] = 0.5 * float(X0 @ ld.hess_start_start @ X0)
+    terms["start_end"] = float(X0 @ ld.hess_start_end @ XT)
+    terms["end_end"] = 0.5 * float(XT @ ld.hess_end_end @ XT)
+    return terms
+
+
+def _reference_stationarity(problem, traj, ell, direction):
+    from noc.dynamics import integrate_adjoint
+
+    p = integrate_adjoint(problem, traj, ell).values
+    dyn = problem.dynamics
+    v = direction.control_directions
+    worst = 0.0
+    for i in range(traj.num_cells):
+        for node in (i, i + 1):
+            hu = dyn.rhs_u(traj.grid[node], traj.states[node],
+                           traj.controls[i]).T @ p[node]
+            worst = max(worst, abs(float(hu @ v[i])))
+    return worst
+
+
+def _jet_fixture(chart_name):
+    """A nonlinear problem on the named chart, a wiggly interior nominal
+    control, and an (unverified) direction with its first-order field."""
+    from noc.conditions import SingularDirection
+    from noc.dynamics import dynamics_from_callbacks, integrate_variational
+    from noc.geometry import hyperbolic, product_chart, sphere
+
+    from _problems import wiggly_controls
+
+    texts = ("0.5*y2 + u1 + 0.3*y1*u2", "-0.4*y1*y2 + u2 + 0.2*u1^2")
+    start = [0.1, -0.2]
+    cost_text = "yT1^2 + 0.5*yT2 + y01*yT2"
+    if chart_name == "euclidean":
+        chart = euclidean(2)
+    elif chart_name in ("stereographic", "callbacks"):
+        chart = sphere(1.0)
+    elif chart_name == "polar":
+        chart, start = sphere(1.0, coords="polar"), [1.1, 0.3]
+    elif chart_name == "hyperbolic":
+        chart, start = hyperbolic(1.0), [0.1, 1.2]
+    elif chart_name == "product":
+        chart = product_chart(euclidean(1), sphere(2.0))
+        texts = texts + ("0.3*y3*u1 + y1",)
+        start = [0.2, 0.1, -0.2]
+        cost_text = "yT1^2 + yT2*yT3 + y01*yT3"
+    n = chart.dim
+    if chart_name == "callbacks":
+        reference = dynamics_from_expressions(texts, n, 2)
+        dyn = dynamics_from_callbacks(n, 2, reference.rhs)
+    else:
+        dyn = dynamics_from_expressions(texts, n, 2)
+    cost = endpoint_from_expressions(cost_text, n)
+    pin = endpoint_from_expressions(f"y01 - {start[0]!r}", n, label="pin")
+    probe = np.asarray(start, float)
+    problem = make_problem(chart, 0.6, dyn, cost, equality_maps=(pin,),
+                           control_set=Box(lower=(-1.0, -1.0),
+                                           upper=(1.0, 1.0)),
+                           probe_base=probe)
+    N = 40
+    traj = integrate_state(problem, start, wiggly_controls(N, scale=0.2))
+    rng = np.random.default_rng(5)
+    v = np.roll(wiggly_controls(N, scale=1.0), 7, axis=0)
+    field = integrate_variational(problem, traj, v, 0.3 * rng.normal(size=n))
+    direction = SingularDirection(control_directions=v, field=field,
+                                  endpoint_rates=np.zeros(1),
+                                  equality_residuals=np.zeros(1),
+                                  row_tol=1e-8)
+    return problem, traj, direction, rng.normal(size=(N, 2))
+
+
+@pytest.mark.parametrize("chart_name", ["euclidean", "stereographic", "polar",
+                                        "hyperbolic", "product", "callbacks"])
+def test_second_order_terms_match_per_node_reference(chart_name):
+    problem, traj, direction, sigma = _jet_fixture(chart_name)
+    if chart_name == "callbacks":
+        assert problem.dynamics.blocks_many is None   # per-node fallback path
+    ell = np.array([-0.7, 0.4])
+    total, terms = second_order_lhs(problem, traj, ell, direction, sigma,
+                                    check=False, with_terms=True)
+    ref = _reference_terms(problem, traj, ell, direction, sigma)
+    assert list(terms) == list(ref)
+    scale = 1.0 + max(abs(x) for x in ref.values())
+    for name in ref:
+        assert abs(terms[name] - ref[name]) <= 1e-10 * scale, name
+    assert total == sum(terms.values())
+    if chart_name in ("stereographic", "polar", "hyperbolic", "product",
+                      "callbacks"):
+        assert abs(ref["curvature"]) > 1e-4   # the curved path is exercised
+
+
+def test_refute_matrix_and_stationarity_match_per_ray_evaluation():
+    problem, traj, direction, sigma = _jet_fixture("stereographic")
+    sigmas = [sigma, np.zeros_like(sigma)]
+    rays = [np.array([0.0, 1.0]), np.array([-1.0, -0.3]),
+            np.array([-0.5, 1.0])]
+    cert = refute_optimality(problem, traj, direction, sigmas,
+                             [np.zeros(2), np.ones(2)], multipliers=rays)
+    assert cert.lhs.shape == (4, 3)
+    scaled = [ray.weights / (-ray.weights[0]) if ray.weights[0] < 0
+              else ray.weights for ray in cert.multipliers]
+    for r, w in enumerate(scaled):
+        for c, s in enumerate(sigmas):
+            want = sum(_reference_terms(problem, traj, w, direction,
+                                        s).values())
+            for k in range(2):   # the start-acceleration slot is inert
+                assert abs(cert.lhs[2 * c + k, r] - want) <= \
+                    1e-10 * (1.0 + abs(want))
+        want = _reference_stationarity(problem, traj, w, direction)
+        assert abs(cert.stationarity[r] - want) <= 1e-10 * (1.0 + want)
+    best_c, _ = cert.chosen
+    worst_ray = int(np.argmin(cert.lhs[2 * best_c]))
+    assert worst_ray != 0
+    assert sum(cert.chosen_terms.values()) == cert.chosen_lhs
+    assert cert.chosen_lhs == cert.lhs[2 * best_c, worst_ray]
+    want = _reference_terms(problem, traj, scaled[worst_ray], direction,
+                            sigmas[best_c])
+    for name, value in want.items():
+        assert abs(cert.chosen_terms[name] - value) <= 1e-10 * (1.0 + abs(value))
+    # one-cell directions: the residual sees both sides of the cell
+    for cell in range(traj.num_cells):
+        v = np.zeros_like(direction.control_directions)
+        v[cell] = direction.control_directions[cell]
+        single = dataclasses.replace(direction, control_directions=v)
+        want = _reference_stationarity(problem, traj, scaled[1], single)
+        got = stationarity_residual(problem, traj, scaled[1], single)
+        assert abs(got - want) <= 1e-12 * (1.0 + want)
+
+
+def test_integrate_adjoint_matrix_multiplier_matches_columns():
+    from noc.dynamics import integrate_adjoint
+
+    problem, traj, _, _ = _jet_fixture("stereographic")
+    ells = np.array([[-0.7, 1.0, 0.0], [0.4, 0.0, 1.0]])   # columns
+    together = integrate_adjoint(problem, traj, ells).values
+    assert together.shape == (traj.num_cells + 1, 2, 3)
+    for j in range(3):
+        alone = integrate_adjoint(problem, traj, ells[:, j]).values
+        np.testing.assert_allclose(together[..., j], alone, rtol=0, atol=1e-14)
+
+
+def test_refute_non_finite_margin_is_inconclusive():
+    problem, traj = _ccs126_run(cells=100)
+    v = np.tile([1.0, 0.0], (traj.num_cells, 1))
+    direction = verify_singular_direction(problem, traj, v)
+    for margin in (float("nan"), float("inf")):
+        cert = refute_optimality(problem, traj, direction, margin=margin)
+        assert cert.verdict == "inconclusive"
+        assert any("not finite" in note for note in cert.notes)
+
+
+# ----------------------------------------------------------------------------
+# node-wise oracles evaluated once per distinct input
+# ----------------------------------------------------------------------------
+
+
+def test_node_memo_keeps_values_and_first_failing_cell():
+    from noc.cones import (PointNotInSet, adjacent_cone_member,
+                           quadratic_distance_bound, second_adjacent_member)
+
+    # mixed pairs on the unit disc: one boundary control with tangent
+    # directions of two lengths, and an interior control
+    disc = Ball(center=(0.0, 0.0), radius=1.0)
+    uu = np.tile([[0.0, -1.0], [0.0, -1.0], [0.3, 0.2]], (4, 1))
+    vv = np.tile([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]], (4, 1))
+    bound = quadratic_distance_bound(disc, uu, vv, 0.1)
+    assert bound.ell == tuple(quadratic_distance_bound(disc, uu[i:i + 1],
+                                                       vv[i:i + 1], 0.1).ell[0]
+                              for i in range(len(uu)))
+    assert len(set(bound.ell)) == 3
+
+    problem, traj = _scalar_box_problem(-1.0, cells=12)
+    U = problem.control_set
+    # mixed pairs: boundary and interior controls, repeated in a pattern
+    u = np.tile([[-1.0], [0.5], [-1.0], [0.25]], (3, 1))
+    v = np.tile([[1.0], [-1.0], [0.5], [1.0]], (3, 1))
+    traj = dataclasses.replace(traj, controls=u)
+    # a later cell leaves the set: the index is the first such cell
+    outside = u.copy()
+    outside[9] = 3.0
+    outside[10] = 3.0
+    with pytest.raises(PointNotInSet, match="grid node 9:"):
+        quadratic_distance_bound(U, outside, v, 0.1)
+    # an outward direction first appears in cell 6, then repeats
+    bad_v = v.copy()
+    bad_v[6] = bad_v[10] = -1.0
+    first = next(i for i in range(len(u))
+                 if not adjacent_cone_member(U, u[i], bad_v[i],
+                                             with_oracle=False).member)
+    with pytest.raises(ConeViolation) as info:
+        verify_singular_direction(problem, traj, bad_v)
+    assert info.value.node == first == 6
+    # the same for the second-order set along an admissible direction
+    direction = verify_singular_direction(problem, traj, np.zeros_like(v))
+    sigma = np.zeros_like(v)
+    sigma[5] = sigma[8] = sigma[9] = -1.0
+    first = next(i for i in range(len(u))
+                 if not second_adjacent_member(U, u[i], 0.0 * v[i], sigma[i],
+                                               with_oracle=False).member)
+    with pytest.raises(SigmaNotInB) as info:
+        second_order_lhs(problem, traj, np.array([-1.0, 1.0]), direction,
+                         sigma)
+    assert info.value.node == first

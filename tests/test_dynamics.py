@@ -97,6 +97,22 @@ def test_make_problem_rejects_wrong_jacobian():
         make_problem(euclidean(2), 1.0, dyn, cost)
 
 
+def test_make_problem_rejects_disagreeing_batched_blocks():
+    dyn = dynamics_from_expressions(("y2 + u1^2", "sin(y1) + u1*u2"), 2, 2)
+    cost = linear_endpoint((0.0, 0.0), (1.0, 0.0))
+    make_problem(euclidean(2), 1.0, dyn, cost)
+    good = dyn.blocks_many
+
+    def off(t, y, u):
+        blocks = list(good(t, y, u))
+        blocks[4] = blocks[4] + 1e-6   # rhs_yu
+        return tuple(blocks)
+
+    with pytest.raises(NocError, match="batched dynamics block rhs_yu"):
+        make_problem(euclidean(2), 1.0, dataclasses.replace(dyn, blocks_many=off),
+                     cost)
+
+
 def test_make_problem_rejects_wrong_endpoint_gradient():
     dyn = builtin_dynamics("linear", a=np.zeros((2, 2)), b=np.eye(2))
     bad = dataclasses.replace(
@@ -470,6 +486,35 @@ def test_adjoint_linear_matches_matrix_exponential():
     ref = np.array([expm(A.T * (1.0 - t)) @ pT for t in traj.grid])
     assert np.max(np.abs(p.values - ref)) < 1e-7
     np.testing.assert_allclose(p.values[-1], pT, atol=1e-15)
+
+
+def test_adjoint_matches_per_cell_backward_rk4():
+    # reference: one coupled (y, p) RK4 step backwards per cell, the state
+    # restarted from the stored right node; the batched pass composes the
+    # same stages as per-cell matrices, so only rounding may differ
+    problem = make_sphere_nonlinear()
+    traj = integrate_state(problem, [0.1, -0.2], wiggly_controls(60, scale=0.4))
+    ell = np.array([0.8, -0.3])
+    dyn = problem.dynamics
+    h = traj.step
+    p = lagrange_data(problem, traj.states[0], traj.states[-1], ell).grad_end
+    ref = [p]
+    for i in range(traj.num_cells - 1, -1, -1):
+        u = traj.controls[i]
+
+        def fun(t, z):
+            return np.concatenate([dyn.rhs(t, z[:2], u),
+                                   -dyn.rhs_y(t, z[:2], u).T @ z[2:]])
+
+        t, z = traj.grid[i + 1], np.concatenate([traj.states[i + 1], p])
+        k1 = fun(t, z)
+        k2 = fun(t - 0.5 * h, z - 0.5 * h * k1)
+        k3 = fun(t - 0.5 * h, z - 0.5 * h * k2)
+        k4 = fun(t - h, z - h * k3)
+        p = (z - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[2:]
+        ref.append(p)
+    got = integrate_adjoint(problem, traj, ell).values
+    np.testing.assert_allclose(got, np.array(ref[::-1]), rtol=1e-13, atol=1e-14)
 
 
 def test_adjoint_constant_when_state_free():
