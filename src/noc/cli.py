@@ -13,7 +13,8 @@ Subcommands:
   membership for a convex set described inline.
 
 All failures surface as one-line diagnostics on stderr, never tracebacks:
-input errors and unexpected failures alike exit 2. A sweep records a
+input errors and unexpected failures alike exit 2, and a numerical warning
+raised on the way (an overflow, say) is named on that same line. A sweep records a
 failing cell as a row with verdict ``error``, finishes the other cells and
 then exits 2. The NOC_THREADS environment variable caps the worker threads
 of the finite-dimensional (``op``) grid scan, the only threaded stage.
@@ -24,6 +25,7 @@ import argparse
 import itertools
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -97,19 +99,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_oracle(args)
-    except (NocError, ValueError, OSError) as ex:
-        print(f"error: {_one_line(ex)}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except Exception as ex:  # noqa: BLE001 - the CLI promises no tracebacks
-        print(f"error: unexpected {type(ex).__name__}: {_one_line(ex)}",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    # warnings are recorded, not printed: a failure names the first
+    # numerical one (overflow and the like) as its cause on its one line,
+    # and a run that succeeds prints each one on a line of its own
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = _dispatch(args)
+        except (NocError, ValueError, OSError) as ex:
+            return _fail(_one_line(ex), caught)
+        except Exception as ex:  # noqa: BLE001 - the CLI promises no tracebacks
+            return _fail(f"unexpected {type(ex).__name__}: {_one_line(ex)}", caught)
+    for message in _distinct_messages(caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
+
+
+def _dispatch(args) -> int:
+    if args.command == "check":
+        return _cmd_check(args)
+    if args.command == "sweep":
+        return _cmd_sweep(args)
+    return _cmd_oracle(args)
+
+
+def _fail(message: str, caught) -> int:
+    causes = _distinct_messages(w for w in caught
+                                if issubclass(w.category, RuntimeWarning))
+    if causes:
+        message += f" (numerical warning: {causes[0]})"
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
+def _distinct_messages(caught) -> list:
+    return list(dict.fromkeys(_one_line(w.message) for w in caught))
 
 
 def _one_line(ex: BaseException) -> str:

@@ -11,7 +11,6 @@ that the examined control is not a local minimizer.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,6 @@ __all__ = [
     "refute_optimality",
     "second_order_lhs",
     "stationarity_residual",
-    "thread_count",
     "verify_singular_direction",
 ]
 
@@ -68,18 +66,6 @@ LHS_TERM_NAMES = (
     "start_end",          # mixed endpoint Hessian at (X(0), X(T))
     "end_end",            # 1/2 endpoint Hessian at (X(T), X(T))
 )
-
-
-def thread_count(num_items: int) -> int:
-    """Worker count for the finite-dimensional grid scan (NOC_THREADS caps it)."""
-    raw = os.environ.get("NOC_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, num_items))
 
 
 # ----------------------------------------------------------------------------

@@ -8,12 +8,17 @@ second-order form needs along a whole trajectory at once; the form and the
 adjoint are linear in the multiplier, so one jet and one (matrix) adjoint
 pass serve every multiplier.
 
-Controls are piecewise constant on a uniform grid; every integrator takes a
-single classical RK4 step per grid cell, so variational fields produced by
-the coupled integrators are the *exact* derivatives of the discrete flow.
-Covariant ODEs are solved componentwise in the chart: for the first-order
-field and the adjoint the Christoffel terms cancel identically against the
-connection part of the covariant state Jacobian (both reduce to the plain
+Controls are piecewise constant on a uniform grid and every integrator
+takes a single classical RK4 step per grid cell. The first-order field and
+the adjoint share one linearisation of that step: the cell propagators
+dy_{i+1} = M_i dy_i + B_i du_i, built from the stage Jacobians at the
+stored stage points of every cell at once. The variational field is the
+forward recursion X_{i+1} = M_i X_i + B_i v_i, the exact derivative of the
+discrete flow, and the adjoint its exact transpose p_i = M_i^T p_{i+1}, so
+the discrete duality between them holds to rounding. Covariant ODEs are
+solved componentwise in the chart: for the first-order field and the
+adjoint the Christoffel terms cancel identically against the connection
+part of the covariant state Jacobian (both reduce to the plain
 linearized/adjoint systems), while the second-order field Y is recovered
 from a plain-coordinate integration B via Y = B + Γ(X, X)/2.
 """
@@ -75,7 +80,8 @@ class DynamicsModel:
     ``blocks_many`` (optional) evaluates all six blocks over a batch of B
     points at once: ``blocks_many(t, y, u)`` with t (B,), y (B, n) and
     u (B, m) returns (f, f_y, f_u, f_yy, f_yu, f_uu), each with a leading
-    batch axis. Trajectory-wide derivative data (``trajectory_jet``,
+    batch axis. Trajectory-wide derivative data (``trajectory_jet`` and the
+    cell propagators behind ``integrate_variational`` and
     ``integrate_adjoint``) use it when present and otherwise call the
     per-node callbacks once per point.
     """
@@ -443,16 +449,20 @@ class ControlProblem:
         return (self.cost,) + tuple(self.inequality_maps) + tuple(self.equality_maps)
 
 
+def _fd_rounding(fmax: float, y, u, wrt: str) -> float:
+    """Worst-case rounding error of the central-difference quotient of
+    ``_fd_first_block``/``_fd_second_block`` for an rhs of magnitude fmax."""
+    scale = _FD1_SCALE if len(wrt) == 1 else _FD2_SCALE
+    steps = [_fd_step(y if c == "y" else u, scale) for c in wrt]
+    return 2.0 * np.finfo(float).eps * fmax / math.prod(steps)
+
+
 def _validate_dynamics(problem: ControlProblem, probe_base, rng, tol: float):
     dyn = problem.dynamics
     n, m = dyn.state_dim, dyn.control_dim
-    checks = [
-        ("rhs_y", dyn.rhs_y, lambda t, y, u: _fd_first_block(dyn.rhs, t, y, u, "y")),
-        ("rhs_u", dyn.rhs_u, lambda t, y, u: _fd_first_block(dyn.rhs, t, y, u, "u")),
-        ("rhs_yy", dyn.rhs_yy, lambda t, y, u: _fd_second_block(dyn.rhs, t, y, u, "yy")),
-        ("rhs_yu", dyn.rhs_yu, lambda t, y, u: _fd_second_block(dyn.rhs, t, y, u, "yu")),
-        ("rhs_uu", dyn.rhs_uu, lambda t, y, u: _fd_second_block(dyn.rhs, t, y, u, "uu")),
-    ]
+    checks = [("rhs_y", dyn.rhs_y, "y"), ("rhs_u", dyn.rhs_u, "u"),
+              ("rhs_yy", dyn.rhs_yy, "yy"), ("rhs_yu", dyn.rhs_yu, "yu"),
+              ("rhs_uu", dyn.rhs_uu, "uu")]
     probes = []
     for _ in range(20):
         t = rng.uniform(0.0, problem.horizon)
@@ -463,14 +473,30 @@ def _validate_dynamics(problem: ControlProblem, probe_base, rng, tol: float):
         else:
             raise NocError("could not sample valid probe points near probe_base")
         u = 0.5 * rng.standard_normal(m)
-        for name, cb, ref in checks:
+        f = np.asarray(dyn.rhs(t, y, u), float)
+        if not np.all(np.isfinite(f)):
+            raise NocError("dynamics rhs is not finite at a validation probe point")
+        fmax = float(np.max(np.abs(f), initial=0.0))
+        for name, cb, wrt in checks:
             a = np.asarray(cb(t, y, u), float)
-            b = ref(t, y, u)
-            scale = 1.0 + float(np.max(np.abs(b)))
-            if np.max(np.abs(a - b)) > tol * scale:
+            fd = _fd_first_block if len(wrt) == 1 else _fd_second_block
+            b = fd(dyn.rhs, t, y, u, wrt)
+            limit = tol * (1.0 + float(np.max(np.abs(b))))
+            err = float(np.max(np.abs(a - b)))
+            if err <= limit:
+                continue
+            if not np.isfinite(err):
+                raise NocError(f"dynamics block {name} or its central differences "
+                               f"are not finite at a validation probe point")
+            rounding = _fd_rounding(fmax, y, u, wrt)
+            if rounding > limit:
                 raise NocError(
-                    f"dynamics block {name} disagrees with central differences "
-                    f"by {np.max(np.abs(a - b)):.3e} (tol {tol * scale:.3e})")
+                    f"dynamics rhs reaches {fmax:.3e} at a validation probe point, "
+                    f"too large to check {name} by central differences: their "
+                    f"rounding error (up to {rounding:.3e}) exceeds tol {limit:.3e}")
+            raise NocError(
+                f"dynamics block {name} disagrees with central differences "
+                f"by {err:.3e} (tol {limit:.3e})")
         probes.append((t, y, u))
     if dyn.blocks_many is not None:
         # the batched evaluator must reproduce the (validated) per-node blocks
@@ -651,31 +677,21 @@ def integrate_variational(problem: ControlProblem, trajectory: Trajectory,
                           control_directions, start_vector) -> FieldAlongCurve:
     """First-order response X of the flow to (start_vector, control_directions).
 
-    Coupled (y, X) RK4 with shared stages: X is the exact derivative of the
-    discrete flow. In the chart the connection terms of the covariant
-    variational equation cancel, leaving Xdot = f_y X + f_u v.
+    X_{i+1} = M_i X_i + B_i v_i with the cell propagators of
+    ``_cell_propagators``, so X is the exact derivative of the discrete flow.
+    In the chart the connection terms of the covariant variational equation
+    cancel, leaving the plain linearisation Xdot = f_y X + f_u v.
     """
     v_seq = _check_direction_shape(trajectory, control_directions)
     X = _start_components(trajectory, start_vector, "start vector")
-    dyn = problem.dynamics
-    n = problem.state_dim
+    M, B = _cell_propagators(problem, trajectory)
     N = trajectory.num_cells
-    h = trajectory.step
-    values = np.empty((N + 1, n))
+    values = np.empty((N + 1, X.size))
     values[0] = X
     for i in range(N):
-        u = trajectory.controls[i]
-        v = v_seq[i]
-
-        def fun(t, z):
-            y, Xc = z[:n], z[n:]
-            return np.concatenate([dyn.rhs(t, y, u),
-                                   dyn.rhs_y(t, y, u) @ Xc + dyn.rhs_u(t, y, u) @ v])
-
-        z = _rk4_step(fun, trajectory.grid[i], np.concatenate([trajectory.states[i], X]), h)
-        if not np.all(np.isfinite(z)):
+        X = M[i] @ X + B[i] @ v_seq[i]
+        if not np.all(np.isfinite(X)):
             raise NonFiniteState(f"variational field became non-finite in cell {i}")
-        X = z[n:]
         values[i + 1] = X
     return FieldAlongCurve(trajectory=trajectory, values=values, kind="tangent")
 
@@ -739,29 +755,31 @@ def integrate_second_variation(problem: ControlProblem, trajectory: Trajectory,
     return FieldAlongCurve(trajectory=trajectory, values=values, kind="tangent")
 
 
-def _adjoint_steps(problem: ControlProblem, trajectory: Trajectory) -> np.ndarray:
-    """Per-cell maps G_i (N, n, n) of one backward RK4 step of pdot = -f_y^T p.
+def _cell_propagators(problem: ControlProblem, trajectory: Trajectory) -> tuple:
+    """The exact linear maps of every forward RK4 cell,
+    dy_{i+1} = M_i dy_i + B_i du_i: M (N, n, n) and B (N, n, m).
 
-    The state is re-integrated backwards from each stored node, so the stage
-    states track the forward pass to RK4 accuracy. Cells restart from their
-    own node, hence every cell's stages are evaluated in one batch, and the
-    step is linear in p: p_i = G_i p_{i+1}.
+    Each cell restarts from its stored node y_i, so the four stage points of
+    every cell are formed at once. With J_s, F_s the state and control
+    Jacobians at stage s and E = [I | 0], the stage derivatives chain as
+    D_s = J_s (E + c_s h D_{s-1}) + [0 | F_s], and [M | B] = E + h/6
+    (D_1 + 2 D_2 + 2 D_3 + D_4).
     """
     dyn = problem.dynamics
+    N, n = trajectory.num_cells, problem.state_dim
     h = trajectory.step
-    u = trajectory.controls
-    t1 = trajectory.grid[1:]
-    y1 = trajectory.states[1:]
-    f1, J1 = _blocks_along(dyn, t1, y1, u, 2)
-    f2, J2 = _blocks_along(dyn, t1 - 0.5 * h, y1 - (0.5 * h) * f1, u, 2)
-    f3, J3 = _blocks_along(dyn, t1 - 0.5 * h, y1 - (0.5 * h) * f2, u, 2)
-    _, J4 = _blocks_along(dyn, t1 - h, y1 - h * f3, u, 2)
-    A1, A2, A3, A4 = (np.swapaxes(J, 1, 2) for J in (J1, J2, J3, J4))
-    eye = np.eye(problem.state_dim)
-    Q2 = eye + (0.5 * h) * A1
-    Q3 = eye + (0.5 * h) * (A2 @ Q2)
-    Q4 = eye + h * (A3 @ Q3)
-    return eye + (h / 6.0) * (A1 + 2.0 * (A2 @ Q2) + 2.0 * (A3 @ Q3) + A4 @ Q4)
+    t, y, u = trajectory.grid[:-1], trajectory.states[:-1], trajectory.controls
+    E = np.eye(n, n + problem.control_dim)
+    k = np.zeros_like(y)
+    D = np.zeros((N,) + E.shape)
+    total = np.zeros_like(D)
+    for c, weight in ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        k, J, F = _blocks_along(dyn, t + c * h, y + (c * h) * k, u, 3)
+        D = J @ (E + (c * h) * D)
+        D[:, :, n:] += F
+        total += weight * D
+    step = E + (h / 6.0) * total
+    return step[:, :, :n], step[:, :, n:]
 
 
 def integrate_adjoint(problem: ControlProblem, trajectory: Trajectory,
@@ -769,11 +787,13 @@ def integrate_adjoint(problem: ControlProblem, trajectory: Trajectory,
     """Backward covector field with terminal value = endpoint-gradient of the
     weighted endpoint aggregate at the terminal slot.
 
-    Each cell takes one classical RK4 step backwards, with the state
-    re-integrated from the cell's stored right node. The connection terms
-    cancel in the chart, leaving pdot = -f_y^T p. The field is linear in the
-    multiplier, so a (dim, k) matrix whose columns are multipliers gives all
-    k adjoints in the same pass: values then have shape (N+1, n, k).
+    p_i = M_i^T p_{i+1}, the exact transpose of the forward cell propagators
+    of ``_cell_propagators``, so the discrete duality p_i X_i - p_N X_N =
+    -sum_{j>=i} p_{j+1} B_j v_j holds to rounding. The connection terms
+    cancel in the chart, leaving the plain adjoint pdot = -f_y^T p. The
+    field is linear in the multiplier, so a (dim, k) matrix whose columns
+    are multipliers gives all k adjoints in the same pass: values then have
+    shape (N+1, n, k).
     """
     ell = np.asarray(multiplier, float)
     y0, yT = trajectory.states[0], trajectory.states[-1]
@@ -782,12 +802,12 @@ def integrate_adjoint(problem: ControlProblem, trajectory: Trajectory,
                  axis=-1)
     if ell.ndim != 2:
         p = p[:, 0]
-    steps = _adjoint_steps(problem, trajectory)
+    M, _ = _cell_propagators(problem, trajectory)
     N = trajectory.num_cells
     values = np.empty((N + 1,) + p.shape)
     values[N] = p
     for i in range(N - 1, -1, -1):
-        p = steps[i] @ p
+        p = M[i].T @ p
         if not np.all(np.isfinite(p)):
             raise NonFiniteState(f"adjoint became non-finite in cell {i}")
         values[i] = p
@@ -1187,16 +1207,19 @@ def trajectory_to_csv(trajectory: Trajectory) -> str:
 
 
 def trajectory_from_csv(chart: ManifoldChart, text: str) -> Trajectory:
+    """Read the CSV of ``trajectory_to_csv``: header exactly t, y1..yn,
+    u1..um in that order, every value finite."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) < 3:
         raise ValueError("trajectory CSV needs a header and at least two rows")
     header = [c.strip() for c in lines[0].split(",")]
-    if header[0] != "t":
-        raise ValueError("trajectory CSV must start with a 't' column")
     n = sum(1 for c in header if c.startswith("y"))
-    m = sum(1 for c in header if c.startswith("u"))
-    if 1 + n + m != len(header) or n == 0:
-        raise ValueError(f"unrecognized trajectory CSV header: {header}")
+    m = len(header) - 1 - n
+    expected = (["t"] + [f"y{i + 1}" for i in range(n)]
+                + [f"u{a + 1}" for a in range(m)])
+    if n == 0 or header != expected:
+        raise ValueError(f"trajectory CSV header must be t, y1..yn, u1..um "
+                         f"in order, got {header}")
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
@@ -1204,6 +1227,8 @@ def trajectory_from_csv(chart: ManifoldChart, text: str) -> Trajectory:
             raise ValueError(f"row width {len(parts)} does not match header")
         rows.append([float(x) for x in parts])
     data = np.asarray(rows, float)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("trajectory CSV contains non-finite values")
     grid = data[:, 0]
     steps = np.diff(grid)
     if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-12 * (1.0 + steps[0]):

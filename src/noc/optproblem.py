@@ -13,6 +13,7 @@ cross-validate each other.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .cones import (Ball, Box, Polyhedron, ProductSet, _product_slices,
                     adjacent_cone_member, contains, second_cone_vrep,
                     set_dim, tangent_cone_vrep)
 from .conditions import (IndexSets, MultiplierVector, _clean_rows,
-                         _enumerate_normalized_rays, thread_count)
+                         _enumerate_normalized_rays)
 from .errors import (DegenerateCone, EmptySecondCone, NocError, PointNotInSet,
                      ResolutionTooCoarse)
 from .expr import compile_expr, parse_expr
@@ -42,6 +43,7 @@ __all__ = [
     "op_second_order",
     "opt_scalar",
     "opt_scalar_from_expression",
+    "thread_count",
     "validate_expansion",
 ]
 
@@ -658,6 +660,18 @@ class BruteForceResult:
     slack: float
     num_feasible: int
     equality_slab: float
+
+
+def thread_count(num_items: int) -> int:
+    """Worker count for the finite-dimensional grid scan (NOC_THREADS caps it)."""
+    raw = os.environ.get("NOC_THREADS", "")
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        cap = min(4, os.cpu_count() or 1)
+    return max(1, min(cap, num_items))
 
 
 def op_bruteforce(problem: OptProblem, point, resolution: float, *,

@@ -169,6 +169,48 @@ def test_non_finite_overrides_exit_2_with_one_line(capsys):
         assert fragment in err
 
 
+def test_bad_magnitude_overrides_exit_2_with_one_line(capsys):
+    # theta=1e300 makes the rhs ~1e299: its central differences are lost to
+    # rounding, which is the cause to report, not a derivative mismatch;
+    # T=1e300 overflows the state in the first cell, and the overflow
+    # warning is folded into the error line instead of printed before it
+    for flags, fragments in ((["--set", "theta=1e300"],
+                              ("rhs reaches", "rounding error")),
+                             (["--set", "T=1e300"],
+                              ("state became non-finite", "overflow"))):
+        assert _check(["preset:ccs126"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert all(fragment in err for fragment in fragments), err
+        assert "disagrees" not in err
+
+
+def test_numerical_warnings_become_one_line_each(monkeypatch, capsys):
+    import warnings
+
+    import noc.cli
+    from noc.errors import NocError
+
+    def warns_then(outcome):
+        def dispatch(args):
+            warnings.warn("overflow encountered in multiply", RuntimeWarning)
+            warnings.warn("overflow encountered in multiply", RuntimeWarning)
+            if outcome is None:
+                raise NocError("it failed")
+            return outcome
+        return dispatch
+
+    monkeypatch.setattr(noc.cli, "_dispatch", warns_then(None))
+    assert _check(["preset:ccs126"]) == 2
+    assert capsys.readouterr().err == (
+        "error: it failed (numerical warning: overflow encountered in "
+        "multiply)\n")
+    monkeypatch.setattr(noc.cli, "_dispatch", warns_then(0))
+    assert _check(["preset:ccs126"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: overflow encountered in multiply\n")
+
+
 def test_unexpected_failure_exits_2_with_one_line(monkeypatch, capsys):
     import noc.cli
 

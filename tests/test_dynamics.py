@@ -97,6 +97,35 @@ def test_make_problem_rejects_wrong_jacobian():
         make_problem(euclidean(2), 1.0, dyn, cost)
 
 
+@pytest.mark.parametrize("scale, fragment", [
+    (1.0, "rhs_y disagrees with central differences"),
+    (1e300, "too large to check rhs_y by central differences"),
+])
+def test_make_problem_names_why_a_jacobian_check_fails(scale, fragment):
+    # the same wrong Jacobian on top of a large constant offset: on a
+    # moderate rhs the mismatch is reported, on a huge one the rounding of
+    # the central differences (which then cannot see the derivative) is
+    def rhs(t, y, u):
+        return np.array([y[1] + scale, -y[0] + u[0]])
+
+    def bad_fy(t, y, u):
+        return np.array([[0.0, 1.0], [1.0, 0.0]])  # sign error
+
+    dyn = dynamics_from_callbacks(2, 1, rhs, rhs_y=bad_fy)
+    cost = linear_endpoint((0.0, 0.0), (1.0, 0.0))
+    with pytest.raises(NocError, match=fragment):
+        make_problem(euclidean(2), 1.0, dyn, cost)
+
+
+def test_make_problem_rejects_non_finite_rhs():
+    dyn = dynamics_from_callbacks(
+        2, 1, lambda t, y, u: np.array([y[1], np.inf * u[0]]),
+        rhs_y=lambda t, y, u: np.array([[0.0, 1.0], [0.0, 0.0]]))
+    cost = linear_endpoint((0.0, 0.0), (1.0, 0.0))
+    with pytest.raises(NocError, match="rhs is not finite"):
+        make_problem(euclidean(2), 1.0, dyn, cost)
+
+
 def test_make_problem_rejects_disagreeing_batched_blocks():
     dyn = dynamics_from_expressions(("y2 + u1^2", "sin(y1) + u1*u2"), 2, 2)
     cost = linear_endpoint((0.0, 0.0), (1.0, 0.0))
@@ -488,33 +517,69 @@ def test_adjoint_linear_matches_matrix_exponential():
     np.testing.assert_allclose(p.values[-1], pT, atol=1e-15)
 
 
-def test_adjoint_matches_per_cell_backward_rk4():
-    # reference: one coupled (y, p) RK4 step backwards per cell, the state
-    # restarted from the stored right node; the batched pass composes the
-    # same stages as per-cell matrices, so only rounding may differ
-    problem = make_sphere_nonlinear()
-    traj = integrate_state(problem, [0.1, -0.2], wiggly_controls(60, scale=0.4))
-    ell = np.array([0.8, -0.3])
+def _coupled_rk4_cell(problem, traj, i, X, v):
+    """One literal coupled (y, X) RK4 step of cell i from per-node callbacks."""
     dyn = problem.dynamics
+    u = traj.controls[i]
+    n = problem.state_dim
+
+    def fun(t, z):
+        y, Xc = z[:n], z[n:]
+        return np.concatenate([dyn.rhs(t, y, u),
+                               dyn.rhs_y(t, y, u) @ Xc + dyn.rhs_u(t, y, u) @ v])
+
     h = traj.step
+    t, z = traj.grid[i], np.concatenate([traj.states[i], X])
+    k1 = fun(t, z)
+    k2 = fun(t + 0.5 * h, z + 0.5 * h * k1)
+    k3 = fun(t + 0.5 * h, z + 0.5 * h * k2)
+    k4 = fun(t + h, z + h * k3)
+    return (z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[n:]
+
+
+def test_adjoint_and_variational_match_per_cell_forward_rk4():
+    # reference: each cell's maps M_i, B_i built column by column from a
+    # literal coupled (y, X) RK4 step; the variational field is the forward
+    # recursion X_{i+1} = M_i X_i + B_i v_i and the adjoint its exact
+    # transpose p_i = M_i^T p_{i+1}, so only rounding may differ
+    problem = make_sphere_nonlinear()
+    N = 60
+    traj = integrate_state(problem, [0.1, -0.2], wiggly_controls(N, scale=0.4))
+    ell = np.array([0.8, -0.3])
+    v = wiggly_controls(N, scale=0.3)[::-1]
+    X0 = np.array([0.3, -0.5])
+    eye2 = np.eye(2)
+    M = [np.stack([_coupled_rk4_cell(problem, traj, i, e, np.zeros(2))
+                   for e in eye2], axis=1) for i in range(N)]
+    B = [np.stack([_coupled_rk4_cell(problem, traj, i, np.zeros(2), e)
+                   for e in eye2], axis=1) for i in range(N)]
     p = lagrange_data(problem, traj.states[0], traj.states[-1], ell).grad_end
-    ref = [p]
-    for i in range(traj.num_cells - 1, -1, -1):
-        u = traj.controls[i]
+    ref_p = [p]
+    for i in range(N - 1, -1, -1):
+        p = M[i].T @ p
+        ref_p.append(p)
+    X = X0
+    ref_X = [X]
+    for i in range(N):
+        X = M[i] @ X + B[i] @ v[i]
+        ref_X.append(X)
+    got_p = integrate_adjoint(problem, traj, ell).values
+    got_X = integrate_variational(problem, traj, v, X0).values
+    np.testing.assert_allclose(got_p, np.array(ref_p[::-1]), rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(got_X, np.array(ref_X), rtol=1e-13, atol=1e-14)
 
-        def fun(t, z):
-            return np.concatenate([dyn.rhs(t, z[:2], u),
-                                   -dyn.rhs_y(t, z[:2], u).T @ z[2:]])
 
-        t, z = traj.grid[i + 1], np.concatenate([traj.states[i + 1], p])
-        k1 = fun(t, z)
-        k2 = fun(t - 0.5 * h, z - 0.5 * h * k1)
-        k3 = fun(t - 0.5 * h, z - 0.5 * h * k2)
-        k4 = fun(t - h, z - h * k3)
-        p = (z - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[2:]
-        ref.append(p)
-    got = integrate_adjoint(problem, traj, ell).values
-    np.testing.assert_allclose(got, np.array(ref[::-1]), rtol=1e-13, atol=1e-14)
+def test_discrete_duality_holds_to_rounding():
+    # with v = 0 the pairing p_i . X_i is constant along the discrete flow;
+    # a coarse grid and large controls make any O(h^4) mismatch between the
+    # adjoint and the variational step visible
+    problem = make_sphere_nonlinear()
+    N = 8
+    traj = integrate_state(problem, [0.1, -0.2], wiggly_controls(N, scale=0.6))
+    X = integrate_variational(problem, traj, np.zeros((N, 2)), [0.3, -0.5]).values
+    p = integrate_adjoint(problem, traj, [0.8, -0.3]).values
+    pairing = np.einsum("ij,ij->i", p, X)
+    assert np.max(np.abs(pairing - pairing[-1])) <= 1e-13
 
 
 def test_adjoint_constant_when_state_free():
@@ -918,3 +983,32 @@ def test_csv_rejects_nonuniform_grid():
     lines[2] = ",".join(parts)
     with pytest.raises(ValueError):
         trajectory_from_csv(problem.chart, "\n".join(lines))
+
+
+def _csv_lines(num_cells: int = 5) -> list:
+    problem = make_ccs126()
+    traj = integrate_state(problem, [1.0, 0.0], ccs126_nominal_controls(num_cells))
+    return trajectory_to_csv(traj).splitlines()
+
+
+@pytest.mark.parametrize("header", ["t,u1,u2,y1,y2", "t,y1,y2,u2,u1",
+                                    "t,y2,y1,u1,u2", "y1,t,y2,u1,u2",
+                                    "t,y1,y3,u1,u2", "t,y1,y2,u1,x2"])
+def test_csv_rejects_header_out_of_order(header):
+    # controls read as states (or states as controls) would be a silent
+    # misreading: only the exact t, y1..yn, u1..um layout is accepted
+    lines = _csv_lines()
+    lines[0] = header
+    with pytest.raises(ValueError, match="header"):
+        trajectory_from_csv(euclidean(2), "\n".join(lines))
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("column", [0, 1, 4])
+def test_csv_rejects_non_finite_values(token, column):
+    lines = _csv_lines()
+    parts = lines[3].split(",")
+    parts[column] = token
+    lines[3] = ",".join(parts)
+    with pytest.raises(ValueError, match="non-finite"):
+        trajectory_from_csv(euclidean(2), "\n".join(lines))
