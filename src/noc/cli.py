@@ -16,8 +16,7 @@ All failures surface as one-line diagnostics on stderr, never tracebacks:
 input errors and unexpected failures alike exit 2, and a numerical warning
 raised on the way (an overflow, say) is named on that same line. A sweep records a
 failing cell as a row with verdict ``error``, finishes the other cells and
-then exits 2. The NOC_THREADS environment variable caps the worker threads
-of the finite-dimensional (``op``) grid scan, the only threaded stage.
+then exits 2. Every stage runs on the calling thread.
 """
 from __future__ import annotations
 

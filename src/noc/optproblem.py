@@ -13,8 +13,6 @@ cross-validate each other.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +41,6 @@ __all__ = [
     "op_second_order",
     "opt_scalar",
     "opt_scalar_from_expression",
-    "thread_count",
     "validate_expansion",
 ]
 
@@ -573,6 +570,9 @@ def build_separation(problem: OptProblem, point, direction, *,
 # exhaustive grid oracle
 # ----------------------------------------------------------------------------
 
+GRID_POINT_LIMIT = 2 ** 30   # lattices above this are refused, not scanned
+CHUNK_POINTS = 262144        # lattice points held in memory at once
+
 def _bounding_box(U) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(U, Ball):
         c = np.asarray(U.center, float)
@@ -611,18 +611,32 @@ def _bounding_box(U) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _membership_mask(U, pts: np.ndarray) -> np.ndarray:
-    """Vectorized membership over a (P, N) batch."""
+    """Vectorized membership over a (P, N) batch, one coordinate column (or
+    one constraint row) at a time."""
     if isinstance(U, Ball):
         c = np.asarray(U.center, float)
-        return np.einsum("ij,ij->i", pts - c, pts - c) <= U.radius ** 2 + 1e-12
+        d = pts[:, 0] - c[0]
+        dist2 = d * d
+        for a in range(1, c.size):
+            np.subtract(pts[:, a], c[a], out=d)
+            d *= d
+            dist2 += d
+        return dist2 <= U.radius ** 2 + 1e-12
     if isinstance(U, Box):
-        lo = np.asarray(U.lower, float)
-        hi = np.asarray(U.upper, float)
-        return np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=1)
+        lo = np.asarray(U.lower, float) - 1e-12
+        hi = np.asarray(U.upper, float) + 1e-12
+        mask = np.ones(pts.shape[0], bool)
+        for a in range(lo.size):
+            mask &= pts[:, a] >= lo[a]
+            mask &= pts[:, a] <= hi[a]
+        return mask
     if isinstance(U, Polyhedron):
         A = np.asarray(U.A, float)
-        b = np.asarray(U.b, float)
-        return np.all(pts @ A.T <= b + 1e-12, axis=1)
+        b = np.asarray(U.b, float) + 1e-12
+        mask = np.ones(pts.shape[0], bool)
+        for row, bound in zip(A, b):
+            mask &= pts @ row <= bound
+        return mask
     if isinstance(U, ProductSet):
         mask = np.ones(pts.shape[0], bool)
         for f, s in zip(U.factors, _product_slices(U)):
@@ -662,16 +676,63 @@ class BruteForceResult:
     equality_slab: float
 
 
-def thread_count(num_items: int) -> int:
-    """Worker count for the finite-dimensional grid scan (NOC_THREADS caps it)."""
-    raw = os.environ.get("NOC_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, num_items))
+def _lattice_axes(lo: np.ndarray, hi: np.ndarray,
+                  resolution: float) -> list[np.ndarray]:
+    """Per-axis samples of the grid: both ends and about ``resolution``
+    apart, or the single value of a zero-width axis.  Raises ValueError
+    before anything is allocated when the lattice exceeds GRID_POINT_LIMIT."""
+    steps = np.round((hi - lo) / resolution)
+    counts = np.where(hi == lo, 1.0, np.maximum(steps + 1.0, 2.0))
+    total = float(np.prod(counts))
+    if not total <= GRID_POINT_LIMIT:
+        raise ValueError(f"the grid would hold {total:.0f} points, more than "
+                         f"the limit of {GRID_POINT_LIMIT}; use a coarser "
+                         f"resolution")
+    return [np.linspace(l, h, int(n)) for l, h, n in zip(lo, hi, counts)]
+
+
+def _lattice_chunks(axes: list[np.ndarray]):
+    """Yield the C-ordered lattice of ``axes`` as (P, dim) slabs of whole
+    leading-axis rows, at most CHUNK_POINTS each (one row when a row is
+    larger).  Every slab is a view of one buffer whose trailing coordinates
+    are written once; only column 0 changes, so a slab is valid until the
+    next one is drawn."""
+    dim = len(axes)
+    counts = [ax.size for ax in axes]
+    inner = math.prod(counts[1:])
+    rows = max(1, min(counts[0], CHUNK_POINTS // inner))
+    buf = np.empty((rows * inner, dim))
+    lattice = buf.reshape([rows] + counts[1:] + [dim])
+    for a in range(1, dim):
+        lattice[..., a] = axes[a].reshape([-1 if k == a else 1
+                                           for k in range(dim)])
+    for start in range(0, counts[0], rows):
+        lead = axes[0][start:start + rows]
+        lattice[:lead.size, ..., 0] = lead.reshape([-1] + [1] * (dim - 1))
+        yield buf[:lead.size * inner]
+
+
+def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: np.ndarray):
+    """(feasible count, best value, best point) of one lattice slab; the
+    best point is the first minimizer in C order, copied out of the slab."""
+    mask = _membership_mask(problem.domain, chunk)
+    if not mask.any():
+        return 0, math.inf, None
+    sel = chunk if mask.all() else chunk[mask]
+    feas = np.ones(sel.shape[0], bool)
+    for row in problem.inequalities:
+        feas &= _row_values(row, sel) <= 1e-9
+        if not feas.any():
+            return 0, math.inf, None
+    for row, slab in zip(problem.equalities, slabs):
+        feas &= np.abs(_row_values(row, sel)) <= slab
+        if not feas.any():
+            return 0, math.inf, None
+    if not feas.all():
+        sel = sel[feas]
+    vals = _row_values(problem.cost, sel)
+    best = int(np.argmin(vals))
+    return sel.shape[0], float(vals[best]), sel[best].copy()
 
 
 def op_bruteforce(problem: OptProblem, point, resolution: float, *,
@@ -685,7 +746,9 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
     the best feasible grid value against the candidate's value with a
     Lipschitz slack (gradient bound times half the cell diagonal);
     improvements inside the slack raise ResolutionTooCoarse because the
-    grid cannot distinguish them from discretization error.
+    grid cannot distinguish them from discretization error.  The lattice
+    is streamed in slabs of at most CHUNK_POINTS points, so memory does not
+    grow with the grid; grids above GRID_POINT_LIMIT points are refused.
     """
     e = np.asarray(point, float)
     _require_in_domain(problem, e)
@@ -694,12 +757,7 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     lo, hi = _bounding_box(problem.domain)
-    axes = []
-    for a in range(problem.dim):
-        count = max(int(round((hi[a] - lo[a]) / resolution)) + 1, 2)
-        axes.append(np.linspace(lo[a], hi[a], count))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    axes = _lattice_axes(lo, hi, resolution)
     rng = np.random.default_rng(seed)
     lip0 = _lipschitz_estimate(problem.cost, lo, hi, rng)
     half_diag = 0.5 * resolution * math.sqrt(problem.dim)
@@ -713,42 +771,18 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
         lip = max(_lipschitz_estimate(row, lo, hi, rng), 1e-9)
         slack += lip0 * slab / lip
 
-    chunks = np.array_split(pts, max(1, pts.shape[0] // 262144 + 1))
-
-    def scan(chunk: np.ndarray):
-        mask = _membership_mask(problem.domain, chunk)
-        if not mask.any():
-            return 0, math.inf, None
-        sel = chunk[mask]
-        feas = np.ones(sel.shape[0], bool)
-        for row in problem.inequalities:
-            feas &= _row_values(row, sel) <= 1e-9
-            if not feas.any():
-                return 0, math.inf, None
-        for row, slab in zip(problem.equalities, slabs):
-            feas &= np.abs(_row_values(row, sel)) <= slab
-            if not feas.any():
-                return 0, math.inf, None
-        sel = sel[feas]
-        vals = _row_values(problem.cost, sel)
-        best = int(np.argmin(vals))
-        return sel.shape[0], float(vals[best]), sel[best]
-
-    workers = thread_count(len(chunks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan, chunks))
-    else:
-        results = [scan(c) for c in chunks]
-    num_feasible = sum(r[0] for r in results)
+    num_feasible, best_value, best_point = 0, math.inf, None
+    for chunk in _lattice_chunks(axes):
+        count, value, where = _scan_chunk(problem, slabs, chunk)
+        num_feasible += count
+        if count and (best_point is None or value < best_value):
+            best_value, best_point = value, where
     ref = float(problem.cost.value(e))
     if num_feasible == 0:
         return BruteForceResult(verdict="empty", best_point=None,
                                 best_value=math.nan, reference_value=ref,
                                 slack=slack, num_feasible=0,
                                 equality_slab=max(slabs, default=0.0))
-    best_value, best_point = min(((r[1], r[2]) for r in results),
-                                 key=lambda t: t[0])
     improvement = ref - best_value
     scale = 1e-12 * (1.0 + abs(ref))
     if improvement > slack:

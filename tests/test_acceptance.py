@@ -41,8 +41,7 @@ def _closed_form_lhs(T: float, theta: float) -> float:
 # criterion 1: worked counterexample end-to-end
 # ----------------------------------------------------------------------------
 
-def test_criterion_1_counterexample_end_to_end(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NOC_THREADS", "1")
+def test_criterion_1_counterexample_end_to_end(tmp_path, capsys):
     report_path = str(tmp_path / "report.json")
     started = time.perf_counter()
     code = main(["check", "preset:ccs126", "--report", report_path])

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 
@@ -142,6 +141,15 @@ def test_op_grid_search_agreement_and_coarse_note(tmp_path, capsys):
     path = _write(tmp_path, "coarse.noc", coarse)
     assert _check([path]) == 3  # first-order cone is empty at an interior point
     assert "grid search inconclusive" in capsys.readouterr().out
+
+
+def test_absurd_grid_resolution_exits_2_with_one_line(tmp_path, capsys):
+    # 2,000,001^2 lattice points: refused by count instead of allocated
+    path = _write(tmp_path, "fine.noc", DISC_OP + "resolution 1e-6\n")
+    assert _check([path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "4000004000001 points" in err and "coarser resolution" in err
 
 
 def test_input_errors_exit_2(tmp_path, capsys):
@@ -369,17 +377,16 @@ def test_oracle_cone_memberships(capsys):
 # installed entry point
 # ----------------------------------------------------------------------------
 
-def test_subprocess_carries_exit_code_and_threads_env(tmp_path):
-    env = dict(os.environ, NOC_THREADS="1")
+def test_subprocess_carries_exit_code(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "noc", "check", "preset:ccs126",
          "--grid", "120"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
     assert proc.returncode == 3
     assert "verdict: refuted" in proc.stdout
     assert "Traceback" not in proc.stderr
     proc = subprocess.run([sys.executable, "-m", "noc", "check",
                            str(tmp_path / "missing.noc")],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

@@ -32,8 +32,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from noc.cones import (Ball, Box, Polyhedron, second_adjacent_member,
-                       second_cone_vrep, tangent_cone_vrep)
+from noc.cones import (Ball, Box, Polyhedron, ProductSet,
+                       second_adjacent_member, second_cone_vrep,
+                       tangent_cone_vrep)
 from noc.errors import EmptySecondCone, NocError, PointNotInSet, \
     ResolutionTooCoarse
 from noc.optproblem import (build_separation, control_problem_as_op,
@@ -443,6 +444,171 @@ def test_grid_oracle_guards():
                           opt_scalar_from_expression("x1", 1))
     with pytest.raises(ValueError, match="unbounded"):
         op_bruteforce(pu, [0.0], 0.1)
+
+
+def test_zero_width_axis_is_sampled_once():
+    # the flat box [-1, 1] x [0, 0] at spacing 0.5 is five lattice points
+    p = make_opt_problem(Box(lower=(-1.0, 0.0), upper=(1.0, 0.0)),
+                         opt_scalar_from_expression("x1", 2))
+    bf = op_bruteforce(p, [-1.0, 0.0], 0.5)
+    assert bf.num_feasible == 5
+    assert bf.verdict == "confirmed"
+
+
+def test_grid_oracle_refuses_absurd_lattices():
+    # 2,000,001^2 points on the unit disc: refused by count, before any
+    # allocation or scan
+    with pytest.raises(ValueError, match="4000004000001 points"):
+        op_bruteforce(_disc_problem(), DISC_POINT, 1e-6)
+
+
+def test_grid_point_limit_is_inclusive(monkeypatch):
+    import noc.optproblem
+
+    monkeypatch.setattr(noc.optproblem, "GRID_POINT_LIMIT", 5)
+    p = make_opt_problem(Box(lower=(-1.0,), upper=(1.0,)),
+                         opt_scalar_from_expression("x1", 1))
+    assert op_bruteforce(p, [-1.0], 0.5).num_feasible == 5
+    with pytest.raises(ValueError, match="6 points"):
+        op_bruteforce(p, [-1.0], 0.4)
+
+
+# -- the streamed scan against a full-mesh reference -------------------------
+
+def _reference_member(U, pts):
+    if isinstance(U, Ball):
+        c = np.asarray(U.center, float)
+        return np.einsum("ij,ij->i", pts - c, pts - c) <= U.radius ** 2 + 1e-12
+    if isinstance(U, Box):
+        lo = np.asarray(U.lower, float)
+        hi = np.asarray(U.upper, float)
+        return np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=1)
+    if isinstance(U, Polyhedron):
+        return np.all(pts @ np.asarray(U.A, float).T
+                      <= np.asarray(U.b, float) + 1e-12, axis=1)
+    mask = np.ones(pts.shape[0], bool)
+    start = 0
+    for f in U.factors:
+        d = len(f.center) if isinstance(f, Ball) else len(f.lower)
+        mask &= _reference_member(f, pts[:, start:start + d])
+        start += d
+    return mask
+
+
+def test_membership_mask_matches_reference_off_the_lattice():
+    from noc.optproblem import _membership_mask
+
+    rng = np.random.default_rng(3)
+    sets = [Ball(center=(0.5, -0.25), radius=1.0),
+            Box(lower=(-1.0, 0.0, -0.5), upper=(1.0, 0.5, 0.5)),
+            Polyhedron(A=((-1.0, 0.0), (0.0, -1.0), (1.0, 1.0)),
+                       b=(0.0, 0.0, 1.0)),
+            ProductSet((Box(lower=(0.0,), upper=(1.0,)),
+                        Ball(center=(0.0, 0.0), radius=1.0)))]
+    for U in sets:
+        dim = 2 if isinstance(U, (Ball, Polyhedron)) else 3
+        pts = rng.uniform(-2.0, 2.0, (4000, dim))
+        expected = _reference_member(U, pts)
+        assert 0 < expected.sum() < pts.shape[0]
+        np.testing.assert_array_equal(_membership_mask(U, pts), expected)
+
+
+def _full_mesh_reference(problem, lo, hi, resolution, slab):
+    """num_feasible, best value and first arg-min in C order over the whole
+    lattice at once, the way the scan is specified."""
+    axes = [np.linspace(l, h, 1 if l == h
+                        else max(int(round((h - l) / resolution)) + 1, 2))
+            for l, h in zip(lo, hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = pts[_reference_member(problem.domain, pts)]
+    for row in problem.inequalities:
+        pts = pts[row.value_many(pts) <= 1e-9]
+    for row in problem.equalities:
+        pts = pts[np.abs(row.value_many(pts)) <= slab]
+    vals = np.broadcast_to(problem.cost.value_many(pts), (pts.shape[0],))
+    best = int(np.argmin(vals))
+    return pts.shape[0], float(vals[best]), pts[best]
+
+
+_SCAN_CASES = {
+    # name: (domain, bounding box, cost, inequalities, equalities,
+    #        candidate, resolution); chunk counts are for 262,144 points
+    "box-1d": (Box(lower=(-1.0,), upper=(2.0,)), ((-1.0,), (2.0,)),
+               "(x1 - 0.3)^2", (), (), [0.3], 1e-3),
+    # 1001 x 1001 lattice: four slabs of 261 rows
+    "disc-4-chunks": (Ball(center=(0.0, 0.0), radius=1.0),
+                      ((-1.0, -1.0), (1.0, 1.0)),
+                      "x1 + 0.1*x2", (), (), [-1.0, 0.0], 2e-3),
+    # the equality leaves nothing in the first slab (x1 < -0.48), the
+    # inequality nothing in the last (x1 > 0.56)
+    "disc-rows-empty-chunks": (Ball(center=(0.0, 0.0), radius=1.0),
+                               ((-1.0, -1.0), (1.0, 1.0)),
+                               "x2", ("x1 - 0.4",), ("x1 - x2^2 + 0.3",),
+                               [-0.3, 0.0], 2e-3),
+    # every point of every slab is feasible, and the best one lies in the
+    # first slab, whose buffer the later slabs overwrite
+    "box-2d-all-feasible": (Box(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
+                            ((-1.0, -1.0), (1.0, 1.0)),
+                            "(x1 + 0.9)^2 + x2^2", (), (), [-0.9, 0.0],
+                            2e-3),
+    "polyhedron-2d": (Polyhedron(A=((-1.0, 0.0), (0.0, -1.0), (1.0, 1.0)),
+                                 b=(0.0, 0.0, 1.0)),
+                      ((0.0, 0.0), (1.0, 1.0)),
+                      "(x1 - 0.25)^2 - x2", ("x1 - 0.8",), (),
+                      [0.25, 0.75], 2e-3),
+    "ball-3d": (Ball(center=(0.5, 0.0, 0.0), radius=1.0),
+                ((-0.5, -1.0, -1.0), (1.5, 1.0, 1.0)),
+                "x1 + x2*x3", (), (), [-0.5, 0.0, 0.0], 2e-2),
+    # a thin box times the disc: 4 leading rows, each a 572^2 = 327,184
+    # point plane, so every slab is one row larger than the chunk size
+    "product-3d-wide-plane": (
+        ProductSet((Box(lower=(0.0,), upper=(0.01,)),
+                    Ball(center=(0.0, 0.0), radius=1.0))),
+        ((0.0, -1.0, -1.0), (0.01, 1.0, 1.0)),
+        "x1 + x2 + x3", (), (), [0.0, -0.5 ** 0.5, -0.5 ** 0.5], 0.0035),
+    # every feasible point ties: the first one in C order must win, across
+    # four slabs
+    "disc-constant-cost": (Ball(center=(0.0, 0.0), radius=1.0),
+                           ((-1.0, -1.0), (1.0, 1.0)),
+                           "3", (), (), [0.0, 0.0], 2e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_CASES))
+def test_streamed_scan_matches_full_mesh_reference(name):
+    domain, (lo, hi), cost, ineqs, eqs, point, res = _SCAN_CASES[name]
+    dim = len(lo)
+    problem = make_opt_problem(
+        domain, opt_scalar_from_expression(cost, dim),
+        inequalities=[opt_scalar_from_expression(t, dim) for t in ineqs],
+        equalities=[opt_scalar_from_expression(t, dim) for t in eqs])
+    slab = 0.01
+    try:
+        bf = op_bruteforce(problem, point, res, equality_slab=slab)
+    except ResolutionTooCoarse:
+        pytest.fail(f"{name}: the case must be decisive at its resolution")
+    count, value, where = _full_mesh_reference(problem, lo, hi, res, slab)
+    assert bf.num_feasible == count > 0
+    assert bf.best_value == value
+    assert bf.best_point.tobytes() == where.tobytes()
+    ref = float(problem.cost.value(np.asarray(point, float)))
+    expected = "refuted" if ref - value > bf.slack else "confirmed"
+    assert bf.verdict == expected
+
+
+def test_scan_memory_does_not_grow_with_the_grid():
+    import tracemalloc
+
+    problem = _disc_problem()
+    tracemalloc.start()
+    try:
+        bf = op_bruteforce(problem, DISC_POINT, 1e-3)   # 2001^2 points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bf.num_feasible > 3_000_000
+    assert peak < 32 * 2 ** 20, f"scan peak {peak / 2 ** 20:.1f} MB"
 
 
 # ----------------------------------------------------------------------------
