@@ -8,7 +8,12 @@ Subcommands:
   they are refuted, 4 when no verdict can be certified, 2 on input errors.
 * ``sweep <file> --param NAME=START:STOP:COUNT|v1,v2,... [--out t.csv]``
   re-runs the check over a parameter grid and emits a CSV of verdicts and
-  quadratic-form values.
+  quadratic-form values. A control problem is parsed, compiled and its
+  derivative blocks probed once, at the first cell that builds; every
+  cell rebinds the param values and horizon, re-validates the file and
+  probes again what its values can change (see ``rebind_problem``), so a
+  cell's row does not depend on its place. ``check`` is a sweep of one
+  cell.
 * ``oracle cone <set> <u> <v> [<w>]`` queries first/second-order cone
   membership for a convex set described inline.
 
@@ -41,7 +46,7 @@ from .errors import (DegenerateCone, NocError, NoMultiplier,
 from .optproblem import (QUALIFY_TOL, build_separation, op_bruteforce,
                          op_first_order, op_index_sets, op_second_order)
 from .presets import load_preset, preset_notes
-from .problemfile import (ProblemFile, build_control_problem,
+from .problemfile import (ControlModel, ProblemFile, build_control_problem,
                           build_direction_arrays, build_nominal_controls,
                           build_opt_problem, build_set, parse_problem_file,
                           parse_set_inline, serialize_problem_file)
@@ -211,17 +216,19 @@ def _cmd_check(args) -> int:
     return code
 
 
-def _run(pf: ProblemFile, preset_name):
+def _run(pf: ProblemFile, preset_name, model: ControlModel | None = None):
+    """Check one problem file. A sweep passes the same ``model`` for every
+    cell; a check builds its own, so it runs as a sweep of one cell."""
     notes = list(preset_notes(preset_name, pf))
     if pf.kind == "op":
         report = _run_op(pf, notes)
     else:
-        report = _run_control(pf, notes)
+        report = _run_control(pf, notes, model)
     return report, notes
 
 
-def _run_control(pf: ProblemFile, notes: list) -> dict:
-    problem = build_control_problem(pf)
+def _run_control(pf: ProblemFile, notes: list, model) -> dict:
+    problem = build_control_problem(pf, model)
     controls = build_nominal_controls(pf)
     start = list(pf.start) + ([0.0] if pf.kind == "ocpe" else [])
     trajectory = integrate_state(problem, start, controls)
@@ -353,9 +360,13 @@ def _run_op(pf: ProblemFile, notes: list) -> dict:
                 "num_feasible": bf.num_feasible,
                 "equality_slab": bf.equality_slab,
             }
+            if bf.num_nonfinite:
+                notes.append(f"grid search skipped {bf.num_nonfinite} "
+                             f"feasible points whose cost is not finite")
             if bf.verdict == "empty":
-                notes.append("grid search found no feasible sample at this "
-                             "resolution")
+                what = ("feasible sample with a finite cost"
+                        if bf.num_nonfinite else "feasible sample")
+                notes.append(f"grid search found no {what} at this resolution")
             else:
                 grid_verdict = ("refuted" if bf.verdict == "refuted"
                                 else "consistent")
@@ -434,6 +445,7 @@ def _cmd_sweep(args) -> int:
     pf = _apply_overrides(pf, args)
     specs = [_parse_param_spec(spec) for spec in args.param]
     names = [name for name, _ in specs]
+    model = ControlModel()      # compiled and probed at the first cell that builds
     rows = []
     failed = 0
     for combo in itertools.product(*(values for _, values in specs)):
@@ -442,7 +454,7 @@ def _cmd_sweep(args) -> int:
         for name, value in zip(names, combo):
             run_pf = run_pf.with_param(name, value)   # unknown names end the sweep
         try:
-            report, notes = _run(_revalidated(run_pf), preset_name)
+            report, notes = _run(_revalidated(run_pf), preset_name, model)
         except Exception as ex:  # noqa: BLE001 - one bad cell must not end the sweep
             failed += 1
             row.update(verdict="error", lhs=None, notes=_one_line(ex))

@@ -724,14 +724,17 @@ def _coordinate_pin(dim: int, slot: int, which: str, constant: float,
 
 def mayer_augment(chart, horizon: float, dynamics_texts, running_cost_text: str,
                   start_point, end_point, control_dim: int, control_set=None, *,
-                  validate: bool = True, label: str = "augmented") -> ControlProblem:
+                  validate: bool = True, label: str = "augmented",
+                  params=None) -> ControlProblem:
     """Rewrite an integral-cost, fixed-endpoint problem as an endpoint-cost one.
 
     Appends an accumulator state whose rate is the running cost; the cost
     becomes the accumulator's terminal value and the fixed endpoints become
     equality rows (start pins, end pins, accumulator-start pin — 2n+1 rows
     in that order). Dynamics and running cost are expressions in
-    t, y1..yn, u1..um.
+    t, y1..yn, u1..um and the names of ``params`` (a name -> value mapping,
+    compiled as arguments; ``rebind_problem`` moves the result to other
+    values).
     """
     n = chart.dim
     start = np.asarray(start_point, float)
@@ -747,7 +750,8 @@ def mayer_augment(chart, horizon: float, dynamics_texts, running_cost_text: str,
         raise ValueError(f"expected {n} dynamics expressions, got {len(texts)}")
     aug_chart = product_chart(chart, euclidean(1))
     dynamics = dynamics_from_expressions(texts + (running_cost_text,), n + 1,
-                                         control_dim, label=f"{label}-dynamics")
+                                         control_dim, label=f"{label}-dynamics",
+                                         params=params)
     cost = _coordinate_pin(n + 1, n, "end", 0.0, "accumulated-cost")
     equalities = []
     for i in range(n):

@@ -47,8 +47,9 @@ __all__ = [
     "expansion_residual", "hamiltonian", "hamiltonian_blocks",
     "integrate_adjoint", "integrate_second_variation", "integrate_state",
     "integrate_variational", "lagrange_data", "make_problem",
-    "refine_controls", "trajectory_from_csv", "trajectory_to_csv",
-    "trajectory_jet", "trapezoid_cellwise", "trapezoid_quadrature",
+    "rebind_problem", "refine_controls", "trajectory_from_csv",
+    "trajectory_to_csv", "trajectory_jet", "trapezoid_cellwise",
+    "trapezoid_quadrature",
 ]
 
 # finite-difference steps for missing derivative callbacks
@@ -56,8 +57,9 @@ _FD1_SCALE = 1e-6   # first derivatives
 _FD2_SCALE = 1e-4   # second derivatives (wider step keeps the quotient conditioned)
 
 
-def _fd_step(x, scale: float) -> float:
-    return scale * (1.0 + float(np.max(np.abs(x), initial=0.0)))
+def _fd_step(x, scale: float):
+    """The difference step at x, one per row when x carries leading axes."""
+    return scale * (1.0 + np.max(np.abs(x), axis=-1, initial=0.0))
 
 
 # ----------------------------------------------------------------------------
@@ -84,6 +86,10 @@ class DynamicsModel:
     cell propagators behind ``integrate_variational`` and
     ``integrate_adjoint``) use it when present and otherwise call the
     per-node callbacks once per point.
+
+    ``rebind`` (set on expression models compiled with parameters) maps
+    new parameter values, a name -> value mapping, to the same model at
+    those values; the compiled callables are shared, not rebuilt.
     """
 
     state_dim: int
@@ -97,6 +103,7 @@ class DynamicsModel:
     supplied: frozenset
     label: str = "custom"
     blocks_many: Callable | None = None
+    rebind: Callable | None = None
 
 
 def _blocks_along(dyn: DynamicsModel, t, y, u, count: int = 6) -> tuple:
@@ -208,20 +215,34 @@ def dynamics_from_callbacks(state_dim: int, control_dim: int, rhs,
                          supplied=supplied, label=label)
 
 
+def _used_params(params, exprs) -> tuple:
+    """The names of ``params`` that occur in ``exprs``: only those become
+    arguments, so a model that uses none has no ``rebind`` and no extra
+    arguments to pass."""
+    used = frozenset().union(*(e.free_vars() for e in exprs))
+    return tuple(name for name in params or () if name in used)
+
+
 def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
-                              label: str = "expression") -> DynamicsModel:
+                              label: str = "expression",
+                              params=None) -> DynamicsModel:
     """Build a model from one expression string per state component.
 
-    Allowed variables: ``t``, ``y1..yn``, ``u1..um``. All derivative blocks
-    are produced by exact symbolic differentiation and compiled.
+    Allowed variables: ``t``, ``y1..yn``, ``u1..um`` and the names of
+    ``params``, a name -> value mapping. All derivative blocks are produced
+    by exact symbolic differentiation and compiled, with the parameters
+    that occur as extra arguments, so ``rebind`` moves the model to other
+    parameter values without parsing or compiling again.
     """
     n, m = state_dim, control_dim
     ynames = tuple(f"y{i + 1}" for i in range(n))
     unames = tuple(f"u{a + 1}" for a in range(m))
-    names = ("t",) + ynames + unames
     if len(texts) != n:
         raise ValueError(f"expected {n} component expressions, got {len(texts)}")
-    exprs = [parse_expr(s, allowed_vars=set(names)) for s in texts]
+    allowed = {"t", *ynames, *unames, *(params or ())}
+    exprs = [parse_expr(s, allowed_vars=allowed) for s in texts]
+    pnames = _used_params(params, exprs)
+    names = ("t",) + ynames + unames + pnames
 
     def comp(e):
         return compile_expr(e, names)
@@ -233,46 +254,52 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
     fyu_fn = [[[comp(e.diff(a).diff(b)) for b in unames] for a in ynames] for e in exprs]
     fuu_fn = [[[comp(e.diff(a).diff(b)) for b in unames] for a in unames] for e in exprs]
 
-    def args_of(t, y, u):
-        return (t, *np.asarray(y, float), *np.asarray(u, float))
-
-    def rhs(t, y, u):
-        a = args_of(t, y, u)
-        return np.array([fn(*a) for fn in f_fn], float)
-
-    def block1(fns, rows, cols):
-        def cb(t, y, u):
-            a = args_of(t, y, u)
-            return np.array([[fns[k][i](*a) for i in range(cols)]
-                             for k in range(rows)], float)
-        return cb
-
-    def block2(fns, rows, d1, d2):
-        def cb(t, y, u):
-            a = args_of(t, y, u)
-            return np.array([[[fns[k][i][j](*a) for j in range(d2)]
-                              for i in range(d1)] for k in range(rows)], float)
-        return cb
-
     def stacked(fns, a, size):
         # nested callables -> (size, *nesting); constants broadcast
         if callable(fns):
             return np.broadcast_to(np.asarray(fns(*a), float), (size,))
         return np.stack([stacked(g, a, size) for g in fns], axis=1)
 
-    def blocks_many(t, y, u):
-        t = np.asarray(t, float)
-        a = (t, *np.asarray(y, float).T, *np.asarray(u, float).T)
-        return tuple(stacked(fns, a, t.shape[0])
-                     for fns in (f_fn, fy_fn, fu_fn, fyy_fn, fyu_fn, fuu_fn))
+    def bind(values) -> DynamicsModel:
+        pvals = tuple(float(values[name]) for name in pnames)
 
-    return DynamicsModel(
-        state_dim=n, control_dim=m, rhs=rhs,
-        rhs_y=block1(fy_fn, n, n), rhs_u=block1(fu_fn, n, m),
-        rhs_yy=block2(fyy_fn, n, n, n), rhs_yu=block2(fyu_fn, n, n, m),
-        rhs_uu=block2(fuu_fn, n, m, m),
-        supplied=frozenset({"rhs_y", "rhs_u", "rhs_yy", "rhs_yu", "rhs_uu"}),
-        label=label, blocks_many=blocks_many)
+        def args_of(t, y, u):
+            return (t, *np.asarray(y, float), *np.asarray(u, float), *pvals)
+
+        def rhs(t, y, u):
+            a = args_of(t, y, u)
+            return np.array([fn(*a) for fn in f_fn], float)
+
+        def block1(fns, rows, cols):
+            def cb(t, y, u):
+                a = args_of(t, y, u)
+                return np.array([[fns[k][i](*a) for i in range(cols)]
+                                 for k in range(rows)], float)
+            return cb
+
+        def block2(fns, rows, d1, d2):
+            def cb(t, y, u):
+                a = args_of(t, y, u)
+                return np.array([[[fns[k][i][j](*a) for j in range(d2)]
+                                  for i in range(d1)] for k in range(rows)], float)
+            return cb
+
+        def blocks_many(t, y, u):
+            t = np.asarray(t, float)
+            a = (t, *np.asarray(y, float).T, *np.asarray(u, float).T, *pvals)
+            return tuple(stacked(fns, a, t.shape[0])
+                         for fns in (f_fn, fy_fn, fu_fn, fyy_fn, fyu_fn, fuu_fn))
+
+        return DynamicsModel(
+            state_dim=n, control_dim=m, rhs=rhs,
+            rhs_y=block1(fy_fn, n, n), rhs_u=block1(fu_fn, n, m),
+            rhs_yy=block2(fyy_fn, n, n, n), rhs_yu=block2(fyu_fn, n, n, m),
+            rhs_uu=block2(fuu_fn, n, m, m),
+            supplied=frozenset({"rhs_y", "rhs_u", "rhs_yy", "rhs_yu", "rhs_uu"}),
+            label=label, blocks_many=blocks_many,
+            rebind=bind if pnames else None)
+
+    return bind(params)
 
 
 def builtin_dynamics(name: str, **params) -> DynamicsModel:
@@ -320,7 +347,8 @@ class EndpointMap:
     ``grad`` returns the pair of plain coordinate gradients, ``hess`` the
     plain coordinate Hessian blocks (h11, h12, h22) with
     h12[i, j] = d2 g / d y_start_i d y_end_j. Covariant corrections are the
-    caller's business (see lagrange_data).
+    caller's business (see lagrange_data). ``rebind`` is as for
+    DynamicsModel.
     """
 
     value: Callable
@@ -328,6 +356,7 @@ class EndpointMap:
     hess: Callable
     supplied: frozenset
     label: str = "endpoint"
+    rebind: Callable | None = None
 
 
 def endpoint_map(value, grad=None, hess=None, label: str = "endpoint") -> EndpointMap:
@@ -381,31 +410,41 @@ def endpoint_map(value, grad=None, hess=None, label: str = "endpoint") -> Endpoi
 
 def endpoint_from_expressions(text: str, state_dim: int,
                               start_prefix: str = "y0", end_prefix: str = "yT",
-                              label: str = "endpoint") -> EndpointMap:
-    """Endpoint scalar from an expression in y01..y0n (start) and yT1..yTn (end)."""
+                              label: str = "endpoint", params=None) -> EndpointMap:
+    """Endpoint scalar from an expression in y01..y0n (start) and yT1..yTn
+    (end). The names of ``params`` (a name -> value mapping) that occur are
+    compiled as extra arguments; ``rebind`` moves the map to other values."""
     n = state_dim
     names = tuple(f"{start_prefix}{i + 1}" for i in range(n)) + \
         tuple(f"{end_prefix}{i + 1}" for i in range(n))
-    e = parse_expr(text, allowed_vars=set(names))
-    fn = compile_expr(e, names)
-    g_fns = [compile_expr(e.diff(v), names) for v in names]
-    h_fns = [[compile_expr(e.diff(a).diff(b), names) for b in names] for a in names]
+    e = parse_expr(text, allowed_vars={*names, *(params or ())})
+    pnames = _used_params(params, [e])
+    args = names + pnames
+    fn = compile_expr(e, args)
+    g_fns = [compile_expr(e.diff(v), args) for v in names]
+    h_fns = [[compile_expr(e.diff(a).diff(b), args) for b in names] for a in names]
 
-    def value(y0, yT):
-        return float(fn(*np.asarray(y0, float), *np.asarray(yT, float)))
+    def bind(values) -> EndpointMap:
+        pvals = tuple(float(values[name]) for name in pnames)
 
-    def grad(y0, yT):
-        a = (*np.asarray(y0, float), *np.asarray(yT, float))
-        g = np.array([f(*a) for f in g_fns], float)
-        return g[:n], g[n:]
+        def value(y0, yT):
+            return float(fn(*np.asarray(y0, float), *np.asarray(yT, float), *pvals))
 
-    def hess(y0, yT):
-        a = (*np.asarray(y0, float), *np.asarray(yT, float))
-        H = np.array([[f(*a) for f in row] for row in h_fns], float)
-        return H[:n, :n], H[:n, n:], H[n:, n:]
+        def grad(y0, yT):
+            a = (*np.asarray(y0, float), *np.asarray(yT, float), *pvals)
+            g = np.array([f(*a) for f in g_fns], float)
+            return g[:n], g[n:]
 
-    return EndpointMap(value=value, grad=grad, hess=hess,
-                       supplied=frozenset({"grad", "hess"}), label=label)
+        def hess(y0, yT):
+            a = (*np.asarray(y0, float), *np.asarray(yT, float), *pvals)
+            H = np.array([[f(*a) for f in row] for row in h_fns], float)
+            return H[:n, :n], H[:n, n:], H[n:, n:]
+
+        return EndpointMap(value=value, grad=grad, hess=hess,
+                           supplied=frozenset({"grad", "hess"}), label=label,
+                           rebind=bind if pnames else None)
+
+    return bind(params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,20 +488,18 @@ class ControlProblem:
         return (self.cost,) + tuple(self.inequality_maps) + tuple(self.equality_maps)
 
 
-def _fd_rounding(fmax: float, y, u, wrt: str) -> float:
+def _fd_rounding(fmax, y, u, wrt: str):
     """Worst-case rounding error of the central-difference quotient of
-    ``_fd_first_block``/``_fd_second_block`` for an rhs of magnitude fmax."""
+    ``_fd_first_block``/``_fd_second_block`` for an rhs of magnitude fmax;
+    fmax, y and u may carry a leading axis of probe points."""
     scale = _FD1_SCALE if len(wrt) == 1 else _FD2_SCALE
     steps = [_fd_step(y if c == "y" else u, scale) for c in wrt]
     return 2.0 * np.finfo(float).eps * fmax / math.prod(steps)
 
 
-def _validate_dynamics(problem: ControlProblem, probe_base, rng, tol: float):
-    dyn = problem.dynamics
-    n, m = dyn.state_dim, dyn.control_dim
-    checks = [("rhs_y", dyn.rhs_y, "y"), ("rhs_u", dyn.rhs_u, "u"),
-              ("rhs_yy", dyn.rhs_yy, "yy"), ("rhs_yu", dyn.rhs_yu, "yu"),
-              ("rhs_uu", dyn.rhs_uu, "uu")]
+def _probe_points(problem: ControlProblem, probe_base, rng) -> list:
+    """20 validation points (t, y, u): t on the horizon, y near probe_base."""
+    n, m = problem.state_dim, problem.control_dim
     probes = []
     for _ in range(20):
         t = rng.uniform(0.0, problem.horizon)
@@ -473,9 +510,27 @@ def _validate_dynamics(problem: ControlProblem, probe_base, rng, tol: float):
         else:
             raise NocError("could not sample valid probe points near probe_base")
         u = 0.5 * rng.standard_normal(m)
-        f = np.asarray(dyn.rhs(t, y, u), float)
+        probes.append((t, y, u))
+    return probes
+
+
+def _probe_rhs(problem: ControlProblem, probes) -> list:
+    """The rhs at every probe point; raises unless each value is finite."""
+    values = []
+    for t, y, u in probes:
+        f = np.asarray(problem.dynamics.rhs(t, y, u), float)
         if not np.all(np.isfinite(f)):
             raise NocError("dynamics rhs is not finite at a validation probe point")
+        values.append(f)
+    return values
+
+
+def _validate_dynamics(problem: ControlProblem, probes, rhs_values, tol: float):
+    dyn = problem.dynamics
+    checks = [("rhs_y", dyn.rhs_y, "y"), ("rhs_u", dyn.rhs_u, "u"),
+              ("rhs_yy", dyn.rhs_yy, "yy"), ("rhs_yu", dyn.rhs_yu, "yu"),
+              ("rhs_uu", dyn.rhs_uu, "uu")]
+    for (t, y, u), f in zip(probes, rhs_values):
         fmax = float(np.max(np.abs(f), initial=0.0))
         for name, cb, wrt in checks:
             a = np.asarray(cb(t, y, u), float)
@@ -497,7 +552,6 @@ def _validate_dynamics(problem: ControlProblem, probe_base, rng, tol: float):
             raise NocError(
                 f"dynamics block {name} disagrees with central differences "
                 f"by {err:.3e} (tol {limit:.3e})")
-        probes.append((t, y, u))
     if dyn.blocks_many is not None:
         # the batched evaluator must reproduce the (validated) per-node blocks
         t, y, u = (np.array(a) for a in zip(*probes))
@@ -509,7 +563,32 @@ def _validate_dynamics(problem: ControlProblem, probe_base, rng, tol: float):
                                f"with the per-node callback")
 
 
-def _validate_endpoints(problem: ControlProblem, probe_base, rng, tol: float):
+def _rounding_near_tol(problem: ControlProblem, probes, rhs_values,
+                       tol: float) -> bool:
+    """Whether ``_validate_dynamics`` could reject, at these probes, blocks
+    compiled from expressions it has accepted at other parameter values:
+    some block is not finite, or the rounding bound of its central
+    differences comes within a factor 10 of the tolerance (taken here
+    from the block itself)."""
+    dyn = problem.dynamics
+    t, y, u = (np.array(a) for a in zip(*probes))
+    blocks = (dyn.blocks_many(t, y, u) if dyn.blocks_many is not None
+              else _blocks_per_node(dyn, t, y, u))[1:]
+    fmax = np.max(np.abs(np.array(rhs_values)), axis=1, initial=0.0)
+    for block, wrt in zip(blocks, ("y", "u", "yy", "yu", "uu")):
+        if not np.all(np.isfinite(block)):
+            return True
+        size = np.max(np.abs(block), axis=tuple(range(1, block.ndim)), initial=0.0)
+        if np.any(10.0 * _fd_rounding(fmax, y, u, wrt) > tol * (1.0 + size)):
+            return True
+    return False
+
+
+def _validate_endpoints(problem: ControlProblem, probe_base, rng, tol: float,
+                        only=None):
+    """Compare every endpoint map's derivatives with central differences at
+    6 point pairs near probe_base, or only the maps in ``only``; the points
+    are drawn for every map, so a map meets the same points either way."""
     n = problem.state_dim
     for ep in problem.endpoint_maps:
         fd = endpoint_map(ep.value)
@@ -521,6 +600,8 @@ def _validate_endpoints(problem: ControlProblem, probe_base, rng, tol: float):
                     break
             else:
                 raise NocError("could not sample valid probe points near probe_base")
+            if only is not None and ep not in only:
+                continue
             g1, g2 = ep.grad(y0, yT)
             r1, r2 = fd.grad(y0, yT)
             h = ep.hess(y0, yT)
@@ -536,15 +617,27 @@ def _validate_endpoints(problem: ControlProblem, probe_base, rng, tol: float):
                         f"central differences by {np.max(np.abs(a - b)):.3e}")
 
 
+def _probe_base(chart: ManifoldChart, probe_base) -> np.ndarray:
+    base = np.zeros(chart.dim) if probe_base is None else np.asarray(probe_base, float)
+    if not valid_point(chart, base):
+        raise NocError("probe_base is not a valid chart point; pass one explicitly")
+    return base
+
+
+_PROBE_SEED = 0     # make_problem's default seed, which rebind_problem follows
+
+
 def make_problem(chart: ManifoldChart, horizon: float, dynamics: DynamicsModel,
                  cost: EndpointMap, inequality_maps=(), equality_maps=(),
                  control_set=None, validate: bool = True, probe_base=None,
-                 seed: int = 0) -> ControlProblem:
+                 seed: int = _PROBE_SEED) -> ControlProblem:
     """Assemble and (by default) validate a ControlProblem.
 
-    Validation probes every derivative block against independent central
-    differences at random points near ``probe_base`` (default: chart origin)
-    and requires agreement within 1e-4 relative.
+    Validation requires a finite rhs at 20 random points near
+    ``probe_base`` (default: chart origin), then probes every derivative
+    block there against independent central differences, requiring
+    agreement within 1e-4 relative, and the batched blocks against the
+    per-node ones.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -558,13 +651,48 @@ def make_problem(chart: ManifoldChart, horizon: float, dynamics: DynamicsModel,
                              cost=cost, inequality_maps=tuple(inequality_maps),
                              equality_maps=tuple(equality_maps), control_set=control_set)
     if validate:
-        base = np.zeros(chart.dim) if probe_base is None else np.asarray(probe_base, float)
-        if not valid_point(chart, base):
-            raise NocError("probe_base is not a valid chart point; pass one explicitly")
+        base = _probe_base(chart, probe_base)
         rng = np.random.default_rng(seed)
-        _validate_dynamics(problem, base, rng, tol=1e-4)
+        probes = _probe_points(problem, base, rng)
+        _validate_dynamics(problem, probes, _probe_rhs(problem, probes), tol=1e-4)
         _validate_endpoints(problem, base, rng, tol=1e-4)
     return problem
+
+
+def rebind_problem(problem: ControlProblem, horizon: float, values,
+                   probe_base=None) -> ControlProblem:
+    """``problem`` at another horizon and other parameter values, without
+    compiling its expressions again.
+
+    ``values`` maps parameter names to values. The dynamics and endpoint
+    maps that carry ``rebind`` move to them; the others do not depend on
+    parameters and are kept. The probes are those of ``make_problem`` with
+    its default seed, at this horizon and ``probe_base``: the rhs must be
+    finite at each, and the endpoint maps that moved are compared with
+    central differences. The dynamics blocks are the compiled ones that
+    ``make_problem`` compared at the first values; they are compared again
+    only where ``_rounding_near_tol`` finds that the comparison could turn
+    out otherwise here, so a rhs too large to difference fails as it does
+    in ``make_problem``.
+    """
+    def moved(part):
+        return part if part.rebind is None else part.rebind(values)
+
+    rebound = make_problem(
+        problem.chart, horizon, moved(problem.dynamics), moved(problem.cost),
+        inequality_maps=tuple(map(moved, problem.inequality_maps)),
+        equality_maps=tuple(map(moved, problem.equality_maps)),
+        control_set=problem.control_set, validate=False)
+    base = _probe_base(rebound.chart, probe_base)
+    rng = np.random.default_rng(_PROBE_SEED)
+    probes = _probe_points(rebound, base, rng)
+    rhs_values = _probe_rhs(rebound, probes)
+    if _rounding_near_tol(rebound, probes, rhs_values, tol=1e-4):
+        _validate_dynamics(rebound, probes, rhs_values, tol=1e-4)
+    _validate_endpoints(rebound, base, rng, tol=1e-4,
+                        only=tuple(ep for ep in rebound.endpoint_maps
+                                   if ep.rebind is not None))
+    return rebound
 
 
 # ----------------------------------------------------------------------------

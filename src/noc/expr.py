@@ -207,10 +207,10 @@ class Pow(Expr):
     def diff(self, var):
         db = self.base.diff(var)
         de = self.exponent.diff(var)
-        if isinstance(self.exponent, Num):
-            # constant exponent: n * b^(n-1) * b'
-            n = self.exponent.value
-            return _mul(_mul(Num(n), _pow(self.base, Num(n - 1.0))), db)
+        if var not in self.exponent.free_vars():
+            # exponent constant in var (a number or a parameter): n b^(n-1) b'
+            n = self.exponent
+            return _mul(_mul(n, _pow(self.base, _sub(n, Num(1.0)))), db)
         # general case: b^e * (e' log b + e b'/b)
         return _mul(self, _add(_mul(de, Call("log", self.base)),
                                _div(_mul(self.exponent, db), self.base)))
@@ -481,7 +481,8 @@ class _Parser:
 def parse_expr(text: str, allowed_vars: set[str] | frozenset[str] | None = None) -> Expr:
     """Parse ``text`` into an Expr; optionally validate its variable set.
 
-    math.pi is available as the name ``pi``.
+    math.pi is available as the name ``pi``, unless ``pi`` is one of the
+    ``allowed_vars`` (a parameter of that name shadows the constant).
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -491,7 +492,8 @@ def parse_expr(text: str, allowed_vars: set[str] | frozenset[str] | None = None)
     kind, value, col = parser.peek()
     if kind != "end":
         raise ExprError(f"trailing input starting at {value!r}", col)
-    node = _substitute_constants(node)
+    if allowed_vars is None or "pi" not in allowed_vars:
+        node = _substitute_constants(node)
     if allowed_vars is not None:
         extra = node.free_vars() - set(allowed_vars)
         if extra:

@@ -107,29 +107,34 @@ def opt_scalar(value, grad=None, second=None, label: str = "scalar",
 
 
 def opt_scalar_from_expression(text: str, dim: int, prefix: str = "x",
-                               label: str | None = None) -> OptScalar:
-    """Scalar row from an expression in x1..xN with exact symbolic
-    derivatives; batch evaluation broadcasts over point arrays."""
+                               label: str | None = None,
+                               params=None) -> OptScalar:
+    """Scalar row from an expression in x1..xN and the names of ``params``
+    (a name -> value mapping, compiled as extra arguments) with exact
+    symbolic derivatives; batch evaluation broadcasts over point arrays."""
     names = tuple(f"{prefix}{i + 1}" for i in range(dim))
-    node = parse_expr(text, allowed_vars=set(names))
-    fn = compile_expr(node, names)
+    pnames = tuple(params or ())
+    pvals = tuple(float(params[name]) for name in pnames)
+    args = names + pnames
+    node = parse_expr(text, allowed_vars=set(args))
+    fn = compile_expr(node, args)
     grads = tuple(node.diff(name) for name in names)
-    grad_fns = tuple(compile_expr(g, names) for g in grads)
-    hess_fns = tuple(tuple(compile_expr(g.diff(name), names) for name in names)
+    grad_fns = tuple(compile_expr(g, args) for g in grads)
+    hess_fns = tuple(tuple(compile_expr(g.diff(name), args) for name in names)
                      for g in grads)
 
     def value(e):
-        return float(fn(*e))
+        return float(fn(*e, *pvals))
 
     def grad(e):
-        return np.array([g(*e) for g in grad_fns], float)
+        return np.array([g(*e, *pvals) for g in grad_fns], float)
 
     def second(e, y):
-        H = np.array([[h(*e) for h in row] for row in hess_fns], float)
+        H = np.array([[h(*e, *pvals) for h in row] for row in hess_fns], float)
         return float(y @ H @ y)
 
     def value_many(points):
-        return np.asarray(fn(*points.T), float)
+        return np.asarray(fn(*points.T, *pvals), float)
 
     return OptScalar(value=value, grad=grad, second=second,
                      supplied=frozenset({"grad", "second"}),
@@ -250,6 +255,18 @@ def _require_admissible(problem: OptProblem, e: np.ndarray,
                 f"candidate violates equality row {i} (value {val:.3e})")
 
 
+def _require_finite_rows(problem: OptProblem, e: np.ndarray):
+    """Every row's value and gradient at the candidate must be finite: the
+    multiplier cone is built from them."""
+    for row in problem.rows:
+        value, grad = row.value(e), row.grad(e)
+        if not (math.isfinite(value) and np.all(np.isfinite(grad))):
+            raise NocError(
+                f"row '{row.label}' is not finite at the point "
+                f"({', '.join(map(repr, e.tolist()))}): value {value!r}, "
+                f"gradient ({', '.join(map(repr, grad.tolist()))})")
+
+
 def _shifted_values(problem: OptProblem, e: np.ndarray) -> np.ndarray:
     """Row values with the cost shifted to vanish at the candidate (the
     multiplier theory normalizes the cost level; derivatives are unchanged)."""
@@ -333,6 +350,7 @@ def op_first_order(problem: OptProblem, point, *,
     """
     e = np.asarray(point, float)
     _require_admissible(problem, e)
+    _require_finite_rows(problem, e)
     if validate:
         validate_expansion(problem, e)
     vals = _shifted_values(problem, e)
@@ -657,7 +675,9 @@ def _row_values(row: OptScalar, pts: np.ndarray) -> np.ndarray:
 def _lipschitz_estimate(row: OptScalar, lo: np.ndarray, hi: np.ndarray,
                         rng) -> float:
     pts = rng.uniform(lo, hi, (32, lo.size))
-    return float(max(np.linalg.norm(row.grad(p)) for p in pts))
+    # fmax skips a NaN gradient (a sample outside the row's domain of
+    # definition) wherever it falls among the samples
+    return float(np.fmax.reduce([np.linalg.norm(row.grad(p)) for p in pts]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -665,7 +685,9 @@ class BruteForceResult:
     """Grid-search outcome: 'confirmed' (the candidate is a grid minimizer
     up to the Lipschitz slack), 'refuted' (a strictly better feasible grid
     point exists beyond the slack, recorded as witness), or 'empty' (no
-    feasible grid point)."""
+    feasible grid point with a finite cost).  ``num_feasible`` counts every
+    feasible grid point; those whose cost is not finite are left out of the
+    search and counted in ``num_nonfinite``."""
 
     verdict: str
     best_point: np.ndarray | None
@@ -674,6 +696,7 @@ class BruteForceResult:
     slack: float
     num_feasible: int
     equality_slab: float
+    num_nonfinite: int = 0
 
 
 def _lattice_axes(lo: np.ndarray, hi: np.ndarray,
@@ -713,26 +736,36 @@ def _lattice_chunks(axes: list[np.ndarray]):
 
 
 def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: np.ndarray):
-    """(feasible count, best value, best point) of one lattice slab; the
-    best point is the first minimizer in C order, copied out of the slab."""
+    """(feasible count, non-finite count, best value, best point) of one
+    lattice slab.  Feasible points with a non-finite cost are counted and
+    skipped (a NaN would hide every value after it from argmin); the best
+    point is the first finite minimizer in C order, copied out of the slab,
+    and None when there is none."""
     mask = _membership_mask(problem.domain, chunk)
     if not mask.any():
-        return 0, math.inf, None
+        return 0, 0, math.inf, None
     sel = chunk if mask.all() else chunk[mask]
     feas = np.ones(sel.shape[0], bool)
     for row in problem.inequalities:
         feas &= _row_values(row, sel) <= 1e-9
         if not feas.any():
-            return 0, math.inf, None
+            return 0, 0, math.inf, None
     for row, slab in zip(problem.equalities, slabs):
         feas &= np.abs(_row_values(row, sel)) <= slab
         if not feas.any():
-            return 0, math.inf, None
+            return 0, 0, math.inf, None
     if not feas.all():
         sel = sel[feas]
+    count = sel.shape[0]
     vals = _row_values(problem.cost, sel)
+    ok = np.isfinite(vals)
+    skipped = count - int(np.count_nonzero(ok))
+    if skipped == count:
+        return count, skipped, math.inf, None
+    if skipped:
+        sel, vals = sel[ok], vals[ok]
     best = int(np.argmin(vals))
-    return sel.shape[0], float(vals[best]), sel[best].copy()
+    return count, skipped, float(vals[best]), sel[best].copy()
 
 
 def op_bruteforce(problem: OptProblem, point, resolution: float, *,
@@ -749,6 +782,8 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
     grid cannot distinguish them from discretization error.  The lattice
     is streamed in slabs of at most CHUNK_POINTS points, so memory does not
     grow with the grid; grids above GRID_POINT_LIMIT points are refused.
+    Feasible points whose cost is not finite are skipped and counted; the
+    verdict is 'empty' when no feasible point has a finite cost.
     """
     e = np.asarray(point, float)
     _require_in_domain(problem, e)
@@ -771,18 +806,20 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
         lip = max(_lipschitz_estimate(row, lo, hi, rng), 1e-9)
         slack += lip0 * slab / lip
 
-    num_feasible, best_value, best_point = 0, math.inf, None
+    num_feasible, num_nonfinite, best_value, best_point = 0, 0, math.inf, None
     for chunk in _lattice_chunks(axes):
-        count, value, where = _scan_chunk(problem, slabs, chunk)
+        count, skipped, value, where = _scan_chunk(problem, slabs, chunk)
         num_feasible += count
-        if count and (best_point is None or value < best_value):
+        num_nonfinite += skipped
+        if where is not None and (best_point is None or value < best_value):
             best_value, best_point = value, where
     ref = float(problem.cost.value(e))
-    if num_feasible == 0:
+    if best_point is None:
         return BruteForceResult(verdict="empty", best_point=None,
                                 best_value=math.nan, reference_value=ref,
-                                slack=slack, num_feasible=0,
-                                equality_slab=max(slabs, default=0.0))
+                                slack=slack, num_feasible=num_feasible,
+                                equality_slab=max(slabs, default=0.0),
+                                num_nonfinite=num_nonfinite)
     improvement = ref - best_value
     scale = 1e-12 * (1.0 + abs(ref))
     if improvement > slack:
@@ -796,7 +833,8 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
     return BruteForceResult(verdict=verdict, best_point=best_point,
                             best_value=best_value, reference_value=ref,
                             slack=slack, num_feasible=num_feasible,
-                            equality_slab=max(slabs, default=0.0))
+                            equality_slab=max(slabs, default=0.0),
+                            num_nonfinite=num_nonfinite)
 
 
 # ----------------------------------------------------------------------------

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
 
-__all__ = ["ConeVRep", "extreme_rays", "cone_contains", "polyhedron_bounding_box"]
+__all__ = ["ConeVRep", "cone_contains", "extreme_rays", "null_space",
+           "polyhedron_bounding_box"]
 
 _ZERO = 1e-11
 
@@ -33,6 +32,21 @@ class ConeVRep:
     @property
     def is_trivial(self) -> bool:
         return self.lineality.shape[0] == 0 and self.rays.shape[0] == 0
+
+
+def null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of {x : A x = 0}, one column per basis vector.
+
+    The SVD rank rule of ``scipy.linalg.null_space``: singular values up to
+    max(s) * max(M, N) * eps count as zero.  SciPy stays off the import
+    path this way; only the linear programs load it.
+    """
+    A = np.atleast_2d(np.asarray(A, float))
+    if not np.all(np.isfinite(A)):
+        raise ValueError("null_space: the matrix has non-finite entries")
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(float).eps * max(A.shape)
+    return vh[int(np.sum(s > tol)):].T
 
 
 def _normalize_rows(M: np.ndarray) -> np.ndarray:
@@ -177,6 +191,8 @@ def polyhedron_bounding_box(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
     Raises ValueError if the polyhedron is empty or unbounded in some
     coordinate (brute-force search needs a finite box).
     """
+    from scipy.optimize import linprog
+
     A = np.atleast_2d(np.asarray(A, float))
     b = np.asarray(b, float).ravel()
     dim = A.shape[1]

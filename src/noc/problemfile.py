@@ -7,9 +7,10 @@ blocks each content line is one whole expression; everywhere else lines
 split into whitespace-separated tokens.  The exact grammar ships in
 docs/problem-file-format.md together with a conformance corpus.
 
-Scalar parameters declared with ``param NAME VALUE`` are substituted into
-every expression as parenthesized numeric literals before parsing; the
-horizon is always available under the implicit name ``T``.
+Scalar parameters declared with ``param NAME VALUE`` are variables of
+every expression, compiled as extra arguments, so a sweep rebinds their
+values without parsing again; the horizon is always available under the
+implicit name ``T``, and a parameter named ``pi`` shadows the constant.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .cones import Ball, Box, Polyhedron, ProductSet, set_dim
 from .errors import ProblemFileError
 
 __all__ = [
+    "ControlModel",
     "DirectionSpec",
     "ProblemFile",
     "build_control_problem",
@@ -872,15 +874,8 @@ def serialize_problem_file(pf: ProblemFile) -> str:
 
 
 # ----------------------------------------------------------------------------
-# expression substitution and builders
+# builders
 # ----------------------------------------------------------------------------
-
-def _substitute_params(text: str, values: dict) -> str:
-    for name in sorted(values, key=len, reverse=True):
-        text = re.sub(rf"\b{re.escape(name)}\b",
-                      f"({values[name]!r})", text)
-    return text
-
 
 def _effective_params(pf: ProblemFile) -> dict:
     values = {name: float(v) for name, v in pf.params}
@@ -897,37 +892,76 @@ def _chart_of(pf: ProblemFile):
     return sphere(pf.chart[1])
 
 
-def build_control_problem(pf: ProblemFile):
-    """Instantiate the dynamics-level problem described by an ocp/ocpe file."""
+def _compile_control_problem(pf: ProblemFile, values: dict):
     from .conditions import mayer_augment
     from .dynamics import (dynamics_from_expressions,
                            endpoint_from_expressions, make_problem)
 
-    if pf.kind not in CONTROL_KINDS:
-        raise ProblemFileError(f"kind {pf.kind!r} is not a control problem")
-    values = _effective_params(pf)
     chart = _chart_of(pf)
     n = chart.dim
     control_set = build_set(pf.control_set)
     m = set_dim(control_set)
-    dyn_texts = tuple(_substitute_params(t, values)
-                      for t in pf.dynamics_texts)
     if pf.kind == "ocpe":
-        running = _substitute_params(pf.running_cost, values)
-        return mayer_augment(chart, pf.horizon, dyn_texts, running,
-                             pf.start, pf.end, m, control_set)
-    dynamics = dynamics_from_expressions(dyn_texts, n, m)
-    cost = endpoint_from_expressions(
-        _substitute_params(pf.cost_text, values), n, label="cost")
-    ineqs = tuple(endpoint_from_expressions(_substitute_params(t, values), n,
-                                            label=f"inequality {i}")
+        return mayer_augment(chart, pf.horizon, pf.dynamics_texts,
+                             pf.running_cost, pf.start, pf.end, m,
+                             control_set, params=values)
+    dynamics = dynamics_from_expressions(pf.dynamics_texts, n, m,
+                                         params=values)
+    cost = endpoint_from_expressions(pf.cost_text, n, label="cost",
+                                     params=values)
+    ineqs = tuple(endpoint_from_expressions(t, n, label=f"inequality {i}",
+                                            params=values)
                   for i, t in enumerate(pf.inequality_texts))
-    eqs = tuple(endpoint_from_expressions(_substitute_params(t, values), n,
-                                          label=f"equality {i}")
+    eqs = tuple(endpoint_from_expressions(t, n, label=f"equality {i}",
+                                          params=values)
                 for i, t in enumerate(pf.equality_texts))
     return make_problem(chart, pf.horizon, dynamics, cost,
                         inequality_maps=ineqs, equality_maps=eqs,
                         control_set=control_set, probe_base=pf.start)
+
+
+class ControlModel:
+    """The control problem of an ocp/ocpe file, compiled once for every
+    value of its params and horizon.
+
+    The first ``problem`` call parses, differentiates and compiles each
+    expression with the params and ``T`` as arguments, and ``make_problem``
+    probes the derivative blocks at that file's values.  Later calls take a
+    file that differs from the first only in those values and rebind them
+    (``rebind_problem``): nothing is parsed or compiled, and only what the
+    values can change is probed again, so each call fails or passes as a
+    fresh build of its file would.
+    """
+
+    def __init__(self):
+        self._shape = None      # the first file, values left out
+        self._problem = None
+
+    def problem(self, pf: ProblemFile):
+        from .dynamics import rebind_problem
+
+        if pf.kind not in CONTROL_KINDS:
+            raise ProblemFileError(f"kind {pf.kind!r} is not a control problem")
+        values = _effective_params(pf)
+        shape = replace(pf, params=tuple(values), horizon=None)
+        if self._problem is None:
+            problem = _compile_control_problem(pf, values)
+            self._shape, self._problem = shape, problem
+            return problem
+        if shape != self._shape:
+            raise ValueError("the problem file differs from the compiled one "
+                             "in more than its param values and horizon")
+        start = pf.start + ((0.0,) if pf.kind == "ocpe" else ())
+        return rebind_problem(self._problem, pf.horizon, values,
+                              probe_base=start)
+
+
+def build_control_problem(pf: ProblemFile, model: ControlModel | None = None):
+    """Instantiate the dynamics-level problem described by an ocp/ocpe file.
+
+    A sweep passes one ``model`` for all its cells, so the expressions are
+    compiled and the derivative blocks probed once, at the first cell."""
+    return (model or ControlModel()).problem(pf)
 
 
 def _eval_time_rows(texts: tuple, pf: ProblemFile, what: str) -> np.ndarray:
@@ -935,16 +969,17 @@ def _eval_time_rows(texts: tuple, pf: ProblemFile, what: str) -> np.ndarray:
     from .expr import ExprError, compile_expr, parse_expr
 
     values = _effective_params(pf)
+    names = ("t",) + tuple(values)
     h = pf.horizon / pf.cells
     t_mid = (np.arange(pf.cells) + 0.5) * h
     cols = []
     for text in texts:
-        sub = _substitute_params(text, values)
         try:
-            node = parse_expr(sub, allowed_vars={"t"})
+            node = parse_expr(text, allowed_vars=set(names))
         except ExprError as ex:
             raise ProblemFileError(f"{what}: {ex}") from None
-        vals = np.asarray(compile_expr(node, ("t",))(t_mid), float)
+        vals = np.asarray(compile_expr(node, names)(t_mid, *values.values()),
+                          float)
         cols.append(np.broadcast_to(vals, t_mid.shape))
     return np.stack(cols, axis=1)
 
@@ -988,8 +1023,8 @@ def build_opt_problem(pf: ProblemFile):
     values = _effective_params(pf)
 
     def row(text: str, label: str):
-        return opt_scalar_from_expression(_substitute_params(text, values),
-                                          pf.dim, label=label)
+        return opt_scalar_from_expression(text, pf.dim, label=label,
+                                          params=values)
 
     return make_opt_problem(
         build_set(pf.domain),

@@ -152,6 +152,50 @@ def test_absurd_grid_resolution_exits_2_with_one_line(tmp_path, capsys):
     assert "4000004000001 points" in err and "coarser resolution" in err
 
 
+def test_grid_search_skips_non_finite_costs(tmp_path, capsys):
+    # sqrt(x1) is NaN on the left half of the box; the NaNs must neither
+    # become the grid's best value nor hide x1 = 0, which refutes the
+    # candidate x1 = 1 as the first-order test does
+    nan_op = ("noc 1\nkind op\ndim 1\ndomain {\n  box -1.0 1.0\n}\n"
+              "point 1.0\ncost sqrt(x1)\nresolution 0.01\n")
+    assert _check([_write(tmp_path, "nan.noc", nan_op)]) == 3
+    out = capsys.readouterr().out
+    assert "grid search: refuted (best 0.0," in out
+    assert "grid search skipped 100 feasible points whose cost is not " \
+        "finite" in out
+    assert "verdict: refuted" in out
+    # the cost overflows at every lattice point but not at the off-lattice
+    # candidate: the grid search is empty for that reason, and the notes
+    # say so without contradicting each other
+    all_inf = nan_op.replace("point 1.0", "point 0.005").replace(
+        "sqrt(x1)", "x1 + exp(1e8*(x1 - 0.005)^2)")
+    assert _check([_write(tmp_path, "all-inf.noc", all_inf)]) == 3
+    out = capsys.readouterr().out
+    assert "grid search: empty" in out
+    assert "grid search skipped 201 feasible points whose cost is not " \
+        "finite" in out
+    assert "grid search found no feasible sample with a finite cost at " \
+        "this resolution" in out
+    assert "found no feasible sample at" not in out
+
+
+@pytest.mark.parametrize("dim, box, point, cost, fragment", [
+    (1, "-1.0 1.0", "-1.0", "log(x1 + 1)",
+     "row 'cost' is not finite at the point (-1.0): value -inf"),
+    (2, "-1.0 -1.0 1.0 1.0", "-1.0 0.0", "x1 + 1 + sqrt(x2)",
+     "row 'cost' is not finite at the point (-1.0, 0.0): value 0.0, "
+     "gradient (1.0, inf)"),
+], ids=["log", "sqrt"])
+def test_non_finite_op_candidate_data_exits_2_naming_the_row(
+        tmp_path, capsys, dim, box, point, cost, fragment):
+    text = (f"noc 1\nkind op\ndim {dim}\ndomain {{\n  box {box}\n}}\n"
+            f"point {point}\ncost {cost}\n")
+    assert _check([_write(tmp_path, "inf.noc", text)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert fragment in err
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     bad = DISC_OP.replace("ball 0.0 0.0 1.0", "ball 0.0 0.0")
     assert _check([_write(tmp_path, "bad.noc", bad)]) == 2
@@ -326,6 +370,59 @@ def test_sweep_csv_matches_closed_form(tmp_path, capsys):
         assert note == ""
 
 
+def test_sweep_compiles_once_and_each_cell_matches_a_check(
+        monkeypatch, tmp_path, capsys):
+    import noc.problemfile
+
+    compiled = []
+    original = noc.problemfile._compile_control_problem
+
+    def counted(pf, values):
+        compiled.append(dict(values))
+        return original(pf, values)
+
+    monkeypatch.setattr(noc.problemfile, "_compile_control_problem", counted)
+    code = main(["sweep", "preset:ccs126", "--grid", "100",
+                 "--param", "T=0.2,0.45", "--param", "theta=2.5,4"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert code == 0 and len(rows) == 4
+    # compiled and probed once, at the first cell
+    assert compiled == [{"theta": 2.5, "T": 0.2}]
+    for row in rows:
+        T, theta, verdict, lhs, _ = row.split(",")
+        report = str(tmp_path / "r.json")
+        assert _check(["preset:ccs126", "--grid", "100", "--set", f"T={T}",
+                       "--set", f"theta={theta}", "--report", report]) == 3
+        capsys.readouterr()
+        with open(report) as fh:
+            second = json.load(fh)["second_order"]
+        assert verdict == "refuted"
+        assert float(lhs) == second["chosen_lhs"]
+
+
+@pytest.mark.parametrize("thetas", ["3,1e300,1e6", "1e6,1e300,3"])
+def test_sweep_cells_do_not_depend_on_cell_order(capsys, thetas):
+    # the rhs of theta = 1e300 is too large to difference and that of
+    # theta = 1e6 is large enough to lose rhs_yy to rounding: a sweep cell
+    # fails with check's message whether it is compiled or rebound
+    import csv
+
+    main(["sweep", "preset:ccs126", "--grid", "100", "--param",
+          f"theta={thetas}"])
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    assert len(rows) == 3
+    for theta, verdict, lhs, notes in rows:
+        code = _check(["preset:ccs126", "--grid", "100", "--set",
+                       f"theta={theta}"])
+        err = capsys.readouterr().err
+        if float(theta) == 3.0:
+            assert (code, verdict, notes) == (3, "refuted", "")
+        else:
+            assert (code, verdict, lhs) == (2, "error", "")
+            assert err == f"error: {notes}\n"
+            assert "rounding error" in notes
+
+
 def test_sweep_single_point_emits_one_row(capsys):
     code = main(["sweep", "preset:ccs126", "--grid", "100",
                  "--param", "T=0.5"])
@@ -390,3 +487,17 @@ def test_subprocess_carries_exit_code(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+def test_control_checks_leave_scipy_unloaded():
+    # SciPy serves the op LPs only; the control path must not import it
+    code = (
+        "import sys\n"
+        "import noc.cli\n"
+        "assert 'scipy' not in sys.modules, 'import noc.cli'\n"
+        "for name in ('ccs126', 'linear-lq-euclid'):\n"
+        "    noc.cli.main(['check', 'preset:' + name, '--grid', '100'])\n"
+        "    assert 'scipy' not in sys.modules, name\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr

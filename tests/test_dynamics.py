@@ -16,7 +16,8 @@ from noc.dynamics import (builtin_dynamics, dynamics_from_callbacks,
                           expansion_residual, hamiltonian, hamiltonian_blocks,
                           integrate_adjoint, integrate_second_variation,
                           integrate_state, integrate_variational, lagrange_data,
-                          make_problem, refine_controls, trajectory_from_csv,
+                          make_problem, rebind_problem, refine_controls,
+                          trajectory_from_csv,
                           trajectory_to_csv, trapezoid_cellwise,
                           trapezoid_quadrature)
 from noc.errors import (BasePointMismatch, BoundViolated, ChartEscape, NocError,
@@ -124,6 +125,61 @@ def test_make_problem_rejects_non_finite_rhs():
     cost = linear_endpoint((0.0, 0.0), (1.0, 0.0))
     with pytest.raises(NocError, match="rhs is not finite"):
         make_problem(euclidean(2), 1.0, dyn, cost)
+
+
+def test_rebind_moves_expression_models_to_new_params():
+    # compiled once at k = 2, T = 1 and rebound to k = 3, T = 0.5, the
+    # model evaluates exactly like one compiled from those literals
+    dyn = dynamics_from_expressions(("y2 + k*u1", "-k^2*sin(y1) + T*u1^k"),
+                                    2, 1, params={"k": 2.0, "T": 1.0})
+    literal = dynamics_from_expressions(
+        ("y2 + 3.0*u1", "-3.0^2*sin(y1) + 0.5*u1^3.0"), 2, 1)
+    moved = dyn.rebind({"k": 3.0, "T": 0.5})
+    rng = np.random.default_rng(5)
+    t, y, u = rng.uniform(size=4), rng.normal(size=(4, 2)), rng.normal(size=(4, 1))
+    for got, want in zip(moved.blocks_many(t, y, u), literal.blocks_many(t, y, u)):
+        np.testing.assert_array_equal(got, want)
+    assert dyn.rhs(0.0, [0.0, 1.0], [1.0])[0] == 3.0    # the original keeps k = 2
+    assert literal.rebind is None
+    ep = endpoint_from_expressions("k*yT1^2", 2, params={"k": 2.0})
+    assert ep.rebind({"k": 3.0}).value([0.0, 0.0], [2.0, 0.0]) == 12.0
+    assert ep.value([0.0, 0.0], [2.0, 0.0]) == 8.0
+
+
+def test_rebind_problem_keeps_the_horizon_and_rhs_checks():
+    dyn = dynamics_from_expressions(("y2", "log(k) + u1"), 2, 1,
+                                    params={"k": 1.0})
+    cost = linear_endpoint((0.0, 0.0), (1.0, 0.0))
+    problem = make_problem(euclidean(2), 1.0, dyn, cost)
+    moved = rebind_problem(problem, 0.5, {"k": 2.0})
+    assert moved.horizon == 0.5 and moved.cost is cost   # param-free maps stay
+    assert moved.dynamics.rhs(0.0, [0.0, 0.0], [0.0])[1] == math.log(2.0)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        rebind_problem(problem, 0.0, {"k": 2.0})
+    with np.errstate(divide="ignore"), \
+            pytest.raises(NocError, match="rhs is not finite"):
+        rebind_problem(problem, 0.5, {"k": 0.0})
+
+
+@pytest.mark.parametrize("values, fragment", [
+    ({"k": 1e300, "c": 0.0}, "too large to check rhs_y"),
+    ({"k": 0.0, "c": 1e12}, "endpoint map 'cost' derivative disagrees"),
+])
+def test_rebind_problem_fails_where_make_problem_does(values, fragment):
+    # a rhs too large to difference, and an endpoint map whose differences
+    # are lost to rounding, are caught at rebound values as at a fresh build
+    def parts(v):
+        return (dynamics_from_expressions(("y2 + k", "-y1 + u1"), 2, 1,
+                                          params=v),
+                endpoint_from_expressions("c + yT1", 2, label="cost",
+                                          params=v))
+
+    problem = make_problem(euclidean(2), 1.0, *parts({"k": 0.0, "c": 0.0}))
+    with pytest.raises(NocError, match=fragment) as fresh:
+        make_problem(euclidean(2), 1.0, *parts(values))
+    with pytest.raises(NocError) as rebound:
+        rebind_problem(problem, 1.0, values)
+    assert str(rebound.value) == str(fresh.value)
 
 
 def test_make_problem_rejects_disagreeing_batched_blocks():

@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import noc.expr
 from noc.expr import ExprError, parse_expr
 
 
@@ -142,3 +146,87 @@ def test_compile_rejects_unbound_variables():
 
     with pytest.raises(ExprError):
         compile_expr(parse_expr("x + z"), ("x", "y"))
+
+
+# ----------------------------------------------------------------------------
+# property: symbolic derivatives of random trees are exact
+# ----------------------------------------------------------------------------
+
+_STEP = 1e-30          # complex step: no subtraction, so no cancellation
+
+
+def _positive(a: str) -> str:
+    return f"(0.5 + ({a})^2)"
+
+
+def _wrapped_call(name: str, a: str) -> str:
+    # keep each argument inside the function's real domain: log and sqrt
+    # see positive values, tan stays within (-1, 1), away from its poles
+    if name in ("log", "sqrt"):
+        return f"{name}({_positive(a)})"
+    if name == "tan":
+        return f"tan(sin({a}))"
+    return f"{name}({a})"
+
+
+def _binary(op: str, a: str, b: str) -> str:
+    if op == "/":
+        return f"(({a}) / {_positive(b)})"
+    if op == "^":
+        return f"({_positive(a)} ^ ({b}))"
+    return f"(({a}) {op} ({b}))"
+
+
+_CALLS = st.sampled_from(sorted(noc.expr._FUNCTIONS))
+_OPS = st.sampled_from("+-*/^")
+_leaves = st.one_of(
+    st.sampled_from(("x", "y")),
+    st.integers(-20, 20).map(lambda k: repr(k / 8)),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.builds(_wrapped_call, _CALLS, kids),
+        st.builds(_binary, _OPS, kids, kids),
+        kids.map(lambda a: f"(-({a}))"),
+    ),
+    max_leaves=10,
+)
+# the root is always a function or a binary operation, so every example
+# exercises at least one rule beyond the leaves
+_roots = st.one_of(
+    st.builds(_wrapped_call, _CALLS, _trees),
+    st.builds(_binary, _OPS, _trees, _trees),
+)
+
+
+def _complex_step(e, env: dict, var: str) -> float:
+    """d e / d var by the complex step (Squire & Trapp, SIAM Rev. 40, 1998).
+
+    abs is continued analytically off the real axis as a * sign(Re a),
+    which equals |a| on it and is analytic wherever a != 0."""
+    shifted = dict(env)
+    shifted[var] = env[var] + 1j * _STEP
+    with mock.patch.dict(noc.expr._FUNCTIONS,
+                         abs=lambda a: a * np.sign(np.real(a))):
+        return float(np.imag(e.eval(shifted))) / _STEP
+
+
+@given(_roots, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+def test_diff_is_exact_on_random_trees(text, x, y):
+    # first and second derivatives (mixed ones too) of every tree over all
+    # seven functions and ^ (with constant and with variable exponents)
+    # agree with the complex step of the expression one order below
+    e = parse_expr(text)
+    env = {"x": np.float64(x), "y": np.float64(y)}
+    with np.errstate(all="ignore"):
+        for var in ("x", "y"):
+            for base, label in ((e, "f"), (e.diff("x"), "f_x"),
+                                (e.diff("y"), "f_y")):
+                got = float(base.diff(var).eval(env))
+                values = (float(base.eval(env)), got)
+                if not all(np.isfinite(v) and abs(v) < 1e6 for v in values):
+                    continue        # overflowing corners carry no signal
+                ref = _complex_step(base, env, var)
+                assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref)), \
+                    (text, label, var, x, y, got, ref)

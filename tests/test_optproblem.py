@@ -425,6 +425,23 @@ def test_unreachable_equality_gives_empty_verdict():
     assert bf.best_point is None
 
 
+def test_grid_oracle_skips_non_finite_costs():
+    # sqrt is NaN on the 100 samples left of 0; the first NaN of the slab
+    # must not become the best value and hide x1 = 0
+    p = make_opt_problem(Box(lower=(-1.0,), upper=(1.0,)),
+                         opt_scalar_from_expression("sqrt(x1)", 1))
+    with np.errstate(invalid="ignore"):
+        bf = op_bruteforce(p, [1.0], 0.01)
+        assert (bf.verdict, bf.best_value) == ("refuted", 0.0)
+        assert (bf.num_feasible, bf.num_nonfinite) == (201, 100)
+        # no finite cost anywhere: every feasible point is skipped
+        bad = make_opt_problem(Box(lower=(-1.0,), upper=(1.0,)),
+                               opt_scalar_from_expression("sqrt(x1 - 2)", 1))
+        empty = op_bruteforce(bad, [1.0], 0.01)
+    assert (empty.verdict, empty.num_feasible, empty.num_nonfinite) == \
+        ("empty", 201, 201)
+
+
 def test_constant_cost_is_trivially_confirmed():
     p = make_opt_problem(Box(lower=(-1.0,), upper=(1.0,)),
                          opt_scalar_from_expression("3", 1))

@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from scipy.linalg import null_space as scipy_null_space
 from scipy.optimize import linprog
 
-from noc.polyhedral import ConeVRep, cone_contains, extreme_rays, polyhedron_bounding_box
+from noc.polyhedral import (ConeVRep, cone_contains, extreme_rays, null_space,
+                            polyhedron_bounding_box)
 
 
 def _ray_set_matches(vrep: ConeVRep, expected_rays) -> bool:
@@ -154,3 +157,24 @@ def test_bounding_box_unbounded_raises():
     except ValueError:
         return
     raise AssertionError("expected ValueError for unbounded polyhedron")
+
+
+_RNG = np.random.default_rng(7)
+_A = _RNG.standard_normal((2, 4))
+
+
+@pytest.mark.parametrize("A", [
+    _A,                                           # full row rank
+    np.vstack([_A, _A[0] - 2.0 * _A[1]]),         # rank 2 of 3 rows
+    np.zeros((0, 3)),                             # no rows: all of R^3
+    np.array([[1.0, -2.0, 0.5]]),                 # one row
+    _RNG.standard_normal((3, 3)),                 # trivial null space
+    np.zeros((2, 3)),                             # zero matrix
+], ids=["full-rank", "rank-deficient", "empty", "one-row", "square", "zero"])
+def test_null_space_matches_scipy(A):
+    Z, R = null_space(A), scipy_null_space(A)
+    assert Z.shape == R.shape
+    np.testing.assert_allclose(Z.T @ Z, np.eye(Z.shape[1]), atol=1e-12)
+    assert np.abs(A @ Z).max(initial=0.0) <= 1e-12
+    # equal spans: equal orthogonal projectors
+    np.testing.assert_allclose(Z @ Z.T, R @ R.T, atol=1e-12)

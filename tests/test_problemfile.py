@@ -3,6 +3,7 @@ and the builders that turn parsed files into runnable problems."""
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from noc.cones import Ball, Box, Polyhedron, ProductSet, set_dim
 from noc.errors import ProblemFileError
 from noc.presets import PRESET_NAMES, load_preset, preset_notes, preset_text
-from noc.problemfile import (build_control_problem, build_direction_arrays,
+from noc.problemfile import (ControlModel, build_control_problem,
+                             build_direction_arrays,
                              build_nominal_controls, build_opt_problem,
                              build_set, parse_problem_file, parse_set_inline,
                              serialize_problem_file)
@@ -310,6 +312,41 @@ def test_param_substitution_reaches_dynamics():
     rate = problem.dynamics.rhs(0.0, np.array([1.0, 0.0]),
                                 np.array([1.0, 0.0]))
     np.testing.assert_allclose(rate, [0.0, -6.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("name, changes", [
+    ("ccs126", {"theta": 5.0, "T": 0.25}),
+    ("linear-lq-euclid", {"pi": 3.0, "T": 2.0}),
+])
+def test_control_model_rebinds_to_a_fresh_build(name, changes):
+    # one model compiled at the preset's values serves other values: the
+    # rebound problem evaluates exactly like a fresh build at them
+    base = load_preset(name)
+    other = base
+    for key, value in changes.items():
+        other = other.with_param(key, value)
+    model = ControlModel()
+    model.problem(base)
+    rebound, fresh = model.problem(other), build_control_problem(other)
+    assert rebound.horizon == fresh.horizon == changes["T"]
+    n, m = rebound.state_dim, rebound.control_dim
+    rng = np.random.default_rng(11)
+    t, y, u = rng.uniform(size=3), rng.normal(size=(3, n)), rng.normal(size=(3, m))
+    for got, want in zip(rebound.dynamics.blocks_many(t, y, u),
+                         fresh.dynamics.blocks_many(t, y, u)):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(rebound.endpoint_maps, fresh.endpoint_maps):
+        assert got.value(y[0], y[1]) == want.value(y[0], y[1])
+    with pytest.raises(ValueError, match="differs from the compiled one"):
+        model.problem(replace(base, start=(0.5,) * len(base.start)))
+
+
+def test_param_named_pi_shadows_the_constant():
+    pf = load_preset("linear-lq-euclid").with_param("pi", 3.0)
+    v, _, _, _, _ = build_direction_arrays(pf)
+    t_mid = (np.arange(pf.cells) + 0.5) * pf.horizon / pf.cells
+    np.testing.assert_allclose(v[:, 0], np.cos(2 * 3.0 * t_mid / pf.horizon),
+                               rtol=0, atol=1e-15)
 
 
 def test_build_opt_problem_rows_and_domain():
