@@ -9,23 +9,29 @@ adjoint are linear in the multiplier, so one jet and one (matrix) adjoint
 pass serve every multiplier.
 
 Controls are piecewise constant on a uniform grid and every integrator
-takes a single classical RK4 step per grid cell. The first-order field and
-the adjoint share one linearisation of that step: the cell propagators
-dy_{i+1} = M_i dy_i + B_i du_i, built from the stage Jacobians at the
-stored stage points of every cell at once. The variational field is the
-forward recursion X_{i+1} = M_i X_i + B_i v_i, the exact derivative of the
-discrete flow, and the adjoint its exact transpose p_i = M_i^T p_{i+1}, so
-the discrete duality between them holds to rounding. Covariant ODEs are
-solved componentwise in the chart: for the first-order field and the
-adjoint the Christoffel terms cancel identically against the connection
-part of the covariant state Jacobian (both reduce to the plain
-linearized/adjoint systems), while the second-order field Y is recovered
-from a plain-coordinate integration B via Y = B + Γ(X, X)/2.
+takes a single classical RK4 step per grid cell. For expression models the
+state pass runs each cell as one compiled function on Python floats
+(``DynamicsModel.rk4_cell``) and redoes on the numpy path any cell that
+fails there, so its results and diagnostics are the numpy path's. The
+first-order field and the adjoint share one linearisation of that step:
+the cell propagators dy_{i+1} = M_i dy_i + B_i du_i, built from the stage
+Jacobians at the stored stage points of every cell at once. The
+variational field is the forward recursion X_{i+1} = M_i X_i + B_i v_i,
+the exact derivative of the discrete flow, and the adjoint its exact
+transpose p_i = M_i^T p_{i+1}, so the discrete duality between them holds
+to rounding. Geometry along a trajectory (Γ, ∂Γ, R) comes from one batched
+call per quantity over all nodes. Covariant ODEs are solved componentwise
+in the chart: for the first-order field and the adjoint the Christoffel
+terms cancel identically against the connection part of the covariant
+state Jacobian (both reduce to the plain linearized/adjoint systems),
+while the second-order field Y is recovered from a plain-coordinate
+integration B via Y = B + Γ(X, X)/2.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -33,7 +39,7 @@ import numpy as np
 from .cones import Box
 from .errors import (BasePointMismatch, BoundViolated, ChartEscape, NocError,
                      NonFiniteState)
-from .expr import compile_expr, parse_expr
+from .expr import compile_expr, parse_expr, python_source
 from .geometry import (CotangentVector, ManifoldChart, TangentVector,
                        christoffel, christoffel_apply, curvature, dchristoffel,
                        exp_map, log_map, musical_dual, norm, parallel_transport,
@@ -87,6 +93,14 @@ class DynamicsModel:
     ``integrate_adjoint``) use it when present and otherwise call the
     per-node callbacks once per point.
 
+    ``rk4_cell`` (optional, set on expression models) is one classical RK4
+    step on Python floats: ``rk4_cell(t, h, *y, *u)`` returns the state
+    after a cell of length h as a tuple, the same floats as ``_rk4_step``
+    on ``rhs`` gives. Where numpy would warn it may instead raise
+    (ArithmeticError, ValueError, or TypeError from a complex power) or
+    return a non-finite or complex value; ``integrate_state`` redoes such
+    a cell on the numpy path. Callback models leave it None.
+
     ``rebind`` (set on expression models compiled with parameters) maps
     new parameter values, a name -> value mapping, to the same model at
     those values; the compiled callables are shared, not rebuilt.
@@ -103,6 +117,7 @@ class DynamicsModel:
     supplied: frozenset
     label: str = "custom"
     blocks_many: Callable | None = None
+    rk4_cell: Callable | None = None
     rebind: Callable | None = None
 
 
@@ -230,9 +245,10 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
 
     Allowed variables: ``t``, ``y1..yn``, ``u1..um`` and the names of
     ``params``, a name -> value mapping. All derivative blocks are produced
-    by exact symbolic differentiation and compiled, with the parameters
-    that occur as extra arguments, so ``rebind`` moves the model to other
-    parameter values without parsing or compiling again.
+    by exact symbolic differentiation and compiled, and so is the float
+    ``rk4_cell``, with the parameters that occur as extra arguments, so
+    ``rebind`` moves the model to other parameter values without parsing or
+    compiling again.
     """
     n, m = state_dim, control_dim
     ynames = tuple(f"y{i + 1}" for i in range(n))
@@ -253,6 +269,7 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
     fyy_fn = [[[comp(e.diff(a).diff(b)) for b in ynames] for a in ynames] for e in exprs]
     fyu_fn = [[[comp(e.diff(a).diff(b)) for b in unames] for a in ynames] for e in exprs]
     fuu_fn = [[[comp(e.diff(a).diff(b)) for b in unames] for a in unames] for e in exprs]
+    float_cell = _compile_rk4_cell(exprs, ynames, unames, pnames)
 
     def stacked(fns, a, size):
         # nested callables -> (size, *nesting); constants broadcast
@@ -297,9 +314,49 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
             rhs_uu=block2(fuu_fn, n, m, m),
             supplied=frozenset({"rhs_y", "rhs_u", "rhs_yy", "rhs_yu", "rhs_uu"}),
             label=label, blocks_many=blocks_many,
+            rk4_cell=partial(float_cell, *pvals) if pvals else float_cell,
             rebind=bind if pnames else None)
 
     return bind(params)
+
+
+def _compile_rk4_cell(exprs, ynames, unames, pnames) -> Callable:
+    """``cell(*params, t, h, *y, *u)``: one classical RK4 step of
+    ydot = f(t, y, u) on Python floats, returning the state as a tuple.
+
+    The source is generated from the component expressions with ``math``
+    functions and repeats ``_rk4_step`` operation for operation. Every
+    variable is renamed, so no expression name can shadow ``math``.
+    """
+    n = len(ynames)
+    params = [f"p{j}" for j in range(len(pnames))]
+    s = [f"s{i}" for i in range(n)]         # the state at the cell's node
+    z = [f"z{i}" for i in range(n)]         # the state at a later stage
+    u = [f"u{a}" for a in range(len(unames))]
+    fixed = dict(zip(unames, u)) | dict(zip(pnames, params))
+    at_node = {"t": "t0"} | dict(zip(ynames, s)) | fixed
+    at_stage = {"t": "t"} | dict(zip(ynames, z)) | fixed
+
+    def stage(k, names):
+        return [f"    k{k}_{i} = {python_source(e, 'math', names)}"
+                for i, e in enumerate(exprs)]
+
+    def move(step, k):
+        return [f"    {z[i]} = {s[i]} + {step} * k{k}_{i}" for i in range(n)]
+
+    result = ", ".join(f"{s[i]} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+                       for i in range(n))
+    lines = [f"def cell({', '.join(params + ['t0', 'h'] + s + u)}):",
+             "    half = 0.5 * h",
+             *stage(1, at_node),
+             "    t = t0 + half", *move("half", 1), *stage(2, at_stage),
+             *move("half", 2), *stage(3, at_stage),
+             "    t = t0 + h", *move("h", 3), *stage(4, at_stage),
+             "    sixth = h / 6.0",
+             f"    return ({result},)"]
+    namespace = {"math": math, "__builtins__": {}}
+    exec("\n".join(lines), namespace)  # noqa: S102 - AST-derived source
+    return namespace["cell"]
 
 
 def builtin_dynamics(name: str, **params) -> DynamicsModel:
@@ -561,6 +618,20 @@ def _validate_dynamics(problem: ControlProblem, probes, rhs_values, tol: float):
             if not np.allclose(got, want, rtol=1e-12, atol=1e-12):
                 raise NocError(f"batched dynamics block {name} disagrees "
                                f"with the per-node callback")
+    if dyn.rk4_cell is not None:
+        # the float cell must reproduce the numpy step wherever both run
+        h = 0.01 * problem.horizon
+        for t, y, u in probes:
+            with np.errstate(all="ignore"):
+                want = _rk4_step(lambda s, z: dyn.rhs(s, z, u), t, y, h)
+            try:
+                got = np.array(dyn.rk4_cell(t, h, *y.tolist(), *u.tolist()), float)
+            except (ArithmeticError, ValueError, TypeError):
+                continue
+            if np.all(np.isfinite(want)) and not np.allclose(got, want, rtol=1e-12,
+                                                             atol=1e-12):
+                raise NocError("the float RK4 cell of the dynamics disagrees "
+                               "with the numpy RK4 step")
 
 
 def _rounding_near_tol(problem: ControlProblem, probes, rhs_values,
@@ -636,8 +707,8 @@ def make_problem(chart: ManifoldChart, horizon: float, dynamics: DynamicsModel,
     Validation requires a finite rhs at 20 random points near
     ``probe_base`` (default: chart origin), then probes every derivative
     block there against independent central differences, requiring
-    agreement within 1e-4 relative, and the batched blocks against the
-    per-node ones.
+    agreement within 1e-4 relative, the batched blocks against the
+    per-node ones, and the float ``rk4_cell`` against ``_rk4_step``.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -768,7 +839,13 @@ def _start_components(trajectory: Trajectory, vec, what: str) -> np.ndarray:
 
 def integrate_state(problem: ControlProblem, start_point, controls) -> Trajectory:
     """One classical RK4 step per grid cell; the grid size is the number of
-    control rows."""
+    control rows.
+
+    With the model's ``rk4_cell`` the cells run on Python floats. A cell
+    that raises there, goes non-finite or leaves the chart is redone by
+    ``_rk4_step`` on ``rhs``, so its result, error and numerical warnings
+    are those of the numpy path.
+    """
     controls = _check_controls(problem, controls)
     y = np.asarray(start_point, float).copy()
     if y.shape != (problem.state_dim,):
@@ -781,15 +858,51 @@ def integrate_state(problem: ControlProblem, start_point, controls) -> Trajector
     states = np.empty((N + 1, problem.state_dim))
     states[0] = y
     rhs = problem.dynamics.rhs
-    for i in range(N):
+    cell = problem.dynamics.rk4_cell
+    if cell is not None:
+        times, control_rows = grid.tolist(), controls.tolist()
+    i = 0
+    while i < N:
+        if cell is not None:
+            i = _float_cells(cell, problem.chart, times, control_rows, h, states, i)
+            if i == N:
+                break
         u = controls[i]
-        y = _rk4_step(lambda t, z: rhs(t, z, u), grid[i], y, h)
+        y = _rk4_step(lambda t, z: rhs(t, z, u), grid[i], states[i], h)
         if not np.all(np.isfinite(y)):
             raise NonFiniteState(f"state became non-finite in cell {i}")
         if not valid_point(problem.chart, y):
             raise ChartEscape(f"state left the chart domain in cell {i}")
         states[i + 1] = y
+        i += 1
     return Trajectory(chart=problem.chart, grid=grid, states=states, controls=controls)
+
+
+def _float_cells(cell, chart: ManifoldChart, times, controls, h, states,
+                 start: int) -> int:
+    """Advance ``states`` by the float ``cell`` from cell ``start`` until a
+    cell raises or goes non-finite, and return the first cell to redo on
+    the numpy path: that cell, an earlier one whose state left the chart,
+    or the number of cells when none."""
+    y = states[start].tolist()
+    done = []
+    try:
+        for i in range(start, len(controls)):
+            y = cell(times[i], h, *y, *controls[i])
+            if not math.isfinite(sum(y)):   # a complex sum raises TypeError
+                break
+            done.append(y)
+        else:
+            i = len(controls)
+    except (ArithmeticError, ValueError, TypeError):
+        pass
+    if done:
+        new = states[start + 1:i + 1]
+        new[:] = done
+        escaped = np.flatnonzero(~valid_point(chart, new))
+        if escaped.size:
+            return start + int(escaped[0])
+    return i
 
 
 def _check_direction_shape(trajectory: Trajectory, directions) -> np.ndarray:
@@ -818,10 +931,16 @@ def integrate_variational(problem: ControlProblem, trajectory: Trajectory,
     values[0] = X
     for i in range(N):
         X = M[i] @ X + B[i] @ v_seq[i]
-        if not np.all(np.isfinite(X)):
-            raise NonFiniteState(f"variational field became non-finite in cell {i}")
         values[i + 1] = X
+    bad = _non_finite_rows(values[1:])
+    if bad.size:
+        raise NonFiniteState(f"variational field became non-finite in cell {bad[0]}")
     return FieldAlongCurve(trajectory=trajectory, values=values, kind="tangent")
+
+
+def _non_finite_rows(values: np.ndarray) -> np.ndarray:
+    """Indices of the rows (first axis) of values with a non-finite entry."""
+    return np.flatnonzero(~np.isfinite(values).reshape(len(values), -1).all(axis=1))
 
 
 def integrate_second_variation(problem: ControlProblem, trajectory: Trajectory,
@@ -842,11 +961,13 @@ def integrate_second_variation(problem: ControlProblem, trajectory: Trajectory,
     n = problem.state_dim
     N = trajectory.num_cells
     h = trajectory.step
-    X0 = first_field.values[0]
-    B = W - 0.5 * christoffel_apply(chart, trajectory.states[0], X0, X0)
+    # Γ(X, X)/2 at every node, in one batched call; zero on flat charts
+    half_gamma = (None if chart.kind == "euclidean" else
+                  0.5 * christoffel_apply(chart, trajectory.states, first_field.values,
+                                          first_field.values))
+    B = W if half_gamma is None else W - half_gamma[0]
     Bs = np.empty((N + 1, n))
     Bs[0] = B
-    X = X0.copy()
     for i in range(N):
         u = trajectory.controls[i]
         v = v_seq[i]
@@ -873,13 +994,7 @@ def integrate_second_variation(problem: ControlProblem, trajectory: Trajectory,
                 "first_field is not the variational field of the given directions "
                 f"(drift {drift:.3e} in cell {i})")
         Bs[i + 1] = B
-    if chart.kind == "euclidean":
-        values = Bs
-    else:
-        values = np.array([Bs[i] + 0.5 * christoffel_apply(chart, trajectory.states[i],
-                                                           first_field.values[i],
-                                                           first_field.values[i])
-                           for i in range(N + 1)])
+    values = Bs if half_gamma is None else Bs + half_gamma
     return FieldAlongCurve(trajectory=trajectory, values=values, kind="tangent")
 
 
@@ -936,9 +1051,11 @@ def integrate_adjoint(problem: ControlProblem, trajectory: Trajectory,
     values[N] = p
     for i in range(N - 1, -1, -1):
         p = M[i].T @ p
-        if not np.all(np.isfinite(p)):
-            raise NonFiniteState(f"adjoint became non-finite in cell {i}")
         values[i] = p
+    bad = _non_finite_rows(values[:N])
+    if bad.size:
+        # the pass runs backward: its first non-finite cell is the last row
+        raise NonFiniteState(f"adjoint became non-finite in cell {bad[-1]}")
     return FieldAlongCurve(trajectory=trajectory, values=values, kind="cotangent")
 
 
@@ -1223,10 +1340,9 @@ def trajectory_jet(problem: ControlProblem, trajectory: Trajectory) -> Trajector
     chart = problem.chart
     geometry, riemann = (None, None), None
     if chart.kind != "euclidean":
-        gamma, dgamma, riemann = (np.array(a) for a in zip(*[
-            (christoffel(chart, y), dchristoffel(chart, y),
-             curvature(chart, y).components) for y in trajectory.states]))
-        geometry = (gamma[nodes], dgamma[nodes])
+        geometry = (christoffel(chart, trajectory.states)[nodes],
+                    dchristoffel(chart, trajectory.states)[nodes])
+        riemann = curvature(chart, trajectory.states).components
     _, hess, mixed = _covariant_blocks(f, fy, fu, fyy, fyu, *geometry)
     return TrajectoryJet(trajectory=trajectory, nodes=nodes, f=f, fu=fu, fuu=fuu,
                          hess=hess, mixed=mixed, riemann=riemann)

@@ -525,37 +525,54 @@ def _substitute_constants(node: Expr) -> Expr:
 # compilation to plain python callables (hot integrator loops)
 # ----------------------------------------------------------------------------
 
-def python_source(node: Expr) -> str:
-    """Emit a python expression string equivalent to ``node`` (numpy funcs)."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{python_source(node.arg)})"
-    if isinstance(node, Add):
-        return f"({python_source(node.left)} + {python_source(node.right)})"
-    if isinstance(node, Sub):
-        return f"({python_source(node.left)} - {python_source(node.right)})"
-    if isinstance(node, Mul):
-        return f"({python_source(node.left)} * {python_source(node.right)})"
-    if isinstance(node, Div):
-        return f"({python_source(node.left)} / {python_source(node.right)})"
-    if isinstance(node, Pow):
-        return f"({python_source(node.base)} ** {python_source(node.exponent)})"
-    if isinstance(node, Call):
-        return f"np.{'abs' if node.func == 'abs' else node.func}({python_source(node.arg)})"
-    raise TypeError(f"cannot compile node of type {type(node).__name__}")
+def python_source(node: Expr, module: str = "np", names=None) -> str:
+    """Emit a python expression string equivalent to ``node``.
+
+    Functions come from ``module``: ``"np"`` (numpy, broadcasts over arrays)
+    or ``"math"`` (Python floats; raises where numpy would warn). Each
+    variable is emitted as ``names[var]`` when a mapping is given, else as
+    its own name.
+    """
+    def src(e: Expr) -> str:
+        if isinstance(e, Num):
+            if math.isfinite(e.value):
+                return repr(e.value)
+            # constant folding can overflow to inf or nan, which are not literals
+            name = "nan" if math.isnan(e.value) else "inf"
+            return f"({'-' if e.value < 0 else ''}{module}.{name})"
+        if isinstance(e, Var):
+            return e.name if names is None else names[e.name]
+        if isinstance(e, Neg):
+            return f"(-{src(e.arg)})"
+        if isinstance(e, Add):
+            return f"({src(e.left)} + {src(e.right)})"
+        if isinstance(e, Sub):
+            return f"({src(e.left)} - {src(e.right)})"
+        if isinstance(e, Mul):
+            return f"({src(e.left)} * {src(e.right)})"
+        if isinstance(e, Div):
+            return f"({src(e.left)} / {src(e.right)})"
+        if isinstance(e, Pow):
+            return f"({src(e.base)} ** {src(e.exponent)})"
+        if isinstance(e, Call):
+            func = "fabs" if e.func == "abs" and module == "math" else e.func
+            return f"{module}.{func}({src(e.arg)})"
+        raise TypeError(f"cannot compile node of type {type(e).__name__}")
+
+    return src(node)
 
 
 def compile_expr(node: Expr, varnames: tuple[str, ...]):
     """Compile an Expr into a positional-argument callable.
 
     Much faster than Expr.eval in tight loops; the callable accepts the
-    variables in the given order and broadcasts over numpy arrays.
+    variables in the given order and broadcasts over numpy arrays. The
+    arguments are renamed positionally, so a variable may be named like a
+    Python keyword or ``np``.
     """
     missing = node.free_vars() - set(varnames)
     if missing:
         raise ExprError("unbound variable(s): " + ", ".join(sorted(missing)))
-    src = f"lambda {', '.join(varnames)}: {python_source(node)}"
+    args = {name: f"a{i}" for i, name in enumerate(varnames)}
+    src = f"lambda {', '.join(args.values())}: {python_source(node, 'np', args)}"
     return eval(src, {"np": np, "__builtins__": {}})  # noqa: S307 - AST-derived source

@@ -6,6 +6,12 @@ half-space, products) carry closed-form Christoffel symbols and curvature;
 custom charts supply the metric either as a callback (finite differences) or
 as symbolic expressions (exact differentiation).
 
+``metric``, ``christoffel``, ``dchristoffel``, ``curvature``,
+``christoffel_apply`` and ``valid_point`` also take a (K, n) array of points
+and return one result per point along a leading K axis; a single (n,) point
+gives a single result. The closed-form kinds and expression metrics
+evaluate a batch in one array expression, callback metrics once per point.
+
 Conventions
 -----------
 * Christoffel symbols Γ^k_{ij} are stored as gamma[k, i, j].
@@ -214,21 +220,56 @@ def _factor_slices(chart: ManifoldChart) -> list[slice]:
 
 
 # ----------------------------------------------------------------------------
+# batches of points
+# ----------------------------------------------------------------------------
+
+def _points(chart: ManifoldChart, x) -> tuple:
+    """x as a (K, n) array of points, and the leading shape it came with."""
+    x = _arr(x)
+    if x.ndim == 0 or x.shape[-1] != chart.dim:
+        raise ValueError(f"expected points with {chart.dim} coordinates, got shape {x.shape}")
+    return x.reshape(-1, chart.dim), x.shape[:-1]
+
+
+def _sqnorm(x: np.ndarray) -> np.ndarray:
+    """x·x over the last axis, rounded as the 1-D product ``x @ x`` is."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def _eval_exprs(exprs, pts: np.ndarray) -> np.ndarray:
+    """Each expression in x1..xn at every row of pts: (K, len(exprs))."""
+    env = {f"x{i + 1}": pts[:, i] for i in range(pts.shape[1])}
+    return np.stack([np.broadcast_to(np.asarray(e.eval(env), float), pts.shape[:1])
+                     for e in exprs], axis=-1)
+
+
+# ----------------------------------------------------------------------------
 # chart domain checks
 # ----------------------------------------------------------------------------
 
-def valid_point(chart: ManifoldChart, x) -> bool:
+def valid_point(chart: ManifoldChart, x):
+    """Whether x is a finite point of the chart domain; for a (K, n) array
+    of points, a (K,) boolean mask."""
     x = _arr(x)
-    if x.shape != (chart.dim,) or not np.all(np.isfinite(x)):
-        return False
+    if x.ndim == 0 or x.shape[-1] != chart.dim:
+        ok = np.zeros(x.shape[:-1], bool)
+    else:
+        ok = np.isfinite(x).all(axis=-1) & _in_domain(chart, x)
+    return ok if ok.ndim else bool(ok)
+
+
+def _in_domain(chart: ManifoldChart, x: np.ndarray):
     if chart.kind == "sphere":
         if chart.coords == "stereographic":
-            return float(np.linalg.norm(x)) <= 8.0 * chart.radius
-        return 1e-9 < x[0] < math.pi - 1e-9
+            return np.hypot(x[..., 0], x[..., 1]) <= 8.0 * chart.radius
+        return (1e-9 < x[..., 0]) & (x[..., 0] < math.pi - 1e-9)
     if chart.kind == "hyperbolic":
-        return x[-1] > 1e-9
+        return x[..., -1] > 1e-9
     if chart.kind == "product":
-        return all(valid_point(f, x[s]) for f, s in zip(chart.factors, _factor_slices(chart)))
+        ok = True
+        for f, s in zip(chart.factors, _factor_slices(chart)):
+            ok = ok & _in_domain(f, x[..., s])
+        return ok
     return True
 
 
@@ -237,47 +278,68 @@ def _require_valid(chart: ManifoldChart, x: np.ndarray, what: str = "point"):
         raise ChartEscape(f"{what} {np.asarray(x).tolist()} left the chart domain ({chart.kind})")
 
 
+def _half_space_heights(pts: np.ndarray, what: str) -> np.ndarray:
+    h = pts[:, -1]
+    bad = h <= 0
+    if np.any(bad):
+        raise SingularMetric(f"half-space {what} undefined at x_n = {float(h[bad][0])}")
+    return h
+
+
+def _polar_sin_cos(pts: np.ndarray) -> tuple:
+    st = np.sin(pts[:, 0])
+    if np.any(np.abs(st) < 1e-300):
+        raise SingularMetric("polar sphere chart degenerates at the poles")
+    return st, np.cos(pts[:, 0])
+
+
+def _require_positive(pts: np.ndarray, g: np.ndarray):
+    """Raise at the first point whose symmetric metric is not positive definite."""
+    wmin = np.linalg.eigvalsh(g).min(axis=-1)
+    bad = np.flatnonzero(wmin <= 0)
+    if bad.size:
+        k = bad[0]
+        raise SingularMetric(f"metric at {pts[k].tolist()} has min eigenvalue {wmin[k]:.3e}")
+
+
 # ----------------------------------------------------------------------------
 # metric
 # ----------------------------------------------------------------------------
 
-def _sphere_conformal(chart: ManifoldChart, x: np.ndarray) -> float:
+def _sphere_conformal(chart: ManifoldChart, x: np.ndarray) -> np.ndarray:
     r2 = chart.radius ** 2
-    return 2.0 * r2 / (r2 + float(x @ x))
+    return 2.0 * r2 / (r2 + _sqnorm(x))
 
 
 def metric(chart: ManifoldChart, x) -> np.ndarray:
-    x = _arr(x)
+    """g_ij at x; at a (K, n) array of points, a (K, n, n) stack."""
+    pts, lead = _points(chart, x)
     n = chart.dim
     if chart.kind == "euclidean":
-        return np.eye(n)
-    if chart.kind == "sphere":
-        if chart.coords == "stereographic":
-            lam = _sphere_conformal(chart, x)
-            return (lam * lam) * np.eye(2)
+        g = np.broadcast_to(np.eye(n), (len(pts), n, n)).copy()
+    elif chart.kind == "sphere" and chart.coords == "stereographic":
+        lam = _sphere_conformal(chart, pts)
+        g = (lam * lam)[:, None, None] * np.eye(2)
+    elif chart.kind == "sphere":
         r2 = chart.radius ** 2
-        return np.diag([r2, r2 * math.sin(x[0]) ** 2])
-    if chart.kind == "hyperbolic":
-        h = x[-1]
-        if h <= 0:
-            raise SingularMetric(f"half-space metric undefined at x_n = {h}")
-        return np.eye(n) / (chart.curv * h * h)
-    if chart.kind == "product":
-        g = np.zeros((n, n))
+        g = np.zeros((len(pts), 2, 2))
+        g[:, 0, 0] = r2
+        g[:, 1, 1] = r2 * np.sin(pts[:, 0]) ** 2
+    elif chart.kind == "hyperbolic":
+        h = _half_space_heights(pts, "metric")
+        g = np.eye(n) / (chart.curv * h * h)[:, None, None]
+    elif chart.kind == "product":
+        g = np.zeros((len(pts), n, n))
         for f, s in zip(chart.factors, _factor_slices(chart)):
-            g[s, s] = metric(f, x[s])
-        return g
-    # custom
-    if chart.metric_exprs is not None:
-        env = {f"x{i + 1}": float(x[i]) for i in range(n)}
-        g = np.array([e.eval(env) for e in chart.metric_exprs], dtype=float).reshape(n, n)
+            g[:, s, s] = metric(f, pts[:, s])
     else:
-        g = _arr(chart.metric_fn(x))
-    g = 0.5 * (g + g.T)
-    w = np.linalg.eigvalsh(g)
-    if w.min() <= 0:
-        raise SingularMetric(f"metric at {x.tolist()} has min eigenvalue {w.min():.3e}")
-    return g
+        if chart.metric_exprs is not None:
+            g = _eval_exprs(chart.metric_exprs, pts).reshape(-1, n, n)
+        else:
+            g = np.array([chart.metric_fn(p) for p in pts], dtype=float).reshape(-1, n, n)
+        g = 0.5 * (g + np.swapaxes(g, -1, -2))
+        _require_positive(pts, g)
+    return g.reshape(lead + (n, n))
 
 
 def metric_inverse(chart: ManifoldChart, x) -> np.ndarray:
@@ -292,184 +354,167 @@ def metric_inverse(chart: ManifoldChart, x) -> np.ndarray:
 # Christoffel symbols
 # ----------------------------------------------------------------------------
 
-def _fd_step(x: np.ndarray, scale: float = 1e-5) -> float:
-    return scale * (1.0 + float(np.abs(x).max(initial=0.0)))
+def _fd_step(x: np.ndarray, scale: float = 1e-5) -> np.ndarray:
+    """The difference step at each point (row) of x."""
+    return scale * (1.0 + np.max(np.abs(x), axis=-1, initial=0.0))
 
 
 def christoffel_fd(chart: ManifoldChart, x) -> np.ndarray:
-    """Γ^k_{ij} by central finite differences of the metric (the generic path)."""
-    x = _arr(x)
+    """Γ^k_{ij} by central finite differences of the metric (the generic
+    path); at a (K, n) array of points, a (K, n, n, n) stack."""
+    pts, lead = _points(chart, x)
     n = chart.dim
-    h = _fd_step(x)
-    dg = np.zeros((n, n, n))  # dg[l, i, j] = d_l g_ij
+    h = _fd_step(pts)
+    dg = np.zeros((len(pts), n, n, n))  # dg[:, l, i, j] = d_l g_ij
     for l in range(n):
-        xp, xm = x.copy(), x.copy()
-        xp[l] += h
-        xm[l] -= h
-        dg[l] = (metric(chart, xp) - metric(chart, xm)) / (2.0 * h)
-    ginv = metric_inverse(chart, x)
-    return _gamma_from_metric_derivs_inv(ginv, dg)
+        xp, xm = pts.copy(), pts.copy()
+        xp[:, l] += h
+        xm[:, l] -= h
+        dg[:, l] = (metric(chart, xp) - metric(chart, xm)) / (2.0 * h)[:, None, None]
+    ginv = metric_inverse(chart, pts)
+    return _gamma_from_metric_derivs_inv(ginv, dg).reshape(lead + (n, n, n))
 
 
 def _conformal_gamma(dphi: np.ndarray) -> np.ndarray:
-    """Γ for metric e^{2φ}δ given the gradient of φ."""
-    n = dphi.size
-    eye = np.eye(n)
-    return (np.einsum("ki,j->kij", eye, dphi)
-            + np.einsum("kj,i->kij", eye, dphi)
-            - np.einsum("ij,k->kij", eye, dphi))
+    """Γ for metric e^{2φ}δ given the gradient of φ, over leading axes."""
+    eye = np.eye(dphi.shape[-1])
+    return (np.einsum("ki,...j->...kij", eye, dphi)
+            + np.einsum("kj,...i->...kij", eye, dphi)
+            - np.einsum("ij,...k->...kij", eye, dphi))
 
 
 def christoffel(chart: ManifoldChart, x) -> np.ndarray:
-    """Γ^k_{ij}; closed form for built-in kinds, finite differences otherwise."""
-    x = _arr(x)
+    """Γ^k_{ij}; closed form for built-in kinds, finite differences otherwise.
+    At a (K, n) array of points, a (K, n, n, n) stack."""
+    pts, lead = _points(chart, x)
     n = chart.dim
     if chart.kind == "euclidean":
-        return np.zeros((n, n, n))
-    if chart.kind == "sphere":
-        if chart.coords == "stereographic":
-            denom = chart.radius ** 2 + float(x @ x)
-            dphi = -2.0 * x / denom
-            return _conformal_gamma(dphi)
-        theta = float(x[0])
-        gamma = np.zeros((2, 2, 2))
-        st, ct = math.sin(theta), math.cos(theta)
-        gamma[0, 1, 1] = -st * ct
-        if abs(st) < 1e-300:
-            raise SingularMetric("polar sphere chart degenerates at the poles")
-        gamma[1, 0, 1] = gamma[1, 1, 0] = ct / st
-        return gamma
-    if chart.kind == "hyperbolic":
-        h = float(x[-1])
-        if h <= 0:
-            raise SingularMetric(f"half-space Christoffels undefined at x_n = {h}")
-        dphi = np.zeros(n)
-        dphi[-1] = -1.0 / h
-        return _conformal_gamma(dphi)
-    if chart.kind == "product":
-        gamma = np.zeros((n, n, n))
+        gamma = np.zeros((len(pts), n, n, n))
+    elif chart.kind == "sphere" and chart.coords == "stereographic":
+        denom = chart.radius ** 2 + _sqnorm(pts)
+        gamma = _conformal_gamma(-2.0 * pts / denom[:, None])
+    elif chart.kind == "sphere":
+        st, ct = _polar_sin_cos(pts)
+        gamma = np.zeros((len(pts), 2, 2, 2))
+        gamma[:, 0, 1, 1] = -st * ct
+        gamma[:, 1, 0, 1] = gamma[:, 1, 1, 0] = ct / st
+    elif chart.kind == "hyperbolic":
+        dphi = np.zeros((len(pts), n))
+        dphi[:, -1] = -1.0 / _half_space_heights(pts, "Christoffels")
+        gamma = _conformal_gamma(dphi)
+    elif chart.kind == "product":
+        gamma = np.zeros((len(pts), n, n, n))
         for f, s in zip(chart.factors, _factor_slices(chart)):
-            gamma[s, s, s] = christoffel(f, x[s])
-        return gamma
-    if chart.metric_exprs is not None:
-        return _symbolic_gamma(chart, x)
-    return christoffel_fd(chart, x)
+            gamma[:, s, s, s] = christoffel(f, pts[:, s])
+    elif chart.metric_exprs is not None:
+        gamma = _symbolic_gamma(chart, pts)
+    else:
+        return christoffel_fd(chart, x)
+    return gamma.reshape(lead + (n, n, n))
 
 
-def _symbolic_metric_derivs(chart: ManifoldChart, x: np.ndarray, order: int):
-    """Metric plus symbolic first (and optionally second) derivatives."""
+def _symbolic_metric_derivs(chart: ManifoldChart, pts: np.ndarray, order: int):
+    """Metric plus symbolic first (and optionally second) derivatives at a
+    (K, n) array of points: dg[:, l, i, j] = d_l g_ij and
+    d2[:, l, m, i, j] = d_l d_m g_ij."""
     n = chart.dim
     names = [f"x{i + 1}" for i in range(n)]
-    env = {names[i]: float(x[i]) for i in range(n)}
     cache = chart.__dict__.setdefault("_expr_cache", {})
     if "d1" not in cache:
         cache["d1"] = tuple(tuple(e.diff(nm) for nm in names) for e in chart.metric_exprs)
-    g = np.array([e.eval(env) for e in chart.metric_exprs]).reshape(n, n)
-    dg = np.array([[d.eval(env) for d in row] for row in cache["d1"]], dtype=float)
-    dg = dg.reshape(n, n, n).transpose(2, 0, 1)  # dg[l, i, j] = d_l g_ij
+    g = _eval_exprs(chart.metric_exprs, pts).reshape(-1, n, n)
+    dg = _eval_exprs([d for row in cache["d1"] for d in row], pts)
+    dg = dg.reshape(-1, n, n, n).transpose(0, 3, 1, 2)
     if order < 2:
         return g, dg, None
     if "d2" not in cache:
         cache["d2"] = tuple(tuple(tuple(d.diff(nm2) for nm2 in names) for d in row)
                             for row in cache["d1"])
-    d2 = np.array([[[dd.eval(env) for dd in row2] for row2 in row] for row in cache["d2"]],
-                  dtype=float)
-    d2 = d2.reshape(n, n, n, n).transpose(2, 3, 0, 1)  # d2[l, m, i, j] = d_l d_m g_ij
+    d2 = _eval_exprs([dd for row in cache["d2"] for row2 in row for dd in row2], pts)
+    d2 = d2.reshape(-1, n, n, n, n).transpose(0, 3, 4, 1, 2)
     return g, dg, d2
+
+
+def _bracket(dg: np.ndarray) -> np.ndarray:
+    """[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij over leading axes, from
+    dg[l, i, j] = d_l g_ij."""
+    return np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
 
 
 def _gamma_from_metric_derivs_inv(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Γ^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); dg[l,i,j] = d_l g_ij."""
-    # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    bracket = (np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg)
-    return 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, _bracket(dg))
 
 
-def _symbolic_gamma(chart: ManifoldChart, x: np.ndarray) -> np.ndarray:
-    g, dg, _ = _symbolic_metric_derivs(chart, x, order=1)
-    w = np.linalg.eigvalsh(0.5 * (g + g.T))
-    if w.min() <= 0:
-        raise SingularMetric(f"metric at {x.tolist()} has min eigenvalue {w.min():.3e}")
+def _symbolic_gamma(chart: ManifoldChart, pts: np.ndarray) -> np.ndarray:
+    g, dg, _ = _symbolic_metric_derivs(chart, pts, order=1)
+    _require_positive(pts, 0.5 * (g + np.swapaxes(g, -1, -2)))
     return _gamma_from_metric_derivs_inv(np.linalg.inv(g), dg)
 
 
 def dchristoffel(chart: ManifoldChart, x) -> np.ndarray:
-    """dGamma[m, k, i, j] = d_m Γ^k_{ij}.
+    """dGamma[m, k, i, j] = d_m Γ^k_{ij}; at a (K, n) array of points, a
+    (K, n, n, n, n) stack.
 
     Built-in kinds use closed-form derivatives; expression metrics use exact
     second derivatives; callback metrics fall back to central differences of
     christoffel.
     """
-    x = _arr(x)
+    pts, lead = _points(chart, x)
     n = chart.dim
+    K = len(pts)
     if chart.kind == "euclidean":
-        return np.zeros((n, n, n, n))
-    if chart.kind == "sphere" and chart.coords == "stereographic":
-        denom = chart.radius ** 2 + float(x @ x)
-        dphi = -2.0 * x / denom
+        d = np.zeros((K, n, n, n, n))
+    elif chart.kind == "sphere" and chart.coords == "stereographic":
+        denom = chart.radius ** 2 + _sqnorm(pts)
         # d_m dphi_i = -2 δ_mi/denom + 4 x_i x_m / denom^2
-        ddphi = -2.0 * np.eye(2) / denom + 4.0 * np.outer(x, x) / denom ** 2
+        ddphi = (-2.0 * np.eye(2) / denom[:, None, None]
+                 + 4.0 * (pts[:, :, None] * pts[:, None, :]) / (denom * denom)[:, None, None])
         eye = np.eye(2)
-        return (np.einsum("ki,mj->mkij", eye, ddphi)
-                + np.einsum("kj,mi->mkij", eye, ddphi)
-                - np.einsum("ij,mk->mkij", eye, ddphi))
-    if chart.kind == "sphere" and chart.coords == "polar":
-        theta = float(x[0])
-        st, ct = math.sin(theta), math.cos(theta)
-        d = np.zeros((2, 2, 2, 2))
+        d = (np.einsum("ki,...mj->...mkij", eye, ddphi)
+             + np.einsum("kj,...mi->...mkij", eye, ddphi)
+             - np.einsum("ij,...mk->...mkij", eye, ddphi))
+    elif chart.kind == "sphere":
+        st, ct = _polar_sin_cos(pts)
+        d = np.zeros((K, 2, 2, 2, 2))
         # only θ-derivatives are nonzero
-        d[0, 0, 1, 1] = -(ct * ct - st * st)          # d_θ(-sinθcosθ) = -cos2θ
-        d[0, 1, 0, 1] = d[0, 1, 1, 0] = -1.0 / (st * st)  # d_θ cotθ
-        return d
-    if chart.kind == "hyperbolic":
-        h = float(x[-1])
-        gamma_over = christoffel(chart, x) * h  # h-independent numerator / sign pattern
-        d = np.zeros((n, n, n, n))
-        d[-1] = -gamma_over / (h * h)
-        return d
-    if chart.kind == "product":
-        d = np.zeros((n, n, n, n))
+        d[:, 0, 0, 1, 1] = -(ct * ct - st * st)          # d_θ(-sinθcosθ) = -cos2θ
+        d[:, 0, 1, 0, 1] = d[:, 0, 1, 1, 0] = -1.0 / (st * st)  # d_θ cotθ
+    elif chart.kind == "hyperbolic":
+        h = pts[:, -1, None, None, None]
+        d = np.zeros((K, n, n, n, n))
+        d[:, -1] = -(christoffel(chart, pts) * h) / (h * h)  # Γ h does not depend on h
+    elif chart.kind == "product":
+        d = np.zeros((K, n, n, n, n))
         for f, s in zip(chart.factors, _factor_slices(chart)):
-            d[s, s, s, s] = dchristoffel(f, x[s])
-        return d
-    if chart.metric_exprs is not None:
-        return _symbolic_dgamma(chart, x)
-    h = 100.0 * _fd_step(x)  # wider step: christoffel itself carries FD noise
-    d = np.zeros((n, n, n, n))
-    for m in range(n):
-        xp, xm = x.copy(), x.copy()
-        xp[m] += h
-        xm[m] -= h
-        d[m] = (christoffel(chart, xp) - christoffel(chart, xm)) / (2.0 * h)
-    return d
+            d[:, s, s, s, s] = dchristoffel(f, pts[:, s])
+    elif chart.metric_exprs is not None:
+        d = _symbolic_dgamma(chart, pts)
+    else:
+        h = 100.0 * _fd_step(pts)  # wider step: christoffel itself carries FD noise
+        d = np.zeros((K, n, n, n, n))
+        for m in range(n):
+            xp, xm = pts.copy(), pts.copy()
+            xp[:, m] += h
+            xm[:, m] -= h
+            d[:, m] = ((christoffel(chart, xp) - christoffel(chart, xm))
+                       / (2.0 * h)[:, None, None, None])
+    return d.reshape(lead + (n,) * 4)
 
 
-def _symbolic_dgamma(chart: ManifoldChart, x: np.ndarray) -> np.ndarray:
-    n = chart.dim
-    g, dg, d2 = _symbolic_metric_derivs(chart, x, order=2)
+def _symbolic_dgamma(chart: ManifoldChart, pts: np.ndarray) -> np.ndarray:
+    g, dg, d2 = _symbolic_metric_derivs(chart, pts, order=2)
     ginv = np.linalg.inv(g)
     # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}
-    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-    dbracket = np.zeros((n, n, n, n))  # [m, l, i, j] = d_m (d_i g_jl + d_j g_il - d_l g_ij)
-    for m in range(n):
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    dbracket[m, l, i, j] = d2[m, i, j, l] + d2[m, j, i, l] - d2[m, l, i, j]
-    bracket = np.zeros((n, n, n))
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                bracket[l, i, j] = dg[i, j, l] + dg[j, i, l] - dg[l, i, j]
-    out = 0.5 * (np.einsum("mkl,lij->mkij", dginv, bracket)
-                 + np.einsum("kl,mlij->mkij", ginv, dbracket))
-    return out
+    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
+    # _bracket(d2)[m, l, i, j] = d_m (d_i g_jl + d_j g_il - d_l g_ij)
+    return 0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, _bracket(dg))
+                  + np.einsum("...kl,...mlij->...mkij", ginv, _bracket(d2)))
 
 
 def christoffel_apply(chart: ManifoldChart, x, a, b) -> np.ndarray:
-    """Γ_x(a, b)^k = Γ^k_{ij} a^i b^j."""
-    gamma = christoffel(chart, x)
-    return np.einsum("kij,i,j->k", gamma, _arr(a), _arr(b))
+    """Γ_x(a, b)^k = Γ^k_{ij} a^i b^j, over the leading axes of x, a and b."""
+    return np.einsum("...kij,...i,...j->...k", christoffel(chart, x), _arr(a), _arr(b))
 
 
 # ----------------------------------------------------------------------------
@@ -477,9 +522,8 @@ def christoffel_apply(chart: ManifoldChart, x, a, b) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 def _constant_curvature_tensor(K: float, g: np.ndarray) -> np.ndarray:
-    n = g.shape[0]
-    eye = np.eye(n)
-    return K * (np.einsum("jk,li->lijk", g, eye) - np.einsum("ik,lj->lijk", g, eye))
+    eye = np.eye(g.shape[-1])
+    return K * (np.einsum("...jk,li->...lijk", g, eye) - np.einsum("...ik,lj->...lijk", g, eye))
 
 
 def curvature_fd(chart: ManifoldChart, x) -> CurvatureTensor:
@@ -488,30 +532,31 @@ def curvature_fd(chart: ManifoldChart, x) -> CurvatureTensor:
     gamma = christoffel(chart, x)
     dgamma = dchristoffel(chart, x)
     # R^l_ijk = d_i Γ^l_jk - d_j Γ^l_ik + Γ^l_im Γ^m_jk - Γ^l_jm Γ^m_ik
-    R = (np.einsum("iljk->lijk", dgamma)
-         - np.einsum("jlik->lijk", dgamma)
-         + np.einsum("lim,mjk->lijk", gamma, gamma)
-         - np.einsum("ljm,mik->lijk", gamma, gamma))
+    R = (np.einsum("...iljk->...lijk", dgamma)
+         - np.einsum("...jlik->...lijk", dgamma)
+         + np.einsum("...lim,...mjk->...lijk", gamma, gamma)
+         - np.einsum("...ljm,...mik->...lijk", gamma, gamma))
     return CurvatureTensor(base=x, components=R)
 
 
 def curvature(chart: ManifoldChart, x) -> CurvatureTensor:
+    """R^l_{ijk} at x; at a (K, n) array of points the components are a
+    (K, n, n, n, n) stack based at those points."""
     x = _arr(x)
     n = chart.dim
     if chart.kind == "euclidean":
-        return CurvatureTensor(base=x, components=np.zeros((n, n, n, n)))
-    if chart.kind == "sphere":
-        K = 1.0 / chart.radius ** 2
-        return CurvatureTensor(base=x, components=_constant_curvature_tensor(K, metric(chart, x)))
-    if chart.kind == "hyperbolic":
-        return CurvatureTensor(base=x,
-                               components=_constant_curvature_tensor(-chart.curv, metric(chart, x)))
-    if chart.kind == "product":
-        R = np.zeros((n, n, n, n))
+        R = np.zeros(x.shape[:-1] + (n,) * 4)
+    elif chart.kind == "sphere":
+        R = _constant_curvature_tensor(1.0 / chart.radius ** 2, metric(chart, x))
+    elif chart.kind == "hyperbolic":
+        R = _constant_curvature_tensor(-chart.curv, metric(chart, x))
+    elif chart.kind == "product":
+        R = np.zeros(x.shape[:-1] + (n,) * 4)
         for f, s in zip(chart.factors, _factor_slices(chart)):
-            R[s, s, s, s] = curvature(f, x[s]).components
-        return CurvatureTensor(base=x, components=R)
-    return curvature_fd(chart, x)
+            R[..., s, s, s, s] = curvature(f, x[..., s]).components
+    else:
+        return curvature_fd(chart, x)
+    return CurvatureTensor(base=x, components=R)
 
 
 def riemann_apply(chart: ManifoldChart, p_tilde, X, F, Y) -> float:

@@ -237,6 +237,48 @@ def test_bad_magnitude_overrides_exit_2_with_one_line(capsys):
         assert "disagrees" not in err
 
 
+_BLOWUP = """\
+noc 1
+kind ocp
+chart {
+  type euclidean
+  dim 1
+}
+grid {
+  cells CELLS
+  horizon 1
+}
+start 5
+dynamics {
+  RHS
+}
+endpoint {
+  cost yT1
+}
+control_set {
+  box -1 1
+}
+control {
+  0
+}
+"""
+
+
+@pytest.mark.parametrize("rhs, cells, err", [
+    ("exp(y1) + u1", 1, "error: state became non-finite in cell 0 "
+                        "(numerical warning: overflow encountered in exp)\n"),
+    ("y1^2 + u1", 20, "error: state became non-finite in cell 6 "
+                      "(numerical warning: overflow encountered in scalar power)\n"),
+])
+def test_state_overflow_names_its_cell_and_numpy_warning(tmp_path, capsys, rhs, cells,
+                                                         err):
+    # the float RK4 cell raises OverflowError; the cell is redone on numpy,
+    # whose warning and cell index the line reports
+    text = _BLOWUP.replace("CELLS", str(cells)).replace("RHS", rhs)
+    assert _check([_write(tmp_path, "blowup.noc", text)]) == 2
+    assert capsys.readouterr().err == err
+
+
 def test_numerical_warnings_become_one_line_each(monkeypatch, capsys):
     import warnings
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from noc.dynamics import (builtin_dynamics, dynamics_from_callbacks,
                           integrate_adjoint, integrate_second_variation,
                           integrate_state, integrate_variational, lagrange_data,
                           make_problem, rebind_problem, refine_controls,
-                          trajectory_from_csv,
+                          trajectory_from_csv, _cell_propagators, _rk4_step,
                           trajectory_to_csv, trapezoid_cellwise,
                           trapezoid_quadrature)
 from noc.errors import (BasePointMismatch, BoundViolated, ChartEscape, NocError,
@@ -25,6 +27,7 @@ from noc.errors import (BasePointMismatch, BoundViolated, ChartEscape, NocError,
 from noc.geometry import (CotangentVector, TangentVector, christoffel,
                           christoffel_apply, curvature, dchristoffel, euclidean,
                           exp_map, sphere)
+from noc.problemfile import build_control_problem, parse_problem_file
 
 from _problems import (ccs126_adjoint, ccs126_nominal_controls,
                        ccs126_second_field, ccs126_states, linear_endpoint,
@@ -317,6 +320,146 @@ def test_state_chart_escape_on_sphere():
                            probe_base=(2.0, 2.0))
     with pytest.raises(ChartEscape):
         integrate_state(problem, [2.0, 2.0], np.zeros((50, 1)))
+
+
+# ----------------------------------------------------------------------------
+# the float RK4 cell of expression models
+# ----------------------------------------------------------------------------
+
+
+def _without_cell(problem):
+    """The same problem on the numpy RK4 path alone."""
+    return dataclasses.replace(
+        problem, dynamics=dataclasses.replace(problem.dynamics, rk4_cell=None))
+
+
+def _state_outcome(problem, start, controls):
+    """integrate_state's states, or its error, and its first RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = integrate_state(problem, start, controls).states
+        except NocError as ex:
+            result = (type(ex), str(ex))
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    return result, runtime[:1]
+
+
+def _sphere_check_problem():
+    """perfbench/sphere.noc as built by the CLI, with varying controls."""
+    text = (Path(__file__).resolve().parents[1] / "perfbench" / "sphere.noc").read_text()
+    pf = parse_problem_file(text)
+    return build_control_problem(pf), pf.start, wiggly_controls(pf.cells, 0.8, m=1)
+
+
+def _param_model_problem():
+    dyn = dynamics_from_expressions(
+        ("k*sin(y2) + exp(-abs(y1))*u1", "sqrt(1 + y1^2)^k - y2^3/3 + u1^2"), 2, 1,
+        params={"k": 1.5})
+    problem = make_problem(euclidean(2), 2.0, dyn, linear_endpoint((0.0, 0.0), (1.0, 0.0)))
+    return problem, [0.3, -0.2], wiggly_controls(1000, 0.5, m=1)
+
+
+@pytest.mark.parametrize("which", ["ccs126", "sphere-check", "param-model"])
+def test_float_cell_states_equal_the_numpy_path(which):
+    if which == "ccs126":
+        problem, start, controls = make_ccs126(), [1.0, 0.0], wiggly_controls(1000, 0.5)
+    elif which == "sphere-check":
+        problem, start, controls = _sphere_check_problem()
+    else:
+        problem, start, controls = _param_model_problem()
+    assert problem.dynamics.rk4_cell is not None
+    got = integrate_state(problem, start, controls).states
+    want = integrate_state(_without_cell(problem), start, controls).states
+    if which == "param-model":
+        # math.exp and numpy's exp may round differently in the last place
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def _expression_problem(text, start, horizon, chart=None):
+    n = len(start)
+    dyn = dynamics_from_expressions(text, n, 1)
+    return make_problem(chart or euclidean(n), horizon, dyn,
+                        linear_endpoint((0.0,) * n, (1.0,) + (0.0,) * (n - 1)),
+                        probe_base=start)
+
+
+@pytest.mark.parametrize("text, start, horizon, error, warning", [
+    # math.sqrt raises on a negative stage value where numpy warns
+    (("-sqrt(y1)",), [1.0], 3.0, NonFiniteState, "invalid value encountered in sqrt"),
+    # a negative base to a fractional power is complex for floats, nan in numpy
+    (("0.1*y1^1.5 - 1",), [1.0], 3.0, NonFiniteState,
+     "invalid value encountered in scalar power"),
+    # the state leaves the stereographic disc of radius 8
+    (("y1 + u1", "y2"), [1.0, 0.5], 3.0, ChartEscape, None),
+    # math.exp overflows where numpy gives inf, and 1/(1 + inf) = 0 goes on
+    (("1 + 1/(1 + exp(exp(y1)))",), [0.0], 8.0, None, "overflow encountered in exp"),
+])
+def test_failing_float_cells_are_redone_on_the_numpy_path(text, start, horizon, error,
+                                                          warning):
+    chart = sphere(1.0) if len(start) == 2 else None
+    problem = _expression_problem(text, start, horizon, chart)
+    controls = np.zeros((30, 1))
+    got = _state_outcome(problem, start, controls)
+    want = _state_outcome(_without_cell(problem), start, controls)
+    assert got[1] == want[1] == ([warning] if warning else [])
+    if error is None:
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-14, atol=0.0)
+    else:
+        assert got[0] == want[0]
+        assert got[0][0] is error and "in cell" in got[0][1]
+
+
+def test_rebind_carries_the_float_cell_to_new_params():
+    dyn = dynamics_from_expressions(("k*y2 + u1", "-k^2*y1 + k*u1"), 2, 1,
+                                    params={"k": 1.0})
+    moved = dyn.rebind({"k": 2.5})
+    assert moved.rk4_cell.func is dyn.rk4_cell.func
+    y, u = np.array([0.3, -0.2]), np.array([0.1])
+    want = _rk4_step(lambda t, z: moved.rhs(t, z, u), 0.2, y, 0.05)
+    np.testing.assert_array_equal(moved.rk4_cell(0.2, 0.05, 0.3, -0.2, 0.1), want)
+    assert not np.array_equal(dyn.rk4_cell(0.2, 0.05, 0.3, -0.2, 0.1), want)
+
+
+def test_make_problem_rejects_a_float_cell_that_disagrees_with_rk4():
+    dyn = dynamics_from_expressions(("y2", "-y1 + u1"), 2, 1)
+    cost = linear_endpoint((0.0, 0.0), (1.0, 0.0))
+
+    def euler(t, h, y1, y2, u1):
+        return y1 + h * y2, y2 + h * (u1 - y1)
+
+    with pytest.raises(NocError, match="float RK4 cell"):
+        make_problem(euclidean(2), 1.0, dataclasses.replace(dyn, rk4_cell=euler), cost)
+    make_problem(euclidean(2), 1.0, dyn, cost)
+
+
+def test_non_finite_fields_name_the_first_cell_in_loop_order():
+    # the state stays at 0, while each cell multiplies a perturbation by the
+    # RK4 factor of a*h = 50, so X overflows forward and p backward
+    problem = _expression_problem(("2000*y1 + u1",), [0.0], 2.0)
+    traj = integrate_state(problem, [0.0], np.zeros((80, 1)))
+    v = np.ones((80, 1))
+    M, B = _cell_propagators(problem, traj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X, forward = np.array([1.0]), None
+        for i in range(80):         # the per-cell check the pass used to make
+            X = M[i] @ X + B[i] @ v[i]
+            if forward is None and not np.all(np.isfinite(X)):
+                forward = i
+        p, backward = np.array([1.0]), None
+        for i in range(79, -1, -1):
+            p = M[i].T @ p
+            if backward is None and not np.all(np.isfinite(p)):
+                backward = i
+        assert 0 < backward < forward < 79
+        with pytest.raises(NonFiniteState, match=f"variational field became "
+                                                 f"non-finite in cell {forward}$"):
+            integrate_variational(problem, traj, v, [1.0])
+        with pytest.raises(NonFiniteState, match=f"adjoint became non-finite in "
+                                                 f"cell {backward}$"):
+            integrate_adjoint(problem, traj, [1.0])
 
 
 # ----------------------------------------------------------------------------

@@ -148,6 +148,41 @@ def test_compile_rejects_unbound_variables():
         compile_expr(parse_expr("x + z"), ("x", "y"))
 
 
+def test_compiled_callable_takes_variables_named_like_python():
+    # a parameter may be called np, math or a keyword: arguments are renamed
+    from noc.expr import compile_expr
+
+    names = ("np", "lambda", "math")
+    fn = compile_expr(parse_expr("np*sin(lambda) + math", set(names)), names)
+    assert fn(2.0, 0.5, 1.0) == 2.0 * np.sin(0.5) + 1.0
+
+
+def test_folded_non_finite_constants_compile():
+    # constant folding can overflow: 1e200*1e200 is inf, inf - inf is nan
+    from noc.expr import compile_expr, python_source
+
+    for text, want in (("1e200*1e200 + x", math.inf), ("x - 1e200*1e200", -math.inf)):
+        e = parse_expr(text)
+        assert compile_expr(e, ("x",))(1.0) == want
+        assert eval(python_source(e, "math"), {"math": math, "x": 1.0}) == want
+    assert math.isnan(compile_expr(parse_expr("1e200*1e200 - 1e200*1e200 + x"), ("x",))(1.0))
+
+
+def test_math_source_raises_where_numpy_warns():
+    from noc.expr import python_source
+
+    def run(text, x):
+        return eval(python_source(parse_expr(text), "math"), {"math": math, "x": x})
+
+    assert run("abs(x) + sqrt(x^2)", -3.0) == 6.0
+    for text, x, error in (("sqrt(x)", -1.0, ValueError), ("log(x)", 0.0, ValueError),
+                           ("exp(x)", 1e3, OverflowError), ("x^2", 1e200, OverflowError),
+                           ("1/x", 0.0, ZeroDivisionError)):
+        with pytest.raises(error):
+            run(text, x)
+    assert isinstance(run("x^0.5", -4.0), complex)
+
+
 # ----------------------------------------------------------------------------
 # property: symbolic derivatives of random trees are exact
 # ----------------------------------------------------------------------------

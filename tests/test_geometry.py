@@ -443,3 +443,80 @@ def test_product_metric_block_diagonal():
     assert g[2, 2] == 1.0
     assert g[0, 2] == 0.0 and g[2, 0] == 0.0
     np.testing.assert_allclose(g[:2, :2], gm.metric(SPH, x[:2]))
+
+
+# ----------------------------------------------------------------------------
+# batched evaluation: a (K, n) array of points against K single-point calls
+# ----------------------------------------------------------------------------
+
+_BATCH_CHARTS = {
+    "euclidean": EUC2,
+    "sphere-stereographic": SPH,
+    "sphere-polar": SPH_POLAR,
+    "hyperbolic": gm.hyperbolic(0.5, dim=3),
+    "sphere-x-euclidean": gm.product_chart(gm.sphere(2.0), gm.euclidean(1)),
+    "custom-expression": gm.custom_chart(["exp(2*x2)", "0.1*x1*x2", "0.1*x1*x2",
+                                          "1 + x1^2"], dim=2),
+    "custom-callback": gm.custom_chart(
+        lambda x: np.array([[2.0 + np.sin(x[0]), 0.3 * x[1]],
+                            [0.3 * x[1], 1.0 + x[0] ** 2]]), dim=2),
+}
+_CLOSED_FORMS = ("euclidean", "sphere-stereographic", "sphere-polar", "hyperbolic",
+                 "sphere-x-euclidean")
+
+
+def _batched_quantities(chart, x):
+    return (gm.metric(chart, x), gm.christoffel(chart, x), gm.dchristoffel(chart, x),
+            gm.curvature(chart, x).components,
+            gm.christoffel_apply(chart, x, np.ones_like(x), np.arange(chart.dim) + 0.5))
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_CHARTS))
+def test_batched_geometry_matches_stacked_single_points(name):
+    chart = _BATCH_CHARTS[name]
+    rng = np.random.default_rng(11)
+    pts = np.array([_random_point(chart, rng) for _ in range(9)])
+    batched = _batched_quantities(chart, pts)
+    stacked = [np.array(q) for q in zip(*(_batched_quantities(chart, p) for p in pts))]
+    for got, want in zip(batched, stacked):
+        assert got.shape == want.shape
+        if name in _CLOSED_FORMS:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    one = _batched_quantities(chart, pts[:1])
+    assert all(q.shape[0] == 1 for q in one)
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_CHARTS))
+def test_valid_point_mask_matches_single_points(name):
+    chart = _BATCH_CHARTS[name]
+    rng = np.random.default_rng(12)
+    pts = np.array([_random_point(chart, rng) for _ in range(6)])
+    pts[1, 0] = np.nan
+    pts[2, -1] = np.inf
+    pts[3] = 20.0                              # off the stereographic disc
+    pts[4, 0] = 0.0                            # a polar pole
+    pts[5, -1] = -0.5                          # below the half-space
+    mask = gm.valid_point(chart, pts)
+    assert mask.dtype == bool and mask.shape == (6,)
+    assert mask.tolist() == [gm.valid_point(chart, p) for p in pts]
+    assert mask[0] and not mask[1] and not mask[2]
+    assert isinstance(gm.valid_point(chart, pts[0]), bool)
+    assert gm.valid_point(chart, np.zeros((6, chart.dim + 1))).tolist() == [False] * 6
+
+
+@pytest.mark.parametrize("chart, bad_point", [
+    (SPH_POLAR, [0.0, 0.4]),
+    (HYP, [0.3, 0.0]),
+    (HYP, [0.3, -1.0]),
+])
+def test_batch_with_one_singular_point_raises(chart, bad_point):
+    pts = np.array([[1.0, 0.2], bad_point, [1.2, 0.5]])
+    calls = [gm.christoffel, gm.dchristoffel]
+    if chart.kind == "hyperbolic":
+        calls += [gm.metric, lambda c, x: gm.curvature(c, x).components]
+    for fn in calls:
+        with pytest.raises(SingularMetric):
+            fn(chart, pts)
+        fn(chart, pts[[0, 2]])                 # the good points alone pass
