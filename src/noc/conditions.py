@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import (adjacent_cone_member, quadratic_distance_bound,
-                    second_adjacent_member, second_cone_vrep,
+                    row_groups, second_adjacent_member, second_cone_vrep,
                     tangent_cone_vrep)
 from .dynamics import (ControlProblem, EndpointMap, FieldAlongCurve,
-                       Trajectory, TrajectoryJet, dynamics_from_expressions,
+                       Trajectory, TrajectoryJet, _check_direction_shape,
+                       dynamics_from_expressions,
                        integrate_adjoint, integrate_variational,
                        lagrange_data, make_problem, trajectory_jet,
                        trapezoid_cellwise)
@@ -184,15 +185,11 @@ def verify_singular_direction(problem: ControlProblem, trajectory: Trajectory,
     control set at the nominal control; active endpoint rows do not increase
     to first order; equality rows have zero first-order rate.
     """
-    v_seq = np.asarray(control_directions, float)
-    U = problem.control_set
-    memo: dict = {}
-    for i in range(trajectory.num_cells):
-        key = (trajectory.controls[i].tobytes(), v_seq[i].tobytes())
-        cert = memo.get(key)
-        if cert is None:
-            cert = memo[key] = adjacent_cone_member(
-                U, trajectory.controls[i], v_seq[i], with_oracle=False)
+    v_seq = _check_direction_shape(trajectory, control_directions)
+    controls = trajectory.controls
+    for i in row_groups(controls, v_seq)[0].tolist():
+        cert = adjacent_cone_member(problem.control_set, controls[i], v_seq[i],
+                                    with_oracle=False)
         if not cert.member:
             raise ConeViolation(
                 f"direction leaves the control tangent cone in cell {i} "
@@ -294,9 +291,7 @@ def _multiplier_jet(problem: ControlProblem, trajectory: Trajectory) -> _Multipl
 
 def _clean_rows(rows, dim: int) -> np.ndarray:
     """Normalize, drop near-zero rows, and dedupe (order-preserving)."""
-    if not rows:
-        return np.zeros((0, dim))
-    M = np.asarray(rows, float).reshape(-1, dim)
+    M = np.reshape(np.asarray(rows, float), (-1, dim))
     norms = np.linalg.norm(M, axis=1)
     keep = norms > 1e-12
     M = M[keep] / norms[keep][:, None]
@@ -339,21 +334,33 @@ def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory,
     grad_start = np.stack([d.grad_start for d in mjet.endpoint], axis=1)
     eq_rows.extend(mjet.adjoint[0] + grad_start)            # (n, dim)
     # control-gradient rows at every cell endpoint, on the node-cone generators
-    huL, huR = mjet.hu                                      # (N, m, dim) each
-    vrep_cache: dict = {}
-    for i in range(trajectory.num_cells):
-        key = trajectory.controls[i].tobytes()
-        rep = vrep_cache.get(key)
-        if rep is None:
-            rep = tangent_cone_vrep(problem.control_set, trajectory.controls[i])
-            vrep_cache[key] = rep
-        for w in rep.lineality:
-            eq_rows.append(w @ huL[i])
-            eq_rows.append(w @ huR[i])
-        for w in rep.rays:
-            ineq_rows.append(w @ huL[i])
-            ineq_rows.append(w @ huR[i])
-    return _clean_rows(ineq_rows, dim), _clean_rows(eq_rows, dim)
+    first, inverse = row_groups(trajectory.controls)
+    reps = [tangent_cone_vrep(problem.control_set, trajectory.controls[i])
+            for i in first.tolist()]
+    eq_gradients = _generator_rows([rep.lineality for rep in reps], inverse, mjet.hu)
+    ineq_gradients = _generator_rows([rep.rays for rep in reps], inverse, mjet.hu)
+    return (_clean_rows(np.concatenate([np.reshape(ineq_rows, (-1, dim)),
+                                        ineq_gradients]), dim),
+            _clean_rows(np.concatenate([np.reshape(eq_rows, (-1, dim)),
+                                        eq_gradients]), dim))
+
+
+def _generator_rows(gens, inverse: np.ndarray, hu: np.ndarray) -> np.ndarray:
+    """The rows w @ hu of every cell, in cell order and per cell L then R
+    for each generator w of the cell's group (``gens[inverse[cell]]``);
+    ``hu`` is (2, N, m, dim). Each row is the same vector-matrix product
+    as in a per-cell loop, formed for all cells of a group at once."""
+    huL, huR = hu
+    per_cell = 2 * np.array([g.shape[0] for g in gens], int)[inverse]
+    start = np.cumsum(per_cell) - per_cell
+    out = np.empty((int(per_cell.sum()), hu.shape[-1]))
+    by_group = np.argsort(inverse, kind="stable")
+    splits = np.cumsum(np.bincount(inverse))[:-1]
+    for group_gens, cells in zip(gens, np.split(by_group, splits)):
+        for j, w in enumerate(group_gens):
+            out[start[cells] + 2 * j] = w @ huL[cells]
+            out[start[cells] + 2 * j + 1] = w @ huR[cells]
+    return out
 
 
 def _enumerate_normalized_rays(A_le, A_eq, dim: int) -> list[MultiplierVector]:
@@ -431,14 +438,10 @@ def _stationarity(mjet: _MultiplierJet, direction: SingularDirection,
 def _check_sigma_membership(problem: ControlProblem, trajectory: Trajectory,
                             v_seq: np.ndarray, sigma: np.ndarray):
     U = problem.control_set
-    memo: dict = {}
-    for i in range(trajectory.num_cells):
-        key = (trajectory.controls[i].tobytes(), v_seq[i].tobytes(),
-               sigma[i].tobytes())
-        cert = memo.get(key)
-        if cert is None:
-            cert = memo[key] = second_adjacent_member(
-                U, trajectory.controls[i], v_seq[i], sigma[i], with_oracle=False)
+    controls = trajectory.controls
+    for i in row_groups(controls, v_seq, sigma)[0].tolist():
+        cert = second_adjacent_member(U, controls[i], v_seq[i], sigma[i],
+                                      with_oracle=False)
         if not cert.member:
             raise SigmaNotInB(
                 f"acceleration candidate leaves the second-order admissible "
@@ -553,33 +556,27 @@ def default_sigma_candidates(control_set, controls, directions) -> list[np.ndarr
     """
     controls = np.asarray(controls, float)
     directions = np.asarray(directions, float)
-    N = controls.shape[0]
-    cache: dict = {}
-    base = np.empty_like(controls)
-    rays_per_cell, lins_per_cell = [], []
-    for i in range(N):
-        key = (controls[i].tobytes(), directions[i].tobytes())
-        got = cache.get(key)
-        if got is None:
-            got = second_cone_vrep(control_set, controls[i], directions[i])
-            cache[key] = got
-        shift, rep = got
-        base[i] = shift
-        rays_per_cell.append(rep.rays)
-        lins_per_cell.append(rep.lineality)
+    first, inverse = row_groups(controls, directions)
+    reps = [second_cone_vrep(control_set, controls[i], directions[i])
+            for i in first.tolist()]
+    base = np.zeros_like(controls)
+    if reps:
+        base[:] = np.array([shift for shift, _ in reps])[inverse]
     candidates = [base]
-    ray_counts = {r.shape[0] for r in rays_per_cell}
-    if len(ray_counts) == 1:
-        for j in range(rays_per_cell[0].shape[0]):
-            step = np.array([rays_per_cell[i][j] for i in range(N)])
-            candidates.append(base + step)
-    lin_counts = {l.shape[0] for l in lins_per_cell}
-    if len(lin_counts) == 1:
-        for j in range(lins_per_cell[0].shape[0]):
-            step = np.array([lins_per_cell[i][j] for i in range(N)])
-            candidates.append(base + step)
-            candidates.append(base - step)
+    for step in _uniform_generators([rep.rays for _, rep in reps], inverse):
+        candidates.append(base + step)
+    for step in _uniform_generators([rep.lineality for _, rep in reps], inverse):
+        candidates.append(base + step)
+        candidates.append(base - step)
     return candidates
+
+
+def _uniform_generators(gens, inverse) -> list:
+    """Per j, the j-th generator of every cell's group, (N, m); none when
+    the groups' generator counts differ."""
+    if len({g.shape[0] for g in gens}) != 1:
+        return []
+    return [np.array([g[j] for g in gens])[inverse] for j in range(gens[0].shape[0])]
 
 
 def _evaluation_scale(weights: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ __all__ = [
     "second_cone_vrep",
     "quadratic_distance_bound",
     "lift_sigma",
+    "row_groups",
 ]
 
 ACT_TOL = 1e-9          # constraint-activity detection
@@ -500,6 +501,40 @@ def second_cone_vrep(U, u, v) -> tuple[np.ndarray, ConeVRep]:
 
 
 # ----------------------------------------------------------------------------
+# per-node routines evaluated once per distinct row
+# ----------------------------------------------------------------------------
+
+def row_groups(*arrays) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of equally long arrays by their bytes.
+
+    Row i is the i-th rows of all ``arrays`` together; two rows share a
+    group when their bytes agree, so -0.0 and 0.0 fall apart and NaNs of
+    one bit pattern together. Groups are numbered in order of first
+    occurrence. Returns (first, inverse): ``first[g]`` (ascending) is the
+    first row of group g and ``inverse[i]`` the group of row i. A per-node
+    routine evaluated at ``first`` in order therefore meets the rows in the
+    order a per-node loop would first meet them, and ``values[inverse]``
+    spreads its results back over the nodes.
+    """
+    count = len(arrays[0])
+    if any(len(a) != count for a in arrays):
+        raise ValueError("row_groups needs arrays with equal row counts")
+    if count == 0:
+        return np.zeros(0, int), np.zeros(0, int)
+    rows = np.concatenate([np.asarray(a, float).reshape(count, -1) for a in arrays],
+                          axis=1)
+    bits = rows.view(np.int64)
+    if (bits == bits[0]).all():         # the common case: one repeated row
+        return np.zeros(1, int), np.zeros(count, int)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.ravel()]
+
+
+# ----------------------------------------------------------------------------
 # quadratic distance bound and the ε-lift
 # ----------------------------------------------------------------------------
 
@@ -522,24 +557,19 @@ def quadratic_distance_bound(U, u_seq, v_seq, eps0: float) -> QuadraticBoundResu
     if u_seq.shape != v_seq.shape:
         raise ValueError("u and v sequences must have equal shapes")
     # nodes often repeat one (control, direction) pair: evaluate each once
-    inside: dict = {}
-    for i, u in enumerate(u_seq):
-        key = u.tobytes()
-        if key not in inside:
-            inside[key] = contains(U, u, tol=1e-9)
-        if not inside[key]:
+    for i in row_groups(u_seq)[0].tolist():
+        if not contains(U, u_seq[i], tol=1e-9):
             raise PointNotInSet(f"grid node {i}: control outside the set")
     eps = np.geomspace(1e-3 * eps0, eps0, 32)
-    memo: dict = {}
-    ells = []
-    for u, v in zip(u_seq, v_seq):
-        key = (u.tobytes(), v.tobytes())
-        if key not in memo:
-            vals = np.array([dist_and_project(U, u + e * v)[0] / (e * e) for e in eps])
-            increasing_tail = vals[2] < vals[1] < vals[0]  # eps sorted ascending: vals[0] is smallest ε
-            diverges = increasing_tail and vals[0] > 1.5 * vals[-1] and vals[0] > 1e-9
-            memo[key] = math.inf if diverges else float(vals.max())
-        ells.append(memo[key])
+    first, inverse = row_groups(u_seq, v_seq)
+    values = []
+    for i in first.tolist():
+        u, v = u_seq[i], v_seq[i]
+        vals = np.array([dist_and_project(U, u + e * v)[0] / (e * e) for e in eps])
+        increasing_tail = vals[2] < vals[1] < vals[0]  # eps sorted ascending: vals[0] is smallest ε
+        diverges = increasing_tail and vals[0] > 1.5 * vals[-1] and vals[0] > 1e-9
+        values.append(math.inf if diverges else float(vals.max()))
+    ells = [values[g] for g in inverse.tolist()]
     ells_arr = np.asarray(ells)
     passed = bool(np.all(np.isfinite(ells_arr)))
     nrm = float(np.sqrt(np.mean(ells_arr ** 2))) if passed else math.inf
@@ -556,8 +586,12 @@ def lift_sigma(U, u_seq, v_seq, sigma_seq, eps: float):
     u_seq = np.atleast_2d(np.asarray(u_seq, float))
     v_seq = np.atleast_2d(np.asarray(v_seq, float))
     sigma_seq = np.atleast_2d(np.asarray(sigma_seq, float))
-    for i, (u, v, s) in enumerate(zip(u_seq, v_seq, sigma_seq)):
-        cert = second_adjacent_member(U, u, v, s, with_oracle=False)
+    if not u_seq.shape == v_seq.shape == sigma_seq.shape:
+        raise ValueError("u, v and sigma sequences must have equal shapes")
+    first, inverse = row_groups(u_seq, v_seq, sigma_seq)
+    for i in first.tolist():
+        cert = second_adjacent_member(U, u_seq[i], v_seq[i], sigma_seq[i],
+                                      with_oracle=False)
         if not cert.member:
             raise DirectionNotInCone(
                 f"grid node {i}: sigma is not in the second-order adjacent set "
@@ -565,10 +599,12 @@ def lift_sigma(U, u_seq, v_seq, sigma_seq, eps: float):
     bound = quadratic_distance_bound(U, u_seq, v_seq, eps0=eps)
     if not bound.passed:
         raise BoundViolated("quadratic distance bound diverges on some node")
-    out = np.empty_like(sigma_seq)
-    for i, (u, v, s) in enumerate(zip(u_seq, v_seq, sigma_seq)):
-        _, p = dist_and_project(U, u + eps * v + eps * eps * s)
-        out[i] = (p - u - eps * v) / (eps * eps)
+    lifted = np.empty((len(first), sigma_seq.shape[1]))
+    for g, i in enumerate(first.tolist()):
+        u, v = u_seq[i], v_seq[i]
+        _, p = dist_and_project(U, u + eps * v + eps * eps * sigma_seq[i])
+        lifted[g] = (p - u - eps * v) / (eps * eps)
+    out = lifted[inverse]
     norm_sig_eps = float(np.sqrt(np.mean(np.sum(out ** 2, axis=1))))
     norm_sig = float(np.sqrt(np.mean(np.sum(sigma_seq ** 2, axis=1))))
     limit = bound.norm + 2.0 * norm_sig + 1e-9

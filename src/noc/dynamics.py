@@ -12,25 +12,27 @@ Controls are piecewise constant on a uniform grid and every integrator
 takes a single classical RK4 step per grid cell. For expression models the
 state pass runs each cell as one compiled function on Python floats
 (``DynamicsModel.rk4_cell``) and redoes on the numpy path any cell that
-fails there, so its results and diagnostics are the numpy path's. The
-first-order field and the adjoint share one linearisation of that step:
-the cell propagators dy_{i+1} = M_i dy_i + B_i du_i, built from the stage
-Jacobians at the stored stage points of every cell at once. The
-variational field is the forward recursion X_{i+1} = M_i X_i + B_i v_i,
-the exact derivative of the discrete flow, and the adjoint its exact
-transpose p_i = M_i^T p_{i+1}, so the discrete duality between them holds
-to rounding. Geometry along a trajectory (Γ, ∂Γ, R) comes from one batched
-call per quantity over all nodes. Covariant ODEs are solved componentwise
-in the chart: for the first-order field and the adjoint the Christoffel
-terms cancel identically against the connection part of the covariant
-state Jacobian (both reduce to the plain linearized/adjoint systems),
-while the second-order field Y is recovered from a plain-coordinate
-integration B via Y = B + Γ(X, X)/2.
+fails there, so its results and diagnostics are the numpy path's; the
+derivative blocks at a batch of points come from one compiled function
+too (``DynamicsModel.blocks_many``). The first-order field and the adjoint
+share one linearisation of that step: the cell propagators
+dy_{i+1} = M_i dy_i + B_i du_i, built from the stage Jacobians at the
+stored stage points of every cell at once, and only once per trajectory
+and dynamics model. The variational field is the forward recursion
+X_{i+1} = M_i X_i + B_i v_i, the exact derivative of the discrete flow,
+and the adjoint its exact transpose p_i = M_i^T p_{i+1}, so the discrete
+duality between them holds to rounding. Geometry along a trajectory
+(Γ, ∂Γ, R) comes from one batched call per quantity over all nodes.
+Covariant ODEs are solved componentwise in the chart: for the first-order
+field and the adjoint the Christoffel terms cancel identically against the
+connection part of the covariant state Jacobian (both reduce to the plain
+linearized/adjoint systems), while the second-order field Y is recovered
+from a plain-coordinate integration B via Y = B + Γ(X, X)/2.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -39,7 +41,7 @@ import numpy as np
 from .cones import Box
 from .errors import (BasePointMismatch, BoundViolated, ChartEscape, NocError,
                      NonFiniteState)
-from .expr import compile_expr, parse_expr, python_source
+from .expr import Num, compile_expr, parse_expr, python_source
 from .geometry import (CotangentVector, ManifoldChart, TangentVector,
                        christoffel, christoffel_apply, curvature, dchristoffel,
                        exp_map, log_map, musical_dual, norm, parallel_transport,
@@ -87,11 +89,14 @@ class DynamicsModel:
 
     ``blocks_many`` (optional) evaluates all six blocks over a batch of B
     points at once: ``blocks_many(t, y, u)`` with t (B,), y (B, n) and
-    u (B, m) returns (f, f_y, f_u, f_yy, f_yu, f_uu), each with a leading
-    batch axis. Trajectory-wide derivative data (``trajectory_jet`` and the
-    cell propagators behind ``integrate_variational`` and
-    ``integrate_adjoint``) use it when present and otherwise call the
-    per-node callbacks once per point.
+    u (B, m) returns (f, f_y, f_u, f_yy, f_yu, f_uu), each a new array with
+    a leading batch axis. Expression models set it to one generated
+    function that fills the six preallocated blocks, one element
+    expression per entry, each bit-equal to that entry's per-node callable
+    at the same arguments. Trajectory-wide derivative data
+    (``trajectory_jet`` and the cell propagators behind
+    ``integrate_variational`` and ``integrate_adjoint``) use it when
+    present and otherwise call the per-node callbacks once per point.
 
     ``rk4_cell`` (optional, set on expression models) is one classical RK4
     step on Python floats: ``rk4_cell(t, h, *y, *u)`` returns the state
@@ -244,11 +249,12 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
     """Build a model from one expression string per state component.
 
     Allowed variables: ``t``, ``y1..yn``, ``u1..um`` and the names of
-    ``params``, a name -> value mapping. All derivative blocks are produced
-    by exact symbolic differentiation and compiled, and so is the float
-    ``rk4_cell``, with the parameters that occur as extra arguments, so
-    ``rebind`` moves the model to other parameter values without parsing or
-    compiling again.
+    ``params``, a name -> value mapping. Every derivative is taken once by
+    exact symbolic differentiation and compiled both as a per-node callable
+    and into the batched ``blocks_many``; the float ``rk4_cell`` is
+    compiled too. The parameters that occur are extra arguments of all of
+    them, so ``rebind`` moves the model to other parameter values without
+    parsing or compiling again.
     """
     n, m = state_dim, control_dim
     ynames = tuple(f"y{i + 1}" for i in range(n))
@@ -260,22 +266,19 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
     pnames = _used_params(params, exprs)
     names = ("t",) + ynames + unames + pnames
 
-    def comp(e):
-        return compile_expr(e, names)
-
-    f_fn = [comp(e) for e in exprs]
-    fy_fn = [[comp(e.diff(yn)) for yn in ynames] for e in exprs]
-    fu_fn = [[comp(e.diff(un)) for un in unames] for e in exprs]
-    fyy_fn = [[[comp(e.diff(a).diff(b)) for b in ynames] for a in ynames] for e in exprs]
-    fyu_fn = [[[comp(e.diff(a).diff(b)) for b in unames] for a in ynames] for e in exprs]
-    fuu_fn = [[[comp(e.diff(a).diff(b)) for b in unames] for a in unames] for e in exprs]
+    # every derivative once: d[v][k] = d f^k / d v; it feeds the per-node
+    # callbacks and the batched block function alike
+    d = {v: [e.diff(v) for e in exprs] for v in ynames + unames}
+    entries = (exprs,
+               [[d[a][k] for a in ynames] for k in range(n)],
+               [[d[a][k] for a in unames] for k in range(n)],
+               [[[d[a][k].diff(b) for b in ynames] for a in ynames] for k in range(n)],
+               [[[d[a][k].diff(b) for b in unames] for a in ynames] for k in range(n)],
+               [[[d[a][k].diff(b) for b in unames] for a in unames] for k in range(n)])
+    f_fn, fy_fn, fu_fn, fyy_fn, fyu_fn, fuu_fn = (
+        _map_nested(lambda e: compile_expr(e, names), block) for block in entries)
+    all_blocks = _compile_blocks(entries, names)
     float_cell = _compile_rk4_cell(exprs, ynames, unames, pnames)
-
-    def stacked(fns, a, size):
-        # nested callables -> (size, *nesting); constants broadcast
-        if callable(fns):
-            return np.broadcast_to(np.asarray(fns(*a), float), (size,))
-        return np.stack([stacked(g, a, size) for g in fns], axis=1)
 
     def bind(values) -> DynamicsModel:
         pvals = tuple(float(values[name]) for name in pnames)
@@ -303,9 +306,8 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
 
         def blocks_many(t, y, u):
             t = np.asarray(t, float)
-            a = (t, *np.asarray(y, float).T, *np.asarray(u, float).T, *pvals)
-            return tuple(stacked(fns, a, t.shape[0])
-                         for fns in (f_fn, fy_fn, fu_fn, fyy_fn, fyu_fn, fuu_fn))
+            return all_blocks(t.shape[0], t, *np.asarray(y, float).T,
+                              *np.asarray(u, float).T, *pvals)
 
         return DynamicsModel(
             state_dim=n, control_dim=m, rhs=rhs,
@@ -318,6 +320,42 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
             rebind=bind if pnames else None)
 
     return bind(params)
+
+
+def _map_nested(fn, nested):
+    """``fn`` applied to every leaf of nested lists, keeping the nesting."""
+    return [_map_nested(fn, x) for x in nested] if isinstance(nested, list) else fn(nested)
+
+
+def _compile_blocks(entries, names) -> Callable:
+    """``blocks(size, *args)``: the six blocks (f, f_y, f_u, f_yy, f_yu,
+    f_uu) at ``size`` points, each a (size, ...) array.
+
+    ``entries`` holds each block's expressions, nested as the block's
+    trailing axes; ``args`` are the values of ``names`` (arrays of length
+    size or scalars). The generated source assigns every entry into its
+    preallocated block, one element expression each, from the same
+    ``python_source`` text ``compile_expr`` evaluates, so every element is
+    bit-equal to that entry's compiled callable at the same arguments.
+    Entries that are the literal +0.0 are left to the zero fill.
+    """
+    args = {name: f"a{i}" for i, name in enumerate(names)}
+    lines = [f"def blocks(size, {', '.join(args.values())}):"]
+    for b, block in enumerate(entries):
+        shape = np.shape(block)
+        lines.append(f"    b{b} = np.zeros((size, {', '.join(map(str, shape))}))")
+        for index in np.ndindex(*shape):
+            e = block
+            for k in index:
+                e = e[k]
+            if isinstance(e, Num) and str(e) == "0.0":     # not -0.0
+                continue
+            lines.append(f"    b{b}[:, {', '.join(map(str, index))}] = "
+                         f"{python_source(e, 'np', args)}")
+    lines.append(f"    return {', '.join(f'b{b}' for b in range(len(entries)))}")
+    namespace = {"np": np, "__builtins__": {}}
+    exec("\n".join(lines), namespace)  # noqa: S102 - AST-derived source
+    return namespace["blocks"]
 
 
 def _compile_rk4_cell(exprs, ynames, unames, pnames) -> Callable:
@@ -338,7 +376,7 @@ def _compile_rk4_cell(exprs, ynames, unames, pnames) -> Callable:
     at_stage = {"t": "t"} | dict(zip(ynames, z)) | fixed
 
     def stage(k, names):
-        return [f"    k{k}_{i} = {python_source(e, 'math', names)}"
+        return [f"    k{k}_{i} = {python_source(e, 'math', names, guard='finite')}"
                 for i, e in enumerate(exprs)]
 
     def move(step, k):
@@ -354,9 +392,18 @@ def _compile_rk4_cell(exprs, ynames, unames, pnames) -> Callable:
              "    t = t0 + h", *move("h", 3), *stage(4, at_stage),
              "    sixth = h / 6.0",
              f"    return ({result},)"]
-    namespace = {"math": math, "__builtins__": {}}
+    namespace = {"math": math, "finite": _finite, "__builtins__": {}}
     exec("\n".join(lines), namespace)  # noqa: S102 - AST-derived source
     return namespace["cell"]
+
+
+def _finite(x):
+    """x when it is finite; otherwise FloatingPointError, so that the float
+    cell is redone on the numpy path instead of letting an infinite
+    intermediate vanish (see ``python_source``)."""
+    if x - x == 0.0:
+        return x
+    raise FloatingPointError("non-finite intermediate in a float RK4 cell")
 
 
 def builtin_dynamics(name: str, **params) -> DynamicsModel:
@@ -772,10 +819,18 @@ def rebind_problem(problem: ControlProblem, horizon: float, values,
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
+    """States on a uniform grid under piecewise-constant controls.
+
+    The arrays are not changed after construction: derivative data built
+    along the trajectory is kept with it (``_propagators``, the cell
+    propagators of each dynamics model that asked for them).
+    """
+
     chart: ManifoldChart
     grid: np.ndarray      # (N+1,)
     states: np.ndarray    # (N+1, n)
     controls: np.ndarray  # (N, m), constant on [t_i, t_{i+1})
+    _propagators: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def num_cells(self) -> int:
@@ -1000,15 +1055,23 @@ def integrate_second_variation(problem: ControlProblem, trajectory: Trajectory,
 
 def _cell_propagators(problem: ControlProblem, trajectory: Trajectory) -> tuple:
     """The exact linear maps of every forward RK4 cell,
-    dy_{i+1} = M_i dy_i + B_i du_i: M (N, n, n) and B (N, n, m).
+    dy_{i+1} = M_i dy_i + B_i du_i: M (N, n, n) and B (N, n, m), read-only.
 
     Each cell restarts from its stored node y_i, so the four stage points of
     every cell are formed at once. With J_s, F_s the state and control
     Jacobians at stage s and E = [I | 0], the stage derivatives chain as
     D_s = J_s (E + c_s h D_{s-1}) + [0 | F_s], and [M | B] = E + h/6
     (D_1 + 2 D_2 + 2 D_3 + D_4).
+
+    They are built once per trajectory and dynamics model: the trajectory
+    keeps them keyed by the model object itself (held, so a rebound or
+    replaced model is another key), and the variational field and the
+    adjoint share them.
     """
     dyn = problem.dynamics
+    built = trajectory._propagators.get(dyn)
+    if built is not None:
+        return built
     N, n = trajectory.num_cells, problem.state_dim
     h = trajectory.step
     t, y, u = trajectory.grid[:-1], trajectory.states[:-1], trajectory.controls
@@ -1022,7 +1085,9 @@ def _cell_propagators(problem: ControlProblem, trajectory: Trajectory) -> tuple:
         D[:, :, n:] += F
         total += weight * D
     step = E + (h / 6.0) * total
-    return step[:, :, :n], step[:, :, n:]
+    step.flags.writeable = False
+    built = trajectory._propagators[dyn] = (step[:, :, :n], step[:, :, n:])
+    return built
 
 
 def integrate_adjoint(problem: ControlProblem, trajectory: Trajectory,

@@ -525,14 +525,29 @@ def _substitute_constants(node: Expr) -> Expr:
 # compilation to plain python callables (hot integrator loops)
 # ----------------------------------------------------------------------------
 
-def python_source(node: Expr, module: str = "np", names=None) -> str:
+def python_source(node: Expr, module: str = "np", names=None, guard=None) -> str:
     """Emit a python expression string equivalent to ``node``.
 
     Functions come from ``module``: ``"np"`` (numpy, broadcasts over arrays)
     or ``"math"`` (Python floats; raises where numpy would warn). Each
     variable is emitted as ``names[var]`` when a mapping is given, else as
     its own name.
+
+    Python float products overflow to inf without raising, and a few
+    operations turn an infinite (or NaN) operand back into a finite value,
+    where numpy would have warned on the way: x / inf, inf ** (negative),
+    (|b| < 1) ** inf and exp(-inf). ``guard``, meant for ``math`` source,
+    names a function that returns a finite argument and raises otherwise;
+    the source then wraps exactly those operands in it: a divisor, the
+    base of a power with a negative literal exponent, both sides of a power
+    with a non-literal exponent, and the argument of exp, unless the
+    operand is a literal. Sources without such an operand are unchanged.
     """
+    def guarded(e: Expr) -> str:
+        if guard is None or isinstance(e, Num):
+            return src(e)
+        return f"{guard}({src(e)})"
+
     def src(e: Expr) -> str:
         if isinstance(e, Num):
             if math.isfinite(e.value):
@@ -551,12 +566,16 @@ def python_source(node: Expr, module: str = "np", names=None) -> str:
         if isinstance(e, Mul):
             return f"({src(e.left)} * {src(e.right)})"
         if isinstance(e, Div):
-            return f"({src(e.left)} / {src(e.right)})"
+            return f"({src(e.left)} / {guarded(e.right)})"
         if isinstance(e, Pow):
-            return f"({src(e.base)} ** {src(e.exponent)})"
+            if not isinstance(e.exponent, Num):
+                return f"({guarded(e.base)} ** {guarded(e.exponent)})"
+            base = guarded(e.base) if e.exponent.value < 0 else src(e.base)
+            return f"({base} ** {src(e.exponent)})"
         if isinstance(e, Call):
             func = "fabs" if e.func == "abs" and module == "math" else e.func
-            return f"{module}.{func}({src(e.arg)})"
+            arg = guarded(e.arg) if e.func == "exp" else src(e.arg)
+            return f"{module}.{func}({arg})"
         raise TypeError(f"cannot compile node of type {type(e).__name__}")
 
     return src(node)

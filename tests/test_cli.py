@@ -279,6 +279,71 @@ def test_state_overflow_names_its_cell_and_numpy_warning(tmp_path, capsys, rhs, 
     assert capsys.readouterr().err == err
 
 
+def test_a_vanishing_float_overflow_keeps_the_numpy_warnings(tmp_path, capsys,
+                                                            monkeypatch):
+    # y1^8 overflows to inf in a float cell and 1/(1 + inf) = 0 would hide
+    # it: the guarded division raises instead, so the cell is redone on numpy
+    # and stderr is the numpy path's, line for line
+    import noc.dynamics
+
+    text = (_BLOWUP.replace("CELLS", "1000").replace("horizon 1\n", "horizon 100\n")
+            .replace("start 5", "start 1")
+            .replace("RHS", "y1 + 1/(1 + y1*y1*y1*y1*y1*y1*y1*y1) + u1"))
+    path = _write(tmp_path, "vanishing.noc", text)
+
+    def stderr_lines():
+        _check([path])
+        return [line for line in capsys.readouterr().err.splitlines(keepends=True)
+                if not line.startswith("elapsed: ")]
+
+    got = stderr_lines()
+    monkeypatch.setattr(noc.dynamics, "_compile_rk4_cell", lambda *args: None)
+    assert got == stderr_lines()
+    assert got[0] == "warning: overflow encountered in scalar multiply\n"
+
+
+def _count_calls(monkeypatch, module, name: str, counts) -> None:
+    """Count the calls of module.name under ``name``, wherever a noc
+    module binds that function."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.split(".")[0] == "noc" and vars(mod).get(name) is fn:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def test_check_does_its_per_cell_work_once_per_distinct_row(monkeypatch, capsys):
+    # preset:ccs126 holds one control and one direction on all 400 cells,
+    # so every per-cell loop meets one row group; the dynamics blocks are
+    # evaluated four times for the shared cell propagators, once for the jet
+    import collections
+
+    import noc.cones
+    import noc.conditions
+    import noc.dynamics
+
+    counts = collections.Counter()
+    _count_calls(monkeypatch, noc.dynamics, "_blocks_along", counts)
+    loops = {"verify_singular_direction": "adjacent_cone_member",
+             "_multiplier_cone_rows": "tangent_cone_vrep",
+             "_check_sigma_membership": "second_adjacent_member",
+             "default_sigma_candidates": "second_cone_vrep",
+             "quadratic_distance_bound": "contains"}
+    for loop, routine in loops.items():
+        _count_calls(monkeypatch, noc.conditions, loop, counts)
+        _count_calls(monkeypatch, noc.cones, routine, counts)
+    assert _check(["preset:ccs126", "--grid", "400"]) == 3
+    assert "verdict: refuted" in capsys.readouterr().out
+    assert counts["_blocks_along"] <= 5
+    for loop, routine in loops.items():
+        assert counts[loop] >= 1
+        assert counts[routine] == counts[loop], (loop, routine, counts)
+
+
 def test_numerical_warnings_become_one_line_each(monkeypatch, capsys):
     import warnings
 

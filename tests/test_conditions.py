@@ -704,3 +704,175 @@ def test_node_memo_keeps_values_and_first_failing_cell():
         second_order_lhs(problem, traj, np.array([-1.0, 1.0]), direction,
                          sigma)
     assert info.value.node == first
+
+
+# ----------------------------------------------------------------------------
+# per-cell loops evaluated once per distinct row, against per-cell references
+# ----------------------------------------------------------------------------
+
+# a triangle with two vertices, an edge point and an interior point in use
+_TRIANGLE = ((1.0, 2.0), (-1.0, 1.0), (0.0, -1.0)), (2.0, 1.0, 1.0)
+_CONTROLS = np.tile([[0.0, 1.0], [0.5, -1.0], [0.2, 0.1], [4.0, -1.0]], (10, 1))
+_DIRECTIONS = np.tile([[0.0, -1.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 0.0]], (10, 1))
+
+
+def _triangle_run(controls=_CONTROLS):
+    from noc.cones import Polyhedron
+
+    dyn = dynamics_from_expressions(("y2 + u1^2", "sin(y1) + u1*u2"), 2, 2)
+    cost = linear_endpoint((0.0, 0.0), (1.0, 0.5), label="terminal-mix")
+    ineq = linear_endpoint((0.0, 0.0), (0.0, 1.0), offset=-5.0, label="bound")
+    problem = make_problem(euclidean(2), 0.8, dyn, cost, (ineq,),
+                           control_set=Polyhedron(*_TRIANGLE))
+    return problem, integrate_state(problem, [0.1, 0.2], controls)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's value, or the class, message and node of what it raised."""
+    try:
+        return "value", fn(*args, **kwargs)
+    except Exception as ex:  # noqa: BLE001 - the outcome is compared
+        return type(ex), str(ex), getattr(ex, "node", None)
+
+
+def _cone_cells_per_cell(problem, traj, v):
+    from noc.cones import adjacent_cone_member
+
+    for i in range(traj.num_cells):
+        cert = adjacent_cone_member(problem.control_set, traj.controls[i], v[i],
+                                    with_oracle=False)
+        if not cert.member:
+            raise ConeViolation(f"direction leaves the control tangent cone in "
+                                f"cell {i} (margin {cert.margin:.3e})", node=i)
+
+
+def _sigma_cells_per_cell(problem, traj, v, sigma):
+    from noc.cones import second_adjacent_member
+
+    for i in range(traj.num_cells):
+        cert = second_adjacent_member(problem.control_set, traj.controls[i], v[i],
+                                      sigma[i], with_oracle=False)
+        if not cert.member:
+            raise SigmaNotInB(f"acceleration candidate leaves the second-order "
+                              f"admissible set in cell {i} (margin "
+                              f"{cert.margin:.3e})", node=i)
+
+
+def _sigma_candidates_per_cell(control_set, controls, directions):
+    from noc.cones import second_cone_vrep
+
+    N = len(controls)
+    got = [second_cone_vrep(control_set, controls[i], directions[i])
+           for i in range(N)]
+    base = np.array([shift for shift, _ in got])
+    out = [base]
+    rays = [rep.rays for _, rep in got]
+    if len({r.shape[0] for r in rays}) == 1:
+        out += [base + np.array([r[j] for r in rays]) for j in range(rays[0].shape[0])]
+    lins = [rep.lineality for _, rep in got]
+    if len({r.shape[0] for r in lins}) == 1:
+        for j in range(lins[0].shape[0]):
+            step = np.array([r[j] for r in lins])
+            out += [base + step, base - step]
+    return out
+
+
+def test_grouped_cone_check_matches_the_per_cell_loop():
+    problem, traj = _triangle_run()
+    verify_singular_direction(problem, traj, _DIRECTIONS)
+    _cone_cells_per_cell(problem, traj, _DIRECTIONS)
+    # an outward direction at the edge point recurs (cells 5 and 13); a
+    # later cell (22) would raise another error, a control outside the set
+    bad = _DIRECTIONS.copy()
+    bad[[5, 13]] = [0.0, -1.0]
+    outside = _CONTROLS.copy()
+    outside[22] = [5.0, 5.0]
+    for controls, error in ((_CONTROLS, ConeViolation), (outside, ConeViolation)):
+        problem, traj = _triangle_run(controls)
+        want = _outcome(_cone_cells_per_cell, problem, traj, bad)
+        assert want[0] is error and want[2] == 5
+        assert _outcome(verify_singular_direction, problem, traj, bad) == want
+    outside[2] = [5.0, 5.0]                     # now the first error is there
+    problem, traj = _triangle_run(outside)
+    want = _outcome(_cone_cells_per_cell, problem, traj, bad)
+    assert want[0].__name__ == "PointNotInSet"
+    assert _outcome(verify_singular_direction, problem, traj, bad) == want
+
+
+def test_misshaped_direction_is_named():
+    problem, traj = _triangle_run()
+    for v in (_DIRECTIONS[:, :1], _DIRECTIONS[:-1], np.hstack([_DIRECTIONS] * 2)):
+        with pytest.raises(ValueError, match="control directions must match"):
+            verify_singular_direction(problem, traj, v)
+
+
+def test_grouped_sigma_check_matches_the_per_cell_loop():
+    from noc.conditions import _check_sigma_membership
+
+    problem, traj = _triangle_run()
+    sigma = np.tile([[0.0, -1.0], [0.3, 2.0], [5.0, -5.0], [-1.0, 1.0]], (10, 1))
+    assert _check_sigma_membership(problem, traj, _DIRECTIONS, sigma) is None
+    _sigma_cells_per_cell(problem, traj, _DIRECTIONS, sigma)
+    # an inadmissible sigma at the edge point recurs (cells 9 and 17); a
+    # later cell (29) would raise another error, a direction off the cone
+    bad = sigma.copy()
+    bad[[9, 17]] = [0.0, -1.0]
+    off = _DIRECTIONS.copy()
+    off[29] = [0.0, -1.0]
+    for v, node in ((_DIRECTIONS, 9), (off, 9)):
+        want = _outcome(_sigma_cells_per_cell, problem, traj, v, bad)
+        assert want[0] is SigmaNotInB and want[2] == node
+        assert _outcome(_check_sigma_membership, problem, traj, v, bad) == want
+    off[1] = [0.0, -1.0]                        # now the first error is there
+    want = _outcome(_sigma_cells_per_cell, problem, traj, off, bad)
+    assert want[0].__name__ == "DirectionNotInCone"
+    assert _outcome(_check_sigma_membership, problem, traj, off, bad) == want
+
+
+def test_grouped_sigma_candidates_match_the_per_cell_loop():
+    problem, _ = _triangle_run()
+    U = problem.control_set
+    uniform = np.tile([[0.5, -1.0]], (12, 1)), np.tile([[1.0, 0.0]], (12, 1))
+    for controls, directions, count in ((_CONTROLS, _DIRECTIONS, 1),
+                                        (*uniform, 4)):
+        got = default_sigma_candidates(U, controls, directions)
+        want = _sigma_candidates_per_cell(U, controls, directions)
+        assert len(got) == len(want) == count
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+    bad = _DIRECTIONS.copy()
+    bad[[4, 12]] = [1.0, 1.0]                   # off the cone at a vertex, twice
+    outside = _CONTROLS.copy()
+    outside[30] = [5.0, 5.0]
+    want = _outcome(_sigma_candidates_per_cell, U, outside, bad)
+    assert want[0].__name__ == "DirectionNotInCone"
+    assert _outcome(default_sigma_candidates, U, outside, bad) == want
+
+
+def test_grouped_cone_rows_match_the_per_cell_loop():
+    from noc.cones import tangent_cone_vrep
+    from noc.conditions import (_clean_rows, _generator_rows,
+                                _multiplier_cone_rows, _multiplier_jet)
+
+    problem, traj = _triangle_run()
+    mjet = _multiplier_jet(problem, traj)
+    huL, huR = mjet.hu
+    reps = [tangent_cone_vrep(problem.control_set, u) for u in traj.controls]
+    lin_rows, ray_rows = [], []
+    for i, rep in enumerate(reps):       # per cell: L then R for each generator
+        for w in rep.lineality:
+            lin_rows += [w @ huL[i], w @ huR[i]]
+        for w in rep.rays:
+            ray_rows += [w @ huL[i], w @ huR[i]]
+    inverse = np.arange(traj.num_cells)   # every cell its own group
+    np.testing.assert_array_equal(
+        _generator_rows([r.rays for r in reps], inverse, mjet.hu), ray_rows)
+    A_le, A_eq = _multiplier_cone_rows(problem, traj, mjet, act_tol=1e-8)
+    # the sign row of the cost and of the active bound lead the inequalities;
+    # the start-boundary rows lead the equalities
+    dim = problem.multiplier_dim
+    head_le = [np.eye(dim)[0]]
+    head_eq = [np.eye(dim)[1]] + list(mjet.adjoint[0] + np.stack(
+        [d.grad_start for d in mjet.endpoint], axis=1))
+    np.testing.assert_array_equal(A_le, _clean_rows(head_le + ray_rows, dim))
+    np.testing.assert_array_equal(A_eq, _clean_rows(head_eq + lin_rows, dim))

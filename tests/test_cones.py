@@ -22,6 +22,7 @@ from noc.cones import (
     lift_sigma,
     oracle_verdict,
     quadratic_distance_bound,
+    row_groups,
     second_adjacent_member,
     second_cone_vrep,
     tangent_cone_vrep,
@@ -342,3 +343,122 @@ def test_lift_zero_sigma_inward_v():
 def test_lift_rejects_sigma_outside_second_cone():
     with pytest.raises(DirectionNotInCone):
         lift_sigma(B1, [UB], [[1.0, 0.0]], [[0.0, 0.4]], eps=0.1)
+
+
+# ----------------------------------------------------------------------------
+# per-node routines evaluated once per distinct row
+# ----------------------------------------------------------------------------
+
+def test_row_groups_split_by_bytes_and_number_by_first_occurrence():
+    first, inverse = row_groups(np.array([[0.0], [-0.0], [0.0], [-0.0]]))
+    assert first.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0, 1]
+    first, inverse = row_groups(np.array([[math.nan, 1.0], [2.0, 1.0],
+                                          [math.nan, 1.0]]))
+    assert first.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0]
+    # two arrays group by their rows together
+    first, inverse = row_groups(np.array([[1.0], [1.0], [1.0]]),
+                                np.array([[2.0, 0.0], [3.0, 0.0], [2.0, 0.0]]))
+    assert first.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0]
+    first, inverse = row_groups(np.full((5, 2), 0.25))
+    assert first.tolist() == [0] and inverse.tolist() == [0] * 5
+    with pytest.raises(ValueError, match="equal row counts"):
+        row_groups(np.zeros((3, 1)), np.zeros((2, 1)))
+
+
+def test_row_groups_round_trip():
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 4, size=(200, 3)).astype(float) - 1.5
+    first, inverse = row_groups(rows[:, :1], rows[:, 1:])
+    assert np.all(np.diff(first) > 0)                      # ascending
+    np.testing.assert_array_equal(rows[first][inverse], rows)
+    np.testing.assert_array_equal(inverse[first], np.arange(len(first)))
+    # the first row of every group is where the group first occurs
+    seen = {}
+    for i, row in enumerate(map(tuple, rows)):
+        seen.setdefault(row, i)
+    assert first.tolist() == sorted(seen.values())
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's value, or the class and message of what it raised."""
+    try:
+        return "value", fn(*args, **kwargs)
+    except Exception as ex:  # noqa: BLE001 - the outcome is compared
+        return type(ex), str(ex)
+
+
+def _bound_per_node(U, u_seq, v_seq, eps0):
+    """``quadratic_distance_bound``'s node values by one evaluation per node."""
+    for i, u in enumerate(u_seq):
+        if not contains(U, u, tol=1e-9):
+            raise PointNotInSet(f"grid node {i}: control outside the set")
+    eps = np.geomspace(1e-3 * eps0, eps0, 32)
+    ells = []
+    for u, v in zip(u_seq, v_seq):
+        vals = np.array([dist_and_project(U, u + e * v)[0] / (e * e) for e in eps])
+        diverges = (vals[2] < vals[1] < vals[0] and vals[0] > 1.5 * vals[-1]
+                    and vals[0] > 1e-9)
+        ells.append(math.inf if diverges else float(vals.max()))
+    return tuple(ells)
+
+
+def _lift_per_node(U, u_seq, v_seq, sigma_seq, eps):
+    """``lift_sigma``'s membership loop and lifted values, one node at a time."""
+    for i, (u, v, s) in enumerate(zip(u_seq, v_seq, sigma_seq)):
+        cert = second_adjacent_member(U, u, v, s, with_oracle=False)
+        if not cert.member:
+            raise DirectionNotInCone(
+                f"grid node {i}: sigma is not in the second-order adjacent set "
+                f"(margin {cert.margin:.3e})")
+    out = np.empty_like(sigma_seq)
+    for i, (u, v, s) in enumerate(zip(u_seq, v_seq, sigma_seq)):
+        _, p = dist_and_project(U, u + eps * v + eps * eps * s)
+        out[i] = (p - u - eps * v) / (eps * eps)
+    return out
+
+
+# a side, an interior point and a corner of the square, repeated 4 times
+_SQUARE = Box(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+_U = np.tile([[-1.0, 0.5], [0.2, 0.3], [1.0, 1.0]], (4, 1))
+_V = np.tile([[0.0, 1.0], [1.0, -2.0], [-1.0, 0.0]], (4, 1))
+_SIGMA = np.tile([[0.5, 2.0], [1.0, -1.0], [3.0, -0.5]], (4, 1))
+
+
+def test_grouped_bound_matches_the_per_node_loop():
+    bound = quadratic_distance_bound(_SQUARE, _U, _V, 0.1)
+    assert bound.ell == _bound_per_node(_SQUARE, _U, _V, 0.1)
+    assert all(type(x) is float for x in bound.ell)
+    diverging = _V.copy()
+    diverging[[2, 8]] = [1.0, 0.0]          # outward at the corner, twice
+    bound = quadratic_distance_bound(_SQUARE, _U, diverging, 0.1)
+    assert bound.ell == _bound_per_node(_SQUARE, _U, diverging, 0.1)
+    assert not bound.passed
+    # an outside control recurs (nodes 4 and 10); a later one differs (11)
+    outside = _U.copy()
+    outside[[4, 10]] = [2.0, 0.0]
+    outside[11] = [0.0, 3.0]
+    want = _outcome(_bound_per_node, _SQUARE, outside, _V, 0.1)
+    assert want == (PointNotInSet, "grid node 4: control outside the set")
+    assert _outcome(quadratic_distance_bound, _SQUARE, outside, _V, 0.1) == want
+
+
+def test_grouped_lift_matches_the_per_node_loop():
+    eps = 0.05
+    np.testing.assert_array_equal(lift_sigma(_SQUARE, _U, _V, _SIGMA, eps),
+                                  _lift_per_node(_SQUARE, _U, _V, _SIGMA, eps))
+    # a failing (control, direction, sigma) row recurs at nodes 5 and 8; a
+    # later node (10) would raise another error, an outside control
+    bad = _SIGMA.copy()
+    bad[[5, 8]] = [0.0, 1.0]
+    outside = _U.copy()
+    outside[10] = [2.0, 0.0]
+    for u, sigma, error, node in ((_U, bad, DirectionNotInCone, 5),
+                                  (outside, bad, DirectionNotInCone, 5),
+                                  (outside, _SIGMA, PointNotInSet, None)):
+        want = _outcome(_lift_per_node, _SQUARE, u, _V, sigma, eps)
+        assert want[0] is error
+        if node is not None:
+            assert want[1].startswith(f"grid node {node}:")
+        assert _outcome(lift_sigma, _SQUARE, u, _V, sigma, eps) == want
+    with pytest.raises(ValueError, match="equal shapes"):
+        lift_sigma(_SQUARE, _U, _V, _SIGMA[:-1], eps)

@@ -185,6 +185,113 @@ def test_rebind_problem_fails_where_make_problem_does(values, fragment):
     assert str(rebound.value) == str(fresh.value)
 
 
+def _blocks_per_entry(texts, n, m, params, t, y, u):
+    """The six blocks with every entry compiled and evaluated on its own,
+    broadcast over the batch and stacked."""
+    from noc.expr import compile_expr, parse_expr
+
+    ynames = tuple(f"y{i + 1}" for i in range(n))
+    unames = tuple(f"u{a + 1}" for a in range(m))
+    params = params or {}
+    names = ("t",) + ynames + unames + tuple(params)
+    exprs = [parse_expr(text, set(names)) for text in texts]
+    args = (t, *y.T, *u.T, *params.values())
+
+    def block(nested):
+        if isinstance(nested, list):
+            return np.stack([block(x) for x in nested], axis=1)
+        value = np.asarray(compile_expr(nested, names)(*args), float)
+        return np.broadcast_to(value, t.shape)
+
+    return (block(exprs),
+            block([[e.diff(a) for a in ynames] for e in exprs]),
+            block([[e.diff(a) for a in unames] for e in exprs]),
+            block([[[e.diff(a).diff(b) for b in ynames] for a in ynames] for e in exprs]),
+            block([[[e.diff(a).diff(b) for b in unames] for a in ynames] for e in exprs]),
+            block([[[e.diff(a).diff(b) for b in unames] for a in unames] for e in exprs]))
+
+
+@pytest.mark.parametrize("texts, n, m, params", [
+    (("u2", "-y1^2 + 4*y1*u2 - theta*u1^2"), 2, 2, {"theta": 3.0}),   # ccs126
+    (("u1", "1 + y1^2"), 2, 1, None),                           # sphere.noc
+    # constants, -0.0 (d/dy1 of the first), param-only entries (k^2, 2*k),
+    # t and every function
+    (("-(k*y2 + u1^2/k)", "-k^2*sin(y1) + exp(t)*u1 + 2*k",
+      "sqrt(2 + y3^2)*cos(u1) - abs(y1) + tan(y2/4) + log(1 + y1^2) - u2^k"),
+     3, 2, {"k": 2.5}),
+])
+@pytest.mark.parametrize("size", [1, 400])
+def test_batched_blocks_equal_the_per_entry_assembly(texts, n, m, params, size):
+    rng = np.random.default_rng(size)
+    t, y, u = rng.uniform(size=size), rng.normal(size=(size, n)), rng.normal(size=(size, m))
+    u[:, -1] = np.abs(u[:, -1])                  # u2^k: a positive base
+    dyn = dynamics_from_expressions(texts, n, m, params=params)
+    got = dyn.blocks_many(t, y, u)
+    want = _blocks_per_entry(texts, n, m, params, t, y, u)
+    assert len(got) == 6
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Count the calls of module.name; the list grows by one per call."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_variational_field_and_adjoint_share_one_set_of_propagators(monkeypatch):
+    import noc.dynamics
+
+    problem = make_flat_nonlinear()
+    traj = integrate_state(problem, [0.2, -0.1], wiggly_controls(60))
+    blocks = _count_calls(monkeypatch, noc.dynamics, "_blocks_along")
+    X = integrate_variational(problem, traj, wiggly_controls(60, 0.3), [0.1, 0.0])
+    assert len(blocks) == 4                       # one per RK4 stage
+    p = integrate_adjoint(problem, traj, [1.0])
+    assert len(blocks) == 4
+    M, B = _cell_propagators(problem, traj)
+    assert len(blocks) == 4 and not M.flags.writeable
+    # a fresh trajectory object builds its own, with the same values
+    again = dataclasses.replace(traj)
+    np.testing.assert_array_equal(integrate_adjoint(problem, again, [1.0]).values,
+                                  p.values)
+    assert len(blocks) == 8
+    np.testing.assert_array_equal(
+        integrate_variational(problem, again, wiggly_controls(60, 0.3), [0.1, 0.0]).values,
+        X.values)
+    assert len(blocks) == 8
+
+
+def test_a_rebound_model_builds_its_own_propagators(monkeypatch):
+    import noc.dynamics
+
+    dyn = dynamics_from_expressions(("y2 + k*u1", "-k^2*sin(y1) + u1"), 2, 1,
+                                    params={"k": 1.0})
+    problem = make_problem(euclidean(2), 1.0, dyn, linear_endpoint((0.0, 0.0), (1.0, 0.0)))
+    traj = integrate_state(problem, [0.2, -0.1], wiggly_controls(50, m=1))
+    blocks = _count_calls(monkeypatch, noc.dynamics, "_blocks_along")
+    first = integrate_adjoint(problem, traj, [1.0]).values
+    assert len(blocks) == 4
+    moved = rebind_problem(problem, 1.0, {"k": 2.0})
+    second = integrate_adjoint(moved, traj, [1.0]).values
+    assert len(blocks) == 8
+    assert not np.array_equal(first, second)
+    # the first model's propagators are still the ones it gets
+    np.testing.assert_array_equal(integrate_adjoint(problem, traj, [1.0]).values, first)
+    same = rebind_problem(problem, 1.0, {"k": 1.0})   # equal values, another model
+    np.testing.assert_array_equal(integrate_adjoint(same, traj, [1.0]).values, first)
+    assert len(blocks) == 12
+
+
 def test_make_problem_rejects_disagreeing_batched_blocks():
     dyn = dynamics_from_expressions(("y2 + u1^2", "sin(y1) + u1*u2"), 2, 2)
     cost = linear_endpoint((0.0, 0.0), (1.0, 0.0))
@@ -396,6 +503,16 @@ def _expression_problem(text, start, horizon, chart=None):
     (("y1 + u1", "y2"), [1.0, 0.5], 3.0, ChartEscape, None),
     # math.exp overflows where numpy gives inf, and 1/(1 + inf) = 0 goes on
     (("1 + 1/(1 + exp(exp(y1)))",), [0.0], 8.0, None, "overflow encountered in exp"),
+    # a float product overflows to inf silently; each sink that would turn
+    # it back into a finite value raises, so the numpy path warns as before
+    (("y1 + 1/(1 + y1*y1*y1*y1*y1*y1*y1*y1)",), [1.0], 100.0, None,
+     "overflow encountered in scalar multiply"),
+    (("y1 + (y1*y1*y1*y1*y1*y1*y1*y1)^(-1)",), [1.0], 100.0, None,
+     "overflow encountered in scalar multiply"),
+    (("y1 + 0.5^(y1*y1*y1*y1*y1*y1*y1*y1)",), [1.0], 100.0, None,
+     "overflow encountered in scalar multiply"),
+    (("y1 + exp(-y1*y1*y1*y1*y1*y1*y1*y1)",), [1.0], 100.0, None,
+     "overflow encountered in scalar multiply"),
 ])
 def test_failing_float_cells_are_redone_on_the_numpy_path(text, start, horizon, error,
                                                           warning):
@@ -410,6 +527,15 @@ def test_failing_float_cells_are_redone_on_the_numpy_path(text, start, horizon, 
     else:
         assert got[0] == want[0]
         assert got[0][0] is error and "in cell" in got[0][1]
+
+
+def test_float_cells_without_a_sink_carry_no_guard():
+    # ccs126 and the sphere check have no division, negative power or exp:
+    # their cells call no guard
+    for dyn in (make_ccs126().dynamics, _sphere_check_problem()[0].dynamics):
+        assert "finite" not in dyn.rk4_cell.__code__.co_names
+    guarded = dynamics_from_expressions(("y1 + 1/(1 + y1^2)",), 1, 1)
+    assert "finite" in guarded.rk4_cell.__code__.co_names
 
 
 def test_rebind_carries_the_float_cell_to_new_params():

@@ -183,6 +183,39 @@ def test_math_source_raises_where_numpy_warns():
     assert isinstance(run("x^0.5", -4.0), complex)
 
 
+def test_math_source_guards_the_sinks_of_an_infinite_intermediate():
+    # x / inf, inf ** (negative), (|b| < 1) ** inf and exp(-inf) are finite:
+    # with a guard, exactly those operands are checked
+    from noc.expr import python_source
+
+    def src(text):
+        return python_source(parse_expr(text), "math", guard="g")
+
+    assert src("x / (1 + y)") == "(x / g((1.0 + y)))"
+    assert src("x / 2") == "(x / 2.0)"
+    assert src("x^(-2)") == "(g(x) ** -2.0)"
+    assert src("x^2") == "(x ** 2.0)"
+    assert src("x^y") == "(g(x) ** g(y))"
+    assert src("exp(-x)") == "math.exp(g((-x)))"
+    assert src("sin(x) + sqrt(x) * log(x)") == python_source(
+        parse_expr("sin(x) + sqrt(x) * log(x)"), "math")
+
+    def finite(x):
+        if x - x == 0.0:
+            return x
+        raise FloatingPointError
+
+    def run(text, x):
+        source = python_source(parse_expr(text), "math", guard="finite")
+        return eval(source, {"math": math, "finite": finite, "x": x})
+
+    for text in ("1/(1 + x*x*x)", "(x*x*x)^(-1)", "0.5^(x*x*x)", "exp(-x*x*x)"):
+        assert run(text, 2.0) == eval(python_source(parse_expr(text), "math"),
+                                      {"math": math, "x": 2.0})
+        with pytest.raises(FloatingPointError):
+            run(text, 1e200)
+
+
 # ----------------------------------------------------------------------------
 # property: symbolic derivatives of random trees are exact
 # ----------------------------------------------------------------------------
