@@ -349,18 +349,15 @@ def _generator_rows(gens, inverse: np.ndarray, hu: np.ndarray) -> np.ndarray:
     """The rows w @ hu of every cell, in cell order and per cell L then R
     for each generator w of the cell's group (``gens[inverse[cell]]``);
     ``hu`` is (2, N, m, dim). Each row is the same vector-matrix product
-    as in a per-cell loop, formed for all cells of a group at once."""
-    huL, huR = hu
-    per_cell = 2 * np.array([g.shape[0] for g in gens], int)[inverse]
-    start = np.cumsum(per_cell) - per_cell
-    out = np.empty((int(per_cell.sum()), hu.shape[-1]))
-    by_group = np.argsort(inverse, kind="stable")
-    splits = np.cumsum(np.bincount(inverse))[:-1]
-    for group_gens, cells in zip(gens, np.split(by_group, splits)):
-        for j, w in enumerate(group_gens):
-            out[start[cells] + 2 * j] = w @ huL[cells]
-            out[start[cells] + 2 * j + 1] = w @ huR[cells]
-    return out
+    as in a per-cell loop, formed for all cells at once."""
+    counts = np.array([g.shape[0] for g in gens], int)
+    padded = np.zeros((len(gens), counts.max(initial=0), hu.shape[2]))
+    for g, group_gens in enumerate(gens):
+        padded[g, :counts[g]] = group_gens
+    # (N, k, 1, 1, m) @ (N, 1, 2, m, dim): one (1, m) @ (m, dim) per row
+    rows = padded[inverse][:, :, None, None, :] @ np.moveaxis(hu, 0, 1)[:, None]
+    keep = np.arange(padded.shape[1]) < counts[inverse][:, None]       # (N, k)
+    return rows[:, :, :, 0][keep].reshape(-1, hu.shape[-1])
 
 
 def _enumerate_normalized_rays(A_le, A_eq, dim: int) -> list[MultiplierVector]:

@@ -41,7 +41,7 @@ import numpy as np
 from .cones import Box
 from .errors import (BasePointMismatch, BoundViolated, ChartEscape, NocError,
                      NonFiniteState)
-from .expr import Num, compile_expr, parse_expr, python_source
+from .expr import Num, _finite, compile_expr, parse_expr, python_source
 from .geometry import (CotangentVector, ManifoldChart, TangentVector,
                        christoffel, christoffel_apply, curvature, dchristoffel,
                        exp_map, log_map, musical_dual, norm, parallel_transport,
@@ -364,7 +364,8 @@ def _compile_rk4_cell(exprs, ynames, unames, pnames) -> Callable:
 
     The source is generated from the component expressions with ``math``
     functions and repeats ``_rk4_step`` operation for operation. Every
-    variable is renamed, so no expression name can shadow ``math``.
+    variable is renamed, so no expression name can shadow ``math`` or the
+    guard ``_finite`` that ``python_source`` wraps around risky operands.
     """
     n = len(ynames)
     params = [f"p{j}" for j in range(len(pnames))]
@@ -376,7 +377,7 @@ def _compile_rk4_cell(exprs, ynames, unames, pnames) -> Callable:
     at_stage = {"t": "t"} | dict(zip(ynames, z)) | fixed
 
     def stage(k, names):
-        return [f"    k{k}_{i} = {python_source(e, 'math', names, guard='finite')}"
+        return [f"    k{k}_{i} = {python_source(e, 'math', names)}"
                 for i, e in enumerate(exprs)]
 
     def move(step, k):
@@ -392,18 +393,9 @@ def _compile_rk4_cell(exprs, ynames, unames, pnames) -> Callable:
              "    t = t0 + h", *move("h", 3), *stage(4, at_stage),
              "    sixth = h / 6.0",
              f"    return ({result},)"]
-    namespace = {"math": math, "finite": _finite, "__builtins__": {}}
+    namespace = {"math": math, "_finite": _finite, "__builtins__": {}}
     exec("\n".join(lines), namespace)  # noqa: S102 - AST-derived source
     return namespace["cell"]
-
-
-def _finite(x):
-    """x when it is finite; otherwise FloatingPointError, so that the float
-    cell is redone on the numpy path instead of letting an infinite
-    intermediate vanish (see ``python_source``)."""
-    if x - x == 0.0:
-        return x
-    raise FloatingPointError("non-finite intermediate in a float RK4 cell")
 
 
 def builtin_dynamics(name: str, **params) -> DynamicsModel:
@@ -821,9 +813,10 @@ def rebind_problem(problem: ControlProblem, horizon: float, values,
 class Trajectory:
     """States on a uniform grid under piecewise-constant controls.
 
-    The arrays are not changed after construction: derivative data built
-    along the trajectory is kept with it (``_propagators``, the cell
-    propagators of each dynamics model that asked for them).
+    The arrays are read-only copies of those passed in, so they cannot
+    change after construction: derivative data built along the trajectory
+    is kept with it (``_propagators``, the cell propagators of each
+    dynamics model that asked for them).
     """
 
     chart: ManifoldChart
@@ -831,6 +824,12 @@ class Trajectory:
     states: np.ndarray    # (N+1, n)
     controls: np.ndarray  # (N, m), constant on [t_i, t_{i+1})
     _propagators: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("grid", "states", "controls"):
+            values = np.array(getattr(self, name), float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @property
     def num_cells(self) -> int:

@@ -525,7 +525,15 @@ def _substitute_constants(node: Expr) -> Expr:
 # compilation to plain python callables (hot integrator loops)
 # ----------------------------------------------------------------------------
 
-def python_source(node: Expr, module: str = "np", names=None, guard=None) -> str:
+def _finite(x):
+    """x when it is finite; otherwise FloatingPointError (see
+    ``python_source``: the guard of ``math`` source)."""
+    if x - x == 0.0:
+        return x
+    raise FloatingPointError("non-finite intermediate in math-mode source")
+
+
+def python_source(node: Expr, module: str = "np", names=None) -> str:
     """Emit a python expression string equivalent to ``node``.
 
     Functions come from ``module``: ``"np"`` (numpy, broadcasts over arrays)
@@ -536,17 +544,18 @@ def python_source(node: Expr, module: str = "np", names=None, guard=None) -> str
     Python float products overflow to inf without raising, and a few
     operations turn an infinite (or NaN) operand back into a finite value,
     where numpy would have warned on the way: x / inf, inf ** (negative),
-    (|b| < 1) ** inf and exp(-inf). ``guard``, meant for ``math`` source,
-    names a function that returns a finite argument and raises otherwise;
-    the source then wraps exactly those operands in it: a divisor, the
-    base of a power with a negative literal exponent, both sides of a power
-    with a non-literal exponent, and the argument of exp, unless the
-    operand is a literal. Sources without such an operand are unchanged.
+    (|b| < 1) ** inf and exp(-inf). ``math`` source therefore wraps exactly
+    those operands in ``_finite``, which raises FloatingPointError on a
+    non-finite value: a divisor, the base of a power with a negative
+    literal exponent, both sides of a power with a non-literal exponent,
+    and the argument of exp, unless the operand is a literal. ``math``
+    source is evaluated with ``math`` and this module's ``_finite`` in its
+    namespace; a source without such an operand never calls ``_finite``.
     """
     def guarded(e: Expr) -> str:
-        if guard is None or isinstance(e, Num):
+        if module != "math" or isinstance(e, Num):
             return src(e)
-        return f"{guard}({src(e)})"
+        return f"_finite({src(e)})"
 
     def src(e: Expr) -> str:
         if isinstance(e, Num):

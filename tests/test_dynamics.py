@@ -271,6 +271,26 @@ def test_variational_field_and_adjoint_share_one_set_of_propagators(monkeypatch)
     assert len(blocks) == 8
 
 
+def test_trajectory_arrays_are_frozen_copies():
+    # the propagators kept with a trajectory stay valid: a caller's later
+    # edit of its controls does not reach the trajectory, and the
+    # trajectory's own arrays refuse writes
+    problem = make_flat_nonlinear()
+    u = wiggly_controls(40)
+    traj = integrate_state(problem, [0.2, -0.1], u)
+    M, _ = _cell_propagators(problem, traj)
+    kept = traj.controls.copy()
+    u[:] = 0.0
+    np.testing.assert_array_equal(traj.controls, kept)
+    for values in (traj.grid, traj.states, traj.controls):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+    assert _cell_propagators(problem, traj)[0] is M
+    csv = trajectory_from_csv(traj.chart, trajectory_to_csv(traj))
+    assert not (csv.grid.flags.writeable or csv.states.flags.writeable
+                or csv.controls.flags.writeable)
+
+
 def test_a_rebound_model_builds_its_own_propagators(monkeypatch):
     import noc.dynamics
 
@@ -533,9 +553,9 @@ def test_float_cells_without_a_sink_carry_no_guard():
     # ccs126 and the sphere check have no division, negative power or exp:
     # their cells call no guard
     for dyn in (make_ccs126().dynamics, _sphere_check_problem()[0].dynamics):
-        assert "finite" not in dyn.rk4_cell.__code__.co_names
+        assert "_finite" not in dyn.rk4_cell.__code__.co_names
     guarded = dynamics_from_expressions(("y1 + 1/(1 + y1^2)",), 1, 1)
-    assert "finite" in guarded.rk4_cell.__code__.co_names
+    assert "_finite" in guarded.rk4_cell.__code__.co_names
 
 
 def test_rebind_carries_the_float_cell_to_new_params():

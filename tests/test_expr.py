@@ -159,20 +159,22 @@ def test_compiled_callable_takes_variables_named_like_python():
 
 def test_folded_non_finite_constants_compile():
     # constant folding can overflow: 1e200*1e200 is inf, inf - inf is nan
-    from noc.expr import compile_expr, python_source
+    from noc.expr import _finite, compile_expr, python_source
 
     for text, want in (("1e200*1e200 + x", math.inf), ("x - 1e200*1e200", -math.inf)):
         e = parse_expr(text)
         assert compile_expr(e, ("x",))(1.0) == want
-        assert eval(python_source(e, "math"), {"math": math, "x": 1.0}) == want
+        assert eval(python_source(e, "math"),
+                    {"math": math, "_finite": _finite, "x": 1.0}) == want
     assert math.isnan(compile_expr(parse_expr("1e200*1e200 - 1e200*1e200 + x"), ("x",))(1.0))
 
 
 def test_math_source_raises_where_numpy_warns():
-    from noc.expr import python_source
+    from noc.expr import _finite, python_source
 
     def run(text, x):
-        return eval(python_source(parse_expr(text), "math"), {"math": math, "x": x})
+        return eval(python_source(parse_expr(text), "math"),
+                    {"math": math, "_finite": _finite, "x": x})
 
     assert run("abs(x) + sqrt(x^2)", -3.0) == 6.0
     for text, x, error in (("sqrt(x)", -1.0, ValueError), ("log(x)", 0.0, ValueError),
@@ -185,33 +187,27 @@ def test_math_source_raises_where_numpy_warns():
 
 def test_math_source_guards_the_sinks_of_an_infinite_intermediate():
     # x / inf, inf ** (negative), (|b| < 1) ** inf and exp(-inf) are finite:
-    # with a guard, exactly those operands are checked
-    from noc.expr import python_source
+    # math source checks exactly those operands, numpy source none
+    from noc.expr import _finite, python_source
 
-    def src(text):
-        return python_source(parse_expr(text), "math", guard="g")
+    def src(text, module="math"):
+        return python_source(parse_expr(text), module)
 
-    assert src("x / (1 + y)") == "(x / g((1.0 + y)))"
+    assert src("x / (1 + y)") == "(x / _finite((1.0 + y)))"
     assert src("x / 2") == "(x / 2.0)"
-    assert src("x^(-2)") == "(g(x) ** -2.0)"
+    assert src("x^(-2)") == "(_finite(x) ** -2.0)"
     assert src("x^2") == "(x ** 2.0)"
-    assert src("x^y") == "(g(x) ** g(y))"
-    assert src("exp(-x)") == "math.exp(g((-x)))"
-    assert src("sin(x) + sqrt(x) * log(x)") == python_source(
-        parse_expr("sin(x) + sqrt(x) * log(x)"), "math")
-
-    def finite(x):
-        if x - x == 0.0:
-            return x
-        raise FloatingPointError
+    assert src("x^y") == "(_finite(x) ** _finite(y))"
+    assert src("exp(-x)") == "math.exp(_finite((-x)))"
+    assert src("sin(x) + sqrt(x) * log(x)") == "(math.sin(x) + (math.sqrt(x) * math.log(x)))"
+    assert "_finite" not in src("x / (1 + y) + x^y + exp(-x)", "np")
 
     def run(text, x):
-        source = python_source(parse_expr(text), "math", guard="finite")
-        return eval(source, {"math": math, "finite": finite, "x": x})
+        return eval(src(text), {"math": math, "_finite": _finite, "x": x})
 
-    for text in ("1/(1 + x*x*x)", "(x*x*x)^(-1)", "0.5^(x*x*x)", "exp(-x*x*x)"):
-        assert run(text, 2.0) == eval(python_source(parse_expr(text), "math"),
-                                      {"math": math, "x": 2.0})
+    for text, want in (("1/(1 + x*x*x)", 1 / 9), ("(x*x*x)^(-1)", 1 / 8),
+                       ("0.5^(x*x*x)", 0.5 ** 8), ("exp(-x*x*x)", math.exp(-8.0))):
+        assert run(text, 2.0) == want
         with pytest.raises(FloatingPointError):
             run(text, 1e200)
 
