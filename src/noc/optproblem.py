@@ -58,7 +58,10 @@ class OptScalar:
     second derivative d^2/de^2 f(e + t y) at t = 0 (no full Hessian needed).
 
     ``value_many`` (optional) evaluates a whole (P, N) batch of points at
-    once; grid oracles use it when available.
+    once and returns P values; grid oracles use it when available.  The
+    batch is a view whose coordinate columns are contiguous but which may
+    not be C-contiguous; it is reused for the next batch, so it must be
+    neither kept nor written.
     """
 
     value: object                 # e -> float
@@ -674,10 +677,23 @@ def _row_values(row: OptScalar, pts: np.ndarray) -> np.ndarray:
 
 def _lipschitz_estimate(row: OptScalar, lo: np.ndarray, hi: np.ndarray,
                         rng) -> float:
+    """Largest gradient norm over 32 uniform samples of the box: NaN when
+    no sample has a finite gradient, inf when one overflows."""
     pts = rng.uniform(lo, hi, (32, lo.size))
     # fmax skips a NaN gradient (a sample outside the row's domain of
     # definition) wherever it falls among the samples
     return float(np.fmax.reduce([np.linalg.norm(row.grad(p)) for p in pts]))
+
+
+def _finite_estimate(row: OptScalar, lip: float) -> float:
+    """``lip`` when finite; otherwise ResolutionTooCoarse naming the row,
+    since the slack and the equality slabs are sized from it."""
+    if not math.isfinite(lip):
+        raise ResolutionTooCoarse(
+            f"row '{row.label}' has no finite gradient bound on the grid's "
+            f"bounding box (sampled estimate {lip!r}), so the Lipschitz "
+            f"slack cannot be sized")
+    return lip
 
 
 @dataclass(frozen=True, eq=False)
@@ -714,37 +730,61 @@ def _lattice_axes(lo: np.ndarray, hi: np.ndarray,
     return [np.linspace(l, h, int(n)) for l, h, n in zip(lo, hi, counts)]
 
 
+def _slab_shape(counts: list[int]) -> tuple[int, int]:
+    """(rows, inner): whole leading-axis rows per slab, at most
+    CHUNK_POINTS points (one row when a row is larger), and the points per
+    row."""
+    inner = math.prod(counts[1:])
+    return max(1, min(counts[0], CHUNK_POINTS // inner)), inner
+
+
 def _lattice_chunks(axes: list[np.ndarray]):
     """Yield the C-ordered lattice of ``axes`` as (P, dim) slabs of whole
-    leading-axis rows, at most CHUNK_POINTS each (one row when a row is
-    larger).  Every slab is a view of one buffer whose trailing coordinates
-    are written once; only column 0 changes, so a slab is valid until the
-    next one is drawn."""
+    leading-axis rows (``_slab_shape``).  Every slab is the transposed
+    view ``buf[:, :P].T`` of one column-major (dim, rows*inner) buffer:
+    each coordinate column is contiguous, the slab is not C-contiguous.
+    The trailing coordinates are written once; only column 0 changes, so
+    a slab is valid until the next one is drawn."""
     dim = len(axes)
     counts = [ax.size for ax in axes]
-    inner = math.prod(counts[1:])
-    rows = max(1, min(counts[0], CHUNK_POINTS // inner))
-    buf = np.empty((rows * inner, dim))
-    lattice = buf.reshape([rows] + counts[1:] + [dim])
+    rows, inner = _slab_shape(counts)
+    buf = np.empty((dim, rows * inner))
+    lattice = buf.reshape([dim, rows] + counts[1:])
     for a in range(1, dim):
-        lattice[..., a] = axes[a].reshape([-1 if k == a else 1
-                                           for k in range(dim)])
+        lattice[a] = axes[a].reshape([-1 if k == a else 1
+                                      for k in range(dim)])
     for start in range(0, counts[0], rows):
         lead = axes[0][start:start + rows]
-        lattice[:lead.size, ..., 0] = lead.reshape([-1] + [1] * (dim - 1))
-        yield buf[:lead.size * inner]
+        lattice[0, :lead.size] = lead.reshape([-1] + [1] * (dim - 1))
+        yield buf[:, :lead.size * inner].T
 
 
-def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: np.ndarray):
+def _compress_rows(keep: np.ndarray, pts: np.ndarray,
+                   work: np.ndarray) -> np.ndarray:
+    """The rows of the (P, dim) batch ``pts`` where ``keep`` holds, in
+    order, as a (K, dim) view of the front of the (dim, capacity) buffer
+    ``work``.  Each coordinate column is gathered on its own through one
+    index array; the indices are in range by construction, and mode
+    "clip" spares ``take`` a buffered copy of ``out``."""
+    idx = np.flatnonzero(keep)
+    out = work[:, :idx.size]
+    for a, col in enumerate(out):
+        np.take(pts[:, a], idx, out=col, mode="clip")
+    return out.T
+
+
+def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: np.ndarray,
+                work: np.ndarray):
     """(feasible count, non-finite count, best value, best point) of one
-    lattice slab.  Feasible points with a non-finite cost are counted and
-    skipped (a NaN would hide every value after it from argmin); the best
-    point is the first finite minimizer in C order, copied out of the slab,
-    and None when there is none."""
+    lattice slab.  Selected points are gathered into ``work``, which the
+    next slab overwrites.  Feasible points with a non-finite cost are
+    counted and skipped (a NaN would hide every value after it from
+    argmin); the best point is the first finite minimizer in C order,
+    copied out, and None when there is none."""
     mask = _membership_mask(problem.domain, chunk)
     if not mask.any():
         return 0, 0, math.inf, None
-    sel = chunk if mask.all() else chunk[mask]
+    sel = chunk if mask.all() else _compress_rows(mask, chunk, work)
     feas = np.ones(sel.shape[0], bool)
     for row in problem.inequalities:
         feas &= _row_values(row, sel) <= 1e-9
@@ -755,7 +795,7 @@ def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: np.ndarray):
         if not feas.any():
             return 0, 0, math.inf, None
     if not feas.all():
-        sel = sel[feas]
+        sel = _compress_rows(feas, sel, work)
     count = sel.shape[0]
     vals = _row_values(problem.cost, sel)
     ok = np.isfinite(vals)
@@ -763,7 +803,7 @@ def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: np.ndarray):
     if skipped == count:
         return count, skipped, math.inf, None
     if skipped:
-        sel, vals = sel[ok], vals[ok]
+        sel, vals = _compress_rows(ok, sel, work), vals[ok]
     best = int(np.argmin(vals))
     return count, skipped, float(vals[best]), sel[best].copy()
 
@@ -779,11 +819,15 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
     the best feasible grid value against the candidate's value with a
     Lipschitz slack (gradient bound times half the cell diagonal);
     improvements inside the slack raise ResolutionTooCoarse because the
-    grid cannot distinguish them from discretization error.  The lattice
-    is streamed in slabs of at most CHUNK_POINTS points, so memory does not
-    grow with the grid; grids above GRID_POINT_LIMIT points are refused.
-    Feasible points whose cost is not finite are skipped and counted; the
-    verdict is 'empty' when no feasible point has a finite cost.
+    grid cannot distinguish them from discretization error, and so does a
+    gradient bound that is not finite for an equality row or, when the
+    verdict rests on it, for the cost.  The lattice is streamed in
+    column-major slabs of at most CHUNK_POINTS points, and the selected
+    points of each slab are gathered into one work buffer allocated per
+    scan, so memory does not grow with the grid; grids above
+    GRID_POINT_LIMIT points are refused.  Feasible points whose cost is
+    not finite are skipped and counted; the verdict is 'empty' when no
+    feasible point has a finite cost.
     """
     e = np.asarray(point, float)
     _require_in_domain(problem, e)
@@ -798,17 +842,21 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
     half_diag = 0.5 * resolution * math.sqrt(problem.dim)
     slabs = []
     for row in problem.equalities:
-        lip = _lipschitz_estimate(row, lo, hi, rng)
+        lip = _finite_estimate(row, _lipschitz_estimate(row, lo, hi, rng))
         slabs.append(equality_slab if equality_slab is not None
                      else max(lip, 1e-9) * half_diag)
     slack = lip0 * half_diag
     for row, slab in zip(problem.equalities, slabs):
-        lip = max(_lipschitz_estimate(row, lo, hi, rng), 1e-9)
+        lip = max(_finite_estimate(row, _lipschitz_estimate(row, lo, hi,
+                                                            rng)), 1e-9)
         slack += lip0 * slab / lip
 
+    rows, inner = _slab_shape([ax.size for ax in axes])
+    work = np.empty((problem.dim, rows * inner))
     num_feasible, num_nonfinite, best_value, best_point = 0, 0, math.inf, None
     for chunk in _lattice_chunks(axes):
-        count, skipped, value, where = _scan_chunk(problem, slabs, chunk)
+        count, skipped, value, where = _scan_chunk(problem, slabs, chunk,
+                                                   work)
         num_feasible += count
         num_nonfinite += skipped
         if where is not None and (best_point is None or value < best_value):
@@ -820,6 +868,7 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
                                 slack=slack, num_feasible=num_feasible,
                                 equality_slab=max(slabs, default=0.0),
                                 num_nonfinite=num_nonfinite)
+    _finite_estimate(problem.cost, lip0)
     improvement = ref - best_value
     scale = 1e-12 * (1.0 + abs(ref))
     if improvement > slack:

@@ -179,6 +179,27 @@ def test_grid_search_skips_non_finite_costs(tmp_path, capsys):
     assert "found no feasible sample at" not in out
 
 
+def test_non_finite_grid_slack_is_inconclusive_not_nan(tmp_path, capsys):
+    # no sampled gradient of the cost is finite on the disc's bounding box:
+    # the slack behind the grid verdict would be NaN, and NaN is not JSON
+    text = ("noc 1\nkind op\ndim 2\ndomain {\n  ball 0.0 0.0 1.0\n}\n"
+            "point 1.0 0.0\ncost 0 - sqrt(x1 - 0.999)\nresolution 0.01\n")
+    report = tmp_path / "nan-slack.json"
+    assert _check([_write(tmp_path, "nan-slack.noc", text),
+                   "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "note: grid search inconclusive: row 'cost' has no finite " \
+        "gradient bound" in out
+    assert "grid search: confirmed" not in out
+
+    def refuse(name):
+        raise AssertionError(f"report holds {name}")
+
+    data = json.loads(report.read_text(), parse_constant=refuse)
+    assert "grid_search" not in data
+    assert data["verdict"] == "consistent"
+
+
 @pytest.mark.parametrize("dim, box, point, cost, fragment", [
     (1, "-1.0 1.0", "-1.0", "log(x1 + 1)",
      "row 'cost' is not finite at the point (-1.0): value -inf"),

@@ -442,6 +442,29 @@ def test_grid_oracle_skips_non_finite_costs():
         ("empty", 201, 201)
 
 
+def test_non_finite_gradient_bound_is_inconclusive():
+    # no sampled gradient is finite: the slack that would back the verdict
+    # (or the slab that would decide feasibility) cannot be sized
+    nan_cost = _disc_problem("0 - sqrt(x1 - 0.999)")
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ResolutionTooCoarse,
+            match=r"row '0 - sqrt\(x1 - 0.999\)' has no finite gradient "
+                  r"bound .*estimate nan"):
+        op_bruteforce(nan_cost, [1.0, 0.0], 0.01)
+    nan_slab = make_opt_problem(
+        Ball(center=(0.0, 0.0), radius=1.0),
+        opt_scalar_from_expression("x1", 2),
+        equalities=[opt_scalar_from_expression("sqrt(x2 - 0.999)", 2)])
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ResolutionTooCoarse, match=r"row 'sqrt\(x2 - 0.999\)'"):
+        op_bruteforce(nan_slab, [-1.0, 0.0], 0.01)
+    # a gradient that overflows on part of the box gives an infinite bound
+    inf_cost = _disc_problem("x1 + exp(1000*x1^2)")
+    with np.errstate(over="ignore"), pytest.raises(
+            ResolutionTooCoarse, match=r"estimate inf"):
+        op_bruteforce(inf_cost, [0.0, 0.0], 0.01)
+
+
 def test_constant_cost_is_trivially_confirmed():
     p = make_opt_problem(Box(lower=(-1.0,), upper=(1.0,)),
                          opt_scalar_from_expression("3", 1))
@@ -531,8 +554,9 @@ def test_membership_mask_matches_reference_off_the_lattice():
 
 
 def _full_mesh_reference(problem, lo, hi, resolution, slab):
-    """num_feasible, best value and first arg-min in C order over the whole
-    lattice at once, the way the scan is specified."""
+    """num_feasible, num_nonfinite, best finite value and its first arg-min
+    in C order over the whole lattice at once, the way the scan is
+    specified."""
     axes = [np.linspace(l, h, 1 if l == h
                         else max(int(round((h - l) / resolution)) + 1, 2))
             for l, h in zip(lo, hi)]
@@ -543,9 +567,12 @@ def _full_mesh_reference(problem, lo, hi, resolution, slab):
         pts = pts[row.value_many(pts) <= 1e-9]
     for row in problem.equalities:
         pts = pts[np.abs(row.value_many(pts)) <= slab]
-    vals = np.broadcast_to(problem.cost.value_many(pts), (pts.shape[0],))
+    count = pts.shape[0]
+    vals = np.broadcast_to(problem.cost.value_many(pts), (count,))
+    ok = np.isfinite(vals)
+    pts, vals = pts[ok], vals[ok]
     best = int(np.argmin(vals))
-    return pts.shape[0], float(vals[best]), pts[best]
+    return count, count - pts.shape[0], float(vals[best]), pts[best]
 
 
 _SCAN_CASES = {
@@ -589,29 +616,109 @@ _SCAN_CASES = {
     "disc-constant-cost": (Ball(center=(0.0, 0.0), radius=1.0),
                            ((-1.0, -1.0), (1.0, 1.0)),
                            "3", (), (), [0.0, 0.0], 2e-3),
+    # the cost is NaN below x2 = -0.9 in every slab: the first two slabs
+    # are wholly feasible (x1 < 0.5), the third partly, the last not at all
+    "box-2d-nonfinite-cost": (Box(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
+                              ((-1.0, -1.0), (1.0, 1.0)),
+                              "x1 + sqrt(x2 + 0.9)", ("x1 - 0.5",), (),
+                              [0.0, 0.0], 2e-3),
+    # NaN cost in every slab of the disc, whose slabs are never all inside
+    "disc-nonfinite-cost": (Ball(center=(0.0, 0.0), radius=1.0),
+                            ((-1.0, -1.0), (1.0, 1.0)),
+                            "x2 + sqrt(x1 + x2)", (), (), [0.5, 0.5], 2e-3),
 }
+
+
+def _scan_problem(name, row=opt_scalar_from_expression):
+    """The problem of scan case ``name`` with its rows built by ``row``."""
+    domain, (lo, hi), cost, ineqs, eqs, _, _ = _SCAN_CASES[name]
+    dim = len(lo)
+    return make_opt_problem(domain, row(cost, dim),
+                            inequalities=[row(t, dim) for t in ineqs],
+                            equalities=[row(t, dim) for t in eqs])
 
 
 @pytest.mark.parametrize("name", sorted(_SCAN_CASES))
 def test_streamed_scan_matches_full_mesh_reference(name):
-    domain, (lo, hi), cost, ineqs, eqs, point, res = _SCAN_CASES[name]
-    dim = len(lo)
-    problem = make_opt_problem(
-        domain, opt_scalar_from_expression(cost, dim),
-        inequalities=[opt_scalar_from_expression(t, dim) for t in ineqs],
-        equalities=[opt_scalar_from_expression(t, dim) for t in eqs])
+    _, (lo, hi), _, _, _, point, res = _SCAN_CASES[name]
+    problem = _scan_problem(name)
     slab = 0.01
-    try:
-        bf = op_bruteforce(problem, point, res, equality_slab=slab)
-    except ResolutionTooCoarse:
-        pytest.fail(f"{name}: the case must be decisive at its resolution")
-    count, value, where = _full_mesh_reference(problem, lo, hi, res, slab)
+    with np.errstate(invalid="ignore"):
+        try:
+            bf = op_bruteforce(problem, point, res, equality_slab=slab)
+        except ResolutionTooCoarse:
+            pytest.fail(f"{name}: the case must be decisive at its "
+                        f"resolution")
+        count, nonfinite, value, where = _full_mesh_reference(
+            problem, lo, hi, res, slab)
     assert bf.num_feasible == count > 0
+    assert bf.num_nonfinite == nonfinite
+    assert (nonfinite > 0) == ("nonfinite" in name)
     assert bf.best_value == value
     assert bf.best_point.tobytes() == where.tobytes()
     ref = float(problem.cost.value(np.asarray(point, float)))
     expected = "refuted" if ref - value > bf.slack else "confirmed"
     assert bf.verdict == expected
+
+
+# the rows of two scan cases written by hand as NumPy batch functions
+_NUMPY_ROWS = {
+    "x2": lambda p: p[:, 1],
+    "x1 - 0.4": lambda p: p[:, 0] - 0.4,
+    "x1 - x2^2 + 0.3": lambda p: p[:, 0] - p[:, 1] ** 2.0 + 0.3,
+    "x1 + sqrt(x2 + 0.9)": lambda p: p[:, 0] + np.sqrt(p[:, 1] + 0.9),
+    "x1 - 0.5": lambda p: p[:, 0] - 0.5,
+}
+
+
+@pytest.mark.parametrize("batch", ["per-point", "value_many"])
+@pytest.mark.parametrize("name", ["box-2d-nonfinite-cost",
+                                  "disc-rows-empty-chunks"])
+def test_callback_rows_scan_like_expression_rows(monkeypatch, name, batch):
+    # opt_scalar rows see the same non-C-contiguous slabs, one point at a
+    # time or as a batch; per-point rows are slow, so the lattice is
+    # coarser and cut into 11 slabs of 20 rows
+    import noc.optproblem
+
+    monkeypatch.setattr(noc.optproblem, "CHUNK_POINTS", 4096)
+
+    def callback_row(text, dim):
+        row = opt_scalar_from_expression(text, dim)
+        return opt_scalar(row.value, row.grad, row.second, label=text,
+                          value_many=(_NUMPY_ROWS[text]
+                                      if batch == "value_many" else None))
+
+    point = _SCAN_CASES[name][5]
+    with np.errstate(invalid="ignore"):
+        results = [op_bruteforce(_scan_problem(name, row), point, 1e-2,
+                                 equality_slab=0.01)
+                   for row in (opt_scalar_from_expression, callback_row)]
+    expected, got = ((bf.verdict, bf.num_feasible, bf.num_nonfinite,
+                      bf.best_value, bf.best_point.tobytes())
+                     for bf in results)
+    assert got == expected
+    assert expected[1] > 0
+    assert (expected[2] > 0) == ("nonfinite" in name)
+
+
+def test_membership_mask_sees_every_lattice_point_once(monkeypatch):
+    # one call per slab with that slab's (P, dim) view: benchmark tracing
+    # counts the scanned lattice points by wrapping this function
+    import noc.optproblem
+
+    mask = noc.optproblem._membership_mask
+    calls = []
+
+    def counting(U, pts):
+        calls.append(pts.shape)
+        return mask(U, pts)
+
+    monkeypatch.setattr(noc.optproblem, "_membership_mask", counting)
+    _, _, _, _, _, point, res = _SCAN_CASES["disc-4-chunks"]
+    op_bruteforce(_scan_problem("disc-4-chunks"), point, res)
+    assert len(calls) == 4
+    assert all(dim == 2 for _, dim in calls)
+    assert sum(p for p, _ in calls) == 1001 ** 2
 
 
 def test_scan_memory_does_not_grow_with_the_grid():
