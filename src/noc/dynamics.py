@@ -92,11 +92,14 @@ class DynamicsModel:
     u (B, m) returns (f, f_y, f_u, f_yy, f_yu, f_uu), each a new array with
     a leading batch axis. Expression models set it to one generated
     function that fills the six preallocated blocks, one element
-    expression per entry, each bit-equal to that entry's per-node callable
-    at the same arguments. Trajectory-wide derivative data
-    (``trajectory_jet`` and the cell propagators behind
-    ``integrate_variational`` and ``integrate_adjoint``) use it when
-    present and otherwise call the per-node callbacks once per point.
+    expression per entry, each equal to that entry's per-node callable at
+    the same arguments up to the rounding of powers (``_compile_blocks``).
+    Trajectory-wide derivative data (``trajectory_jet`` and the cell
+    propagators behind ``integrate_variational`` and
+    ``integrate_adjoint``) use it when present and otherwise call the
+    per-node callbacks once per point; problem validation evaluates the
+    rhs at its central-difference stencils with it, and otherwise with one
+    ``rhs`` call per point.
 
     ``rk4_cell`` (optional, set on expression models) is one classical RK4
     step on Python floats: ``rk4_cell(t, h, *y, *u)`` returns the state
@@ -126,84 +129,120 @@ class DynamicsModel:
     rebind: Callable | None = None
 
 
+_BLOCK_NAMES = ("rhs", "rhs_y", "rhs_u", "rhs_yy", "rhs_yu", "rhs_uu")
+_BLOCK_WRT = ("y", "u", "yy", "yu", "uu")     # what rhs_y .. rhs_uu differentiate by
+
+
 def _blocks_along(dyn: DynamicsModel, t, y, u, count: int = 6) -> tuple:
     """The first ``count`` of (f, f_y, f_u, f_yy, f_yu, f_uu) at a batch of
     points, each block with a leading batch axis."""
     if dyn.blocks_many is not None:
         return tuple(np.asarray(b, float) for b in dyn.blocks_many(t, y, u)[:count])
-    return _blocks_per_node(dyn, t, y, u, count)
+    return _blocks_per_node(dyn, t, y, u, _BLOCK_NAMES[:count])
 
 
-def _blocks_per_node(dyn: DynamicsModel, t, y, u, count: int = 6) -> tuple:
-    """``_blocks_along`` by one per-node callback call per point."""
-    callbacks = (dyn.rhs, dyn.rhs_y, dyn.rhs_u, dyn.rhs_yy, dyn.rhs_yu, dyn.rhs_uu)
-    return tuple(np.array([cb(ti, yi, ui) for ti, yi, ui in zip(t, y, u)], float)
-                 for cb in callbacks[:count])
+def _blocks_per_node(dyn: DynamicsModel, t, y, u, names=_BLOCK_NAMES) -> tuple:
+    """The blocks ``names`` at a batch of points by one per-node callback
+    call per point."""
+    return tuple(_per_point(getattr(dyn, name))(t, y, u) for name in names)
 
 
-def _fd_first_block(fun, t, y, u, wrt: str):
-    """Central-difference Jacobian of fun in y or u, columns indexed by the
-    perturbed coordinate."""
-    base = y if wrt == "y" else u
-    h = _fd_step(base, _FD1_SCALE)
-    cols = []
-    for i in range(base.size):
-        e = np.zeros(base.size)
-        e[i] = h
-        if wrt == "y":
-            cols.append((fun(t, y + e, u) - fun(t, y - e, u)) / (2 * h))
-        else:
-            cols.append((fun(t, y, u + e) - fun(t, y, u - e)) / (2 * h))
-    return np.stack(cols, axis=-1)
+def _per_point(fn) -> Callable:
+    """``fn`` over a leading axis of its arguments, one call per point."""
+    return lambda *args: np.array([fn(*point) for point in zip(*args)], float)
 
 
-def _fd_second_block(fun, t, y, u, wrt: str):
-    """Central second differences of fun; wrt in {"yy", "yu", "uu"}."""
-    n, m = y.size, u.size
+def _rhs_many(dyn: DynamicsModel) -> Callable:
+    """The rhs over a batch of points: f from ``blocks_many``, else one
+    ``rhs`` call per point."""
+    if dyn.blocks_many is not None:
+        return lambda t, y, u: dyn.blocks_many(t, y, u)[0]
+    return _per_point(dyn.rhs)
 
-    def at(dy, du):
-        return fun(t, y + dy, u + du)
 
-    if wrt == "yy":
-        h = _fd_step(y, _FD2_SCALE)
-        out = np.empty((fun(t, y, u).size, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                ei = np.zeros(n); ei[i] = h
-                ej = np.zeros(n); ej[j] = h
+def _unit(rows: int, size: int, i: int, h) -> np.ndarray:
+    """(rows, size) zeros with column i set to h, one step per row."""
+    e = np.zeros((rows, size))
+    e[:, i] = h
+    return e
+
+
+def _fd_block(rhs_many, t, y, u, wrt: str, quiet: bool = False) -> np.ndarray:
+    """Central differences of ``rhs_many`` at P points t (P,), y (P, n) and
+    u (P, m): the Jacobian in y or u (wrt "y", "u"), columns indexed by the
+    perturbed coordinate, or the second derivatives (wrt "yy", "yu", "uu").
+
+    Returns a (P, k, ...) array for an rhs of k components. Every stencil
+    point of every row goes into one ``rhs_many`` call, and each row's
+    quotient is formed by the same floating-point operations, in the same
+    order, as a one-point stencil at that row; with ``quiet`` those
+    operations raise no numpy warnings.
+    """
+    t = np.asarray(t, float)
+    y = np.asarray(y, float)
+    u = np.asarray(u, float)
+    P, n = y.shape
+    m = u.shape[1]
+    stencil = []    # (block indices, stencil points (y, u), denominator)
+    if len(wrt) == 1:
+        shape = (n if wrt == "y" else m,)
+        h = _fd_step(y if wrt == "y" else u, _FD1_SCALE)
+        for i in range(shape[0]):
+            e = _unit(P, shape[0], i, h)
+            stencil.append(([(i,)], [(y + e, u), (y - e, u)] if wrt == "y"
+                            else [(y, u + e), (y, u - e)], (2 * h)[:, None]))
+    elif wrt == "yu":
+        shape = (n, m)
+        hy = _fd_step(y, _FD2_SCALE)
+        hu = _fd_step(u, _FD2_SCALE)
+        for i, a in np.ndindex(n, m):
+            ei = _unit(P, n, i, hy)
+            ea = _unit(P, m, a, hu)
+            stencil.append(([(i, a)], [(y + ei, u + ea), (y + ei, u + -ea),
+                                       (y + -ei, u + ea), (y + -ei, u + -ea)],
+                            (4 * hy * hu)[:, None]))
+    else:
+        size = n if wrt == "yy" else m
+        shape = (size, size)
+        h = _fd_step(y if wrt == "yy" else u, _FD2_SCALE)
+
+        def at(d):
+            return (y + d, u + 0) if wrt == "yy" else (y + 0, u + d)
+
+        for i in range(size):
+            for j in range(i, size):
+                ei = _unit(P, size, i, h)
+                ej = _unit(P, size, j, h)
                 if i == j:
-                    val = (at(ei, 0) - 2 * at(ei * 0, 0) + at(-ei, 0)) / (h * h)
+                    stencil.append(([(i, i)], [at(ei), at(ei * 0), at(-ei)],
+                                    (h * h)[:, None]))
                 else:
-                    val = (at(ei + ej, 0) - at(ei - ej, 0)
-                           - at(-ei + ej, 0) + at(-ei - ej, 0)) / (4 * h * h)
-                out[:, i, j] = val
-                out[:, j, i] = val
-        return out
-    if wrt == "uu":
-        h = _fd_step(u, _FD2_SCALE)
-        out = np.empty((fun(t, y, u).size, m, m))
-        for a in range(m):
-            for b in range(a, m):
-                ea = np.zeros(m); ea[a] = h
-                eb = np.zeros(m); eb[b] = h
-                if a == b:
-                    val = (at(0, ea) - 2 * at(0, ea * 0) + at(0, -ea)) / (h * h)
-                else:
-                    val = (at(0, ea + eb) - at(0, ea - eb)
-                           - at(0, -ea + eb) + at(0, -ea - eb)) / (4 * h * h)
-                out[:, a, b] = val
-                out[:, b, a] = val
-        return out
-    hy = _fd_step(y, _FD2_SCALE)
-    hu = _fd_step(u, _FD2_SCALE)
-    out = np.empty((fun(t, y, u).size, n, m))
-    for i in range(n):
-        for a in range(m):
-            ei = np.zeros(n); ei[i] = hy
-            ea = np.zeros(m); ea[a] = hu
-            out[:, i, a] = (at(ei, ea) - at(ei, -ea)
-                            - at(-ei, ea) + at(-ei, -ea)) / (4 * hy * hu)
+                    stencil.append(([(i, j), (j, i)],
+                                    [at(ei + ej), at(ei - ej), at(-ei + ej), at(-ei - ej)],
+                                    (4 * h * h)[:, None]))
+    points = [point for _, pts, _ in stencil for point in pts]
+    f = rhs_many(np.tile(t, len(points)), np.concatenate([p[0] for p in points]),
+                 np.concatenate([p[1] for p in points]))
+    f = np.asarray(f, float).reshape(len(points), P, -1)
+    out = np.empty((P, f.shape[2]) + shape)
+    k = 0
+    with np.errstate(**({"all": "ignore"} if quiet else {})):
+        for indices, pts, denom in stencil:
+            val = _quotient(f[k:k + len(pts)], denom)
+            k += len(pts)
+            for index in indices:
+                out[(...,) + index] = val
     return out
+
+
+def _quotient(f, denom):
+    """The central-difference quotient of the values f at a stencil's 2
+    (first order), 3 (second, one coordinate) or 4 points (mixed second)."""
+    if len(f) == 2:
+        return (f[0] - f[1]) / denom
+    if len(f) == 3:
+        return (f[0] - 2 * f[1] + f[2]) / denom
+    return (f[0] - f[1] - f[2] + f[3]) / denom
 
 
 def dynamics_from_callbacks(state_dim: int, control_dim: int, rhs,
@@ -220,19 +259,14 @@ def dynamics_from_callbacks(state_dim: int, control_dim: int, rhs,
     def wrap(t, y, u):
         return np.asarray(rhs(t, np.asarray(y, float), np.asarray(u, float)), float)
 
-    fy = rhs_y or (lambda t, y, u: _fd_first_block(wrap, t, np.asarray(y, float),
-                                                   np.asarray(u, float), "y"))
-    fu = rhs_u or (lambda t, y, u: _fd_first_block(wrap, t, np.asarray(y, float),
-                                                   np.asarray(u, float), "u"))
-    fyy = rhs_yy or (lambda t, y, u: _fd_second_block(wrap, t, np.asarray(y, float),
-                                                      np.asarray(u, float), "yy"))
-    fyu = rhs_yu or (lambda t, y, u: _fd_second_block(wrap, t, np.asarray(y, float),
-                                                      np.asarray(u, float), "yu"))
-    fuu = rhs_uu or (lambda t, y, u: _fd_second_block(wrap, t, np.asarray(y, float),
-                                                      np.asarray(u, float), "uu"))
+    def fd(wrt):
+        many = _per_point(wrap)
+        return lambda t, y, u: _fd_block(many, [t], [y], [u], wrt)[0]
+
     return DynamicsModel(state_dim=state_dim, control_dim=control_dim, rhs=wrap,
-                         rhs_y=fy, rhs_u=fu, rhs_yy=fyy, rhs_yu=fyu, rhs_uu=fuu,
-                         supplied=supplied, label=label)
+                         rhs_y=rhs_y or fd("y"), rhs_u=rhs_u or fd("u"),
+                         rhs_yy=rhs_yy or fd("yy"), rhs_yu=rhs_yu or fd("yu"),
+                         rhs_uu=rhs_uu or fd("uu"), supplied=supplied, label=label)
 
 
 def _used_params(params, exprs) -> tuple:
@@ -336,8 +370,11 @@ def _compile_blocks(entries, names) -> Callable:
     size or scalars). The generated source assigns every entry into its
     preallocated block, one element expression each, from the same
     ``python_source`` text ``compile_expr`` evaluates, so every element is
-    bit-equal to that entry's compiled callable at the same arguments.
-    Entries that are the literal +0.0 are left to the zero fill.
+    bit-equal to that entry's compiled callable at the same arguments but
+    for powers: numpy takes an array's x ** 2 as x * x and other array
+    powers from its own vector routine, where a scalar power calls the C
+    library's pow, and the two can differ in the last bit. Entries that are
+    the literal +0.0 are left to the zero fill.
     """
     args = {name: f"a{i}" for i, name in enumerate(names)}
     lines = [f"def blocks(size, {', '.join(args.values())}):"]
@@ -445,6 +482,13 @@ class EndpointMap:
     h12[i, j] = d2 g / d y_start_i d y_end_j. Covariant corrections are the
     caller's business (see lagrange_data). ``rebind`` is as for
     DynamicsModel.
+
+    ``value_many`` (optional, set on expression maps) evaluates P point
+    pairs at once: ``value_many(y0, yT)`` with y0 and yT (P, n) returns the
+    P values, each equal to ``value`` at that pair up to the rounding of
+    array powers (see ``_compile_blocks``). Problem validation evaluates its
+    central-difference stencils with it, and otherwise with one ``value``
+    call per pair.
     """
 
     value: Callable
@@ -453,6 +497,7 @@ class EndpointMap:
     supplied: frozenset
     label: str = "endpoint"
     rebind: Callable | None = None
+    value_many: Callable | None = None
 
 
 def endpoint_map(value, grad=None, hess=None, label: str = "endpoint") -> EndpointMap:
@@ -461,47 +506,41 @@ def endpoint_map(value, grad=None, hess=None, label: str = "endpoint") -> Endpoi
     def val(y0, yT):
         return float(value(np.asarray(y0, float), np.asarray(yT, float)))
 
-    def fd_grad(y0, yT):
-        y0 = np.asarray(y0, float)
-        yT = np.asarray(yT, float)
-        h0 = _fd_step(y0, _FD1_SCALE)
-        hT = _fd_step(yT, _FD1_SCALE)
-        g1 = np.empty(y0.size)
-        g2 = np.empty(yT.size)
-        for i in range(y0.size):
-            e = np.zeros(y0.size); e[i] = h0
-            g1[i] = (val(y0 + e, yT) - val(y0 - e, yT)) / (2 * h0)
-        for i in range(yT.size):
-            e = np.zeros(yT.size); e[i] = hT
-            g2[i] = (val(y0, yT + e) - val(y0, yT - e)) / (2 * hT)
-        return g1, g2
+    def fd(order):
+        many = _per_point(val)
+        return lambda y0, yT: tuple(b[0] for b in _fd_endpoint(many, [y0], [yT], order))
 
-    def fd_hess(y0, yT):
-        y0 = np.asarray(y0, float)
-        yT = np.asarray(yT, float)
-        joint = np.concatenate([y0, yT])
-        n0 = y0.size
-        h = _fd_step(joint, _FD2_SCALE)
-
-        def at(d):
-            z = joint + d
-            return val(z[:n0], z[n0:])
-
-        dim = joint.size
-        H = np.empty((dim, dim))
-        for i in range(dim):
-            for j in range(i, dim):
-                ei = np.zeros(dim); ei[i] = h
-                ej = np.zeros(dim); ej[j] = h
-                if i == j:
-                    H[i, i] = (at(ei) - 2 * at(ei * 0) + at(-ei)) / (h * h)
-                else:
-                    H[i, j] = H[j, i] = (at(ei + ej) - at(ei - ej)
-                                         - at(-ei + ej) + at(-ei - ej)) / (4 * h * h)
-        return H[:n0, :n0], H[:n0, n0:], H[n0:, n0:]
-
-    return EndpointMap(value=val, grad=grad or fd_grad, hess=hess or fd_hess,
+    return EndpointMap(value=val, grad=grad or fd(1), hess=hess or fd(2),
                        supplied=supplied, label=label)
+
+
+def _fd_endpoint(value_many, y0, yT, order: int) -> tuple:
+    """Central differences of an endpoint scalar at P point pairs y0 (P, n0)
+    and yT (P, n1): the gradients (g_start, g_end) for ``order`` 1, the
+    Hessian blocks (h11, h12, h22) for ``order`` 2, each with the leading
+    axis P.
+
+    These are the stencils of ``_fd_block`` with y0 and yT in the places
+    of y and u, and for the Hessian the joint point (y0, yT) in the place
+    of y, with one step. Their quotients are formed as silently as on
+    Python floats.
+    """
+    y0 = np.asarray(y0, float)
+    yT = np.asarray(yT, float)
+    t = np.zeros(len(y0))
+    if order == 1:
+        def scalar(t, a, b):
+            return value_many(a, b)[:, None]
+        return tuple(_fd_block(scalar, t, y0, yT, wrt, quiet=True)[:, 0]
+                     for wrt in ("y", "u"))
+    n0 = y0.shape[1]
+
+    def joint(t, z, _):
+        return value_many(z[:, :n0], z[:, n0:])[:, None]
+
+    H = _fd_block(joint, t, np.concatenate([y0, yT], axis=1),
+                  np.empty((len(y0), 0)), "yy", quiet=True)[:, 0]
+    return H[:, :n0, :n0], H[:, :n0, n0:], H[:, n0:, n0:]
 
 
 def endpoint_from_expressions(text: str, state_dim: int,
@@ -536,9 +575,14 @@ def endpoint_from_expressions(text: str, state_dim: int,
             H = np.array([[f(*a) for f in row] for row in h_fns], float)
             return H[:n, :n], H[:n, n:], H[n:, n:]
 
+        def value_many(y0, yT):
+            y0 = np.asarray(y0, float)
+            v = fn(*y0.T, *np.asarray(yT, float).T, *pvals)
+            return np.broadcast_to(np.asarray(v, float), y0.shape[:1])
+
         return EndpointMap(value=value, grad=grad, hess=hess,
                            supplied=frozenset({"grad", "hess"}), label=label,
-                           rebind=bind if pnames else None)
+                           rebind=bind if pnames else None, value_many=value_many)
 
     return bind(params)
 
@@ -586,15 +630,16 @@ class ControlProblem:
 
 def _fd_rounding(fmax, y, u, wrt: str):
     """Worst-case rounding error of the central-difference quotient of
-    ``_fd_first_block``/``_fd_second_block`` for an rhs of magnitude fmax;
-    fmax, y and u may carry a leading axis of probe points."""
+    ``_fd_block`` for an rhs of magnitude fmax; fmax, y and u may carry a
+    leading axis of probe points."""
     scale = _FD1_SCALE if len(wrt) == 1 else _FD2_SCALE
     steps = [_fd_step(y if c == "y" else u, scale) for c in wrt]
     return 2.0 * np.finfo(float).eps * fmax / math.prod(steps)
 
 
-def _probe_points(problem: ControlProblem, probe_base, rng) -> list:
-    """20 validation points (t, y, u): t on the horizon, y near probe_base."""
+def _probe_points(problem: ControlProblem, probe_base, rng) -> tuple:
+    """20 validation points t (20,), y (20, n), u (20, m): t on the
+    horizon, y near probe_base."""
     n, m = problem.state_dim, problem.control_dim
     probes = []
     for _ in range(20):
@@ -605,87 +650,99 @@ def _probe_points(problem: ControlProblem, probe_base, rng) -> list:
                 break
         else:
             raise NocError("could not sample valid probe points near probe_base")
-        u = 0.5 * rng.standard_normal(m)
-        probes.append((t, y, u))
-    return probes
+        probes.append((t, y, 0.5 * rng.standard_normal(m)))
+    return tuple(np.array(a, float) for a in zip(*probes))
 
 
-def _probe_rhs(problem: ControlProblem, probes) -> list:
-    """The rhs at every probe point; raises unless each value is finite."""
-    values = []
-    for t, y, u in probes:
-        f = np.asarray(problem.dynamics.rhs(t, y, u), float)
-        if not np.all(np.isfinite(f)):
-            raise NocError("dynamics rhs is not finite at a validation probe point")
-        values.append(f)
-    return values
+def _probe_blocks(dyn: DynamicsModel, probes, batched: bool = False) -> tuple:
+    """The rhs and its five derivative blocks at the probes, each with the
+    probe axis: from one ``blocks_many`` call when ``batched`` and the model
+    has it, else from the per-node callbacks, the rhs at every probe first.
+    Raises unless the rhs is finite at every probe."""
+    if batched and dyn.blocks_many is not None:
+        blocks = tuple(np.asarray(b, float) for b in dyn.blocks_many(*probes))
+    else:
+        blocks = _blocks_per_node(dyn, *probes, names=_BLOCK_NAMES[:1])
+    if not np.all(np.isfinite(blocks[0])):
+        raise NocError("dynamics rhs is not finite at a validation probe point")
+    if len(blocks) == 1:
+        blocks += _blocks_per_node(dyn, *probes, names=_BLOCK_NAMES[1:])
+    return blocks
 
 
-def _validate_dynamics(problem: ControlProblem, probes, rhs_values, tol: float):
+def _row_max(a) -> np.ndarray:
+    """max |a| over all but the leading axis."""
+    return np.max(np.abs(a).reshape(len(a), -1), axis=1)
+
+
+def _validate_dynamics(problem: ControlProblem, probes, tol: float):
+    """Compare the per-node derivative callbacks at the probes with central
+    differences of the rhs, then the batched blocks with the per-node ones
+    and the float RK4 cell with ``_rk4_step``.
+
+    The callbacks are evaluated once at every probe, each block's stencils
+    in one batched rhs call; of the (probe, block) pairs that fail, the
+    first in probe-major order is reported.
+    """
     dyn = problem.dynamics
-    checks = [("rhs_y", dyn.rhs_y, "y"), ("rhs_u", dyn.rhs_u, "u"),
-              ("rhs_yy", dyn.rhs_yy, "yy"), ("rhs_yu", dyn.rhs_yu, "yu"),
-              ("rhs_uu", dyn.rhs_uu, "uu")]
-    for (t, y, u), f in zip(probes, rhs_values):
-        fmax = float(np.max(np.abs(f), initial=0.0))
-        for name, cb, wrt in checks:
-            a = np.asarray(cb(t, y, u), float)
-            fd = _fd_first_block if len(wrt) == 1 else _fd_second_block
-            b = fd(dyn.rhs, t, y, u, wrt)
-            limit = tol * (1.0 + float(np.max(np.abs(b))))
-            err = float(np.max(np.abs(a - b)))
-            if err <= limit:
-                continue
-            if not np.isfinite(err):
-                raise NocError(f"dynamics block {name} or its central differences "
-                               f"are not finite at a validation probe point")
-            rounding = _fd_rounding(fmax, y, u, wrt)
-            if rounding > limit:
-                raise NocError(
-                    f"dynamics rhs reaches {fmax:.3e} at a validation probe point, "
-                    f"too large to check {name} by central differences: their "
-                    f"rounding error (up to {rounding:.3e}) exceeds tol {limit:.3e}")
+    t, y, u = probes
+    blocks = _probe_blocks(dyn, probes)
+    rhs_many = _rhs_many(dyn)
+    fd = [_fd_block(rhs_many, t, y, u, wrt) for wrt in _BLOCK_WRT]
+    err = np.stack([_row_max(a - b) for a, b in zip(blocks[1:], fd)], axis=1)
+    limit = tol * (1.0 + np.stack([_row_max(b) for b in fd], axis=1))
+    failed = np.argwhere(~(err <= limit))
+    if failed.size:
+        p, k = failed[0]
+        name, e, lim = _BLOCK_NAMES[k + 1], float(err[p, k]), float(limit[p, k])
+        if not np.isfinite(e):
+            raise NocError(f"dynamics block {name} or its central differences "
+                           f"are not finite at a validation probe point")
+        fmax = float(np.max(np.abs(blocks[0][p]), initial=0.0))
+        rounding = _fd_rounding(fmax, y[p], u[p], _BLOCK_WRT[k])
+        if rounding > lim:
             raise NocError(
-                f"dynamics block {name} disagrees with central differences "
-                f"by {err:.3e} (tol {limit:.3e})")
+                f"dynamics rhs reaches {fmax:.3e} at a validation probe point, "
+                f"too large to check {name} by central differences: their "
+                f"rounding error (up to {rounding:.3e}) exceeds tol {lim:.3e}")
+        raise NocError(
+            f"dynamics block {name} disagrees with central differences "
+            f"by {e:.3e} (tol {lim:.3e})")
     if dyn.blocks_many is not None:
         # the batched evaluator must reproduce the (validated) per-node blocks
-        t, y, u = (np.array(a) for a in zip(*probes))
-        names = ("rhs",) + tuple(name for name, _, _ in checks)
-        for name, got, want in zip(names, dyn.blocks_many(t, y, u),
-                                   _blocks_per_node(dyn, t, y, u)):
+        for name, got, want in zip(_BLOCK_NAMES, dyn.blocks_many(t, y, u), blocks):
             if not np.allclose(got, want, rtol=1e-12, atol=1e-12):
                 raise NocError(f"batched dynamics block {name} disagrees "
                                f"with the per-node callback")
     if dyn.rk4_cell is not None:
         # the float cell must reproduce the numpy step wherever both run
         h = 0.01 * problem.horizon
-        for t, y, u in probes:
-            with np.errstate(all="ignore"):
-                want = _rk4_step(lambda s, z: dyn.rhs(s, z, u), t, y, h)
+        with np.errstate(all="ignore"):
+            want = _rk4_step(lambda s, z: rhs_many(s, z, u), t, y, h)
+        got, ran = [], []
+        for p, (tp, yp, up) in enumerate(zip(t.tolist(), y.tolist(), u.tolist())):
             try:
-                got = np.array(dyn.rk4_cell(t, h, *y.tolist(), *u.tolist()), float)
+                got.append(np.array(dyn.rk4_cell(tp, h, *yp, *up), float))
             except (ArithmeticError, ValueError, TypeError):
                 continue
-            if np.all(np.isfinite(want)) and not np.allclose(got, want, rtol=1e-12,
-                                                             atol=1e-12):
-                raise NocError("the float RK4 cell of the dynamics disagrees "
-                               "with the numpy RK4 step")
+            ran.append(p)
+        want = want[ran]
+        both = np.isfinite(want).all(axis=1)
+        if not np.all(np.isclose(np.reshape(got, want.shape)[both], want[both],
+                                 rtol=1e-12, atol=1e-12)):
+            raise NocError("the float RK4 cell of the dynamics disagrees "
+                           "with the numpy RK4 step")
 
 
-def _rounding_near_tol(problem: ControlProblem, probes, rhs_values,
-                       tol: float) -> bool:
+def _rounding_near_tol(blocks, probes, tol: float) -> bool:
     """Whether ``_validate_dynamics`` could reject, at these probes, blocks
     compiled from expressions it has accepted at other parameter values:
-    some block is not finite, or the rounding bound of its central
-    differences comes within a factor 10 of the tolerance (taken here
-    from the block itself)."""
-    dyn = problem.dynamics
-    t, y, u = (np.array(a) for a in zip(*probes))
-    blocks = (dyn.blocks_many(t, y, u) if dyn.blocks_many is not None
-              else _blocks_per_node(dyn, t, y, u))[1:]
-    fmax = np.max(np.abs(np.array(rhs_values)), axis=1, initial=0.0)
-    for block, wrt in zip(blocks, ("y", "u", "yy", "yu", "uu")):
+    of the rhs and blocks there (``_probe_blocks``), some block is not
+    finite, or the rounding bound of its central differences comes within a
+    factor 10 of the tolerance (taken here from the block itself)."""
+    _, y, u = probes
+    fmax = np.max(np.abs(blocks[0]), axis=1, initial=0.0)
+    for block, wrt in zip(blocks[1:], _BLOCK_WRT):
         if not np.all(np.isfinite(block)):
             return True
         size = np.max(np.abs(block), axis=tuple(range(1, block.ndim)), initial=0.0)
@@ -701,30 +758,41 @@ def _validate_endpoints(problem: ControlProblem, probe_base, rng, tol: float,
     are drawn for every map, so a map meets the same points either way."""
     n = problem.state_dim
     for ep in problem.endpoint_maps:
-        fd = endpoint_map(ep.value)
+        pairs = []
         for _ in range(6):
             for _ in range(40):
                 y0 = probe_base + 0.1 * rng.standard_normal(n)
                 yT = probe_base + 0.1 * rng.standard_normal(n)
                 if valid_point(problem.chart, y0) and valid_point(problem.chart, yT):
+                    pairs.append((y0, yT))
                     break
             else:
-                raise NocError("could not sample valid probe points near probe_base")
-            if only is not None and ep not in only:
-                continue
-            g1, g2 = ep.grad(y0, yT)
-            r1, r2 = fd.grad(y0, yT)
-            h = ep.hess(y0, yT)
-            rh = fd.hess(y0, yT)
-            pairs = list(zip((g1, g2, *h), (r1, r2, *rh)))
-            for a, b in pairs:
-                a = np.asarray(a, float)
-                b = np.asarray(b, float)
-                scale = 1.0 + float(np.max(np.abs(b)))
-                if np.max(np.abs(a - b)) > tol * scale:
-                    raise NocError(
-                        f"endpoint map {ep.label!r} derivative disagrees with "
-                        f"central differences by {np.max(np.abs(a - b)):.3e}")
+                break
+        if pairs and (only is None or ep in only):
+            _compare_endpoint_map(ep, pairs, tol)
+        if len(pairs) < 6:
+            raise NocError("could not sample valid probe points near probe_base")
+
+
+def _compare_endpoint_map(ep: EndpointMap, pairs, tol: float):
+    """``ep``'s gradients and Hessian blocks at each point pair against
+    central differences, whose stencils at all pairs take one batched
+    evaluation per order; of the (pair, block) entries that fail, the first
+    in pair-major order is reported."""
+    y0, yT = (np.array(a) for a in zip(*pairs))
+    many = ep.value_many or _per_point(ep.value)
+    want = _fd_endpoint(many, y0, yT, 1) + _fd_endpoint(many, y0, yT, 2)
+    got = [(*ep.grad(a, b), *ep.hess(a, b)) for a, b in pairs]
+    err, scale = [], []
+    for k, b in enumerate(want):
+        a = np.array([np.asarray(g[k], float) for g in got])
+        err.append(_row_max(a - b))
+        scale.append(1.0 + _row_max(b))
+    failed = np.argwhere(np.stack(err, axis=1) > tol * np.stack(scale, axis=1))
+    if failed.size:
+        p, k = failed[0]
+        raise NocError(f"endpoint map {ep.label!r} derivative disagrees with "
+                       f"central differences by {err[k][p]:.3e}")
 
 
 def _probe_base(chart: ManifoldChart, probe_base) -> np.ndarray:
@@ -747,7 +815,14 @@ def make_problem(chart: ManifoldChart, horizon: float, dynamics: DynamicsModel,
     ``probe_base`` (default: chart origin), then probes every derivative
     block there against independent central differences, requiring
     agreement within 1e-4 relative, the batched blocks against the
-    per-node ones, and the float ``rk4_cell`` against ``_rk4_step``.
+    per-node ones, and the float ``rk4_cell`` against ``_rk4_step``; each
+    endpoint map's gradients and Hessian blocks meet central differences
+    at 6 point pairs. The per-node callbacks are called once per probe.
+    The stencils are evaluated in batches: one ``blocks_many`` call (one
+    ``rhs`` call per point without it) holds a block's stencils at all 20
+    probes, one ``value_many`` call a map's start gradient, end gradient or
+    Hessian stencils at all its pairs, and the float-cell check is one RK4
+    step over all probes. The first failure in probe order is reported.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -763,8 +838,7 @@ def make_problem(chart: ManifoldChart, horizon: float, dynamics: DynamicsModel,
     if validate:
         base = _probe_base(chart, probe_base)
         rng = np.random.default_rng(seed)
-        probes = _probe_points(problem, base, rng)
-        _validate_dynamics(problem, probes, _probe_rhs(problem, probes), tol=1e-4)
+        _validate_dynamics(problem, _probe_points(problem, base, rng), tol=1e-4)
         _validate_endpoints(problem, base, rng, tol=1e-4)
     return problem
 
@@ -779,7 +853,8 @@ def rebind_problem(problem: ControlProblem, horizon: float, values,
     parameters and are kept. The probes are those of ``make_problem`` with
     its default seed, at this horizon and ``probe_base``: the rhs must be
     finite at each, and the endpoint maps that moved are compared with
-    central differences. The dynamics blocks are the compiled ones that
+    central differences. One ``blocks_many`` call gives the rhs and the
+    blocks at every probe. The dynamics blocks are the compiled ones that
     ``make_problem`` compared at the first values; they are compared again
     only where ``_rounding_near_tol`` finds that the comparison could turn
     out otherwise here, so a rhs too large to difference fails as it does
@@ -796,9 +871,9 @@ def rebind_problem(problem: ControlProblem, horizon: float, values,
     base = _probe_base(rebound.chart, probe_base)
     rng = np.random.default_rng(_PROBE_SEED)
     probes = _probe_points(rebound, base, rng)
-    rhs_values = _probe_rhs(rebound, probes)
-    if _rounding_near_tol(rebound, probes, rhs_values, tol=1e-4):
-        _validate_dynamics(rebound, probes, rhs_values, tol=1e-4)
+    blocks = _probe_blocks(rebound.dynamics, probes, batched=True)
+    if _rounding_near_tol(blocks, probes, tol=1e-4):
+        _validate_dynamics(rebound, probes, tol=1e-4)
     _validate_endpoints(rebound, base, rng, tol=1e-4,
                         only=tuple(ep for ep in rebound.endpoint_maps
                                    if ep.rebind is not None))

@@ -1,10 +1,11 @@
 """Deterministic report serialization.
 
 Reports are plain dicts rendered with sorted keys and repr-style float
-formatting, so identical inputs produce byte-identical files.  Wall-clock
-timing is never part of the report body; ``write_report`` stores it in a
-sibling ``<path>.timing.json`` instead, keeping the main artifact stable
-across re-runs.
+formatting, so identical inputs produce byte-identical files.  A float
+that is not finite (NaN or an infinity) is written as ``null``, so every
+report is valid JSON.  Wall-clock timing is never part of the report body;
+``write_report`` stores it in a sibling ``<path>.timing.json`` instead,
+keeping the main artifact stable across re-runs.
 """
 from __future__ import annotations
 
@@ -29,7 +30,8 @@ _MAX_DENOMINATOR = 10 ** 6
 
 
 def _plain(value):
-    """Recursively convert numpy containers into JSON-serializable data."""
+    """Recursively convert numpy containers into JSON-serializable data;
+    a non-finite float becomes None."""
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -41,7 +43,7 @@ def _plain(value):
     if isinstance(value, (np.bool_, bool)):
         return bool(value)
     if isinstance(value, (np.floating, float)):
-        return float(value)
+        return float(value) if np.isfinite(value) else None
     if isinstance(value, (np.integer, int)):
         return int(value)
     return value
@@ -85,7 +87,8 @@ def index_sets_payload(index_sets) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(_plain(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_plain(report), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def write_report(path: str, report: dict, elapsed: float | None = None):

@@ -179,6 +179,24 @@ def test_grid_search_skips_non_finite_costs(tmp_path, capsys):
     assert "found no feasible sample at" not in out
 
 
+def test_an_empty_grid_search_writes_a_valid_json_report(tmp_path, capsys):
+    # the empty search has no best value and an overflowed slack: both
+    # are written as null, not as the NaN and Infinity that JSON lacks
+    text = ("noc 1\nkind op\ndim 1\ndomain {\n  box -1.0 1.0\n}\n"
+            "point 0.005\ncost x1 + exp(1e8*(x1 - 0.005)^2)\nresolution 0.01\n")
+    report = tmp_path / "empty.json"
+    assert _check([_write(tmp_path, "empty.noc", text), "--report", str(report)]) == 3
+    assert "grid search: empty (best nan, slack inf)" in capsys.readouterr().out
+
+    def refuse(name):
+        raise AssertionError(f"report holds {name}")
+
+    grid = json.loads(report.read_text(), parse_constant=refuse)["grid_search"]
+    assert grid["verdict"] == "empty"
+    assert grid["best_value"] is None and grid["slack"] is None
+    assert grid["reference_value"] == 1.005
+
+
 def test_non_finite_grid_slack_is_inconclusive_not_nan(tmp_path, capsys):
     # no sampled gradient of the cost is finite on the disc's bounding box:
     # the slack behind the grid verdict would be NaN, and NaN is not JSON
