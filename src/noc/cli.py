@@ -8,12 +8,11 @@ Subcommands:
   they are refuted, 4 when no verdict can be certified, 2 on input errors.
 * ``sweep <file> --param NAME=START:STOP:COUNT|v1,v2,... [--out t.csv]``
   re-runs the check over a parameter grid and emits a CSV of verdicts and
-  quadratic-form values. A control problem is parsed, compiled and its
-  derivative blocks probed once, at the first cell that builds; every
-  cell rebinds the param values and horizon, re-validates the file and
-  probes again what its values can change (see ``rebind_problem``), so a
-  cell's row does not depend on its place. ``check`` is a sweep of one
-  cell.
+  quadratic-form values. A control problem is parsed, compiled and
+  validated once, at the first cell that builds; every cell rebinds the
+  param values and horizon, re-validates the file and repeats the checks
+  its values can change (see ``rebind_problem``), so a cell's row does not
+  depend on its place. ``check`` is a sweep of one cell.
 * ``oracle cone <set> <u> <v> [<w>]`` queries first/second-order cone
   membership for a convex set described inline.
 

@@ -97,9 +97,13 @@ class DynamicsModel:
     Trajectory-wide derivative data (``trajectory_jet`` and the cell
     propagators behind ``integrate_variational`` and
     ``integrate_adjoint``) use it when present and otherwise call the
-    per-node callbacks once per point; problem validation evaluates the
-    rhs at its central-difference stencils with it, and otherwise with one
-    ``rhs`` call per point.
+    per-node callbacks once per point. ``make_problem`` checks it against
+    the per-node callbacks, and ``rebind_problem`` takes the rhs and the
+    blocks at all its probes from one call of it.
+
+    ``supplied`` names the hand-written derivative callbacks ("rhs_y" ..
+    "rhs_uu"); problem validation compares exactly these with central
+    differences. Expression models name none: their blocks are exact.
 
     ``rk4_cell`` (optional, set on expression models) is one classical RK4
     step on Python floats: ``rk4_cell(t, h, *y, *u)`` returns the state
@@ -347,8 +351,7 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
             state_dim=n, control_dim=m, rhs=rhs,
             rhs_y=block1(fy_fn, n, n), rhs_u=block1(fu_fn, n, m),
             rhs_yy=block2(fyy_fn, n, n, n), rhs_yu=block2(fyu_fn, n, n, m),
-            rhs_uu=block2(fuu_fn, n, m, m),
-            supplied=frozenset({"rhs_y", "rhs_u", "rhs_yy", "rhs_yu", "rhs_uu"}),
+            rhs_uu=block2(fuu_fn, n, m, m), supplied=frozenset(),
             label=label, blocks_many=blocks_many,
             rk4_cell=partial(float_cell, *pvals) if pvals else float_cell,
             rebind=bind if pnames else None)
@@ -483,12 +486,9 @@ class EndpointMap:
     caller's business (see lagrange_data). ``rebind`` is as for
     DynamicsModel.
 
-    ``value_many`` (optional, set on expression maps) evaluates P point
-    pairs at once: ``value_many(y0, yT)`` with y0 and yT (P, n) returns the
-    P values, each equal to ``value`` at that pair up to the rounding of
-    array powers (see ``_compile_blocks``). Problem validation evaluates its
-    central-difference stencils with it, and otherwise with one ``value``
-    call per pair.
+    ``supplied`` names the hand-written derivative callbacks ("grad",
+    "hess"); problem validation compares exactly these with central
+    differences. Expression maps name none: their derivatives are exact.
     """
 
     value: Callable
@@ -497,7 +497,6 @@ class EndpointMap:
     supplied: frozenset
     label: str = "endpoint"
     rebind: Callable | None = None
-    value_many: Callable | None = None
 
 
 def endpoint_map(value, grad=None, hess=None, label: str = "endpoint") -> EndpointMap:
@@ -575,14 +574,9 @@ def endpoint_from_expressions(text: str, state_dim: int,
             H = np.array([[f(*a) for f in row] for row in h_fns], float)
             return H[:n, :n], H[:n, n:], H[n:, n:]
 
-        def value_many(y0, yT):
-            y0 = np.asarray(y0, float)
-            v = fn(*y0.T, *np.asarray(yT, float).T, *pvals)
-            return np.broadcast_to(np.asarray(v, float), y0.shape[:1])
-
         return EndpointMap(value=value, grad=grad, hess=hess,
-                           supplied=frozenset({"grad", "hess"}), label=label,
-                           rebind=bind if pnames else None, value_many=value_many)
+                           supplied=frozenset(), label=label,
+                           rebind=bind if pnames else None)
 
     return bind(params)
 
@@ -675,41 +669,64 @@ def _row_max(a) -> np.ndarray:
     return np.max(np.abs(a).reshape(len(a), -1), axis=1)
 
 
-def _validate_dynamics(problem: ControlProblem, probes, tol: float):
-    """Compare the per-node derivative callbacks at the probes with central
-    differences of the rhs, then the batched blocks with the per-node ones
-    and the float RK4 cell with ``_rk4_step``.
-
-    The callbacks are evaluated once at every probe, each block's stencils
-    in one batched rhs call; of the (probe, block) pairs that fail, the
-    first in probe-major order is reported.
-    """
-    dyn = problem.dynamics
-    t, y, u = probes
-    blocks = _probe_blocks(dyn, probes)
-    rhs_many = _rhs_many(dyn)
-    fd = [_fd_block(rhs_many, t, y, u, wrt) for wrt in _BLOCK_WRT]
-    err = np.stack([_row_max(a - b) for a, b in zip(blocks[1:], fd)], axis=1)
-    limit = tol * (1.0 + np.stack([_row_max(b) for b in fd], axis=1))
+def _first_failure(got, want, tol: float):
+    """(point, block, error, limit) of the first entry, in point-major
+    order, where a block ``got[k]`` (leading axis: points) is not finite or
+    differs from its central differences ``want[k]``, unless None, by more
+    than tol relative; or None."""
+    err = np.stack([_row_max(a - b) if b is not None else
+                    np.where(np.isfinite(a).reshape(len(a), -1).all(axis=1), 0.0, np.inf)
+                    for a, b in zip(got, want)], axis=1)
+    limit = tol * (1.0 + np.stack([_row_max(b) if b is not None else np.zeros(len(a))
+                                   for a, b in zip(got, want)], axis=1))
     failed = np.argwhere(~(err <= limit))
     if failed.size:
         p, k = failed[0]
-        name, e, lim = _BLOCK_NAMES[k + 1], float(err[p, k]), float(limit[p, k])
-        if not np.isfinite(e):
-            raise NocError(f"dynamics block {name} or its central differences "
-                           f"are not finite at a validation probe point")
-        fmax = float(np.max(np.abs(blocks[0][p]), initial=0.0))
-        rounding = _fd_rounding(fmax, y[p], u[p], _BLOCK_WRT[k])
-        if rounding > lim:
-            raise NocError(
-                f"dynamics rhs reaches {fmax:.3e} at a validation probe point, "
-                f"too large to check {name} by central differences: their "
-                f"rounding error (up to {rounding:.3e}) exceeds tol {lim:.3e}")
+        return p, k, float(err[p, k]), float(limit[p, k])
+    return None
+
+
+def _check_blocks(dyn: DynamicsModel, probes, blocks, tol: float):
+    """Require the blocks at the probes (from ``_probe_blocks``) to be
+    finite and the hand-written ones to agree with central differences,
+    the stencils of a block at all probes in one batched rhs call."""
+    t, y, u = probes
+    rhs_many = _rhs_many(dyn)
+    want = [_fd_block(rhs_many, t, y, u, wrt) if name in dyn.supplied else None
+            for name, wrt in zip(_BLOCK_NAMES[1:], _BLOCK_WRT)]
+    failure = _first_failure(blocks[1:], want, tol)
+    if failure is None:
+        return
+    p, k, e, lim = failure
+    name = _BLOCK_NAMES[k + 1]
+    if want[k] is None:
+        raise NocError(f"dynamics block {name} is not finite at a validation "
+                       f"probe point")
+    if not np.isfinite(e):
+        raise NocError(f"dynamics block {name} or its central differences "
+                       f"are not finite at a validation probe point")
+    fmax = float(np.max(np.abs(blocks[0][p]), initial=0.0))
+    rounding = _fd_rounding(fmax, y[p], u[p], _BLOCK_WRT[k])
+    if rounding > lim:
         raise NocError(
-            f"dynamics block {name} disagrees with central differences "
-            f"by {e:.3e} (tol {lim:.3e})")
+            f"dynamics rhs reaches {fmax:.3e} at a validation probe point, "
+            f"too large to check {name} by central differences: their "
+            f"rounding error (up to {rounding:.3e}) exceeds tol {lim:.3e}")
+    raise NocError(
+        f"dynamics block {name} disagrees with central differences "
+        f"by {e:.3e} (tol {lim:.3e})")
+
+
+def _validate_dynamics(problem: ControlProblem, probes, tol: float):
+    """Check the per-node blocks at the probes (``_check_blocks``), then
+    the generated code against them: the batched blocks, and the float RK4
+    cell against ``_rk4_step``."""
+    dyn = problem.dynamics
+    t, y, u = probes
+    blocks = _probe_blocks(dyn, probes)
+    _check_blocks(dyn, probes, blocks, tol)
     if dyn.blocks_many is not None:
-        # the batched evaluator must reproduce the (validated) per-node blocks
+        # the batched evaluator must reproduce the (checked) per-node blocks
         for name, got, want in zip(_BLOCK_NAMES, dyn.blocks_many(t, y, u), blocks):
             if not np.allclose(got, want, rtol=1e-12, atol=1e-12):
                 raise NocError(f"batched dynamics block {name} disagrees "
@@ -717,6 +734,7 @@ def _validate_dynamics(problem: ControlProblem, probes, tol: float):
     if dyn.rk4_cell is not None:
         # the float cell must reproduce the numpy step wherever both run
         h = 0.01 * problem.horizon
+        rhs_many = _rhs_many(dyn)
         with np.errstate(all="ignore"):
             want = _rk4_step(lambda s, z: rhs_many(s, z, u), t, y, h)
         got, ran = [], []
@@ -734,28 +752,11 @@ def _validate_dynamics(problem: ControlProblem, probes, tol: float):
                            "with the numpy RK4 step")
 
 
-def _rounding_near_tol(blocks, probes, tol: float) -> bool:
-    """Whether ``_validate_dynamics`` could reject, at these probes, blocks
-    compiled from expressions it has accepted at other parameter values:
-    of the rhs and blocks there (``_probe_blocks``), some block is not
-    finite, or the rounding bound of its central differences comes within a
-    factor 10 of the tolerance (taken here from the block itself)."""
-    _, y, u = probes
-    fmax = np.max(np.abs(blocks[0]), axis=1, initial=0.0)
-    for block, wrt in zip(blocks[1:], _BLOCK_WRT):
-        if not np.all(np.isfinite(block)):
-            return True
-        size = np.max(np.abs(block), axis=tuple(range(1, block.ndim)), initial=0.0)
-        if np.any(10.0 * _fd_rounding(fmax, y, u, wrt) > tol * (1.0 + size)):
-            return True
-    return False
-
-
 def _validate_endpoints(problem: ControlProblem, probe_base, rng, tol: float,
                         only=None):
-    """Compare every endpoint map's derivatives with central differences at
-    6 point pairs near probe_base, or only the maps in ``only``; the points
-    are drawn for every map, so a map meets the same points either way."""
+    """Check every endpoint map at 6 point pairs near probe_base, or only
+    the maps in ``only``; the points are drawn for every map, so a map
+    meets the same points either way."""
     n = problem.state_dim
     for ep in problem.endpoint_maps:
         pairs = []
@@ -775,24 +776,29 @@ def _validate_endpoints(problem: ControlProblem, probe_base, rng, tol: float,
 
 
 def _compare_endpoint_map(ep: EndpointMap, pairs, tol: float):
-    """``ep``'s gradients and Hessian blocks at each point pair against
-    central differences, whose stencils at all pairs take one batched
-    evaluation per order; of the (pair, block) entries that fail, the first
-    in pair-major order is reported."""
+    """Require ``ep``'s value, gradients and Hessian blocks to be finite at
+    each point pair and the hand-written ones to agree with central
+    differences; the first failure in pair order is reported."""
     y0, yT = (np.array(a) for a in zip(*pairs))
-    many = ep.value_many or _per_point(ep.value)
-    want = _fd_endpoint(many, y0, yT, 1) + _fd_endpoint(many, y0, yT, 2)
-    got = [(*ep.grad(a, b), *ep.hess(a, b)) for a, b in pairs]
-    err, scale = [], []
-    for k, b in enumerate(want):
-        a = np.array([np.asarray(g[k], float) for g in got])
-        err.append(_row_max(a - b))
-        scale.append(1.0 + _row_max(b))
-    failed = np.argwhere(np.stack(err, axis=1) > tol * np.stack(scale, axis=1))
-    if failed.size:
-        p, k = failed[0]
-        raise NocError(f"endpoint map {ep.label!r} derivative disagrees with "
-                       f"central differences by {err[k][p]:.3e}")
+    many = _per_point(ep.value)
+    want = ((None,)
+            + (_fd_endpoint(many, y0, yT, 1) if "grad" in ep.supplied else (None,) * 2)
+            + (_fd_endpoint(many, y0, yT, 2) if "hess" in ep.supplied else (None,) * 3))
+    parts = [(ep.value(a, b), *ep.grad(a, b), *ep.hess(a, b)) for a, b in pairs]
+    got = [np.array([np.asarray(part[k], float) for part in parts])
+           for k in range(len(want))]
+    failure = _first_failure(got, want, tol)
+    if failure is None:
+        return
+    _, k, e, _ = failure
+    if want[k] is None:
+        raise NocError(f"endpoint map {ep.label!r} is not finite at a "
+                       f"validation point pair")
+    if not np.isfinite(e):
+        raise NocError(f"endpoint map {ep.label!r} derivative or its central "
+                       f"differences are not finite at a validation point pair")
+    raise NocError(f"endpoint map {ep.label!r} derivative disagrees with "
+                   f"central differences by {e:.3e}")
 
 
 def _probe_base(chart: ManifoldChart, probe_base) -> np.ndarray:
@@ -811,18 +817,15 @@ def make_problem(chart: ManifoldChart, horizon: float, dynamics: DynamicsModel,
                  seed: int = _PROBE_SEED) -> ControlProblem:
     """Assemble and (by default) validate a ControlProblem.
 
-    Validation requires a finite rhs at 20 random points near
-    ``probe_base`` (default: chart origin), then probes every derivative
-    block there against independent central differences, requiring
-    agreement within 1e-4 relative, the batched blocks against the
-    per-node ones, and the float ``rk4_cell`` against ``_rk4_step``; each
-    endpoint map's gradients and Hessian blocks meet central differences
-    at 6 point pairs. The per-node callbacks are called once per probe.
-    The stencils are evaluated in batches: one ``blocks_many`` call (one
-    ``rhs`` call per point without it) holds a block's stencils at all 20
-    probes, one ``value_many`` call a map's start gradient, end gradient or
-    Hessian stencils at all its pairs, and the float-cell check is one RK4
-    step over all probes. The first failure in probe order is reported.
+    Validation requires the rhs and its five derivative blocks to be
+    finite at 20 random probe points near ``probe_base`` (default: chart
+    origin), and the hand-written blocks (``DynamicsModel.supplied``) to
+    agree there with central differences within 1e-4 relative. Generated
+    code is checked against the per-node path: the batched blocks, and the
+    float ``rk4_cell`` against ``_rk4_step``. Each endpoint map's value,
+    gradients and Hessian blocks must be finite at 6 point pairs, where its
+    hand-written derivatives meet central differences likewise. The first
+    failure in probe order is reported.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -850,15 +853,11 @@ def rebind_problem(problem: ControlProblem, horizon: float, values,
 
     ``values`` maps parameter names to values. The dynamics and endpoint
     maps that carry ``rebind`` move to them; the others do not depend on
-    parameters and are kept. The probes are those of ``make_problem`` with
-    its default seed, at this horizon and ``probe_base``: the rhs must be
-    finite at each, and the endpoint maps that moved are compared with
-    central differences. One ``blocks_many`` call gives the rhs and the
-    blocks at every probe. The dynamics blocks are the compiled ones that
-    ``make_problem`` compared at the first values; they are compared again
-    only where ``_rounding_near_tol`` finds that the comparison could turn
-    out otherwise here, so a rhs too large to difference fails as it does
-    in ``make_problem``.
+    parameters and are kept. The checks are those of ``make_problem``, at
+    its probes and point pairs for its default seed, this horizon and
+    ``probe_base``, but for the generated code, which ``problem`` shares:
+    the rhs and the blocks come from one ``blocks_many`` call, and only
+    the endpoint maps that moved are checked.
     """
     def moved(part):
         return part if part.rebind is None else part.rebind(values)
@@ -871,9 +870,8 @@ def rebind_problem(problem: ControlProblem, horizon: float, values,
     base = _probe_base(rebound.chart, probe_base)
     rng = np.random.default_rng(_PROBE_SEED)
     probes = _probe_points(rebound, base, rng)
-    blocks = _probe_blocks(rebound.dynamics, probes, batched=True)
-    if _rounding_near_tol(blocks, probes, tol=1e-4):
-        _validate_dynamics(rebound, probes, tol=1e-4)
+    _check_blocks(rebound.dynamics, probes,
+                  _probe_blocks(rebound.dynamics, probes, batched=True), tol=1e-4)
     _validate_endpoints(rebound, base, rng, tol=1e-4,
                         only=tuple(ep for ep in rebound.endpoint_maps
                                    if ep.rebind is not None))

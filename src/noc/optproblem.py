@@ -833,8 +833,8 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
     _require_in_domain(problem, e)
     if problem.dim > 3:
         raise ValueError("the grid oracle is limited to three dimensions")
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     lo, hi = _bounding_box(problem.domain)
     axes = _lattice_axes(lo, hi, resolution)
     rng = np.random.default_rng(seed)

@@ -658,15 +658,15 @@ def _checked_set(spec: tuple, where: str):
 
 
 def _validate_numbers(pf: ProblemFile):
-    """Parameters, the horizon and tolerances must be finite; tolerances
-    must also be positive."""
+    """Parameters, the horizon, the resolution and tolerances must be
+    finite; tolerances must also be positive."""
     for name, value in pf.params:
         if not math.isfinite(value):
             raise ProblemFileError(
                 f"param {name}: value must be finite, got {value!r}")
-    if pf.horizon is not None and not math.isfinite(pf.horizon):
-        raise ProblemFileError(
-            f"grid: horizon must be finite, got {pf.horizon!r}")
+    for what, value in (("grid: horizon", pf.horizon), ("resolution", pf.resolution)):
+        if value is not None and not math.isfinite(value):
+            raise ProblemFileError(f"{what} must be finite, got {value!r}")
     for key, value in pf.tolerances:
         if not math.isfinite(value):
             raise ProblemFileError(
@@ -926,11 +926,11 @@ class ControlModel:
 
     The first ``problem`` call parses, differentiates and compiles each
     expression with the params and ``T`` as arguments, and ``make_problem``
-    probes the derivative blocks at that file's values.  Later calls take a
-    file that differs from the first only in those values and rebind them
-    (``rebind_problem``): nothing is parsed or compiled, and only what the
-    values can change is probed again, so each call fails or passes as a
-    fresh build of its file would.
+    validates it at that file's values.  Later calls take a file that
+    differs from the first only in those values and rebind them
+    (``rebind_problem``): nothing is parsed or compiled, and the checks
+    that the values can change run again, so each call fails or passes as
+    a fresh build of its file would.
     """
 
     def __init__(self):

@@ -9,6 +9,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,19 +262,46 @@ def test_non_finite_overrides_exit_2_with_one_line(capsys):
 
 
 def test_bad_magnitude_overrides_exit_2_with_one_line(capsys):
-    # theta=1e300 makes the rhs ~1e299: its central differences are lost to
-    # rounding, which is the cause to report, not a derivative mismatch;
     # T=1e300 overflows the state in the first cell, and the overflow
     # warning is folded into the error line instead of printed before it
-    for flags, fragments in ((["--set", "theta=1e300"],
-                              ("rhs reaches", "rounding error")),
-                             (["--set", "T=1e300"],
-                              ("state became non-finite", "overflow"))):
-        assert _check(["preset:ccs126"] + flags) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert all(fragment in err for fragment in fragments), err
-        assert "disagrees" not in err
+    assert _check(["preset:ccs126", "--set", "T=1e300"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "state became non-finite" in err and "overflow" in err, err
+
+
+def _theta_check(tmp_path, theta: str):
+    """(exit code, chosen_lhs) of ccs126 at this theta and 100 cells."""
+    report = str(tmp_path / "theta.json")
+    code = _check(["preset:ccs126", "--grid", "100", "--set", f"theta={theta}",
+                   "--report", report])
+    with open(report) as fh:
+        return code, json.load(fh)["second_order"]["chosen_lhs"]
+
+
+@pytest.mark.parametrize("theta", ["1e5", "1e6", "1e300"])
+def test_large_theta_is_refuted_with_the_exact_form_value(tmp_path, capsys, theta):
+    # the ccs126 blocks are exact at any theta, so a large rhs is no reason
+    # to stop; the chosen form value lies (theta - 3)/2 above theta = 3's
+    code, lhs = _theta_check(tmp_path, theta)
+    _, base = _theta_check(tmp_path, "3")
+    capsys.readouterr()
+    assert code == 3
+    assert lhs - base == pytest.approx((float(theta) - 3.0) / 2.0, rel=1e-9)
+
+
+def test_a_non_finite_endpoint_map_exits_2_with_one_line(tmp_path, capsys):
+    text = (Path(__file__).resolve().parent.parent / "docs" / "conformance"
+            / "valid" / "ccs126.noc").read_text()
+    # probed near the origin, the cost is NaN at pairs with a negative coordinate
+    text = text.replace("start 1.0 0.0", "start 0.0 0.0")
+    text = text.replace("cost yT2", "cost sqrt(yT1) + log(y01)")
+    assert "start 0.0 0.0" in text and "cost sqrt" in text
+    path = _write(tmp_path, "nan-cost.noc", text)
+    assert _check([path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "endpoint map 'cost' is not finite" in err, err
 
 
 _BLOWUP = """\
@@ -547,26 +575,24 @@ def test_sweep_compiles_once_and_each_cell_matches_a_check(
 
 
 @pytest.mark.parametrize("thetas", ["3,1e300,1e6", "1e6,1e300,3"])
-def test_sweep_cells_do_not_depend_on_cell_order(capsys, thetas):
-    # the rhs of theta = 1e300 is too large to difference and that of
-    # theta = 1e6 is large enough to lose rhs_yy to rounding: a sweep cell
-    # fails with check's message whether it is compiled or rebound
+def test_sweep_cells_do_not_depend_on_cell_order(tmp_path, capsys, thetas):
+    # each row equals its own check, whether its cell is compiled or
+    # rebound, and the large thetas lie (theta - 3)/2 above theta = 3
     import csv
 
-    main(["sweep", "preset:ccs126", "--grid", "100", "--param",
-          f"theta={thetas}"])
+    assert main(["sweep", "preset:ccs126", "--grid", "100", "--param",
+                 f"theta={thetas}"]) == 0
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
     assert len(rows) == 3
-    for theta, verdict, lhs, notes in rows:
-        code = _check(["preset:ccs126", "--grid", "100", "--set",
-                       f"theta={theta}"])
-        err = capsys.readouterr().err
-        if float(theta) == 3.0:
-            assert (code, verdict, notes) == (3, "refuted", "")
-        else:
-            assert (code, verdict, lhs) == (2, "error", "")
-            assert err == f"error: {notes}\n"
-            assert "rounding error" in notes
+    lhs = {}
+    for theta, verdict, value, notes in rows:
+        code, want = _theta_check(tmp_path, theta)
+        capsys.readouterr()
+        assert (code, verdict, notes) == (3, "refuted", "")
+        assert float(value) == want
+        lhs[float(theta)] = want
+    for theta in (1e6, 1e300):
+        assert lhs[theta] - lhs[3.0] == pytest.approx((theta - 3.0) / 2.0, rel=1e-9)
 
 
 def test_sweep_single_point_emits_one_row(capsys):

@@ -394,6 +394,13 @@ def test_grid_oracle_agrees_with_multiplier_verdicts():
     assert abs(abs(bp.best_point[0]) - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("resolution", [0.0, -1.0, np.nan, np.inf])
+def test_grid_oracle_rejects_a_resolution_that_is_not_positive_and_finite(resolution):
+    # an infinite resolution would sample no point and pass as an empty search
+    with pytest.raises(ValueError, match="resolution must be positive and finite"):
+        op_bruteforce(_disc_problem(), DISC_POINT, resolution)
+
+
 def test_grid_oracle_confirms_ball3_instance():
     bf = op_bruteforce(_ball3_problem(), [0.0, 0.0, -1.0], 2e-2)
     assert bf.verdict == "confirmed"

@@ -1,22 +1,28 @@
-"""Problem validation: the batched central-difference stencils of
-``make_problem`` and ``rebind_problem``.
+"""Problem validation in ``make_problem`` and ``rebind_problem``.
 
-The references below are the one-point stencils and the probe-by-probe
+Only hand-written derivatives (``supplied``) meet central differences;
+expression models and maps are exact, so validation only requires their
+values and blocks to be finite and checks their generated code. The
+references below are the one-point stencils and the probe-by-probe
 validation loop written out per point; the batched stencils must equal
-them bit for bit, and a rejected problem must carry the message the loop
-gives. (A batched expression rounds an array power as numpy does, which can
-differ in the last bit from the scalar power of a per-point call; the
-stencil points of the models here meet no such difference.)
+them bit for bit, and a rejected callback problem must carry the message
+the loop gives. (A batched expression rounds an array power as numpy does,
+which can differ in the last bit from the scalar power of a per-point call;
+the stencil points of the models here meet no such difference.) The old
+comparison of the shipped expression models with central differences is
+kept as a test of their blocks.
 """
 from __future__ import annotations
 
 import collections
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noc.dynamics
 from noc.dynamics import (_fd_block, _fd_endpoint, _fd_rounding, _FD1_SCALE,
                           _FD2_SCALE, _fd_step, _per_point, _probe_base,
                           _probe_points, _rhs_many, builtin_dynamics,
@@ -26,7 +32,7 @@ from noc.dynamics import (_fd_block, _fd_endpoint, _fd_rounding, _FD1_SCALE,
 from noc.errors import NocError
 from noc.geometry import euclidean, sphere, valid_point
 from noc.presets import load_preset
-from noc.problemfile import build_control_problem
+from noc.problemfile import build_control_problem, parse_problem_file
 
 from _problems import linear_endpoint
 
@@ -242,31 +248,24 @@ def test_dynamics_stencils_equal_the_per_point_loop(name):
                                               ref_block(dyn.rhs, float(tp), yp, up, wrt))
 
 
-def _endpoint_maps():
-    expression = endpoint_from_expressions("yT2 + y01^2*sin(yT1) - c*exp(y02*yT2)",
-                                           2, label="expression", params={"c": 0.5})
-
-    def value(y0, yT):
-        return math.cos(y0[0] * yT[1]) + yT[0] ** 3 - y0[1] * yT[1]
-
-    return expression, endpoint_map(value, label="callback")
-
-
 def test_endpoint_stencils_equal_the_per_point_loop():
     rng = np.random.default_rng(3)
     y0 = 0.3 * rng.standard_normal((6, 2))
     yT = 0.3 * rng.standard_normal((6, 2))
-    expression, callback = _endpoint_maps()
-    assert expression.value_many is not None and callback.value_many is None
-    for ep in (expression, callback):
-        many = ep.value_many or _per_point(ep.value)
-        grads = _fd_endpoint(many, y0, yT, 1)
-        hessians = _fd_endpoint(many, y0, yT, 2)
-        for p in range(6):
-            want = (*ref_endpoint_grad(ep.value, y0[p], yT[p]),
-                    *ref_endpoint_hess(ep.value, y0[p], yT[p]))
-            for got, ref in zip(grads + hessians, want):
-                np.testing.assert_array_equal(got[p], ref)
+
+    def value(y0, yT):
+        return math.cos(y0[0] * yT[1]) + yT[0] ** 3 - y0[1] * yT[1]
+
+    callback = endpoint_map(value, label="callback")
+    assert callback.supplied == frozenset()
+    many = _per_point(callback.value)
+    grads = _fd_endpoint(many, y0, yT, 1)
+    hessians = _fd_endpoint(many, y0, yT, 2)
+    for p in range(6):
+        want = (*ref_endpoint_grad(callback.value, y0[p], yT[p]),
+                *ref_endpoint_hess(callback.value, y0[p], yT[p]))
+        for got, ref in zip(grads + hessians, want):
+            np.testing.assert_array_equal(got[p], ref)
     # the callback map's own fallbacks are the same stencils at one pair
     for p in range(6):
         np.testing.assert_array_equal(
@@ -323,6 +322,82 @@ def test_a_wrong_endpoint_gradient_fails_as_the_per_point_loop_does():
     assert str(err.value) == message
 
 
+def test_a_non_finite_endpoint_map_is_rejected_naming_it():
+    # NaN at the pairs with a negative coordinate; the map is exact, so
+    # nothing is differenced, and the finite check catches it
+    dyn = builtin_dynamics("linear", a=np.zeros((2, 2)), b=np.eye(2))
+    cost = endpoint_from_expressions("sqrt(yT1) + log(y01)", 2, label="cost")
+    with np.errstate(invalid="ignore"), pytest.raises(NocError) as err:
+        make_problem(euclidean(2), 1.0, dyn, cost)
+    assert str(err.value) == ("endpoint map 'cost' is not finite at a "
+                              "validation point pair")
+
+
+def test_a_non_finite_hand_written_gradient_is_rejected():
+    # a NaN difference passes an ``err > limit`` test; the comparison must
+    # fail unless ``err <= limit``
+    cost = endpoint_map(lambda y0, yT: float(yT[0]),
+                        grad=lambda y0, yT: (np.zeros(2), np.array([1.0, np.nan])),
+                        label="cost")
+    dyn = builtin_dynamics("linear", a=np.zeros((2, 2)), b=np.eye(2))
+    with pytest.raises(NocError, match="'cost' derivative or its central "
+                                       "differences are not finite"):
+        make_problem(euclidean(2), 1.0, dyn, cost)
+
+
+def test_expression_problems_are_never_differenced(monkeypatch):
+    calls = collections.Counter()
+    for name in ("_fd_block", "_fd_endpoint"):
+        def counted(*args, _name=name, _fn=getattr(noc.dynamics, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(noc.dynamics, name, counted)
+    build_control_problem(load_preset("ccs126"))
+    make_problem(sphere(1.0), 0.5, dynamics_from_expressions(("u1", "1 + y1^2"), 2, 1),
+                 endpoint_from_expressions("yT2 + k*y01^2", 2, params={"k": 2.0}))
+    assert calls == {}
+    # hand-written parts still are: five blocks, and two endpoint orders
+    # whose three stencils go through _fd_block as well
+    make_problem(euclidean(2), 1.0,
+                 builtin_dynamics("linear", a=np.zeros((2, 2)), b=np.eye(2)),
+                 linear_endpoint((1.0, 0.0), (0.0, 0.0)))
+    assert calls == {"_fd_block": 5 + 3, "_fd_endpoint": 2}
+
+
+def _shipped_control_files():
+    valid = Path(__file__).resolve().parent.parent / "docs" / "conformance" / "valid"
+    files = {f"preset-{name}": load_preset(name) for name in ("ccs126", "linear-lq-euclid")}
+    for path in sorted(valid.glob("*.noc")):
+        pf = parse_problem_file(path.read_text())
+        if pf.kind != "op":
+            files[path.stem] = pf
+    return files
+
+
+SHIPPED = _shipped_control_files()
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_expression_models_agree_with_central_differences(name):
+    # the comparison make_problem ran before expression blocks were taken
+    # as exact: every block within 1e-4 relative of central differences at
+    # the make_problem probes, and every endpoint map at its point pairs
+    pf = SHIPPED[name]
+    problem = build_control_problem(pf)
+    dyn = problem.dynamics
+    assert dyn.supplied == frozenset() and dyn.blocks_many is not None
+    base = np.array(pf.start + ((0.0,) if pf.kind == "ocpe" else ()))
+    rng = np.random.default_rng(0)
+    t, y, u = _probe_points(problem, base, rng)
+    for block, wrt in zip(NAMES, WRT):
+        got = np.array([getattr(dyn, block)(float(tp), yp, up)
+                        for tp, yp, up in zip(t, y, u)])
+        fd = _fd_block(_rhs_many(dyn), t, y, u, wrt)
+        for a, b in zip(got, fd):
+            assert np.max(np.abs(a - b)) <= 1e-4 * (1.0 + np.max(np.abs(b))), block
+    assert ref_endpoint_failure(problem, base, rng) is None
+
+
 # ----------------------------------------------------------------------------
 # batched evaluations per validation
 # ----------------------------------------------------------------------------
@@ -346,18 +421,21 @@ def test_validation_evaluates_its_stencils_in_batches():
     counts = collections.Counter()
     dyn = _counted(dynamics_from_expressions(("u1", "k + y1^2"), 2, 1,
                                              params={"k": 1.0}),
-                   counts, ("rhs", "blocks_many"))
+                   counts, ("blocks_many",) + ("rhs",) + NAMES)
     maps = [_counted(endpoint_from_expressions(text, 2, label=text, params={"k": 1.0}),
-                     counts, ("value", "value_many"))
+                     counts, ("value", "grad", "hess"))
             for text in ("yT2", "y01", "k*y02")]
     problem = make_problem(sphere(1.0), 0.5, dyn, maps[0],
                            equality_maps=maps[1:])
-    # the rhs once per probe; each block's stencils in one call, the
-    # float-cell check as one RK4 step over all probes (four stages), and
-    # the comparison of the batched blocks with the per-node ones
-    assert counts == {"rhs": 20, "blocks_many": 5 + 4 + 1, "value_many": 3 * 3}
+    # every per-node callback once per probe, and nothing differenced: the
+    # batched blocks are compared with the per-node ones in one call and
+    # the float cell with one RK4 step over all probes (four stages); each
+    # map is evaluated once per point pair
+    assert counts == {"rhs": 20, **{name: 20 for name in NAMES},
+                      "blocks_many": 1 + 4, "value": 3 * 6, "grad": 3 * 6,
+                      "hess": 3 * 6}
     counts.clear()
     rebind_problem(problem, 0.4, {"k": 2.0})
-    # the rhs and its blocks at all probes from one batched call, and the
-    # stencils of the one map that uses k
-    assert counts == {"blocks_many": 1, "value_many": 3}
+    # the rhs and its blocks at all probes from one batched call, no
+    # per-node call, and the one map that uses k once per point pair
+    assert counts == {"blocks_many": 1, "value": 6, "grad": 6, "hess": 6}
