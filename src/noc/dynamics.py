@@ -12,22 +12,24 @@ Controls are piecewise constant on a uniform grid and every integrator
 takes a single classical RK4 step per grid cell. For expression models the
 state pass runs each cell as one compiled function on Python floats
 (``DynamicsModel.rk4_cell``) and redoes on the numpy path any cell that
-fails there, so its results and diagnostics are the numpy path's; the
-derivative blocks at a batch of points come from one compiled function
-too (``DynamicsModel.blocks_many``). The first-order field and the adjoint
-share one linearisation of that step: the cell propagators
-dy_{i+1} = M_i dy_i + B_i du_i, built from the stage Jacobians at the
-stored stage points of every cell at once, and only once per trajectory
-and dynamics model. The variational field is the forward recursion
-X_{i+1} = M_i X_i + B_i v_i, the exact derivative of the discrete flow,
-and the adjoint its exact transpose p_i = M_i^T p_{i+1}, so the discrete
-duality between them holds to rounding. Geometry along a trajectory
-(Γ, ∂Γ, R) comes from one batched call per quantity over all nodes.
-Covariant ODEs are solved componentwise in the chart: for the first-order
-field and the adjoint the Christoffel terms cancel identically against the
-connection part of the covariant state Jacobian (both reduce to the plain
-linearized/adjoint systems), while the second-order field Y is recovered
-from a plain-coordinate integration B via Y = B + Γ(X, X)/2.
+fails there, so its results and diagnostics are the numpy path's; every
+derivative block comes from one compiled function over a batch of points
+(``DynamicsModel.blocks_many``), the per-node blocks included. The
+first-order field and the adjoint share one linearisation of that step:
+the cell propagators dy_{i+1} = M_i dy_i + B_i du_i, built from the stage
+Jacobians at the stored stage points of every cell at once, and only once
+per trajectory and dynamics model. The variational field is the forward
+recursion X_{i+1} = M_i X_i + B_i v_i, the exact derivative of the
+discrete flow, and the adjoint its exact transpose p_i = M_i^T p_{i+1},
+so the discrete duality between them holds to rounding; the second-order
+field runs one RK4 step over all cells at once and chains the cells with
+the same M_i. Geometry along a trajectory (Γ, ∂Γ, R) comes from one
+batched call per quantity over all nodes. Covariant ODEs are solved
+componentwise in the chart: for the first-order field and the adjoint the
+Christoffel terms cancel identically against the connection part of the
+covariant state Jacobian (both reduce to the plain linearized/adjoint
+systems), while the second-order field Y is recovered from a
+plain-coordinate integration B via Y = B + Γ(X, X)/2.
 """
 from __future__ import annotations
 
@@ -92,14 +94,15 @@ class DynamicsModel:
     u (B, m) returns (f, f_y, f_u, f_yy, f_yu, f_uu), each a new array with
     a leading batch axis. Expression models set it to one generated
     function that fills the six preallocated blocks, one element
-    expression per entry, each equal to that entry's per-node callable at
-    the same arguments up to the rounding of powers (``_compile_blocks``).
-    Trajectory-wide derivative data (``trajectory_jet`` and the cell
-    propagators behind ``integrate_variational`` and
-    ``integrate_adjoint``) use it when present and otherwise call the
-    per-node callbacks once per point. ``make_problem`` checks it against
-    the per-node callbacks, and ``rebind_problem`` takes the rhs and the
-    blocks at all its probes from one call of it.
+    expression per entry (``_compile_blocks``), and their per-node blocks
+    ``rhs_y`` .. ``rhs_uu`` are its one-point views, so a model has one
+    derivative path. Every derivative along a trajectory or at a point
+    (``trajectory_jet``, the cell propagators behind
+    ``integrate_variational`` and ``integrate_adjoint``,
+    ``integrate_second_variation`` and ``hamiltonian_blocks``) and the
+    validation of ``make_problem`` and ``rebind_problem`` take the blocks
+    from it when present, and otherwise call the per-node callbacks once
+    per point.
 
     ``supplied`` names the hand-written derivative callbacks ("rhs_y" ..
     "rhs_uu"); problem validation compares exactly these with central
@@ -288,11 +291,13 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
 
     Allowed variables: ``t``, ``y1..yn``, ``u1..um`` and the names of
     ``params``, a name -> value mapping. Every derivative is taken once by
-    exact symbolic differentiation and compiled both as a per-node callable
-    and into the batched ``blocks_many``; the float ``rk4_cell`` is
-    compiled too. The parameters that occur are extra arguments of all of
-    them, so ``rebind`` moves the model to other parameter values without
-    parsing or compiling again.
+    exact symbolic differentiation and compiled only into the batched
+    ``blocks_many``; the per-node blocks ``rhs_y`` .. ``rhs_uu`` are its
+    one-point views. The rhs components are also compiled per node, for
+    the numpy paths that must raise the rhs's own warnings, and the float
+    ``rk4_cell`` is compiled too. The parameters that occur are extra
+    arguments of all of them, so ``rebind`` moves the model to other
+    parameter values without parsing or compiling again.
     """
     n, m = state_dim, control_dim
     ynames = tuple(f"y{i + 1}" for i in range(n))
@@ -304,8 +309,7 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
     pnames = _used_params(params, exprs)
     names = ("t",) + ynames + unames + pnames
 
-    # every derivative once: d[v][k] = d f^k / d v; it feeds the per-node
-    # callbacks and the batched block function alike
+    # every derivative once: d[v][k] = d f^k / d v
     d = {v: [e.diff(v) for e in exprs] for v in ynames + unames}
     entries = (exprs,
                [[d[a][k] for a in ynames] for k in range(n)],
@@ -313,55 +317,34 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
                [[[d[a][k].diff(b) for b in ynames] for a in ynames] for k in range(n)],
                [[[d[a][k].diff(b) for b in unames] for a in ynames] for k in range(n)],
                [[[d[a][k].diff(b) for b in unames] for a in unames] for k in range(n)])
-    f_fn, fy_fn, fu_fn, fyy_fn, fyu_fn, fuu_fn = (
-        _map_nested(lambda e: compile_expr(e, names), block) for block in entries)
+    f_fn = [compile_expr(e, names) for e in exprs]
     all_blocks = _compile_blocks(entries, names)
     float_cell = _compile_rk4_cell(exprs, ynames, unames, pnames)
 
     def bind(values) -> DynamicsModel:
         pvals = tuple(float(values[name]) for name in pnames)
 
-        def args_of(t, y, u):
-            return (t, *np.asarray(y, float), *np.asarray(u, float), *pvals)
-
         def rhs(t, y, u):
-            a = args_of(t, y, u)
+            a = (t, *np.asarray(y, float), *np.asarray(u, float), *pvals)
             return np.array([fn(*a) for fn in f_fn], float)
-
-        def block1(fns, rows, cols):
-            def cb(t, y, u):
-                a = args_of(t, y, u)
-                return np.array([[fns[k][i](*a) for i in range(cols)]
-                                 for k in range(rows)], float)
-            return cb
-
-        def block2(fns, rows, d1, d2):
-            def cb(t, y, u):
-                a = args_of(t, y, u)
-                return np.array([[[fns[k][i][j](*a) for j in range(d2)]
-                                  for i in range(d1)] for k in range(rows)], float)
-            return cb
 
         def blocks_many(t, y, u):
             t = np.asarray(t, float)
             return all_blocks(t.shape[0], t, *np.asarray(y, float).T,
                               *np.asarray(u, float).T, *pvals)
 
+        def at_point(k):
+            return lambda t, y, u: blocks_many([t], [y], [u])[k][0]
+
         return DynamicsModel(
             state_dim=n, control_dim=m, rhs=rhs,
-            rhs_y=block1(fy_fn, n, n), rhs_u=block1(fu_fn, n, m),
-            rhs_yy=block2(fyy_fn, n, n, n), rhs_yu=block2(fyu_fn, n, n, m),
-            rhs_uu=block2(fuu_fn, n, m, m), supplied=frozenset(),
+            rhs_y=at_point(1), rhs_u=at_point(2), rhs_yy=at_point(3),
+            rhs_yu=at_point(4), rhs_uu=at_point(5), supplied=frozenset(),
             label=label, blocks_many=blocks_many,
             rk4_cell=partial(float_cell, *pvals) if pvals else float_cell,
             rebind=bind if pnames else None)
 
     return bind(params)
-
-
-def _map_nested(fn, nested):
-    """``fn`` applied to every leaf of nested lists, keeping the nesting."""
-    return [_map_nested(fn, x) for x in nested] if isinstance(nested, list) else fn(nested)
 
 
 def _compile_blocks(entries, names) -> Callable:
@@ -373,11 +356,11 @@ def _compile_blocks(entries, names) -> Callable:
     size or scalars). The generated source assigns every entry into its
     preallocated block, one element expression each, from the same
     ``python_source`` text ``compile_expr`` evaluates, so every element is
-    bit-equal to that entry's compiled callable at the same arguments but
-    for powers: numpy takes an array's x ** 2 as x * x and other array
-    powers from its own vector routine, where a scalar power calls the C
-    library's pow, and the two can differ in the last bit. Entries that are
-    the literal +0.0 are left to the zero fill.
+    bit-equal to that entry compiled on its own and evaluated on the same
+    arrays. (On Python floats it can differ in the last bit for powers:
+    numpy takes an array's x ** 2 as x * x and other array powers from its
+    own vector routine, where a scalar power calls the C library's pow.)
+    Entries that are the literal +0.0 are left to the zero fill.
     """
     args = {name: f"a{i}" for i, name in enumerate(names)}
     lines = [f"def blocks(size, {', '.join(args.values())}):"]
@@ -648,12 +631,12 @@ def _probe_points(problem: ControlProblem, probe_base, rng) -> tuple:
     return tuple(np.array(a, float) for a in zip(*probes))
 
 
-def _probe_blocks(dyn: DynamicsModel, probes, batched: bool = False) -> tuple:
+def _probe_blocks(dyn: DynamicsModel, probes) -> tuple:
     """The rhs and its five derivative blocks at the probes, each with the
-    probe axis: from one ``blocks_many`` call when ``batched`` and the model
-    has it, else from the per-node callbacks, the rhs at every probe first.
-    Raises unless the rhs is finite at every probe."""
-    if batched and dyn.blocks_many is not None:
+    probe axis: from one ``blocks_many`` call when the model has it, else
+    from the per-node callbacks, the rhs at every probe first. Raises
+    unless the rhs is finite at every probe."""
+    if dyn.blocks_many is not None:
         blocks = tuple(np.asarray(b, float) for b in dyn.blocks_many(*probes))
     else:
         blocks = _blocks_per_node(dyn, *probes, names=_BLOCK_NAMES[:1])
@@ -718,19 +701,11 @@ def _check_blocks(dyn: DynamicsModel, probes, blocks, tol: float):
 
 
 def _validate_dynamics(problem: ControlProblem, probes, tol: float):
-    """Check the per-node blocks at the probes (``_check_blocks``), then
-    the generated code against them: the batched blocks, and the float RK4
-    cell against ``_rk4_step``."""
+    """Check the blocks at the probes (``_check_blocks``), then the float
+    RK4 cell against ``_rk4_step``."""
     dyn = problem.dynamics
     t, y, u = probes
-    blocks = _probe_blocks(dyn, probes)
-    _check_blocks(dyn, probes, blocks, tol)
-    if dyn.blocks_many is not None:
-        # the batched evaluator must reproduce the (checked) per-node blocks
-        for name, got, want in zip(_BLOCK_NAMES, dyn.blocks_many(t, y, u), blocks):
-            if not np.allclose(got, want, rtol=1e-12, atol=1e-12):
-                raise NocError(f"batched dynamics block {name} disagrees "
-                               f"with the per-node callback")
+    _check_blocks(dyn, probes, _probe_blocks(dyn, probes), tol)
     if dyn.rk4_cell is not None:
         # the float cell must reproduce the numpy step wherever both run
         h = 0.01 * problem.horizon
@@ -820,9 +795,9 @@ def make_problem(chart: ManifoldChart, horizon: float, dynamics: DynamicsModel,
     Validation requires the rhs and its five derivative blocks to be
     finite at 20 random probe points near ``probe_base`` (default: chart
     origin), and the hand-written blocks (``DynamicsModel.supplied``) to
-    agree there with central differences within 1e-4 relative. Generated
-    code is checked against the per-node path: the batched blocks, and the
-    float ``rk4_cell`` against ``_rk4_step``. Each endpoint map's value,
+    agree there with central differences within 1e-4 relative; a model
+    with ``blocks_many`` gives them all from one call of it. The float
+    ``rk4_cell`` is checked against ``_rk4_step``. Each endpoint map's value,
     gradients and Hessian blocks must be finite at 6 point pairs, where its
     hand-written derivatives meet central differences likewise. The first
     failure in probe order is reported.
@@ -855,9 +830,8 @@ def rebind_problem(problem: ControlProblem, horizon: float, values,
     maps that carry ``rebind`` move to them; the others do not depend on
     parameters and are kept. The checks are those of ``make_problem``, at
     its probes and point pairs for its default seed, this horizon and
-    ``probe_base``, but for the generated code, which ``problem`` shares:
-    the rhs and the blocks come from one ``blocks_many`` call, and only
-    the endpoint maps that moved are checked.
+    ``probe_base``, but for the float RK4 cell, which ``problem`` shares,
+    and only the endpoint maps that moved are checked.
     """
     def moved(part):
         return part if part.rebind is None else part.rebind(values)
@@ -870,8 +844,8 @@ def rebind_problem(problem: ControlProblem, horizon: float, values,
     base = _probe_base(rebound.chart, probe_base)
     rng = np.random.default_rng(_PROBE_SEED)
     probes = _probe_points(rebound, base, rng)
-    _check_blocks(rebound.dynamics, probes,
-                  _probe_blocks(rebound.dynamics, probes, batched=True), tol=1e-4)
+    _check_blocks(rebound.dynamics, probes, _probe_blocks(rebound.dynamics, probes),
+                  tol=1e-4)
     _validate_endpoints(rebound, base, rng, tol=1e-4,
                         only=tuple(ep for ep in rebound.endpoint_maps
                                    if ep.rebind is not None))
@@ -1079,49 +1053,59 @@ def integrate_second_variation(problem: ControlProblem, trajectory: Trajectory,
     derivative of the discrete flow) and restores the covariant field via
     Y(t) = B(t) + Γ_{y(t)}(X(t), X(t))/2 with B(0) = W - Γ_{y(0)}(X0, X0)/2,
     which is equivalent to the curvature-corrected covariant ODE for Y.
+
+    One RK4 step of the (y, X, B) system runs over every cell at once, each
+    cell from its stored node y_i and X_i with B = 0, the blocks at each
+    stage from one ``_blocks_along`` call. B enters that system linearly
+    through f_y, so the cell maps B_i to B_{i+1} = M_i B_i + c_i, with M_i
+    the cell propagator of ``_cell_propagators`` and c_i the step's B. The
+    step's X must land on ``first_field`` within 1e-8 relative.
     """
     v_seq = _check_direction_shape(trajectory, control_directions)
     s_seq = _check_direction_shape(trajectory, control_accelerations)
     W = _start_components(trajectory, start_acceleration, "start acceleration")
-    dyn = problem.dynamics
+    X = np.asarray(first_field.values, float)
+    if X.shape != trajectory.states.shape:
+        raise ValueError(f"first_field values must have the trajectory's shape "
+                         f"{trajectory.states.shape}, got {X.shape}")
     chart = problem.chart
     n = problem.state_dim
     N = trajectory.num_cells
-    h = trajectory.step
+
+    def fun(t, z):
+        y, Xc, Bc = z[:, :n], z[:, n:2 * n], z[:, 2 * n:]
+        f, fy, fu, fyy, fyu, fuu = _blocks_along(problem.dynamics, t, y,
+                                                 trajectory.controls)
+        Bdot = (np.einsum("cki,ci->ck", fy, Bc) + np.einsum("cka,ca->ck", fu, s_seq)
+                + np.einsum("ckia,ci,ca->ck", fyu, Xc, v_seq)
+                + 0.5 * np.einsum("ckij,ci,cj->ck", fyy, Xc, Xc)
+                + 0.5 * np.einsum("ckab,ca,cb->ck", fuu, v_seq, v_seq))
+        Xdot = np.einsum("cki,ci->ck", fy, Xc) + np.einsum("cka,ca->ck", fu, v_seq)
+        return np.concatenate([f, Xdot, Bdot], axis=1)
+
+    z = np.concatenate([trajectory.states[:-1], X[:-1], np.zeros((N, n))], axis=1)
+    z = _rk4_step(fun, trajectory.grid[:-1], z, trajectory.step)
     # Γ(X, X)/2 at every node, in one batched call; zero on flat charts
     half_gamma = (None if chart.kind == "euclidean" else
-                  0.5 * christoffel_apply(chart, trajectory.states, first_field.values,
-                                          first_field.values))
-    B = W if half_gamma is None else W - half_gamma[0]
-    Bs = np.empty((N + 1, n))
-    Bs[0] = B
+                  0.5 * christoffel_apply(chart, trajectory.states, X, X))
+    M, _ = _cell_propagators(problem, trajectory)
+    B = np.empty((N + 1, n))
+    B[0] = W if half_gamma is None else W - half_gamma[0]
+    c = z[:, 2 * n:]
     for i in range(N):
-        u = trajectory.controls[i]
-        v = v_seq[i]
-        s = s_seq[i]
-
-        def fun(t, z):
-            y, Xc, Bc = z[:n], z[n:2 * n], z[2 * n:]
-            fy = dyn.rhs_y(t, y, u)
-            Bdot = (fy @ Bc + dyn.rhs_u(t, y, u) @ s
-                    + np.einsum("kia,i,a->k", dyn.rhs_yu(t, y, u), Xc, v)
-                    + 0.5 * np.einsum("kij,i,j->k", dyn.rhs_yy(t, y, u), Xc, Xc)
-                    + 0.5 * np.einsum("kab,a,b->k", dyn.rhs_uu(t, y, u), v, v))
-            return np.concatenate([dyn.rhs(t, y, u),
-                                   fy @ Xc + dyn.rhs_u(t, y, u) @ v, Bdot])
-
-        z0 = np.concatenate([trajectory.states[i], first_field.values[i], B])
-        z = _rk4_step(fun, trajectory.grid[i], z0, h)
-        if not np.all(np.isfinite(z)):
-            raise NonFiniteState(f"second-order field became non-finite in cell {i}")
-        X, B = z[n:2 * n], z[2 * n:]
-        drift = np.max(np.abs(X - first_field.values[i + 1]))
-        if drift > 1e-8 * (1.0 + np.max(np.abs(first_field.values))):
-            raise NocError(
-                "first_field is not the variational field of the given directions "
-                f"(drift {drift:.3e} in cell {i})")
-        Bs[i + 1] = B
-    values = Bs if half_gamma is None else Bs + half_gamma
+        B[i + 1] = M[i] @ B[i] + c[i]
+    # the first failing cell, as a cell-by-cell pass would meet it
+    bad = _non_finite_rows(np.concatenate([z[:, :2 * n], B[1:]], axis=1))
+    drift = np.max(np.abs(z[:, n:2 * n] - X[1:]), axis=1)
+    drifted = np.flatnonzero(drift > 1e-8 * (1.0 + np.max(np.abs(X))))
+    if bad.size and (not drifted.size or bad[0] <= drifted[0]):
+        raise NonFiniteState(f"second-order field became non-finite in cell {bad[0]}")
+    if drifted.size:
+        i = drifted[0]
+        raise NocError(
+            "first_field is not the variational field of the given directions "
+            f"(drift {drift[i]:.3e} in cell {i})")
+    values = B if half_gamma is None else B + half_gamma
     return FieldAlongCurve(trajectory=trajectory, values=values, kind="tangent")
 
 
@@ -1320,28 +1304,28 @@ def hamiltonian_blocks(problem: ControlProblem, t: float, point, covector, contr
       hxu    (n, m) mixed block, contraction hxu[j, a] X^j v^a
       huu    (m, m) control Hessian
 
-    With ``self_check`` every block is re-derived from finite differences of
-    the Hamiltonian itself (along geodesics, with the covector parallel
-    transported) and must agree within 1e-5 relative.
+    The dynamics blocks f .. f_uu come from one ``_blocks_along`` call at
+    the point. With ``self_check`` every block is re-derived from finite
+    differences of the Hamiltonian itself (along geodesics, with the
+    covector parallel transported) and must agree within 1e-5 relative.
     """
     chart = problem.chart
     y = np.asarray(point, float)
     u = np.asarray(control, float)
     n = problem.state_dim
     pc = _covector_components(covector, y, n)
-    dyn = problem.dynamics
-    f = dyn.rhs(t, y, u)
-    fu = dyn.rhs_u(t, y, u)
+    f, fy, fu, fyy, fyu, fuu = (
+        b[0] for b in _blocks_along(problem.dynamics, np.array([t], float), y[None],
+                                    u[None]))
     geometry = ((None, None) if chart.kind == "euclidean"
                 else (christoffel(chart, y), dchristoffel(chart, y)))
-    A, H2, M = _covariant_blocks(f, dyn.rhs_y(t, y, u), fu, dyn.rhs_yy(t, y, u),
-                                 dyn.rhs_yu(t, y, u), *geometry)
+    A, H2, M = _covariant_blocks(f, fy, fu, fyy, fyu, *geometry)
     hxx = np.einsum("k,kij->ij", pc, H2)
     blocks = {"value": float(pc @ f), "hu": fu.T @ pc,
               "hx": CotangentVector(base=y, components=A.T @ pc),
               "hxx": 0.5 * (hxx + hxx.T),
               "hxu": np.einsum("k,kja->ja", pc, M),
-              "huu": np.einsum("k,kab->ab", pc, dyn.rhs_uu(t, y, u))}
+              "huu": np.einsum("k,kab->ab", pc, fuu)}
     if self_check:
         _self_check_blocks(problem, t, y, pc, u, blocks)
     return blocks
@@ -1407,16 +1391,23 @@ def curvature_pairing(problem: ControlProblem, trajectory: Trajectory,
                       node: int, cell: int | None = None) -> float:
     """<p, R(X, f) X> at a grid node (zero on flat charts).
 
-    ``cell`` selects which cell's (constant) control evaluates f when the
-    node sits on a cell boundary; default: the cell to the node's left.
+    ``node`` is 0 .. N. ``cell`` selects which adjacent cell's (constant)
+    control evaluates f, node - 1 or node; default: the cell that starts
+    at the node, the last cell at the final node.
     """
+    N = trajectory.num_cells
+    if not 0 <= node <= N:
+        raise ValueError(f"node must be in 0..{N}, got {node}")
+    if cell is None:
+        cell = min(node, N - 1)
+    elif cell not in (node - 1, node) or not 0 <= cell < N:
+        raise ValueError(f"cell must be a cell next to node {node}, got {cell}")
     chart = problem.chart
     if chart.kind == "euclidean":
         return 0.0
     i = node
     y = trajectory.states[i]
-    u = trajectory.controls[min(i, trajectory.num_cells - 1) if cell is None else cell]
-    f = problem.dynamics.rhs(trajectory.grid[i], y, u)
+    f = problem.dynamics.rhs(trajectory.grid[i], y, trajectory.controls[cell])
     RXfX = _curvature_vectors(curvature(chart, y).components,
                               first_field.values[i], f)
     return float(adjoint.values[i] @ RXfX)

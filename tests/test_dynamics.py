@@ -13,8 +13,9 @@ import pytest
 from scipy.linalg import expm
 
 from noc.cones import Ball, lift_sigma
-from noc.dynamics import (builtin_dynamics, dynamics_from_callbacks,
-                          dynamics_from_expressions, endpoint_from_expressions,
+from noc.dynamics import (FieldAlongCurve, builtin_dynamics, curvature_pairing,
+                          dynamics_from_callbacks, dynamics_from_expressions,
+                          endpoint_from_expressions,
                           expansion_residual, hamiltonian, hamiltonian_blocks,
                           integrate_adjoint, integrate_second_variation,
                           integrate_state, integrate_variational, lagrange_data,
@@ -322,6 +323,8 @@ def test_a_rebound_model_builds_its_own_propagators(monkeypatch):
 
 
 def test_make_problem_rejects_disagreeing_batched_blocks():
+    # the batched blocks are the only ones validation sees: a wrong one
+    # marked hand-written meets central differences of the batched rhs
     dyn = dynamics_from_expressions(("y2 + u1^2", "sin(y1) + u1*u2"), 2, 2)
     cost = linear_endpoint((0.0, 0.0), (1.0, 0.0))
     make_problem(euclidean(2), 1.0, dyn, cost)
@@ -329,12 +332,23 @@ def test_make_problem_rejects_disagreeing_batched_blocks():
 
     def off(t, y, u):
         blocks = list(good(t, y, u))
-        blocks[4] = blocks[4] + 1e-6   # rhs_yu
+        blocks[4] = blocks[4] + 1e-2   # rhs_yu
         return tuple(blocks)
 
-    with pytest.raises(NocError, match="batched dynamics block rhs_yu"):
-        make_problem(euclidean(2), 1.0, dataclasses.replace(dyn, blocks_many=off),
-                     cost)
+    wrong = dataclasses.replace(dyn, blocks_many=off, supplied=frozenset({"rhs_yu"}))
+    with pytest.raises(NocError, match="rhs_yu disagrees with central differences"):
+        make_problem(euclidean(2), 1.0, wrong, cost)
+
+
+def test_expression_models_compile_one_derivative_path(monkeypatch):
+    import noc.dynamics
+
+    exprs = _count_calls(monkeypatch, noc.dynamics, "compile_expr")
+    blocks = _count_calls(monkeypatch, noc.dynamics, "_compile_blocks")
+    dynamics_from_expressions(("y2 + u1^2", "sin(y1) + k*u1*u2", "y3*u2"), 3, 2,
+                              params={"k": 2.0})
+    # the rhs components per node, every derivative only in blocks_many
+    assert len(exprs) == 3 and len(blocks) == 1
 
 
 def test_make_problem_rejects_wrong_endpoint_gradient():
@@ -853,6 +867,72 @@ def test_second_variation_rejects_foreign_first_field():
                                    np.zeros(2))
 
 
+def test_second_variation_takes_one_block_call_per_stage(monkeypatch):
+    import noc.dynamics
+
+    problem = make_sphere_nonlinear()
+    traj = integrate_state(problem, [0.1, -0.2], wiggly_controls(30))
+    v = wiggly_controls(30, 0.5)
+    blocks = _count_calls(monkeypatch, noc.dynamics, "_blocks_along")
+    X = integrate_variational(problem, traj, v, [0.2, 0.1])
+    assert len(blocks) == 4
+    integrate_second_variation(problem, traj, v, X, v, np.zeros(2))
+    # all cells at once, on the propagators the first field built
+    assert len(blocks) == 4 + 4
+
+
+_NON_FINITE = "second-order field became non-finite in cell {}"
+_DRIFT = (r"first_field is not the variational field of the given directions "
+          r"\(drift [0-9.e+-]+ in cell {}\)")
+FIRST_FAILURES = {
+    "huge directions": (NonFiniteState, _NON_FINITE.format(0)),
+    "foreign": (NocError, _DRIFT.format(0)),
+    "drift 5": (NocError, _DRIFT.format(5)),
+    "drift 5, inf 8": (NocError, _DRIFT.format(5)),
+    "drift 5, inf 5": (NonFiniteState, _NON_FINITE.format(5)),
+    "drift 5, inf 3": (NonFiniteState, _NON_FINITE.format(3)),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_FAILURES))
+def test_second_variation_reports_its_first_failing_cell(case):
+    # the cells run at once, but a failure names the cell a cell-by-cell
+    # pass meets first, a non-finite step before a drift in the same cell
+    problem = make_flat_nonlinear()
+    N = 30
+    traj = integrate_state(problem, [0.3, -0.2], wiggly_controls(N))
+    v = np.full((N, 2), 1e160 if case == "huge directions" else 0.5)
+    sig = np.zeros((N, 2))
+    X = integrate_variational(problem, traj, v, np.zeros(2))
+    if case == "foreign":
+        X = integrate_variational(problem, traj, np.tile([0.0, 0.7], (N, 1)),
+                                  np.array([1.0, 0.0]))
+    if case.startswith("drift 5"):
+        shifted = X.values + 1e-3 * (np.arange(N + 1) > 5)[:, None]
+        X = FieldAlongCurve(trajectory=traj, values=shifted, kind="tangent")
+    if "inf" in case:
+        sig[int(case[-1])] = np.inf
+    error, message = FIRST_FAILURES[case]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(error, match=f"^{message}$"):
+        integrate_second_variation(problem, traj, v, X, sig, np.zeros(2))
+
+
+@pytest.mark.parametrize("shape", [(20, 2), (21, 3)])
+def test_second_variation_checks_the_first_field_shape(monkeypatch, shape):
+    import noc.dynamics
+
+    problem = make_sphere_nonlinear()
+    traj = integrate_state(problem, [0.1, -0.2], wiggly_controls(20))
+    v = np.zeros((20, 2))
+    field = FieldAlongCurve(trajectory=traj, values=np.zeros(shape), kind="tangent")
+    geometry = _count_calls(monkeypatch, noc.dynamics, "christoffel_apply")
+    blocks = _count_calls(monkeypatch, noc.dynamics, "_blocks_along")
+    with pytest.raises(ValueError, match=fr"shape \(21, 2\), got \({shape[0]}, {shape[1]}\)"):
+        integrate_second_variation(problem, traj, v, field, v, np.zeros(2))
+    assert not geometry and not blocks
+
+
 # ----------------------------------------------------------------------------
 # adjoint
 # ----------------------------------------------------------------------------
@@ -1200,6 +1280,23 @@ def test_lagrange_hessian_matches_geodesic_second_difference():
         assert abs(second_fd - second_an) < 3e-5 * (1 + abs(second_fd))
 
 
+@pytest.mark.parametrize("node, cell", [(3, -1), (3, 20), (3, 1), (3, 4), (-1, None),
+                                        (21, None), (0, -1), (20, 20)])
+@pytest.mark.parametrize("which", ["flat", "sphere"])
+def test_curvature_pairing_rejects_a_node_or_cell_off_the_grid(which, node, cell):
+    problem = make_flat_nonlinear() if which == "flat" else make_sphere_nonlinear()
+    traj = integrate_state(problem, [0.1, -0.2], wiggly_controls(20))
+    X = integrate_variational(problem, traj, wiggly_controls(20, 0.3), [0.2, 0.1])
+    p = integrate_adjoint(problem, traj, [1.0] * problem.multiplier_dim)
+    with pytest.raises(ValueError, match="node" if cell is None else "cell"):
+        curvature_pairing(problem, traj, p, X, node, cell=cell)
+    # the adjacent cells, and the default: the cell that starts at the node
+    for node, cells in ((0, [0]), (3, [2, 3]), (20, [19])):
+        values = [curvature_pairing(problem, traj, p, X, node, cell=c) for c in cells]
+        assert curvature_pairing(problem, traj, p, X, node) == values[-1]
+        assert all(np.isfinite(values)) and (which == "sphere") == (values[0] != 0.0)
+
+
 def test_lagrange_multiplier_length_checked():
     problem = make_ccs126()
     with pytest.raises(ValueError):
@@ -1276,6 +1373,31 @@ def test_expansion_ccs126_with_projection_lift_is_monotone():
                              [0.1, 0.05, 0.025])
     ratios = [res / eps**2 for eps, res in out]
     assert ratios[0] > ratios[1] > ratios[2]
+
+
+def test_expansion_on_the_sphere_falls_like_eps_cubed(monkeypatch):
+    # the paper's second-order expansion on a curved chart: with the
+    # Γ(X, X)/2 shift the residual of ε X + ε² Y falls like ε³; without it
+    # Y misses an ε² term and the residual falls only like ε²
+    import noc.dynamics
+
+    problem = make_sphere_nonlinear()
+    N = 10
+    traj = integrate_state(problem, [0.1, -0.2], wiggly_controls(N))
+    rng = np.random.default_rng(2)
+    v, sig = 0.5 * rng.normal(size=(2, N, 2))
+    X0, W = rng.normal(size=(2, 2))
+    X = integrate_variational(problem, traj, v, X0)
+
+    def ratio():
+        (_, coarse), (_, fine) = expansion_residual(problem, traj, v, X, sig, W,
+                                                    [0.02, 0.01])
+        return coarse / fine
+
+    assert ratio() > 7.0
+    monkeypatch.setattr(noc.dynamics, "christoffel_apply",
+                        lambda chart, y, a, b: np.zeros_like(a))
+    assert ratio() < 5.0
 
 
 def test_expansion_trust_radius_violation():

@@ -427,15 +427,44 @@ def test_validation_evaluates_its_stencils_in_batches():
             for text in ("yT2", "y01", "k*y02")]
     problem = make_problem(sphere(1.0), 0.5, dyn, maps[0],
                            equality_maps=maps[1:])
-    # every per-node callback once per probe, and nothing differenced: the
-    # batched blocks are compared with the per-node ones in one call and
-    # the float cell with one RK4 step over all probes (four stages); each
-    # map is evaluated once per point pair
-    assert counts == {"rhs": 20, **{name: 20 for name in NAMES},
-                      "blocks_many": 1 + 4, "value": 3 * 6, "grad": 3 * 6,
+    # no per-node callback and nothing differenced: the rhs and its blocks
+    # at all probes from one batched call, and the float cell compared with
+    # one RK4 step over all probes (four stages); each map is evaluated
+    # once per point pair
+    assert counts == {"blocks_many": 1 + 4, "value": 3 * 6, "grad": 3 * 6,
                       "hess": 3 * 6}
     counts.clear()
     rebind_problem(problem, 0.4, {"k": 2.0})
     # the rhs and its blocks at all probes from one batched call, no
     # per-node call, and the one map that uses k once per point pair
     assert counts == {"blocks_many": 1, "value": 6, "grad": 6, "hess": 6}
+
+
+def test_expression_models_take_every_block_from_blocks_many():
+    # validation, the integrators and the second-order form never call an
+    # expression model's per-node derivative blocks
+    from noc.conditions import SingularDirection, second_order_lhs
+    from noc.dynamics import (hamiltonian_blocks, integrate_adjoint,
+                              integrate_second_variation, integrate_state,
+                              integrate_variational, trajectory_jet)
+
+    from _problems import wiggly_controls
+
+    counts = collections.Counter()
+    dyn = _counted(dynamics_from_expressions(("0.5*y2 + u1", "-k*y1*y2 + u2 + 0.2*u1^2"),
+                                             2, 2, params={"k": 0.4}), counts, NAMES)
+    cost = endpoint_from_expressions("yT1^2 + 0.5*yT2", 2)
+    problem = rebind_problem(make_problem(sphere(1.0), 0.5, dyn, cost), 0.5, {"k": 0.3})
+    N = 30
+    traj = integrate_state(problem, [0.1, -0.2], wiggly_controls(N))
+    v = wiggly_controls(N, 0.5)
+    X = integrate_variational(problem, traj, v, [0.2, 0.1])
+    integrate_second_variation(problem, traj, v, X, v, np.zeros(2))
+    p = integrate_adjoint(problem, traj, [1.0])
+    trajectory_jet(problem, traj)
+    hamiltonian_blocks(problem, traj.grid[3], traj.states[3], p.values[3], traj.controls[3])
+    direction = SingularDirection(control_directions=v, field=X,
+                                  endpoint_rates=np.zeros(1),
+                                  equality_residuals=np.zeros(0), row_tol=1e-8)
+    second_order_lhs(problem, traj, [1.0], direction, v, check=False)
+    assert counts == {}
