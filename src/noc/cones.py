@@ -341,15 +341,8 @@ def second_adjacent_member(U, u, v, w, with_oracle: bool = True) -> ConeElementC
         raise DirectionNotInCone(
             f"direction {v.tolist()} is not in the adjacent cone at {u.tolist()}")
     denom_w = max(1.0, float(np.linalg.norm(w)))
-    margins = list(margins)
-    if isinstance(U, Ball) or not _is_polyhedral(U):
-        margins2, verdict = _second_margins_curved(U, u, v, w, binding, denom_w)
-        margins.extend(margins2)
-    else:
-        # purely polyhedral: binding rows constrain w linearly
-        for a in binding:
-            margins.append(float(-(a @ w)) / denom_w)
-        verdict = "member" if all(float(a @ w) <= 1e-12 * denom_w for a in binding) else "non-member"
+    margins2, verdict = _second_margins(U, u, v, w, binding, denom_w)
+    margins += margins2
     margin = min(margins) if margins else math.inf
     residuals = cone_oracle(U, u, v, w) if with_oracle else ()
     return ConeElementCertificate(point=tuple(u), direction=tuple(np.concatenate([v, w])),
@@ -357,17 +350,11 @@ def second_adjacent_member(U, u, v, w, with_oracle: bool = True) -> ConeElementC
                                   oracle_residuals=tuple(residuals))
 
 
-def _is_polyhedral(U) -> bool:
-    if isinstance(U, (Box, Polyhedron)):
-        return True
-    if isinstance(U, ProductSet):
-        return all(_is_polyhedral(f) for f in U.factors)
-    return False
-
-
-def _second_margins_curved(U, u, v, w, binding, denom_w):
-    """Second-order margins for sets with curved boundary pieces (balls,
-    possibly inside products). Returns (margins, verdict)."""
+def _second_margins(U, u, v, w, binding, denom_w):
+    """Second-order margins of w at (u, v) and the verdict, as (margins,
+    verdict): a binding row a of a Box or Polyhedron constrains w linearly
+    (a·w <= 0), a Ball's sphere by w·(u - c) + |v|²/2 <= 0, and a product
+    factor by factor."""
     margins = []
     ok = True
     if isinstance(U, Ball):
@@ -390,7 +377,7 @@ def _second_margins_curved(U, u, v, w, binding, denom_w):
         for f, s in zip(U.factors, _product_slices(U)):
             sub_binding, sub_margins, sub_ok = _binding_structure(f, u[s], v[s])
             # v already validated jointly; per-factor re-check is consistent
-            ms, verdict = _second_margins_curved(f, u[s], v[s], w[s], sub_binding, denom_w)
+            ms, verdict = _second_margins(f, u[s], v[s], w[s], sub_binding, denom_w)
             margins.extend(ms)
             margins.extend(sub_margins)
             if verdict == "non-member":

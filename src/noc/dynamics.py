@@ -14,16 +14,18 @@ state pass runs each cell as one compiled function on Python floats
 (``DynamicsModel.rk4_cell``) and redoes on the numpy path any cell that
 fails there, so its results and diagnostics are the numpy path's; every
 derivative block comes from one compiled function over a batch of points
-(``DynamicsModel.blocks_many``), the per-node blocks included. The
-first-order field and the adjoint share one linearisation of that step:
-the cell propagators dy_{i+1} = M_i dy_i + B_i du_i, built from the stage
-Jacobians at the stored stage points of every cell at once, and only once
-per trajectory and dynamics model. The variational field is the forward
-recursion X_{i+1} = M_i X_i + B_i v_i, the exact derivative of the
-discrete flow, and the adjoint its exact transpose p_i = M_i^T p_{i+1},
-so the discrete duality between them holds to rounding; the second-order
-field runs one RK4 step over all cells at once and chains the cells with
-the same M_i. Geometry along a trajectory (Γ, ∂Γ, R) comes from one
+(``DynamicsModel.blocks_many``), the per-node blocks included. That
+function, the rhs and an endpoint map's gradients and Hessians come from
+``noc.expr``'s block compiler. The first-order field and the adjoint share
+one linearisation of that step: the cell propagators dy_{i+1} = M_i dy_i +
+B_i du_i, built from the stage Jacobians at the stored stage points of
+every cell at once, and only once per trajectory and dynamics model. The
+variational field is the forward recursion X_{i+1} = M_i X_i + B_i v_i, the
+exact derivative of the discrete flow, and the adjoint its exact transpose
+p_i = M_i^T p_{i+1}, so the discrete duality between them holds to
+rounding; the second-order field runs one RK4 step over all cells at once
+and chains the cells with the same M_i; all three recursions run through
+one ``_chain``. Geometry along a trajectory (Γ, ∂Γ, R) comes from one
 batched call per quantity over all nodes. Covariant ODEs are solved
 componentwise in the chart: for the first-order field and the adjoint the
 Christoffel terms cancel identically against the connection part of the
@@ -43,7 +45,7 @@ import numpy as np
 from .cones import Box
 from .errors import (BasePointMismatch, BoundViolated, ChartEscape, NocError,
                      NonFiniteState)
-from .expr import Num, _finite, compile_expr, parse_expr, python_source
+from .expr import _compile_blocks, _finite, compile_expr, parse_expr, python_source
 from .geometry import (CotangentVector, ManifoldChart, TangentVector,
                        christoffel, christoffel_apply, curvature, dchristoffel,
                        exp_map, log_map, musical_dual, norm, parallel_transport,
@@ -94,9 +96,9 @@ class DynamicsModel:
     u (B, m) returns (f, f_y, f_u, f_yy, f_yu, f_uu), each a new array with
     a leading batch axis. Expression models set it to one generated
     function that fills the six preallocated blocks, one element
-    expression per entry (``_compile_blocks``), and their per-node blocks
-    ``rhs_y`` .. ``rhs_uu`` are its one-point views, so a model has one
-    derivative path. Every derivative along a trajectory or at a point
+    expression per entry (``noc.expr._compile_blocks``), and their
+    per-node blocks ``rhs_y`` .. ``rhs_uu`` are its one-point views, so a
+    model has one derivative path. Every derivative along a trajectory or at a point
     (``trajectory_jet``, the cell propagators behind
     ``integrate_variational`` and ``integrate_adjoint``,
     ``integrate_second_variation`` and ``hamiltonian_blocks``) and the
@@ -293,11 +295,12 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
     ``params``, a name -> value mapping. Every derivative is taken once by
     exact symbolic differentiation and compiled only into the batched
     ``blocks_many``; the per-node blocks ``rhs_y`` .. ``rhs_uu`` are its
-    one-point views. The rhs components are also compiled per node, for
-    the numpy paths that must raise the rhs's own warnings, and the float
-    ``rk4_cell`` is compiled too. The parameters that occur are extra
-    arguments of all of them, so ``rebind`` moves the model to other
-    parameter values without parsing or compiling again.
+    one-point views. ``rhs`` is a one-block function of its own from the
+    same compiler (``noc.expr._compile_blocks``), evaluated on the scalars
+    of one point, so the numpy paths raise the rhs's own warnings and no
+    derivative's; the float ``rk4_cell`` is compiled too. The parameters
+    that occur are extra arguments of all of them, so ``rebind`` moves the
+    model to other parameter values without parsing or compiling again.
     """
     n, m = state_dim, control_dim
     ynames = tuple(f"y{i + 1}" for i in range(n))
@@ -317,7 +320,7 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
                [[[d[a][k].diff(b) for b in ynames] for a in ynames] for k in range(n)],
                [[[d[a][k].diff(b) for b in unames] for a in ynames] for k in range(n)],
                [[[d[a][k].diff(b) for b in unames] for a in unames] for k in range(n)])
-    f_fn = [compile_expr(e, names) for e in exprs]
+    rhs_block = _compile_blocks((exprs,), names)
     all_blocks = _compile_blocks(entries, names)
     float_cell = _compile_rk4_cell(exprs, ynames, unames, pnames)
 
@@ -325,8 +328,8 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
         pvals = tuple(float(values[name]) for name in pnames)
 
         def rhs(t, y, u):
-            a = (t, *np.asarray(y, float), *np.asarray(u, float), *pvals)
-            return np.array([fn(*a) for fn in f_fn], float)
+            return rhs_block(1, t, *np.asarray(y, float), *np.asarray(u, float),
+                             *pvals)[0][0]
 
         def blocks_many(t, y, u):
             t = np.asarray(t, float)
@@ -345,40 +348,6 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
             rebind=bind if pnames else None)
 
     return bind(params)
-
-
-def _compile_blocks(entries, names) -> Callable:
-    """``blocks(size, *args)``: the six blocks (f, f_y, f_u, f_yy, f_yu,
-    f_uu) at ``size`` points, each a (size, ...) array.
-
-    ``entries`` holds each block's expressions, nested as the block's
-    trailing axes; ``args`` are the values of ``names`` (arrays of length
-    size or scalars). The generated source assigns every entry into its
-    preallocated block, one element expression each, from the same
-    ``python_source`` text ``compile_expr`` evaluates, so every element is
-    bit-equal to that entry compiled on its own and evaluated on the same
-    arrays. (On Python floats it can differ in the last bit for powers:
-    numpy takes an array's x ** 2 as x * x and other array powers from its
-    own vector routine, where a scalar power calls the C library's pow.)
-    Entries that are the literal +0.0 are left to the zero fill.
-    """
-    args = {name: f"a{i}" for i, name in enumerate(names)}
-    lines = [f"def blocks(size, {', '.join(args.values())}):"]
-    for b, block in enumerate(entries):
-        shape = np.shape(block)
-        lines.append(f"    b{b} = np.zeros((size, {', '.join(map(str, shape))}))")
-        for index in np.ndindex(*shape):
-            e = block
-            for k in index:
-                e = e[k]
-            if isinstance(e, Num) and str(e) == "0.0":     # not -0.0
-                continue
-            lines.append(f"    b{b}[:, {', '.join(map(str, index))}] = "
-                         f"{python_source(e, 'np', args)}")
-    lines.append(f"    return {', '.join(f'b{b}' for b in range(len(entries)))}")
-    namespace = {"np": np, "__builtins__": {}}
-    exec("\n".join(lines), namespace)  # noqa: S102 - AST-derived source
-    return namespace["blocks"]
 
 
 def _compile_rk4_cell(exprs, ynames, unames, pnames) -> Callable:
@@ -529,35 +498,37 @@ def endpoint_from_expressions(text: str, state_dim: int,
                               start_prefix: str = "y0", end_prefix: str = "yT",
                               label: str = "endpoint", params=None) -> EndpointMap:
     """Endpoint scalar from an expression in y01..y0n (start) and yT1..yTn
-    (end). The names of ``params`` (a name -> value mapping) that occur are
-    compiled as extra arguments; ``rebind`` moves the map to other values."""
+    (end), with exact symbolic derivatives.
+
+    The value is one compiled scalar expression; the gradient pair and the
+    three Hessian blocks are one generated function each
+    (``noc.expr._compile_blocks``), evaluated at the one point pair. The
+    names of ``params`` (a name -> value mapping) that occur are compiled
+    as extra arguments; ``rebind`` moves the map to other values."""
     n = state_dim
-    names = tuple(f"{start_prefix}{i + 1}" for i in range(n)) + \
-        tuple(f"{end_prefix}{i + 1}" for i in range(n))
-    e = parse_expr(text, allowed_vars={*names, *(params or ())})
+    start = tuple(f"{start_prefix}{i + 1}" for i in range(n))
+    end = tuple(f"{end_prefix}{i + 1}" for i in range(n))
+    e = parse_expr(text, allowed_vars={*start, *end, *(params or ())})
     pnames = _used_params(params, [e])
-    args = names + pnames
+    args = start + end + pnames
     fn = compile_expr(e, args)
-    g_fns = [compile_expr(e.diff(v), args) for v in names]
-    h_fns = [[compile_expr(e.diff(a).diff(b), args) for b in names] for a in names]
+    grads = _compile_blocks(([e.diff(a) for a in start], [e.diff(a) for a in end]), args)
+    hessians = _compile_blocks(tuple([[e.diff(a).diff(b) for b in cols] for a in rows]
+                                     for rows, cols in ((start, start), (start, end),
+                                                        (end, end))), args)
 
     def bind(values) -> EndpointMap:
         pvals = tuple(float(values[name]) for name in pnames)
 
+        def at_pair(blocks, y0, yT):
+            return tuple(b[0] for b in blocks(1, *np.asarray(y0, float),
+                                              *np.asarray(yT, float), *pvals))
+
         def value(y0, yT):
             return float(fn(*np.asarray(y0, float), *np.asarray(yT, float), *pvals))
 
-        def grad(y0, yT):
-            a = (*np.asarray(y0, float), *np.asarray(yT, float), *pvals)
-            g = np.array([f(*a) for f in g_fns], float)
-            return g[:n], g[n:]
-
-        def hess(y0, yT):
-            a = (*np.asarray(y0, float), *np.asarray(yT, float), *pvals)
-            H = np.array([[f(*a) for f in row] for row in h_fns], float)
-            return H[:n, :n], H[:n, n:], H[n:, n:]
-
-        return EndpointMap(value=value, grad=grad, hess=hess,
+        return EndpointMap(value=value, grad=partial(at_pair, grads),
+                           hess=partial(at_pair, hessians),
                            supplied=frozenset(), label=label,
                            rebind=bind if pnames else None)
 
@@ -1027,16 +998,22 @@ def integrate_variational(problem: ControlProblem, trajectory: Trajectory,
     v_seq = _check_direction_shape(trajectory, control_directions)
     X = _start_components(trajectory, start_vector, "start vector")
     M, B = _cell_propagators(problem, trajectory)
-    N = trajectory.num_cells
-    values = np.empty((N + 1, X.size))
-    values[0] = X
-    for i in range(N):
-        X = M[i] @ X + B[i] @ v_seq[i]
-        values[i + 1] = X
+    values = _chain(M, X, (B @ v_seq[:, :, None])[:, :, 0])
     bad = _non_finite_rows(values[1:])
     if bad.size:
         raise NonFiniteState(f"variational field became non-finite in cell {bad[0]}")
     return FieldAlongCurve(trajectory=trajectory, values=values, kind="tangent")
+
+
+def _chain(M, start, forcing=None) -> np.ndarray:
+    """The linear recursion x_{i+1} = M_i x_i (+ forcing_i) over the cells
+    of M (N, n, n) from x_0 = start, an (n,) vector or (n, k) matrix: all
+    N + 1 iterates, stacked along a leading axis."""
+    x = np.empty((len(M) + 1,) + np.shape(start))
+    x[0] = start
+    for i in range(len(M)):
+        x[i + 1] = M[i] @ x[i] if forcing is None else M[i] @ x[i] + forcing[i]
+    return x
 
 
 def _non_finite_rows(values: np.ndarray) -> np.ndarray:
@@ -1089,15 +1066,13 @@ def integrate_second_variation(problem: ControlProblem, trajectory: Trajectory,
     half_gamma = (None if chart.kind == "euclidean" else
                   0.5 * christoffel_apply(chart, trajectory.states, X, X))
     M, _ = _cell_propagators(problem, trajectory)
-    B = np.empty((N + 1, n))
-    B[0] = W if half_gamma is None else W - half_gamma[0]
-    c = z[:, 2 * n:]
-    for i in range(N):
-        B[i + 1] = M[i] @ B[i] + c[i]
-    # the first failing cell, as a cell-by-cell pass would meet it
+    B = _chain(M, W if half_gamma is None else W - half_gamma[0], z[:, 2 * n:])
+    # the first failing cell, as a cell-by-cell pass would meet it; the
+    # drift limit ignores non-finite entries of X, which fail their own cell
     bad = _non_finite_rows(np.concatenate([z[:, :2 * n], B[1:]], axis=1))
     drift = np.max(np.abs(z[:, n:2 * n] - X[1:]), axis=1)
-    drifted = np.flatnonzero(drift > 1e-8 * (1.0 + np.max(np.abs(X))))
+    scale = np.max(np.abs(X), where=np.isfinite(X), initial=0.0)
+    drifted = np.flatnonzero(drift > 1e-8 * (1.0 + scale))
     if bad.size and (not drifted.size or bad[0] <= drifted[0]):
         raise NonFiniteState(f"second-order field became non-finite in cell {bad[0]}")
     if drifted.size:
@@ -1168,11 +1143,8 @@ def integrate_adjoint(problem: ControlProblem, trajectory: Trajectory,
         p = p[:, 0]
     M, _ = _cell_propagators(problem, trajectory)
     N = trajectory.num_cells
-    values = np.empty((N + 1,) + p.shape)
-    values[N] = p
-    for i in range(N - 1, -1, -1):
-        p = M[i].T @ p
-        values[i] = p
+    # the backward pass is the forward chain of the reversed transposes
+    values = np.ascontiguousarray(_chain(np.swapaxes(M, 1, 2)[::-1], p)[::-1])
     bad = _non_finite_rows(values[:N])
     if bad.size:
         # the pass runs backward: its first non-finite cell is the last row

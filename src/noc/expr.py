@@ -2,9 +2,17 @@
 
 Supports + - * / ^ (right-associative power), unary minus, parentheses,
 numeric literals, named variables, and the functions sin, cos, tan, exp,
-log, sqrt, abs. Expressions evaluate against a dict of numpy-compatible
-values and differentiate symbolically, so problems defined in text files
-get analytic first and second derivatives.
+log, sqrt, abs. Expressions differentiate symbolically, so problems defined
+in text files get analytic first and second derivatives.
+
+This module alone decides how an expression becomes numpy code:
+``compile_expr`` gives one scalar expression as a callable, and
+``_compile_blocks`` gives every vector- or matrix-valued quantity of an
+expression object (a dynamics rhs and its derivative blocks, the
+gradients and Hessians of endpoint maps and op rows, a chart metric and
+its derivatives) as one generated function. ``Expr.eval`` walks the tree
+against a dict of values; it is the reference evaluator the compiled code
+is tested against, and no checker path calls it.
 """
 from __future__ import annotations
 
@@ -565,7 +573,11 @@ def python_source(node: Expr, module: str = "np", names=None) -> str:
             name = "nan" if math.isnan(e.value) else "inf"
             return f"({'-' if e.value < 0 else ''}{module}.{name})"
         if isinstance(e, Var):
-            return e.name if names is None else names[e.name]
+            if names is None:
+                return e.name
+            if e.name not in names:
+                raise ExprError(f"unbound variable {e.name!r}")
+            return names[e.name]
         if isinstance(e, Neg):
             return f"(-{src(e.arg)})"
         if isinstance(e, Add):
@@ -598,9 +610,41 @@ def compile_expr(node: Expr, varnames: tuple[str, ...]):
     arguments are renamed positionally, so a variable may be named like a
     Python keyword or ``np``.
     """
-    missing = node.free_vars() - set(varnames)
-    if missing:
-        raise ExprError("unbound variable(s): " + ", ".join(sorted(missing)))
     args = {name: f"a{i}" for i, name in enumerate(varnames)}
     src = f"lambda {', '.join(args.values())}: {python_source(node, 'np', args)}"
     return eval(src, {"np": np, "__builtins__": {}})  # noqa: S307 - AST-derived source
+
+
+def _compile_blocks(entries, names):
+    """``blocks(size, *args)``: a tuple of arrays, one per block of
+    ``entries``, each of shape (size,) + that block's shape.
+
+    ``entries`` holds each block's expressions, nested as the block's
+    trailing axes; ``args`` are the values of ``names``, arrays of length
+    size or scalars (with size 1). The generated source assigns every
+    entry into its preallocated block, one element expression each, from
+    the same ``python_source`` text ``compile_expr`` evaluates, so every
+    element is bit-equal to that entry compiled on its own and evaluated
+    on the same values, and on scalars it raises the same numpy warnings.
+    (On Python floats it can differ in the last bit for powers: numpy
+    takes an array's x ** 2 as x * x and other array powers from its own
+    vector routine, where a scalar power calls the C library's pow.)
+    Entries that are the literal +0.0 are left to the zero fill.
+    """
+    args = {name: f"a{i}" for i, name in enumerate(names)}
+    lines = [f"def blocks(size, {', '.join(args.values())}):"]
+    for b, block in enumerate(entries):
+        shape = np.shape(block)
+        lines.append(f"    b{b} = np.zeros((size, {', '.join(map(str, shape))}))")
+        for index in np.ndindex(*shape):
+            e = block
+            for k in index:
+                e = e[k]
+            if isinstance(e, Num) and str(e) == "0.0":     # not -0.0
+                continue
+            lines.append(f"    b{b}[:, {', '.join(map(str, index))}] = "
+                         f"{python_source(e, 'np', args)}")
+    lines.append(f"    return ({''.join(f'b{b}, ' for b in range(len(entries)))})")
+    namespace = {"np": np, "__builtins__": {}}
+    exec("\n".join(lines), namespace)  # noqa: S102 - AST-derived source
+    return namespace["blocks"]

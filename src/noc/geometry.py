@@ -4,7 +4,9 @@ A manifold is represented by one chart: a coordinate domain in R^n together
 with a metric matrix field. Built-in kinds (euclidean, sphere, hyperbolic
 half-space, products) carry closed-form Christoffel symbols and curvature;
 custom charts supply the metric either as a callback (finite differences) or
-as symbolic expressions (exact differentiation).
+as symbolic expressions (exact differentiation). An expression metric's
+g, ∂g and ∂²g are each one function generated by ``noc.expr``'s block
+compiler, built at first use and kept on the chart.
 
 ``metric``, ``christoffel``, ``dchristoffel``, ``curvature``,
 ``christoffel_apply`` and ``valid_point`` also take a (K, n) array of points
@@ -35,7 +37,7 @@ from .errors import (
     ShootingDiverged,
     SingularMetric,
 )
-from .expr import Expr, parse_expr
+from .expr import Expr, _compile_blocks, parse_expr
 
 __all__ = [
     "ManifoldChart",
@@ -183,7 +185,8 @@ def custom_chart(metric, dim: int, trust_radius: float = math.inf,
 
     ``metric`` is either a callable x -> (n, n) array (differentiated by
     central finite differences) or a sequence of n*n expression strings /
-    Expr objects in variables x1..xn (differentiated symbolically).
+    Expr objects in variables x1..xn (differentiated symbolically, each
+    derivative order compiled once per chart).
     """
     if callable(metric):
         return ManifoldChart(kind="custom", dim=dim, metric_fn=metric,
@@ -234,13 +237,6 @@ def _points(chart: ManifoldChart, x) -> tuple:
 def _sqnorm(x: np.ndarray) -> np.ndarray:
     """x·x over the last axis, rounded as the 1-D product ``x @ x`` is."""
     return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
-
-
-def _eval_exprs(exprs, pts: np.ndarray) -> np.ndarray:
-    """Each expression in x1..xn at every row of pts: (K, len(exprs))."""
-    env = {f"x{i + 1}": pts[:, i] for i in range(pts.shape[1])}
-    return np.stack([np.broadcast_to(np.asarray(e.eval(env), float), pts.shape[:1])
-                     for e in exprs], axis=-1)
 
 
 # ----------------------------------------------------------------------------
@@ -334,7 +330,7 @@ def metric(chart: ManifoldChart, x) -> np.ndarray:
             g[:, s, s] = metric(f, pts[:, s])
     else:
         if chart.metric_exprs is not None:
-            g = _eval_exprs(chart.metric_exprs, pts).reshape(-1, n, n)
+            g = _symbolic_metric_derivs(chart, pts, 0)[0]
         else:
             g = np.array([chart.metric_fn(p) for p in pts], dtype=float).reshape(-1, n, n)
         g = 0.5 * (g + np.swapaxes(g, -1, -2))
@@ -413,26 +409,28 @@ def christoffel(chart: ManifoldChart, x) -> np.ndarray:
     return gamma.reshape(lead + (n, n, n))
 
 
-def _symbolic_metric_derivs(chart: ManifoldChart, pts: np.ndarray, order: int):
-    """Metric plus symbolic first (and optionally second) derivatives at a
-    (K, n) array of points: dg[:, l, i, j] = d_l g_ij and
-    d2[:, l, m, i, j] = d_l d_m g_ij."""
+def _symbolic_metric_derivs(chart: ManifoldChart, pts: np.ndarray, order: int) -> tuple:
+    """The metric and its symbolic derivatives up to ``order`` at a (K, n)
+    array of points: g[:, i, j], then dg[:, l, i, j] = d_l g_ij, then
+    d2[:, l, m, i, j] = g_ij.diff(x_l).diff(x_m).
+
+    Each order is one generated function (``noc.expr._compile_blocks``),
+    compiled at its first use and kept on the chart.
+    """
     n = chart.dim
-    names = [f"x{i + 1}" for i in range(n)]
+    names = tuple(f"x{i + 1}" for i in range(n))
     cache = chart.__dict__.setdefault("_expr_cache", {})
-    if "d1" not in cache:
-        cache["d1"] = tuple(tuple(e.diff(nm) for nm in names) for e in chart.metric_exprs)
-    g = _eval_exprs(chart.metric_exprs, pts).reshape(-1, n, n)
-    dg = _eval_exprs([d for row in cache["d1"] for d in row], pts)
-    dg = dg.reshape(-1, n, n, n).transpose(0, 3, 1, 2)
-    if order < 2:
-        return g, dg, None
-    if "d2" not in cache:
-        cache["d2"] = tuple(tuple(tuple(d.diff(nm2) for nm2 in names) for d in row)
-                            for row in cache["d1"])
-    d2 = _eval_exprs([dd for row in cache["d2"] for row2 in row for dd in row2], pts)
-    d2 = d2.reshape(-1, n, n, n, n).transpose(0, 3, 4, 1, 2)
-    return g, dg, d2
+    out = []
+    for k in range(order + 1):
+        if k not in cache:
+            table = np.reshape(np.array(chart.metric_exprs, dtype=object), (n, n))
+            for axis in range(k):
+                # the new derivative axis goes after the earlier ones
+                table = np.stack([np.frompyfunc(lambda e, x=x: e.diff(x), 1, 1)(table)
+                                  for x in names], axis=axis)
+            cache[k] = _compile_blocks((table,), names)
+        out.append(cache[k](len(pts), *pts.T)[0])
+    return tuple(out)
 
 
 def _bracket(dg: np.ndarray) -> np.ndarray:
@@ -447,7 +445,7 @@ def _gamma_from_metric_derivs_inv(ginv: np.ndarray, dg: np.ndarray) -> np.ndarra
 
 
 def _symbolic_gamma(chart: ManifoldChart, pts: np.ndarray) -> np.ndarray:
-    g, dg, _ = _symbolic_metric_derivs(chart, pts, order=1)
+    g, dg = _symbolic_metric_derivs(chart, pts, order=1)
     _require_positive(pts, 0.5 * (g + np.swapaxes(g, -1, -2)))
     return _gamma_from_metric_derivs_inv(np.linalg.inv(g), dg)
 

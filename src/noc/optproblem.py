@@ -24,7 +24,8 @@ from .conditions import (IndexSets, MultiplierVector, _clean_rows,
                          _enumerate_normalized_rays)
 from .errors import (DegenerateCone, EmptySecondCone, NocError, PointNotInSet,
                      ResolutionTooCoarse)
-from .expr import compile_expr, parse_expr
+from .expr import _compile_blocks, compile_expr, parse_expr
+from .polyhedral import polyhedron_bounding_box
 
 __all__ = [
     "BruteForceResult",
@@ -114,27 +115,30 @@ def opt_scalar_from_expression(text: str, dim: int, prefix: str = "x",
                                params=None) -> OptScalar:
     """Scalar row from an expression in x1..xN and the names of ``params``
     (a name -> value mapping, compiled as extra arguments) with exact
-    symbolic derivatives; batch evaluation broadcasts over point arrays."""
+    symbolic derivatives.
+
+    ``value`` and ``value_many`` are one compiled scalar expression, which
+    broadcasts over point arrays; the gradient and the Hessian behind
+    ``second`` are one generated function each
+    (``noc.expr._compile_blocks``), evaluated at the one point."""
     names = tuple(f"{prefix}{i + 1}" for i in range(dim))
     pnames = tuple(params or ())
     pvals = tuple(float(params[name]) for name in pnames)
     args = names + pnames
     node = parse_expr(text, allowed_vars=set(args))
     fn = compile_expr(node, args)
-    grads = tuple(node.diff(name) for name in names)
-    grad_fns = tuple(compile_expr(g, args) for g in grads)
-    hess_fns = tuple(tuple(compile_expr(g.diff(name), args) for name in names)
-                     for g in grads)
+    grads = [node.diff(name) for name in names]
+    gradient = _compile_blocks((grads,), args)
+    hessian = _compile_blocks(([[g.diff(name) for name in names] for g in grads],), args)
 
     def value(e):
         return float(fn(*e, *pvals))
 
     def grad(e):
-        return np.array([g(*e, *pvals) for g in grad_fns], float)
+        return gradient(1, *e, *pvals)[0][0]
 
     def second(e, y):
-        H = np.array([[h(*e, *pvals) for h in row] for row in hess_fns], float)
-        return float(y @ H @ y)
+        return float(y @ hessian(1, *e, *pvals)[0][0] @ y)
 
     def value_many(points):
         return np.asarray(fn(*points.T, *pvals), float)
@@ -606,24 +610,11 @@ def _bounding_box(U) -> tuple[np.ndarray, np.ndarray]:
                              "a bounded set")
         return lo, hi
     if isinstance(U, Polyhedron):
-        from scipy.optimize import linprog
-
-        A = np.asarray(U.A, float)
-        b = np.asarray(U.b, float)
-        m = A.shape[1]
-        lo = np.empty(m)
-        hi = np.empty(m)
-        for s in range(m):
-            for sign, out in ((1.0, lo), (-1.0, hi)):
-                c = np.zeros(m)
-                c[s] = sign
-                res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * m,
-                              method="highs")
-                if not res.success:
-                    raise ValueError("base set is unbounded; the grid oracle "
-                                     "needs a bounded set")
-                out[s] = float(res.x[s])
-        return lo, hi
+        try:
+            return polyhedron_bounding_box(U.A, U.b)
+        except ValueError as exc:
+            raise ValueError("base set is unbounded; the grid oracle needs "
+                             "a bounded set") from exc
     if isinstance(U, ProductSet):
         parts = [_bounding_box(f) for f in U.factors]
         return (np.concatenate([p[0] for p in parts]),

@@ -199,6 +199,18 @@ def test_box_second_order_binding_logic():
     assert not second_adjacent_member(BOX01, u, [1.0, 0.0], [0.0, -0.1]).member
 
 
+def test_polyhedral_product_second_order_binds_in_each_factor():
+    # the box's row x1 >= 0 and the polyhedron's row x3 + x4 <= 1 are both
+    # active and binding along v: w must satisfy w1 >= 0 and w3 + w4 <= 0
+    U = ProductSet((Box((0.0, 0.0), (1.0, 1.0)),
+                    Polyhedron(A=((1.0, 1.0), (1.0, -1.0)), b=(1.0, 1.0))))
+    u, v = [0.0, 0.3, 0.5, 0.5], [0.0, 0.4, 0.2, -0.2]
+    cert = second_adjacent_member(U, u, v, [0.3, -1.0, -0.5, 0.1], with_oracle=False)
+    assert cert.member and cert.margin == 0.24343224778007383
+    cert = second_adjacent_member(U, u, v, [-0.2, 0.0, 0.4, 0.1], with_oracle=False)
+    assert not cert.member and cert.margin == -0.35355339059327373
+
+
 # ----------------------------------------------------------------------------
 # oracle ladders
 # ----------------------------------------------------------------------------

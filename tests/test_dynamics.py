@@ -347,8 +347,62 @@ def test_expression_models_compile_one_derivative_path(monkeypatch):
     blocks = _count_calls(monkeypatch, noc.dynamics, "_compile_blocks")
     dynamics_from_expressions(("y2 + u1^2", "sin(y1) + k*u1*u2", "y3*u2"), 3, 2,
                               params={"k": 2.0})
-    # the rhs components per node, every derivative only in blocks_many
-    assert len(exprs) == 3 and len(blocks) == 1
+    # noc.expr's block compiler gives the rhs one block and blocks_many all
+    # six; no entry is compiled on its own
+    assert len(exprs) == 0 and len(blocks) == 2
+    endpoint_from_expressions("yT1^2 - k*y02*yT3", 3, params={"k": 2.0})
+    # the value, then one function for the gradient pair, one for the Hessians
+    assert len(exprs) == 1 and len(blocks) == 4
+
+
+@pytest.mark.parametrize("text", [
+    "yT1^2 - 2*y01*yT2",
+    # params, powers, divisions, every function and constant entries
+    "-(k*yT2 + y01^2/k) + sqrt(2 + yT1^2)*cos(y02) - abs(y01) + tan(yT2/4)"
+    " + log(1 + y02^2) + exp(k*y01)/(1 + yT1^2) - yT1^k + 3*k",
+    "-(k*y01*yT2)",                              # -0.0 entries
+])
+def test_endpoint_derivatives_equal_their_entries_compiled_alone(text):
+    from noc.expr import compile_expr, parse_expr
+
+    start, end = ("y01", "y02"), ("yT1", "yT2")
+    names = start + end + ("k",)
+    e = parse_expr(text, set(names))
+    ep = endpoint_from_expressions(text, 2, params={"k": 2.5})
+
+    def block(rows, cols, args):
+        return np.array([[compile_expr(e.diff(a).diff(b), names)(*args) for b in cols]
+                         for a in rows], float)
+
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        y0, yT = rng.normal(size=2), rng.normal(size=2)
+        yT[0] = abs(yT[0])                       # yT1^k: a positive base
+        args = (*y0, *yT, 2.5)
+        got = (*ep.grad(y0, yT), *ep.hess(y0, yT))
+        want = (np.array([compile_expr(e.diff(a), names)(*args) for a in start], float),
+                np.array([compile_expr(e.diff(a), names)(*args) for a in end], float),
+                block(start, start, args), block(start, end, args), block(end, end, args))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_expression_rhs_equals_its_components_compiled_alone():
+    from noc.expr import compile_expr, parse_expr
+
+    texts = ("-(k*y2 + u1^2/k)", "-k^2*sin(y1) + exp(t)*u1 + 2*k")
+    names = ("t", "y1", "y2", "u1", "k")
+    dyn = dynamics_from_expressions(texts, 2, 1, params={"k": 2.5})
+    fns = [compile_expr(parse_expr(text, set(names)), names) for text in texts]
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        t, y, u = rng.uniform(), rng.normal(size=2), rng.normal(size=1)
+        got = dyn.rhs(t, y, u)
+        want = np.array([fn(t, *y, *u, 2.5) for fn in fns], float)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_make_problem_rejects_wrong_endpoint_gradient():
@@ -916,6 +970,23 @@ def test_second_variation_reports_its_first_failing_cell(case):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(error, match=f"^{message}$"):
         integrate_second_variation(problem, traj, v, X, sig, np.zeros(2))
+
+
+def test_a_nan_in_the_first_field_keeps_the_earlier_drift_check():
+    # a NaN at node 8 must not turn the drift limit into NaN: the drift in
+    # cell 5 comes first
+    problem = make_flat_nonlinear()
+    N = 30
+    traj = integrate_state(problem, [0.3, -0.2], wiggly_controls(N))
+    v = np.full((N, 2), 0.5)
+    X = integrate_variational(problem, traj, v, np.zeros(2)).values.copy()
+    X[6:] += 0.5
+    X[8] = np.nan
+    field = FieldAlongCurve(trajectory=traj, values=X, kind="tangent")
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NocError, match=r"^first_field is not the variational field of the "
+                            r"given directions \(drift 5\.000e-01 in cell 5\)$"):
+        integrate_second_variation(problem, traj, v, field, np.zeros((N, 2)), np.zeros(2))
 
 
 @pytest.mark.parametrize("shape", [(20, 2), (21, 3)])

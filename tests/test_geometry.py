@@ -172,6 +172,57 @@ def test_dchristoffel_matches_fd_of_gamma():
             np.testing.assert_allclose(d[m], ref, rtol=0, atol=1e-6)
 
 
+def _metric_derivs_by_eval(chart, pts, order):
+    """The metric and its derivatives up to ``order``, every entry walked
+    by Expr.eval at the whole batch: the reference for the compiled
+    functions, g[:, i, j], dg[:, l, i, j] and d2[:, l, m, i, j]."""
+    n = chart.dim
+    names = [f"x{i + 1}" for i in range(n)]
+    env = dict(zip(names, pts.T))
+
+    def at_points(exprs):
+        return np.stack([np.broadcast_to(np.asarray(e.eval(env), float), len(pts))
+                         for e in exprs], axis=-1)
+
+    d1 = [e.diff(x) for e in chart.metric_exprs for x in names]
+    d2 = [d.diff(x) for d in d1 for x in names]
+    return (at_points(chart.metric_exprs).reshape(-1, n, n),
+            at_points(d1).reshape(-1, n, n, n).transpose(0, 3, 1, 2),
+            at_points(d2).reshape(-1, n, n, n, n).transpose(0, 3, 4, 1, 2))[:order + 1]
+
+
+@pytest.mark.parametrize("metric", [["1 + x2^2", "0", "0", "1 + x1^2"],
+                                    ["exp(2*x2)", "0.1*x1*x2", "0.1*x1*x2", "1 + x1^2"]])
+def test_expression_metric_quantities_equal_the_eval_reference(monkeypatch, metric):
+    # the expression charts of _random_charts and _BATCH_CHARTS
+    chart = gm.custom_chart(metric, dim=2)
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(-0.7, 0.7, (25, 2))
+    quantities = (gm.metric, gm.christoffel, gm.dchristoffel)
+    got = [q(chart, pts) for q in quantities]
+    monkeypatch.setattr(gm, "_symbolic_metric_derivs", _metric_derivs_by_eval)
+    for a, q in zip(got, quantities):
+        b = q(chart, pts)
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_expression_metric_compiles_each_order_once(monkeypatch):
+    chart = gm.custom_chart(["1 + x2^2", "0", "0", "2 + sin(x1)"], dim=2)
+    compiled = []
+    compile_blocks = gm._compile_blocks
+    monkeypatch.setattr(gm, "_compile_blocks",
+                        lambda *args: compiled.append(None) or compile_blocks(*args))
+    pts = np.array([[0.1, 0.2], [-0.3, 0.4]])
+    for _ in range(3):
+        gm.christoffel(chart, pts)
+        gm.dchristoffel(chart, pts[0])
+        gm.christoffel_apply(chart, pts, pts, pts)
+        gm.metric(chart, pts)
+    assert len(compiled) == 3
+
+
 # ----------------------------------------------------------------------------
 # curvature
 # ----------------------------------------------------------------------------

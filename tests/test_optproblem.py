@@ -112,6 +112,45 @@ def test_difference_fallback_matches_symbolic_derivatives():
         assert abs(plain.second(e, y) - exact.second(e, y)) < 1e-5
 
 
+@pytest.mark.parametrize("text", [
+    "x1^3 + 2*x1*x2 - x2^2",
+    # params, powers, divisions, every function and constant entries
+    "-(k*x2 + x1^2/k) + sqrt(2 + x3^2)*cos(x2) - abs(x1) + tan(x3/4)"
+    " + log(1 + x2^2) + exp(k*x1)/(1 + x3^2) - x3^k + 3*k",
+    "-(k*x1*x3)",                                # -0.0 entries
+])
+def test_row_derivatives_equal_their_entries_compiled_alone(text):
+    from noc.expr import compile_expr, parse_expr
+
+    names = ("x1", "x2", "x3", "k")
+    node = parse_expr(text, set(names))
+    row = opt_scalar_from_expression(text, 3, params={"k": 2.5})
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        e, y = rng.normal(size=3), rng.normal(size=3)
+        e[2] = abs(e[2])                         # x3^k: a positive base
+        grad = np.array([compile_expr(node.diff(a), names)(*e, 2.5) for a in names[:3]],
+                        float)
+        H = np.array([[compile_expr(node.diff(a).diff(b), names)(*e, 2.5)
+                       for b in names[:3]] for a in names[:3]], float)
+        np.testing.assert_array_equal(row.grad(e), grad)
+        np.testing.assert_array_equal(np.signbit(row.grad(e)), np.signbit(grad))
+        second, want = row.second(e, y), float(y @ H @ y)
+        assert second == want and np.signbit(second) == np.signbit(want)
+
+
+def test_expression_rows_compile_their_derivatives_as_two_blocks(monkeypatch):
+    import noc.optproblem
+
+    counts = {"compile_expr": [], "_compile_blocks": []}
+    for name, calls in counts.items():
+        fn = getattr(noc.optproblem, name)
+        monkeypatch.setattr(noc.optproblem, name,
+                            lambda *a, fn=fn, calls=calls: calls.append(None) or fn(*a))
+    opt_scalar_from_expression("x1^2*x2 - k*x3", 3, params={"k": 2.0})
+    assert len(counts["compile_expr"]) == 1 and len(counts["_compile_blocks"]) == 2
+
+
 def test_batch_values_match_pointwise():
     row = opt_scalar_from_expression("x1^2 - 3*x2", 2)
     rng = np.random.default_rng(5)
@@ -491,6 +530,15 @@ def test_grid_oracle_guards():
                           opt_scalar_from_expression("x1", 1))
     with pytest.raises(ValueError, match="unbounded"):
         op_bruteforce(pu, [0.0], 0.1)
+
+
+def test_grid_oracle_refuses_an_unbounded_polyhedron():
+    # the quadrant x1, x2 >= 0 is unbounded above in both coordinates
+    quadrant = Polyhedron(A=((-1.0, 0.0), (0.0, -1.0)), b=(0.0, 0.0))
+    p = make_opt_problem(quadrant, opt_scalar_from_expression("x1 + x2", 2))
+    with pytest.raises(ValueError, match="^base set is unbounded; the grid oracle "
+                                         "needs a bounded set$"):
+        op_bruteforce(p, [0.0, 0.0], 0.1)
 
 
 def test_zero_width_axis_is_sampled_once():
