@@ -99,18 +99,7 @@ class MultiplierVector:
     """
 
     weights: np.ndarray
-    normalized: bool = True
     from_lineality: bool = False
-
-    @property
-    def cost_weight(self) -> float:
-        return float(self.weights[0])
-
-    def inequality_weights(self, problem: ControlProblem) -> np.ndarray:
-        return self.weights[1:1 + problem.num_inequalities]
-
-    def equality_weights(self, problem: ControlProblem) -> np.ndarray:
-        return self.weights[1 + problem.num_inequalities:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,18 +150,42 @@ class RefutationCertificate:
 # index sets and direction verification
 # ----------------------------------------------------------------------------
 
+def _split_by_activity(values, act_tol: float) -> IndexSets:
+    """Active/inactive split of the rows {0, ..., j} from their values at
+    the candidate: a row is active when its value is >= -act_tol, and row
+    0, the cost, always is.  A NaN value is inactive.  The finite-
+    dimensional check (``noc.optproblem``) classifies its rows here too."""
+    active = np.asarray(values, float) >= -act_tol
+    active[0] = True
+    rows = np.arange(active.size)
+    return IndexSets(active=frozenset(rows[active].tolist()),
+                     inactive=frozenset(rows[~active].tolist()))
+
+
+def _relax(sets: IndexSets, rates, act_tol: float) -> IndexSets:
+    """``sets`` with the relaxed/critical split along a direction whose
+    first-order row rates are ``rates``: relaxed rows are the inactive
+    ones plus the active ones with rate < -act_tol, critical rows the
+    rest."""
+    relaxed = sets.inactive | {i for i in sets.active if rates[i] < -act_tol}
+    return IndexSets(active=sets.active, inactive=sets.inactive,
+                     relaxed=relaxed,
+                     critical=(sets.active | sets.inactive) - relaxed)
+
+
+def _unit_rows(indices, dim: int) -> np.ndarray:
+    """The unit rows e_i of R^dim, i in ``indices``, in ascending order."""
+    return np.eye(dim)[sorted(set(indices))]
+
+
 def active_sets(problem: ControlProblem, trajectory: Trajectory,
                 act_tol: float = ACTIVITY_TOL) -> IndexSets:
-    """Partition the endpoint rows by activity; the cost row is always active."""
+    """Partition the endpoint rows by activity at the trajectory's
+    endpoints: an inequality row is active when its value is >= -act_tol
+    (a NaN value is inactive), and the cost row always is."""
     y0, yT = trajectory.states[0], trajectory.states[-1]
-    active = {0}
-    inactive = set()
-    for i, ep in enumerate(problem.inequality_maps, start=1):
-        if ep.value(y0, yT) >= -act_tol:
-            active.add(i)
-        else:
-            inactive.add(i)
-    return IndexSets(active=frozenset(active), inactive=frozenset(inactive))
+    return _split_by_activity(
+        [0.0] + [ep.value(y0, yT) for ep in problem.inequality_maps], act_tol)
 
 
 def verify_singular_direction(problem: ControlProblem, trajectory: Trajectory,
@@ -228,18 +241,11 @@ def critical_sets(problem: ControlProblem, trajectory: Trajectory,
     """Split the rows into relaxed/critical along a verified direction.
 
     A row is relaxed if it is inactive or if its first-order rate along the
-    direction is strictly negative; multipliers entering the second-order
-    test must vanish on relaxed rows.
+    direction is below -act_tol; the other rows are critical. Multipliers
+    entering the second-order test must vanish on relaxed rows.
     """
-    base = active_sets(problem, trajectory, act_tol)
-    relaxed = set(base.inactive)
-    for i in base.active:
-        if direction.endpoint_rates[i] < -act_tol:
-            relaxed.add(i)
-    every = set(range(1 + problem.num_inequalities))
-    return IndexSets(active=base.active, inactive=base.inactive,
-                     relaxed=frozenset(relaxed),
-                     critical=frozenset(every - relaxed))
+    return _relax(active_sets(problem, trajectory, act_tol),
+                  direction.endpoint_rates, act_tol)
 
 
 # ----------------------------------------------------------------------------
@@ -316,32 +322,19 @@ def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory,
     """
     dim = problem.multiplier_dim
     sets = active_sets(problem, trajectory, act_tol)
-    ineq_rows: list[np.ndarray] = []
-    eq_rows: list[np.ndarray] = []
-    for i in sorted(sets.active):
-        row = np.zeros(dim)
-        row[i] = 1.0
-        ineq_rows.append(row)
-    for i in sorted(sets.inactive):
-        row = np.zeros(dim)
-        row[i] = 1.0
-        eq_rows.append(row)
-    for i in sorted(set(extra_zero_rows)):
-        row = np.zeros(dim)
-        row[i] = 1.0
-        eq_rows.append(row)
     # start-boundary identity: one equality row per state coordinate
     grad_start = np.stack([d.grad_start for d in mjet.endpoint], axis=1)
-    eq_rows.extend(mjet.adjoint[0] + grad_start)            # (n, dim)
     # control-gradient rows at every cell endpoint, on the node-cone generators
     first, inverse = row_groups(trajectory.controls)
     reps = [tangent_cone_vrep(problem.control_set, trajectory.controls[i])
             for i in first.tolist()]
     eq_gradients = _generator_rows([rep.lineality for rep in reps], inverse, mjet.hu)
     ineq_gradients = _generator_rows([rep.rays for rep in reps], inverse, mjet.hu)
-    return (_clean_rows(np.concatenate([np.reshape(ineq_rows, (-1, dim)),
+    return (_clean_rows(np.concatenate([_unit_rows(sets.active, dim),
                                         ineq_gradients]), dim),
-            _clean_rows(np.concatenate([np.reshape(eq_rows, (-1, dim)),
+            _clean_rows(np.concatenate([_unit_rows(sets.inactive, dim),
+                                        _unit_rows(extra_zero_rows, dim),
+                                        mjet.adjoint[0] + grad_start,  # (n, dim)
                                         eq_gradients]), dim))
 
 
@@ -589,7 +582,6 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
                       margin: float = REFUTATION_MARGIN,
                       act_tol: float = ACTIVITY_TOL,
                       stationarity_tol: float = STATIONARITY_TOL,
-                      ray_budget: int = RAY_BUDGET,
                       eps0: float = 0.1) -> RefutationCertificate:
     """Search for an acceleration making the second-order form positive
     against every admissible multiplier of the direction-restricted cone.
@@ -602,11 +594,10 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
     sets = critical_sets(problem, trajectory, direction, act_tol)
     mjet = _multiplier_jet(problem, trajectory)
     if multipliers is None:
-        zero_rows = sorted(set(range(1 + problem.num_inequalities))
-                           - set(sets.critical))
         rays = find_first_order_multipliers(problem, trajectory,
                                             act_tol=act_tol,
-                                            restrict_zero=zero_rows, _jet=mjet)
+                                            restrict_zero=sets.relaxed,
+                                            _jet=mjet)
         if not rays:
             unrestricted = find_first_order_multipliers(problem, trajectory,
                                                         act_tol=act_tol,
@@ -628,7 +619,7 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
     tolerances = {"margin": margin, "act_tol": act_tol,
                   "stationarity_tol": stationarity_tol, "eps0": eps0,
                   "row_tol": direction.row_tol}
-    if len(rays) > ray_budget:
+    if len(rays) > RAY_BUDGET:
         return RefutationCertificate(
             verdict="inconclusive", multipliers=tuple(rays),
             sigma_candidates=(), w_candidates=(),
@@ -636,7 +627,7 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
             chosen_lhs=math.nan, chosen_terms=None, margin=margin,
             stationarity=(), index_sets=sets, tolerances=tolerances,
             notes=(f"multiplier cone has {len(rays)} generators, above the "
-                   f"ray budget {ray_budget}; refusing a verdict",))
+                   f"ray budget {RAY_BUDGET}; refusing a verdict",))
     if any(r.from_lineality for r in rays):
         notes.append("multiplier cone has two-sided directions; a uniformly "
                      "positive quadratic form over all of them is impossible")

@@ -111,9 +111,6 @@ class ProductSet:
             raise ValueError("product of no sets")
 
 
-ConvexSet = object  # union documented above; runtime dispatch by isinstance
-
-
 def set_dim(U) -> int:
     if isinstance(U, Ball):
         return len(U.center)
@@ -530,10 +527,6 @@ class QuadraticBoundResult:
     ell: tuple            # per-node bound values (may contain inf)
     passed: bool
     norm: float           # discrete mean-square norm of ell (inf if failed)
-
-    def __iter__(self):   # allows tuple-unpacking (ell, passed)
-        yield np.asarray(self.ell)
-        yield self.passed
 
 
 def quadratic_distance_bound(U, u_seq, v_seq, eps0: float) -> QuadraticBoundResult:

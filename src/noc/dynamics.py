@@ -495,7 +495,6 @@ def _fd_endpoint(value_many, y0, yT, order: int) -> tuple:
 
 
 def endpoint_from_expressions(text: str, state_dim: int,
-                              start_prefix: str = "y0", end_prefix: str = "yT",
                               label: str = "endpoint", params=None) -> EndpointMap:
     """Endpoint scalar from an expression in y01..y0n (start) and yT1..yTn
     (end), with exact symbolic derivatives.
@@ -506,8 +505,8 @@ def endpoint_from_expressions(text: str, state_dim: int,
     names of ``params`` (a name -> value mapping) that occur are compiled
     as extra arguments; ``rebind`` moves the map to other values."""
     n = state_dim
-    start = tuple(f"{start_prefix}{i + 1}" for i in range(n))
-    end = tuple(f"{end_prefix}{i + 1}" for i in range(n))
+    start = tuple(f"y0{i + 1}" for i in range(n))
+    end = tuple(f"yT{i + 1}" for i in range(n))
     e = parse_expr(text, allowed_vars={*start, *end, *(params or ())})
     pnames = _used_params(params, [e])
     args = start + end + pnames

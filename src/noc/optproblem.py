@@ -8,7 +8,10 @@ separating-functional construction, and an exhaustive grid oracle that can
 independently confirm or refute local minimality.  The trajectory checker
 reduces to this module once a control problem is flattened onto the grid
 (see ``control_problem_as_op``), which is how the two implementations
-cross-validate each other.
+cross-validate each other; both classify rows with the same helpers of
+``noc.conditions``.  Each multiplier test checks its candidate in one
+private step, which evaluates every row once and raises before a verdict
+can rest on a row that is not finite.
 """
 from __future__ import annotations
 
@@ -21,7 +24,8 @@ from .cones import (Ball, Box, Polyhedron, ProductSet, _product_slices,
                     adjacent_cone_member, contains, second_cone_vrep,
                     set_dim, tangent_cone_vrep)
 from .conditions import (IndexSets, MultiplierVector, _clean_rows,
-                         _enumerate_normalized_rays)
+                         _enumerate_normalized_rays, _relax,
+                         _split_by_activity, _unit_rows)
 from .errors import (DegenerateCone, EmptySecondCone, NocError, PointNotInSet,
                      ResolutionTooCoarse)
 from .expr import _compile_blocks, compile_expr, parse_expr
@@ -110,8 +114,7 @@ def opt_scalar(value, grad=None, second=None, label: str = "scalar",
                      label=label, value_many=value_many)
 
 
-def opt_scalar_from_expression(text: str, dim: int, prefix: str = "x",
-                               label: str | None = None,
+def opt_scalar_from_expression(text: str, dim: int, label: str | None = None,
                                params=None) -> OptScalar:
     """Scalar row from an expression in x1..xN and the names of ``params``
     (a name -> value mapping, compiled as extra arguments) with exact
@@ -121,7 +124,7 @@ def opt_scalar_from_expression(text: str, dim: int, prefix: str = "x",
     broadcasts over point arrays; the gradient and the Hessian behind
     ``second`` are one generated function each
     (``noc.expr._compile_blocks``), evaluated at the one point."""
-    names = tuple(f"{prefix}{i + 1}" for i in range(dim))
+    names = tuple(f"x{i + 1}" for i in range(dim))
     pnames = tuple(params or ())
     pvals = tuple(float(params[name]) for name in pnames)
     args = names + pnames
@@ -184,14 +187,15 @@ def make_opt_problem(domain, cost: OptScalar, inequalities=(),
                       equalities=tuple(equalities))
 
 
-def validate_expansion(problem: OptProblem, point, *, seed: int = 0,
-                       rel_tol: float = 1e-4) -> list[tuple[str, tuple]]:
+def validate_expansion(problem: OptProblem, point, *,
+                       seed: int = 0) -> list[tuple[str, tuple]]:
     """Numerically probe the quadratic-expansion property of every row at
     ``point``: the residual of value(e + eps y + eps^2 eta) against the
     declared first/second derivatives, divided by eps^2, must not grow as
     eps shrinks along (0.1, 0.05, 0.025).  Supplied gradients are also
-    cross-checked against central differences.  Returns the per-row
-    (label, residual-ratio triple) report; raises on inconsistency.
+    cross-checked against central differences, to a relative 1e-4.
+    Returns the per-row (label, residual-ratio triple) report; raises on
+    inconsistency.
 
     Rows whose second derivative comes from a finite second difference get
     a wider noise floor: that difference carries roundoff of order
@@ -206,7 +210,7 @@ def validate_expansion(problem: OptProblem, point, *, seed: int = 0,
         scale = 1.0 + abs(base) + float(np.max(np.abs(g), initial=0.0))
         if "grad" in row.supplied:
             ref = _fd_grad(row.value, e)
-            if np.max(np.abs(g - ref)) > rel_tol * (1.0 + np.max(np.abs(ref))):
+            if np.max(np.abs(g - ref)) > 1e-4 * (1.0 + np.max(np.abs(ref))):
                 raise NocError(
                     f"row '{row.label}': supplied gradient disagrees with "
                     f"central differences")
@@ -235,7 +239,7 @@ def validate_expansion(problem: OptProblem, point, *, seed: int = 0,
 
 
 # ----------------------------------------------------------------------------
-# shared row/index preparation
+# the candidate step shared by the multiplier tests
 # ----------------------------------------------------------------------------
 
 def _require_in_domain(problem: OptProblem, e: np.ndarray):
@@ -245,54 +249,82 @@ def _require_in_domain(problem: OptProblem, e: np.ndarray):
         raise PointNotInSet("candidate point lies outside the base set")
 
 
-def _require_admissible(problem: OptProblem, e: np.ndarray,
-                        tol: float = 1e-6):
-    """The multiplier theory presumes the candidate satisfies its own
-    constraint rows; reject plainly infeasible candidates up front."""
+@dataclass(frozen=True, eq=False)
+class _Candidate:
+    """A checked candidate point with every row evaluated once.
+
+    ``values`` are the cost and inequality rows' values, the cost shifted
+    to 0 (the multiplier theory normalizes the cost level); ``gradients``
+    is (1+j+k, N).  The rest is set only along a direction y: the cost and
+    inequality rows' ``rates``, the relaxed/critical split in ``sets``,
+    the second-order admissible set and every row's half second
+    derivative.
+    """
+
+    point: np.ndarray
+    values: np.ndarray
+    gradients: np.ndarray
+    sets: IndexSets
+    rates: np.ndarray | None = None
+    base_point: np.ndarray | None = None
+    cone: object = None
+    halves: np.ndarray | None = None
+
+
+def _coordinates(v: np.ndarray) -> str:
+    return ", ".join(map(repr, v.tolist()))
+
+
+def _candidate(problem: OptProblem, point, act_tol: float,
+               direction=None) -> _Candidate:
+    """The checks every multiplier test makes, in this order: the point
+    lies in the base set and satisfies its rows to 1e-6, the direction has
+    ``dim`` coordinates, every row's value and gradient is finite, the
+    rows pass ``validate_expansion``; along a direction, it is critical
+    and every row's second derivative along it is finite, so that no NaN
+    reaches a verdict."""
+    e = np.asarray(point, float)
     _require_in_domain(problem, e)
-    for i, row in enumerate(problem.inequalities):
-        val = row.value(e)
-        if val > tol:
+    rows = problem.rows
+    m_phi = 1 + problem.num_inequalities
+    values = [row.value(e) for row in rows]
+    for i, val in enumerate(values[1:m_phi]):
+        if val > 1e-6:
             raise ValueError(
                 f"candidate violates inequality row {i} (value {val:.3e})")
-    for i, row in enumerate(problem.equalities):
-        val = row.value(e)
-        if abs(val) > tol:
+    for i, val in enumerate(values[m_phi:]):
+        if abs(val) > 1e-6:
             raise ValueError(
                 f"candidate violates equality row {i} (value {val:.3e})")
-
-
-def _require_finite_rows(problem: OptProblem, e: np.ndarray):
-    """Every row's value and gradient at the candidate must be finite: the
-    multiplier cone is built from them."""
-    for row in problem.rows:
-        value, grad = row.value(e), row.grad(e)
-        if not (math.isfinite(value) and np.all(np.isfinite(grad))):
+    y = None if direction is None else np.asarray(direction, float)
+    if y is not None and y.shape != (problem.dim,):
+        raise ValueError(f"direction must have {problem.dim} coordinates")
+    G = np.stack([row.grad(e) for row in rows])               # (1+j+k, N)
+    for row, val, grad in zip(rows, values, G):
+        if not (math.isfinite(val) and np.all(np.isfinite(grad))):
             raise NocError(
                 f"row '{row.label}' is not finite at the point "
-                f"({', '.join(map(repr, e.tolist()))}): value {value!r}, "
-                f"gradient ({', '.join(map(repr, grad.tolist()))})")
-
-
-def _shifted_values(problem: OptProblem, e: np.ndarray) -> np.ndarray:
-    """Row values with the cost shifted to vanish at the candidate (the
-    multiplier theory normalizes the cost level; derivatives are unchanged)."""
-    vals = np.array([row.value(e) for row in (problem.cost,)
-                     + problem.inequalities])
-    vals[0] = 0.0
-    return vals
-
-
-def _activity(problem: OptProblem, vals: np.ndarray, act_tol: float):
-    active = {0}
-    inactive = set()
-    for i in range(1, 1 + problem.num_inequalities):
-        (active if vals[i] >= -act_tol else inactive).add(i)
-    return active, inactive
-
-
-def _gradient_matrix(problem: OptProblem, e: np.ndarray) -> np.ndarray:
-    return np.stack([row.grad(e) for row in problem.rows])   # (1+j+k, N)
+                f"({_coordinates(e)}): value {val!r}, gradient "
+                f"({_coordinates(grad)})")
+    validate_expansion(problem, e)
+    shifted = np.array([0.0, *values[1:m_phi]])
+    sets = _split_by_activity(shifted, act_tol)
+    if y is None:
+        return _Candidate(point=e, values=shifted, gradients=G, sets=sets)
+    rates = G[:m_phi] @ y
+    _check_direction(problem, e, y, G, rates, sets.active, act_tol)
+    p0, cone = second_cone_vrep(problem.domain, e, y)
+    seconds = [row.second(e, y) for row in rows]
+    for row, d2 in zip(rows, seconds):
+        if not math.isfinite(d2):
+            raise NocError(
+                f"row '{row.label}' has second derivative {d2!r} along the "
+                f"direction ({_coordinates(y)}) at the point "
+                f"({_coordinates(e)})")
+    return _Candidate(point=e, values=shifted, gradients=G,
+                      sets=_relax(sets, rates, act_tol), rates=rates,
+                      base_point=p0, cone=cone,
+                      halves=0.5 * np.array(seconds))
 
 
 ROW_NOISE_TOL = 1e-8
@@ -306,28 +338,22 @@ def _denoise(row: np.ndarray) -> np.ndarray | None:
         else row
 
 
-def _first_order_rows(problem: OptProblem, G: np.ndarray, active, inactive,
-                      rep, extra_zero=()):
+def _first_order_rows(problem: OptProblem, candidate: _Candidate, zero):
+    """H-representation of the multiplier cone: sign rows on the active
+    rows, zero rows on ``zero``, and the weighted gradient sum
+    non-positive on every generator of the base set's tangent cone (zero
+    on its two-sided generators)."""
     dim = problem.multiplier_dim
-    ineq_rows: list[np.ndarray] = []
-    eq_rows: list[np.ndarray] = []
-    for i in sorted(active):
-        row = np.zeros(dim)
-        row[i] = 1.0
-        ineq_rows.append(row)
-    for i in sorted(set(inactive) | set(extra_zero)):
-        row = np.zeros(dim)
-        row[i] = 1.0
-        eq_rows.append(row)
-    for g in rep.rays:
-        row = _denoise(G @ g)
-        if row is not None:
-            ineq_rows.append(row)
-    for g in rep.lineality:
-        row = _denoise(G @ g)
-        if row is not None:
-            eq_rows.append(row)
-    return _clean_rows(ineq_rows, dim), _clean_rows(eq_rows, dim)
+    rep = tangent_cone_vrep(problem.domain, candidate.point)
+
+    def generator_rows(gens):
+        rows = (_denoise(candidate.gradients @ g) for g in gens)
+        return [row for row in rows if row is not None]
+
+    return (_clean_rows([*_unit_rows(candidate.sets.active, dim),
+                         *generator_rows(rep.rays)], dim),
+            _clean_rows([*_unit_rows(zero, dim),
+                         *generator_rows(rep.lineality)], dim))
 
 
 # ----------------------------------------------------------------------------
@@ -339,14 +365,12 @@ def op_index_sets(problem: OptProblem, point, *,
     """Active/inactive split of the cost and inequality rows at ``point``."""
     e = np.asarray(point, float)
     _require_in_domain(problem, e)
-    active, inactive = _activity(problem, _shifted_values(problem, e),
-                                 act_tol)
-    return IndexSets(active=frozenset(active), inactive=frozenset(inactive))
+    return _split_by_activity(
+        [0.0] + [row.value(e) for row in problem.inequalities], act_tol)
 
 
 def op_first_order(problem: OptProblem, point, *,
-                   act_tol: float = ACTIVITY_TOL,
-                   validate: bool = True) -> list[MultiplierVector]:
+                   act_tol: float = ACTIVITY_TOL) -> list[MultiplierVector]:
     """Extreme rays of the first-order multiplier cone at ``point``.
 
     The cone is cut out by the sign pattern on active rows, vanishing
@@ -354,35 +378,20 @@ def op_first_order(problem: OptProblem, point, *,
     slackness), and non-positivity of the weighted gradient sum on every
     generator of the base set's tangent cone.  An empty list is a discrete
     refutation of first-order necessity.
+
+    The point must be feasible, every row's value and gradient finite,
+    and the rows pass ``validate_expansion``, which always runs; otherwise
+    this raises.
     """
-    e = np.asarray(point, float)
-    _require_admissible(problem, e)
-    _require_finite_rows(problem, e)
-    if validate:
-        validate_expansion(problem, e)
-    vals = _shifted_values(problem, e)
-    active, inactive = _activity(problem, vals, act_tol)
-    G = _gradient_matrix(problem, e)
-    rep = tangent_cone_vrep(problem.domain, e)
-    A_le, A_eq = _first_order_rows(problem, G, active, inactive, rep)
+    candidate = _candidate(problem, point, act_tol)
+    A_le, A_eq = _first_order_rows(problem, candidate,
+                                   candidate.sets.inactive)
     return _enumerate_normalized_rays(A_le, A_eq, problem.multiplier_dim)
 
 
-def _critical_rows(problem: OptProblem, G: np.ndarray, y: np.ndarray,
-                   active, inactive, act_tol: float):
-    """Index sets along the direction: rows whose weight must vanish are the
-    inactive ones plus active rows strictly decreasing along y."""
-    rates = G[:1 + problem.num_inequalities] @ y
-    relaxed = set(inactive)
-    for i in sorted(active):
-        if rates[i] < -act_tol:
-            relaxed.add(i)
-    critical = set(range(1 + problem.num_inequalities)) - relaxed
-    return rates, relaxed, critical
-
-
 def _check_direction(problem: OptProblem, e: np.ndarray, y: np.ndarray,
-                     rates: np.ndarray, active, act_tol: float):
+                     G: np.ndarray, rates: np.ndarray, active,
+                     act_tol: float):
     cert = adjacent_cone_member(problem.domain, e, y, with_oracle=False)
     if not cert.member:
         raise EmptySecondCone(
@@ -393,8 +402,8 @@ def _check_direction(problem: OptProblem, e: np.ndarray, y: np.ndarray,
             raise ValueError(
                 f"direction increases active row {i} to first order "
                 f"(rate {rates[i]:.3e}); it is not a critical direction")
-    for idx, row in enumerate(problem.equalities):
-        rate = float(row.grad(e) @ y)
+    for idx, grad in enumerate(G[1 + problem.num_inequalities:]):
+        rate = float(grad @ y)
         if abs(rate) > act_tol:
             raise ValueError(
                 f"direction has nonzero first-order rate {rate:.3e} on "
@@ -423,27 +432,20 @@ class SecondOrderResult:
 
 def op_second_order(problem: OptProblem, point, direction, *,
                     act_tol: float = ACTIVITY_TOL,
-                    qualify_tol: float = QUALIFY_TOL,
-                    validate: bool = True) -> SecondOrderResult:
-    e = np.asarray(point, float)
-    y = np.asarray(direction, float)
-    _require_admissible(problem, e)
-    if y.shape != (problem.dim,):
-        raise ValueError(f"direction must have {problem.dim} coordinates")
-    if validate:
-        validate_expansion(problem, e)
-    vals = _shifted_values(problem, e)
-    active, inactive = _activity(problem, vals, act_tol)
-    G = _gradient_matrix(problem, e)
-    rates, relaxed, critical = _critical_rows(problem, G, y, active, inactive,
-                                              act_tol)
-    _check_direction(problem, e, y, rates, active, act_tol)
-    A_le, A_eq = _first_order_rows(problem, G, active, inactive,
-                                   tangent_cone_vrep(problem.domain, e),
-                                   extra_zero=relaxed)
+                    qualify_tol: float = QUALIFY_TOL) -> SecondOrderResult:
+    """Second-order test along the critical ``direction`` at ``point``.
+
+    The multipliers are the first-order rays with the relaxed rows'
+    weights forced to zero.  Checks the point as ``op_first_order`` does
+    (validation always runs); the direction must have ``dim`` coordinates
+    and be critical, and every row's second derivative along it must be
+    finite; otherwise this raises.
+    """
+    candidate = _candidate(problem, point, act_tol, direction)
+    A_le, A_eq = _first_order_rows(problem, candidate,
+                                   candidate.sets.relaxed)
     rays = _enumerate_normalized_rays(A_le, A_eq, problem.multiplier_dim)
-    p0, rep2 = second_cone_vrep(problem.domain, e, y)
-    halves = 0.5 * np.array([row.second(e, y) for row in problem.rows])
+    G, p0, rep2 = candidate.gradients, candidate.base_point, candidate.cone
     worst: list[float] = []
     for mv in rays:
         c = G.T @ mv.weights
@@ -453,13 +455,13 @@ def op_second_order(problem: OptProblem, point, direction, *,
         if not bounded:
             worst.append(math.inf)
             continue
-        worst.append(float(c @ p0) + float(mv.weights @ halves))
+        worst.append(float(c @ p0) + float(mv.weights @ candidate.halves))
     qualifying = tuple(r for r, w in enumerate(worst) if w <= qualify_tol)
     return SecondOrderResult(multipliers=tuple(rays),
                              worst_values=tuple(worst),
                              qualifying=qualifying,
                              refuted=not qualifying,
-                             critical=frozenset(critical),
+                             critical=candidate.sets.critical,
                              base_point=p0)
 
 
@@ -509,24 +511,19 @@ def _lp_coordinate_range(A_le, A_eq, dim: int) -> float:
 
 def build_separation(problem: OptProblem, point, direction, *,
                      num_samples: int = 256, seed: int = 0,
-                     act_tol: float = ACTIVITY_TOL,
-                     validate: bool = True) -> SeparationData:
-    e = np.asarray(point, float)
-    y = np.asarray(direction, float)
-    _require_admissible(problem, e)
-    if validate:
-        validate_expansion(problem, e)
-    vals = _shifted_values(problem, e)
-    active, inactive = _activity(problem, vals, act_tol)
-    G = _gradient_matrix(problem, e)
-    rates, relaxed, critical = _critical_rows(problem, G, y, active, inactive,
-                                              act_tol)
-    _check_direction(problem, e, y, rates, active, act_tol)
-    p0, rep2 = second_cone_vrep(problem.domain, e, y)
-    halves = 0.5 * np.array([row.second(e, y) for row in problem.rows])
+                     act_tol: float = ACTIVITY_TOL) -> SeparationData:
+    """Separating functional of the second-order test along ``direction``.
+
+    Checks the point and the direction as ``op_second_order`` does
+    (validation always runs, and every row's value, gradient and second
+    derivative along the direction must be finite); otherwise this raises.
+    """
+    candidate = _candidate(problem, point, act_tol, direction)
+    critical = candidate.sets.critical
+    p0, rep2 = candidate.base_point, candidate.cone
     # image map with non-critical inequality rows zeroed out
-    M = G.copy()
-    q = halves.copy()
+    M = candidate.gradients.copy()
+    q = candidate.halves.copy()
     for i in range(1 + problem.num_inequalities):
         if i not in critical:
             M[i] = 0.0
@@ -542,10 +539,10 @@ def build_separation(problem: OptProblem, point, direction, *,
     kappa_points = xs @ M.T + q
     # recession generators of the closed negative set in the first 1+j slots
     m_phi = 1 + problem.num_inequalities
-    shifted = vals.copy()
-    Yvec = np.where([i in active for i in range(m_phi)], rates, 0.0)
+    active = candidate.sets.active
+    Yvec = np.where([i in active for i in range(m_phi)], candidate.rates, 0.0)
     z_generators = tuple(-np.eye(m_phi)[i] for i in range(m_phi))
-    edge = -(shifted + Yvec)
+    edge = -(candidate.values + Yvec)
     if float(np.max(np.abs(edge))) > 1e-14:
         z_generators = z_generators + (edge,)
     # the separator cone: nonnegative pairing with every generator of the

@@ -236,6 +236,18 @@ def test_non_finite_op_candidate_data_exits_2_naming_the_row(
     assert fragment in err
 
 
+def test_a_nan_second_derivative_exits_2_not_refuted(tmp_path, capsys):
+    # every term of the cost is >= 0 on the box and 0 at the origin, but
+    # x2^1.5 has an infinite second derivative there, so y H y is NaN
+    text = ("noc 1\nkind op\ndim 2\ndomain {\n  box 0.0 0.0 1.0 1.0\n}\n"
+            "point 0.0 0.0\ncost x1^2 + x2 + x2^1.5\n"
+            "direction {\n  y 1.0 0.0\n}\n")
+    assert _check([_write(tmp_path, "nan-second.noc", text)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: row 'cost' has second derivative nan")
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     bad = DISC_OP.replace("ball 0.0 0.0 1.0", "ball 0.0 0.0")
     assert _check([_write(tmp_path, "bad.noc", bad)]) == 2

@@ -333,6 +333,33 @@ def test_non_critical_directions_rejected():
         op_second_order(_ball3_problem(), [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0])
 
 
+# sqrt(x1) has an infinite gradient at x1 = 0 and x2^1.5 an infinite second
+# derivative at x2 = 0, where 0 * inf makes y H y NaN along y = (1, 0)
+@pytest.mark.parametrize("check, cost, direction, error, message", [
+    (op_second_order, "sqrt(x1) - x2", [0.0, 1.0], NocError,
+     "row 'sqrt(x1) - x2' is not finite at the point (0.0, 0.0): value 0.0, "
+     "gradient (inf, -1.0)"),
+    (build_separation, "sqrt(x1) - x2", [0.0, 1.0], NocError,
+     "row 'sqrt(x1) - x2' is not finite at the point (0.0, 0.0): value 0.0, "
+     "gradient (inf, -1.0)"),
+    (op_second_order, "x1^2 + x2 + x2^1.5", [1.0, 0.0], NocError,
+     "row 'x1^2 + x2 + x2^1.5' has second derivative nan"),
+    (build_separation, "x1^2 + x2 + x2^1.5", [1.0, 0.0], NocError,
+     "row 'x1^2 + x2 + x2^1.5' has second derivative nan"),
+    (build_separation, "x1 + x2", [1.0, 0.0, 0.0], ValueError,
+     "direction must have 2 coordinates"),
+], ids=["second-order-inf-gradient", "separation-inf-gradient",
+        "second-order-nan-second", "separation-nan-second",
+        "separation-direction-length"])
+def test_second_order_entry_points_check_the_candidate(check, cost, direction,
+                                                        error, message):
+    problem = make_opt_problem(Box(lower=(0.0, 0.0), upper=(1.0, 1.0)),
+                               opt_scalar_from_expression(cost, 2))
+    with np.errstate(all="ignore"), pytest.raises(error) as raised:
+        check(problem, np.zeros(2), direction)
+    assert message in str(raised.value)
+
+
 # ----------------------------------------------------------------------------
 # separation
 # ----------------------------------------------------------------------------
