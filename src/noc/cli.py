@@ -12,7 +12,10 @@ Subcommands:
   validated once, at the first cell that builds; every cell rebinds the
   param values and horizon, re-validates the file and repeats the checks
   its values can change (see ``rebind_problem``), so a cell's row does not
-  depend on its place. ``check`` is a sweep of one cell.
+  depend on its place. The cells run together (``_run_points``): each
+  cell's own work runs cell by cell, and the variational and adjoint
+  passes of up to ``STACK_DEPTH`` cells at a time run as one stacked pass
+  each. ``check`` is a sweep of one cell.
 * ``oracle cone <set> <u> <v> [<w>]`` queries first/second-order cone
   membership for a convex set described inline.
 
@@ -20,7 +23,8 @@ All failures surface as one-line diagnostics on stderr, never tracebacks:
 input errors and unexpected failures alike exit 2, and a numerical warning
 raised on the way (an overflow, say) is named on that same line. A sweep records a
 failing cell as a row with verdict ``error``, finishes the other cells and
-then exits 2. Every stage runs on the calling thread.
+then exits 2; its warnings are listed in cell order, as if the cells had
+run one after another. Every stage runs on the calling thread.
 """
 from __future__ import annotations
 
@@ -34,12 +38,12 @@ from dataclasses import replace
 import numpy as np
 
 from .conditions import (ACTIVITY_TOL, REFUTATION_MARGIN, ROW_TOL,
-                         STATIONARITY_TOL, active_sets,
-                         default_sigma_candidates,
+                         STATIONARITY_TOL, _direction_field, _multiplier_jet,
+                         active_sets, default_sigma_candidates,
                          find_first_order_multipliers, refute_optimality,
                          verify_singular_direction)
 from .cones import adjacent_cone_member, second_adjacent_member
-from .dynamics import integrate_state
+from .dynamics import integrate_state, run_stacked
 from .errors import (DegenerateCone, NocError, NoMultiplier,
                      ProblemFileError, ResolutionTooCoarse)
 from .optproblem import (QUALIFY_TOL, build_separation, op_bruteforce,
@@ -200,7 +204,10 @@ def _cmd_check(args) -> int:
     pf, preset_name = _load(args.file)
     pf = _apply_overrides(pf, args)
     started = time.perf_counter()
-    report, notes = _run(pf, preset_name)
+    (outcome,) = _run_points([_run(pf, preset_name)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    report, notes = outcome
     elapsed = time.perf_counter() - started
     code = VERDICT_EXIT[report["verdict"]]
     report["exit_code"] = code
@@ -215,22 +222,59 @@ def _cmd_check(args) -> int:
     return code
 
 
+def _run_points(points: list) -> list:
+    """Run the checks ``points`` (step generators of ``_run``) together,
+    with ``run_stacked``; return per point its (report, notes) or the
+    exception that ended its check.
+
+    A point's numerical warnings are recorded apart and shown after the
+    run, point by point, so they come in the order of a run of one point
+    after another."""
+    logs = [[] for _ in points]
+    outcomes = run_stacked([_recorded(point, log)
+                            for point, log in zip(points, logs)])
+    for caught in itertools.chain.from_iterable(logs):
+        warnings.showwarning(caught.message, caught.category, caught.filename,
+                             caught.lineno)
+    return outcomes
+
+
+def _recorded(steps, log: list):
+    """The step generator ``steps``, with the warnings of each of its steps
+    appended to ``log``."""
+    value = None
+    while True:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                chain = steps.send(value)
+            except StopIteration as done:
+                return done.value
+            finally:
+                log.extend(caught)
+        value = yield chain
+
+
 def _run(pf: ProblemFile, preset_name, model: ControlModel | None = None):
-    """Check one problem file. A sweep passes the same ``model`` for every
-    cell; a check builds its own, so it runs as a sweep of one cell."""
+    """Check one problem file, as the step generator of one point (see
+    ``run_stacked``). A sweep passes the same ``model`` for every cell; a
+    check builds its own, so it runs as a sweep of one cell."""
     notes = list(preset_notes(preset_name, pf))
     if pf.kind == "op":
         report = _run_op(pf, notes)
     else:
-        report = _run_control(pf, notes, model)
+        report = yield from _run_control(pf, notes, model)
     return report, notes
 
 
-def _run_control(pf: ProblemFile, notes: list, model) -> dict:
+def _run_cell(pf: ProblemFile, preset_name, model: ControlModel):
+    """``_run`` of one sweep cell, whose file is re-validated first."""
+    return (yield from _run(_revalidated(pf), preset_name, model))
+
+
+def _run_control(pf: ProblemFile, notes: list, model):
     problem = build_control_problem(pf, model)
-    controls = build_nominal_controls(pf)
     start = list(pf.start) + ([0.0] if pf.kind == "ocpe" else [])
-    trajectory = integrate_state(problem, start, controls)
+    trajectory = integrate_state(problem, start, build_nominal_controls(pf))
     tol = pf.tolerance_dict()
     act_tol = tol.get("activity", ACTIVITY_TOL)
     row_tol = tol.get("row", ROW_TOL)
@@ -250,8 +294,9 @@ def _run_control(pf: ProblemFile, notes: list, model) -> dict:
     }
 
     if pf.direction is None:
+        mjet = yield from _multiplier_jet.steps(problem, trajectory)
         rays = find_first_order_multipliers(problem, trajectory,
-                                            act_tol=act_tol)
+                                            act_tol=act_tol, _jet=mjet)
         report["multipliers"] = multiplier_payload(rays)
         notes.append("first-order check only: no direction block supplied")
         if rays:
@@ -262,8 +307,10 @@ def _run_control(pf: ProblemFile, notes: list, model) -> dict:
         return report
 
     v, start_rate, sigmas, ws, _ = build_direction_arrays(pf)
+    field = yield from _direction_field.steps(problem, trajectory, v, start_rate)
     direction = verify_singular_direction(problem, trajectory, v, start_rate,
-                                          row_tol=row_tol, act_tol=act_tol)
+                                          row_tol=row_tol, act_tol=act_tol,
+                                          _field=field)
     report["direction"] = {
         "endpoint_rates": direction.endpoint_rates,
         "equality_residuals": direction.equality_residuals,
@@ -275,11 +322,12 @@ def _run_control(pf: ProblemFile, notes: list, model) -> dict:
     w_candidates = None
     if ws:
         w_candidates = [np.zeros(problem.state_dim)] + ws
+    mjet = yield from _multiplier_jet.steps(problem, trajectory)
     try:
         cert = refute_optimality(problem, trajectory, direction,
                                  sigma_candidates, w_candidates,
                                  margin=margin, act_tol=act_tol,
-                                 stationarity_tol=stat_tol)
+                                 stationarity_tol=stat_tol, _jet=mjet)
     except NoMultiplier as ex:
         notes.append(f"refuted at first order: {ex}")
         report["multipliers"] = []
@@ -445,19 +493,22 @@ def _cmd_sweep(args) -> int:
     specs = [_parse_param_spec(spec) for spec in args.param]
     names = [name for name, _ in specs]
     model = ControlModel()      # compiled and probed at the first cell that builds
-    rows = []
-    failed = 0
-    for combo in itertools.product(*(values for _, values in specs)):
-        row = dict(zip(names, combo))
+    combos = list(itertools.product(*(values for _, values in specs)))
+    cells = []
+    for combo in combos:
         run_pf = pf
         for name, value in zip(names, combo):
             run_pf = run_pf.with_param(name, value)   # unknown names end the sweep
-        try:
-            report, notes = _run(_revalidated(run_pf), preset_name, model)
-        except Exception as ex:  # noqa: BLE001 - one bad cell must not end the sweep
+        cells.append(_run_cell(run_pf, preset_name, model))
+    rows = []
+    failed = 0
+    for combo, outcome in zip(combos, _run_points(cells)):
+        row = dict(zip(names, combo))
+        if isinstance(outcome, Exception):   # one bad cell must not end the sweep
             failed += 1
-            row.update(verdict="error", lhs=None, notes=_one_line(ex))
+            row.update(verdict="error", lhs=None, notes=_one_line(outcome))
         else:
+            report, notes = outcome
             row["verdict"] = report["verdict"]
             row["lhs"] = report.get("second_order", {}).get("chosen_lhs")
             row["notes"] = "; ".join(notes)

@@ -19,8 +19,9 @@ from .cones import (adjacent_cone_member, quadratic_distance_bound,
                     row_groups, second_adjacent_member, second_cone_vrep,
                     tangent_cone_vrep)
 from .dynamics import (ControlProblem, EndpointMap, FieldAlongCurve,
-                       Trajectory, TrajectoryJet, _check_direction_shape,
-                       dynamics_from_expressions,
+                       Trajectory, TrajectoryJet, _adjoint_chain,
+                       _check_direction_shape, _stackable,
+                       _variational_chain, dynamics_from_expressions,
                        integrate_adjoint, integrate_variational,
                        lagrange_data, make_problem, trajectory_jet,
                        trapezoid_cellwise)
@@ -191,25 +192,19 @@ def active_sets(problem: ControlProblem, trajectory: Trajectory,
 def verify_singular_direction(problem: ControlProblem, trajectory: Trajectory,
                               control_directions, start_vector=None, *,
                               row_tol: float = ROW_TOL,
-                              act_tol: float = ACTIVITY_TOL) -> SingularDirection:
+                              act_tol: float = ACTIVITY_TOL,
+                              _field: FieldAlongCurve | None = None) -> SingularDirection:
     """Check a direction against the pointwise cone and linearized endpoint rows.
 
     Requirements: every per-cell direction lies in the adjacent cone of the
     control set at the nominal control; active endpoint rows do not increase
-    to first order; equality rows have zero first-order rate.
+    to first order; equality rows have zero first-order rate. ``_field`` is
+    the direction's field from ``_direction_field`` when the caller has
+    run it, cone check included, in a stacked run.
     """
     v_seq = _check_direction_shape(trajectory, control_directions)
-    controls = trajectory.controls
-    for i in row_groups(controls, v_seq)[0].tolist():
-        cert = adjacent_cone_member(problem.control_set, controls[i], v_seq[i],
-                                    with_oracle=False)
-        if not cert.member:
-            raise ConeViolation(
-                f"direction leaves the control tangent cone in cell {i} "
-                f"(margin {cert.margin:.3e})", node=i)
-    if start_vector is None:
-        start_vector = np.zeros(problem.state_dim)
-    X = integrate_variational(problem, trajectory, v_seq, start_vector)
+    X = (_field if _field is not None
+         else _direction_field(problem, trajectory, v_seq, start_vector))
     y0, yT = trajectory.states[0], trajectory.states[-1]
     X0, XT = X.values[0], X.values[-1]
     sets = active_sets(problem, trajectory, act_tol)
@@ -233,6 +228,29 @@ def verify_singular_direction(problem: ControlProblem, trajectory: Trajectory,
     return SingularDirection(control_directions=v_seq, field=X,
                              endpoint_rates=rates, equality_residuals=eq_res,
                              row_tol=row_tol)
+
+
+@_stackable
+def _direction_field(problem: ControlProblem, trajectory: Trajectory,
+                     control_directions, start_vector=None) -> FieldAlongCurve:
+    """The variational field of a direction, after checking that every
+    cell's direction lies in the adjacent cone of the control set at the
+    nominal control. Its steps (see ``dynamics.run_stacked``) yield the
+    variational chain."""
+    v_seq = _check_direction_shape(trajectory, control_directions)
+    controls = trajectory.controls
+    for i in row_groups(controls, v_seq)[0].tolist():
+        cert = adjacent_cone_member(problem.control_set, controls[i], v_seq[i],
+                                    with_oracle=False)
+        if not cert.member:
+            raise ConeViolation(
+                f"direction leaves the control tangent cone in cell {i} "
+                f"(margin {cert.margin:.3e})", node=i)
+    if start_vector is None:
+        start_vector = np.zeros(problem.state_dim)
+    iterates = yield _variational_chain(problem, trajectory, v_seq, start_vector)
+    return integrate_variational(problem, trajectory, v_seq, start_vector,
+                                 _iterates=iterates)
 
 
 def critical_sets(problem: ControlProblem, trajectory: Trajectory,
@@ -283,14 +301,19 @@ class _MultiplierJet:
     hu: np.ndarray
 
 
+@_stackable
 def _multiplier_jet(problem: ControlProblem, trajectory: Trajectory) -> _MultiplierJet:
     """Build the derivative data once and the adjoint of every unit
-    multiplier slot in one backward pass."""
+    multiplier slot in one backward pass, from the slots' endpoint
+    gradients. Its steps yield that pass's chain before building the jet,
+    so a stacked run holds no point's jet while it waits for the others."""
     slots = np.eye(problem.multiplier_dim)
-    jet = trajectory_jet(problem, trajectory)
-    adjoint = integrate_adjoint(problem, trajectory, slots).values
     endpoint = tuple(lagrange_data(problem, trajectory.states[0],
                                    trajectory.states[-1], e) for e in slots)
+    iterates = yield _adjoint_chain(
+        problem, trajectory, np.stack([d.grad_end for d in endpoint], axis=-1))
+    jet = trajectory_jet(problem, trajectory)
+    adjoint = integrate_adjoint(problem, trajectory, slots, _iterates=iterates).values
     hu = np.einsum("sckm,sckd->scmd", jet.fu, adjoint[jet.nodes])
     return _MultiplierJet(jet=jet, adjoint=adjoint, endpoint=endpoint, hu=hu)
 
@@ -466,8 +489,8 @@ def _form_coefficients(mjet: _MultiplierJet, direction: SingularDirection,
     def integral(paired):                                      # (2, N, ...)
         return trapezoid_cellwise(grid, paired[0], paired[1])
 
-    sigma = np.array([integral(np.einsum("cm,scmd->scd", s, mjet.hu))
-                      for s in sigmas]).reshape(len(sigmas), -1)
+    by_sigma = np.einsum("kcm,scmd->kscd", np.stack(sigmas), mjet.hu)
+    sigma = np.array([integral(p) for p in by_sigma]).reshape(len(sigmas), -1)
     terms = {name: integral(np.einsum("sck,sckd->scd", vec, at_sides))
              for name, vec in mjet.jet.form_integrands(X, v).items()}
     X0, XT = X[0], X[-1]
@@ -582,17 +605,20 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
                       margin: float = REFUTATION_MARGIN,
                       act_tol: float = ACTIVITY_TOL,
                       stationarity_tol: float = STATIONARITY_TOL,
-                      eps0: float = 0.1) -> RefutationCertificate:
+                      eps0: float = 0.1,
+                      _jet: _MultiplierJet | None = None) -> RefutationCertificate:
     """Search for an acceleration making the second-order form positive
     against every admissible multiplier of the direction-restricted cone.
 
     Raises NoMultiplier when the restricted cone is trivial — the discrete
     necessary condition then fails already at first order and the caller
-    should report non-optimality on that basis.
+    should report non-optimality on that basis. ``_jet`` is the
+    ``_multiplier_jet`` of the trajectory when the caller has built it in a
+    stacked run.
     """
     notes: list[str] = []
     sets = critical_sets(problem, trajectory, direction, act_tol)
-    mjet = _multiplier_jet(problem, trajectory)
+    mjet = _jet if _jet is not None else _multiplier_jet(problem, trajectory)
     if multipliers is None:
         rays = find_first_order_multipliers(problem, trajectory,
                                             act_tol=act_tol,

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noc.cli import main
+from noc.cli import VERDICT_EXIT, main
 from noc.problemfile import parse_problem_file
 
 DISC_OP = """\
@@ -605,6 +605,86 @@ def test_sweep_cells_do_not_depend_on_cell_order(tmp_path, capsys, thetas):
         lhs[float(theta)] = want
     for theta in (1e6, 1e300):
         assert lhs[theta] - lhs[3.0] == pytest.approx((theta - 3.0) / 2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("grid, times, chains", [
+    ("400", "T=0.1:0.7:13", 2),     # the benchmark sweep: 39 cells
+    ("20", "T=0.1:0.7:35", 4),      # 105 cells, stacked as 64 and 41
+])
+def test_a_sweep_runs_one_stacked_chain_per_pass(monkeypatch, capsys, grid,
+                                                 times, chains):
+    # cells of one grid size: the variational and adjoint passes of every
+    # cell of a stack run as two chains, not two per cell
+    import collections
+
+    import noc.dynamics
+
+    counts = collections.Counter()
+    _count_calls(monkeypatch, noc.dynamics, "_chain", counts)
+    assert main(["sweep", "preset:ccs126", "--grid", grid, "--param", times,
+                 "--param", "theta=2.5,3,4"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3 * int(times.split(":")[-1])
+    assert all(",refuted," in row for row in rows)
+    assert counts["_chain"] == chains
+
+
+def test_each_sweep_row_matches_its_own_check(capsys):
+    # rows that fail keep the message of their own check (less the numerical
+    # warning it names, which the sweep prints once on stderr at the end)
+    import csv
+
+    code = main(["sweep", "preset:ccs126", "--grid", "50", "--param",
+                 "T=0.1,1e300,0.5", "--param", "theta=3,nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("error: 4 of 6 cells failed\n"
+                            "warning: overflow encountered in scalar power\n")
+    rows = list(csv.reader(captured.out.splitlines()))[1:]
+    assert [row[2] for row in rows] == ["refuted", "error", "error", "error",
+                                        "refuted", "error"]
+    for T, theta, verdict, lhs, notes in rows:
+        code = _check(["preset:ccs126", "--grid", "50", "--set", f"T={T}",
+                       "--set", f"theta={theta}"])
+        out, err = capsys.readouterr()
+        if verdict == "error":
+            assert code == 2
+            message = err.splitlines()[0].removeprefix("error: ")
+            assert message.split(" (numerical warning: ")[0] == notes
+        else:
+            assert code == VERDICT_EXIT[verdict]
+            assert f"verdict: {verdict}" in out.splitlines()
+            assert f"second-order value: {lhs}" in out.splitlines()
+            assert notes == "; ".join(line.removeprefix("note: ")
+                                      for line in out.splitlines()
+                                      if line.startswith("note: "))
+
+
+def test_sweep_warnings_come_in_the_order_of_cells_run_one_by_one(
+        monkeypatch, capsys):
+    # the first cell warns in its last stage, after the stacked passes, and
+    # the second in its first; stderr lists them as a cell-by-cell run would
+    import warnings
+
+    import noc.cli
+    import noc.conditions
+
+    def warning_at(module, name, horizon, message):
+        fn = getattr(module, name)
+
+        def warns(problem, *args, **kwargs):
+            if problem.horizon == horizon:
+                warnings.warn(message, RuntimeWarning)
+            return fn(problem, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, warns)
+
+    warning_at(noc.conditions, "trajectory_jet", 0.2, "late in the first cell")
+    warning_at(noc.cli, "integrate_state", 0.4, "early in the second cell")
+    assert main(["sweep", "preset:ccs126", "--grid", "50",
+                 "--param", "T=0.2,0.4"]) == 0
+    assert capsys.readouterr().err == ("warning: late in the first cell\n"
+                                       "warning: early in the second cell\n")
 
 
 def test_sweep_single_point_emits_one_row(capsys):

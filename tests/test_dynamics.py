@@ -20,7 +20,8 @@ from noc.dynamics import (FieldAlongCurve, builtin_dynamics, curvature_pairing,
                           integrate_adjoint, integrate_second_variation,
                           integrate_state, integrate_variational, lagrange_data,
                           make_problem, rebind_problem, refine_controls,
-                          trajectory_from_csv, _cell_propagators, _rk4_step,
+                          run_stacked, trajectory_from_csv, _adjoint_chain,
+                          _cell_propagators, _rk4_step, _variational_chain,
                           trajectory_to_csv, trapezoid_cellwise,
                           trapezoid_quadrature)
 from noc.errors import (BasePointMismatch, BoundViolated, ChartEscape, NocError,
@@ -683,6 +684,95 @@ def test_non_finite_fields_name_the_first_cell_in_loop_order():
         with pytest.raises(NonFiniteState, match=f"adjoint became non-finite in "
                                                  f"cell {backward}$"):
             integrate_adjoint(problem, traj, [1.0])
+
+
+def _variational_steps(problem, traj, v, X0):
+    iterates = yield _variational_chain(problem, traj, v, X0)
+    return integrate_variational(problem, traj, v, X0, _iterates=iterates)
+
+
+def _adjoint_steps(problem, traj, ell):
+    ell = np.asarray(ell, float)
+    columns = ell.T if ell.ndim == 2 else [ell]
+    terminal = np.stack([lagrange_data(problem, traj.states[0], traj.states[-1],
+                                       w).grad_end for w in columns], axis=-1)
+    iterates = yield _adjoint_chain(problem, traj,
+                                    terminal if ell.ndim == 2 else terminal[:, 0])
+    return integrate_adjoint(problem, traj, ell, _iterates=iterates)
+
+
+@pytest.mark.parametrize("make, ells", [
+    (make_flat_nonlinear, ([1.0], [[1.0]])),
+    (make_sphere_nonlinear, ([1.0, -0.5], np.eye(2), [[1.0], [0.3]])),
+])
+def test_stacked_passes_equal_the_passes_run_alone(monkeypatch, make, ells):
+    # three horizons, so three sets of propagators, run as one chain per
+    # pass: every field is bit for bit the one its point gets alone
+    import noc.dynamics
+
+    points = []
+    for horizon, scale in ((0.5, 0.1), (0.8, 0.3), (1.1, -0.2)):
+        problem = make(horizon)
+        traj = integrate_state(problem, [0.2, -0.1], wiggly_controls(60, scale))
+        points.append((problem, traj, wiggly_controls(60, 0.3 * scale),
+                       [scale, 0.05]))
+    alone = [integrate_variational(*point).values for point in points]
+    chains = _count_calls(monkeypatch, noc.dynamics, "_chain")
+    stacked = run_stacked([_variational_steps(*point) for point in points])
+    assert len(chains) == 1
+    for field, want in zip(stacked, alone):
+        np.testing.assert_array_equal(field.values, want)
+        assert field.values.flags.c_contiguous
+    for ell in ells:
+        alone = [integrate_adjoint(problem, traj, ell).values
+                 for problem, traj, *_ in points]
+        del chains[:]
+        stacked = run_stacked([_adjoint_steps(problem, traj, ell)
+                               for problem, traj, *_ in points])
+        assert len(chains) == 1
+        for field, want in zip(stacked, alone):
+            assert field.values.shape == want.shape
+            np.testing.assert_array_equal(field.values, want)
+
+
+def test_an_overflowing_point_leaves_its_neighbours_alone():
+    # the middle point's field overflows; the stacked run raises no warning
+    # for it, the point meets its own warnings when it is redone alone, and
+    # the other points keep the fields they get alone
+    points = []
+    for rate in ("1.5", "2000", "-0.5"):
+        problem = _expression_problem((f"{rate}*y1 + u1",), [0.0], 2.0)
+        traj = integrate_state(problem, [0.0], np.zeros((80, 1)))
+        points.append((problem, traj, np.ones((80, 1)), [1.0]))
+
+    def run(fn, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return fn(*args), [str(w.message) for w in caught]
+            except NocError as ex:
+                return ex, [str(w.message) for w in caught]
+
+    alone = [run(integrate_variational, *point) for point in points]
+    (stacked, stacked_warnings) = run(
+        run_stacked, [_variational_steps(*point) for point in points])
+    assert isinstance(alone[1][0], NonFiniteState) and alone[1][1]
+    assert isinstance(stacked[1], NonFiniteState)
+    assert str(stacked[1]) == str(alone[1][0])
+    assert stacked_warnings == alone[1][1]
+    for i in (0, 2):
+        assert not alone[i][1]
+        np.testing.assert_array_equal(stacked[i].values, alone[i][0].values)
+    alone = [run(integrate_adjoint, problem, traj, [1.0])
+             for problem, traj, *_ in points]
+    (stacked, stacked_warnings) = run(
+        run_stacked, [_adjoint_steps(problem, traj, [1.0])
+                      for problem, traj, *_ in points])
+    assert isinstance(stacked[1], NonFiniteState)
+    assert str(stacked[1]) == str(alone[1][0])
+    assert stacked_warnings == alone[1][1]
+    for i in (0, 2):
+        np.testing.assert_array_equal(stacked[i].values, alone[i][0].values)
 
 
 # ----------------------------------------------------------------------------

@@ -14,7 +14,9 @@ only is run in both, and fails in the other):
 * ``check --report`` on every valid conformance file, on both presets,
   on ``perfbench/sphere.noc`` and on ``op-parabola.noc --tol qualify=1.5``;
 * ``check`` on every invalid conformance file;
-* one 39-row ``sweep`` of ``preset:ccs126``.
+* three sweeps: the 39-row ``sweep`` of ``preset:ccs126``, a 6-row one
+  whose failing cells give error rows and a ``warning:`` line, and one of
+  ``preset:linear-lq-euclid``, whose verdicts are ``consistent``.
 
 Reports are written into a temporary directory, never into a checkout.
 For every command the exit code, stdout, stderr without its ``elapsed:``
@@ -52,7 +54,11 @@ def commands(old: Path, new: Path) -> list[tuple[list[str], bool]]:
              (["check", "perfbench/sphere.noc"], True),
              (["check", f"{VALID}/op-parabola.noc", "--tol", "qualify=1.5"], True),
              (["sweep", "preset:ccs126", "--grid", "400", "--param",
-               "T=0.1:0.7:13", "--param", "theta=2.5,3,4"], False)]
+               "T=0.1:0.7:13", "--param", "theta=2.5,3,4"], False),
+             (["sweep", "preset:ccs126", "--grid", "50", "--param",
+               "T=0.1,1e300,0.5", "--param", "theta=3,nan"], False),
+             (["sweep", "preset:linear-lq-euclid", "--grid", "50", "--param",
+               "T=0.5,1,2"], False)]
     return runs
 
 
