@@ -272,31 +272,31 @@ def _run_cell(pf: ProblemFile, preset_name, model: ControlModel):
 
 
 def _run_control(pf: ProblemFile, notes: list, model):
+    model = model or ControlModel()
     problem = build_control_problem(pf, model)
     start = list(pf.start) + ([0.0] if pf.kind == "ocpe" else [])
-    trajectory = integrate_state(problem, start, build_nominal_controls(pf))
+    trajectory = integrate_state(problem, start, build_nominal_controls(pf, model))
     tol = pf.tolerance_dict()
     act_tol = tol.get("activity", ACTIVITY_TOL)
     row_tol = tol.get("row", ROW_TOL)
     margin = tol.get("margin", REFUTATION_MARGIN)
     stat_tol = tol.get("stationarity", STATIONARITY_TOL)
+    cost = float(problem.cost.value(trajectory.states[0], trajectory.states[-1]))
+    sets = active_sets(problem, trajectory, act_tol)   # once per verdict
     report = {
         "kind": pf.kind,
         "grid": {"cells": pf.cells, "horizon": pf.horizon},
         "tolerances": {"activity": act_tol, "row": row_tol, "margin": margin,
                        "stationarity": stat_tol},
-        "endpoint_values": {
-            "cost": float(problem.cost.value(trajectory.states[0],
-                                             trajectory.states[-1])),
-        },
-        "index_sets": index_sets_payload(
-            active_sets(problem, trajectory, act_tol)),
+        "endpoint_values": {"cost": cost},
+        "index_sets": index_sets_payload(sets),
     }
 
     if pf.direction is None:
         mjet = yield from _multiplier_jet.steps(problem, trajectory)
         rays = find_first_order_multipliers(problem, trajectory,
-                                            act_tol=act_tol, _jet=mjet)
+                                            act_tol=act_tol, _jet=mjet,
+                                            _sets=sets)
         report["multipliers"] = multiplier_payload(rays)
         notes.append("first-order check only: no direction block supplied")
         if rays:
@@ -306,11 +306,11 @@ def _run_control(pf: ProblemFile, notes: list, model):
             report["verdict"] = "refuted"
         return report
 
-    v, start_rate, sigmas, ws, _ = build_direction_arrays(pf)
+    v, start_rate, sigmas, ws, _ = build_direction_arrays(pf, model)
     field = yield from _direction_field.steps(problem, trajectory, v, start_rate)
     direction = verify_singular_direction(problem, trajectory, v, start_rate,
                                           row_tol=row_tol, act_tol=act_tol,
-                                          _field=field)
+                                          _field=field, _sets=sets)
     report["direction"] = {
         "endpoint_rates": direction.endpoint_rates,
         "equality_residuals": direction.equality_residuals,
@@ -327,7 +327,8 @@ def _run_control(pf: ProblemFile, notes: list, model):
         cert = refute_optimality(problem, trajectory, direction,
                                  sigma_candidates, w_candidates,
                                  margin=margin, act_tol=act_tol,
-                                 stationarity_tol=stat_tol, _jet=mjet)
+                                 stationarity_tol=stat_tol, _jet=mjet,
+                                 _sets=sets)
     except NoMultiplier as ex:
         notes.append(f"refuted at first order: {ex}")
         report["multipliers"] = []

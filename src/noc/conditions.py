@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (adjacent_cone_member, quadratic_distance_bound,
+from .cones import (_per_row, adjacent_cone_member, quadratic_distance_bound,
                     row_groups, second_adjacent_member, second_cone_vrep,
                     tangent_cone_vrep)
 from .dynamics import (ControlProblem, EndpointMap, FieldAlongCurve,
@@ -193,21 +193,23 @@ def verify_singular_direction(problem: ControlProblem, trajectory: Trajectory,
                               control_directions, start_vector=None, *,
                               row_tol: float = ROW_TOL,
                               act_tol: float = ACTIVITY_TOL,
-                              _field: FieldAlongCurve | None = None) -> SingularDirection:
+                              _field: FieldAlongCurve | None = None,
+                              _sets: IndexSets | None = None) -> SingularDirection:
     """Check a direction against the pointwise cone and linearized endpoint rows.
 
     Requirements: every per-cell direction lies in the adjacent cone of the
     control set at the nominal control; active endpoint rows do not increase
     to first order; equality rows have zero first-order rate. ``_field`` is
     the direction's field from ``_direction_field`` when the caller has
-    run it, cone check included, in a stacked run.
+    run it, cone check included, in a stacked run, and ``_sets`` the
+    trajectory's ``active_sets`` when the caller has them.
     """
     v_seq = _check_direction_shape(trajectory, control_directions)
     X = (_field if _field is not None
          else _direction_field(problem, trajectory, v_seq, start_vector))
     y0, yT = trajectory.states[0], trajectory.states[-1]
     X0, XT = X.values[0], X.values[-1]
-    sets = active_sets(problem, trajectory, act_tol)
+    sets = _sets if _sets is not None else active_sets(problem, trajectory, act_tol)
     rates = np.empty(1 + problem.num_inequalities)
     for i, ep in enumerate((problem.cost,) + tuple(problem.inequality_maps)):
         g1, g2 = ep.grad(y0, yT)
@@ -240,8 +242,8 @@ def _direction_field(problem: ControlProblem, trajectory: Trajectory,
     v_seq = _check_direction_shape(trajectory, control_directions)
     controls = trajectory.controls
     for i in row_groups(controls, v_seq)[0].tolist():
-        cert = adjacent_cone_member(problem.control_set, controls[i], v_seq[i],
-                                    with_oracle=False)
+        cert = _per_row(problem.control_set, adjacent_cone_member,
+                        controls[i], v_seq[i], with_oracle=False)
         if not cert.member:
             raise ConeViolation(
                 f"direction leaves the control tangent cone in cell {i} "
@@ -332,7 +334,7 @@ def _clean_rows(rows, dim: int) -> np.ndarray:
 
 def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory,
                           mjet: _MultiplierJet, *, act_tol: float,
-                          extra_zero_rows=()):
+                          extra_zero_rows=(), sets: IndexSets | None = None):
     """H-representation of the admissible multiplier cone.
 
     Rows express, linearly in the multiplier: (a) the sign pattern on
@@ -341,15 +343,17 @@ def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory,
     endpoint aggregate), and (c) non-positivity of the Hamiltonian control
     gradient on the tangent-cone generators of the control set at every
     cell endpoint. Lineality directions of a node cone give equality rows
-    (the gradient must vanish on two-sided directions).
+    (the gradient must vanish on two-sided directions). ``sets`` holds the
+    trajectory's ``active_sets`` when the caller has them.
     """
     dim = problem.multiplier_dim
-    sets = active_sets(problem, trajectory, act_tol)
+    if sets is None:
+        sets = active_sets(problem, trajectory, act_tol)
     # start-boundary identity: one equality row per state coordinate
     grad_start = np.stack([d.grad_start for d in mjet.endpoint], axis=1)
     # control-gradient rows at every cell endpoint, on the node-cone generators
     first, inverse = row_groups(trajectory.controls)
-    reps = [tangent_cone_vrep(problem.control_set, trajectory.controls[i])
+    reps = [_per_row(problem.control_set, tangent_cone_vrep, trajectory.controls[i])
             for i in first.tolist()]
     eq_gradients = _generator_rows([rep.lineality for rep in reps], inverse, mjet.hu)
     ineq_gradients = _generator_rows([rep.rays for rep in reps], inverse, mjet.hu)
@@ -411,7 +415,8 @@ def _enumerate_normalized_rays(A_le, A_eq, dim: int) -> list[MultiplierVector]:
 def find_first_order_multipliers(problem: ControlProblem, trajectory: Trajectory,
                                  *, act_tol: float = ACTIVITY_TOL,
                                  restrict_zero=(),
-                                 _jet: _MultiplierJet | None = None
+                                 _jet: _MultiplierJet | None = None,
+                                 _sets: IndexSets | None = None
                                  ) -> list[MultiplierVector]:
     """Enumerate the extreme rays of the admissible multiplier cone.
 
@@ -419,12 +424,15 @@ def find_first_order_multipliers(problem: ControlProblem, trajectory: Trajectory
     pair per lineality direction (two-sided freedoms, flagged). An empty
     list means no nonzero multiplier satisfies the discretized first-order
     conditions. ``restrict_zero`` forces additional rows' weights to zero
-    (used for the direction-restricted second-order cone).
+    (used for the direction-restricted second-order cone). ``_jet`` and
+    ``_sets`` are the trajectory's ``_multiplier_jet`` and ``active_sets``
+    when the caller has them.
     """
     mjet = _jet if _jet is not None else _multiplier_jet(problem, trajectory)
     A_le, A_eq = _multiplier_cone_rows(problem, trajectory, mjet,
                                        act_tol=act_tol,
-                                       extra_zero_rows=restrict_zero)
+                                       extra_zero_rows=restrict_zero,
+                                       sets=_sets)
     return _enumerate_normalized_rays(A_le, A_eq, problem.multiplier_dim)
 
 
@@ -453,8 +461,8 @@ def _check_sigma_membership(problem: ControlProblem, trajectory: Trajectory,
     U = problem.control_set
     controls = trajectory.controls
     for i in row_groups(controls, v_seq, sigma)[0].tolist():
-        cert = second_adjacent_member(U, controls[i], v_seq[i], sigma[i],
-                                      with_oracle=False)
+        cert = _per_row(U, second_adjacent_member, controls[i], v_seq[i],
+                        sigma[i], with_oracle=False)
         if not cert.member:
             raise SigmaNotInB(
                 f"acceleration candidate leaves the second-order admissible "
@@ -570,7 +578,7 @@ def default_sigma_candidates(control_set, controls, directions) -> list[np.ndarr
     controls = np.asarray(controls, float)
     directions = np.asarray(directions, float)
     first, inverse = row_groups(controls, directions)
-    reps = [second_cone_vrep(control_set, controls[i], directions[i])
+    reps = [_per_row(control_set, second_cone_vrep, controls[i], directions[i])
             for i in first.tolist()]
     base = np.zeros_like(controls)
     if reps:
@@ -606,7 +614,8 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
                       act_tol: float = ACTIVITY_TOL,
                       stationarity_tol: float = STATIONARITY_TOL,
                       eps0: float = 0.1,
-                      _jet: _MultiplierJet | None = None) -> RefutationCertificate:
+                      _jet: _MultiplierJet | None = None,
+                      _sets: IndexSets | None = None) -> RefutationCertificate:
     """Search for an acceleration making the second-order form positive
     against every admissible multiplier of the direction-restricted cone.
 
@@ -614,20 +623,24 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
     necessary condition then fails already at first order and the caller
     should report non-optimality on that basis. ``_jet`` is the
     ``_multiplier_jet`` of the trajectory when the caller has built it in a
-    stacked run.
+    stacked run, and ``_sets`` its ``active_sets`` when the caller has them.
+    A stationarity residual that is not finite makes the verdict
+    inconclusive.
     """
     notes: list[str] = []
-    sets = critical_sets(problem, trajectory, direction, act_tol)
+    if _sets is None:
+        _sets = active_sets(problem, trajectory, act_tol)
+    sets = _relax(_sets, direction.endpoint_rates, act_tol)   # critical_sets
     mjet = _jet if _jet is not None else _multiplier_jet(problem, trajectory)
     if multipliers is None:
         rays = find_first_order_multipliers(problem, trajectory,
                                             act_tol=act_tol,
                                             restrict_zero=sets.relaxed,
-                                            _jet=mjet)
+                                            _jet=mjet, _sets=sets)
         if not rays:
             unrestricted = find_first_order_multipliers(problem, trajectory,
                                                         act_tol=act_tol,
-                                                        _jet=mjet)
+                                                        _jet=mjet, _sets=sets)
             if unrestricted:
                 raise NoMultiplier(
                     "no first-order multiplier survives the restriction to "
@@ -673,11 +686,16 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
 
     W = np.stack([_evaluation_scale(ray.weights) for ray in rays], axis=1)
     stationarity = tuple(float(res) for res in _stationarity(mjet, direction, W))
+    stationary = True
     for ray, res in zip(rays, stationarity):
-        if res > stationarity_tol:
-            notes.append(f"stationarity residual {res:.3e} for ray "
-                         f"{np.round(ray.weights, 6).tolist()} exceeds "
-                         f"{stationarity_tol:g}")
+        label = np.round(ray.weights, 6).tolist()
+        if not math.isfinite(res):
+            stationary = False
+            notes.append(f"stationarity residual {res!r} for ray {label} is "
+                         f"not finite; no verdict")
+        elif res > stationarity_tol:
+            notes.append(f"stationarity residual {res:.3e} for ray {label} "
+                         f"exceeds {stationarity_tol:g}")
     per_sigma, values = _form_values(
         *_form_coefficients(mjet, direction, sigmas), W)   # (S, num_rays)
     lhs = np.repeat(per_sigma, len(ws), axis=0)             # W slot is inert
@@ -696,6 +714,8 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
                      f"refutation margin {margin:g}; downgraded")
     else:
         verdict = "consistent"
+    if not stationary:
+        verdict = "inconclusive"
     chosen = (best_idx // len(ws), best_idx % len(ws))
     worst_ray = int(np.argmin(lhs[best_idx]))
     chosen_terms = _terms_at(values, chosen[0], worst_ray)

@@ -55,7 +55,17 @@ DEFAULT_LADDER = tuple(np.geomspace(1e-1, 1e-4, 12))
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Ball:
+class _ConvexSet:
+    """Base of the set variants: ``_memo`` holds the results of the
+    per-row cone work done at this set (``_per_row``), for as long as the
+    set lives. It takes no part in comparison, hashing or repr."""
+
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+
+@dataclass(frozen=True)
+class Ball(_ConvexSet):
     center: tuple
     radius: float
 
@@ -66,7 +76,7 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class Box:
+class Box(_ConvexSet):
     lower: tuple
     upper: tuple
 
@@ -83,7 +93,7 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Polyhedron:
+class Polyhedron(_ConvexSet):
     A: tuple          # q x m rows, meaning A x <= b
     b: tuple
 
@@ -102,7 +112,7 @@ class Polyhedron:
 
 
 @dataclass(frozen=True)
-class ProductSet:
+class ProductSet(_ConvexSet):
     factors: tuple
 
     def __post_init__(self):
@@ -518,6 +528,33 @@ def row_groups(*arrays) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse.ravel()]
 
 
+def _per_row(U, routine, *rows, **options):
+    """``routine(U, *rows, **options)``, computed once per set: the result
+    is kept in ``U._memo`` under the routine, the bytes of ``rows`` and
+    the option values, so the points of a sweep, which share the set and
+    mostly its rows, compute it once between them. Kept arrays are made
+    read-only. A call that raises keeps nothing, so it raises again at
+    every point that meets its row, with that point's message."""
+    key = (routine, b"".join(np.asarray(r, float).tobytes() for r in rows),
+           tuple(options.items()))
+    if key not in U._memo:
+        U._memo[key] = _read_only(routine(U, *rows, **options))
+    return U._memo[key]
+
+
+def _read_only(value):
+    """``value`` with the arrays in it, also those in a ConeVRep or a
+    tuple, made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, ConeVRep):
+        _read_only((value.lineality, value.rays))
+    elif isinstance(value, tuple):
+        for part in value:
+            _read_only(part)
+    return value
+
+
 # ----------------------------------------------------------------------------
 # quadratic distance bound and the ε-lift
 # ----------------------------------------------------------------------------
@@ -538,22 +575,26 @@ def quadratic_distance_bound(U, u_seq, v_seq, eps0: float) -> QuadraticBoundResu
         raise ValueError("u and v sequences must have equal shapes")
     # nodes often repeat one (control, direction) pair: evaluate each once
     for i in row_groups(u_seq)[0].tolist():
-        if not contains(U, u_seq[i], tol=1e-9):
+        if not _per_row(U, contains, u_seq[i], tol=1e-9):
             raise PointNotInSet(f"grid node {i}: control outside the set")
-    eps = np.geomspace(1e-3 * eps0, eps0, 32)
     first, inverse = row_groups(u_seq, v_seq)
-    values = []
-    for i in first.tolist():
-        u, v = u_seq[i], v_seq[i]
-        vals = np.array([dist_and_project(U, u + e * v)[0] / (e * e) for e in eps])
-        increasing_tail = vals[2] < vals[1] < vals[0]  # eps sorted ascending: vals[0] is smallest ε
-        diverges = increasing_tail and vals[0] > 1.5 * vals[-1] and vals[0] > 1e-9
-        values.append(math.inf if diverges else float(vals.max()))
+    values = [_per_row(U, _ladder_bound, u_seq[i], v_seq[i], eps0=eps0)
+              for i in first.tolist()]
     ells = [values[g] for g in inverse.tolist()]
     ells_arr = np.asarray(ells)
     passed = bool(np.all(np.isfinite(ells_arr)))
     nrm = float(np.sqrt(np.mean(ells_arr ** 2))) if passed else math.inf
     return QuadraticBoundResult(ell=tuple(ells), passed=passed, norm=nrm)
+
+
+def _ladder_bound(U, u, v, eps0: float) -> float:
+    """One node's ℓ: the largest dist(u + ε v)/ε² over a 32-step ε ladder
+    up to ε₀, or inf where the ratios grow as ε shrinks."""
+    eps = np.geomspace(1e-3 * eps0, eps0, 32)
+    vals = np.array([dist_and_project(U, u + e * v)[0] / (e * e) for e in eps])
+    increasing_tail = vals[2] < vals[1] < vals[0]  # eps sorted ascending: vals[0] is smallest ε
+    diverges = increasing_tail and vals[0] > 1.5 * vals[-1] and vals[0] > 1e-9
+    return math.inf if diverges else float(vals.max())
 
 
 def lift_sigma(U, u_seq, v_seq, sigma_seq, eps: float):

@@ -557,6 +557,9 @@ class ControlProblem:
     inequality_maps: tuple
     equality_maps: tuple
     control_set: object
+    # make_problem's validation draws, per (probe base bytes, seed); see
+    # ``_validation_draws``
+    _draws: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def state_dim(self) -> int:
@@ -595,10 +598,17 @@ def _fd_rounding(fmax, y, u, wrt: str):
 def _probe_points(problem: ControlProblem, probe_base, rng) -> tuple:
     """20 validation points t (20,), y (20, n), u (20, m): t on the
     horizon, y near probe_base."""
+    unit_t, y, u = _unit_probe_points(problem, probe_base, rng)
+    return problem.horizon * unit_t, y, u
+
+
+def _unit_probe_points(problem: ControlProblem, probe_base, rng) -> tuple:
+    """``_probe_points`` with t on [0, 1): the horizon times these t is bit
+    for bit ``rng.uniform(0, horizon)``, so the draws do not depend on it."""
     n, m = problem.state_dim, problem.control_dim
     probes = []
     for _ in range(20):
-        t = rng.uniform(0.0, problem.horizon)
+        t = rng.random()
         for _ in range(40):
             y = probe_base + 0.1 * rng.standard_normal(n)
             if valid_point(problem.chart, y):
@@ -705,13 +715,12 @@ def _validate_dynamics(problem: ControlProblem, probes, tol: float):
                            "with the numpy RK4 step")
 
 
-def _validate_endpoints(problem: ControlProblem, probe_base, rng, tol: float,
-                        only=None):
-    """Check every endpoint map at 6 point pairs near probe_base, or only
-    the maps in ``only``; the points are drawn for every map, so a map
-    meets the same points either way."""
+def _point_pairs(problem: ControlProblem, probe_base, rng) -> tuple:
+    """Per endpoint map, in order, 6 point pairs near probe_base; the draws
+    stop after the first map for which fewer could be drawn."""
     n = problem.state_dim
-    for ep in problem.endpoint_maps:
+    out = []
+    for _ in problem.endpoint_maps:
         pairs = []
         for _ in range(6):
             for _ in range(40):
@@ -722,9 +731,20 @@ def _validate_endpoints(problem: ControlProblem, probe_base, rng, tol: float,
                     break
             else:
                 break
-        if pairs and (only is None or ep in only):
-            _compare_endpoint_map(ep, pairs, tol)
+        out.append(tuple(pairs))
         if len(pairs) < 6:
+            break
+    return tuple(out)
+
+
+def _validate_endpoints(problem: ControlProblem, pairs, tol: float, only=None):
+    """Check every endpoint map at its point pairs (``_point_pairs``), or
+    only the maps in ``only``; pairs are drawn for every map, so a map
+    meets the same points either way."""
+    for ep, ep_pairs in zip(problem.endpoint_maps, pairs):
+        if ep_pairs and (only is None or ep in only):
+            _compare_endpoint_map(ep, ep_pairs, tol)
+        if len(ep_pairs) < 6:
             raise NocError("could not sample valid probe points near probe_base")
 
 
@@ -764,6 +784,28 @@ def _probe_base(chart: ManifoldChart, probe_base) -> np.ndarray:
 _PROBE_SEED = 0     # make_problem's default seed, which rebind_problem follows
 
 
+def _validation_draws(problem: ControlProblem, probe_base, seed: int,
+                      pairs: bool = True) -> tuple:
+    """(unit probes, point pairs) that validation draws near ``probe_base``
+    from ``seed``: ``_unit_probe_points``, then ``_point_pairs``, or None
+    for the pairs when they are not asked for. Neither depends on the
+    horizon or the params, so ``problem._draws`` keeps them, and a problem
+    rebound from it, which has its chart and dimensions, starts with them.
+    The kept arrays are read-only."""
+    key = (probe_base.tobytes(), seed)
+    kept = problem._draws.get(key)
+    if kept is not None and (kept[1] is not None or not pairs):
+        return kept
+    rng = np.random.default_rng(seed)
+    unit = _unit_probe_points(problem, probe_base, rng)
+    drawn = (unit, _point_pairs(problem, probe_base, rng) if pairs else None)
+    for a in list(unit) + [y for ep_pairs in drawn[1] or () for pair in ep_pairs
+                           for y in pair]:
+        a.flags.writeable = False
+    problem._draws[key] = drawn
+    return drawn
+
+
 def make_problem(chart: ManifoldChart, horizon: float, dynamics: DynamicsModel,
                  cost: EndpointMap, inequality_maps=(), equality_maps=(),
                  control_set=None, validate: bool = True, probe_base=None,
@@ -792,10 +834,10 @@ def make_problem(chart: ManifoldChart, horizon: float, dynamics: DynamicsModel,
                              cost=cost, inequality_maps=tuple(inequality_maps),
                              equality_maps=tuple(equality_maps), control_set=control_set)
     if validate:
-        base = _probe_base(chart, probe_base)
-        rng = np.random.default_rng(seed)
-        _validate_dynamics(problem, _probe_points(problem, base, rng), tol=1e-4)
-        _validate_endpoints(problem, base, rng, tol=1e-4)
+        (unit_t, y, u), pairs = _validation_draws(
+            problem, _probe_base(chart, probe_base), seed)
+        _validate_dynamics(problem, (problem.horizon * unit_t, y, u), tol=1e-4)
+        _validate_endpoints(problem, pairs, tol=1e-4)
     return problem
 
 
@@ -809,7 +851,9 @@ def rebind_problem(problem: ControlProblem, horizon: float, values,
     parameters and are kept. The checks are those of ``make_problem``, at
     its probes and point pairs for its default seed, this horizon and
     ``probe_base``, but for the float RK4 cell, which ``problem`` shares,
-    and only the endpoint maps that moved are checked.
+    and only the endpoint maps that moved are checked. The draws are those
+    ``problem`` keeps for that base, when it does (``_validation_draws``),
+    and no point pairs are drawn when no map moved.
     """
     def moved(part):
         return part if part.rebind is None else part.rebind(values)
@@ -819,14 +863,16 @@ def rebind_problem(problem: ControlProblem, horizon: float, values,
         inequality_maps=tuple(map(moved, problem.inequality_maps)),
         equality_maps=tuple(map(moved, problem.equality_maps)),
         control_set=problem.control_set, validate=False)
-    base = _probe_base(rebound.chart, probe_base)
-    rng = np.random.default_rng(_PROBE_SEED)
-    probes = _probe_points(rebound, base, rng)
+    rebound._draws.update(problem._draws)
+    moved_maps = tuple(ep for ep in rebound.endpoint_maps if ep.rebind is not None)
+    (unit_t, y, u), pairs = _validation_draws(
+        rebound, _probe_base(rebound.chart, probe_base), _PROBE_SEED,
+        pairs=bool(moved_maps))
+    probes = (rebound.horizon * unit_t, y, u)
     _check_blocks(rebound.dynamics, probes, _probe_blocks(rebound.dynamics, probes),
                   tol=1e-4)
-    _validate_endpoints(rebound, base, rng, tol=1e-4,
-                        only=tuple(ep for ep in rebound.endpoint_maps
-                                   if ep.rebind is not None))
+    if moved_maps:
+        _validate_endpoints(rebound, pairs, tol=1e-4, only=moved_maps)
     return rebound
 
 

@@ -930,12 +930,18 @@ class ControlModel:
     differs from the first only in those values and rebind them
     (``rebind_problem``): nothing is parsed or compiled, and the checks
     that the values can change run again, so each call fails or passes as
-    a fresh build of its file would.
+    a fresh build of its file would.  A sweep's model thus does once the
+    validation draws, the compiling of the control and direction tables
+    (when ``build_nominal_controls`` and ``build_direction_arrays`` first
+    ask for them) and, through the control set it shares, the cone work of
+    each distinct (control, direction) row, while every cell evaluates its
+    tables at its own midpoints and runs its own checks and verdict.
     """
 
     def __init__(self):
         self._shape = None      # the first file, values left out
         self._problem = None
+        self._functions = {}    # (text, names) -> compiled expression in t
 
     def problem(self, pf: ProblemFile):
         from .dynamics import rebind_problem
@@ -955,6 +961,20 @@ class ControlModel:
         return rebind_problem(self._problem, pf.horizon, values,
                               probe_base=start)
 
+    def _time_function(self, text: str, names: tuple, what: str):
+        """``text`` compiled as an expression in ``names``, once per model;
+        a text that does not parse raises every time it is asked for."""
+        from .expr import ExprError, compile_expr, parse_expr
+
+        fn = self._functions.get((text, names))
+        if fn is None:
+            try:
+                node = parse_expr(text, allowed_vars=set(names))
+            except ExprError as ex:
+                raise ProblemFileError(f"{what}: {ex}") from None
+            fn = self._functions[text, names] = compile_expr(node, names)
+        return fn
+
 
 def build_control_problem(pf: ProblemFile, model: ControlModel | None = None):
     """Instantiate the dynamics-level problem described by an ocp/ocpe file.
@@ -964,40 +984,40 @@ def build_control_problem(pf: ProblemFile, model: ControlModel | None = None):
     return (model or ControlModel()).problem(pf)
 
 
-def _eval_time_rows(texts: tuple, pf: ProblemFile, what: str) -> np.ndarray:
-    """Evaluate per-component expressions in t at the cell midpoints."""
-    from .expr import ExprError, compile_expr, parse_expr
-
+def _eval_time_rows(texts: tuple, pf: ProblemFile, what: str,
+                    model: ControlModel | None) -> np.ndarray:
+    """Evaluate per-component expressions in t at the cell midpoints, each
+    compiled once per ``model``."""
+    model = model or ControlModel()
     values = _effective_params(pf)
     names = ("t",) + tuple(values)
     h = pf.horizon / pf.cells
     t_mid = (np.arange(pf.cells) + 0.5) * h
     cols = []
     for text in texts:
-        try:
-            node = parse_expr(text, allowed_vars=set(names))
-        except ExprError as ex:
-            raise ProblemFileError(f"{what}: {ex}") from None
-        vals = np.asarray(compile_expr(node, names)(t_mid, *values.values()),
-                          float)
+        fn = model._time_function(text, names, what)
+        vals = np.asarray(fn(t_mid, *values.values()), float)
         cols.append(np.broadcast_to(vals, t_mid.shape))
     return np.stack(cols, axis=1)
 
 
-def build_nominal_controls(pf: ProblemFile) -> np.ndarray:
+def build_nominal_controls(pf: ProblemFile,
+                           model: ControlModel | None = None) -> np.ndarray:
     """The candidate control table: (cells, m), expressions sampled at
-    cell midpoints (controls are constant on each cell)."""
-    return _eval_time_rows(pf.control_texts, pf, "control")
+    cell midpoints (controls are constant on each cell). A sweep passes
+    one ``model`` for all its cells, which compiles the expressions."""
+    return _eval_time_rows(pf.control_texts, pf, "control", model)
 
 
-def build_direction_arrays(pf: ProblemFile):
+def build_direction_arrays(pf: ProblemFile, model: ControlModel | None = None):
     """Direction table plus start rate for ocp/ocpe runs; the ocpe
-    accumulator slot is appended automatically."""
+    accumulator slot is appended automatically. ``model`` is as for
+    ``build_nominal_controls``."""
     d = pf.direction
     if d.rows is not None:
         v = np.asarray(d.rows, float)
     else:
-        v = _eval_time_rows(d.v_texts, pf, "direction.v")
+        v = _eval_time_rows(d.v_texts, pf, "direction.v", model)
     n = pf.chart[1] if pf.chart[0] == "euclidean" else 2
     aug = 1 if pf.kind == "ocpe" else 0
     start_rate = np.zeros(n + aug)

@@ -660,6 +660,99 @@ def test_each_sweep_row_matches_its_own_check(capsys):
                                       if line.startswith("note: "))
 
 
+@pytest.mark.parametrize("problem, times", [
+    ("docs/conformance/valid/sphere-drift.noc", "T=0.2,0.3,0.4"),  # curved chart
+    ("preset:linear-lq-euclid", "T=0.5,1,2"),
+])
+def test_sweep_rows_with_distinct_rows_match_their_own_checks(capsys, problem,
+                                                              times):
+    # the controls or directions differ per cell and per point, so the
+    # points of these sweeps share few rows of the per-row cone work
+    import csv
+
+    assert main(["sweep", problem, "--grid", "50", "--param", times]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    assert len(rows) == 3
+    for T, verdict, lhs, notes in rows:
+        code = _check([problem, "--grid", "50", "--set", f"T={T}"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == VERDICT_EXIT[verdict]
+        assert f"verdict: {verdict}" in out
+        assert (f"second-order value: {lhs}" in out) == bool(lhs)
+        assert notes == "; ".join(line.removeprefix("note: ")
+                                  for line in out if line.startswith("note: "))
+
+
+_SWEEP_39 = ["sweep", "preset:ccs126", "--grid", "400", "--param",
+             "T=0.1:0.7:13", "--param", "theta=2.5,3,4"]
+
+
+def test_a_sweep_does_its_per_row_cone_work_once(monkeypatch, capsys):
+    # the 39 points share the control set and its one (control, direction)
+    # row: each cone routine computes once per sweep, not once per point,
+    # and the second-order membership once per acceleration candidate
+    import collections
+
+    import noc.cones
+
+    routines = ("adjacent_cone_member", "tangent_cone_vrep",
+                "second_adjacent_member", "second_cone_vrep", "contains",
+                "_ladder_bound")
+    counts = collections.Counter()
+    for routine in routines:
+        _count_calls(monkeypatch, noc.cones, routine, counts)
+    assert main(_SWEEP_39) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 40
+    assert counts == {routine: 1 for routine in routines} | {
+        "second_adjacent_member": 4}
+
+
+def test_a_sweep_draws_compiles_and_classifies_once(monkeypatch, capsys):
+    # the validation draws and the control and direction tables once per
+    # sweep; the active sets once per point
+    import collections
+
+    import noc.conditions
+    import noc.dynamics
+    import noc.expr
+
+    counts = collections.Counter()
+    for name in ("_unit_probe_points", "_point_pairs"):
+        _count_calls(monkeypatch, noc.dynamics, name, counts)
+    _count_calls(monkeypatch, noc.conditions, "active_sets", counts)
+    compile_expr = noc.expr.compile_expr
+    tables = []
+
+    def compiled(node, varnames):
+        if varnames[0] == "t":          # an expression of a table
+            tables.append(varnames)
+        return compile_expr(node, varnames)
+
+    monkeypatch.setattr(noc.expr, "compile_expr", compiled)
+    assert main(_SWEEP_39) == 0
+    capsys.readouterr()
+    assert counts == {"_unit_probe_points": 1, "_point_pairs": 1,
+                      "active_sets": 39}
+    # the controls 0, -1 and the direction 1, 0: three distinct texts
+    assert tables == [("t", "theta", "T")] * 3
+
+
+def test_a_nan_stationarity_residual_is_inconclusive(monkeypatch, capsys):
+    import noc.conditions
+
+    def nan_residuals(mjet, direction, W):
+        return np.full(W.shape[1], np.nan)
+
+    monkeypatch.setattr(noc.conditions, "_stationarity", nan_residuals)
+    assert _check(["preset:linear-lq-euclid"]) == VERDICT_EXIT["inconclusive"]
+    out = capsys.readouterr().out.splitlines()
+    assert "verdict: inconclusive" in out
+    notes = [line for line in out if line.startswith("note: stationarity")]
+    assert len(notes) == 1
+    assert notes[0].startswith("note: stationarity residual nan for ray [")
+    assert notes[0].endswith("is not finite; no verdict")
+
+
 def test_sweep_warnings_come_in_the_order_of_cells_run_one_by_one(
         monkeypatch, capsys):
     # the first cell warns in its last stage, after the stacked passes, and

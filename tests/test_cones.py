@@ -474,3 +474,21 @@ def test_grouped_lift_matches_the_per_node_loop():
         assert _outcome(lift_sigma, _SQUARE, u, _V, sigma, eps) == want
     with pytest.raises(ValueError, match="equal shapes"):
         lift_sigma(_SQUARE, _U, _V, _SIGMA[:-1], eps)
+
+
+def test_per_row_results_are_kept_read_only_and_failures_are_not():
+    from noc.cones import _per_row
+
+    U = Ball(center=(0.0, 0.0), radius=1.0)
+    v = np.array([1.0, 0.5])
+    rep = _per_row(U, tangent_cone_vrep, UB)
+    assert _per_row(U, tangent_cone_vrep, UB.copy()) is rep   # same bytes
+    p0, cone = _per_row(U, second_cone_vrep, UB, v)
+    for a in (rep.lineality, rep.rays, p0, cone.lineality, cone.rays):
+        assert not a.flags.writeable
+    for _ in range(2):                  # raises at every call
+        with pytest.raises(PointNotInSet):
+            _per_row(U, tangent_cone_vrep, np.array([2.0, 0.0]))
+    assert len(U._memo) == 2
+    # the memo takes no part in equality or hashing
+    assert U == B1 and hash(U) == hash(B1)

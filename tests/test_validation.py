@@ -440,6 +440,52 @@ def test_validation_evaluates_its_stencils_in_batches():
     assert counts == {"blocks_many": 1, "value": 6, "grad": 6, "hess": 6}
 
 
+@pytest.mark.parametrize("horizon", [0.1, 0.5, 1e300])
+def test_a_rebound_problem_reuses_the_draws_of_a_fresh_build(monkeypatch, horizon):
+    # the probes a rebound problem checks are, bit for bit, those a fresh
+    # make_problem at its horizon draws, with t drawn as rng.uniform(0, T);
+    # the rebound problem draws nothing
+    seen, draws = [], collections.Counter()
+    check_blocks = noc.dynamics._check_blocks
+
+    def recording(dyn, probes, blocks, tol):
+        seen.append(probes)
+        return check_blocks(dyn, probes, blocks, tol)
+
+    monkeypatch.setattr(noc.dynamics, "_check_blocks", recording)
+    unit_probe_points = noc.dynamics._unit_probe_points
+
+    def drawing(*args):
+        draws["probes"] += 1
+        return unit_probe_points(*args)
+
+    monkeypatch.setattr(noc.dynamics, "_unit_probe_points", drawing)
+    dyn = dynamics_from_expressions(("u2", "-y1^2 + 4*y1*u2 - k*u1^2"), 2, 2,
+                                    params={"k": 3.0})
+    cost = endpoint_from_expressions("yT2", 2)
+    base = np.array([1.0, 0.0])
+    problem = make_problem(euclidean(2), 0.3, dyn, cost, probe_base=base)
+    rebind_problem(problem, horizon, {"k": 2.0}, probe_base=base)
+    assert draws["probes"] == 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        make_problem(euclidean(2), horizon, dyn.rebind({"k": 2.0}), cost,
+                     probe_base=base)
+    assert draws["probes"] == 2
+    rng = np.random.default_rng(0)
+    replay = []
+    for _ in range(20):
+        t = rng.uniform(0.0, horizon)
+        while True:
+            y = base + 0.1 * rng.standard_normal(2)
+            if valid_point(euclidean(2), y):
+                break
+        replay.append((t, y, 0.5 * rng.standard_normal(2)))
+    replay = [np.array(a) for a in zip(*replay)]
+    reused, fresh = seen[1], seen[2]
+    for a, b, c in zip(reused, fresh, replay):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+
+
 def test_expression_models_take_every_block_from_blocks_many():
     # validation, the integrators and the second-order form never call an
     # expression model's per-node derivative blocks

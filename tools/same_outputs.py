@@ -14,9 +14,11 @@ only is run in both, and fails in the other):
 * ``check --report`` on every valid conformance file, on both presets,
   on ``perfbench/sphere.noc`` and on ``op-parabola.noc --tol qualify=1.5``;
 * ``check`` on every invalid conformance file;
-* three sweeps: the 39-row ``sweep`` of ``preset:ccs126``, a 6-row one
-  whose failing cells give error rows and a ``warning:`` line, and one of
-  ``preset:linear-lq-euclid``, whose verdicts are ``consistent``.
+* four sweeps: the 39-row ``sweep`` of ``preset:ccs126``, a 6-row one
+  whose failing cells give error rows and a ``warning:`` line, one of
+  ``preset:linear-lq-euclid``, whose verdicts are ``consistent``, and one
+  of ``sphere-drift.noc``, whose controls differ from cell to cell and
+  from point to point on a curved chart.
 
 Reports are written into a temporary directory, never into a checkout.
 For every command the exit code, stdout, stderr without its ``elapsed:``
@@ -58,7 +60,9 @@ def commands(old: Path, new: Path) -> list[tuple[list[str], bool]]:
              (["sweep", "preset:ccs126", "--grid", "50", "--param",
                "T=0.1,1e300,0.5", "--param", "theta=3,nan"], False),
              (["sweep", "preset:linear-lq-euclid", "--grid", "50", "--param",
-               "T=0.5,1,2"], False)]
+               "T=0.5,1,2"], False),
+             (["sweep", f"{VALID}/sphere-drift.noc", "--grid", "50", "--param",
+               "T=0.2,0.3,0.4"], False)]
     return runs
 
 
