@@ -47,8 +47,6 @@ __all__ = [
     "find_first_order_multipliers",
     "mayer_augment",
     "refute_optimality",
-    "second_order_lhs",
-    "stationarity_residual",
     "verify_singular_direction",
 ]
 
@@ -272,12 +270,6 @@ def critical_sets(problem: ControlProblem, trajectory: Trajectory,
 # multiplier cone
 # ----------------------------------------------------------------------------
 
-def _weights_of(multiplier) -> np.ndarray:
-    if isinstance(multiplier, MultiplierVector):
-        return np.asarray(multiplier.weights, float)
-    return np.asarray(multiplier, float)
-
-
 def _inf_normalize(w: np.ndarray) -> np.ndarray:
     peak = float(np.max(np.abs(w)))
     if peak <= 0.0:
@@ -436,14 +428,6 @@ def find_first_order_multipliers(problem: ControlProblem, trajectory: Trajectory
     return _enumerate_normalized_rays(A_le, A_eq, problem.multiplier_dim)
 
 
-def stationarity_residual(problem: ControlProblem, trajectory: Trajectory,
-                          multiplier, direction: SingularDirection) -> float:
-    """Largest |control gradient of H paired with the direction| over the grid."""
-    weights = _weights_of(multiplier)
-    mjet = _multiplier_jet(problem, trajectory)
-    return float(_stationarity(mjet, direction, weights[:, None])[0])
-
-
 def _stationarity(mjet: _MultiplierJet, direction: SingularDirection,
                   W: np.ndarray) -> np.ndarray:
     """Per column of W (dim, R): the largest |hu paired with v| over both
@@ -532,35 +516,6 @@ def _terms_at(values: dict, candidate: int, ray: int) -> dict:
     out = {"sigma_integral": float(values["sigma_integral"][candidate, ray])}
     out.update((name, float(values[name][ray])) for name in LHS_TERM_NAMES[1:])
     return out
-
-
-def second_order_lhs(problem: ControlProblem, trajectory: Trajectory,
-                     multiplier, direction: SingularDirection, accelerations,
-                     start_acceleration=None, *, eps0: float = 0.1,
-                     check: bool = True, with_terms: bool = False):
-    """Evaluate the second-order quadratic form for one multiplier.
-
-    The value is the sum of the five grid integrals (control gradient
-    against the acceleration, state/mixed/control Hessian quadratics, and
-    the curvature pairing) plus the three endpoint-Hessian terms. The
-    ``start_acceleration`` slot is accepted for interface symmetry but does
-    not enter the value: its two contributions cancel identically through
-    the start-boundary identity of any admissible multiplier.
-    """
-    weights = _weights_of(multiplier)
-    v_seq = direction.control_directions
-    sigma = np.asarray(accelerations, float)
-    if sigma.shape != v_seq.shape:
-        raise ValueError("accelerations must match the direction shape")
-    if check:
-        _check_quadratic_bound(problem, trajectory, v_seq, eps0)
-        _check_sigma_membership(problem, trajectory, v_seq, sigma)
-    mjet = _multiplier_jet(problem, trajectory)
-    lhs, values = _form_values(*_form_coefficients(mjet, direction, [sigma]),
-                               weights[:, None])
-    if with_terms:
-        return float(lhs[0, 0]), _terms_at(values, 0, 0)
-    return float(lhs[0, 0])
 
 
 # ----------------------------------------------------------------------------

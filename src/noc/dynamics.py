@@ -1,12 +1,12 @@
 """Control-system integration on chart-described manifolds.
 
 Forward state integration, first/second variational fields along a nominal
-trajectory, backward adjoint covectors, Hamiltonian derivative blocks with
-covariant corrections, and the second-order expansion residual used by
-refutation certificates. ``trajectory_jet`` evaluates every derivative the
-second-order form needs along a whole trajectory at once; the form and the
-adjoint are linear in the multiplier, so one jet and one (matrix) adjoint
-pass serve every multiplier.
+trajectory, backward adjoint covectors, and the second-order expansion
+residual used by refutation certificates. ``trajectory_jet`` evaluates every
+derivative the second-order form needs along a whole trajectory at once,
+with the covariant corrections of the Hessian and mixed blocks on curved
+charts; the form and the adjoint are linear in the multiplier, so one jet
+and one (matrix) adjoint pass serve every multiplier.
 
 Controls are piecewise constant on a uniform grid and every integrator
 takes a single classical RK4 step per grid cell. For expression models the
@@ -50,15 +50,13 @@ from .errors import (BasePointMismatch, BoundViolated, ChartEscape, NocError,
 from .expr import _compile_blocks, _finite, compile_expr, parse_expr, python_source
 from .geometry import (CotangentVector, ManifoldChart, TangentVector,
                        christoffel, christoffel_apply, curvature, dchristoffel,
-                       exp_map, log_map, musical_dual, norm, parallel_transport,
-                       valid_point)
+                       exp_map, log_map, norm, valid_point)
 
 __all__ = [
     "ControlProblem", "DynamicsModel", "EndpointMap", "FieldAlongCurve",
     "LagrangeData", "STACK_DEPTH", "Trajectory", "TrajectoryJet",
-    "builtin_dynamics", "curvature_pairing", "dynamics_from_callbacks",
-    "dynamics_from_expressions", "endpoint_from_expressions", "endpoint_map",
-    "expansion_residual", "hamiltonian", "hamiltonian_blocks",
+    "builtin_dynamics", "dynamics_from_callbacks", "dynamics_from_expressions",
+    "endpoint_from_expressions", "endpoint_map", "expansion_residual",
     "integrate_adjoint", "integrate_second_variation", "integrate_state",
     "integrate_variational", "lagrange_data", "make_problem",
     "rebind_problem", "refine_controls", "run_stacked", "trajectory_from_csv",
@@ -106,13 +104,12 @@ class DynamicsModel:
     function that fills the six preallocated blocks, one element
     expression per entry (``noc.expr._compile_blocks``), and their
     per-node blocks ``rhs_y`` .. ``rhs_uu`` are its one-point views, so a
-    model has one derivative path. Every derivative along a trajectory or at a point
+    model has one derivative path. Every derivative along a trajectory
     (``trajectory_jet``, the cell propagators behind
-    ``integrate_variational`` and ``integrate_adjoint``,
-    ``integrate_second_variation`` and ``hamiltonian_blocks``) and the
-    validation of ``make_problem`` and ``rebind_problem`` take the blocks
-    from it when present, and otherwise call the per-node callbacks once
-    per point.
+    ``integrate_variational`` and ``integrate_adjoint``, and
+    ``integrate_second_variation``) and the validation of ``make_problem``
+    and ``rebind_problem`` take the blocks from it when present, and
+    otherwise call the per-node callbacks once per point.
 
     ``supplied`` names the hand-written derivative callbacks ("rhs_y" ..
     "rhs_uu"); problem validation compares exactly these with central
@@ -595,16 +592,10 @@ def _fd_rounding(fmax, y, u, wrt: str):
     return 2.0 * np.finfo(float).eps * fmax / math.prod(steps)
 
 
-def _probe_points(problem: ControlProblem, probe_base, rng) -> tuple:
-    """20 validation points t (20,), y (20, n), u (20, m): t on the
-    horizon, y near probe_base."""
-    unit_t, y, u = _unit_probe_points(problem, probe_base, rng)
-    return problem.horizon * unit_t, y, u
-
-
 def _unit_probe_points(problem: ControlProblem, probe_base, rng) -> tuple:
-    """``_probe_points`` with t on [0, 1): the horizon times these t is bit
-    for bit ``rng.uniform(0, horizon)``, so the draws do not depend on it."""
+    """20 validation points t (20,), y (20, n), u (20, m): y near
+    probe_base, t on [0, 1). The horizon times these t is bit for bit
+    ``rng.uniform(0, horizon)``, so the draws do not depend on it."""
     n, m = problem.state_dim, problem.control_dim
     probes = []
     for _ in range(20):
@@ -1415,32 +1406,8 @@ def lagrange_data(problem: ControlProblem, start_point, end_point,
 
 
 # ----------------------------------------------------------------------------
-# Hamiltonian and derivative blocks
+# covariant derivative blocks along a trajectory
 # ----------------------------------------------------------------------------
-
-def _covector_components(p, y: np.ndarray, n: int) -> np.ndarray:
-    if isinstance(p, CotangentVector):
-        base = np.asarray(p.base, float)
-        if base.shape != y.shape or not np.allclose(base, y, rtol=0.0,
-                                                    atol=1e-9 * (1.0 + np.abs(y).max())):
-            raise BasePointMismatch("covector is not based at the evaluation point")
-        c = np.asarray(p.components, float)
-    elif isinstance(p, TangentVector):
-        raise BasePointMismatch("expected a covector, got a tangent vector")
-    else:
-        c = np.asarray(p, float)
-    if c.shape != (n,):
-        raise ValueError(f"covector must have {n} components")
-    return c
-
-
-def hamiltonian(problem: ControlProblem, t: float, point, covector, control) -> float:
-    """Duality pairing of the covector with the dynamics vector."""
-    y = np.asarray(point, float)
-    u = np.asarray(control, float)
-    pc = _covector_components(covector, y, problem.state_dim)
-    return float(pc @ problem.dynamics.rhs(t, y, u))
-
 
 def _covariant_blocks(f, fy, fu, fyy, fyu, gamma=None, dgamma=None):
     """Covariant derivatives of the dynamics, batched over leading axes.
@@ -1465,125 +1432,9 @@ def _covariant_blocks(f, fy, fu, fyy, fyu, gamma=None, dgamma=None):
     return A, H2, M
 
 
-def hamiltonian_blocks(problem: ControlProblem, t: float, point, covector, control,
-                       self_check: bool = False) -> dict:
-    """All derivative blocks of the Hamiltonian used by the second-order form.
-
-    Returns a dict with keys:
-      value  scalar H
-      hu     (m,)  control gradient
-      hx     CotangentVector, covariant state gradient
-      hxx    (n, n) covariant state Hessian (symmetrized)
-      hxu    (n, m) mixed block, contraction hxu[j, a] X^j v^a
-      huu    (m, m) control Hessian
-
-    The dynamics blocks f .. f_uu come from one ``_blocks_along`` call at
-    the point. With ``self_check`` every block is re-derived from finite
-    differences of the Hamiltonian itself (along geodesics, with the
-    covector parallel transported) and must agree within 1e-5 relative.
-    """
-    chart = problem.chart
-    y = np.asarray(point, float)
-    u = np.asarray(control, float)
-    n = problem.state_dim
-    pc = _covector_components(covector, y, n)
-    f, fy, fu, fyy, fyu, fuu = (
-        b[0] for b in _blocks_along(problem.dynamics, np.array([t], float), y[None],
-                                    u[None]))
-    geometry = ((None, None) if chart.kind == "euclidean"
-                else (christoffel(chart, y), dchristoffel(chart, y)))
-    A, H2, M = _covariant_blocks(f, fy, fu, fyy, fyu, *geometry)
-    hxx = np.einsum("k,kij->ij", pc, H2)
-    blocks = {"value": float(pc @ f), "hu": fu.T @ pc,
-              "hx": CotangentVector(base=y, components=A.T @ pc),
-              "hxx": 0.5 * (hxx + hxx.T),
-              "hxu": np.einsum("k,kja->ja", pc, M),
-              "huu": np.einsum("k,kab->ab", pc, fuu)}
-    if self_check:
-        _self_check_blocks(problem, t, y, pc, u, blocks)
-    return blocks
-
-
-def _transported_pairing(problem: ControlProblem, t, y, pc, u, X, s):
-    """H evaluated at exp_y(s X) with the covector parallel-transported there."""
-    chart = problem.chart
-    if chart.kind == "euclidean":
-        return hamiltonian(problem, t, y + s * X, pc, u)
-    segs = 8
-    pts = np.array([exp_map(chart, y, (s * k / segs) * X) for k in range(segs + 1)])
-    p_vec = musical_dual(chart, CotangentVector(base=y, components=pc))
-    moved = parallel_transport(chart, pts, p_vec)
-    p_cov = musical_dual(chart, moved)
-    return hamiltonian(problem, t, pts[-1], p_cov, u)
-
-
-def _self_check_blocks(problem, t, y, pc, u, blocks):
-    rng = np.random.default_rng(7)
-    n, m = problem.state_dim, problem.control_dim
-    hs = 1e-3
-    hu_step = _fd_step(u, _FD2_SCALE)
-    for _ in range(3):
-        X = rng.standard_normal(n)
-        X /= max(1.0, np.linalg.norm(X))
-        v = rng.standard_normal(m)
-        v /= max(1.0, np.linalg.norm(v))
-        H0 = blocks["value"]
-        Hp = _transported_pairing(problem, t, y, pc, u, X, hs)
-        Hm = _transported_pairing(problem, t, y, pc, u, X, -hs)
-        checks = [
-            ("hx", (Hp - Hm) / (2 * hs), float(blocks["hx"].components @ X)),
-            ("hxx", (Hp - 2 * H0 + Hm) / (hs * hs), float(X @ blocks["hxx"] @ X)),
-            ("hu", (hamiltonian(problem, t, y, pc, u + hu_step * v)
-                    - hamiltonian(problem, t, y, pc, u - hu_step * v)) / (2 * hu_step),
-             float(blocks["hu"] @ v)),
-            ("huu", (hamiltonian(problem, t, y, pc, u + hu_step * v) - 2 * H0
-                     + hamiltonian(problem, t, y, pc, u - hu_step * v)) / hu_step ** 2,
-             float(v @ blocks["huu"] @ v)),
-        ]
-        mixed_fd = 0.0
-        for sy, su in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
-            up = u + su * hu_step * v
-            Hval = _transported_pairing(problem, t, y, pc, up, X, sy * hs)
-            mixed_fd += sy * su * Hval
-        checks.append(("hxu", mixed_fd / (4 * hs * hu_step),
-                       float(X @ blocks["hxu"] @ v)))
-        for name, fd_val, an_val in checks:
-            if abs(fd_val - an_val) > 1e-5 * (1.0 + abs(fd_val)):
-                raise NocError(
-                    f"hamiltonian block {name} disagrees with finite differences: "
-                    f"{an_val:.10g} vs {fd_val:.10g}")
-
-
 def _curvature_vectors(riemann, X, f):
     """R(X, f)X, batched over leading axes: R^l_{ijk} X^i f^j X^k."""
     return np.einsum("...lijk,...i,...j,...k->...l", riemann, X, f, X)
-
-
-def curvature_pairing(problem: ControlProblem, trajectory: Trajectory,
-                      adjoint: FieldAlongCurve, first_field: FieldAlongCurve,
-                      node: int, cell: int | None = None) -> float:
-    """<p, R(X, f) X> at a grid node (zero on flat charts).
-
-    ``node`` is 0 .. N. ``cell`` selects which adjacent cell's (constant)
-    control evaluates f, node - 1 or node; default: the cell that starts
-    at the node, the last cell at the final node.
-    """
-    N = trajectory.num_cells
-    if not 0 <= node <= N:
-        raise ValueError(f"node must be in 0..{N}, got {node}")
-    if cell is None:
-        cell = min(node, N - 1)
-    elif cell not in (node - 1, node) or not 0 <= cell < N:
-        raise ValueError(f"cell must be a cell next to node {node}, got {cell}")
-    chart = problem.chart
-    if chart.kind == "euclidean":
-        return 0.0
-    i = node
-    y = trajectory.states[i]
-    f = problem.dynamics.rhs(trajectory.grid[i], y, trajectory.controls[cell])
-    RXfX = _curvature_vectors(curvature(chart, y).components,
-                              first_field.values[i], f)
-    return float(adjoint.values[i] @ RXfX)
 
 
 @dataclass(frozen=True, eq=False)

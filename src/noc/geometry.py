@@ -70,7 +70,6 @@ __all__ = [
     "sphere_to_embedding",
     "sphere_from_embedding",
     "sphere_tangent_from_embedding",
-    "sphere_tangent_to_embedding",
 ]
 
 _BASE_ATOL = 1e-9
@@ -848,12 +847,3 @@ def sphere_tangent_from_embedding(chart: ManifoldChart, x, dP) -> np.ndarray:
     dtheta = float(dP @ e_theta) / r
     dphi = float(dP @ e_phi) / (r * math.sin(theta))
     return np.array([dtheta, dphi])
-
-
-def sphere_tangent_to_embedding(chart: ManifoldChart, x, dx) -> np.ndarray:
-    x = _arr(x)
-    dx = _arr(dx)
-    h = 1e-7
-    # the conversion maps are smooth closed forms; a tight central difference
-    # of sphere_to_embedding keeps this exact enough for tests and guesses
-    return (sphere_to_embedding(chart, x + h * dx) - sphere_to_embedding(chart, x - h * dx)) / (2 * h)

@@ -828,15 +828,12 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
     rng = np.random.default_rng(seed)
     lip0 = _lipschitz_estimate(problem.cost, lo, hi, rng)
     half_diag = 0.5 * resolution * math.sqrt(problem.dim)
-    slabs = []
+    slabs, slack = [], lip0 * half_diag
     for row in problem.equalities:
-        lip = _finite_estimate(row, _lipschitz_estimate(row, lo, hi, rng))
-        slabs.append(equality_slab if equality_slab is not None
-                     else max(lip, 1e-9) * half_diag)
-    slack = lip0 * half_diag
-    for row, slab in zip(problem.equalities, slabs):
-        lip = max(_finite_estimate(row, _lipschitz_estimate(row, lo, hi,
-                                                            rng)), 1e-9)
+        lip = max(_finite_estimate(row, _lipschitz_estimate(row, lo, hi, rng)),
+                  1e-9)
+        slab = lip * half_diag if equality_slab is None else equality_slab
+        slabs.append(slab)
         slack += lip0 * slab / lip
 
     rows, inner = _slab_shape([ax.size for ax in axes])

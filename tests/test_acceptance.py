@@ -18,9 +18,9 @@ from noc.cones import (Ball, Box, adjacent_cone_member, lift_sigma,
                        second_cone_vrep, tangent_cone_vrep)
 from noc.conditions import refute_optimality, verify_singular_direction
 from noc.dynamics import (dynamics_from_expressions, expansion_residual,
-                          hamiltonian_blocks, integrate_adjoint,
-                          integrate_state, integrate_variational,
-                          make_problem, trapezoid_cellwise)
+                          integrate_adjoint, integrate_state,
+                          integrate_variational, make_problem,
+                          trapezoid_cellwise)
 from noc.optproblem import (build_separation, make_opt_problem,
                             op_bruteforce, op_first_order, op_second_order,
                             opt_scalar_from_expression)
@@ -28,6 +28,7 @@ from noc.optproblem import (build_separation, make_opt_problem,
 from _probes import generate_probes
 from _problems import (ccs126_nominal_controls, linear_endpoint,
                        make_ccs126, make_flat_nonlinear, wiggly_controls)
+from _reference import hamiltonian_blocks
 
 SWEEP_T = np.linspace(0.1, 0.7, 13)
 SWEEP_THETA = (2.5, 3.0, 4.0)

@@ -533,6 +533,73 @@ def test_index_sets_reported_with_critical_rows(tmp_path, capsys):
         report["direction"]["equality_residuals"], [0.0, 0.0], atol=1e-8)
 
 
+SPHERE_CHECK = """\
+noc 1
+kind ocp
+chart {{
+  type sphere
+  radius {radius!r}
+}}
+grid {{
+  cells 1000
+  horizon 0.5
+}}
+start 0.0 0.0
+dynamics {{
+  u1
+  1 + y1^2
+}}
+endpoint {{
+  cost yT2
+  equality y01
+  equality y02
+}}
+control_set {{
+  box -1 1
+}}
+control {{
+  0
+}}
+direction {{
+  v 1
+}}
+"""
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 4.0])
+def test_curvature_term_matches_its_closed_form(tmp_path, capsys, radius):
+    """The curvature term of the sphere check, against its closed form.
+
+    On the stereographic chart of the sphere of radius R the metric is
+    g = 4R⁴/(R² + |y|²)²·δ and the curvature K = 1/R². Along the nominal
+    y = (0, t) the direction's field is X = (t, 0), f = (0, 1), and the
+    adjoint of the cost yT2 is p ≡ (0, −1). X and f are g-orthogonal, so
+    R(X, f)X = −K·g(X, X)·f and
+
+        ⟨p, R(X, f)X⟩ = K·g(X, X) = 4R²t²/(R² + t²)².
+
+    The curvature term −½∫₀ᵀ⟨p, R(X, f)X⟩ dt is therefore
+    −R·(arctan(T/R) − RT/(R² + T²)), and the whole form is −T³/3 at every
+    radius (the flow is y₁ = εt, y₂(T) = T + ε²T³/3 whatever the metric).
+    The trapezoid rule on N cells is O(h²), h = T/N.
+    """
+    T, N = 0.5, 1000
+    h = T / N
+    path = _write(tmp_path, "sphere.noc", SPHERE_CHECK.format(radius=radius))
+    report = tmp_path / "report.json"
+    assert _check([path, "--report", str(report)]) == 0
+    assert "verdict: consistent" in capsys.readouterr().out
+    data = json.loads(report.read_text())
+    assert data["verdict"] == "consistent"
+    second = data["second_order"]
+    chosen, terms = second["chosen_lhs"], second["terms"]
+    assert abs(chosen + T ** 3 / 3) <= 4 * h * h
+    assert abs(sum(terms.values()) - chosen) <= 1e-12
+    closed = -radius * (np.arctan(T / radius)
+                        - radius * T / (radius ** 2 + T ** 2))
+    assert abs(terms["curvature"] - closed) <= h * h
+
+
 # ----------------------------------------------------------------------------
 # sweeps
 # ----------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from noc.cones import Ball, Box
 from noc.conditions import (active_sets, critical_sets,
                             default_sigma_candidates,
                             find_first_order_multipliers, mayer_augment,
-                            refute_optimality, second_order_lhs,
-                            stationarity_residual, verify_singular_direction)
+                            refute_optimality, verify_singular_direction)
 from noc.dynamics import (dynamics_from_expressions,
                           endpoint_from_expressions, integrate_state,
                           make_problem)
@@ -23,6 +22,7 @@ from noc.errors import (BoundNotVerified, ChartEscape, ConeViolation,
 from noc.geometry import euclidean
 
 from _problems import ccs126_nominal_controls, linear_endpoint, make_ccs126
+from _reference import second_order_lhs, stationarity_residual
 
 # ----------------------------------------------------------------------------
 # shared fixtures (plain builders, matching the hand computations below)
@@ -475,9 +475,9 @@ def test_mayer_augment_rejects_unreachable_chart_point():
 def _reference_terms(problem, traj, ell, direction, sigma):
     """The second-order form node by node: one adjoint per multiplier,
     hamiltonian_blocks and curvature_pairing at both sides of every cell."""
-    from noc.dynamics import (curvature_pairing, hamiltonian_blocks,
-                              integrate_adjoint, lagrange_data,
-                              trapezoid_cellwise)
+    from noc.dynamics import integrate_adjoint, lagrange_data, trapezoid_cellwise
+
+    from _reference import curvature_pairing, hamiltonian_blocks
 
     p = integrate_adjoint(problem, traj, ell)
     X = direction.field

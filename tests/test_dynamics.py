@@ -13,10 +13,9 @@ import pytest
 from scipy.linalg import expm
 
 from noc.cones import Ball, lift_sigma
-from noc.dynamics import (FieldAlongCurve, builtin_dynamics, curvature_pairing,
+from noc.dynamics import (FieldAlongCurve, builtin_dynamics,
                           dynamics_from_callbacks, dynamics_from_expressions,
-                          endpoint_from_expressions,
-                          expansion_residual, hamiltonian, hamiltonian_blocks,
+                          endpoint_from_expressions, expansion_residual,
                           integrate_adjoint, integrate_second_variation,
                           integrate_state, integrate_variational, lagrange_data,
                           make_problem, rebind_problem, refine_controls,
@@ -35,6 +34,7 @@ from _problems import (ccs126_adjoint, ccs126_nominal_controls,
                        ccs126_second_field, ccs126_states, linear_endpoint,
                        make_ccs126, make_flat_nonlinear, make_sphere_nonlinear,
                        wiggly_controls)
+from _reference import curvature_pairing, hamiltonian, hamiltonian_blocks
 
 # ----------------------------------------------------------------------------
 # model construction and derivative validation
@@ -1334,8 +1334,6 @@ def test_duality_identity_second_order_in_grid(which):
 
 
 def _second_dual_defect(problem, y0, base_u, base_v, base_s, X0, W, ell, factor):
-    from noc.dynamics import curvature_pairing
-
     u = refine_controls(base_u, factor)
     v = refine_controls(base_v, factor)
     s = refine_controls(base_s, factor)

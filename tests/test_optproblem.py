@@ -498,6 +498,22 @@ def test_unreachable_equality_gives_empty_verdict():
     assert bf.best_point is None
 
 
+def test_each_equality_row_draws_one_lipschitz_estimate():
+    # a row's slab is its gradient bound L times half the cell diagonal d,
+    # and the slack adds the cost's bound L0 times the slab over L: from one
+    # draw of L that is L0 d, so the slack is L0 d (1 + number of rows);
+    # the cost's draws come first, so the row-free problem gives L0 d
+    box = Box(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+    cost = opt_scalar_from_expression("x2 + 0.25*x1^2", 2)
+    rows = [opt_scalar_from_expression("x2 + x1^2", 2),
+            opt_scalar_from_expression("x2 - x1^3", 2)]
+    alone = op_bruteforce(make_opt_problem(box, cost), np.zeros(2), 0.05).slack
+    for k in (1, 2):
+        bf = op_bruteforce(make_opt_problem(box, cost, equalities=rows[:k]),
+                           np.zeros(2), 0.05)
+        assert bf.slack == pytest.approx(alone * (1 + k), rel=1e-14, abs=0.0)
+
+
 def test_grid_oracle_skips_non_finite_costs():
     # sqrt is NaN on the 100 samples left of 0; the first NaN of the slab
     # must not become the best value and hide x1 = 0

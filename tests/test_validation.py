@@ -25,7 +25,7 @@ import pytest
 import noc.dynamics
 from noc.dynamics import (_fd_block, _fd_endpoint, _fd_rounding, _FD1_SCALE,
                           _FD2_SCALE, _fd_step, _per_point, _probe_base,
-                          _probe_points, _rhs_many, builtin_dynamics,
+                          _rhs_many, builtin_dynamics,
                           dynamics_from_callbacks, dynamics_from_expressions,
                           endpoint_from_expressions, endpoint_map, make_problem,
                           rebind_problem)
@@ -35,6 +35,7 @@ from noc.presets import load_preset
 from noc.problemfile import build_control_problem, parse_problem_file
 
 from _problems import linear_endpoint
+from _reference import probe_points
 
 WRT = ("y", "u", "yy", "yu", "uu")
 NAMES = ("rhs_y", "rhs_u", "rhs_yy", "rhs_yu", "rhs_uu")
@@ -196,7 +197,7 @@ def ref_endpoint_failure(problem, base, rng, tol=1e-4):
 
 def probes_of(problem, seed: int = 0):
     base = _probe_base(problem.chart, None)
-    return _probe_points(problem, base, np.random.default_rng(seed))
+    return probe_points(problem, base, np.random.default_rng(seed))
 
 
 # ----------------------------------------------------------------------------
@@ -314,7 +315,7 @@ def test_a_wrong_endpoint_gradient_fails_as_the_per_point_loop_does():
     dyn = builtin_dynamics("linear", a=np.zeros((2, 2)), b=np.eye(2))
     problem = make_problem(euclidean(2), 1.0, dyn, cost, validate=False)
     rng = np.random.default_rng(0)
-    _probe_points(problem, np.zeros(2), rng)     # the dynamics probes come first
+    probe_points(problem, np.zeros(2), rng)     # the dynamics probes come first
     pair, message = ref_endpoint_failure(problem, np.zeros(2), rng)
     assert pair > 0 and "'cost' derivative disagrees" in message
     with pytest.raises(NocError) as err:
@@ -388,7 +389,7 @@ def test_shipped_expression_models_agree_with_central_differences(name):
     assert dyn.supplied == frozenset() and dyn.blocks_many is not None
     base = np.array(pf.start + ((0.0,) if pf.kind == "ocpe" else ()))
     rng = np.random.default_rng(0)
-    t, y, u = _probe_points(problem, base, rng)
+    t, y, u = probe_points(problem, base, rng)
     for block, wrt in zip(NAMES, WRT):
         got = np.array([getattr(dyn, block)(float(tp), yp, up)
                         for tp, yp, up in zip(t, y, u)])
@@ -489,12 +490,13 @@ def test_a_rebound_problem_reuses_the_draws_of_a_fresh_build(monkeypatch, horizo
 def test_expression_models_take_every_block_from_blocks_many():
     # validation, the integrators and the second-order form never call an
     # expression model's per-node derivative blocks
-    from noc.conditions import SingularDirection, second_order_lhs
-    from noc.dynamics import (hamiltonian_blocks, integrate_adjoint,
-                              integrate_second_variation, integrate_state,
-                              integrate_variational, trajectory_jet)
+    from noc.conditions import SingularDirection
+    from noc.dynamics import (integrate_adjoint, integrate_second_variation,
+                              integrate_state, integrate_variational,
+                              trajectory_jet)
 
     from _problems import wiggly_controls
+    from _reference import hamiltonian_blocks, second_order_lhs
 
     counts = collections.Counter()
     dyn = _counted(dynamics_from_expressions(("0.5*y2 + u1", "-k*y1*y2 + u2 + 0.2*u1^2"),
