@@ -19,6 +19,11 @@ Subcommands:
 * ``oracle cone <set> <u> <v> [<w>]`` queries first/second-order cone
   membership for a convex set described inline.
 
+Each command imports its own stack when it runs: a control check or
+sweep loads ``noc.conditions`` with ``noc.dynamics`` and ``noc.geometry``,
+an op check loads ``noc.optproblem`` and builds one candidate record that
+all its multiplier tests share, and the oracle loads neither.
+
 All failures surface as one-line diagnostics on stderr, never tracebacks:
 input errors and unexpected failures alike exit 2, and a numerical warning
 raised on the way (an overflow, say) is named on that same line. A sweep records a
@@ -37,24 +42,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from .conditions import (ACTIVITY_TOL, REFUTATION_MARGIN, ROW_TOL,
-                         STATIONARITY_TOL, _direction_field, _multiplier_jet,
-                         active_sets, default_sigma_candidates,
-                         find_first_order_multipliers, refute_optimality,
-                         verify_singular_direction)
 from .cones import adjacent_cone_member, second_adjacent_member
-from .dynamics import integrate_state, run_stacked
 from .errors import (DegenerateCone, NocError, NoMultiplier,
                      ProblemFileError, ResolutionTooCoarse)
-from .optproblem import (QUALIFY_TOL, build_separation, op_bruteforce,
-                         op_first_order, op_index_sets, op_second_order)
+from .polyhedral import ACTIVITY_TOL
 from .presets import load_preset, preset_notes
 from .problemfile import (ControlModel, ProblemFile, build_control_problem,
                           build_direction_arrays, build_nominal_controls,
                           build_opt_problem, build_set, parse_problem_file,
                           parse_set_inline, serialize_problem_file)
-from .report import (index_sets_payload, multiplier_payload, rational_label,
-                     report_to_json, sweep_csv, write_report)
+from .report import (index_sets_payload, multiplier_payload, sweep_csv,
+                     write_report)
 
 __all__ = ["main"]
 
@@ -204,7 +202,7 @@ def _cmd_check(args) -> int:
     pf, preset_name = _load(args.file)
     pf = _apply_overrides(pf, args)
     started = time.perf_counter()
-    (outcome,) = _run_points([_run(pf, preset_name)])
+    (outcome,) = _run_points([_run(pf, preset_name)], pf.kind)
     if isinstance(outcome, Exception):
         raise outcome
     report, notes = outcome
@@ -222,21 +220,40 @@ def _cmd_check(args) -> int:
     return code
 
 
-def _run_points(points: list) -> list:
-    """Run the checks ``points`` (step generators of ``_run``) together,
-    with ``run_stacked``; return per point its (report, notes) or the
-    exception that ended its check.
+def _run_points(points: list, kind: str) -> list:
+    """Run the checks ``points`` (step generators of ``_run``) of files of
+    ``kind`` together, with ``run_stacked``; return per point its (report,
+    notes) or the exception that ended its check.  An op point yields no
+    chain, so op points run one after another and leave the control stack
+    unloaded.
 
     A point's numerical warnings are recorded apart and shown after the
     run, point by point, so they come in the order of a run of one point
     after another."""
     logs = [[] for _ in points]
-    outcomes = run_stacked([_recorded(point, log)
-                            for point, log in zip(points, logs)])
+    steps = [_recorded(point, log) for point, log in zip(points, logs)]
+    if kind == "op":
+        outcomes = [_outcome(point) for point in steps]
+    else:
+        from .dynamics import run_stacked
+
+        outcomes = run_stacked(steps)
     for caught in itertools.chain.from_iterable(logs):
         warnings.showwarning(caught.message, caught.category, caught.filename,
                              caught.lineno)
     return outcomes
+
+
+def _outcome(steps):
+    """What the step generator ``steps`` of an op point, which yields no
+    chain, returns, or the exception that ended it."""
+    try:
+        next(steps)
+    except StopIteration as done:
+        return done.value
+    except Exception as ex:  # noqa: BLE001 - it ends its own point only
+        return ex
+    raise TypeError("an op point yielded a chain")
 
 
 def _recorded(steps, log: list):
@@ -272,6 +289,12 @@ def _run_cell(pf: ProblemFile, preset_name, model: ControlModel):
 
 
 def _run_control(pf: ProblemFile, notes: list, model):
+    from .conditions import (REFUTATION_MARGIN, ROW_TOL, STATIONARITY_TOL,
+                             _direction_field, _multiplier_jet, active_sets,
+                             default_sigma_candidates,
+                             find_first_order_multipliers, refute_optimality,
+                             verify_singular_direction)
+
     model = model or ControlModel()
     problem = build_control_problem(pf, model)
     start = list(pf.start) + ([0.0] if pf.kind == "ocpe" else [])
@@ -351,18 +374,33 @@ def _run_control(pf: ProblemFile, notes: list, model):
     return report
 
 
+def integrate_state(problem, start_point, controls):
+    """``noc.dynamics.integrate_state``, the first stage of a control
+    check, imported when it first runs.  It is a name of this module, so
+    that the stage can be wrapped here."""
+    from .dynamics import integrate_state as integrate
+
+    return integrate(problem, start_point, controls)
+
+
 def _run_op(pf: ProblemFile, notes: list) -> dict:
+    """The op checks, which share one candidate record: the point step
+    runs once, and the direction step once when there is a direction."""
+    from .optproblem import (QUALIFY_TOL, _direction_step, _point_step,
+                             build_separation, op_bruteforce, op_first_order,
+                             op_second_order)
+
     problem = build_opt_problem(pf)
     point = np.asarray(pf.point, float)
     tol = pf.tolerance_dict()
     act_tol = tol.get("activity", ACTIVITY_TOL)
     qualify_tol = tol.get("qualify", QUALIFY_TOL)
-    rays = op_first_order(problem, point, act_tol=act_tol)
+    candidate = _point_step(problem, point, act_tol)
+    rays = op_first_order(problem, candidate)
     report = {
         "kind": "op",
         "tolerances": {"activity": act_tol, "qualify": qualify_tol},
-        "index_sets": index_sets_payload(
-            op_index_sets(problem, point, act_tol=act_tol)),
+        "index_sets": index_sets_payload(candidate.sets),
         "multipliers": multiplier_payload(rays),
     }
 
@@ -370,8 +408,8 @@ def _run_op(pf: ProblemFile, notes: list) -> dict:
         notes.append("the first-order multiplier cone is empty")
         report["verdict"] = "refuted"
     elif pf.direction is not None:
-        y = np.asarray(pf.direction.y, float)
-        second = op_second_order(problem, point, y, act_tol=act_tol,
+        along = _direction_step(problem, candidate, pf.direction.y)
+        second = op_second_order(problem, along, along.direction,
                                  qualify_tol=qualify_tol)
         report["second_order"] = {
             "worst_values": second.worst_values,
@@ -380,7 +418,7 @@ def _run_op(pf: ProblemFile, notes: list) -> dict:
             "critical": sorted(second.critical),
         }
         try:
-            sep = build_separation(problem, point, y, act_tol=act_tol)
+            sep = build_separation(problem, along, along.direction)
             report["separation"] = {
                 "separator": sep.separator,
                 "max_kappa_pairing": sep.max_kappa_pairing,
@@ -503,7 +541,7 @@ def _cmd_sweep(args) -> int:
         cells.append(_run_cell(run_pf, preset_name, model))
     rows = []
     failed = 0
-    for combo, outcome in zip(combos, _run_points(cells)):
+    for combo, outcome in zip(combos, _run_points(cells, pf.kind)):
         row = dict(zip(names, combo))
         if isinstance(outcome, Exception):   # one bad cell must not end the sweep
             failed += 1

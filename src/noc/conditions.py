@@ -18,23 +18,21 @@ import numpy as np
 from .cones import (_per_row, adjacent_cone_member, quadratic_distance_bound,
                     row_groups, second_adjacent_member, second_cone_vrep,
                     tangent_cone_vrep)
-from .dynamics import (ControlProblem, EndpointMap, FieldAlongCurve,
-                       Trajectory, TrajectoryJet, _adjoint_chain,
-                       _check_direction_shape, _stackable,
-                       _variational_chain, dynamics_from_expressions,
+from .dynamics import (ControlProblem, FieldAlongCurve, Trajectory,
+                       TrajectoryJet, _adjoint_chain, _check_direction_shape,
+                       _stackable, _variational_chain,
+                       dynamics_from_expressions, endpoint_from_expressions,
                        integrate_adjoint, integrate_variational,
                        lagrange_data, make_problem, trajectory_jet,
                        trapezoid_cellwise)
 from .errors import (BoundNotVerified, ChartEscape, ConeViolation,
-                     DegenerateCone, EndpointRowViolation, NoMultiplier,
-                     SigmaNotInB)
+                     EndpointRowViolation, NoMultiplier, SigmaNotInB)
 from .geometry import euclidean, product_chart, valid_point
-from .polyhedral import cone_contains, extreme_rays
+from .polyhedral import (ACTIVITY_TOL, IndexSets, MultiplierVector,
+                         clean_rows, enumerate_normalized_rays, inf_normalize,
+                         relax, split_by_activity, unit_rows)
 
 __all__ = [
-    "ACTIVITY_TOL",
-    "IndexSets",
-    "MultiplierVector",
     "RAY_BUDGET",
     "REFUTATION_MARGIN",
     "ROW_TOL",
@@ -50,7 +48,6 @@ __all__ = [
     "verify_singular_direction",
 ]
 
-ACTIVITY_TOL = 1e-8
 ROW_TOL = 1e-8
 STATIONARITY_TOL = 1e-6
 REFUTATION_MARGIN = 1e-6
@@ -71,35 +68,6 @@ LHS_TERM_NAMES = (
 # ----------------------------------------------------------------------------
 # domain types
 # ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IndexSets:
-    """Classification of the scalar endpoint rows {0, ..., j} (0 = cost).
-
-    ``active``/``inactive`` partition the rows by constraint activity at the
-    trajectory endpoints (the cost row is always active). After a direction
-    is fixed, ``relaxed`` collects the rows that are inactive or strictly
-    decrease to first order along it; ``critical`` is the complement — the
-    rows on which a second-order multiplier may carry weight.
-    """
-
-    active: frozenset
-    inactive: frozenset
-    relaxed: frozenset | None = None
-    critical: frozenset | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class MultiplierVector:
-    """Endpoint multiplier, laid out (cost, inequalities..., equalities...).
-
-    ``weights`` is |.|_inf-normalized. ``from_lineality`` marks vectors that
-    span a sign-reversible (two-sided) direction of the multiplier cone.
-    """
-
-    weights: np.ndarray
-    from_lineality: bool = False
-
 
 @dataclass(frozen=True, eq=False)
 class SingularDirection:
@@ -149,41 +117,13 @@ class RefutationCertificate:
 # index sets and direction verification
 # ----------------------------------------------------------------------------
 
-def _split_by_activity(values, act_tol: float) -> IndexSets:
-    """Active/inactive split of the rows {0, ..., j} from their values at
-    the candidate: a row is active when its value is >= -act_tol, and row
-    0, the cost, always is.  A NaN value is inactive.  The finite-
-    dimensional check (``noc.optproblem``) classifies its rows here too."""
-    active = np.asarray(values, float) >= -act_tol
-    active[0] = True
-    rows = np.arange(active.size)
-    return IndexSets(active=frozenset(rows[active].tolist()),
-                     inactive=frozenset(rows[~active].tolist()))
-
-
-def _relax(sets: IndexSets, rates, act_tol: float) -> IndexSets:
-    """``sets`` with the relaxed/critical split along a direction whose
-    first-order row rates are ``rates``: relaxed rows are the inactive
-    ones plus the active ones with rate < -act_tol, critical rows the
-    rest."""
-    relaxed = sets.inactive | {i for i in sets.active if rates[i] < -act_tol}
-    return IndexSets(active=sets.active, inactive=sets.inactive,
-                     relaxed=relaxed,
-                     critical=(sets.active | sets.inactive) - relaxed)
-
-
-def _unit_rows(indices, dim: int) -> np.ndarray:
-    """The unit rows e_i of R^dim, i in ``indices``, in ascending order."""
-    return np.eye(dim)[sorted(set(indices))]
-
-
 def active_sets(problem: ControlProblem, trajectory: Trajectory,
                 act_tol: float = ACTIVITY_TOL) -> IndexSets:
     """Partition the endpoint rows by activity at the trajectory's
     endpoints: an inequality row is active when its value is >= -act_tol
     (a NaN value is inactive), and the cost row always is."""
     y0, yT = trajectory.states[0], trajectory.states[-1]
-    return _split_by_activity(
+    return split_by_activity(
         [0.0] + [ep.value(y0, yT) for ep in problem.inequality_maps], act_tol)
 
 
@@ -262,20 +202,13 @@ def critical_sets(problem: ControlProblem, trajectory: Trajectory,
     direction is below -act_tol; the other rows are critical. Multipliers
     entering the second-order test must vanish on relaxed rows.
     """
-    return _relax(active_sets(problem, trajectory, act_tol),
-                  direction.endpoint_rates, act_tol)
+    return relax(active_sets(problem, trajectory, act_tol),
+                 direction.endpoint_rates, act_tol)
 
 
 # ----------------------------------------------------------------------------
 # multiplier cone
 # ----------------------------------------------------------------------------
-
-def _inf_normalize(w: np.ndarray) -> np.ndarray:
-    peak = float(np.max(np.abs(w)))
-    if peak <= 0.0:
-        raise DegenerateCone("attempted to normalize a zero multiplier")
-    return w / peak
-
 
 @dataclass(frozen=True, eq=False)
 class _MultiplierJet:
@@ -312,18 +245,6 @@ def _multiplier_jet(problem: ControlProblem, trajectory: Trajectory) -> _Multipl
     return _MultiplierJet(jet=jet, adjoint=adjoint, endpoint=endpoint, hu=hu)
 
 
-def _clean_rows(rows, dim: int) -> np.ndarray:
-    """Normalize, drop near-zero rows, and dedupe (order-preserving)."""
-    M = np.reshape(np.asarray(rows, float), (-1, dim))
-    norms = np.linalg.norm(M, axis=1)
-    keep = norms > 1e-12
-    M = M[keep] / norms[keep][:, None]
-    if M.shape[0] == 0:
-        return np.zeros((0, dim))
-    _, idx = np.unique(np.round(M, 12), axis=0, return_index=True)
-    return M[np.sort(idx)]
-
-
 def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory,
                           mjet: _MultiplierJet, *, act_tol: float,
                           extra_zero_rows=(), sets: IndexSets | None = None):
@@ -349,12 +270,12 @@ def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory,
             for i in first.tolist()]
     eq_gradients = _generator_rows([rep.lineality for rep in reps], inverse, mjet.hu)
     ineq_gradients = _generator_rows([rep.rays for rep in reps], inverse, mjet.hu)
-    return (_clean_rows(np.concatenate([_unit_rows(sets.active, dim),
-                                        ineq_gradients]), dim),
-            _clean_rows(np.concatenate([_unit_rows(sets.inactive, dim),
-                                        _unit_rows(extra_zero_rows, dim),
-                                        mjet.adjoint[0] + grad_start,  # (n, dim)
-                                        eq_gradients]), dim))
+    return (clean_rows(np.concatenate([unit_rows(sets.active, dim),
+                                       ineq_gradients]), dim),
+            clean_rows(np.concatenate([unit_rows(sets.inactive, dim),
+                                       unit_rows(extra_zero_rows, dim),
+                                       mjet.adjoint[0] + grad_start,  # (n, dim)
+                                       eq_gradients]), dim))
 
 
 def _generator_rows(gens, inverse: np.ndarray, hu: np.ndarray) -> np.ndarray:
@@ -370,38 +291,6 @@ def _generator_rows(gens, inverse: np.ndarray, hu: np.ndarray) -> np.ndarray:
     rows = padded[inverse][:, :, None, None, :] @ np.moveaxis(hu, 0, 1)[:, None]
     keep = np.arange(padded.shape[1]) < counts[inverse][:, None]       # (N, k)
     return rows[:, :, :, 0][keep].reshape(-1, hu.shape[-1])
-
-
-def _enumerate_normalized_rays(A_le, A_eq, dim: int) -> list[MultiplierVector]:
-    """Extreme rays of {x : A_le x <= 0, A_eq x = 0}, |.|_inf-normalized.
-
-    Lineality directions contribute a flagged +/- pair each; results are
-    deduplicated and ordered lexicographically so enumeration is stable.
-    """
-    rep = extreme_rays(A_le if A_le is not None and A_le.size else None,
-                       A_eq if A_eq is not None and A_eq.size else None, dim)
-    out: list[MultiplierVector] = []
-    for ray in rep.rays:
-        if not cone_contains(A_le, A_eq, ray, tol=1e-8):
-            raise DegenerateCone(
-                "enumerated multiplier ray violates its defining rows "
-                "(internal enumeration failure)")
-        out.append(MultiplierVector(weights=_inf_normalize(ray)))
-    for direction in rep.lineality:
-        for sign in (1.0, -1.0):
-            vec = sign * direction
-            if cone_contains(A_le, A_eq, vec, tol=1e-8):
-                out.append(MultiplierVector(weights=_inf_normalize(vec),
-                                            from_lineality=True))
-    seen = set()
-    unique: list[MultiplierVector] = []
-    for mv in out:
-        key = tuple(np.round(mv.weights, 10))
-        if key not in seen:
-            seen.add(key)
-            unique.append(mv)
-    unique.sort(key=lambda mv: tuple(np.round(mv.weights, 10)))
-    return unique
 
 
 def find_first_order_multipliers(problem: ControlProblem, trajectory: Trajectory,
@@ -425,7 +314,7 @@ def find_first_order_multipliers(problem: ControlProblem, trajectory: Trajectory
                                        act_tol=act_tol,
                                        extra_zero_rows=restrict_zero,
                                        sets=_sets)
-    return _enumerate_normalized_rays(A_le, A_eq, problem.multiplier_dim)
+    return enumerate_normalized_rays(A_le, A_eq, problem.multiplier_dim)
 
 
 def _stationarity(mjet: _MultiplierJet, direction: SingularDirection,
@@ -585,7 +474,7 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
     notes: list[str] = []
     if _sets is None:
         _sets = active_sets(problem, trajectory, act_tol)
-    sets = _relax(_sets, direction.endpoint_rates, act_tol)   # critical_sets
+    sets = relax(_sets, direction.endpoint_rates, act_tol)   # critical_sets
     mjet = _jet if _jet is not None else _multiplier_jet(problem, trajectory)
     if multipliers is None:
         rays = find_first_order_multipliers(problem, trajectory,
@@ -606,7 +495,7 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
                 "condition fails at the discrete level")
     else:
         rays = [m if isinstance(m, MultiplierVector)
-                else MultiplierVector(weights=_inf_normalize(np.asarray(m, float)))
+                else MultiplierVector(weights=inf_normalize(np.asarray(m, float)))
                 for m in multipliers]
         if not rays:
             raise NoMultiplier("an empty multiplier list was supplied")
@@ -686,28 +575,6 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
 # integral-cost augmentation
 # ----------------------------------------------------------------------------
 
-def _coordinate_pin(dim: int, slot: int, which: str, constant: float,
-                    label: str) -> EndpointMap:
-    """Exact endpoint row: (start or end) coordinate minus a constant."""
-
-    def value(y0, yT):
-        pt = y0 if which == "start" else yT
-        return float(pt[slot]) - constant
-
-    def grad(y0, yT):
-        g1 = np.zeros(dim)
-        g2 = np.zeros(dim)
-        (g1 if which == "start" else g2)[slot] = 1.0
-        return g1, g2
-
-    def hess(y0, yT):
-        z = np.zeros((dim, dim))
-        return z, z, z
-
-    return EndpointMap(value=value, grad=grad, hess=hess,
-                       supplied=frozenset({"grad", "hess"}), label=label)
-
-
 def mayer_augment(chart, horizon: float, dynamics_texts, running_cost_text: str,
                   start_point, end_point, control_dim: int, control_set=None, *,
                   validate: bool = True, label: str = "augmented",
@@ -717,7 +584,8 @@ def mayer_augment(chart, horizon: float, dynamics_texts, running_cost_text: str,
     Appends an accumulator state whose rate is the running cost; the cost
     becomes the accumulator's terminal value and the fixed endpoints become
     equality rows (start pins, end pins, accumulator-start pin — 2n+1 rows
-    in that order). Dynamics and running cost are expressions in
+    in that order), each an expression map with exact derivatives.
+    Dynamics and running cost are expressions in
     t, y1..yn, u1..um and the names of ``params`` (a name -> value mapping,
     compiled as arguments; ``rebind_problem`` moves the result to other
     values).
@@ -738,16 +606,16 @@ def mayer_augment(chart, horizon: float, dynamics_texts, running_cost_text: str,
     dynamics = dynamics_from_expressions(texts + (running_cost_text,), n + 1,
                                          control_dim, label=f"{label}-dynamics",
                                          params=params)
-    cost = _coordinate_pin(n + 1, n, "end", 0.0, "accumulated-cost")
-    equalities = []
-    for i in range(n):
-        equalities.append(_coordinate_pin(n + 1, i, "start", float(start[i]),
-                                          f"start-pin-{i + 1}"))
-    for i in range(n):
-        equalities.append(_coordinate_pin(n + 1, i, "end", float(end[i]),
-                                          f"end-pin-{i + 1}"))
-    equalities.append(_coordinate_pin(n + 1, n, "start", 0.0,
-                                      "accumulator-start"))
+
+    def pin(text, name):
+        return endpoint_from_expressions(text, n + 1, label=name)
+
+    cost = pin(f"yT{n + 1}", "accumulated-cost")
+    equalities = [pin(f"y0{i + 1} - {c!r}", f"start-pin-{i + 1}")
+                  for i, c in enumerate(start.tolist())]
+    equalities += [pin(f"yT{i + 1} - {c!r}", f"end-pin-{i + 1}")
+                   for i, c in enumerate(end.tolist())]
+    equalities.append(pin(f"y0{n + 1}", "accumulator-start"))
     probe = np.concatenate([start, [0.0]])
     return make_problem(aug_chart, horizon, dynamics, cost,
                         inequality_maps=(), equality_maps=tuple(equalities),

@@ -59,19 +59,6 @@ class Expr:
     def free_vars(self) -> frozenset[str]:
         raise NotImplementedError
 
-    # convenience operators so generated code stays readable
-    def __add__(self, other):
-        return _add(self, _as_expr(other))
-
-    def __sub__(self, other):
-        return _sub(self, _as_expr(other))
-
-    def __mul__(self, other):
-        return _mul(self, _as_expr(other))
-
-    def __neg__(self):
-        return _neg(self)
-
 
 @dataclass(frozen=True)
 class Num(Expr):
@@ -270,12 +257,6 @@ class Call(Expr):
 # ----------------------------------------------------------------------------
 # simplifying constructors (constant folding + unit/zero elimination)
 # ----------------------------------------------------------------------------
-
-def _as_expr(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    return Num(float(x))
-
 
 def _is_num(e: Expr, value: float | None = None) -> bool:
     if not isinstance(e, Num):

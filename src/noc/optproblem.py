@@ -8,28 +8,35 @@ separating-functional construction, and an exhaustive grid oracle that can
 independently confirm or refute local minimality.  The trajectory checker
 reduces to this module once a control problem is flattened onto the grid
 (see ``control_problem_as_op``), which is how the two implementations
-cross-validate each other; both classify rows with the same helpers of
-``noc.conditions``.  Each multiplier test checks its candidate in one
-private step, which evaluates every row once and raises before a verdict
-can rest on a row that is not finite.
+cross-validate each other; both classify rows with the shared helpers of
+``noc.polyhedral``, and this module imports nothing of the control stack
+until ``control_problem_as_op`` runs.
+
+The multiplier tests work on one candidate record, built in two steps:
+the point step evaluates every row's value and gradient once, checks them
+and runs ``validate_expansion``; the direction step adds the rates, the
+second-order admissible set and the second derivatives along a direction.
+Each step raises before a verdict can rest on a row that is not finite.
+Called alone, each test builds its own record; ``noc check`` builds one
+and hands it to all of them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cones import (Ball, Box, Polyhedron, ProductSet, _product_slices,
                     adjacent_cone_member, contains, second_cone_vrep,
                     set_dim, tangent_cone_vrep)
-from .conditions import (IndexSets, MultiplierVector, _clean_rows,
-                         _enumerate_normalized_rays, _relax,
-                         _split_by_activity, _unit_rows)
 from .errors import (DegenerateCone, EmptySecondCone, NocError, PointNotInSet,
                      ResolutionTooCoarse)
 from .expr import _compile_blocks, compile_expr, parse_expr
-from .polyhedral import polyhedron_bounding_box
+from .polyhedral import (ACTIVITY_TOL, IndexSets, MultiplierVector,
+                         clean_rows, enumerate_normalized_rays,
+                         polyhedron_bounding_box, relax, split_by_activity,
+                         unit_rows)
 
 __all__ = [
     "BruteForceResult",
@@ -42,14 +49,12 @@ __all__ = [
     "make_opt_problem",
     "op_bruteforce",
     "op_first_order",
-    "op_index_sets",
     "op_second_order",
     "opt_scalar",
     "opt_scalar_from_expression",
     "validate_expansion",
 ]
 
-ACTIVITY_TOL = 1e-8
 QUALIFY_TOL = 1e-9
 
 
@@ -239,7 +244,7 @@ def validate_expansion(problem: OptProblem, point, *,
 
 
 # ----------------------------------------------------------------------------
-# the candidate step shared by the multiplier tests
+# the candidate record shared by the multiplier tests
 # ----------------------------------------------------------------------------
 
 def _require_in_domain(problem: OptProblem, e: np.ndarray):
@@ -253,18 +258,22 @@ def _require_in_domain(problem: OptProblem, e: np.ndarray):
 class _Candidate:
     """A checked candidate point with every row evaluated once.
 
+    The point step (``_point_step``) sets the first five fields:
     ``values`` are the cost and inequality rows' values, the cost shifted
     to 0 (the multiplier theory normalizes the cost level); ``gradients``
-    is (1+j+k, N).  The rest is set only along a direction y: the cost and
-    inequality rows' ``rates``, the relaxed/critical split in ``sets``,
-    the second-order admissible set and every row's half second
-    derivative.
+    is (1+j+k, N); ``sets`` is the active/inactive split at ``act_tol``.
+    The direction step (``_direction_step``) sets the rest along a
+    direction y: the cost and inequality rows' ``rates``, the
+    relaxed/critical split in ``sets``, the second-order admissible set
+    and every row's half second derivative.
     """
 
     point: np.ndarray
+    act_tol: float
     values: np.ndarray
     gradients: np.ndarray
     sets: IndexSets
+    direction: np.ndarray | None = None
     rates: np.ndarray | None = None
     base_point: np.ndarray | None = None
     cone: object = None
@@ -275,14 +284,11 @@ def _coordinates(v: np.ndarray) -> str:
     return ", ".join(map(repr, v.tolist()))
 
 
-def _candidate(problem: OptProblem, point, act_tol: float,
-               direction=None) -> _Candidate:
-    """The checks every multiplier test makes, in this order: the point
-    lies in the base set and satisfies its rows to 1e-6, the direction has
-    ``dim`` coordinates, every row's value and gradient is finite, the
-    rows pass ``validate_expansion``; along a direction, it is critical
-    and every row's second derivative along it is finite, so that no NaN
-    reaches a verdict."""
+def _point_step(problem: OptProblem, point, act_tol: float) -> _Candidate:
+    """The checks of the point, in this order: it lies in the base set and
+    satisfies its rows to 1e-6, every row's value and gradient is finite,
+    and the rows pass ``validate_expansion``; then the active/inactive
+    split."""
     e = np.asarray(point, float)
     _require_in_domain(problem, e)
     rows = problem.rows
@@ -296,9 +302,6 @@ def _candidate(problem: OptProblem, point, act_tol: float,
         if abs(val) > 1e-6:
             raise ValueError(
                 f"candidate violates equality row {i} (value {val:.3e})")
-    y = None if direction is None else np.asarray(direction, float)
-    if y is not None and y.shape != (problem.dim,):
-        raise ValueError(f"direction must have {problem.dim} coordinates")
     G = np.stack([row.grad(e) for row in rows])               # (1+j+k, N)
     for row, val, grad in zip(rows, values, G):
         if not (math.isfinite(val) and np.all(np.isfinite(grad))):
@@ -308,12 +311,24 @@ def _candidate(problem: OptProblem, point, act_tol: float,
                 f"({_coordinates(grad)})")
     validate_expansion(problem, e)
     shifted = np.array([0.0, *values[1:m_phi]])
-    sets = _split_by_activity(shifted, act_tol)
-    if y is None:
-        return _Candidate(point=e, values=shifted, gradients=G, sets=sets)
-    rates = G[:m_phi] @ y
-    _check_direction(problem, e, y, G, rates, sets.active, act_tol)
+    return _Candidate(point=e, act_tol=act_tol, values=shifted, gradients=G,
+                      sets=split_by_activity(shifted, act_tol))
+
+
+def _direction_step(problem: OptProblem, candidate: _Candidate,
+                    direction) -> _Candidate:
+    """``candidate`` along ``direction``, after the checks of the
+    direction, in this order: it has ``dim`` coordinates, it is critical,
+    and every row's second derivative along it is finite, so that no NaN
+    reaches a verdict."""
+    e, G, act_tol = candidate.point, candidate.gradients, candidate.act_tol
+    y = np.asarray(direction, float)
+    if y.shape != (problem.dim,):
+        raise ValueError(f"direction must have {problem.dim} coordinates")
+    rates = G[:1 + problem.num_inequalities] @ y
+    _check_direction(problem, e, y, G, rates, candidate.sets.active, act_tol)
     p0, cone = second_cone_vrep(problem.domain, e, y)
+    rows = problem.rows
     seconds = [row.second(e, y) for row in rows]
     for row, d2 in zip(rows, seconds):
         if not math.isfinite(d2):
@@ -321,10 +336,23 @@ def _candidate(problem: OptProblem, point, act_tol: float,
                 f"row '{row.label}' has second derivative {d2!r} along the "
                 f"direction ({_coordinates(y)}) at the point "
                 f"({_coordinates(e)})")
-    return _Candidate(point=e, values=shifted, gradients=G,
-                      sets=_relax(sets, rates, act_tol), rates=rates,
-                      base_point=p0, cone=cone,
-                      halves=0.5 * np.array(seconds))
+    return replace(candidate, direction=y,
+                   sets=relax(candidate.sets, rates, act_tol), rates=rates,
+                   base_point=p0, cone=cone, halves=0.5 * np.array(seconds))
+
+
+def _record(problem: OptProblem, point, act_tol: float,
+            direction=None) -> _Candidate:
+    """The record a multiplier test works on: ``point`` through the point
+    step and, given a ``direction``, the direction step.  ``point`` may be
+    a record already, as ``noc check`` builds one and hands it to every
+    test: its point step is not repeated, nor its direction step when its
+    ``direction`` is this very array."""
+    candidate = point if isinstance(point, _Candidate) \
+        else _point_step(problem, point, act_tol)
+    if direction is None or candidate.direction is direction:
+        return candidate
+    return _direction_step(problem, candidate, direction)
 
 
 ROW_NOISE_TOL = 1e-8
@@ -350,24 +378,15 @@ def _first_order_rows(problem: OptProblem, candidate: _Candidate, zero):
         rows = (_denoise(candidate.gradients @ g) for g in gens)
         return [row for row in rows if row is not None]
 
-    return (_clean_rows([*_unit_rows(candidate.sets.active, dim),
-                         *generator_rows(rep.rays)], dim),
-            _clean_rows([*_unit_rows(zero, dim),
-                         *generator_rows(rep.lineality)], dim))
+    return (clean_rows([*unit_rows(candidate.sets.active, dim),
+                        *generator_rows(rep.rays)], dim),
+            clean_rows([*unit_rows(zero, dim),
+                        *generator_rows(rep.lineality)], dim))
 
 
 # ----------------------------------------------------------------------------
 # first- and second-order multiplier tests
 # ----------------------------------------------------------------------------
-
-def op_index_sets(problem: OptProblem, point, *,
-                  act_tol: float = ACTIVITY_TOL) -> IndexSets:
-    """Active/inactive split of the cost and inequality rows at ``point``."""
-    e = np.asarray(point, float)
-    _require_in_domain(problem, e)
-    return _split_by_activity(
-        [0.0] + [row.value(e) for row in problem.inequalities], act_tol)
-
 
 def op_first_order(problem: OptProblem, point, *,
                    act_tol: float = ACTIVITY_TOL) -> list[MultiplierVector]:
@@ -381,12 +400,12 @@ def op_first_order(problem: OptProblem, point, *,
 
     The point must be feasible, every row's value and gradient finite,
     and the rows pass ``validate_expansion``, which always runs; otherwise
-    this raises.
+    this raises.  ``point`` may also be its record (see ``_record``).
     """
-    candidate = _candidate(problem, point, act_tol)
+    candidate = _record(problem, point, act_tol)
     A_le, A_eq = _first_order_rows(problem, candidate,
                                    candidate.sets.inactive)
-    return _enumerate_normalized_rays(A_le, A_eq, problem.multiplier_dim)
+    return enumerate_normalized_rays(A_le, A_eq, problem.multiplier_dim)
 
 
 def _check_direction(problem: OptProblem, e: np.ndarray, y: np.ndarray,
@@ -439,12 +458,13 @@ def op_second_order(problem: OptProblem, point, direction, *,
     weights forced to zero.  Checks the point as ``op_first_order`` does
     (validation always runs); the direction must have ``dim`` coordinates
     and be critical, and every row's second derivative along it must be
-    finite; otherwise this raises.
+    finite; otherwise this raises.  ``point`` may also be its record (see
+    ``_record``).
     """
-    candidate = _candidate(problem, point, act_tol, direction)
+    candidate = _record(problem, point, act_tol, direction)
     A_le, A_eq = _first_order_rows(problem, candidate,
                                    candidate.sets.relaxed)
-    rays = _enumerate_normalized_rays(A_le, A_eq, problem.multiplier_dim)
+    rays = enumerate_normalized_rays(A_le, A_eq, problem.multiplier_dim)
     G, p0, rep2 = candidate.gradients, candidate.base_point, candidate.cone
     worst: list[float] = []
     for mv in rays:
@@ -517,8 +537,9 @@ def build_separation(problem: OptProblem, point, direction, *,
     Checks the point and the direction as ``op_second_order`` does
     (validation always runs, and every row's value, gradient and second
     derivative along the direction must be finite); otherwise this raises.
+    ``point`` may also be its record (see ``_record``).
     """
-    candidate = _candidate(problem, point, act_tol, direction)
+    candidate = _record(problem, point, act_tol, direction)
     critical = candidate.sets.critical
     p0, rep2 = candidate.base_point, candidate.cone
     # image map with non-critical inequality rows zeroed out
@@ -566,9 +587,9 @@ def build_separation(problem: OptProblem, point, direction, *,
         row = _denoise(M @ l)
         if row is not None:
             eq_rows.append(row)
-    A_le = _clean_rows(ineq_rows, dim)
-    A_eq = _clean_rows(eq_rows, dim)
-    rays = _enumerate_normalized_rays(A_le, A_eq, dim)
+    A_le = clean_rows(ineq_rows, dim)
+    A_eq = clean_rows(eq_rows, dim)
+    rays = enumerate_normalized_rays(A_le, A_eq, dim)
     separator = rays[0].weights if rays else None
     lp_peak = _lp_coordinate_range(A_le, A_eq, dim)
     if separator is None and lp_peak > 1e-7:

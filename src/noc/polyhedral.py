@@ -8,6 +8,12 @@ cone given in H-representation,
 by the double-description method with explicit lineality tracking. Problem
 sizes here are tiny (multiplier spaces of dimension 1+j+k, a handful of
 endpoint constraints), so clarity beats asymptotics.
+
+The multiplier-row algebra that the control check (``noc.conditions``)
+and the finite-dimensional check (``noc.optproblem``) share lives here
+too: the active/inactive and relaxed/critical row classifier, the unit
+and cleaned rows of a multiplier cone, and the |.|_inf-normalized
+enumeration of its rays.  Neither checker imports the other.
 """
 from __future__ import annotations
 
@@ -15,8 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ConeVRep", "cone_contains", "extreme_rays", "null_space",
-           "polyhedron_bounding_box"]
+from .errors import DegenerateCone
+
+__all__ = ["ACTIVITY_TOL", "ConeVRep", "IndexSets", "MultiplierVector",
+           "clean_rows", "cone_contains", "enumerate_normalized_rays",
+           "extreme_rays", "inf_normalize", "null_space",
+           "polyhedron_bounding_box", "relax", "split_by_activity",
+           "unit_rows"]
+
+ACTIVITY_TOL = 1e-8
 
 _ZERO = 1e-11
 
@@ -209,3 +222,116 @@ def polyhedron_bounding_box(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
                     f"polyhedron empty or unbounded along coordinate {i + 1}: {res.message}")
             target[i] = sign * res.fun
     return lo, hi
+
+
+# ----------------------------------------------------------------------------
+# multiplier rows, shared by the control and the finite-dimensional checks
+# ----------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class IndexSets:
+    """Classification of the scalar rows {0, ..., j} (0 = cost): the
+    endpoint rows of a control problem, or the rows of a finite-dimensional
+    program.
+
+    ``active``/``inactive`` partition the rows by constraint activity at the
+    candidate (the cost row is always active). After a direction is fixed,
+    ``relaxed`` collects the rows that are inactive or strictly decrease to
+    first order along it; ``critical`` is the complement — the rows on
+    which a second-order multiplier may carry weight.
+    """
+
+    active: frozenset
+    inactive: frozenset
+    relaxed: frozenset | None = None
+    critical: frozenset | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class MultiplierVector:
+    """Multiplier, laid out (cost, inequalities..., equalities...).
+
+    ``weights`` is |.|_inf-normalized. ``from_lineality`` marks vectors that
+    span a sign-reversible (two-sided) direction of the multiplier cone.
+    """
+
+    weights: np.ndarray
+    from_lineality: bool = False
+
+
+def split_by_activity(values, act_tol: float) -> IndexSets:
+    """Active/inactive split of the rows {0, ..., j} from their values at
+    the candidate: a row is active when its value is >= -act_tol, and row
+    0, the cost, always is.  A NaN value is inactive."""
+    active = np.asarray(values, float) >= -act_tol
+    active[0] = True
+    rows = np.arange(active.size)
+    return IndexSets(active=frozenset(rows[active].tolist()),
+                     inactive=frozenset(rows[~active].tolist()))
+
+
+def relax(sets: IndexSets, rates, act_tol: float) -> IndexSets:
+    """``sets`` with the relaxed/critical split along a direction whose
+    first-order row rates are ``rates``: relaxed rows are the inactive
+    ones plus the active ones with rate < -act_tol, critical rows the
+    rest."""
+    relaxed = sets.inactive | {i for i in sets.active if rates[i] < -act_tol}
+    return IndexSets(active=sets.active, inactive=sets.inactive,
+                     relaxed=relaxed,
+                     critical=(sets.active | sets.inactive) - relaxed)
+
+
+def unit_rows(indices, dim: int) -> np.ndarray:
+    """The unit rows e_i of R^dim, i in ``indices``, in ascending order."""
+    return np.eye(dim)[sorted(set(indices))]
+
+
+def clean_rows(rows, dim: int) -> np.ndarray:
+    """Normalize, drop near-zero rows, and dedupe (order-preserving)."""
+    M = np.reshape(np.asarray(rows, float), (-1, dim))
+    norms = np.linalg.norm(M, axis=1)
+    keep = norms > 1e-12
+    M = M[keep] / norms[keep][:, None]
+    if M.shape[0] == 0:
+        return np.zeros((0, dim))
+    _, idx = np.unique(np.round(M, 12), axis=0, return_index=True)
+    return M[np.sort(idx)]
+
+
+def inf_normalize(w: np.ndarray) -> np.ndarray:
+    peak = float(np.max(np.abs(w)))
+    if peak <= 0.0:
+        raise DegenerateCone("attempted to normalize a zero multiplier")
+    return w / peak
+
+
+def enumerate_normalized_rays(A_le, A_eq, dim: int) -> list[MultiplierVector]:
+    """Extreme rays of {x : A_le x <= 0, A_eq x = 0}, |.|_inf-normalized.
+
+    Lineality directions contribute a flagged +/- pair each; results are
+    deduplicated and ordered lexicographically so enumeration is stable.
+    """
+    rep = extreme_rays(A_le if A_le is not None and A_le.size else None,
+                       A_eq if A_eq is not None and A_eq.size else None, dim)
+    out: list[MultiplierVector] = []
+    for ray in rep.rays:
+        if not cone_contains(A_le, A_eq, ray, tol=1e-8):
+            raise DegenerateCone(
+                "enumerated multiplier ray violates its defining rows "
+                "(internal enumeration failure)")
+        out.append(MultiplierVector(weights=inf_normalize(ray)))
+    for direction in rep.lineality:
+        for sign in (1.0, -1.0):
+            vec = sign * direction
+            if cone_contains(A_le, A_eq, vec, tol=1e-8):
+                out.append(MultiplierVector(weights=inf_normalize(vec),
+                                            from_lineality=True))
+    seen = set()
+    unique: list[MultiplierVector] = []
+    for mv in out:
+        key = tuple(np.round(mv.weights, 10))
+        if key not in seen:
+            seen.add(key)
+            unique.append(mv)
+    unique.sort(key=lambda mv: tuple(np.round(mv.weights, 10)))
+    return unique

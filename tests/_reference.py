@@ -19,9 +19,9 @@ import numpy as np
 import noc.conditions as conditions
 import noc.dynamics as dynamics
 import noc.geometry as geometry
-from noc.conditions import MultiplierVector
 from noc.errors import BasePointMismatch, NocError
 from noc.geometry import CotangentVector, TangentVector
+from noc.polyhedral import MultiplierVector
 
 
 # ----------------------------------------------------------------------------

@@ -804,6 +804,24 @@ def test_a_sweep_draws_compiles_and_classifies_once(monkeypatch, capsys):
     assert tables == [("t", "theta", "T")] * 3
 
 
+@pytest.mark.parametrize("name", ["op-parabola.noc", "op-disc.noc"])
+def test_an_op_check_builds_one_candidate_record(monkeypatch, capsys, name):
+    # the point step (with validate_expansion) and the direction step run
+    # once each; the first- and second-order tests and the separation all
+    # read that one record
+    import collections
+
+    import noc.optproblem
+
+    counts = collections.Counter()
+    for step in ("_point_step", "validate_expansion", "_direction_step"):
+        _count_calls(monkeypatch, noc.optproblem, step, counts)
+    assert _check([f"docs/conformance/valid/{name}"]) in (0, 3)
+    assert "separation skipped" not in capsys.readouterr().out
+    assert counts == {"_point_step": 1, "validate_expansion": 1,
+                      "_direction_step": 1}
+
+
 def test_a_nan_stationarity_residual_is_inconclusive(monkeypatch, capsys):
     import noc.conditions
 
@@ -925,3 +943,27 @@ def test_control_checks_leave_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+_CONTROL_STACK = ("noc.conditions", "noc.dynamics", "noc.geometry")
+
+
+@pytest.mark.parametrize("argv, loaded, unloaded", [
+    (["check", "docs/conformance/valid/op-parabola.noc"], ("noc.optproblem",),
+     _CONTROL_STACK),
+    (["check", "preset:ccs126", "--grid", "50"], _CONTROL_STACK,
+     ("noc.optproblem",)),
+    (["oracle", "cone", "ball 0 0 1", "0 -1", "1 0"], ("noc.cones",),
+     _CONTROL_STACK + ("noc.optproblem",)),
+], ids=["op-check", "control-check", "oracle"])
+def test_each_command_loads_only_its_own_stack(argv, loaded, unloaded):
+    code = ("import sys\n"
+            "import noc.cli\n"
+            f"noc.cli.main({argv!r})\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=Path(__file__).resolve().parent.parent)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.splitlines()[-1].split())
+    assert set(loaded) <= modules
+    assert not set(unloaded) & modules

@@ -851,8 +851,9 @@ def test_grouped_sigma_candidates_match_the_per_cell_loop():
 
 def test_grouped_cone_rows_match_the_per_cell_loop():
     from noc.cones import tangent_cone_vrep
-    from noc.conditions import (_clean_rows, _generator_rows,
-                                _multiplier_cone_rows, _multiplier_jet)
+    from noc.conditions import (_generator_rows, _multiplier_cone_rows,
+                                _multiplier_jet)
+    from noc.polyhedral import clean_rows as _clean_rows
 
     problem, traj = _triangle_run()
     mjet = _multiplier_jet(problem, traj)

@@ -27,7 +27,7 @@ from noc.cones import (
     second_cone_vrep,
     tangent_cone_vrep,
 )
-from noc.errors import BoundViolated, DirectionNotInCone, PointNotInSet
+from noc.errors import DirectionNotInCone, PointNotInSet
 
 from _probes import generate_probes
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from noc.cones import Ball, lift_sigma
+from noc.cones import lift_sigma
 from noc.dynamics import (FieldAlongCurve, builtin_dynamics,
                           dynamics_from_callbacks, dynamics_from_expressions,
                           endpoint_from_expressions, expansion_residual,
@@ -26,8 +26,7 @@ from noc.dynamics import (FieldAlongCurve, builtin_dynamics,
 from noc.errors import (BasePointMismatch, BoundViolated, ChartEscape, NocError,
                         NonFiniteState, OutOfInjectivityTrust)
 from noc.geometry import (CotangentVector, TangentVector, christoffel,
-                          christoffel_apply, curvature, dchristoffel, euclidean,
-                          exp_map, sphere)
+                          curvature, dchristoffel, euclidean, exp_map, sphere)
 from noc.problemfile import build_control_problem, parse_problem_file
 
 from _problems import (ccs126_adjoint, ccs126_nominal_controls,

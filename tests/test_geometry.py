@@ -15,7 +15,6 @@ import noc.geometry as gm
 from noc.errors import (
     BasePointMismatch,
     OutOfInjectivityTrust,
-    ShootingDiverged,
     SingularMetric,
 )
 

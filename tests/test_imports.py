@@ -1,0 +1,81 @@
+"""Every name a ``src/noc`` module imports is read somewhere in its scope.
+
+An import is checked against the scope it is made in: a module-level
+import against the whole module, an import inside a function against
+that function's body.  Names listed in ``__all__`` and ``from
+__future__`` imports are exempt, and a name read only in a string
+annotation counts as read.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "noc"
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(scope):
+    """The nodes of ``scope`` outside the functions nested in it."""
+    for child in ast.iter_child_nodes(scope):
+        yield child
+        if not isinstance(child, _SCOPES):
+            yield from _own_nodes(child)
+
+
+def _reads(scope) -> set:
+    """Every name loaded in ``scope``, nested functions and string
+    annotations included."""
+    names = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            names |= _reads(ast.parse(annotation.value, mode="eval"))
+    return names
+
+
+def _exported(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of every imported name that its scope never reads."""
+    tree = ast.parse(source)
+    exempt = _exported(tree)
+    found = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, _SCOPES))]:
+        reads = _reads(scope)
+        for node in _own_nodes(scope):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in reads and not (scope is tree and name in exempt):
+                    found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_walk_finds_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os, sys\n"
+              "from a import b as c, d\n"
+              "__all__ = ['d']\n"
+              "def f(x: 'Path') -> None:\n"
+              "    from pathlib import Path, PurePath\n"
+              "    return sys.argv\n")
+    assert unused_imports(source) == [(2, "os"), (3, "c"), (6, "PurePath")]
