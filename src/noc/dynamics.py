@@ -8,13 +8,15 @@ with the covariant corrections of the Hessian and mixed blocks on curved
 charts; the form and the adjoint are linear in the multiplier, so one jet
 and one (matrix) adjoint pass serve every multiplier.
 
-Controls are piecewise constant on a uniform grid and every integrator
-takes a single classical RK4 step per grid cell. For expression models the
-state pass runs each cell as one compiled function on Python floats
-(``DynamicsModel.rk4_cell``) and redoes on the numpy path any cell that
-fails there, so its results and diagnostics are the numpy path's; every
-derivative block comes from one compiled function over a batch of points
-(``DynamicsModel.blocks_many``), the per-node blocks included. That
+Models and endpoint maps are built from expressions
+(``dynamics_from_expressions``, ``endpoint_from_expressions``), whose
+derivatives ``noc.expr`` takes exactly. Controls are piecewise constant on
+a uniform grid and every integrator takes a single classical RK4 step per
+grid cell. The state pass runs each cell as one compiled function on Python
+floats (``DynamicsModel.rk4_cell``) and redoes on the numpy path any cell
+that fails there, so its results and diagnostics are the numpy path's;
+every derivative block comes from one compiled function over a batch of
+points (``DynamicsModel.blocks_many``), the per-node blocks included. That
 function, the rhs and an endpoint map's gradients and Hessians come from
 ``noc.expr``'s block compiler. The first-order field and the adjoint share
 one linearisation of that step: the cell propagators dy_{i+1} = M_i dy_i +
@@ -27,13 +29,14 @@ rounding; the second-order field runs one RK4 step over all cells at once
 and chains the cells with the same M_i; all three recursions run through
 one ``_chain``. ``_chain`` takes a leading point axis, so ``run_stacked``
 runs the variational and adjoint recursions of many points (the cells of a
-sweep) as one chain per pass, each point's values bit for bit its own. Geometry along a trajectory (Γ, ∂Γ, R) comes from one
-batched call per quantity over all nodes. Covariant ODEs are solved
-componentwise in the chart: for the first-order field and the adjoint the
-Christoffel terms cancel identically against the connection part of the
-covariant state Jacobian (both reduce to the plain linearized/adjoint
-systems), while the second-order field Y is recovered from a
-plain-coordinate integration B via Y = B + Γ(X, X)/2.
+sweep) as one chain per pass, each point's values bit for bit its own.
+Geometry along a trajectory (Γ, ∂Γ, R) comes from one batched call per
+quantity over all nodes. Covariant ODEs are solved componentwise in the
+chart: for the first-order field and the adjoint the Christoffel terms
+cancel identically against the connection part of the covariant state
+Jacobian (both reduce to the plain linearized/adjoint systems), while the
+second-order field Y is recovered from a plain-coordinate integration B via
+Y = B + Γ(X, X)/2.
 """
 from __future__ import annotations
 
@@ -55,13 +58,11 @@ from .geometry import (CotangentVector, ManifoldChart, TangentVector,
 __all__ = [
     "ControlProblem", "DynamicsModel", "EndpointMap", "FieldAlongCurve",
     "LagrangeData", "STACK_DEPTH", "Trajectory", "TrajectoryJet",
-    "builtin_dynamics", "dynamics_from_callbacks", "dynamics_from_expressions",
-    "endpoint_from_expressions", "endpoint_map", "expansion_residual",
-    "integrate_adjoint", "integrate_second_variation", "integrate_state",
-    "integrate_variational", "lagrange_data", "make_problem",
-    "rebind_problem", "refine_controls", "run_stacked", "trajectory_from_csv",
-    "trajectory_to_csv", "trajectory_jet", "trapezoid_cellwise",
-    "trapezoid_quadrature",
+    "dynamics_from_expressions", "endpoint_from_expressions",
+    "expansion_residual", "integrate_adjoint", "integrate_second_variation",
+    "integrate_state", "integrate_variational", "lagrange_data",
+    "make_problem", "rebind_problem", "refine_controls", "run_stacked",
+    "trajectory_jet", "trapezoid_cellwise", "trapezoid_quadrature",
 ]
 
 # the most points run_stacked runs together. Each holds its trajectory and
@@ -69,15 +70,6 @@ __all__ = [
 # the backward chain of 400 cells took 1.17 ms for one point alone, 126 us a
 # point stacked 64 deep and 119 us stacked 256 deep (2-core VM, NumPy 2.4)
 STACK_DEPTH = 64
-
-# finite-difference steps for missing derivative callbacks
-_FD1_SCALE = 1e-6   # first derivatives
-_FD2_SCALE = 1e-4   # second derivatives (wider step keeps the quotient conditioned)
-
-
-def _fd_step(x, scale: float):
-    """The difference step at x, one per row when x carries leading axes."""
-    return scale * (1.0 + np.max(np.abs(x), axis=-1, initial=0.0))
 
 
 # ----------------------------------------------------------------------------
@@ -97,31 +89,27 @@ class DynamicsModel:
         rhs_yu[k, i, a] = d2 f^k / d y_i d u_a (n, n, m)
         rhs_uu[k, a, b] = d2 f^k / d u_a d u_b (n, m, m)
 
-    ``blocks_many`` (optional) evaluates all six blocks over a batch of B
-    points at once: ``blocks_many(t, y, u)`` with t (B,), y (B, n) and
-    u (B, m) returns (f, f_y, f_u, f_yy, f_yu, f_uu), each a new array with
-    a leading batch axis. Expression models set it to one generated
-    function that fills the six preallocated blocks, one element
-    expression per entry (``noc.expr._compile_blocks``), and their
-    per-node blocks ``rhs_y`` .. ``rhs_uu`` are its one-point views, so a
-    model has one derivative path. Every derivative along a trajectory
+    ``blocks_many`` evaluates all six blocks over a batch of B points at
+    once: ``blocks_many(t, y, u)`` with t (B,), y (B, n) and u (B, m)
+    returns (f, f_y, f_u, f_yy, f_yu, f_uu), each a new array with a
+    leading batch axis. ``dynamics_from_expressions`` sets it to one
+    generated function that fills the six preallocated blocks, one element
+    expression per entry (``noc.expr._compile_blocks``), and the per-node
+    blocks ``rhs_y`` .. ``rhs_uu`` are its one-point views, so a model has
+    one derivative path. Every derivative along a trajectory
     (``trajectory_jet``, the cell propagators behind
     ``integrate_variational`` and ``integrate_adjoint``, and
     ``integrate_second_variation``) and the validation of ``make_problem``
-    and ``rebind_problem`` take the blocks from it when present, and
-    otherwise call the per-node callbacks once per point.
+    and ``rebind_problem`` take the blocks from it. The derivatives are
+    exact, so validation only requires them to be finite.
 
-    ``supplied`` names the hand-written derivative callbacks ("rhs_y" ..
-    "rhs_uu"); problem validation compares exactly these with central
-    differences. Expression models name none: their blocks are exact.
-
-    ``rk4_cell`` (optional, set on expression models) is one classical RK4
-    step on Python floats: ``rk4_cell(t, h, *y, *u)`` returns the state
-    after a cell of length h as a tuple, the same floats as ``_rk4_step``
-    on ``rhs`` gives. Where numpy would warn it may instead raise
-    (ArithmeticError, ValueError, or TypeError from a complex power) or
-    return a non-finite or complex value; ``integrate_state`` redoes such
-    a cell on the numpy path. Callback models leave it None.
+    ``rk4_cell`` (optional) is one classical RK4 step on Python floats:
+    ``rk4_cell(t, h, *y, *u)`` returns the state after a cell of length h
+    as a tuple, the same floats as ``_rk4_step`` on ``rhs`` gives. Where
+    numpy would warn it may instead raise (ArithmeticError, ValueError, or
+    TypeError from a complex power) or return a non-finite or complex
+    value; ``integrate_state`` redoes such a cell on the numpy path. A
+    model without it runs every cell on the numpy path.
 
     ``rebind`` (set on expression models compiled with parameters) maps
     new parameter values, a name -> value mapping, to the same model at
@@ -136,151 +124,19 @@ class DynamicsModel:
     rhs_yy: Callable
     rhs_yu: Callable
     rhs_uu: Callable
-    supplied: frozenset
+    blocks_many: Callable
     label: str = "custom"
-    blocks_many: Callable | None = None
     rk4_cell: Callable | None = None
     rebind: Callable | None = None
 
 
 _BLOCK_NAMES = ("rhs", "rhs_y", "rhs_u", "rhs_yy", "rhs_yu", "rhs_uu")
-_BLOCK_WRT = ("y", "u", "yy", "yu", "uu")     # what rhs_y .. rhs_uu differentiate by
 
 
 def _blocks_along(dyn: DynamicsModel, t, y, u, count: int = 6) -> tuple:
     """The first ``count`` of (f, f_y, f_u, f_yy, f_yu, f_uu) at a batch of
     points, each block with a leading batch axis."""
-    if dyn.blocks_many is not None:
-        return tuple(np.asarray(b, float) for b in dyn.blocks_many(t, y, u)[:count])
-    return _blocks_per_node(dyn, t, y, u, _BLOCK_NAMES[:count])
-
-
-def _blocks_per_node(dyn: DynamicsModel, t, y, u, names=_BLOCK_NAMES) -> tuple:
-    """The blocks ``names`` at a batch of points by one per-node callback
-    call per point."""
-    return tuple(_per_point(getattr(dyn, name))(t, y, u) for name in names)
-
-
-def _per_point(fn) -> Callable:
-    """``fn`` over a leading axis of its arguments, one call per point."""
-    return lambda *args: np.array([fn(*point) for point in zip(*args)], float)
-
-
-def _rhs_many(dyn: DynamicsModel) -> Callable:
-    """The rhs over a batch of points: f from ``blocks_many``, else one
-    ``rhs`` call per point."""
-    if dyn.blocks_many is not None:
-        return lambda t, y, u: dyn.blocks_many(t, y, u)[0]
-    return _per_point(dyn.rhs)
-
-
-def _unit(rows: int, size: int, i: int, h) -> np.ndarray:
-    """(rows, size) zeros with column i set to h, one step per row."""
-    e = np.zeros((rows, size))
-    e[:, i] = h
-    return e
-
-
-def _fd_block(rhs_many, t, y, u, wrt: str, quiet: bool = False) -> np.ndarray:
-    """Central differences of ``rhs_many`` at P points t (P,), y (P, n) and
-    u (P, m): the Jacobian in y or u (wrt "y", "u"), columns indexed by the
-    perturbed coordinate, or the second derivatives (wrt "yy", "yu", "uu").
-
-    Returns a (P, k, ...) array for an rhs of k components. Every stencil
-    point of every row goes into one ``rhs_many`` call, and each row's
-    quotient is formed by the same floating-point operations, in the same
-    order, as a one-point stencil at that row; with ``quiet`` those
-    operations raise no numpy warnings.
-    """
-    t = np.asarray(t, float)
-    y = np.asarray(y, float)
-    u = np.asarray(u, float)
-    P, n = y.shape
-    m = u.shape[1]
-    stencil = []    # (block indices, stencil points (y, u), denominator)
-    if len(wrt) == 1:
-        shape = (n if wrt == "y" else m,)
-        h = _fd_step(y if wrt == "y" else u, _FD1_SCALE)
-        for i in range(shape[0]):
-            e = _unit(P, shape[0], i, h)
-            stencil.append(([(i,)], [(y + e, u), (y - e, u)] if wrt == "y"
-                            else [(y, u + e), (y, u - e)], (2 * h)[:, None]))
-    elif wrt == "yu":
-        shape = (n, m)
-        hy = _fd_step(y, _FD2_SCALE)
-        hu = _fd_step(u, _FD2_SCALE)
-        for i, a in np.ndindex(n, m):
-            ei = _unit(P, n, i, hy)
-            ea = _unit(P, m, a, hu)
-            stencil.append(([(i, a)], [(y + ei, u + ea), (y + ei, u + -ea),
-                                       (y + -ei, u + ea), (y + -ei, u + -ea)],
-                            (4 * hy * hu)[:, None]))
-    else:
-        size = n if wrt == "yy" else m
-        shape = (size, size)
-        h = _fd_step(y if wrt == "yy" else u, _FD2_SCALE)
-
-        def at(d):
-            return (y + d, u + 0) if wrt == "yy" else (y + 0, u + d)
-
-        for i in range(size):
-            for j in range(i, size):
-                ei = _unit(P, size, i, h)
-                ej = _unit(P, size, j, h)
-                if i == j:
-                    stencil.append(([(i, i)], [at(ei), at(ei * 0), at(-ei)],
-                                    (h * h)[:, None]))
-                else:
-                    stencil.append(([(i, j), (j, i)],
-                                    [at(ei + ej), at(ei - ej), at(-ei + ej), at(-ei - ej)],
-                                    (4 * h * h)[:, None]))
-    points = [point for _, pts, _ in stencil for point in pts]
-    f = rhs_many(np.tile(t, len(points)), np.concatenate([p[0] for p in points]),
-                 np.concatenate([p[1] for p in points]))
-    f = np.asarray(f, float).reshape(len(points), P, -1)
-    out = np.empty((P, f.shape[2]) + shape)
-    k = 0
-    with np.errstate(**({"all": "ignore"} if quiet else {})):
-        for indices, pts, denom in stencil:
-            val = _quotient(f[k:k + len(pts)], denom)
-            k += len(pts)
-            for index in indices:
-                out[(...,) + index] = val
-    return out
-
-
-def _quotient(f, denom):
-    """The central-difference quotient of the values f at a stencil's 2
-    (first order), 3 (second, one coordinate) or 4 points (mixed second)."""
-    if len(f) == 2:
-        return (f[0] - f[1]) / denom
-    if len(f) == 3:
-        return (f[0] - 2 * f[1] + f[2]) / denom
-    return (f[0] - f[1] - f[2] + f[3]) / denom
-
-
-def dynamics_from_callbacks(state_dim: int, control_dim: int, rhs,
-                            rhs_y=None, rhs_u=None, rhs_yy=None, rhs_yu=None,
-                            rhs_uu=None, label: str = "custom") -> DynamicsModel:
-    """Wrap a right-hand-side callback; missing derivative blocks fall back
-    to central finite differences."""
-    supplied = frozenset(
-        name for name, cb in [("rhs_y", rhs_y), ("rhs_u", rhs_u),
-                              ("rhs_yy", rhs_yy), ("rhs_yu", rhs_yu),
-                              ("rhs_uu", rhs_uu)]
-        if cb is not None)
-
-    def wrap(t, y, u):
-        return np.asarray(rhs(t, np.asarray(y, float), np.asarray(u, float)), float)
-
-    def fd(wrt):
-        many = _per_point(wrap)
-        return lambda t, y, u: _fd_block(many, [t], [y], [u], wrt)[0]
-
-    return DynamicsModel(state_dim=state_dim, control_dim=control_dim, rhs=wrap,
-                         rhs_y=rhs_y or fd("y"), rhs_u=rhs_u or fd("u"),
-                         rhs_yy=rhs_yy or fd("yy"), rhs_yu=rhs_yu or fd("yu"),
-                         rhs_uu=rhs_uu or fd("uu"), supplied=supplied, label=label)
+    return tuple(np.asarray(b, float) for b in dyn.blocks_many(t, y, u)[:count])
 
 
 def _used_params(params, exprs) -> tuple:
@@ -347,8 +203,8 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
         return DynamicsModel(
             state_dim=n, control_dim=m, rhs=rhs,
             rhs_y=at_point(1), rhs_u=at_point(2), rhs_yy=at_point(3),
-            rhs_yu=at_point(4), rhs_uu=at_point(5), supplied=frozenset(),
-            label=label, blocks_many=blocks_many,
+            rhs_yu=at_point(4), rhs_uu=at_point(5), blocks_many=blocks_many,
+            label=label,
             rk4_cell=partial(float_cell, *pvals) if pvals else float_cell,
             rebind=bind if pnames else None)
 
@@ -395,40 +251,6 @@ def _compile_rk4_cell(exprs, ynames, unames, pnames) -> Callable:
     return namespace["cell"]
 
 
-def builtin_dynamics(name: str, **params) -> DynamicsModel:
-    """Named example systems usable from problem files and presets.
-
-    - ``ccs126``: planar system ydot1 = u2, ydot2 = -y1^2 + 4 y1 u2 - theta u1^2
-      (parameter ``theta``, default 3).
-    - ``linear``: ydot = A y + B u (parameters ``a``, ``b`` as matrices).
-    """
-    if name == "ccs126":
-        theta = float(params.pop("theta", 3.0))
-        if params:
-            raise ValueError(f"unknown parameters for ccs126: {sorted(params)}")
-        return dynamics_from_expressions(
-            ("u2", f"-y1^2 + 4*y1*u2 - {theta!r}*u1^2"), 2, 2, label="ccs126")
-    if name == "linear":
-        A = np.asarray(params.pop("a"), float)
-        B = np.asarray(params.pop("b"), float)
-        if params:
-            raise ValueError(f"unknown parameters for linear: {sorted(params)}")
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or B.ndim != 2 or B.shape[0] != A.shape[0]:
-            raise ValueError("linear dynamics need square a and conforming b")
-        n, m = B.shape
-        return DynamicsModel(
-            state_dim=n, control_dim=m,
-            rhs=lambda t, y, u: A @ np.asarray(y, float) + B @ np.asarray(u, float),
-            rhs_y=lambda t, y, u: A.copy(),
-            rhs_u=lambda t, y, u: B.copy(),
-            rhs_yy=lambda t, y, u: np.zeros((n, n, n)),
-            rhs_yu=lambda t, y, u: np.zeros((n, n, m)),
-            rhs_uu=lambda t, y, u: np.zeros((n, m, m)),
-            supplied=frozenset({"rhs_y", "rhs_u", "rhs_yy", "rhs_yu", "rhs_uu"}),
-            label="linear")
-    raise ValueError(f"unknown builtin dynamics {name!r}")
-
-
 # ----------------------------------------------------------------------------
 # endpoint maps and problems
 # ----------------------------------------------------------------------------
@@ -440,63 +262,16 @@ class EndpointMap:
     ``grad`` returns the pair of plain coordinate gradients, ``hess`` the
     plain coordinate Hessian blocks (h11, h12, h22) with
     h12[i, j] = d2 g / d y_start_i d y_end_j. Covariant corrections are the
-    caller's business (see lagrange_data). ``rebind`` is as for
-    DynamicsModel.
-
-    ``supplied`` names the hand-written derivative callbacks ("grad",
-    "hess"); problem validation compares exactly these with central
-    differences. Expression maps name none: their derivatives are exact.
+    caller's business (see lagrange_data). ``endpoint_from_expressions``
+    builds them exactly, so validation only requires them to be finite.
+    ``rebind`` is as for DynamicsModel.
     """
 
     value: Callable
     grad: Callable
     hess: Callable
-    supplied: frozenset
     label: str = "endpoint"
     rebind: Callable | None = None
-
-
-def endpoint_map(value, grad=None, hess=None, label: str = "endpoint") -> EndpointMap:
-    supplied = frozenset(n for n, cb in [("grad", grad), ("hess", hess)] if cb is not None)
-
-    def val(y0, yT):
-        return float(value(np.asarray(y0, float), np.asarray(yT, float)))
-
-    def fd(order):
-        many = _per_point(val)
-        return lambda y0, yT: tuple(b[0] for b in _fd_endpoint(many, [y0], [yT], order))
-
-    return EndpointMap(value=val, grad=grad or fd(1), hess=hess or fd(2),
-                       supplied=supplied, label=label)
-
-
-def _fd_endpoint(value_many, y0, yT, order: int) -> tuple:
-    """Central differences of an endpoint scalar at P point pairs y0 (P, n0)
-    and yT (P, n1): the gradients (g_start, g_end) for ``order`` 1, the
-    Hessian blocks (h11, h12, h22) for ``order`` 2, each with the leading
-    axis P.
-
-    These are the stencils of ``_fd_block`` with y0 and yT in the places
-    of y and u, and for the Hessian the joint point (y0, yT) in the place
-    of y, with one step. Their quotients are formed as silently as on
-    Python floats.
-    """
-    y0 = np.asarray(y0, float)
-    yT = np.asarray(yT, float)
-    t = np.zeros(len(y0))
-    if order == 1:
-        def scalar(t, a, b):
-            return value_many(a, b)[:, None]
-        return tuple(_fd_block(scalar, t, y0, yT, wrt, quiet=True)[:, 0]
-                     for wrt in ("y", "u"))
-    n0 = y0.shape[1]
-
-    def joint(t, z, _):
-        return value_many(z[:, :n0], z[:, n0:])[:, None]
-
-    H = _fd_block(joint, t, np.concatenate([y0, yT], axis=1),
-                  np.empty((len(y0), 0)), "yy", quiet=True)[:, 0]
-    return H[:, :n0, :n0], H[:, :n0, n0:], H[:, n0:, n0:]
 
 
 def endpoint_from_expressions(text: str, state_dim: int,
@@ -532,8 +307,7 @@ def endpoint_from_expressions(text: str, state_dim: int,
             return float(fn(*np.asarray(y0, float), *np.asarray(yT, float), *pvals))
 
         return EndpointMap(value=value, grad=partial(at_pair, grads),
-                           hess=partial(at_pair, hessians),
-                           supplied=frozenset(), label=label,
+                           hess=partial(at_pair, hessians), label=label,
                            rebind=bind if pnames else None)
 
     return bind(params)
@@ -583,15 +357,6 @@ class ControlProblem:
         return (self.cost,) + tuple(self.inequality_maps) + tuple(self.equality_maps)
 
 
-def _fd_rounding(fmax, y, u, wrt: str):
-    """Worst-case rounding error of the central-difference quotient of
-    ``_fd_block`` for an rhs of magnitude fmax; fmax, y and u may carry a
-    leading axis of probe points."""
-    scale = _FD1_SCALE if len(wrt) == 1 else _FD2_SCALE
-    steps = [_fd_step(y if c == "y" else u, scale) for c in wrt]
-    return 2.0 * np.finfo(float).eps * fmax / math.prod(steps)
-
-
 def _unit_probe_points(problem: ControlProblem, probe_base, rng) -> tuple:
     """20 validation points t (20,), y (20, n), u (20, m): y near
     probe_base, t on [0, 1). The horizon times these t is bit for bit
@@ -610,87 +375,32 @@ def _unit_probe_points(problem: ControlProblem, probe_base, rng) -> tuple:
     return tuple(np.array(a, float) for a in zip(*probes))
 
 
-def _probe_blocks(dyn: DynamicsModel, probes) -> tuple:
-    """The rhs and its five derivative blocks at the probes, each with the
-    probe axis: from one ``blocks_many`` call when the model has it, else
-    from the per-node callbacks, the rhs at every probe first. Raises
-    unless the rhs is finite at every probe."""
-    if dyn.blocks_many is not None:
-        blocks = tuple(np.asarray(b, float) for b in dyn.blocks_many(*probes))
-    else:
-        blocks = _blocks_per_node(dyn, *probes, names=_BLOCK_NAMES[:1])
+def _check_blocks(dyn: DynamicsModel, probes):
+    """Require the rhs and its five derivative blocks, from one
+    ``blocks_many`` call at the probes, to be finite: the rhs at every
+    probe first, then the first non-finite block in probe-major order."""
+    blocks = [np.asarray(b, float) for b in dyn.blocks_many(*probes)]
     if not np.all(np.isfinite(blocks[0])):
         raise NocError("dynamics rhs is not finite at a validation probe point")
-    if len(blocks) == 1:
-        blocks += _blocks_per_node(dyn, *probes, names=_BLOCK_NAMES[1:])
-    return blocks
-
-
-def _row_max(a) -> np.ndarray:
-    """max |a| over all but the leading axis."""
-    return np.max(np.abs(a).reshape(len(a), -1), axis=1)
-
-
-def _first_failure(got, want, tol: float):
-    """(point, block, error, limit) of the first entry, in point-major
-    order, where a block ``got[k]`` (leading axis: points) is not finite or
-    differs from its central differences ``want[k]``, unless None, by more
-    than tol relative; or None."""
-    err = np.stack([_row_max(a - b) if b is not None else
-                    np.where(np.isfinite(a).reshape(len(a), -1).all(axis=1), 0.0, np.inf)
-                    for a, b in zip(got, want)], axis=1)
-    limit = tol * (1.0 + np.stack([_row_max(b) if b is not None else np.zeros(len(a))
-                                   for a, b in zip(got, want)], axis=1))
-    failed = np.argwhere(~(err <= limit))
+    finite = np.stack([np.isfinite(b).reshape(len(b), -1).all(axis=1)
+                       for b in blocks[1:]], axis=1)
+    failed = np.argwhere(~finite)
     if failed.size:
-        p, k = failed[0]
-        return p, k, float(err[p, k]), float(limit[p, k])
-    return None
+        raise NocError(f"dynamics block {_BLOCK_NAMES[failed[0][1] + 1]} is not "
+                       f"finite at a validation probe point")
 
 
-def _check_blocks(dyn: DynamicsModel, probes, blocks, tol: float):
-    """Require the blocks at the probes (from ``_probe_blocks``) to be
-    finite and the hand-written ones to agree with central differences,
-    the stencils of a block at all probes in one batched rhs call."""
-    t, y, u = probes
-    rhs_many = _rhs_many(dyn)
-    want = [_fd_block(rhs_many, t, y, u, wrt) if name in dyn.supplied else None
-            for name, wrt in zip(_BLOCK_NAMES[1:], _BLOCK_WRT)]
-    failure = _first_failure(blocks[1:], want, tol)
-    if failure is None:
-        return
-    p, k, e, lim = failure
-    name = _BLOCK_NAMES[k + 1]
-    if want[k] is None:
-        raise NocError(f"dynamics block {name} is not finite at a validation "
-                       f"probe point")
-    if not np.isfinite(e):
-        raise NocError(f"dynamics block {name} or its central differences "
-                       f"are not finite at a validation probe point")
-    fmax = float(np.max(np.abs(blocks[0][p]), initial=0.0))
-    rounding = _fd_rounding(fmax, y[p], u[p], _BLOCK_WRT[k])
-    if rounding > lim:
-        raise NocError(
-            f"dynamics rhs reaches {fmax:.3e} at a validation probe point, "
-            f"too large to check {name} by central differences: their "
-            f"rounding error (up to {rounding:.3e}) exceeds tol {lim:.3e}")
-    raise NocError(
-        f"dynamics block {name} disagrees with central differences "
-        f"by {e:.3e} (tol {lim:.3e})")
-
-
-def _validate_dynamics(problem: ControlProblem, probes, tol: float):
+def _validate_dynamics(problem: ControlProblem, probes):
     """Check the blocks at the probes (``_check_blocks``), then the float
     RK4 cell against ``_rk4_step``."""
     dyn = problem.dynamics
     t, y, u = probes
-    _check_blocks(dyn, probes, _probe_blocks(dyn, probes), tol)
+    _check_blocks(dyn, probes)
     if dyn.rk4_cell is not None:
         # the float cell must reproduce the numpy step wherever both run
         h = 0.01 * problem.horizon
-        rhs_many = _rhs_many(dyn)
         with np.errstate(all="ignore"):
-            want = _rk4_step(lambda s, z: rhs_many(s, z, u), t, y, h)
+            want = _rk4_step(lambda s, z: dyn.blocks_many(s, z, u)[0], t, y, h)
         got, ran = [], []
         for p, (tp, yp, up) in enumerate(zip(t.tolist(), y.tolist(), u.tolist())):
             try:
@@ -728,41 +438,24 @@ def _point_pairs(problem: ControlProblem, probe_base, rng) -> tuple:
     return tuple(out)
 
 
-def _validate_endpoints(problem: ControlProblem, pairs, tol: float, only=None):
+def _validate_endpoints(problem: ControlProblem, pairs, only=None):
     """Check every endpoint map at its point pairs (``_point_pairs``), or
     only the maps in ``only``; pairs are drawn for every map, so a map
     meets the same points either way."""
     for ep, ep_pairs in zip(problem.endpoint_maps, pairs):
         if ep_pairs and (only is None or ep in only):
-            _compare_endpoint_map(ep, ep_pairs, tol)
+            _check_endpoint_map(ep, ep_pairs)
         if len(ep_pairs) < 6:
             raise NocError("could not sample valid probe points near probe_base")
 
 
-def _compare_endpoint_map(ep: EndpointMap, pairs, tol: float):
-    """Require ``ep``'s value, gradients and Hessian blocks to be finite at
-    each point pair and the hand-written ones to agree with central
-    differences; the first failure in pair order is reported."""
-    y0, yT = (np.array(a) for a in zip(*pairs))
-    many = _per_point(ep.value)
-    want = ((None,)
-            + (_fd_endpoint(many, y0, yT, 1) if "grad" in ep.supplied else (None,) * 2)
-            + (_fd_endpoint(many, y0, yT, 2) if "hess" in ep.supplied else (None,) * 3))
+def _check_endpoint_map(ep: EndpointMap, pairs):
+    """Require ``ep``'s value, gradients and Hessian blocks, evaluated at
+    every point pair, to be finite."""
     parts = [(ep.value(a, b), *ep.grad(a, b), *ep.hess(a, b)) for a, b in pairs]
-    got = [np.array([np.asarray(part[k], float) for part in parts])
-           for k in range(len(want))]
-    failure = _first_failure(got, want, tol)
-    if failure is None:
-        return
-    _, k, e, _ = failure
-    if want[k] is None:
+    if not all(np.all(np.isfinite(part)) for pair in parts for part in pair):
         raise NocError(f"endpoint map {ep.label!r} is not finite at a "
                        f"validation point pair")
-    if not np.isfinite(e):
-        raise NocError(f"endpoint map {ep.label!r} derivative or its central "
-                       f"differences are not finite at a validation point pair")
-    raise NocError(f"endpoint map {ep.label!r} derivative disagrees with "
-                   f"central differences by {e:.3e}")
 
 
 def _probe_base(chart: ManifoldChart, probe_base) -> np.ndarray:
@@ -803,15 +496,13 @@ def make_problem(chart: ManifoldChart, horizon: float, dynamics: DynamicsModel,
                  seed: int = _PROBE_SEED) -> ControlProblem:
     """Assemble and (by default) validate a ControlProblem.
 
-    Validation requires the rhs and its five derivative blocks to be
-    finite at 20 random probe points near ``probe_base`` (default: chart
-    origin), and the hand-written blocks (``DynamicsModel.supplied``) to
-    agree there with central differences within 1e-4 relative; a model
-    with ``blocks_many`` gives them all from one call of it. The float
-    ``rk4_cell`` is checked against ``_rk4_step``. Each endpoint map's value,
-    gradients and Hessian blocks must be finite at 6 point pairs, where its
-    hand-written derivatives meet central differences likewise. The first
-    failure in probe order is reported.
+    The model and the maps are built from expressions, so their
+    derivatives are exact and validation only requires them to be finite:
+    the rhs and its five derivative blocks, from one ``blocks_many`` call,
+    at 20 random probe points near ``probe_base`` (default: chart origin),
+    where the float ``rk4_cell`` must also reproduce ``_rk4_step``, and each
+    endpoint map's value, gradients and Hessian blocks at 6 point pairs.
+    The first failure in probe order is reported.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -827,8 +518,8 @@ def make_problem(chart: ManifoldChart, horizon: float, dynamics: DynamicsModel,
     if validate:
         (unit_t, y, u), pairs = _validation_draws(
             problem, _probe_base(chart, probe_base), seed)
-        _validate_dynamics(problem, (problem.horizon * unit_t, y, u), tol=1e-4)
-        _validate_endpoints(problem, pairs, tol=1e-4)
+        _validate_dynamics(problem, (problem.horizon * unit_t, y, u))
+        _validate_endpoints(problem, pairs)
     return problem
 
 
@@ -859,11 +550,9 @@ def rebind_problem(problem: ControlProblem, horizon: float, values,
     (unit_t, y, u), pairs = _validation_draws(
         rebound, _probe_base(rebound.chart, probe_base), _PROBE_SEED,
         pairs=bool(moved_maps))
-    probes = (rebound.horizon * unit_t, y, u)
-    _check_blocks(rebound.dynamics, probes, _probe_blocks(rebound.dynamics, probes),
-                  tol=1e-4)
+    _check_blocks(rebound.dynamics, (rebound.horizon * unit_t, y, u))
     if moved_maps:
-        _validate_endpoints(rebound, pairs, tol=1e-4, only=moved_maps)
+        _validate_endpoints(rebound, pairs, only=moved_maps)
     return rebound
 
 
@@ -1578,57 +1267,3 @@ def expansion_residual(problem: ControlProblem, trajectory: Trajectory,
                                                          components=defect)))
         out.append((eps, float(worst)))
     return out
-
-
-# ----------------------------------------------------------------------------
-# CSV import/export
-# ----------------------------------------------------------------------------
-
-def trajectory_to_csv(trajectory: Trajectory) -> str:
-    """Columnar CSV (t, y1..yn, u1..um) with 17-significant-digit floats.
-
-    The control columns repeat the last cell's control on the final row so
-    every row has the same width.
-    """
-    n = trajectory.states.shape[1]
-    m = trajectory.controls.shape[1]
-    header = ",".join(["t"] + [f"y{i + 1}" for i in range(n)]
-                      + [f"u{a + 1}" for a in range(m)])
-    lines = [header]
-    N = trajectory.num_cells
-    for i in range(N + 1):
-        row = [trajectory.grid[i], *trajectory.states[i], *trajectory.controls[min(i, N - 1)]]
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def trajectory_from_csv(chart: ManifoldChart, text: str) -> Trajectory:
-    """Read the CSV of ``trajectory_to_csv``: header exactly t, y1..yn,
-    u1..um in that order, every value finite."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if len(lines) < 3:
-        raise ValueError("trajectory CSV needs a header and at least two rows")
-    header = [c.strip() for c in lines[0].split(",")]
-    n = sum(1 for c in header if c.startswith("y"))
-    m = len(header) - 1 - n
-    expected = (["t"] + [f"y{i + 1}" for i in range(n)]
-                + [f"u{a + 1}" for a in range(m)])
-    if n == 0 or header != expected:
-        raise ValueError(f"trajectory CSV header must be t, y1..yn, u1..um "
-                         f"in order, got {header}")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ValueError(f"row width {len(parts)} does not match header")
-        rows.append([float(x) for x in parts])
-    data = np.asarray(rows, float)
-    if not np.all(np.isfinite(data)):
-        raise ValueError("trajectory CSV contains non-finite values")
-    grid = data[:, 0]
-    steps = np.diff(grid)
-    if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-12 * (1.0 + steps[0]):
-        raise ValueError("trajectory CSV grid must be uniform and increasing")
-    states = data[:, 1:1 + n]
-    controls = data[:-1, 1 + n:]
-    return Trajectory(chart=chart, grid=grid, states=states, controls=controls)

@@ -67,6 +67,15 @@ class OptScalar:
     """One scalar row of the program: value, gradient, and the directional
     second derivative d^2/de^2 f(e + t y) at t = 0 (no full Hessian needed).
 
+    ``supplied`` sets what ``validate_expansion`` does with the
+    derivatives.  With "grad" in it the gradient is hand-written and meets
+    central differences; with "second" the second derivative is not a
+    second difference, so the expansion residual gets the narrow noise
+    floor (1e-10 instead of 5e-8, relative).  ``opt_scalar`` names the
+    callbacks it was given.  Expression rows name only "second": their
+    gradient is exact, and central differences would only add their
+    rounding to it.
+
     ``value_many`` (optional) evaluates a whole (P, N) batch of points at
     once and returns P values; grid oracles use it when available.  The
     batch is a view whose coordinate columns are contiguous but which may
@@ -152,7 +161,7 @@ def opt_scalar_from_expression(text: str, dim: int, label: str | None = None,
         return np.asarray(fn(*points.T, *pvals), float)
 
     return OptScalar(value=value, grad=grad, second=second,
-                     supplied=frozenset({"grad", "second"}),
+                     supplied=frozenset({"second"}),
                      label=label or text, value_many=value_many)
 
 
@@ -197,8 +206,9 @@ def validate_expansion(problem: OptProblem, point, *,
     """Numerically probe the quadratic-expansion property of every row at
     ``point``: the residual of value(e + eps y + eps^2 eta) against the
     declared first/second derivatives, divided by eps^2, must not grow as
-    eps shrinks along (0.1, 0.05, 0.025).  Supplied gradients are also
-    cross-checked against central differences, to a relative 1e-4.
+    eps shrinks along (0.1, 0.05, 0.025).  Hand-written gradients (a
+    "grad" in ``OptScalar.supplied``) are also cross-checked against
+    central differences, to a relative 1e-4.
     Returns the per-row (label, residual-ratio triple) report; raises on
     inconsistency.
 

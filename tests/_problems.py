@@ -4,23 +4,37 @@ from __future__ import annotations
 import numpy as np
 
 from noc.cones import Ball, Box
-from noc.dynamics import (builtin_dynamics, dynamics_from_expressions,
-                          endpoint_map, make_problem)
+from noc.dynamics import (dynamics_from_expressions, endpoint_from_expressions,
+                          make_problem)
 from noc.geometry import euclidean, sphere
+
+
+def _linear_text(terms) -> str:
+    """The sum of the (coefficient, variable) terms with a nonzero
+    coefficient, each coefficient written as its exact repr; "0.0" when
+    none is."""
+    return " + ".join(f"{c!r}*{v}" if v else repr(c) for c, v in terms if c) or "0.0"
 
 
 def linear_endpoint(weights_start, weights_end, offset: float = 0.0,
                     label: str = "linear-endpoint"):
     """g(y0, yT) = w1 . y0 + w2 . yT + offset with exact derivatives."""
-    w1 = np.asarray(weights_start, float)
-    w2 = np.asarray(weights_end, float)
-    n0, nT = w1.size, w2.size
-    return endpoint_map(
-        lambda y0, yT: float(w1 @ y0 + w2 @ yT + offset),
-        grad=lambda y0, yT: (w1.copy(), w2.copy()),
-        hess=lambda y0, yT: (np.zeros((n0, n0)), np.zeros((n0, nT)),
-                             np.zeros((nT, nT))),
-        label=label)
+    w1 = [float(w) for w in weights_start]
+    w2 = [float(w) for w in weights_end]
+    terms = ([(w, f"y0{i + 1}") for i, w in enumerate(w1)]
+             + [(w, f"yT{i + 1}") for i, w in enumerate(w2)] + [(float(offset), "")])
+    return endpoint_from_expressions(_linear_text(terms), len(w1), label=label)
+
+
+def linear_dynamics(A, B, label: str = "linear"):
+    """ydot = A y + B u as an expression model."""
+    A = np.asarray(A, float)
+    B = np.asarray(B, float)
+    n, m = B.shape
+    texts = [_linear_text([(float(a), f"y{i + 1}") for i, a in enumerate(A[k])]
+                          + [(float(b), f"u{j + 1}") for j, b in enumerate(B[k])])
+             for k in range(n)]
+    return dynamics_from_expressions(texts, n, m, label=label)
 
 
 def make_ccs126(horizon: float = 0.5, theta: float = 3.0, validate: bool = True):
@@ -30,7 +44,8 @@ def make_ccs126(horizon: float = 0.5, theta: float = 3.0, validate: bool = True)
     (1, 0) and controls in the closed unit disc. The nominal pair is
     u = (0, -1) with states (1 - t, -t^3/3 + 3 t^2 - 5 t).
     """
-    dyn = builtin_dynamics("ccs126", theta=theta)
+    dyn = dynamics_from_expressions(
+        ("u2", f"-y1^2 + 4*y1*u2 - {float(theta)!r}*u1^2"), 2, 2, label="ccs126")
     cost = linear_endpoint((0.0, 0.0), (0.0, 1.0), label="terminal-y2")
     pin1 = linear_endpoint((1.0, 0.0), (0.0, 0.0), offset=-1.0, label="start-y1")
     pin2 = linear_endpoint((0.0, 1.0), (0.0, 0.0), label="start-y2")

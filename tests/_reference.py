@@ -24,6 +24,16 @@ from noc.geometry import CotangentVector, TangentVector
 from noc.polyhedral import MultiplierVector
 
 
+# central-difference steps: scale * (1 + max |x|), per row of x
+FD1_SCALE = 1e-6    # first derivatives
+FD2_SCALE = 1e-4    # second derivatives (wider step keeps the quotient conditioned)
+
+
+def fd_step(x, scale: float):
+    """The difference step at x, one per row when x carries leading axes."""
+    return scale * (1.0 + np.max(np.abs(x), axis=-1, initial=0.0))
+
+
 # ----------------------------------------------------------------------------
 # Hamiltonian and its derivative blocks at one point
 # ----------------------------------------------------------------------------
@@ -109,7 +119,7 @@ def _self_check_blocks(problem, t, y, pc, u, blocks):
     rng = np.random.default_rng(7)
     n, m = problem.state_dim, problem.control_dim
     hs = 1e-3
-    hu_step = dynamics._fd_step(u, dynamics._FD2_SCALE)
+    hu_step = fd_step(u, FD2_SCALE)
     for _ in range(3):
         X = rng.standard_normal(n)
         X /= max(1.0, np.linalg.norm(X))

@@ -130,6 +130,24 @@ def test_op_consistent_and_refuted(tmp_path, capsys):
     assert "multiplier rays: 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("offset", ["1e8", "1e12"])
+def test_an_op_cost_offset_keeps_the_verdict_rays_and_worst_values(tmp_path, offset):
+    # the cost's gradient is exact, so it meets no central differences,
+    # whose rounding at a value of 1e8 or 1e12 exceeded their 1e-4 bound
+    def run(name, text):
+        report = tmp_path / f"{name}.json"
+        code = _check([_write(tmp_path, f"{name}.noc", text), "--report", str(report)])
+        return code, json.loads(report.read_text())
+
+    plain_code, plain = run("plain", PARABOLA_OP)
+    moved_code, moved = run("moved", PARABOLA_OP.replace("cost x2\n",
+                                                         f"cost x2 + {offset}\n"))
+    assert moved_code == plain_code == 3
+    assert moved["verdict"] == plain["verdict"] == "refuted"
+    assert moved["multipliers"] == plain["multipliers"]
+    assert moved["second_order"]["worst_values"] == plain["second_order"]["worst_values"]
+
+
 def test_op_grid_search_agreement_and_coarse_note(tmp_path, capsys):
     path = _write(tmp_path, "disc.noc", DISC_OP + "resolution 0.01\n")
     assert _check([path]) == 0

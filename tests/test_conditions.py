@@ -526,7 +526,7 @@ def _jet_fixture(chart_name):
     """A nonlinear problem on the named chart, a wiggly interior nominal
     control, and an (unverified) direction with its first-order field."""
     from noc.conditions import SingularDirection
-    from noc.dynamics import dynamics_from_callbacks, integrate_variational
+    from noc.dynamics import integrate_variational
     from noc.geometry import hyperbolic, product_chart, sphere
 
     from _problems import wiggly_controls
@@ -536,7 +536,7 @@ def _jet_fixture(chart_name):
     cost_text = "yT1^2 + 0.5*yT2 + y01*yT2"
     if chart_name == "euclidean":
         chart = euclidean(2)
-    elif chart_name in ("stereographic", "callbacks"):
+    elif chart_name == "stereographic":
         chart = sphere(1.0)
     elif chart_name == "polar":
         chart, start = sphere(1.0, coords="polar"), [1.1, 0.3]
@@ -548,11 +548,7 @@ def _jet_fixture(chart_name):
         start = [0.2, 0.1, -0.2]
         cost_text = "yT1^2 + yT2*yT3 + y01*yT3"
     n = chart.dim
-    if chart_name == "callbacks":
-        reference = dynamics_from_expressions(texts, n, 2)
-        dyn = dynamics_from_callbacks(n, 2, reference.rhs)
-    else:
-        dyn = dynamics_from_expressions(texts, n, 2)
+    dyn = dynamics_from_expressions(texts, n, 2)
     cost = endpoint_from_expressions(cost_text, n)
     pin = endpoint_from_expressions(f"y01 - {start[0]!r}", n, label="pin")
     probe = np.asarray(start, float)
@@ -573,11 +569,9 @@ def _jet_fixture(chart_name):
 
 
 @pytest.mark.parametrize("chart_name", ["euclidean", "stereographic", "polar",
-                                        "hyperbolic", "product", "callbacks"])
+                                        "hyperbolic", "product"])
 def test_second_order_terms_match_per_node_reference(chart_name):
     problem, traj, direction, sigma = _jet_fixture(chart_name)
-    if chart_name == "callbacks":
-        assert problem.dynamics.blocks_many is None   # per-node fallback path
     ell = np.array([-0.7, 0.4])
     total, terms = second_order_lhs(problem, traj, ell, direction, sigma,
                                     check=False, with_terms=True)
@@ -587,8 +581,7 @@ def test_second_order_terms_match_per_node_reference(chart_name):
     for name in ref:
         assert abs(terms[name] - ref[name]) <= 1e-10 * scale, name
     assert total == sum(terms.values())
-    if chart_name in ("stereographic", "polar", "hyperbolic", "product",
-                      "callbacks"):
+    if chart_name in ("stereographic", "polar", "hyperbolic", "product"):
         assert abs(ref["curvature"]) > 1e-4   # the curved path is exercised
 
 

@@ -13,15 +13,13 @@ import pytest
 from scipy.linalg import expm
 
 from noc.cones import lift_sigma
-from noc.dynamics import (FieldAlongCurve, builtin_dynamics,
-                          dynamics_from_callbacks, dynamics_from_expressions,
+from noc.dynamics import (FieldAlongCurve, dynamics_from_expressions,
                           endpoint_from_expressions, expansion_residual,
                           integrate_adjoint, integrate_second_variation,
                           integrate_state, integrate_variational, lagrange_data,
                           make_problem, rebind_problem, refine_controls,
-                          run_stacked, trajectory_from_csv, _adjoint_chain,
-                          _cell_propagators, _rk4_step, _variational_chain,
-                          trajectory_to_csv, trapezoid_cellwise,
+                          run_stacked, _adjoint_chain, _cell_propagators,
+                          _rk4_step, _variational_chain, trapezoid_cellwise,
                           trapezoid_quadrature)
 from noc.errors import (BasePointMismatch, BoundViolated, ChartEscape, NocError,
                         NonFiniteState, OutOfInjectivityTrust)
@@ -30,9 +28,9 @@ from noc.geometry import (CotangentVector, TangentVector, christoffel,
 from noc.problemfile import build_control_problem, parse_problem_file
 
 from _problems import (ccs126_adjoint, ccs126_nominal_controls,
-                       ccs126_second_field, ccs126_states, linear_endpoint,
-                       make_ccs126, make_flat_nonlinear, make_sphere_nonlinear,
-                       wiggly_controls)
+                       ccs126_second_field, ccs126_states, linear_dynamics,
+                       linear_endpoint, make_ccs126, make_flat_nonlinear,
+                       make_sphere_nonlinear, wiggly_controls)
 from _reference import curvature_pairing, hamiltonian, hamiltonian_blocks
 
 # ----------------------------------------------------------------------------
@@ -41,7 +39,7 @@ from _reference import curvature_pairing, hamiltonian, hamiltonian_blocks
 
 
 def test_builtin_ccs126_rhs_matches_formula():
-    dyn = builtin_dynamics("ccs126", theta=3.0)
+    dyn = make_ccs126(theta=3.0).dynamics
     rng = np.random.default_rng(0)
     for _ in range(10):
         y = rng.normal(size=2)
@@ -65,69 +63,12 @@ def test_expression_blocks_are_exact():
     assert abs(dyn.rhs_yy(0.0, y, u)[1, 0, 0] + math.sin(0.4)) < 1e-15
 
 
-def test_fd_fallback_blocks_match_analytic():
-    # rhs given without derivatives: finite-difference fallbacks must agree
-    # with hand-computed blocks at random probes within 1e-4 relative.
-    def rhs(t, y, u):
-        return np.array([math.sin(y[1]) + u[0] ** 2, y[0] * u[1]])
-
-    dyn = dynamics_from_callbacks(2, 2, rhs)
-    assert dyn.supplied == frozenset()
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        y = rng.normal(size=2)
-        u = rng.normal(size=2)
-        fy = np.array([[0.0, math.cos(y[1])], [u[1], 0.0]])
-        fu = np.array([[2 * u[0], 0.0], [0.0, y[0]]])
-        assert np.max(np.abs(dyn.rhs_y(0.0, y, u) - fy)) < 1e-4 * (1 + np.abs(fy).max())
-        assert np.max(np.abs(dyn.rhs_u(0.0, y, u) - fu)) < 1e-4 * (1 + np.abs(fu).max())
-        fuu = np.zeros((2, 2, 2))
-        fuu[0, 0, 0] = 2.0
-        assert np.max(np.abs(dyn.rhs_uu(0.0, y, u) - fuu)) < 1e-4
-        fyu = np.zeros((2, 2, 2))
-        fyu[1, 0, 1] = 1.0
-        assert np.max(np.abs(dyn.rhs_yu(0.0, y, u) - fyu)) < 1e-4
-
-
-def test_make_problem_rejects_wrong_jacobian():
-    def rhs(t, y, u):
-        return np.array([y[1], -y[0] + u[0]])
-
-    def bad_fy(t, y, u):
-        return np.array([[0.0, 1.0], [1.0, 0.0]])  # sign error
-
-    dyn = dynamics_from_callbacks(2, 1, rhs, rhs_y=bad_fy)
-    cost = linear_endpoint((0.0, 0.0), (1.0, 0.0))
-    with pytest.raises(NocError, match="rhs_y"):
-        make_problem(euclidean(2), 1.0, dyn, cost)
-
-
-@pytest.mark.parametrize("scale, fragment", [
-    (1.0, "rhs_y disagrees with central differences"),
-    (1e300, "too large to check rhs_y by central differences"),
-])
-def test_make_problem_names_why_a_jacobian_check_fails(scale, fragment):
-    # the same wrong Jacobian on top of a large constant offset: on a
-    # moderate rhs the mismatch is reported, on a huge one the rounding of
-    # the central differences (which then cannot see the derivative) is
-    def rhs(t, y, u):
-        return np.array([y[1] + scale, -y[0] + u[0]])
-
-    def bad_fy(t, y, u):
-        return np.array([[0.0, 1.0], [1.0, 0.0]])  # sign error
-
-    dyn = dynamics_from_callbacks(2, 1, rhs, rhs_y=bad_fy)
-    cost = linear_endpoint((0.0, 0.0), (1.0, 0.0))
-    with pytest.raises(NocError, match=fragment):
-        make_problem(euclidean(2), 1.0, dyn, cost)
-
-
 def test_make_problem_rejects_non_finite_rhs():
-    dyn = dynamics_from_callbacks(
-        2, 1, lambda t, y, u: np.array([y[1], np.inf * u[0]]),
-        rhs_y=lambda t, y, u: np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # sqrt of a negative number at every probe: NaN
+    dyn = dynamics_from_expressions(("y2", "sqrt(-1 - y1^2) + u1"), 2, 1)
     cost = linear_endpoint((0.0, 0.0), (1.0, 0.0))
-    with pytest.raises(NocError, match="rhs is not finite"):
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NocError, match="rhs is not finite"):
         make_problem(euclidean(2), 1.0, dyn, cost)
 
 
@@ -296,9 +237,6 @@ def test_trajectory_arrays_are_frozen_copies():
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 1.0
     assert _cell_propagators(problem, traj)[0] is M
-    csv = trajectory_from_csv(traj.chart, trajectory_to_csv(traj))
-    assert not (csv.grid.flags.writeable or csv.states.flags.writeable
-                or csv.controls.flags.writeable)
 
 
 def test_a_rebound_model_builds_its_own_propagators(monkeypatch):
@@ -320,24 +258,6 @@ def test_a_rebound_model_builds_its_own_propagators(monkeypatch):
     same = rebind_problem(problem, 1.0, {"k": 1.0})   # equal values, another model
     np.testing.assert_array_equal(integrate_adjoint(same, traj, [1.0]).values, first)
     assert len(blocks) == 12
-
-
-def test_make_problem_rejects_disagreeing_batched_blocks():
-    # the batched blocks are the only ones validation sees: a wrong one
-    # marked hand-written meets central differences of the batched rhs
-    dyn = dynamics_from_expressions(("y2 + u1^2", "sin(y1) + u1*u2"), 2, 2)
-    cost = linear_endpoint((0.0, 0.0), (1.0, 0.0))
-    make_problem(euclidean(2), 1.0, dyn, cost)
-    good = dyn.blocks_many
-
-    def off(t, y, u):
-        blocks = list(good(t, y, u))
-        blocks[4] = blocks[4] + 1e-2   # rhs_yu
-        return tuple(blocks)
-
-    wrong = dataclasses.replace(dyn, blocks_many=off, supplied=frozenset({"rhs_yu"}))
-    with pytest.raises(NocError, match="rhs_yu disagrees with central differences"):
-        make_problem(euclidean(2), 1.0, wrong, cost)
 
 
 def test_expression_models_compile_one_derivative_path(monkeypatch):
@@ -405,15 +325,6 @@ def test_expression_rhs_equals_its_components_compiled_alone():
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_make_problem_rejects_wrong_endpoint_gradient():
-    dyn = builtin_dynamics("linear", a=np.zeros((2, 2)), b=np.eye(2))
-    bad = dataclasses.replace(
-        linear_endpoint((1.0, 0.0), (0.0, 0.0)),
-        grad=lambda y0, yT: (np.array([0.0, 1.0]), np.zeros(2)))
-    with pytest.raises(NocError, match="endpoint"):
-        make_problem(euclidean(2), 1.0, dyn, bad)
-
-
 # ----------------------------------------------------------------------------
 # state integration
 # ----------------------------------------------------------------------------
@@ -453,7 +364,7 @@ def _expm_flow(A, B, y0, controls, T):
 def test_state_linear_matches_matrix_exponential():
     A = np.array([[0.0, 1.0], [-2.0, -0.3]])
     B = np.array([[0.0], [1.0]])
-    dyn = builtin_dynamics("linear", a=A, b=B)
+    dyn = linear_dynamics(A, B)
     problem = make_problem(euclidean(2), 1.0, dyn,
                            linear_endpoint((0.0, 0.0), (1.0, 0.0)))
     rng = np.random.default_rng(5)
@@ -782,7 +693,7 @@ def test_an_overflowing_point_leaves_its_neighbours_alone():
 def test_variational_linear_matches_matrix_exponential():
     A = np.array([[0.0, 1.0], [-2.0, -0.3]])
     B = np.array([[0.0], [1.0]])
-    dyn = builtin_dynamics("linear", a=A, b=B)
+    dyn = linear_dynamics(A, B)
     problem = make_problem(euclidean(2), 1.0, dyn,
                            linear_endpoint((0.0, 0.0), (1.0, 0.0)))
     rng = np.random.default_rng(6)
@@ -871,8 +782,7 @@ def test_second_variation_ccs126_closed_form():
 
 
 def test_second_variation_zero_for_linear_dynamics():
-    dyn = builtin_dynamics("linear", a=np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                           b=np.eye(2))
+    dyn = linear_dynamics(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
     problem = make_problem(euclidean(2), 1.0, dyn,
                            linear_endpoint((0.0, 0.0), (1.0, 0.0)))
     traj = integrate_state(problem, [1.0, 0.0], wiggly_controls(40))
@@ -1100,7 +1010,7 @@ def test_second_variation_checks_the_first_field_shape(monkeypatch, shape):
 
 def test_adjoint_linear_matches_matrix_exponential():
     A = np.array([[0.0, 1.0], [-2.0, -0.3]])
-    dyn = builtin_dynamics("linear", a=A, b=np.eye(2))
+    dyn = linear_dynamics(A, np.eye(2))
     problem = make_problem(euclidean(2), 1.0, dyn,
                            linear_endpoint((0.0, 0.0), (0.8, -0.6)))
     traj = integrate_state(problem, [0.7, -0.4], wiggly_controls(400))
@@ -1252,7 +1162,7 @@ def test_hamiltonian_blocks_ccs126_formulas():
 
 
 def test_hamiltonian_blocks_huu_zero_for_control_affine():
-    dyn = builtin_dynamics("linear", a=np.eye(2), b=np.eye(2))
+    dyn = linear_dynamics(np.eye(2), np.eye(2))
     problem = make_problem(euclidean(2), 1.0, dyn,
                            linear_endpoint((0.0, 0.0), (1.0, 0.0)))
     blocks = hamiltonian_blocks(problem, 0.0, np.zeros(2), np.ones(2), np.zeros(2))
@@ -1271,13 +1181,14 @@ def test_hamiltonian_blocks_self_check_passes():
 
 
 def test_hamiltonian_blocks_self_check_catches_bad_jacobian():
-    def rhs(t, y, u):
-        return np.array([y[1] + u[0], -y[0] * y[1] + u[1]])
+    good = dynamics_from_expressions(("y2 + u1", "-y1*y2 + u2"), 2, 2)
 
-    def bad_fy(t, y, u):
-        return np.array([[0.0, 1.0], [-y[1], -y[0] + 0.05]])  # off by 0.05
+    def bad_blocks(t, y, u):
+        blocks = list(good.blocks_many(t, y, u))
+        blocks[1] = blocks[1] + [[0.0, 0.0], [0.0, 0.05]]   # f_y off by 0.05
+        return tuple(blocks)
 
-    dyn = dynamics_from_callbacks(2, 2, rhs, rhs_y=bad_fy)
+    dyn = dataclasses.replace(good, blocks_many=bad_blocks)
     cost = linear_endpoint((0.0, 0.0), (1.0, 0.0))
     problem = make_problem(euclidean(2), 1.0, dyn, cost, validate=False)
     with pytest.raises(NocError, match="hx"):
@@ -1467,8 +1378,7 @@ def test_lagrange_multiplier_length_checked():
 
 
 def test_expansion_exact_for_linear_dynamics():
-    dyn = builtin_dynamics("linear", a=np.array([[0.0, 1.0], [-1.0, -0.5]]),
-                           b=np.eye(2))
+    dyn = linear_dynamics(np.array([[0.0, 1.0], [-1.0, -0.5]]), np.eye(2))
     problem = make_problem(euclidean(2), 1.0, dyn,
                            linear_endpoint((0.0, 0.0), (1.0, 0.0)))
     N = 64
@@ -1596,53 +1506,3 @@ def test_refine_controls_repeats_cells():
     out = refine_controls(u, 3)
     assert out.shape == (6, 2)
     assert np.array_equal(out[:3], np.tile(u[0], (3, 1)))
-
-
-def test_csv_roundtrip_is_exact():
-    problem = make_ccs126()
-    traj = integrate_state(problem, [1.0, 0.0], ccs126_nominal_controls(7))
-    text = trajectory_to_csv(traj)
-    back = trajectory_from_csv(problem.chart, text)
-    assert np.array_equal(back.grid, traj.grid)
-    assert np.array_equal(back.states, traj.states)
-    assert np.array_equal(back.controls, traj.controls)
-
-
-def test_csv_rejects_nonuniform_grid():
-    problem = make_ccs126()
-    traj = integrate_state(problem, [1.0, 0.0], ccs126_nominal_controls(5))
-    lines = trajectory_to_csv(traj).splitlines()
-    parts = lines[2].split(",")
-    parts[0] = "0.123"
-    lines[2] = ",".join(parts)
-    with pytest.raises(ValueError):
-        trajectory_from_csv(problem.chart, "\n".join(lines))
-
-
-def _csv_lines(num_cells: int = 5) -> list:
-    problem = make_ccs126()
-    traj = integrate_state(problem, [1.0, 0.0], ccs126_nominal_controls(num_cells))
-    return trajectory_to_csv(traj).splitlines()
-
-
-@pytest.mark.parametrize("header", ["t,u1,u2,y1,y2", "t,y1,y2,u2,u1",
-                                    "t,y2,y1,u1,u2", "y1,t,y2,u1,u2",
-                                    "t,y1,y3,u1,u2", "t,y1,y2,u1,x2"])
-def test_csv_rejects_header_out_of_order(header):
-    # controls read as states (or states as controls) would be a silent
-    # misreading: only the exact t, y1..yn, u1..um layout is accepted
-    lines = _csv_lines()
-    lines[0] = header
-    with pytest.raises(ValueError, match="header"):
-        trajectory_from_csv(euclidean(2), "\n".join(lines))
-
-
-@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
-@pytest.mark.parametrize("column", [0, 1, 4])
-def test_csv_rejects_non_finite_values(token, column):
-    lines = _csv_lines()
-    parts = lines[3].split(",")
-    parts[column] = token
-    lines[3] = ",".join(parts)
-    with pytest.raises(ValueError, match="non-finite"):
-        trajectory_from_csv(euclidean(2), "\n".join(lines))

@@ -44,4 +44,10 @@ def test_the_reference_evaluators_are_not_package_functions():
                   "second_order_lhs", "stationarity_residual",
                   "_probe_points", "sphere_tangent_to_embedding"):
         assert moved not in names
+    # callback models, their central differences and the trajectory CSV
+    # left the package
+    for deleted in ("dynamics_from_callbacks", "builtin_dynamics",
+                    "endpoint_map", "_fd_block", "_fd_endpoint", "_fd_rounding",
+                    "trajectory_to_csv", "trajectory_from_csv"):
+        assert deleted not in names
     assert {"christoffel_fd", "curvature_fd"} <= names
