@@ -294,6 +294,7 @@ def _run_control(pf: ProblemFile, notes: list, model):
                              default_sigma_candidates,
                              find_first_order_multipliers, refute_optimality,
                              verify_singular_direction)
+    from .dynamics import integrate_state
 
     model = model or ControlModel()
     problem = build_control_problem(pf, model)
@@ -372,15 +373,6 @@ def _run_control(pf: ProblemFile, notes: list, model):
     notes.extend(cert.notes)
     report["verdict"] = cert.verdict
     return report
-
-
-def integrate_state(problem, start_point, controls):
-    """``noc.dynamics.integrate_state``, the first stage of a control
-    check, imported when it first runs.  It is a name of this module, so
-    that the stage can be wrapped here."""
-    from .dynamics import integrate_state as integrate
-
-    return integrate(problem, start_point, controls)
 
 
 def _run_op(pf: ProblemFile, notes: list) -> dict:

@@ -3,16 +3,16 @@
 A manifold is represented by one chart: a coordinate domain in R^n together
 with a metric matrix field. Built-in kinds (euclidean, sphere, hyperbolic
 half-space, products) carry closed-form Christoffel symbols and curvature;
-custom charts supply the metric either as a callback (finite differences) or
-as symbolic expressions (exact differentiation). An expression metric's
-g, ∂g and ∂²g are each one function generated by ``noc.expr``'s block
-compiler, built at first use and kept on the chart.
+custom charts supply the metric as symbolic expressions, differentiated
+exactly. An expression metric's g, ∂g and ∂²g are each one function
+generated by ``noc.expr``'s block compiler, built at first use and kept on
+the chart.
 
 ``metric``, ``christoffel``, ``dchristoffel``, ``curvature``,
 ``christoffel_apply`` and ``valid_point`` also take a (K, n) array of points
 and return one result per point along a leading K axis; a single (n,) point
-gives a single result. The closed-form kinds and expression metrics
-evaluate a batch in one array expression, callback metrics once per point.
+gives a single result. Every kind evaluates a batch in one array
+expression.
 
 Conventions
 -----------
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -52,7 +51,6 @@ __all__ = [
     "metric",
     "metric_inverse",
     "christoffel",
-    "christoffel_fd",
     "dchristoffel",
     "christoffel_apply",
     "curvature",
@@ -88,7 +86,6 @@ class ManifoldChart:
     radius: float = 1.0            # sphere radius
     coords: str = "stereographic"  # sphere chart flavor: stereographic | polar
     curv: float = 1.0              # hyperbolic: metric delta/(curv * x_n^2), sectional -curv
-    metric_fn: Callable | None = None
     metric_exprs: tuple | None = None   # n x n tuple of Expr in x1..xn
     trust_radius: float = math.inf
     ode_steps: int = 256
@@ -155,15 +152,17 @@ def sphere(radius: float = 1.0, coords: str = "stereographic",
     (0,0,radius) and the chart covers everything but the projection pole.
     coords="polar": (colatitude, longitude).
     Trust radius defaults to 0.45 x injectivity radius = 0.45 * pi * radius;
-    callers needing longer geodesics may widen it explicitly.
+    callers needing longer geodesics may widen it explicitly.  The radius
+    and its square must be positive and finite.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    radius = float(radius)
+    if not (0 < radius < math.inf and 0 < radius * radius < math.inf):
+        raise ValueError("radius must be positive and finite")
     if coords not in ("stereographic", "polar"):
         raise ValueError(f"unknown sphere coords {coords!r}")
     if trust_radius is None:
-        trust_radius = 0.45 * math.pi * float(radius)
-    return ManifoldChart(kind="sphere", dim=2, radius=float(radius), coords=coords,
+        trust_radius = 0.45 * math.pi * radius
+    return ManifoldChart(kind="sphere", dim=2, radius=radius, coords=coords,
                          trust_radius=float(trust_radius))
 
 
@@ -173,23 +172,17 @@ def hyperbolic(curvature: float = 1.0, dim: int = 2) -> ManifoldChart:
     Sectional curvature is -curvature everywhere; the injectivity radius is
     infinite, so the trust radius is too.
     """
-    if curvature <= 0:
-        raise ValueError("curvature scale must be positive")
+    if not 0 < curvature < math.inf:
+        raise ValueError("curvature scale must be positive and finite")
     return ManifoldChart(kind="hyperbolic", dim=dim, curv=float(curvature))
 
 
 def custom_chart(metric, dim: int, trust_radius: float = math.inf,
                  ode_steps: int = 256) -> ManifoldChart:
-    """Chart from a user metric.
-
-    ``metric`` is either a callable x -> (n, n) array (differentiated by
-    central finite differences) or a sequence of n*n expression strings /
-    Expr objects in variables x1..xn (differentiated symbolically, each
-    derivative order compiled once per chart).
+    """Chart from a user metric: a sequence of n*n expression strings /
+    Expr objects in variables x1..xn (or n rows of n), differentiated
+    symbolically, each derivative order compiled once per chart.
     """
-    if callable(metric):
-        return ManifoldChart(kind="custom", dim=dim, metric_fn=metric,
-                             trust_radius=trust_radius, ode_steps=ode_steps)
     flat = list(metric)
     if len(flat) == dim and isinstance(flat[0], (list, tuple)):
         flat = [e for row in flat for e in row]
@@ -328,10 +321,7 @@ def metric(chart: ManifoldChart, x) -> np.ndarray:
         for f, s in zip(chart.factors, _factor_slices(chart)):
             g[:, s, s] = metric(f, pts[:, s])
     else:
-        if chart.metric_exprs is not None:
-            g = _symbolic_metric_derivs(chart, pts, 0)[0]
-        else:
-            g = np.array([chart.metric_fn(p) for p in pts], dtype=float).reshape(-1, n, n)
+        g = _symbolic_metric_derivs(chart, pts, 0)[0]
         g = 0.5 * (g + np.swapaxes(g, -1, -2))
         _require_positive(pts, g)
     return g.reshape(lead + (n, n))
@@ -349,27 +339,6 @@ def metric_inverse(chart: ManifoldChart, x) -> np.ndarray:
 # Christoffel symbols
 # ----------------------------------------------------------------------------
 
-def _fd_step(x: np.ndarray, scale: float = 1e-5) -> np.ndarray:
-    """The difference step at each point (row) of x."""
-    return scale * (1.0 + np.max(np.abs(x), axis=-1, initial=0.0))
-
-
-def christoffel_fd(chart: ManifoldChart, x) -> np.ndarray:
-    """Γ^k_{ij} by central finite differences of the metric (the generic
-    path); at a (K, n) array of points, a (K, n, n, n) stack."""
-    pts, lead = _points(chart, x)
-    n = chart.dim
-    h = _fd_step(pts)
-    dg = np.zeros((len(pts), n, n, n))  # dg[:, l, i, j] = d_l g_ij
-    for l in range(n):
-        xp, xm = pts.copy(), pts.copy()
-        xp[:, l] += h
-        xm[:, l] -= h
-        dg[:, l] = (metric(chart, xp) - metric(chart, xm)) / (2.0 * h)[:, None, None]
-    ginv = metric_inverse(chart, pts)
-    return _gamma_from_metric_derivs_inv(ginv, dg).reshape(lead + (n, n, n))
-
-
 def _conformal_gamma(dphi: np.ndarray) -> np.ndarray:
     """Γ for metric e^{2φ}δ given the gradient of φ, over leading axes."""
     eye = np.eye(dphi.shape[-1])
@@ -379,8 +348,9 @@ def _conformal_gamma(dphi: np.ndarray) -> np.ndarray:
 
 
 def christoffel(chart: ManifoldChart, x) -> np.ndarray:
-    """Γ^k_{ij}; closed form for built-in kinds, finite differences otherwise.
-    At a (K, n) array of points, a (K, n, n, n) stack."""
+    """Γ^k_{ij}; closed form for built-in kinds, exact derivatives of the
+    metric for custom charts.  At a (K, n) array of points, a (K, n, n, n)
+    stack."""
     pts, lead = _points(chart, x)
     n = chart.dim
     if chart.kind == "euclidean":
@@ -401,10 +371,8 @@ def christoffel(chart: ManifoldChart, x) -> np.ndarray:
         gamma = np.zeros((len(pts), n, n, n))
         for f, s in zip(chart.factors, _factor_slices(chart)):
             gamma[:, s, s, s] = christoffel(f, pts[:, s])
-    elif chart.metric_exprs is not None:
-        gamma = _symbolic_gamma(chart, pts)
     else:
-        return christoffel_fd(chart, x)
+        gamma = _symbolic_gamma(chart, pts)
     return gamma.reshape(lead + (n, n, n))
 
 
@@ -453,9 +421,8 @@ def dchristoffel(chart: ManifoldChart, x) -> np.ndarray:
     """dGamma[m, k, i, j] = d_m Γ^k_{ij}; at a (K, n) array of points, a
     (K, n, n, n, n) stack.
 
-    Built-in kinds use closed-form derivatives; expression metrics use exact
-    second derivatives; callback metrics fall back to central differences of
-    christoffel.
+    Built-in kinds use closed-form derivatives; custom charts use the exact
+    second derivatives of their metric.
     """
     pts, lead = _points(chart, x)
     n = chart.dim
@@ -485,17 +452,8 @@ def dchristoffel(chart: ManifoldChart, x) -> np.ndarray:
         d = np.zeros((K, n, n, n, n))
         for f, s in zip(chart.factors, _factor_slices(chart)):
             d[:, s, s, s, s] = dchristoffel(f, pts[:, s])
-    elif chart.metric_exprs is not None:
-        d = _symbolic_dgamma(chart, pts)
     else:
-        h = 100.0 * _fd_step(pts)  # wider step: christoffel itself carries FD noise
-        d = np.zeros((K, n, n, n, n))
-        for m in range(n):
-            xp, xm = pts.copy(), pts.copy()
-            xp[:, m] += h
-            xm[:, m] -= h
-            d[:, m] = ((christoffel(chart, xp) - christoffel(chart, xm))
-                       / (2.0 * h)[:, None, None, None])
+        d = _symbolic_dgamma(chart, pts)
     return d.reshape(lead + (n,) * 4)
 
 

@@ -5,12 +5,12 @@ point of a smooth program min f0 over a convex set, subject to scalar
 inequality and equality rows, is screened through the same multiplier-cone
 machinery, a second-order test along a critical direction, an explicit
 separating-functional construction, and an exhaustive grid oracle that can
-independently confirm or refute local minimality.  The trajectory checker
-reduces to this module once a control problem is flattened onto the grid
-(see ``control_problem_as_op``), which is how the two implementations
-cross-validate each other; both classify rows with the shared helpers of
-``noc.polyhedral``, and this module imports nothing of the control stack
-until ``control_problem_as_op`` runs.
+independently confirm or refute local minimality.  Every row is an
+expression with exact symbolic derivatives.  The trajectory checker
+reduces to this module once a control problem is flattened onto the grid,
+which is how the tests cross-validate the two implementations; both
+classify rows with the shared helpers of ``noc.polyhedral``, and this
+module imports nothing of the control stack.
 
 The multiplier tests work on one candidate record, built in two steps:
 the point step evaluates every row's value and gradient once, checks them
@@ -45,12 +45,10 @@ __all__ = [
     "SecondOrderResult",
     "SeparationData",
     "build_separation",
-    "control_problem_as_op",
     "make_opt_problem",
     "op_bruteforce",
     "op_first_order",
     "op_second_order",
-    "opt_scalar",
     "opt_scalar_from_expression",
     "validate_expansion",
 ]
@@ -67,65 +65,18 @@ class OptScalar:
     """One scalar row of the program: value, gradient, and the directional
     second derivative d^2/de^2 f(e + t y) at t = 0 (no full Hessian needed).
 
-    ``supplied`` sets what ``validate_expansion`` does with the
-    derivatives.  With "grad" in it the gradient is hand-written and meets
-    central differences; with "second" the second derivative is not a
-    second difference, so the expansion residual gets the narrow noise
-    floor (1e-10 instead of 5e-8, relative).  ``opt_scalar`` names the
-    callbacks it was given.  Expression rows name only "second": their
-    gradient is exact, and central differences would only add their
-    rounding to it.
-
-    ``value_many`` (optional) evaluates a whole (P, N) batch of points at
-    once and returns P values; grid oracles use it when available.  The
-    batch is a view whose coordinate columns are contiguous but which may
-    not be C-contiguous; it is reused for the next batch, so it must be
-    neither kept nor written.
+    ``value_many`` evaluates a whole (P, N) batch of points at once and
+    returns P values (or one value for a constant row); the grid oracle
+    scans with it.  The batch is a view whose coordinate columns are
+    contiguous but which may not be C-contiguous; it is reused for the next
+    batch, so it must be neither kept nor written.
     """
 
     value: object                 # e -> float
     grad: object                  # e -> (N,) array
     second: object                # (e, y) -> float
-    supplied: frozenset
+    value_many: object            # (P, N) points -> (P,) values
     label: str = "scalar"
-    value_many: object = None
-
-
-def _fd_grad(value, e: np.ndarray) -> np.ndarray:
-    out = np.empty(e.size)
-    for s in range(e.size):
-        h = 1e-6 * (1.0 + abs(float(e[s])))
-        ep = e.copy()
-        em = e.copy()
-        ep[s] += h
-        em[s] -= h
-        out[s] = (value(ep) - value(em)) / (2.0 * h)
-    return out
-
-
-def _fd_second(value, e: np.ndarray, y: np.ndarray) -> float:
-    h = 1e-4 * (1.0 + float(np.max(np.abs(e))) + float(np.max(np.abs(y))))
-    return (value(e + h * y) - 2.0 * value(e) + value(e - h * y)) / (h * h)
-
-
-def opt_scalar(value, grad=None, second=None, label: str = "scalar",
-               value_many=None) -> OptScalar:
-    """Wrap callbacks into an OptScalar, filling missing derivatives with
-    central differences (steps 1e-6 for first order, 1e-4 for the second
-    difference, both scaled by the argument magnitude)."""
-    supplied = frozenset(n for n, cb in [("grad", grad), ("second", second)]
-                         if cb is not None)
-
-    def val(e):
-        return float(value(np.asarray(e, float)))
-
-    g = (lambda e: np.asarray(grad(np.asarray(e, float)), float)) if grad \
-        else (lambda e: _fd_grad(val, np.asarray(e, float)))
-    s = (lambda e, y: float(second(np.asarray(e, float), np.asarray(y, float)))) \
-        if second else (lambda e, y: _fd_second(val, np.asarray(e, float),
-                                                np.asarray(y, float)))
-    return OptScalar(value=val, grad=g, second=s, supplied=supplied,
-                     label=label, value_many=value_many)
 
 
 def opt_scalar_from_expression(text: str, dim: int, label: str | None = None,
@@ -161,8 +112,7 @@ def opt_scalar_from_expression(text: str, dim: int, label: str | None = None,
         return np.asarray(fn(*points.T, *pvals), float)
 
     return OptScalar(value=value, grad=grad, second=second,
-                     supplied=frozenset({"second"}),
-                     label=label or text, value_many=value_many)
+                     value_many=value_many, label=label or text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,15 +156,11 @@ def validate_expansion(problem: OptProblem, point, *,
     """Numerically probe the quadratic-expansion property of every row at
     ``point``: the residual of value(e + eps y + eps^2 eta) against the
     declared first/second derivatives, divided by eps^2, must not grow as
-    eps shrinks along (0.1, 0.05, 0.025).  Hand-written gradients (a
-    "grad" in ``OptScalar.supplied``) are also cross-checked against
-    central differences, to a relative 1e-4.
+    eps shrinks along (0.1, 0.05, 0.025).  Residuals below the noise floor,
+    1e-10 relative to the row's value and gradient, pass as they are: the
+    derivatives are exact, so only rounding can sit below it.
     Returns the per-row (label, residual-ratio triple) report; raises on
     inconsistency.
-
-    Rows whose second derivative comes from a finite second difference get
-    a wider noise floor: that difference carries roundoff of order
-    machine-epsilon/step^2, which the ladder cannot resolve below.
     """
     e = np.asarray(point, float)
     rng = np.random.default_rng(seed)
@@ -223,12 +169,6 @@ def validate_expansion(problem: OptProblem, point, *,
         base = row.value(e)
         g = row.grad(e)
         scale = 1.0 + abs(base) + float(np.max(np.abs(g), initial=0.0))
-        if "grad" in row.supplied:
-            ref = _fd_grad(row.value, e)
-            if np.max(np.abs(g - ref)) > 1e-4 * (1.0 + np.max(np.abs(ref))):
-                raise NocError(
-                    f"row '{row.label}': supplied gradient disagrees with "
-                    f"central differences")
         y = rng.standard_normal(e.size)
         y /= max(1.0, float(np.linalg.norm(y)))
         eta = rng.standard_normal(e.size)
@@ -241,7 +181,7 @@ def validate_expansion(problem: OptProblem, point, *,
             res = abs(row.value(e + eps * y + eps * eps * eta) - pred)
             ratios.append(res / (eps * eps))
         report.append((row.label, tuple(ratios)))
-        floor = (1e-10 if "second" in row.supplied else 5e-8) * scale
+        floor = 1e-10 * scale
         if ratios[0] > floor:
             if not (ratios[2] <= ratios[1] + floor
                     and ratios[1] <= ratios[0] + floor
@@ -369,7 +309,7 @@ ROW_NOISE_TOL = 1e-8
 
 
 def _denoise(row: np.ndarray) -> np.ndarray | None:
-    """Rows assembled from numerical derivatives carry noise of order 1e-10;
+    """Rows assembled from computed gradients carry noise of order 1e-10;
     a row whose every entry sits below the noise floor encodes no constraint
     and must be dropped rather than normalized up to unit size."""
     return None if float(np.max(np.abs(row), initial=0.0)) <= ROW_NOISE_TOL \
@@ -686,12 +626,10 @@ def _membership_mask(U, pts: np.ndarray) -> np.ndarray:
 
 
 def _row_values(row: OptScalar, pts: np.ndarray) -> np.ndarray:
-    if row.value_many is not None:
-        vals = np.asarray(row.value_many(pts), float)
-        if vals.ndim == 0:        # constant expression
-            vals = np.full(pts.shape[0], float(vals))
-        return vals
-    return np.array([row.value(p) for p in pts])
+    vals = np.asarray(row.value_many(pts), float)
+    if vals.ndim == 0:            # constant expression
+        vals = np.full(pts.shape[0], float(vals))
+    return vals
 
 
 def _lipschitz_estimate(row: OptScalar, lo: np.ndarray, hi: np.ndarray,
@@ -901,39 +839,3 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
                             equality_slab=max(slabs, default=0.0),
                             num_nonfinite=num_nonfinite)
 
-
-# ----------------------------------------------------------------------------
-# flattening a control problem onto the grid
-# ----------------------------------------------------------------------------
-
-def control_problem_as_op(problem, trajectory) -> tuple[OptProblem, np.ndarray]:
-    """Flatten a control problem at a trajectory into grid coordinates.
-
-    The unknown becomes e = (start point, control rows raveled); the base
-    set is the product of a free box for the start point and one copy of
-    the control set per cell; every endpoint row becomes a scalar row that
-    re-integrates the dynamics from its coordinates.  Returns the flattened
-    program and the coordinates of the supplied trajectory, so the two
-    multiplier pipelines can be compared on the same candidate.
-    """
-    from .dynamics import integrate_state
-
-    n = problem.state_dim
-    m = problem.control_dim
-    N = trajectory.num_cells
-    inf = math.inf
-    domain = ProductSet((Box(lower=(-inf,) * n, upper=(inf,) * n),)
-                        + (problem.control_set,) * N)
-    e_bar = np.concatenate([trajectory.states[0], trajectory.controls.ravel()])
-
-    def endpoint_row(ep):
-        def value(e):
-            traj = integrate_state(problem, e[:n], e[n:].reshape(N, m))
-            return float(ep.value(traj.states[0], traj.states[-1]))
-
-        return opt_scalar(value, label=ep.label)
-
-    cost = endpoint_row(problem.cost)
-    ineqs = tuple(endpoint_row(ep) for ep in problem.inequality_maps)
-    eqs = tuple(endpoint_row(ep) for ep in problem.equality_maps)
-    return make_opt_problem(domain, cost, ineqs, eqs), e_bar

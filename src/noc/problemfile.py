@@ -502,12 +502,23 @@ def _parse_chart(node: _Node) -> tuple:
                 f"integer") from None
     if ctype == "sphere":
         radius = kv.get("radius")
+        if radius is None:
+            return ("sphere", 1.0)
         try:
-            return ("sphere", float(radius[1]) if radius else 1.0)
+            value = float(radius[1])
         except ValueError:
             raise ProblemFileError(
                 f"line {radius[0].line_no}: chart.radius must be a "
                 f"number") from None
+        from .geometry import sphere
+
+        try:
+            sphere(value)               # the radius rule lives there
+        except ValueError:
+            raise ProblemFileError(
+                f"line {radius[0].line_no}: chart.radius must be positive "
+                f"and finite") from None
+        return ("sphere", value)
     raise ProblemFileError(
         f"line {kv['type'][0].line_no}: chart.type: expected euclidean or "
         f"sphere, got {ctype!r}")

@@ -5,7 +5,10 @@ pairing, the stationarity residual and the second-order form along a whole
 trajectory at once, from one trajectory jet and one matrix adjoint
 (``noc.dynamics.trajectory_jet``, ``noc.conditions``).  The functions here
 compute the same quantities one node, one point or one multiplier at a
-time, so the tests can hold the batched path against them.
+time, so the tests can hold the batched path against them.  The last
+section holds the tests' central-difference oracles: Christoffel symbols
+from differences of the metric, and a control problem flattened into a
+finite-dimensional program whose rows re-integrate the dynamics.
 
 They reach ``noc`` internals through module attributes
 (``dynamics._blocks_along``, ``conditions._multiplier_jet``, ...), looked up
@@ -14,19 +17,24 @@ sees their calls too.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import noc.conditions as conditions
 import noc.dynamics as dynamics
 import noc.geometry as geometry
+from noc.cones import Box, ProductSet
 from noc.errors import BasePointMismatch, NocError
 from noc.geometry import CotangentVector, TangentVector
+from noc.optproblem import OptScalar, make_opt_problem
 from noc.polyhedral import MultiplierVector
 
 
 # central-difference steps: scale * (1 + max |x|), per row of x
 FD1_SCALE = 1e-6    # first derivatives
 FD2_SCALE = 1e-4    # second derivatives (wider step keeps the quotient conditioned)
+METRIC_FD_SCALE = 1e-5   # metric derivatives behind ``christoffel_fd``
 
 
 def fd_step(x, scale: float):
@@ -232,3 +240,81 @@ def second_order_lhs(problem, trajectory, multiplier, direction, accelerations,
     if with_terms:
         return float(lhs[0, 0]), conditions._terms_at(values, 0, 0)
     return float(lhs[0, 0])
+
+
+# ----------------------------------------------------------------------------
+# central-difference oracles
+# ----------------------------------------------------------------------------
+
+def christoffel_fd(chart, x) -> np.ndarray:
+    """Γ^k_{ij} from central differences of the metric (step
+    METRIC_FD_SCALE); at a (K, n) array of points, a (K, n, n, n) stack."""
+    pts, lead = geometry._points(chart, x)
+    n = chart.dim
+    h = fd_step(pts, METRIC_FD_SCALE)
+    dg = np.zeros((len(pts), n, n, n))  # dg[:, l, i, j] = d_l g_ij
+    for l in range(n):
+        xp, xm = pts.copy(), pts.copy()
+        xp[:, l] += h
+        xm[:, l] -= h
+        dg[:, l] = ((geometry.metric(chart, xp) - geometry.metric(chart, xm))
+                    / (2.0 * h)[:, None, None])
+    ginv = geometry.metric_inverse(chart, pts)
+    gamma = geometry._gamma_from_metric_derivs_inv(ginv, dg)
+    return gamma.reshape(lead + (n, n, n))
+
+
+def _difference_row(value, label: str) -> OptScalar:
+    """An op row from a value callback alone: the gradient by central
+    differences (step FD1_SCALE), the second derivative along y by a
+    second difference (step FD2_SCALE) and batches one point at a time."""
+
+    def grad(e):
+        h = fd_step(e, FD1_SCALE)
+        out = np.empty(e.size)
+        for s in range(e.size):
+            ep, em = e.copy(), e.copy()
+            ep[s] += h
+            em[s] -= h
+            out[s] = (value(ep) - value(em)) / (2.0 * h)
+        return out
+
+    def second(e, y):
+        h = fd_step(e, FD2_SCALE)
+        return (value(e + h * y) - 2.0 * value(e) + value(e - h * y)) / (h * h)
+
+    def value_many(points):
+        return np.array([value(p) for p in points])
+
+    return OptScalar(value=value, grad=grad, second=second,
+                     value_many=value_many, label=label)
+
+
+def control_problem_as_op(problem, trajectory) -> tuple:
+    """Flatten a control problem at a trajectory into grid coordinates.
+
+    The unknown becomes e = (start point, control rows raveled); the base
+    set is the product of a free box for the start point and one copy of
+    the control set per cell; every endpoint row becomes a difference row
+    that re-integrates the dynamics from its coordinates.  Returns the
+    flattened program and the coordinates of the supplied trajectory, so
+    the two multiplier pipelines can be compared on the same candidate.
+    """
+    n = problem.state_dim
+    m = problem.control_dim
+    N = trajectory.num_cells
+    free = Box(lower=(-math.inf,) * n, upper=(math.inf,) * n)
+    domain = ProductSet((free,) + (problem.control_set,) * N)
+    e_bar = np.concatenate([trajectory.states[0], trajectory.controls.ravel()])
+
+    def endpoint_row(ep):
+        def value(e):
+            traj = dynamics.integrate_state(problem, e[:n], e[n:].reshape(N, m))
+            return float(ep.value(traj.states[0], traj.states[-1]))
+
+        return _difference_row(value, ep.label)
+
+    cost = endpoint_row(problem.cost)
+    ineqs = tuple(endpoint_row(ep) for ep in problem.inequality_maps)
+    eqs = tuple(endpoint_row(ep) for ep in problem.equality_maps)
+    return make_opt_problem(domain, cost, ineqs, eqs), e_bar

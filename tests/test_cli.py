@@ -291,6 +291,47 @@ def test_non_finite_overrides_exit_2_with_one_line(capsys):
         assert fragment in err
 
 
+_SPHERE = """\
+noc 1
+kind ocp
+chart {
+  type sphere
+  radius RADIUS
+}
+grid {
+  cells 10
+  horizon 0.4
+}
+start 0.1 0.0
+dynamics {
+  u1 - y2
+  u2 + y1
+}
+endpoint {
+  cost yT1 + yT2
+}
+control_set {
+  box -1.0 -1.0 1.0 1.0
+}
+control {
+  0.2
+  0.1*t
+}
+"""
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "1e200", "1e-200", "0", "-1"])
+def test_a_sphere_radius_out_of_range_exits_2_with_one_line(tmp_path, capsys,
+                                                            radius):
+    # the radius and its square must be positive and finite: 1e200 squares
+    # to inf and 1e-200 to 0
+    path = _write(tmp_path, "sphere.noc", _SPHERE.replace("RADIUS", radius))
+    assert _check([path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 5: chart.radius must be positive and finite\n"
+
+
 def test_bad_magnitude_overrides_exit_2_with_one_line(capsys):
     # T=1e300 overflows the state in the first cell, and the overflow
     # warning is folded into the error line instead of printed before it
@@ -862,8 +903,8 @@ def test_sweep_warnings_come_in_the_order_of_cells_run_one_by_one(
     # the second in its first; stderr lists them as a cell-by-cell run would
     import warnings
 
-    import noc.cli
     import noc.conditions
+    import noc.dynamics
 
     def warning_at(module, name, horizon, message):
         fn = getattr(module, name)
@@ -876,7 +917,7 @@ def test_sweep_warnings_come_in_the_order_of_cells_run_one_by_one(
         monkeypatch.setattr(module, name, warns)
 
     warning_at(noc.conditions, "trajectory_jet", 0.2, "late in the first cell")
-    warning_at(noc.cli, "integrate_state", 0.4, "early in the second cell")
+    warning_at(noc.dynamics, "integrate_state", 0.4, "early in the second cell")
     assert main(["sweep", "preset:ccs126", "--grid", "50",
                  "--param", "T=0.2,0.4"]) == 0
     assert capsys.readouterr().err == ("warning: late in the first cell\n"

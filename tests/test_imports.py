@@ -5,6 +5,9 @@ import against the whole module, an import inside a function against
 that function's body.  Names listed in ``__all__`` and ``from
 __future__`` imports are exempt, and a name read only in a string
 annotation counts as read.
+
+Also: ``noc.optproblem`` imports nothing of the control stack, at any
+scope.
 """
 from __future__ import annotations
 
@@ -79,3 +82,37 @@ def test_the_walk_finds_an_unused_import():
               "    from pathlib import Path, PurePath\n"
               "    return sys.argv\n")
     assert unused_imports(source) == [(2, "os"), (3, "c"), (6, "PurePath")]
+
+
+def imported_modules(source: str, package: str = "noc") -> set:
+    """Every module that ``source``, a module of ``package``, imports from
+    at any scope, as an absolute dotted name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = package if node.level else ""
+            for _ in range(node.level - 1):
+                base = base.rpartition(".")[0]
+            module = ".".join(p for p in (base, node.module) if p)
+            found.add(module)
+            if node.module is None:          # from . import name
+                found |= {f"{module}.{alias.name}" for alias in node.names}
+    return found
+
+
+def test_optproblem_imports_nothing_of_the_control_stack():
+    source = (PACKAGE / "optproblem.py").read_text(encoding="utf-8")
+    control = {"noc.dynamics", "noc.conditions", "noc.geometry"}
+    assert imported_modules(source) & control == set()
+
+
+def test_the_walk_finds_a_nested_relative_import():
+    source = ("from .cones import Ball\n"
+              "def f():\n"
+              "    from .dynamics import integrate_state\n"
+              "    from . import geometry\n"
+              "    import noc.conditions\n")
+    assert imported_modules(source) == {
+        "noc.cones", "noc.dynamics", "noc", "noc.geometry", "noc.conditions"}

@@ -50,4 +50,11 @@ def test_the_reference_evaluators_are_not_package_functions():
                     "endpoint_map", "_fd_block", "_fd_endpoint", "_fd_rounding",
                     "trajectory_to_csv", "trajectory_from_csv"):
         assert deleted not in names
-    assert {"christoffel_fd", "curvature_fd"} <= names
+    # so did callback op rows and metrics with their differences; the
+    # flattened control problem and the difference Christoffel symbols
+    # moved to the tests' reference module
+    for deleted in ("opt_scalar", "_fd_grad", "_fd_second",
+                    "control_problem_as_op", "christoffel_fd", "_fd_step"):
+        assert deleted not in names
+    # curvature from the Christoffel symbols is the custom-chart path
+    assert "curvature_fd" in names

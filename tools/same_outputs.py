@@ -18,7 +18,9 @@ only is run in both, and fails in the other):
   whose failing cells give error rows and a ``warning:`` line, one of
   ``preset:linear-lq-euclid``, whose verdicts are ``consistent``, and one
   of ``sphere-drift.noc``, whose controls differ from cell to cell and
-  from point to point on a curved chart.
+  from point to point on a curved chart;
+* three ``oracle cone`` queries: a first- and a second-order member of a
+  disc's cones, and a non-member of a box's.
 
 Reports are written into a temporary directory, never into a checkout.
 For every command the exit code, stdout, stderr without its ``elapsed:``
@@ -62,7 +64,10 @@ def commands(old: Path, new: Path) -> list[tuple[list[str], bool]]:
              (["sweep", "preset:linear-lq-euclid", "--grid", "50", "--param",
                "T=0.5,1,2"], False),
              (["sweep", f"{VALID}/sphere-drift.noc", "--grid", "50", "--param",
-               "T=0.2,0.3,0.4"], False)]
+               "T=0.2,0.3,0.4"], False),
+             (["oracle", "cone", "ball 0 0 1", "0 -1", "1 0"], False),
+             (["oracle", "cone", "ball 0 0 1", "0 -1", "1 0", "0 0.5"], False),
+             (["oracle", "cone", "box -1 -1 1 1", "1 0", "1 0"], False)]
     return runs
 
 
