@@ -20,7 +20,7 @@ from .cones import (_per_row, adjacent_cone_member, quadratic_distance_bound,
                     tangent_cone_vrep)
 from .dynamics import (ControlProblem, FieldAlongCurve, Trajectory,
                        TrajectoryJet, _adjoint_chain, _check_direction_shape,
-                       _stackable, _variational_chain,
+                       _stackable, _sum_over, _variational_chain,
                        dynamics_from_expressions, endpoint_from_expressions,
                        integrate_adjoint, integrate_variational,
                        lagrange_data, make_problem, trajectory_jet,
@@ -241,8 +241,25 @@ def _multiplier_jet(problem: ControlProblem, trajectory: Trajectory) -> _Multipl
         problem, trajectory, np.stack([d.grad_end for d in endpoint], axis=-1))
     jet = trajectory_jet(problem, trajectory)
     adjoint = integrate_adjoint(problem, trajectory, slots, _iterates=iterates).values
-    hu = np.einsum("sckm,sckd->scmd", jet.fu, adjoint[jet.nodes])
+    hu = _adjoint_pairing(jet.fu, adjoint[jet.nodes])
     return _MultiplierJet(jet=jet, adjoint=adjoint, endpoint=endpoint, hu=hu)
+
+
+def _adjoint_pairing(vectors: np.ndarray, at_sides: np.ndarray) -> np.ndarray:
+    """Pair per-side vectors (2, N, n, ...) with the adjoint columns at the
+    sides' nodes (2, N, n, dim): (2, N, ..., dim), the products over the
+    state index added in index order for every side and cell at once."""
+    shape = at_sides.shape[:2] + (1,) * (vectors.ndim - 3) + at_sides.shape[3:]
+    return _sum_over((vectors[:, :, k, ..., None], at_sides[:, :, k].reshape(shape))
+                     for k in range(vectors.shape[2]))
+
+
+def _direction_pairing(directions: np.ndarray, hu: np.ndarray) -> np.ndarray:
+    """Pair control rows (..., N, m) with the Hamiltonian control gradient
+    hu (2, N, m, dim): (..., 2, N, dim), the products over the control
+    index added in index order."""
+    rows = directions[..., None, :, :, None]                    # (..., 1, N, m, 1)
+    return _sum_over((rows[..., a, :], hu[..., a, :]) for a in range(hu.shape[2]))
 
 
 def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory,
@@ -321,7 +338,7 @@ def _stationarity(mjet: _MultiplierJet, direction: SingularDirection,
                   W: np.ndarray) -> np.ndarray:
     """Per column of W (dim, R): the largest |hu paired with v| over both
     sides of every cell."""
-    paired = np.einsum("cm,scmd->scd", direction.control_directions, mjet.hu)
+    paired = _direction_pairing(direction.control_directions, mjet.hu)
     return np.max(np.abs(paired @ W), axis=(0, 1))
 
 
@@ -361,6 +378,11 @@ def _form_coefficients(mjet: _MultiplierJet, direction: SingularDirection,
     coefficients of each acceleration candidate, ``terms`` maps every other
     summand name to its (dim,) coefficients. The value for a multiplier w
     is the coefficients contracted with w.
+
+    The integrands are the control gradient paired with each candidate
+    (``_direction_pairing``) and each of the jet's form integrands paired
+    with the adjoint at its side's node (``_adjoint_pairing``), for every
+    side and cell at once, before the cellwise trapezoid rule.
     """
     grid = mjet.jet.trajectory.grid
     X = direction.field.values
@@ -370,9 +392,9 @@ def _form_coefficients(mjet: _MultiplierJet, direction: SingularDirection,
     def integral(paired):                                      # (2, N, ...)
         return trapezoid_cellwise(grid, paired[0], paired[1])
 
-    by_sigma = np.einsum("kcm,scmd->kscd", np.stack(sigmas), mjet.hu)
+    by_sigma = _direction_pairing(np.stack(sigmas), mjet.hu)   # (S, 2, N, dim)
     sigma = np.array([integral(p) for p in by_sigma]).reshape(len(sigmas), -1)
-    terms = {name: integral(np.einsum("sck,sckd->scd", vec, at_sides))
+    terms = {name: integral(_adjoint_pairing(vec, at_sides))
              for name, vec in mjet.jet.form_integrands(X, v).items()}
     X0, XT = X[0], X[-1]
     terms["start_start"] = np.array([0.5 * X0 @ d.hess_start_start @ X0
@@ -469,7 +491,8 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
     ``_multiplier_jet`` of the trajectory when the caller has built it in a
     stacked run, and ``_sets`` its ``active_sets`` when the caller has them.
     A stationarity residual that is not finite makes the verdict
-    inconclusive.
+    inconclusive. An acceleration candidate whose form value against some
+    ray is not finite gets a note; the max-min decides as before.
     """
     notes: list[str] = []
     if _sets is None:
@@ -542,6 +565,13 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
                          f"exceeds {stationarity_tol:g}")
     per_sigma, values = _form_values(
         *_form_coefficients(mjet, direction, sigmas), W)   # (S, num_rays)
+    for c, row in enumerate(per_sigma):
+        bad = np.flatnonzero(~np.isfinite(row))
+        if bad.size:
+            label = np.round(rays[bad[0]].weights, 6).tolist()
+            notes.append(f"form value {float(row[bad[0]])!r} of acceleration "
+                         f"candidate {c} against ray {label} is not finite "
+                         f"({bad.size} of {row.size} rays)")
     lhs = np.repeat(per_sigma, len(ws), axis=0)             # W slot is inert
     worst = lhs.min(axis=1)
     best_idx = int(np.argmax(worst))

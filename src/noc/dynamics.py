@@ -1085,8 +1085,9 @@ def lagrange_data(problem: ControlProblem, start_point, end_point,
         h12 += w * np.asarray(b12, float)
         h22 += w * np.asarray(b22, float)
     if problem.chart.kind != "euclidean":
-        h11 = h11 - np.einsum("kij,k->ij", christoffel(problem.chart, y0), g1)
-        h22 = h22 - np.einsum("kij,k->ij", christoffel(problem.chart, yT), g2)
+        for h, y, g in ((h11, y0, g1), (h22, yT, g2)):
+            gamma = christoffel(problem.chart, y)
+            h -= _sum_over((gamma[k], g[k]) for k in range(n))
     h11 = 0.5 * (h11 + h11.T)
     h22 = 0.5 * (h22 + h22.T)
     return LagrangeData(multiplier=ell, value=float(value), grad_start=g1,
@@ -1098,6 +1099,24 @@ def lagrange_data(problem: ControlProblem, start_point, end_point,
 # covariant derivative blocks along a trajectory
 # ----------------------------------------------------------------------------
 
+def _sum_over(pairs) -> np.ndarray:
+    """Σ a * b over the (a, b) pairs, each product broadcast over every node.
+
+    The products are added one at a time in the order given, onto a zero
+    start (so an all -0.0 sum comes out +0.0). At the state and control
+    sizes of every command (n, m <= 2) this is also the order in which
+    ``np.einsum`` adds the terms of each contraction built with it, so the
+    results agree bit for bit with the einsum forms in ``tests/_reference.py``.
+    """
+    pairs = iter(pairs)
+    a, b = next(pairs)
+    total = a * b
+    total += 0.0
+    for a, b in pairs:
+        total += a * b
+    return total
+
+
 def _covariant_blocks(f, fy, fu, fyy, fyu, gamma=None, dgamma=None):
     """Covariant derivatives of the dynamics, batched over leading axes.
 
@@ -1106,24 +1125,38 @@ def _covariant_blocks(f, fy, fu, fyy, fyu, gamma=None, dgamma=None):
     M^k_{ja} = d_j d_a f^k + Γ^k_{jm} d_a f^m. Paired with a covector they
     give the Hamiltonian blocks hx, hxx and hxu. ``gamma`` None is a flat
     chart, where all three are the plain coordinate derivatives.
+
+    Every contraction is a sum of broadcast products over the contracted
+    index m (``_sum_over``), for all nodes at once. Γ·f is formed once and
+    serves A and both ΓΓf terms of H2, which are Σ_m Γ^k_{im} (Γ·f)^m_j
+    and Σ_m Γ^m_{ij} (Γ·f)^k_m; that rounds them in another order than one
+    contraction of Γ, Γ and f would, within a few ulp. H2 is accumulated
+    in place, one summand at a time, in the order of the formula.
     """
     if gamma is None:
         return fy, fyy, fyu
-    A = fy + np.einsum("...kjm,...m->...kj", gamma, f)
-    H2 = (fyy
-          + np.einsum("...ikjm,...m->...kij", dgamma, f)
-          + np.einsum("...kjm,...mi->...kij", gamma, fy)
-          + np.einsum("...kim,...mj->...kij", gamma, fy)
-          + np.einsum("...kim,...mjl,...l->...kij", gamma, gamma, f)
-          - np.einsum("...mij,...km->...kij", gamma, fy)
-          - np.einsum("...mij,...kml,...l->...kij", gamma, gamma, f))
-    M = fyu + np.einsum("...kjm,...ma->...kja", gamma, fu)
+    n = f.shape[-1]
+    idx = range(n)
+    gf = _sum_over((gamma[..., m], f[..., None, None, m]) for m in idx)
+    A = fy + gf
+    H2 = fyy + _sum_over((np.swapaxes(dgamma[..., m], -3, -2),
+                          f[..., None, None, None, m]) for m in idx)
+    H2 += _sum_over((gamma[..., None, :, m], fy[..., None, m, :, None]) for m in idx)
+    H2 += _sum_over((gamma[..., m, None], fy[..., None, None, m, :]) for m in idx)
+    H2 += _sum_over((gamma[..., m, None], gf[..., None, None, m, :]) for m in idx)
+    H2 -= _sum_over((gamma[..., None, m, :, :], fy[..., None, None, m]) for m in idx)
+    H2 -= _sum_over((gamma[..., None, m, :, :], gf[..., None, None, m]) for m in idx)
+    M = fyu + _sum_over((gamma[..., m, None], fu[..., None, None, m, :]) for m in idx)
     return A, H2, M
 
 
 def _curvature_vectors(riemann, X, f):
-    """R(X, f)X, batched over leading axes: R^l_{ijk} X^i f^j X^k."""
-    return np.einsum("...lijk,...i,...j,...k->...l", riemann, X, f, X)
+    """R(X, f)X, batched over leading axes: R^l_{ijk} X^i f^j X^k, the
+    products ((R X^i) f^j) X^k added in (i, j, k) order."""
+    n = X.shape[-1]
+    return _sum_over((riemann[..., i, j, k] * X[..., i, None] * f[..., j, None],
+                      X[..., k, None])
+                     for i in range(n) for j in range(n) for k in range(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -1158,10 +1191,17 @@ class TrajectoryJet:
         """
         X = np.asarray(first_values, float)[self.nodes]
         v = np.asarray(directions, float)
+        n, m = self.fu.shape[-2:]
         out = {
-            "state_state": 0.5 * np.einsum("sckij,sci,scj->sck", self.hess, X, X),
-            "state_control": np.einsum("sckja,scj,ca->sck", self.mixed, X, v),
-            "control_control": 0.5 * np.einsum("sckab,ca,cb->sck", self.fuu, v, v),
+            "state_state": 0.5 * _sum_over(
+                (self.hess[..., i, j] * X[..., i, None], X[..., j, None])
+                for i in range(n) for j in range(n)),
+            "state_control": _sum_over(
+                (self.mixed[..., j, a] * X[..., j, None], v[:, a, None])
+                for j in range(n) for a in range(m)),
+            "control_control": 0.5 * _sum_over(
+                (self.fuu[..., a, b] * v[:, a, None], v[:, b, None])
+                for a in range(m) for b in range(m)),
         }
         out["curvature"] = (np.zeros_like(X) if self.riemann is None else
                             -0.5 * _curvature_vectors(self.riemann[self.nodes],

@@ -340,11 +340,16 @@ def metric_inverse(chart: ManifoldChart, x) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 def _conformal_gamma(dphi: np.ndarray) -> np.ndarray:
-    """Γ for metric e^{2φ}δ given the gradient of φ, over leading axes."""
-    eye = np.eye(dphi.shape[-1])
-    return (np.einsum("ki,...j->...kij", eye, dphi)
-            + np.einsum("kj,...i->...kij", eye, dphi)
-            - np.einsum("ij,...k->...kij", eye, dphi))
+    """Γ^k_{ij} = δ_ki d_jφ + δ_kj d_iφ - δ_ij d_kφ for metric e^{2φ}δ given
+    the gradient of φ, over leading axes: broadcast products with δ,
+    accumulated onto zeros (a -0.0 product adds as +0.0)."""
+    n = dphi.shape[-1]
+    eye = np.eye(n)
+    gamma = np.zeros(dphi.shape + (n, n))
+    gamma += eye[:, :, None] * dphi[..., None, None, :]
+    gamma += eye[:, None, :] * dphi[..., None, :, None]
+    gamma -= eye * dphi[..., :, None, None]
+    return gamma
 
 
 def christoffel(chart: ManifoldChart, x) -> np.ndarray:
@@ -434,10 +439,7 @@ def dchristoffel(chart: ManifoldChart, x) -> np.ndarray:
         # d_m dphi_i = -2 δ_mi/denom + 4 x_i x_m / denom^2
         ddphi = (-2.0 * np.eye(2) / denom[:, None, None]
                  + 4.0 * (pts[:, :, None] * pts[:, None, :]) / (denom * denom)[:, None, None])
-        eye = np.eye(2)
-        d = (np.einsum("ki,...mj->...mkij", eye, ddphi)
-             + np.einsum("kj,...mi->...mkij", eye, ddphi)
-             - np.einsum("ij,...mk->...mkij", eye, ddphi))
+        d = _conformal_gamma(ddphi)      # d_m Γ: Γ's formula with d_m dphi
     elif chart.kind == "sphere":
         st, ct = _polar_sin_cos(pts)
         d = np.zeros((K, 2, 2, 2, 2))
@@ -477,8 +479,15 @@ def christoffel_apply(chart: ManifoldChart, x, a, b) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 def _constant_curvature_tensor(K: float, g: np.ndarray) -> np.ndarray:
-    eye = np.eye(g.shape[-1])
-    return K * (np.einsum("...jk,li->...lijk", g, eye) - np.einsum("...ik,lj->...lijk", g, eye))
+    """R^l_{ijk} = K (g_jk δ_li - g_ik δ_lj): broadcast products with δ,
+    accumulated onto zeros (a -0.0 product adds as +0.0)."""
+    n = g.shape[-1]
+    eye = np.eye(n)
+    R = np.zeros(g.shape[:-2] + (n,) * 4)
+    R += g[..., None, None, :, :] * eye[:, :, None, None]
+    R -= g[..., None, :, None, :] * eye[:, None, :, None]
+    R *= K
+    return R
 
 
 def curvature_fd(chart: ManifoldChart, x) -> CurvatureTensor:

@@ -5,7 +5,9 @@ pairing, the stationarity residual and the second-order form along a whole
 trajectory at once, from one trajectory jet and one matrix adjoint
 (``noc.dynamics.trajectory_jet``, ``noc.conditions``).  The functions here
 compute the same quantities one node, one point or one multiplier at a
-time, so the tests can hold the batched path against them.  The last
+time, so the tests can hold the batched path against them.  A section
+keeps the ``np.einsum`` formulas of the checker's contraction kernels,
+which the checker now builds from ordered broadcast products.  The last
 section holds the tests' central-difference oracles: Christoffel symbols
 from differences of the metric, and a control problem flattened into a
 finite-dimensional program whose rows re-integrate the dynamics.
@@ -240,6 +242,91 @@ def second_order_lhs(problem, trajectory, multiplier, direction, accelerations,
     if with_terms:
         return float(lhs[0, 0]), conditions._terms_at(values, 0, 0)
     return float(lhs[0, 0])
+
+
+# ----------------------------------------------------------------------------
+# einsum forms of the contraction kernels
+# ----------------------------------------------------------------------------
+
+def covariant_blocks(f, fy, fu, fyy, fyu, gamma, dgamma):
+    """``dynamics._covariant_blocks`` on a curved chart, each contraction
+    one einsum; the two ΓΓf terms of H2 contract Γ, Γ and f at once."""
+    A = fy + np.einsum("...kjm,...m->...kj", gamma, f)
+    H2 = (fyy
+          + np.einsum("...ikjm,...m->...kij", dgamma, f)
+          + np.einsum("...kjm,...mi->...kij", gamma, fy)
+          + np.einsum("...kim,...mj->...kij", gamma, fy)
+          + np.einsum("...kim,...mjl,...l->...kij", gamma, gamma, f)
+          - np.einsum("...mij,...km->...kij", gamma, fy)
+          - np.einsum("...mij,...kml,...l->...kij", gamma, gamma, f))
+    M = fyu + np.einsum("...kjm,...ma->...kja", gamma, fu)
+    return A, H2, M
+
+
+def curvature_vectors(riemann, X, f):
+    """``dynamics._curvature_vectors``: R^l_{ijk} X^i f^j X^k."""
+    return np.einsum("...lijk,...i,...j,...k->...l", riemann, X, f, X)
+
+
+def form_integrands(jet, first_values, directions) -> dict:
+    """``TrajectoryJet.form_integrands`` of ``jet``."""
+    X = np.asarray(first_values, float)[jet.nodes]
+    v = np.asarray(directions, float)
+    out = {
+        "state_state": 0.5 * np.einsum("sckij,sci,scj->sck", jet.hess, X, X),
+        "state_control": np.einsum("sckja,scj,ca->sck", jet.mixed, X, v),
+        "control_control": 0.5 * np.einsum("sckab,ca,cb->sck", jet.fuu, v, v),
+    }
+    out["curvature"] = (np.zeros_like(X) if jet.riemann is None else
+                        -0.5 * curvature_vectors(jet.riemann[jet.nodes], X, jet.f))
+    return out
+
+
+def geodesic_hessian(hess, gamma, grad):
+    """A coordinate Hessian (n, n) made covariant, h - Γ^k_{ij} d_k, and
+    symmetrized, as ``dynamics.lagrange_data`` does at each end."""
+    h = hess - np.einsum("kij,k->ij", gamma, grad)
+    return 0.5 * (h + h.T)
+
+
+def adjoint_pairing(vectors, at_sides):
+    """``conditions._adjoint_pairing`` for vectors (2, N, n) or (2, N, n, m)."""
+    if vectors.ndim == 3:
+        return np.einsum("sck,sckd->scd", vectors, at_sides)
+    return np.einsum("sckm,sckd->scmd", vectors, at_sides)
+
+
+def direction_pairing(directions, hu):
+    """``conditions._direction_pairing`` for rows (N, m) or (S, N, m)."""
+    if directions.ndim == 2:
+        return np.einsum("cm,scmd->scd", directions, hu)
+    return np.einsum("kcm,scmd->kscd", directions, hu)
+
+
+def conformal_gamma(dphi):
+    """``geometry._conformal_gamma``: Γ of the metric e^{2φ}δ."""
+    eye = np.eye(dphi.shape[-1])
+    return (np.einsum("ki,...j->...kij", eye, dphi)
+            + np.einsum("kj,...i->...kij", eye, dphi)
+            - np.einsum("ij,...k->...kij", eye, dphi))
+
+
+def stereographic_dchristoffel(radius: float, pts):
+    """``geometry.dchristoffel`` of ``sphere(radius)`` at a (K, 2) array."""
+    pts = np.asarray(pts, float)
+    denom = radius ** 2 + geometry._sqnorm(pts)
+    ddphi = (-2.0 * np.eye(2) / denom[:, None, None]
+             + 4.0 * (pts[:, :, None] * pts[:, None, :]) / (denom * denom)[:, None, None])
+    eye = np.eye(2)
+    return (np.einsum("ki,...mj->...mkij", eye, ddphi)
+            + np.einsum("kj,...mi->...mkij", eye, ddphi)
+            - np.einsum("ij,...mk->...mkij", eye, ddphi))
+
+
+def constant_curvature_tensor(K: float, g):
+    """``geometry._constant_curvature_tensor``: K (g_jk δ_li - g_ik δ_lj)."""
+    eye = np.eye(g.shape[-1])
+    return K * (np.einsum("...jk,li->...lijk", g, eye) - np.einsum("...ik,lj->...lijk", g, eye))
 
 
 # ----------------------------------------------------------------------------

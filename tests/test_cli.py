@@ -897,6 +897,34 @@ def test_a_nan_stationarity_residual_is_inconclusive(monkeypatch, capsys):
     assert notes[0].endswith("is not finite; no verdict")
 
 
+def test_a_non_finite_form_value_is_noted(monkeypatch, tmp_path, capsys):
+    # sphere.noc has three acceleration candidates of equal value; a -inf
+    # planted at the first one's entry moves the max-min to the second,
+    # which keeps the verdict, and the report names the dropped entry
+    import noc.conditions
+
+    form_values = noc.conditions._form_values
+
+    def planted(*args):
+        lhs, values = form_values(*args)
+        lhs = lhs.copy()
+        lhs[0, 0] = -np.inf
+        return lhs, values
+
+    monkeypatch.setattr(noc.conditions, "_form_values", planted)
+    sphere = Path(__file__).resolve().parent.parent / "perfbench" / "sphere.noc"
+    report = tmp_path / "report.json"
+    assert _check([str(sphere), "--report", str(report)]) == VERDICT_EXIT["consistent"]
+    out = capsys.readouterr().out.splitlines()
+    assert "verdict: consistent" in out
+    notes = [line for line in out if line.startswith("note: form value")]
+    assert notes == ["note: form value -inf of acceleration candidate 0 against "
+                     "ray [-1.0, 0.0, 1.0] is not finite (1 of 1 rays)"]
+    second = json.loads(report.read_text())["second_order"]
+    assert second["lhs"][0] == [None]
+    assert second["chosen"] == [1, 0]
+
+
 def test_sweep_warnings_come_in_the_order_of_cells_run_one_by_one(
         monkeypatch, capsys):
     # the first cell warns in its last stage, after the stacked passes, and
