@@ -1103,10 +1103,15 @@ def _sum_over(pairs) -> np.ndarray:
     """Σ a * b over the (a, b) pairs, each product broadcast over every node.
 
     The products are added one at a time in the order given, onto a zero
-    start (so an all -0.0 sum comes out +0.0). At the state and control
-    sizes of every command (n, m <= 2) this is also the order in which
-    ``np.einsum`` adds the terms of each contraction built with it, so the
-    results agree bit for bit with the einsum forms in ``tests/_reference.py``.
+    start (so an all -0.0 sum comes out +0.0). That is the order in which
+    ``np.einsum`` adds the terms of the contractions built with it, so the
+    results agree bit for bit with the einsum forms in ``tests/_reference.py``,
+    with one exception: three terms along an axis that is last in every
+    operand (at n = 3: Γ·f, ∂Γ·f and, with one control, Γ·f_u) einsum adds
+    as (t0 + t2) + t1. A command gets there only with an ``ocpe`` problem
+    on the sphere, whose cost accumulator is a third, flat coordinate; Γ
+    and ∂Γ vanish at that index, so t2 is a zero and both orders give the
+    same bits.
     """
     pairs = iter(pairs)
     a, b = next(pairs)

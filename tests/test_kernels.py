@@ -13,8 +13,12 @@ Two exceptions are compared within 8 ulp of the size of the summed terms:
   the products are rounded in another order;
 * at n = 3, a contraction over an index that is the last axis of every
   operand (Γ·f, ∂Γ·f and, at m = 1, Γ·f_u): there einsum adds the terms in
-  SIMD lanes, (t0 + t2) + t1, not in index order.  At n <= 2, the sizes
-  every command runs, both orders are the same.
+  SIMD lanes, (t0 + t2) + t1, not in index order.  At n <= 2 both orders
+  are the same.  A command reaches n = 3 on a curved chart only through an
+  ``ocpe`` problem on the sphere, where the third coordinate is the flat
+  cost accumulator and the third term of those sums is a zero; one such
+  check is run with the einsum kernels and with the new ones, and writes
+  the same bytes.
 
 Also here: ``check`` and ``sweep`` run with ``numpy.einsum`` patched to
 raise, and print and write the same as without the patch.
@@ -28,6 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import noc.conditions as conditions
 import noc.dynamics as dynamics
 from noc.cli import main
 from noc.conditions import _adjoint_pairing, _direction_pairing
@@ -265,15 +270,75 @@ def _outputs(argv, tmp_path, capsys, name):
     return code, out, report.read_bytes() if report.exists() else None
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("numpy.einsum called")
+
+
 @pytest.mark.parametrize("argv,code", RUNS, ids=[" ".join(a[:2]) for a, _ in RUNS])
 def test_check_and_sweep_call_no_einsum(argv, code, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(Path(__file__).resolve().parent.parent)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("numpy.einsum called")
-
     with monkeypatch.context() as patch:
-        patch.setattr(np, "einsum", refuse)
+        patch.setattr(np, "einsum", _refuse)
         guarded = _outputs(argv, tmp_path, capsys, "guarded")
     assert guarded[0] == code
     assert guarded == _outputs(argv, tmp_path, capsys, "plain")
+
+
+# an integral-cost problem on the sphere: the cost accumulator makes n = 3;
+# the control is the extremal u = p, so the adjoint, H2 and the curvature
+# term are nonzero on the sphere's two coordinates
+OCPE_SPHERE = """\
+noc 1
+kind ocpe
+chart {
+  type sphere
+  radius 1.0
+}
+grid {
+  cells 50
+  horizon 1.0
+}
+param pi 3.141592653589793
+start 0.1 0.0
+end 0.3 -0.1
+dynamics {
+  u1
+  u2
+}
+running_cost 0.5*(u1^2 + u2^2)
+control_set {
+  box -1.0 -1.0 1.0 1.0
+}
+control {
+  0.2
+  -0.1
+}
+direction {
+  v sin(2*pi*t) ; cos(2*pi*t)
+}
+"""
+
+
+def _einsum_blocks(f, fy, fu, fyy, fyu, gamma=None, dgamma=None):
+    if gamma is None:
+        return _covariant_blocks(f, fy, fu, fyy, fyu)
+    return _reference.covariant_blocks(f, fy, fu, fyy, fyu, gamma, dgamma)
+
+
+def test_an_ocpe_check_on_the_sphere_writes_the_einsum_report(tmp_path, capsys,
+                                                               monkeypatch):
+    path = tmp_path / "ocpe-sphere.noc"
+    path.write_text(OCPE_SPHERE)
+    argv = ["check", str(path)]
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "einsum", _refuse)
+        new = _outputs(argv, tmp_path, capsys, "new")
+    assert new[0] == 0
+    assert "term state_state: -0.00" in new[1] and "term curvature: 0.00" in new[1]
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_covariant_blocks", _einsum_blocks)
+        patch.setattr(TrajectoryJet, "form_integrands", _reference.form_integrands)
+        patch.setattr(conditions, "_adjoint_pairing", _reference.adjoint_pairing)
+        patch.setattr(conditions, "_direction_pairing", _reference.direction_pairing)
+        einsum = _outputs(argv, tmp_path, capsys, "einsum")
+    assert new == einsum
