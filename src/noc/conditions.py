@@ -20,11 +20,11 @@ from .cones import (_per_row, adjacent_cone_member, quadratic_distance_bound,
                     tangent_cone_vrep)
 from .dynamics import (ControlProblem, FieldAlongCurve, Trajectory,
                        TrajectoryJet, _adjoint_chain, _check_direction_shape,
-                       _stackable, _sum_over, _variational_chain,
-                       dynamics_from_expressions, endpoint_from_expressions,
-                       integrate_adjoint, integrate_variational,
-                       lagrange_data, make_problem, trajectory_jet,
-                       trapezoid_cellwise)
+                       _endpoint_christoffel, _stackable, _sum_over,
+                       _variational_chain, dynamics_from_expressions,
+                       endpoint_from_expressions, integrate_adjoint,
+                       integrate_variational, lagrange_data, make_problem,
+                       trajectory_jet, trapezoid_cellwise)
 from .errors import (BoundNotVerified, ChartEscape, ConeViolation,
                      EndpointRowViolation, NoMultiplier, SigmaNotInB)
 from .geometry import euclidean, product_chart, valid_point
@@ -235,8 +235,9 @@ def _multiplier_jet(problem: ControlProblem, trajectory: Trajectory) -> _Multipl
     gradients. Its steps yield that pass's chain before building the jet,
     so a stacked run holds no point's jet while it waits for the others."""
     slots = np.eye(problem.multiplier_dim)
-    endpoint = tuple(lagrange_data(problem, trajectory.states[0],
-                                   trajectory.states[-1], e) for e in slots)
+    y0, yT = trajectory.states[0], trajectory.states[-1]
+    gammas = _endpoint_christoffel(problem, y0, yT)
+    endpoint = tuple(lagrange_data(problem, y0, yT, e, _gammas=gammas) for e in slots)
     iterates = yield _adjoint_chain(
         problem, trajectory, np.stack([d.grad_end for d in endpoint], axis=-1))
     jet = trajectory_jet(problem, trajectory)

@@ -1056,8 +1056,22 @@ class LagrangeData:
     hess_end_end: np.ndarray
 
 
+def _endpoint_christoffel(problem: ControlProblem, start_point,
+                          end_point) -> tuple:
+    """The Christoffel symbols at the two endpoints, () on a flat chart."""
+    if problem.chart.kind == "euclidean":
+        return ()
+    return (christoffel(problem.chart, np.asarray(start_point, float)),
+            christoffel(problem.chart, np.asarray(end_point, float)))
+
+
 def lagrange_data(problem: ControlProblem, start_point, end_point,
-                  multiplier) -> LagrangeData:
+                  multiplier, *, _gammas=()) -> LagrangeData:
+    """The weighted endpoint aggregate at the two endpoints: its value,
+    gradients and covariant Hessians.  A caller that asks for many
+    multipliers at the same endpoints passes their
+    ``_endpoint_christoffel`` as ``_gammas``, so the symbols are evaluated
+    once for all of them."""
     ell = np.asarray(multiplier, float)
     if ell.shape != (problem.multiplier_dim,):
         raise ValueError(
@@ -1084,10 +1098,9 @@ def lagrange_data(problem: ControlProblem, start_point, end_point,
         h11 += w * np.asarray(b11, float)
         h12 += w * np.asarray(b12, float)
         h22 += w * np.asarray(b22, float)
-    if problem.chart.kind != "euclidean":
-        for h, y, g in ((h11, y0, g1), (h22, yT, g2)):
-            gamma = christoffel(problem.chart, y)
-            h -= _sum_over((gamma[k], g[k]) for k in range(n))
+    gammas = _gammas or _endpoint_christoffel(problem, y0, yT)
+    for h, gamma, g in zip((h11, h22), gammas, (g1, g2)):
+        h -= _sum_over((gamma[k], g[k]) for k in range(n))
     h11 = 0.5 * (h11 + h11.T)
     h22 = 0.5 * (h22 + h22.T)
     return LagrangeData(multiplier=ell, value=float(value), grad_start=g1,

@@ -7,7 +7,9 @@ trajectory at once, from one trajectory jet and one matrix adjoint
 compute the same quantities one node, one point or one multiplier at a
 time, so the tests can hold the batched path against them.  A section
 keeps the ``np.einsum`` formulas of the checker's contraction kernels,
-which the checker now builds from ordered broadcast products.  The last
+which the checker now builds from ordered broadcast products.  Another
+keeps the HiGHS linear programs behind the separator cone's cross-check,
+which the checker solves with a NumPy simplex of its own.  The last
 section holds the tests' central-difference oracles: Christoffel symbols
 from differences of the metric, and a control problem flattened into a
 finite-dimensional program whose rows re-integrate the dynamics.
@@ -327,6 +329,33 @@ def constant_curvature_tensor(K: float, g):
     """``geometry._constant_curvature_tensor``: K (g_jk δ_li - g_ik δ_lj)."""
     eye = np.eye(g.shape[-1])
     return K * (np.einsum("...jk,li->...lijk", g, eye) - np.einsum("...ik,lj->...lijk", g, eye))
+
+
+# ----------------------------------------------------------------------------
+# linear-programming oracles
+# ----------------------------------------------------------------------------
+
+def lp_coordinate_range(A_le, A_eq, dim: int) -> float:
+    """Largest |x_s| over {A_le x <= 0, A_eq x = 0, -1 <= x <= 1}: the
+    2·dim linear programs of ``noc.optproblem._lp_coordinate_range``,
+    solved by HiGHS through ``scipy.optimize.linprog`` instead of its
+    NumPy simplex."""
+    from scipy.optimize import linprog
+
+    bounds = [(-1.0, 1.0)] * dim
+    peak = 0.0
+    for s in range(dim):
+        for sign in (1.0, -1.0):
+            c = np.zeros(dim)
+            c[s] = -sign
+            res = linprog(c, A_ub=A_le if A_le.size else None,
+                          b_ub=np.zeros(A_le.shape[0]) if A_le.size else None,
+                          A_eq=A_eq if A_eq.size else None,
+                          b_eq=np.zeros(A_eq.shape[0]) if A_eq.size else None,
+                          bounds=bounds, method="highs")
+            if res.success:
+                peak = max(peak, abs(float(res.x[s])))
+    return peak
 
 
 # ----------------------------------------------------------------------------

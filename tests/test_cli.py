@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from noc.cli import VERDICT_EXIT, main
+from noc.polyhedral import MultiplierVector
 from noc.problemfile import parse_problem_file
 
 DISC_OP = """\
@@ -863,6 +864,22 @@ def test_a_sweep_draws_compiles_and_classifies_once(monkeypatch, capsys):
     assert tables == [("t", "theta", "T")] * 3
 
 
+def test_a_sphere_check_takes_christoffel_symbols_once_per_endpoint(
+        monkeypatch, capsys):
+    # the three unit multiplier slots share the symbols at the two
+    # endpoints; the jet takes them at every node in one more call
+    import collections
+
+    import noc.geometry
+
+    counts = collections.Counter()
+    _count_calls(monkeypatch, noc.geometry, "christoffel", counts)
+    sphere = Path(__file__).resolve().parent.parent / "perfbench" / "sphere.noc"
+    assert _check([str(sphere)]) == 0
+    assert "verdict: consistent" in capsys.readouterr().out
+    assert counts == {"christoffel": 3}
+
+
 @pytest.mark.parametrize("name", ["op-parabola.noc", "op-disc.noc"])
 def test_an_op_check_builds_one_candidate_record(monkeypatch, capsys, name):
     # the point step (with validate_expansion) and the direction step run
@@ -879,6 +896,38 @@ def test_an_op_check_builds_one_candidate_record(monkeypatch, capsys, name):
     assert "separation skipped" not in capsys.readouterr().out
     assert counts == {"_point_step": 1, "validate_expansion": 1,
                       "_direction_step": 1}
+
+
+@pytest.mark.parametrize("args, rays, note", [
+    (["op-disc.noc"], [],
+     "separator enumeration returned an empty cone but the LP route reaches "
+     "coordinate magnitude 1.000e+00"),
+    (["op-parabola.noc", "--tol", "qualify=1.5"],
+     [MultiplierVector(weights=np.array([-1.0, 1.0]))],
+     "separator enumeration found a ray but the LP route certifies the cone "
+     "is trivial"),
+], ids=["empty-enumeration", "spurious-ray"])
+def test_the_lp_route_catches_a_wrong_separator_enumeration(
+        monkeypatch, capsys, args, rays, note):
+    # op-disc's separator cone is the ray (-1), op-parabola's is trivial;
+    # an enumeration that says otherwise inside build_separation alone (the
+    # first- and second-order tests enumerate for real) is caught by the
+    # simplex cross-check, and the separation is skipped with a note
+    import noc.optproblem
+
+    separation = noc.optproblem.build_separation
+
+    def misenumerated(*a, **kw):
+        with monkeypatch.context() as patch:
+            patch.setattr(noc.optproblem, "enumerate_normalized_rays",
+                          lambda A_le, A_eq, dim: rays)
+            return separation(*a, **kw)
+
+    monkeypatch.setattr(noc.optproblem, "build_separation", misenumerated)
+    path = f"docs/conformance/valid/{args[0]}"
+    assert _check([path] + args[1:]) == 0
+    assert f"note: separation skipped: {note}" in \
+        capsys.readouterr().out.splitlines()
 
 
 def test_a_nan_stationarity_residual_is_inconclusive(monkeypatch, capsys):
@@ -1029,6 +1078,27 @@ def test_control_checks_leave_scipy_unloaded():
         "    assert 'scipy' not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_op_checks_load_scipy_only_for_a_polyhedron():
+    # the separator cone's cross-check is a NumPy simplex: an op check over
+    # balls and boxes runs without SciPy, which serves only the LPs of a
+    # polyhedron set
+    runs = (["op-disc.noc"], ["op-parabola.noc"],
+            ["op-parabola.noc", "--tol", "qualify=1.5"],
+            ["op-halfspace-box.noc"])
+    code = ("import sys\n"
+            "import noc.cli\n"
+            f"for args in {runs!r}:\n"
+            "    path = 'docs/conformance/valid/' + args[0]\n"
+            "    assert noc.cli.main(['check', path] + args[1:]) in (0, 3)\n"
+            "    assert 'scipy' not in sys.modules, args\n"
+            "noc.cli.main(['oracle', 'cone', "
+            "'polyhedron ; row -1 0 0 ; row 0 -1 0', '0 0', '1 1'])\n"
+            "assert 'scipy' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=Path(__file__).resolve().parent.parent)
     assert proc.returncode == 0, proc.stderr
 
 

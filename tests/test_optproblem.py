@@ -31,18 +31,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from noc.cones import (Ball, Box, Polyhedron, ProductSet,
                        second_adjacent_member, second_cone_vrep,
                        tangent_cone_vrep)
 from noc.errors import EmptySecondCone, NocError, PointNotInSet, \
     ResolutionTooCoarse
-from noc.optproblem import (build_separation, make_opt_problem,
-                            op_bruteforce, op_first_order, op_second_order,
-                            opt_scalar_from_expression, validate_expansion)
+from noc.optproblem import (_lp_coordinate_range, build_separation,
+                            make_opt_problem, op_bruteforce, op_first_order,
+                            op_second_order, opt_scalar_from_expression,
+                            validate_expansion)
+from noc.polyhedral import clean_rows
 
 from _problems import ccs126_nominal_controls, make_ccs126
-from _reference import control_problem_as_op
+from _reference import control_problem_as_op, lp_coordinate_range
 
 
 # ----------------------------------------------------------------------------
@@ -390,6 +394,40 @@ def test_separator_agrees_with_second_order_multiplier():
         np.testing.assert_allclose(
             sep.separator, res.multipliers[res.qualifying[0]].weights,
             atol=1e-10)
+
+
+@st.composite
+def _separator_cones(draw):
+    """(A_le, A_eq, dim) of a cone as ``build_separation`` hands it to the
+    cross-check: rows of small integers, cleaned.  The shape is pointed
+    (the orthant rows -e_i added), trivial (rows that positively span:
+    every e_i and -sum e_i), with a +/- pair of rows, or as drawn, which
+    leaves lineality when there are fewer rows than coordinates; either
+    family of rows may be empty, and dim may be 1."""
+    dim = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3).map(float)
+    le = draw(st.lists(st.lists(entries, min_size=dim, max_size=dim),
+                       max_size=6))
+    eq = draw(st.lists(st.lists(entries, min_size=dim, max_size=dim),
+                       max_size=dim - 1))
+    shape = draw(st.sampled_from(["as drawn", "pointed", "trivial", "pair"]))
+    eye = np.eye(dim).tolist()
+    if shape == "pointed":
+        le += [[-v for v in row] for row in eye]
+    elif shape == "trivial":
+        le += eye + [[-1.0] * dim]
+    elif shape == "pair" and le:
+        le.append([-v for v in le[0]])
+    return clean_rows(le, dim), clean_rows(eq, dim), dim
+
+
+@given(_separator_cones())
+def test_the_separator_cross_check_agrees_with_highs(cone):
+    A_le, A_eq, dim = cone
+    simplex = _lp_coordinate_range(A_le, A_eq, dim)
+    highs = lp_coordinate_range(A_le, A_eq, dim)
+    assert abs(simplex - highs) <= 1e-12
+    assert (simplex > 1e-7) == (highs > 1e-7)
 
 
 def test_image_set_midpoints_stay_admissible():
