@@ -290,7 +290,8 @@ def _run_cell(pf: ProblemFile, preset_name, model: ControlModel):
 
 def _run_control(pf: ProblemFile, notes: list, model):
     from .conditions import (REFUTATION_MARGIN, ROW_TOL, STATIONARITY_TOL,
-                             _direction_field, _multiplier_jet, active_sets,
+                             _direction_field, _multiplier_jet,
+                             _verdict_groups, active_sets,
                              default_sigma_candidates,
                              find_first_order_multipliers, refute_optimality,
                              verify_singular_direction)
@@ -331,7 +332,9 @@ def _run_control(pf: ProblemFile, notes: list, model):
         return report
 
     v, start_rate, sigmas, ws, _ = build_direction_arrays(pf, model)
-    field = yield from _direction_field.steps(problem, trajectory, v, start_rate)
+    groups = _verdict_groups(trajectory, v)   # once per verdict
+    field = yield from _direction_field.steps(problem, trajectory, v, start_rate,
+                                              _groups=groups)
     direction = verify_singular_direction(problem, trajectory, v, start_rate,
                                           row_tol=row_tol, act_tol=act_tol,
                                           _field=field, _sets=sets)
@@ -342,7 +345,7 @@ def _run_control(pf: ProblemFile, notes: list, model):
     sigma_candidates = None
     if sigmas:
         sigma_candidates = default_sigma_candidates(
-            problem.control_set, trajectory.controls, v) + sigmas
+            problem.control_set, trajectory.controls, v, _groups=groups) + sigmas
     w_candidates = None
     if ws:
         w_candidates = [np.zeros(problem.state_dim)] + ws
@@ -352,7 +355,7 @@ def _run_control(pf: ProblemFile, notes: list, model):
                                  sigma_candidates, w_candidates,
                                  margin=margin, act_tol=act_tol,
                                  stationarity_tol=stat_tol, _jet=mjet,
-                                 _sets=sets)
+                                 _sets=sets, _groups=groups)
     except NoMultiplier as ex:
         notes.append(f"refuted at first order: {ex}")
         report["multipliers"] = []

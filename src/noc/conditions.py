@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (_per_row, adjacent_cone_member, quadratic_distance_bound,
-                    row_groups, second_adjacent_member, second_cone_vrep,
-                    tangent_cone_vrep)
+from .cones import (_per_row, _RowGroups, adjacent_cone_member,
+                    quadratic_distance_bound, row_groups, second_adjacent_member,
+                    second_cone_vrep, tangent_cone_vrep)
 from .dynamics import (ControlProblem, FieldAlongCurve, Trajectory,
                        TrajectoryJet, _adjoint_chain, _check_direction_shape,
                        _endpoint_christoffel, _stackable, _sum_over,
@@ -170,16 +170,28 @@ def verify_singular_direction(problem: ControlProblem, trajectory: Trajectory,
                              row_tol=row_tol)
 
 
+def _verdict_groups(trajectory: Trajectory, control_directions) -> _RowGroups:
+    """The ``row_groups`` of the trajectory's controls and of its (control,
+    direction) pairs, the direction's shape checked first: one verdict's
+    per-cell routines share them."""
+    v_seq = _check_direction_shape(trajectory, control_directions)
+    return _RowGroups(row_groups(trajectory.controls),
+                      row_groups(trajectory.controls, v_seq))
+
+
 @_stackable
 def _direction_field(problem: ControlProblem, trajectory: Trajectory,
-                     control_directions, start_vector=None) -> FieldAlongCurve:
+                     control_directions, start_vector=None, *,
+                     _groups: _RowGroups | None = None) -> FieldAlongCurve:
     """The variational field of a direction, after checking that every
     cell's direction lies in the adjacent cone of the control set at the
     nominal control. Its steps (see ``dynamics.run_stacked``) yield the
-    variational chain."""
+    variational chain. ``_groups`` are the ``_verdict_groups`` of the
+    direction when the caller has them."""
     v_seq = _check_direction_shape(trajectory, control_directions)
     controls = trajectory.controls
-    for i in row_groups(controls, v_seq)[0].tolist():
+    first = (_groups.pairs if _groups is not None else row_groups(controls, v_seq))[0]
+    for i in first.tolist():
         cert = _per_row(problem.control_set, adjacent_cone_member,
                         controls[i], v_seq[i], with_oracle=False)
         if not cert.member:
@@ -265,7 +277,8 @@ def _direction_pairing(directions: np.ndarray, hu: np.ndarray) -> np.ndarray:
 
 def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory,
                           mjet: _MultiplierJet, *, act_tol: float,
-                          extra_zero_rows=(), sets: IndexSets | None = None):
+                          extra_zero_rows=(), sets: IndexSets | None = None,
+                          groups: _RowGroups | None = None):
     """H-representation of the admissible multiplier cone.
 
     Rows express, linearly in the multiplier: (a) the sign pattern on
@@ -274,8 +287,9 @@ def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory,
     endpoint aggregate), and (c) non-positivity of the Hamiltonian control
     gradient on the tangent-cone generators of the control set at every
     cell endpoint. Lineality directions of a node cone give equality rows
-    (the gradient must vanish on two-sided directions). ``sets`` holds the
-    trajectory's ``active_sets`` when the caller has them.
+    (the gradient must vanish on two-sided directions). ``sets`` and
+    ``groups`` hold the trajectory's ``active_sets`` and ``_verdict_groups``
+    when the caller has them.
     """
     dim = problem.multiplier_dim
     if sets is None:
@@ -283,7 +297,8 @@ def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory,
     # start-boundary identity: one equality row per state coordinate
     grad_start = np.stack([d.grad_start for d in mjet.endpoint], axis=1)
     # control-gradient rows at every cell endpoint, on the node-cone generators
-    first, inverse = row_groups(trajectory.controls)
+    first, inverse = (groups.controls if groups is not None
+                      else row_groups(trajectory.controls))
     reps = [_per_row(problem.control_set, tangent_cone_vrep, trajectory.controls[i])
             for i in first.tolist()]
     eq_gradients = _generator_rows([rep.lineality for rep in reps], inverse, mjet.hu)
@@ -315,7 +330,8 @@ def find_first_order_multipliers(problem: ControlProblem, trajectory: Trajectory
                                  *, act_tol: float = ACTIVITY_TOL,
                                  restrict_zero=(),
                                  _jet: _MultiplierJet | None = None,
-                                 _sets: IndexSets | None = None
+                                 _sets: IndexSets | None = None,
+                                 _groups: _RowGroups | None = None
                                  ) -> list[MultiplierVector]:
     """Enumerate the extreme rays of the admissible multiplier cone.
 
@@ -323,15 +339,15 @@ def find_first_order_multipliers(problem: ControlProblem, trajectory: Trajectory
     pair per lineality direction (two-sided freedoms, flagged). An empty
     list means no nonzero multiplier satisfies the discretized first-order
     conditions. ``restrict_zero`` forces additional rows' weights to zero
-    (used for the direction-restricted second-order cone). ``_jet`` and
-    ``_sets`` are the trajectory's ``_multiplier_jet`` and ``active_sets``
-    when the caller has them.
+    (used for the direction-restricted second-order cone). ``_jet``,
+    ``_sets`` and ``_groups`` are the trajectory's ``_multiplier_jet``,
+    ``active_sets`` and ``_verdict_groups`` when the caller has them.
     """
     mjet = _jet if _jet is not None else _multiplier_jet(problem, trajectory)
     A_le, A_eq = _multiplier_cone_rows(problem, trajectory, mjet,
                                        act_tol=act_tol,
                                        extra_zero_rows=restrict_zero,
-                                       sets=_sets)
+                                       sets=_sets, groups=_groups)
     return enumerate_normalized_rays(A_le, A_eq, problem.multiplier_dim)
 
 
@@ -361,9 +377,10 @@ def _check_sigma_membership(problem: ControlProblem, trajectory: Trajectory,
 
 
 def _check_quadratic_bound(problem: ControlProblem, trajectory: Trajectory,
-                           v_seq: np.ndarray, eps0: float):
+                           v_seq: np.ndarray, eps0: float,
+                           groups: _RowGroups | None = None):
     bound = quadratic_distance_bound(problem.control_set, trajectory.controls,
-                                     v_seq, eps0)
+                                     v_seq, eps0, _groups=groups)
     if not bound.passed:
         raise BoundNotVerified(
             "the node-wise quadratic distance bound for (control, direction) "
@@ -434,17 +451,20 @@ def _terms_at(values: dict, candidate: int, ray: int) -> dict:
 # refutation search
 # ----------------------------------------------------------------------------
 
-def default_sigma_candidates(control_set, controls, directions) -> list[np.ndarray]:
+def default_sigma_candidates(control_set, controls, directions, *,
+                             _groups: _RowGroups | None = None) -> list[np.ndarray]:
     """Acceleration candidates from the second-order admissible set geometry.
 
     Per cell the set is an affine shift of a polyhedral cone; candidates are
     the shift itself and the shift pushed along each recession generator
     (including both signs of two-sided directions) when the generator
-    pattern is uniform across cells.
+    pattern is uniform across cells. ``_groups`` are the ``_RowGroups`` of
+    the controls and directions when the caller has them.
     """
     controls = np.asarray(controls, float)
     directions = np.asarray(directions, float)
-    first, inverse = row_groups(controls, directions)
+    first, inverse = (_groups.pairs if _groups is not None
+                      else row_groups(controls, directions))
     reps = [_per_row(control_set, second_cone_vrep, controls[i], directions[i])
             for i in first.tolist()]
     base = np.zeros_like(controls)
@@ -482,7 +502,8 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
                       stationarity_tol: float = STATIONARITY_TOL,
                       eps0: float = 0.1,
                       _jet: _MultiplierJet | None = None,
-                      _sets: IndexSets | None = None) -> RefutationCertificate:
+                      _sets: IndexSets | None = None,
+                      _groups: _RowGroups | None = None) -> RefutationCertificate:
     """Search for an acceleration making the second-order form positive
     against every admissible multiplier of the direction-restricted cone.
 
@@ -490,7 +511,9 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
     necessary condition then fails already at first order and the caller
     should report non-optimality on that basis. ``_jet`` is the
     ``_multiplier_jet`` of the trajectory when the caller has built it in a
-    stacked run, and ``_sets`` its ``active_sets`` when the caller has them.
+    stacked run, and ``_sets`` and ``_groups`` its ``active_sets`` and the
+    direction's ``_verdict_groups`` when the caller has them; the groups are
+    otherwise formed once here for every per-cell routine of the search.
     A stationarity residual that is not finite makes the verdict
     inconclusive. An acceleration candidate whose form value against some
     ray is not finite gets a note; the max-min decides as before.
@@ -500,15 +523,19 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
         _sets = active_sets(problem, trajectory, act_tol)
     sets = relax(_sets, direction.endpoint_rates, act_tol)   # critical_sets
     mjet = _jet if _jet is not None else _multiplier_jet(problem, trajectory)
+    if _groups is None:
+        _groups = _verdict_groups(trajectory, direction.control_directions)
     if multipliers is None:
         rays = find_first_order_multipliers(problem, trajectory,
                                             act_tol=act_tol,
                                             restrict_zero=sets.relaxed,
-                                            _jet=mjet, _sets=sets)
+                                            _jet=mjet, _sets=sets,
+                                            _groups=_groups)
         if not rays:
             unrestricted = find_first_order_multipliers(problem, trajectory,
                                                         act_tol=act_tol,
-                                                        _jet=mjet, _sets=sets)
+                                                        _jet=mjet, _sets=sets,
+                                                        _groups=_groups)
             if unrestricted:
                 raise NoMultiplier(
                     "no first-order multiplier survives the restriction to "
@@ -541,11 +568,12 @@ def refute_optimality(problem: ControlProblem, trajectory: Trajectory,
     v_seq = direction.control_directions
     if sigma_candidates is None:
         sigma_candidates = default_sigma_candidates(problem.control_set,
-                                                    trajectory.controls, v_seq)
+                                                    trajectory.controls, v_seq,
+                                                    _groups=_groups)
     sigmas = [np.asarray(s, float) for s in sigma_candidates]
     ws = ([np.zeros(problem.state_dim)] if w_candidates is None
           else [np.asarray(w, float) for w in w_candidates])
-    _check_quadratic_bound(problem, trajectory, v_seq, eps0)
+    _check_quadratic_bound(problem, trajectory, v_seq, eps0, _groups)
     for s in sigmas:
         if s.shape != v_seq.shape:
             raise ValueError("every acceleration candidate must match the "

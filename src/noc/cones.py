@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -528,6 +529,14 @@ def row_groups(*arrays) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse.ravel()]
 
 
+class _RowGroups(NamedTuple):
+    """The ``row_groups`` of a verdict's controls and of its (control,
+    direction) pairs, which its per-cell routines share."""
+
+    controls: tuple
+    pairs: tuple
+
+
 def _per_row(U, routine, *rows, **options):
     """``routine(U, *rows, **options)``, computed once per set: the result
     is kept in ``U._memo`` under the routine, the bytes of ``rows`` and
@@ -566,18 +575,22 @@ class QuadraticBoundResult:
     norm: float           # discrete mean-square norm of ell (inf if failed)
 
 
-def quadratic_distance_bound(U, u_seq, v_seq, eps0: float) -> QuadraticBoundResult:
+def quadratic_distance_bound(U, u_seq, v_seq, eps0: float, *,
+                             _groups: _RowGroups | None = None) -> QuadraticBoundResult:
     """Node-wise ℓ_i = sup_{ε ≤ ε₀} dist(u_i + ε v_i)/ε², with divergence
-    detection: a node whose residuals grow as ε shrinks is reported as inf."""
+    detection: a node whose residuals grow as ε shrinks is reported as inf.
+    ``_groups`` are the sequences' ``_RowGroups`` when the caller has them."""
     u_seq = np.atleast_2d(np.asarray(u_seq, float))
     v_seq = np.atleast_2d(np.asarray(v_seq, float))
     if u_seq.shape != v_seq.shape:
         raise ValueError("u and v sequences must have equal shapes")
+    if _groups is None:
+        _groups = _RowGroups(row_groups(u_seq), row_groups(u_seq, v_seq))
     # nodes often repeat one (control, direction) pair: evaluate each once
-    for i in row_groups(u_seq)[0].tolist():
+    for i in _groups.controls[0].tolist():
         if not _per_row(U, contains, u_seq[i], tol=1e-9):
             raise PointNotInSet(f"grid node {i}: control outside the set")
-    first, inverse = row_groups(u_seq, v_seq)
+    first, inverse = _groups.pairs
     values = [_per_row(U, _ladder_bound, u_seq[i], v_seq[i], eps0=eps0)
               for i in first.tolist()]
     ells = [values[g] for g in inverse.tolist()]

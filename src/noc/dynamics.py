@@ -12,9 +12,10 @@ Models and endpoint maps are built from expressions
 (``dynamics_from_expressions``, ``endpoint_from_expressions``), whose
 derivatives ``noc.expr`` takes exactly. Controls are piecewise constant on
 a uniform grid and every integrator takes a single classical RK4 step per
-grid cell. The state pass runs each cell as one compiled function on Python
-floats (``DynamicsModel.rk4_cell``) and redoes on the numpy path any cell
-that fails there, so its results and diagnostics are the numpy path's;
+grid cell. The state pass runs the cells on Python floats in one compiled
+loop (``DynamicsModel.rk4_cell.run``, one call per stretch of cells) and
+redoes on the numpy path any cell that fails there, so its results and
+diagnostics are the numpy path's;
 every derivative block comes from one compiled function over a batch of
 points (``DynamicsModel.blocks_many``), the per-node blocks included. That
 function, the rhs and an endpoint map's gradients and Hessians come from
@@ -108,8 +109,13 @@ class DynamicsModel:
     as a tuple, the same floats as ``_rk4_step`` on ``rhs`` gives. Where
     numpy would warn it may instead raise (ArithmeticError, ValueError, or
     TypeError from a complex power) or return a non-finite or complex
-    value; ``integrate_state`` redoes such a cell on the numpy path. A
-    model without it runs every cell on the numpy path.
+    value; ``integrate_state`` redoes such a cell on the numpy path. The
+    cell that ``dynamics_from_expressions`` compiles carries ``run``, a
+    loop over consecutive cells generated from the same source with the
+    cell's body inlined (``_compile_rk4_cell``), and ``integrate_state``
+    makes one call of it per stretch of float cells, never one call per
+    cell. A model without a cell, or with a cell that carries no ``run``,
+    runs every cell on the numpy path.
 
     ``rebind`` (set on expression models compiled with parameters) maps
     new parameter values, a name -> value mapping, to the same model at
@@ -205,7 +211,7 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
             rhs_y=at_point(1), rhs_u=at_point(2), rhs_yy=at_point(3),
             rhs_yu=at_point(4), rhs_uu=at_point(5), blocks_many=blocks_many,
             label=label,
-            rk4_cell=partial(float_cell, *pvals) if pvals else float_cell,
+            rk4_cell=_bound_cell(float_cell, pvals),
             rebind=bind if pnames else None)
 
     return bind(params)
@@ -219,6 +225,15 @@ def _compile_rk4_cell(exprs, ynames, unames, pnames) -> Callable:
     functions and repeats ``_rk4_step`` operation for operation. Every
     variable is renamed, so no expression name can shadow ``math`` or the
     guard ``_finite`` that ``python_source`` wraps around risky operands.
+
+    The same ``exec`` generates ``cell.run``, ``run(*params, times, h,
+    controls, start, y, done)``: the cells from ``start`` on, each with the
+    cell's body inlined, from the state ``y`` at node ``start`` with the
+    node ``times`` and ``controls`` rows (lists of floats). It appends each
+    cell's state tuple to ``done`` and returns the first cell it did not
+    finish: one whose body raises (ArithmeticError, ValueError, or
+    TypeError from a complex value) or whose state sum is not finite, or
+    ``len(controls)`` when none.
     """
     n = len(ynames)
     params = [f"p{j}" for j in range(len(pnames))]
@@ -230,25 +245,55 @@ def _compile_rk4_cell(exprs, ynames, unames, pnames) -> Callable:
     at_stage = {"t": "t"} | dict(zip(ynames, z)) | fixed
 
     def stage(k, names):
-        return [f"    k{k}_{i} = {python_source(e, 'math', names)}"
+        return [f"k{k}_{i} = {python_source(e, 'math', names)}"
                 for i, e in enumerate(exprs)]
 
     def move(step, k):
-        return [f"    {z[i]} = {s[i]} + {step} * k{k}_{i}" for i in range(n)]
+        return [f"{z[i]} = {s[i]} + {step} * k{k}_{i}" for i in range(n)]
 
     result = ", ".join(f"{s[i]} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
                        for i in range(n))
+    body = ["half = 0.5 * h", *stage(1, at_node),
+            "t = t0 + half", *move("half", 1), *stage(2, at_stage),
+            *move("half", 2), *stage(3, at_stage),
+            "t = t0 + h", *move("h", 3), *stage(4, at_stage),
+            "sixth = h / 6.0"]
+    state, row = "".join(f"{v}, " for v in s), "".join(f"{v}, " for v in u)
     lines = [f"def cell({', '.join(params + ['t0', 'h'] + s + u)}):",
-             "    half = 0.5 * h",
-             *stage(1, at_node),
-             "    t = t0 + half", *move("half", 1), *stage(2, at_stage),
-             *move("half", 2), *stage(3, at_stage),
-             "    t = t0 + h", *move("h", 3), *stage(4, at_stage),
-             "    sixth = h / 6.0",
-             f"    return ({result},)"]
-    namespace = {"math": math, "_finite": _finite, "__builtins__": {}}
+             *(f"    {line}" for line in body),
+             f"    return ({result},)",
+             f"def run({', '.join(params + ['times', 'h', 'controls', 'start', 'y', 'done'])}):",
+             f"    ({state}) = y",
+             "    for i in range(start, len(controls)):",
+             "        t0 = times[i]",
+             f"        ({row}) = controls[i]",
+             "        try:",
+             *(f"            {line}" for line in body),
+             f"            y = ({result},)",
+             "            if not math.isfinite(sum(y)):",
+             "                return i",
+             "        except (ArithmeticError, ValueError, TypeError):",
+             "            return i",
+             "        done.append(y)",
+             f"        ({state}) = y",
+             "    return len(controls)"]
+    namespace = {"math": math, "_finite": _finite, "__builtins__": {},
+                 "range": range, "len": len, "sum": sum,
+                 "ArithmeticError": ArithmeticError, "ValueError": ValueError,
+                 "TypeError": TypeError}
     exec("\n".join(lines), namespace)  # noqa: S102 - AST-derived source
-    return namespace["cell"]
+    cell = namespace["cell"]
+    cell.run = namespace["run"]
+    return cell
+
+
+def _bound_cell(cell, pvals: tuple):
+    """The float ``cell`` and its ``run`` at the parameter values ``pvals``."""
+    if not pvals:
+        return cell
+    bound = partial(cell, *pvals)
+    bound.run = partial(cell.run, *pvals)
+    return bound
 
 
 # ----------------------------------------------------------------------------
@@ -646,10 +691,11 @@ def integrate_state(problem: ControlProblem, start_point, controls) -> Trajector
     """One classical RK4 step per grid cell; the grid size is the number of
     control rows.
 
-    With the model's ``rk4_cell`` the cells run on Python floats. A cell
-    that raises there, goes non-finite or leaves the chart is redone by
+    With a compiled ``rk4_cell`` (one that carries ``run``) the cells run
+    on Python floats, one ``run`` call per stretch of cells. A cell that
+    raises there, goes non-finite or leaves the chart is redone by
     ``_rk4_step`` on ``rhs``, so its result, error and numerical warnings
-    are those of the numpy path.
+    are those of the numpy path; the next stretch starts after it.
     """
     controls = _check_controls(problem, controls)
     y = np.asarray(start_point, float).copy()
@@ -663,13 +709,13 @@ def integrate_state(problem: ControlProblem, start_point, controls) -> Trajector
     states = np.empty((N + 1, problem.state_dim))
     states[0] = y
     rhs = problem.dynamics.rhs
-    cell = problem.dynamics.rk4_cell
-    if cell is not None:
+    run = getattr(problem.dynamics.rk4_cell, "run", None)
+    if run is not None:
         times, control_rows = grid.tolist(), controls.tolist()
     i = 0
     while i < N:
-        if cell is not None:
-            i = _float_cells(cell, problem.chart, times, control_rows, h, states, i)
+        if run is not None:
+            i = _float_cells(run, problem.chart, times, control_rows, h, states, i)
             if i == N:
                 break
         u = controls[i]
@@ -683,24 +729,14 @@ def integrate_state(problem: ControlProblem, start_point, controls) -> Trajector
     return Trajectory(chart=problem.chart, grid=grid, states=states, controls=controls)
 
 
-def _float_cells(cell, chart: ManifoldChart, times, controls, h, states,
+def _float_cells(run, chart: ManifoldChart, times, controls, h, states,
                  start: int) -> int:
-    """Advance ``states`` by the float ``cell`` from cell ``start`` until a
-    cell raises or goes non-finite, and return the first cell to redo on
-    the numpy path: that cell, an earlier one whose state left the chart,
-    or the number of cells when none."""
-    y = states[start].tolist()
+    """Advance ``states`` by the float cells' ``run`` from cell ``start``
+    until a cell raises or goes non-finite, and return the first cell to
+    redo on the numpy path: that cell, an earlier one whose state left the
+    chart, or the number of cells when none."""
     done = []
-    try:
-        for i in range(start, len(controls)):
-            y = cell(times[i], h, *y, *controls[i])
-            if not math.isfinite(sum(y)):   # a complex sum raises TypeError
-                break
-            done.append(y)
-        else:
-            i = len(controls)
-    except (ArithmeticError, ValueError, TypeError):
-        pass
+    i = run(times, h, controls, start, states[start].tolist(), done)
     if done:
         new = states[start + 1:i + 1]
         new[:] = done

@@ -287,15 +287,27 @@ def unit_rows(indices, dim: int) -> np.ndarray:
 
 
 def clean_rows(rows, dim: int) -> np.ndarray:
-    """Normalize, drop near-zero rows, and dedupe (order-preserving)."""
+    """Normalize, drop near-zero rows, and dedupe (order-preserving).
+
+    Rows with norm at most 1e-12 are dropped and the rest scaled to unit
+    norm. Two unit rows are duplicates when they agree entry for entry
+    (-0.0 equal to 0.0) after rounding to 12 decimals; the first of each
+    kind is kept, in input order. A stable ``np.lexsort`` over the rounded
+    columns puts duplicates next to each other, first one first, so each
+    row is compared only with its sorted neighbour.
+    """
     M = np.reshape(np.asarray(rows, float), (-1, dim))
     norms = np.linalg.norm(M, axis=1)
     keep = norms > 1e-12
     M = M[keep] / norms[keep][:, None]
     if M.shape[0] == 0:
         return np.zeros((0, dim))
-    _, idx = np.unique(np.round(M, 12), axis=0, return_index=True)
-    return M[np.sort(idx)]
+    R = np.round(M, 12)
+    order = np.lexsort(R.T)
+    S = R[order]
+    first = np.ones(len(order), bool)
+    first[1:] = (S[1:] != S[:-1]).any(axis=1)
+    return M[np.sort(order[first])]
 
 
 def inf_normalize(w: np.ndarray) -> np.ndarray:

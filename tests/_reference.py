@@ -9,7 +9,10 @@ time, so the tests can hold the batched path against them.  A section
 keeps the ``np.einsum`` formulas of the checker's contraction kernels,
 which the checker now builds from ordered broadcast products.  Another
 keeps the HiGHS linear programs behind the separator cone's cross-check,
-which the checker solves with a NumPy simplex of its own.  The last
+which the checker solves with a NumPy simplex of its own.  Two more keep
+the state pass's per-cell float loop, which the checker runs as one
+compiled loop per stretch of cells, and the ``np.unique(axis=0)`` dedupe
+of cone rows, which the checker does with one ``np.lexsort``.  The last
 section holds the tests' central-difference oracles: Christoffel symbols
 from differences of the metric, and a control problem flattened into a
 finite-dimensional program whose rows re-integrate the dynamics.
@@ -356,6 +359,56 @@ def lp_coordinate_range(A_le, A_eq, dim: int) -> float:
             if res.success:
                 peak = max(peak, abs(float(res.x[s])))
     return peak
+
+
+# ----------------------------------------------------------------------------
+# the per-cell float loop of the state pass
+# ----------------------------------------------------------------------------
+
+def float_cells(cell, chart, times, controls, h, states, start: int) -> int:
+    """``noc.dynamics._float_cells`` with one Python call of the float
+    ``cell`` per grid cell: advance ``states`` from cell ``start`` until a
+    cell raises or goes non-finite, and return the first cell to redo on
+    the numpy path (that cell, an earlier one whose state left the chart,
+    or the number of cells when none)."""
+    y = states[start].tolist()
+    done = []
+    try:
+        for i in range(start, len(controls)):
+            y = cell(times[i], h, *y, *controls[i])
+            if not math.isfinite(sum(y)):   # a complex sum raises TypeError
+                break
+            done.append(y)
+        else:
+            i = len(controls)
+    except (ArithmeticError, ValueError, TypeError):
+        pass
+    if done:
+        new = states[start + 1:i + 1]
+        new[:] = done
+        escaped = np.flatnonzero(~geometry.valid_point(chart, new))
+        if escaped.size:
+            return start + int(escaped[0])
+    return i
+
+
+# ----------------------------------------------------------------------------
+# the np.unique dedupe of cone rows
+# ----------------------------------------------------------------------------
+
+def clean_rows(rows, dim: int) -> np.ndarray:
+    """``noc.polyhedral.clean_rows`` with its dedupe done by
+    ``np.unique(axis=0)``: normalize, drop rows of norm at most 1e-12, and
+    keep the first of the rows equal after rounding to 12 decimals, in
+    input order."""
+    M = np.reshape(np.asarray(rows, float), (-1, dim))
+    norms = np.linalg.norm(M, axis=1)
+    keep = norms > 1e-12
+    M = M[keep] / norms[keep][:, None]
+    if M.shape[0] == 0:
+        return np.zeros((0, dim))
+    _, idx = np.unique(np.round(M, 12), axis=0, return_index=True)
+    return M[np.sort(idx)]
 
 
 # ----------------------------------------------------------------------------

@@ -483,6 +483,26 @@ def test_check_does_its_per_cell_work_once_per_distinct_row(monkeypatch, capsys)
         assert counts[routine] == counts[loop], (loop, routine, counts)
 
 
+def test_a_check_makes_no_per_cell_call_into_the_float_cell(capsys):
+    # the state pass runs the float cells in one compiled loop; the only
+    # calls of the one-cell function are make_problem's 20 validation probes
+    calls = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and (code.co_name, code.co_filename) == ("cell", "<string>"):
+            calls.append(code)
+
+    sys.setprofile(profile)
+    try:
+        code = _check(["preset:ccs126", "--grid", "400"])
+    finally:
+        sys.setprofile(None)
+    assert code == 3
+    assert "verdict: refuted" in capsys.readouterr().out
+    assert len(calls) == 20
+
+
 def test_numerical_warnings_become_one_line_each(monkeypatch, capsys):
     import warnings
 

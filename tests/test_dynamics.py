@@ -31,7 +31,7 @@ from _problems import (ccs126_adjoint, ccs126_nominal_controls,
                        ccs126_second_field, ccs126_states, linear_dynamics,
                        linear_endpoint, make_ccs126, make_flat_nonlinear,
                        make_sphere_nonlinear, wiggly_controls)
-from _reference import curvature_pairing, hamiltonian, hamiltonian_blocks
+from _reference import curvature_pairing, float_cells, hamiltonian, hamiltonian_blocks
 
 # ----------------------------------------------------------------------------
 # model construction and derivative validation
@@ -493,6 +493,59 @@ def test_float_cell_states_equal_the_numpy_path(which):
         np.testing.assert_array_equal(got, want)
 
 
+def _per_cell_outcome(monkeypatch, problem, start, controls):
+    """``_state_outcome`` with the float cells run one Python call per cell
+    (``_reference.float_cells``) instead of by the compiled loop."""
+    import noc.dynamics
+
+    cell = problem.dynamics.rk4_cell
+    with monkeypatch.context() as patch:
+        patch.setattr(noc.dynamics, "_float_cells",
+                      lambda run, *args: float_cells(cell, *args))
+        return _state_outcome(problem, start, controls)
+
+
+@pytest.mark.parametrize("which", ["ccs126", "sphere-check", "param-model"])
+def test_the_compiled_loop_equals_the_per_cell_loop(monkeypatch, which):
+    if which == "ccs126":
+        problem, start, controls = make_ccs126(), [1.0, 0.0], wiggly_controls(1000, 0.5)
+    elif which == "sphere-check":
+        problem, start, controls = _sphere_check_problem()
+    else:
+        problem, start, controls = _param_model_problem()
+    got = _state_outcome(problem, start, controls)
+    want = _per_cell_outcome(monkeypatch, problem, start, controls)
+    assert got[1] == want[1] == []
+    assert got[0].tobytes() == want[0].tobytes()
+
+
+def test_a_float_stretch_resumes_after_the_cell_redone_on_numpy(monkeypatch):
+    # math.exp(1000) raises where numpy gives inf and 1/(1 + inf) = 0 goes
+    # on, so cell 7 alone fails on floats: the numpy path redoes it and the
+    # next stretch starts at cell 8
+    import noc.dynamics
+
+    problem = _expression_problem(("-y1 + 1/(1 + exp(u1))",), [0.5], 3.0)
+    controls = wiggly_controls(30, 0.5, m=1)
+    controls[7] = 1000.0
+    stretches = []
+    float_stretch = noc.dynamics._float_cells
+
+    def recorded(run, chart, times, rows, h, states, start):
+        stretches.append((start, float_stretch(run, chart, times, rows, h, states, start)))
+        return stretches[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(noc.dynamics, "_float_cells", recorded)
+        got = _state_outcome(problem, [0.5], controls)
+    assert stretches == [(0, 7), (8, 30)]
+    want = _per_cell_outcome(monkeypatch, problem, [0.5], controls)
+    assert got[1] == want[1] == ["overflow encountered in exp"]
+    assert got[0].tobytes() == want[0].tobytes()
+    numpy_path = _state_outcome(_without_cell(problem), [0.5], controls)
+    np.testing.assert_allclose(got[0], numpy_path[0], rtol=1e-14, atol=0.0)
+
+
 def _expression_problem(text, start, horizon, chart=None):
     n = len(start)
     dyn = dynamics_from_expressions(text, n, 1)
@@ -555,6 +608,16 @@ def test_rebind_carries_the_float_cell_to_new_params():
     want = _rk4_step(lambda t, z: moved.rhs(t, z, u), 0.2, y, 0.05)
     np.testing.assert_array_equal(moved.rk4_cell(0.2, 0.05, 0.3, -0.2, 0.1), want)
     assert not np.array_equal(dyn.rk4_cell(0.2, 0.05, 0.3, -0.2, 0.1), want)
+
+
+def test_rebind_carries_the_compiled_loop_to_new_params():
+    dyn = dynamics_from_expressions(("k*y2 + u1", "-k^2*y1 + k*u1"), 2, 1,
+                                    params={"k": 1.0})
+    moved = dyn.rebind({"k": 2.5})
+    assert moved.rk4_cell.run.func is dyn.rk4_cell.run.func
+    done = []
+    assert moved.rk4_cell.run([0.2, 0.25], 0.05, [[0.1]], 0, [0.3, -0.2], done) == 1
+    assert done == [moved.rk4_cell(0.2, 0.05, 0.3, -0.2, 0.1)]
 
 
 def test_make_problem_rejects_a_float_cell_that_disagrees_with_rk4():

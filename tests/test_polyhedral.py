@@ -3,11 +3,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import null_space as scipy_null_space
 from scipy.optimize import linprog
 
-from noc.polyhedral import (ConeVRep, cone_contains, extreme_rays, null_space,
-                            polyhedron_bounding_box)
+from noc.polyhedral import (ConeVRep, clean_rows, cone_contains, extreme_rays,
+                            null_space, polyhedron_bounding_box)
+
+from _reference import clean_rows as unique_clean_rows
 
 
 def _ray_set_matches(vrep: ConeVRep, expected_rays) -> bool:
@@ -178,3 +182,47 @@ def test_null_space_matches_scipy(A):
     assert np.abs(A @ Z).max(initial=0.0) <= 1e-12
     # equal spans: equal orthogonal projectors
     np.testing.assert_allclose(Z @ Z.T, R @ R.T, atol=1e-12)
+
+
+@st.composite
+def _row_stacks(draw):
+    """(rows, dim) as the multiplier cone hands them to ``clean_rows``: a
+    few base rows of small numbers with +-0.0 entries, and a stack of
+    them, each exact, a positive multiple, moved by less than the 12th
+    decimal (so equal to its base only after rounding, and a zero entry
+    may round to -0.0), or scaled to a norm of at most 1e-12; the stack
+    may be empty and dim is 1 to 5."""
+    dim = draw(st.integers(1, 5))
+    entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0])
+    bases = draw(st.lists(st.lists(entries, min_size=dim, max_size=dim),
+                          min_size=1, max_size=4))
+    kinds = st.sampled_from(["exact", "multiple", "rounded", "tiny"])
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = np.array(bases[draw(st.integers(0, len(bases) - 1))])
+        kind = draw(kinds)
+        if kind == "multiple":
+            row = draw(st.sampled_from([2.0, 0.5, 3.0, 1e3])) * row
+        elif kind == "rounded":
+            row = row + np.array(draw(st.lists(
+                st.sampled_from([-1e-14, 0.0, 1e-14]), min_size=dim, max_size=dim)))
+        elif kind == "tiny":
+            row = 1e-13 * row
+        rows.append(row)
+    return np.array(rows).reshape(-1, dim), dim
+
+
+@given(_row_stacks())
+def test_clean_rows_matches_the_unique_dedupe_bit_for_bit(stack):
+    rows, dim = stack
+    got, want = clean_rows(rows, dim), unique_clean_rows(rows, dim)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_clean_rows_keeps_the_first_of_each_kind_in_input_order():
+    rows = [[0.0, 2.0], [1.0, 0.0], [-0.0, 1.0], [1e-13, 0.0],
+            [3.0, 1e-14], [0.0, -1.0]]
+    np.testing.assert_array_equal(clean_rows(rows, 2),
+                                  [[0.0, 1.0], [1.0, 0.0], [0.0, -1.0]])
+    assert clean_rows([], 3).shape == (0, 3)

@@ -14,11 +14,13 @@ only is run in both, and fails in the other):
 * ``check --report`` on every valid conformance file, on both presets,
   on ``perfbench/sphere.noc`` and on ``op-parabola.noc --tol qualify=1.5``;
 * ``check`` on every invalid conformance file;
-* four sweeps: the 39-row ``sweep`` of ``preset:ccs126``, a 6-row one
+* five sweeps: the 39-row ``sweep`` of ``preset:ccs126``, a 6-row one
   whose failing cells give error rows and a ``warning:`` line, one of
-  ``preset:linear-lq-euclid``, whose verdicts are ``consistent``, and one
-  of ``sphere-drift.noc``, whose controls differ from cell to cell and
-  from point to point on a curved chart;
+  ``preset:linear-lq-euclid``, whose verdicts are ``consistent``, one of
+  ``sphere-drift.noc``, whose controls differ from cell to cell and from
+  point to point on a curved chart but which stops at first order, and
+  one of ``perfbench/sphere.noc``, the compared sweep that reaches the
+  second-order form and its curvature term on a curved chart;
 * three ``oracle cone`` queries: a first- and a second-order member of a
   disc's cones, and a non-member of a box's.
 
@@ -65,6 +67,7 @@ def commands(old: Path, new: Path) -> list[tuple[list[str], bool]]:
                "T=0.5,1,2"], False),
              (["sweep", f"{VALID}/sphere-drift.noc", "--grid", "50", "--param",
                "T=0.2,0.3,0.4"], False),
+             (["sweep", "perfbench/sphere.noc", "--param", "T=0.3,0.5,0.7"], False),
              (["oracle", "cone", "ball 0 0 1", "0 -1", "1 0"], False),
              (["oracle", "cone", "ball 0 0 1", "0 -1", "1 0", "0 0.5"], False),
              (["oracle", "cone", "box -1 -1 1 1", "1 0", "1 0"], False)]
