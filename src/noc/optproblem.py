@@ -591,7 +591,8 @@ def build_separation(problem: OptProblem, point, direction, *,
 # ----------------------------------------------------------------------------
 
 GRID_POINT_LIMIT = 2 ** 30   # lattices above this are refused, not scanned
-CHUNK_POINTS = 262144        # lattice points held in memory at once
+CHUNK_POINTS = 32768         # lattice points per slab: 256 KiB a column,
+                             # so every per-slab array stays in cache
 
 def _bounding_box(U) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(U, Ball):
@@ -743,32 +744,30 @@ def _lattice_chunks(axes: list[np.ndarray]):
         yield buf[:, :lead.size * inner].T
 
 
-def _compress_rows(keep: np.ndarray, pts: np.ndarray,
-                   work: np.ndarray) -> np.ndarray:
+def _compress_rows(keep: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """The rows of the (P, dim) batch ``pts`` where ``keep`` holds, in
-    order, as a (K, dim) view of the front of the (dim, capacity) buffer
-    ``work``.  Each coordinate column is gathered on its own through one
-    index array; the indices are in range by construction, and mode
+    order, as the (K, dim) transposed view of a fresh column-major
+    (dim, K) array.  Each coordinate column is gathered on its own through
+    one index array; the indices are in range by construction, and mode
     "clip" spares ``take`` a buffered copy of ``out``."""
     idx = np.flatnonzero(keep)
-    out = work[:, :idx.size]
+    out = np.empty((pts.shape[1], idx.size))
     for a, col in enumerate(out):
         np.take(pts[:, a], idx, out=col, mode="clip")
     return out.T
 
 
-def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: np.ndarray,
-                work: np.ndarray):
+def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: np.ndarray):
     """(feasible count, non-finite count, best value, best point) of one
-    lattice slab.  Selected points are gathered into ``work``, which the
-    next slab overwrites.  Feasible points with a non-finite cost are
+    lattice slab.  Selected points are gathered into fresh arrays
+    (``_compress_rows``).  Feasible points with a non-finite cost are
     counted and skipped (a NaN would hide every value after it from
     argmin); the best point is the first finite minimizer in C order,
     copied out, and None when there is none."""
     mask = _membership_mask(problem.domain, chunk)
     if not mask.any():
         return 0, 0, math.inf, None
-    sel = chunk if mask.all() else _compress_rows(mask, chunk, work)
+    sel = chunk if mask.all() else _compress_rows(mask, chunk)
     feas = np.ones(sel.shape[0], bool)
     for row in problem.inequalities:
         feas &= _row_values(row, sel) <= 1e-9
@@ -779,7 +778,7 @@ def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: np.ndarray,
         if not feas.any():
             return 0, 0, math.inf, None
     if not feas.all():
-        sel = _compress_rows(feas, sel, work)
+        sel = _compress_rows(feas, sel)
     count = sel.shape[0]
     vals = _row_values(problem.cost, sel)
     ok = np.isfinite(vals)
@@ -787,7 +786,7 @@ def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: np.ndarray,
     if skipped == count:
         return count, skipped, math.inf, None
     if skipped:
-        sel, vals = _compress_rows(ok, sel, work), vals[ok]
+        sel, vals = _compress_rows(ok, sel), vals[ok]
     best = int(np.argmin(vals))
     return count, skipped, float(vals[best]), sel[best].copy()
 
@@ -806,12 +805,12 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
     grid cannot distinguish them from discretization error, and so does a
     gradient bound that is not finite for an equality row or, when the
     verdict rests on it, for the cost.  The lattice is streamed in
-    column-major slabs of at most CHUNK_POINTS points, and the selected
-    points of each slab are gathered into one work buffer allocated per
-    scan, so memory does not grow with the grid; grids above
-    GRID_POINT_LIMIT points are refused.  Feasible points whose cost is
-    not finite are skipped and counted; the verdict is 'empty' when no
-    feasible point has a finite cost.
+    column-major slabs of at most CHUNK_POINTS points (one leading-axis
+    row when a row is larger), small enough that a slab's points, its
+    gathered points and its row values stay in cache, so memory does not
+    grow with the grid; grids above GRID_POINT_LIMIT points are refused.
+    Feasible points whose cost is not finite are skipped and counted; the
+    verdict is 'empty' when no feasible point has a finite cost.
     """
     e = np.asarray(point, float)
     _require_in_domain(problem, e)
@@ -832,12 +831,9 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
         slabs.append(slab)
         slack += lip0 * slab / lip
 
-    rows, inner = _slab_shape([ax.size for ax in axes])
-    work = np.empty((problem.dim, rows * inner))
     num_feasible, num_nonfinite, best_value, best_point = 0, 0, math.inf, None
     for chunk in _lattice_chunks(axes):
-        count, skipped, value, where = _scan_chunk(problem, slabs, chunk,
-                                                   work)
+        count, skipped, value, where = _scan_chunk(problem, slabs, chunk)
         num_feasible += count
         num_nonfinite += skipped
         if where is not None and (best_point is None or value < best_value):

@@ -29,6 +29,8 @@ paper before the module existed):
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -694,21 +696,23 @@ def _full_mesh_reference(problem, lo, hi, resolution, slab):
 
 _SCAN_CASES = {
     # name: (domain, bounding box, cost, inequalities, equalities,
-    #        candidate, resolution); chunk counts are for 262,144 points
+    #        candidate, resolution); slab counts are for CHUNK_POINTS =
+    #        32,768
     "box-1d": (Box(lower=(-1.0,), upper=(2.0,)), ((-1.0,), (2.0,)),
                "(x1 - 0.3)^2", (), (), [0.3], 1e-3),
-    # 1001 x 1001 lattice: four slabs of 261 rows
-    "disc-4-chunks": (Ball(center=(0.0, 0.0), radius=1.0),
-                      ((-1.0, -1.0), (1.0, 1.0)),
-                      "x1 + 0.1*x2", (), (), [-1.0, 0.0], 2e-3),
-    # the equality leaves nothing in the first slab (x1 < -0.48), the
-    # inequality nothing in the last (x1 > 0.56)
+    # 1001 x 1001 lattice: 32 slabs of 32 rows
+    "disc-many-chunks": (Ball(center=(0.0, 0.0), radius=1.0),
+                         ((-1.0, -1.0), (1.0, 1.0)),
+                         "x1 + 0.1*x2", (), (), [-1.0, 0.0], 2e-3),
+    # 32 slabs: the equality leaves nothing in the first ten (x1 < -0.36),
+    # the inequality nothing in the last ten (x1 > 0.40)
     "disc-rows-empty-chunks": (Ball(center=(0.0, 0.0), radius=1.0),
                                ((-1.0, -1.0), (1.0, 1.0)),
                                "x2", ("x1 - 0.4",), ("x1 - x2^2 + 0.3",),
                                [-0.3, 0.0], 2e-3),
-    # every point of every slab is feasible, and the best one lies in the
-    # first slab, whose buffer the later slabs overwrite
+    # every point of each of the 32 slabs is feasible, and the best one
+    # lies in the second slab, whose lattice buffer the later slabs
+    # overwrite
     "box-2d-all-feasible": (Box(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
                             ((-1.0, -1.0), (1.0, 1.0)),
                             "(x1 + 0.9)^2 + x2^2", (), (), [-0.9, 0.0],
@@ -722,24 +726,26 @@ _SCAN_CASES = {
                 ((-0.5, -1.0, -1.0), (1.5, 1.0, 1.0)),
                 "x1 + x2*x3", (), (), [-0.5, 0.0, 0.0], 2e-2),
     # a thin box times the disc: 4 leading rows, each a 572^2 = 327,184
-    # point plane, so every slab is one row larger than the chunk size
+    # point plane, ten times CHUNK_POINTS, so every slab is one row
     "product-3d-wide-plane": (
         ProductSet((Box(lower=(0.0,), upper=(0.01,)),
                     Ball(center=(0.0, 0.0), radius=1.0))),
         ((0.0, -1.0, -1.0), (0.01, 1.0, 1.0)),
         "x1 + x2 + x3", (), (), [0.0, -0.5 ** 0.5, -0.5 ** 0.5], 0.0035),
     # every feasible point ties: the first one in C order must win, across
-    # four slabs
+    # 32 slabs
     "disc-constant-cost": (Ball(center=(0.0, 0.0), radius=1.0),
                            ((-1.0, -1.0), (1.0, 1.0)),
                            "3", (), (), [0.0, 0.0], 2e-3),
-    # the cost is NaN below x2 = -0.9 in every slab: the first two slabs
-    # are wholly feasible (x1 < 0.5), the third partly, the last not at all
+    # the cost is NaN below x2 = -0.9 in every feasible slab: the first 23
+    # of 32 slabs are wholly feasible (x1 < 0.5), the 24th partly, the last
+    # eight not at all
     "box-2d-nonfinite-cost": (Box(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
                               ((-1.0, -1.0), (1.0, 1.0)),
                               "x1 + sqrt(x2 + 0.9)", ("x1 - 0.5",), (),
                               [0.0, 0.0], 2e-3),
-    # NaN cost in every slab of the disc, whose slabs are never all inside
+    # NaN cost (x1 + x2 < 0) in the first 27 of the disc's 32 slabs and
+    # none in the last five; no slab lies wholly inside the disc
     "disc-nonfinite-cost": (Ball(center=(0.0, 0.0), radius=1.0),
                             ((-1.0, -1.0), (1.0, 1.0)),
                             "x2 + sqrt(x1 + x2)", (), (), [0.5, 0.5], 2e-3),
@@ -792,11 +798,39 @@ def test_membership_mask_sees_every_lattice_point_once(monkeypatch):
         return mask(U, pts)
 
     monkeypatch.setattr(noc.optproblem, "_membership_mask", counting)
-    _, _, _, _, _, point, res = _SCAN_CASES["disc-4-chunks"]
-    op_bruteforce(_scan_problem("disc-4-chunks"), point, res)
-    assert len(calls) == 4
+    _, _, _, _, _, point, res = _SCAN_CASES["disc-many-chunks"]
+    op_bruteforce(_scan_problem("disc-many-chunks"), point, res)
+    rows, inner = noc.optproblem._slab_shape([1001, 1001])
+    assert rows * inner <= noc.optproblem.CHUNK_POINTS
+    assert len(calls) == -(-1001 // rows) > 1
+    assert max(p for p, _ in calls) == rows * inner
     assert all(dim == 2 for _, dim in calls)
     assert sum(p for p, _ in calls) == 1001 ** 2
+
+
+def _result_bits(bf):
+    """Every field of a BruteForceResult, numbers as their bytes."""
+    return {f.name: v if v is None or isinstance(v, str)
+            else np.asarray(v).tobytes()
+            for f in dataclasses.fields(bf)
+            for v in [getattr(bf, f.name)]}
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_CASES))
+def test_scan_result_does_not_depend_on_the_slab_size(monkeypatch, name):
+    # 1,000 points cut every lattice into many slabs, so ties and
+    # non-finite skips cross slab boundaries
+    import noc.optproblem
+
+    _, _, _, _, _, point, res = _SCAN_CASES[name]
+    problem = _scan_problem(name)
+    results = []
+    for size in (262144, 1000):
+        monkeypatch.setattr(noc.optproblem, "CHUNK_POINTS", size)
+        with np.errstate(invalid="ignore"):
+            bf = op_bruteforce(problem, point, res, equality_slab=0.01)
+        results.append(_result_bits(bf))
+    assert results[0] == results[1]
 
 
 def test_scan_memory_does_not_grow_with_the_grid():
@@ -810,7 +844,7 @@ def test_scan_memory_does_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert bf.num_feasible > 3_000_000
-    assert peak < 32 * 2 ** 20, f"scan peak {peak / 2 ** 20:.1f} MB"
+    assert peak < 4 * 2 ** 20, f"scan peak {peak / 2 ** 20:.1f} MB"
 
 
 # ----------------------------------------------------------------------------

@@ -12,7 +12,10 @@ that checkout's own files (a conformance file found in one checkout
 only is run in both, and fails in the other):
 
 * ``check --report`` on every valid conformance file, on both presets,
-  on ``perfbench/sphere.noc`` and on ``op-parabola.noc --tol qualify=1.5``;
+  on ``perfbench/sphere.noc``, on ``op-parabola.noc --tol qualify=1.5``
+  and on NEW's ``op-disc.noc`` rewritten to ``resolution 0.002`` in the
+  temporary directory, whose 1001 x 1001 grid search runs over several
+  lattice slabs;
 * ``check`` on every invalid conformance file;
 * five sweeps: the 39-row ``sweep`` of ``preset:ccs126``, a 6-row one
   whose failing cells give error rows and a ``warning:`` line, one of
@@ -51,7 +54,18 @@ def _conformance(old: Path, new: Path, folder: str) -> list[str]:
     return [f"{folder}/{name}" for name in sorted(names)]
 
 
-def commands(old: Path, new: Path) -> list[tuple[list[str], bool]]:
+def write_fine_disc(root: Path, tmp: Path) -> Path:
+    """``op-disc.noc`` of the checkout ``root`` at resolution 0.002,
+    written into ``tmp``."""
+    lines = (root / VALID / "op-disc.noc").read_text(encoding="utf-8").splitlines()
+    lines = ["resolution 0.002" if line.startswith("resolution ") else line
+             for line in lines]
+    path = tmp / "op-disc-fine.noc"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def commands(old: Path, new: Path, fine_disc: Path) -> list[tuple[list[str], bool]]:
     """(arguments, writes a report) of every command to compare."""
     runs = [(["check", path], True) for path in _conformance(old, new, VALID)]
     runs += [(["check", path], False) for path in _conformance(old, new, INVALID)]
@@ -59,6 +73,7 @@ def commands(old: Path, new: Path) -> list[tuple[list[str], bool]]:
              (["check", "preset:linear-lq-euclid"], True),
              (["check", "perfbench/sphere.noc"], True),
              (["check", f"{VALID}/op-parabola.noc", "--tol", "qualify=1.5"], True),
+             (["check", str(fine_disc)], True),
              (["sweep", "preset:ccs126", "--grid", "400", "--param",
                "T=0.1:0.7:13", "--param", "theta=2.5,3,4"], False),
              (["sweep", "preset:ccs126", "--grid", "50", "--param",
@@ -110,8 +125,8 @@ def main(argv=None) -> int:
         return 2
     old, new = (Path(p).resolve() for p in argv)
     diffs: list[str] = []
-    runs = commands(old, new)
     with tempfile.TemporaryDirectory() as tmp:
+        runs = commands(old, new, write_fine_disc(new, Path(tmp)))
         for i, (args, writes_report) in enumerate(runs):
             results = []
             for side, root in (("old", old), ("new", new)):

@@ -107,9 +107,11 @@ def main(argv=None) -> int:
         print("usage: python tools/unreached.py", file=sys.stderr)
         return 2
     sys.path.insert(0, str(ROOT / "src"))
-    runs = same_outputs.commands(ROOT, ROOT)
     demos = sorted(DEMOS.glob("*.py"))
-    missed = unreached(entered(runs, demos))
+    with tempfile.TemporaryDirectory() as tmp:
+        fine_disc = same_outputs.write_fine_disc(ROOT, Path(tmp))
+        runs = same_outputs.commands(ROOT, ROOT, fine_disc)
+        missed = unreached(entered(runs, demos))
     for path, line, name, count in missed:
         print(f"{path}:{line} {name} ({count} lines)")
     total = len(definitions())
