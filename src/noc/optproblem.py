@@ -757,14 +757,31 @@ def _compress_rows(keep: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: np.ndarray):
-    """(feasible count, non-finite count, best value, best point) of one
-    lattice slab.  Selected points are gathered into fresh arrays
-    (``_compress_rows``).  Feasible points with a non-finite cost are
-    counted and skipped (a NaN would hide every value after it from
-    argmin); the best point is the first finite minimizer in C order,
-    copied out, and None when there is none."""
-    mask = _membership_mask(problem.domain, chunk)
+def _cost_minimum(cost: OptScalar, sel: np.ndarray):
+    """(count, non-finite count, best value, best point) of the gathered
+    (K, dim) feasible points ``sel``: points whose cost is not finite are
+    counted and gathered out (a NaN would hide every value after it from
+    argmin); the best point is the first finite minimizer, copied out, and
+    None when there is none."""
+    count = sel.shape[0]
+    vals = _row_values(cost, sel)
+    ok = np.isfinite(vals)
+    skipped = count - int(np.count_nonzero(ok))
+    if skipped == count:
+        return count, skipped, math.inf, None
+    if skipped:
+        sel, vals = _compress_rows(ok, sel), vals[ok]
+    best = int(np.argmin(vals))
+    return count, skipped, float(vals[best]), sel[best].copy()
+
+
+def _scan_gathered(problem: OptProblem, slabs: list[float], chunk: np.ndarray,
+                   mask: np.ndarray):
+    """``_scan_chunk`` of a slab whose domain members are ``mask``, with
+    the members gathered into fresh arrays (``_compress_rows``) before any
+    row is evaluated, and the points that pass every row gathered again
+    before the cost, so no row or cost is evaluated off the feasible
+    set."""
     if not mask.any():
         return 0, 0, math.inf, None
     sel = chunk if mask.all() else _compress_rows(mask, chunk)
@@ -779,16 +796,58 @@ def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: np.ndarray):
             return 0, 0, math.inf, None
     if not feas.all():
         sel = _compress_rows(feas, sel)
-    count = sel.shape[0]
-    vals = _row_values(problem.cost, sel)
+    return _cost_minimum(problem.cost, sel)
+
+
+def _scan_in_place(problem: OptProblem, slabs: list[float],
+                   chunk: np.ndarray, mask: np.ndarray):
+    """``_scan_chunk`` of a slab whose domain members are ``mask``, with
+    every row and the cost evaluated on the slab's own columns and the
+    points that fail masked to +inf before one argmin.  When fewer than
+    half the slab's points pass the rows, they are gathered for the cost
+    instead.  A row's value array is never written: a bare coordinate
+    returns a view of the lattice."""
+    feas = mask.copy()
+    for row in problem.inequalities:
+        feas &= _row_values(row, chunk) <= 1e-9
+    for row, slab in zip(problem.equalities, slabs):
+        feas &= np.abs(_row_values(row, chunk)) <= slab
+    count = int(np.count_nonzero(feas))
+    if 2 * count < feas.size:
+        if not count:
+            return 0, 0, math.inf, None
+        return _cost_minimum(problem.cost, _compress_rows(feas, chunk))
+    vals = np.where(feas, _row_values(problem.cost, chunk), math.inf)
     ok = np.isfinite(vals)
     skipped = count - int(np.count_nonzero(ok))
     if skipped == count:
         return count, skipped, math.inf, None
     if skipped:
-        sel, vals = _compress_rows(ok, sel), vals[ok]
+        vals[~ok] = math.inf          # vals is this call's own array
     best = int(np.argmin(vals))
-    return count, skipped, float(vals[best]), sel[best].copy()
+    return count, skipped, float(vals[best]), chunk[best].copy()
+
+
+def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: np.ndarray):
+    """(feasible count, non-finite count, best value, best point) of one
+    lattice slab.  Feasible points with a non-finite cost are counted and
+    skipped; the best point is the first finite minimizer in C order,
+    copied out, and None when there is none.
+
+    The domain mask is computed once.  A slab with fewer than half its
+    points in the domain is gathered (``_scan_gathered``); any other is
+    scanned in place (``_scan_in_place``) with floating-point flags
+    raised, and a slab that raises one anywhere, feasible or not, is
+    scanned again gathered, so its numerical warnings are exactly those
+    of the feasible points."""
+    mask = _membership_mask(problem.domain, chunk)
+    if 2 * int(np.count_nonzero(mask)) < mask.size:
+        return _scan_gathered(problem, slabs, chunk, mask)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return _scan_in_place(problem, slabs, chunk, mask)
+    except FloatingPointError:
+        return _scan_gathered(problem, slabs, chunk, mask)
 
 
 def op_bruteforce(problem: OptProblem, point, resolution: float, *,
@@ -806,11 +865,16 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
     gradient bound that is not finite for an equality row or, when the
     verdict rests on it, for the cost.  The lattice is streamed in
     column-major slabs of at most CHUNK_POINTS points (one leading-axis
-    row when a row is larger), small enough that a slab's points, its
-    gathered points and its row values stay in cache, so memory does not
-    grow with the grid; grids above GRID_POINT_LIMIT points are refused.
-    Feasible points whose cost is not finite are skipped and counted; the
-    verdict is 'empty' when no feasible point has a finite cost.
+    row when a row is larger), small enough that a slab's points, its row
+    values and any points gathered from it stay in cache, so memory does
+    not grow with the grid; grids above GRID_POINT_LIMIT points are
+    refused.  A slab at least half inside the domain is scanned in place,
+    its infeasible points masked to +inf before one argmin; a thinner
+    slab, or one whose in-place scan raises a floating-point flag, is
+    scanned by gathering its feasible points (``_scan_chunk``).  Feasible
+    points whose cost is not finite are skipped and counted; the verdict
+    is 'empty' when no feasible point has a finite cost, and a slab best
+    that is not finite anyway raises NocError.
     """
     e = np.asarray(point, float)
     _require_in_domain(problem, e)
@@ -836,6 +900,10 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
         count, skipped, value, where = _scan_chunk(problem, slabs, chunk)
         num_feasible += count
         num_nonfinite += skipped
+        if where is not None and not math.isfinite(value):
+            raise NocError(f"grid search: the best cost of a lattice slab "
+                           f"is {value!r} at ({_coordinates(where)}), not "
+                           f"finite")
         if where is not None and (best_point is None or value < best_value):
             best_value, best_point = value, where
     ref = float(problem.cost.value(e))

@@ -199,6 +199,62 @@ def test_grid_search_skips_non_finite_costs(tmp_path, capsys):
     assert "found no feasible sample at" not in out
 
 
+NAN_COST_DISC_OP = """\
+noc 1
+kind op
+dim 2
+domain {
+  ball 0.0 0.0 1.0
+}
+point 0.0 -0.5
+cost x2 + sqrt(x1 + 0.5)
+resolution 0.005
+"""
+
+
+def test_grid_search_warns_once_for_a_cost_nan_on_the_domain(tmp_path, capsys):
+    # sqrt is NaN on the feasible points with x1 < -0.5: one warning line
+    # and the count of skipped points, however the slabs are scanned
+    assert _check([_write(tmp_path, "sqrt.noc", NAN_COST_DISC_OP)]) == 3
+    out, err = capsys.readouterr()
+    assert "note: grid search skipped 24384 feasible points whose cost is " \
+        "not finite" in out
+    assert [line for line in err.splitlines()
+            if not line.startswith("elapsed:")] == \
+        ["warning: invalid value encountered in sqrt"]
+
+
+def test_grid_search_does_not_warn_for_a_cost_nan_off_the_domain(tmp_path, capsys):
+    # the log is NaN only in the corners of the disc's bounding box, which
+    # are never feasible, so nothing is skipped and nothing is warned
+    text = NAN_COST_DISC_OP.replace("point 0.0 -0.5", "point -1.0 0.0").replace(
+        "x2 + sqrt(x1 + 0.5)", "x1 + 0.001*log(1.5 - x1^2 - x2^2)")
+    assert _check([_write(tmp_path, "log.noc", text)]) == 0
+    out, err = capsys.readouterr()
+    assert "grid search: confirmed" in out and "skipped" not in out
+    assert "warning:" not in err
+
+
+def test_a_non_finite_slab_best_exits_2_with_one_line(tmp_path, capsys,
+                                                     monkeypatch):
+    import noc.optproblem
+
+    scan_chunk = noc.optproblem._scan_chunk
+
+    def planted(problem, slabs, chunk):
+        count, skipped, _, where = scan_chunk(problem, slabs, chunk)
+        return count, skipped, float("nan"), where
+
+    monkeypatch.setattr(noc.optproblem, "_scan_chunk", planted)
+    path = _write(tmp_path, "disc.noc", DISC_OP + "resolution 0.01\n")
+    assert _check([path, "--report", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: grid search: the best cost of a lattice "
+                          "slab is nan at (")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_an_empty_grid_search_writes_a_valid_json_report(tmp_path, capsys):
     # the empty search has no best value and an overflowed slack: both
     # are written as null, not as the NaN and Infinity that JSON lacks

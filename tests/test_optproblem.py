@@ -749,6 +749,13 @@ _SCAN_CASES = {
     "disc-nonfinite-cost": (Ball(center=(0.0, 0.0), radius=1.0),
                             ((-1.0, -1.0), (1.0, 1.0)),
                             "x2 + sqrt(x1 + x2)", (), (), [0.5, 0.5], 2e-3),
+    # the cost is NaN only off the disc (x1^2 + x2^2 > 1.5, the corners
+    # of slabs with |x1| > 0.71): finite on every feasible point, so no
+    # point is skipped, but those slabs raise a floating-point flag
+    "disc-cost-nan-off-the-domain": (Ball(center=(0.0, 0.0), radius=1.0),
+                                     ((-1.0, -1.0), (1.0, 1.0)),
+                                     "x1 + 0.001*log(1.5 - x1^2 - x2^2)",
+                                     (), (), [-1.0, 0.0], 2e-3),
 }
 
 
@@ -785,9 +792,14 @@ def test_streamed_scan_matches_full_mesh_reference(name):
     assert bf.verdict == expected
 
 
-def test_membership_mask_sees_every_lattice_point_once(monkeypatch):
+@pytest.mark.parametrize("name", ["disc-many-chunks", "disc-nonfinite-cost",
+                                  "disc-rows-empty-chunks"])
+def test_membership_mask_sees_every_lattice_point_once(monkeypatch, name):
     # one call per slab with that slab's (P, dim) view: benchmark tracing
-    # counts the scanned lattice points by wrapping this function
+    # counts the scanned lattice points by wrapping this function.  The
+    # cases scan slabs in place, gathered, again gathered after a
+    # floating-point flag (the NaN cost) and gathered for the cost after
+    # the rows leave fewer than half the points (the equality)
     import noc.optproblem
 
     mask = noc.optproblem._membership_mask
@@ -798,8 +810,9 @@ def test_membership_mask_sees_every_lattice_point_once(monkeypatch):
         return mask(U, pts)
 
     monkeypatch.setattr(noc.optproblem, "_membership_mask", counting)
-    _, _, _, _, _, point, res = _SCAN_CASES["disc-many-chunks"]
-    op_bruteforce(_scan_problem("disc-many-chunks"), point, res)
+    _, _, _, _, _, point, res = _SCAN_CASES[name]
+    with np.errstate(invalid="ignore"):
+        op_bruteforce(_scan_problem(name), point, res, equality_slab=0.01)
     rows, inner = noc.optproblem._slab_shape([1001, 1001])
     assert rows * inner <= noc.optproblem.CHUNK_POINTS
     assert len(calls) == -(-1001 // rows) > 1
@@ -831,6 +844,83 @@ def test_scan_result_does_not_depend_on_the_slab_size(monkeypatch, name):
             bf = op_bruteforce(problem, point, res, equality_slab=0.01)
         results.append(_result_bits(bf))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("domain", [Box(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
+                                    Ball(center=(0.0, 0.0), radius=1.0)],
+                         ids=["box-2d-all-feasible", "disc-many-chunks"])
+@pytest.mark.parametrize("cost, point", [("x1", [-1.0, 0.0]),
+                                         ("x2", [0.0, -1.0])], ids=["x1", "x2"])
+def test_the_scan_never_writes_the_lattice(monkeypatch, domain, cost, point):
+    # a bare coordinate cost returns a view of the shared lattice buffer:
+    # masking its values in place would corrupt this slab and the next
+    import noc.optproblem
+
+    lattice_chunks = noc.optproblem._lattice_chunks
+    slabs = []
+
+    def recording(axes):
+        for chunk in lattice_chunks(axes):
+            before = chunk.tobytes()
+            yield chunk
+            assert chunk.tobytes() == before, f"slab {len(slabs)} was written"
+            slabs.append(chunk.shape[0])
+
+    monkeypatch.setattr(noc.optproblem, "_lattice_chunks", recording)
+    problem = make_opt_problem(domain, opt_scalar_from_expression(cost, 2))
+    bf = op_bruteforce(problem, point, 2e-3)
+    assert len(slabs) > 1 and sum(slabs) == 1001 ** 2
+    count, _, value, where = _full_mesh_reference(
+        problem, (-1.0, -1.0), (1.0, 1.0), 2e-3, 0.0)
+    assert bf.num_feasible == count
+    assert bf.best_value == value == -1.0
+    assert bf.best_point.tobytes() == where.tobytes()
+
+
+def test_a_cost_not_finite_without_a_flag_is_skipped_in_place():
+    # a row from the Python API can return NaN and -inf without raising a
+    # floating-point flag, so the in-place scan must skip them itself
+    from noc.optproblem import OptScalar
+
+    def value_many(pts):
+        x1 = pts[:, 0]
+        return np.where(x1 < -0.5, np.nan,
+                        np.where(x1 < 0.0, -np.inf, x1 + pts[:, 1]))
+
+    cost = OptScalar(value=lambda e: float(value_many(e[None])[0]),
+                     grad=lambda e: np.ones(2), second=lambda e, y: 0.0,
+                     value_many=value_many)
+    problem = make_opt_problem(Box(lower=(-1.0, -1.0), upper=(1.0, 1.0)), cost)
+    bf = op_bruteforce(problem, [0.0, -1.0], 2e-3)
+    count, nonfinite, value, where = _full_mesh_reference(
+        problem, (-1.0, -1.0), (1.0, 1.0), 2e-3, 0.0)
+    assert (bf.num_feasible, bf.num_nonfinite) == (count, nonfinite) \
+        == (1001 ** 2, 500 * 1001)
+    assert bf.best_value == value == -1.0
+    assert bf.best_point.tobytes() == where.tobytes()
+    assert bf.verdict == "confirmed"
+
+
+def test_a_non_finite_slab_best_is_an_error(monkeypatch):
+    # a NaN best value would fail every comparison in the fold and leave
+    # a verdict resting on it
+    import noc.optproblem
+
+    scan_chunk = noc.optproblem._scan_chunk
+    slabs = []
+
+    def planted(problem, slabs_, chunk):
+        slabs.append(None)
+        count, skipped, value, where = scan_chunk(problem, slabs_, chunk)
+        if len(slabs) == 2 and where is not None:
+            value = float("nan")
+        return count, skipped, value, where
+
+    monkeypatch.setattr(noc.optproblem, "_scan_chunk", planted)
+    _, _, _, _, _, point, res = _SCAN_CASES["disc-many-chunks"]
+    with pytest.raises(NocError, match=r"best cost of a lattice slab is nan"):
+        op_bruteforce(_scan_problem("disc-many-chunks"), point, res)
+    assert len(slabs) == 2
 
 
 def test_scan_memory_does_not_grow_with_the_grid():

@@ -12,10 +12,13 @@ that checkout's own files (a conformance file found in one checkout
 only is run in both, and fails in the other):
 
 * ``check --report`` on every valid conformance file, on both presets,
-  on ``perfbench/sphere.noc``, on ``op-parabola.noc --tol qualify=1.5``
-  and on NEW's ``op-disc.noc`` rewritten to ``resolution 0.002`` in the
+  on ``perfbench/sphere.noc``, on ``op-parabola.noc --tol qualify=1.5``,
+  on NEW's ``op-disc.noc`` rewritten to ``resolution 0.002`` in the
   temporary directory, whose 1001 x 1001 grid search runs over several
-  lattice slabs;
+  lattice slabs, and on a disc written there whose cost
+  ``x2 + sqrt(x1 + 0.5)`` is NaN on part of the feasible set, so its
+  grid search skips points, rescans slabs that raise a floating-point
+  flag and prints a ``warning:`` line;
 * ``check`` on every invalid conformance file;
 * five sweeps: the 39-row ``sweep`` of ``preset:ccs126``, a 6-row one
   whose failing cells give error rows and a ``warning:`` line, one of
@@ -65,7 +68,18 @@ def write_fine_disc(root: Path, tmp: Path) -> Path:
     return path
 
 
-def commands(old: Path, new: Path, fine_disc: Path) -> list[tuple[list[str], bool]]:
+def write_nan_disc(tmp: Path) -> Path:
+    """An op problem on the unit disc whose cost is NaN where x1 < -0.5,
+    with a grid search at resolution 0.002, written into ``tmp``."""
+    path = tmp / "op-disc-nan-cost.noc"
+    path.write_text("noc 1\nkind op\ndim 2\ndomain {\n  ball 0.0 0.0 1.0\n}\n"
+                    "point 0.0 -0.5\ncost x2 + sqrt(x1 + 0.5)\n"
+                    "resolution 0.002\n", encoding="utf-8")
+    return path
+
+
+def commands(old: Path, new: Path, fine_disc: Path,
+             nan_disc: Path) -> list[tuple[list[str], bool]]:
     """(arguments, writes a report) of every command to compare."""
     runs = [(["check", path], True) for path in _conformance(old, new, VALID)]
     runs += [(["check", path], False) for path in _conformance(old, new, INVALID)]
@@ -74,6 +88,7 @@ def commands(old: Path, new: Path, fine_disc: Path) -> list[tuple[list[str], boo
              (["check", "perfbench/sphere.noc"], True),
              (["check", f"{VALID}/op-parabola.noc", "--tol", "qualify=1.5"], True),
              (["check", str(fine_disc)], True),
+             (["check", str(nan_disc)], True),
              (["sweep", "preset:ccs126", "--grid", "400", "--param",
                "T=0.1:0.7:13", "--param", "theta=2.5,3,4"], False),
              (["sweep", "preset:ccs126", "--grid", "50", "--param",
@@ -126,7 +141,8 @@ def main(argv=None) -> int:
     old, new = (Path(p).resolve() for p in argv)
     diffs: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
-        runs = commands(old, new, write_fine_disc(new, Path(tmp)))
+        runs = commands(old, new, write_fine_disc(new, Path(tmp)),
+                        write_nan_disc(Path(tmp)))
         for i, (args, writes_report) in enumerate(runs):
             results = []
             for side, root in (("old", old), ("new", new)):

@@ -109,8 +109,9 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     demos = sorted(DEMOS.glob("*.py"))
     with tempfile.TemporaryDirectory() as tmp:
-        fine_disc = same_outputs.write_fine_disc(ROOT, Path(tmp))
-        runs = same_outputs.commands(ROOT, ROOT, fine_disc)
+        runs = same_outputs.commands(
+            ROOT, ROOT, same_outputs.write_fine_disc(ROOT, Path(tmp)),
+            same_outputs.write_nan_disc(Path(tmp)))
         missed = unreached(entered(runs, demos))
     for path, line, name, count in missed:
         print(f"{path}:{line} {name} ({count} lines)")
