@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BoundViolated, DirectionNotInCone, PointNotInSet
-from .polyhedral import ConeVRep, extreme_rays
+from .polyhedral import ConeVRep, extreme_rays, linear_program
 
 __all__ = [
     "Ball",
@@ -103,12 +103,11 @@ class Polyhedron(_ConvexSet):
         b = np.asarray(self.b, float).ravel()
         if A.shape[0] != b.size:
             raise ValueError("polyhedron row count mismatch")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ValueError("polyhedron rows must be finite")
         object.__setattr__(self, "A", tuple(tuple(row) for row in A))
         object.__setattr__(self, "b", tuple(b))
-        from scipy.optimize import linprog
-        res = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=b,
-                      bounds=[(None, None)] * A.shape[1], method="highs")
-        if not res.success:
+        if linear_program(np.zeros(A.shape[1]), A, b)[0] == "empty":
             raise ValueError("polyhedron is empty")
 
 

@@ -35,8 +35,8 @@ from .errors import (DegenerateCone, EmptySecondCone, NocError, PointNotInSet,
 from .expr import _compile_blocks, compile_expr, parse_expr
 from .polyhedral import (ACTIVITY_TOL, IndexSets, MultiplierVector,
                          clean_rows, enumerate_normalized_rays,
-                         polyhedron_bounding_box, relax, split_by_activity,
-                         unit_rows)
+                         linear_program, polyhedron_bounding_box, relax,
+                         split_by_activity, unit_rows)
 
 __all__ = [
     "BruteForceResult",
@@ -458,51 +458,24 @@ class SeparationData:
     critical: frozenset
 
 
-_PIVOT_TOL = 1e-12   # simplex: the least reduced cost and pivot entry that count
-
-
 def _lp_coordinate_range(A_le, A_eq, dim: int) -> float:
     """Largest |coordinate| achievable over the cone intersected with the
     unit box — 0 certifies the cone is trivial (independent LP route).
 
-    The LPs max ±x_s over {A_le x <= 0, A_eq x = 0, -1 <= x <= 1} are
-    solved by a dense primal simplex with Bland's rule, not by the double
-    description of ``extreme_rays``.  With x = z+ - z-, z >= 0, each
-    equality row split into two inequality rows and the box into 2·dim
-    rows, every right-hand side is 0 or 1, so the slack basis is feasible
-    and no phase 1 is needed.  The entering column is the smallest index
-    with a negative reduced cost and, among tied ratios, the leaving row
-    the one with the smallest basis index, so the degenerate pivots at the
-    origin terminate.
+    The LPs max ±x_s over {A_le x <= 0, A_eq x = 0, -1 <= x <= 1} go to
+    ``linear_program``, not to the double description of ``extreme_rays``.
+    Each equality row is split into two inequality rows and the box into
+    2·dim rows, so every right-hand side is 0 or 1 and no phase 1 runs.
     """
     A = np.concatenate([np.reshape(A_le, (-1, dim)), np.reshape(A_eq, (-1, dim)),
                         -np.reshape(A_eq, (-1, dim)), np.eye(dim), -np.eye(dim)])
-    rows = A.shape[0]
-    rhs = np.zeros((rows, 1))
-    rhs[rows - 2 * dim:] = 1.0
-    start = np.hstack([A, -A, np.eye(rows), rhs])   # z+, z-, slacks | rhs
+    rhs = np.zeros(A.shape[0])
+    rhs[A.shape[0] - 2 * dim:] = 1.0
     peak = 0.0
     for s in range(dim):
         for sign in (1.0, -1.0):
-            T = start.copy()
-            basis = np.arange(2 * dim, 2 * dim + rows)
-            cost = np.zeros(T.shape[1])   # reduced costs of min -sign * x_s
-            cost[s], cost[dim + s] = -sign, sign
-            while (entering := np.flatnonzero(cost[:-1] < -_PIVOT_TOL)).size:
-                j = entering[0]
-                bounding = np.flatnonzero(T[:, j] > _PIVOT_TOL)
-                ratios = np.maximum(T[bounding, -1], 0.0) / T[bounding, j]
-                tied = bounding[ratios == ratios.min()]
-                i = tied[np.argmin(basis[tied])]
-                T[i] /= T[i, j]
-                column = T[:, j].copy()
-                column[i] = 0.0
-                T -= np.outer(column, T[i])
-                cost -= cost[j] * T[i]
-                basis[i] = j
-            x = np.zeros(T.shape[1] - 1)
-            x[basis] = T[:, -1]
-            peak = max(peak, abs(float(x[s] - x[dim + s])))
+            _, x = linear_program(-sign * np.eye(dim)[s], A, rhs)
+            peak = max(peak, abs(float(x[s])))
     return peak
 
 

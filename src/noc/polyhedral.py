@@ -1,4 +1,4 @@
-"""Polyhedral-cone computations: extreme rays, lineality, LP feasibility.
+"""Polyhedral-cone computations: extreme rays, lineality, linear programs.
 
 The central routine enumerates the extreme rays and the lineality space of a
 cone given in H-representation,
@@ -25,7 +25,7 @@ from .errors import DegenerateCone
 
 __all__ = ["ACTIVITY_TOL", "ConeVRep", "IndexSets", "MultiplierVector",
            "clean_rows", "cone_contains", "enumerate_normalized_rays",
-           "extreme_rays", "inf_normalize", "null_space",
+           "extreme_rays", "inf_normalize", "linear_program", "null_space",
            "polyhedron_bounding_box", "relax", "split_by_activity",
            "unit_rows"]
 
@@ -51,8 +51,7 @@ def null_space(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis of {x : A x = 0}, one column per basis vector.
 
     The SVD rank rule of ``scipy.linalg.null_space``: singular values up to
-    max(s) * max(M, N) * eps count as zero.  SciPy stays off the import
-    path this way; only the linear programs load it.
+    max(s) * max(M, N) * eps count as zero, computed with NumPy alone.
     """
     A = np.atleast_2d(np.asarray(A, float))
     if not np.all(np.isfinite(A)):
@@ -198,29 +197,96 @@ def cone_contains(A_le: np.ndarray | None, A_eq: np.ndarray | None,
     return ok
 
 
+_PIVOT_TOL = 1e-12   # simplex: the least reduced cost and pivot entry that count
+_EMPTY_TOL = 1e-9    # phase 1: the least violation, times max(1, |b|), that empties
+
+
+def _pivot(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, i: int, j: int) -> None:
+    T[i] /= T[i, j]
+    column = T[:, j].copy()
+    column[i] = 0.0
+    T -= np.outer(column, T[i])
+    cost -= cost[j] * T[i]
+    basis[i] = j
+
+
+def _simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> bool:
+    """Pivot the feasible tableau ``T`` (last column the right-hand side)
+    until no reduced cost in ``cost`` is negative; False when an entering
+    column has no bounding row (the program is unbounded).  Bland's rule:
+    the entering column is the smallest index with a negative reduced cost
+    and, among tied ratios, the leaving row the one with the smallest basis
+    index, so degenerate pivots terminate."""
+    while (entering := np.flatnonzero(cost[:-1] < -_PIVOT_TOL)).size:
+        j = entering[0]
+        bounding = np.flatnonzero(T[:, j] > _PIVOT_TOL)
+        if not bounding.size:
+            return False
+        ratios = np.maximum(T[bounding, -1], 0.0) / T[bounding, j]
+        tied = bounding[ratios == ratios.min()]
+        _pivot(T, basis, cost, tied[np.argmin(basis[tied])], j)
+    return True
+
+
+def linear_program(c, A, b) -> tuple[str, np.ndarray | None]:
+    """min c·x over {x : A x <= b}, x free, by a dense primal simplex.
+
+    Returns (status, x): status is "optimal" with x a minimiser, or "empty"
+    or "unbounded" with x None.  With x = z+ - z-, z >= 0, and one slack per
+    row, the tableau is [A, -A, I | b] on the slack basis.  When some b < 0,
+    phase 1 adds one auxiliary column, -1 in every row, pivots it in on the
+    most negative row and minimises it: the polyhedron is empty when its
+    least value exceeds ``_EMPTY_TOL`` * max(1, |b|_inf), b as scaled below.
+    """
+    A = np.atleast_2d(np.asarray(A, float))
+    c = np.asarray(c, float).ravel()
+    m, n = A.shape
+    # scale each row by the power of 2 that brings its largest entry into
+    # (1/2, 1]: exact, and a row already there is left bit for bit
+    mantissa, exp = np.frexp(np.abs(A).max(axis=1, initial=0.0))
+    exp -= mantissa == 0.5
+    A = np.ldexp(A, -exp[:, None])
+    b = np.ldexp(np.asarray(b, float).ravel(), -exp)
+    T = np.hstack([A, -A, np.eye(m), b[:, None]])
+    basis = np.arange(2 * n, 2 * n + m)
+    cost = np.concatenate([c, -c, np.zeros(m + 1)])
+    if m and b.min() < 0.0:
+        aux = 2 * n + m
+        T = np.insert(T, aux, -1.0, axis=1)
+        phase1 = np.zeros(T.shape[1])
+        phase1[aux] = 1.0
+        _pivot(T, basis, phase1, int(np.argmin(b)), aux)
+        _simplex(T, basis, phase1)
+        if -phase1[-1] > _EMPTY_TOL * max(1.0, float(np.abs(b).max())):
+            return "empty", None
+        if aux in basis:   # basic at level 0: pivot it out on its largest entry
+            i = int(np.flatnonzero(basis == aux)[0])
+            _pivot(T, basis, phase1, i, int(np.argmax(np.abs(T[i, :aux]))))
+        T = np.delete(T, aux, axis=1)
+        cost -= cost[basis] @ T
+    if not _simplex(T, basis, cost):
+        return "unbounded", None
+    x = np.zeros(T.shape[1] - 1)
+    x[basis] = T[:, -1]
+    return "optimal", x[:n] - x[n:2 * n]
+
+
 def polyhedron_bounding_box(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate min/max of {x : A x <= b} via linear programs.
 
     Raises ValueError if the polyhedron is empty or unbounded in some
     coordinate (brute-force search needs a finite box).
     """
-    from scipy.optimize import linprog
-
     A = np.atleast_2d(np.asarray(A, float))
-    b = np.asarray(b, float).ravel()
     dim = A.shape[1]
-    lo = np.empty(dim)
-    hi = np.empty(dim)
+    lo, hi = np.empty(dim), np.empty(dim)
     for i in range(dim):
-        c = np.zeros(dim)
-        c[i] = 1.0
         for sign, target in ((1.0, lo), (-1.0, hi)):
-            res = linprog(sign * c, A_ub=A, b_ub=b, bounds=[(None, None)] * dim,
-                          method="highs")
-            if not res.success:
-                raise ValueError(
-                    f"polyhedron empty or unbounded along coordinate {i + 1}: {res.message}")
-            target[i] = sign * res.fun
+            status, x = linear_program(sign * np.eye(dim)[i], A, b)
+            if status != "optimal":
+                raise ValueError("polyhedron is empty" if status == "empty" else
+                                 f"polyhedron is unbounded along coordinate {i + 1}")
+            target[i] = x[i]
     return lo, hi
 
 

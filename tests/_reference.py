@@ -9,7 +9,9 @@ time, so the tests can hold the batched path against them.  A section
 keeps the ``np.einsum`` formulas of the checker's contraction kernels,
 which the checker now builds from ordered broadcast products.  Another
 keeps the HiGHS linear programs behind the separator cone's cross-check,
-which the checker solves with a NumPy simplex of its own.  Two more keep
+a polyhedron's emptiness test and its bounding box, which the checker
+solves with a NumPy simplex of its own, and a brute-force enumerator of a
+cone's extreme rays beside the checker's double description.  Two more keep
 the state pass's per-cell float loop, which the checker runs as one
 compiled loop per stretch of cells, and the ``np.unique(axis=0)`` dedupe
 of cone rows, which the checker does with one ``np.lexsort``.  The last
@@ -24,6 +26,7 @@ sees their calls too.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -341,8 +344,8 @@ def constant_curvature_tensor(K: float, g):
 def lp_coordinate_range(A_le, A_eq, dim: int) -> float:
     """Largest |x_s| over {A_le x <= 0, A_eq x = 0, -1 <= x <= 1}: the
     2·dim linear programs of ``noc.optproblem._lp_coordinate_range``,
-    solved by HiGHS through ``scipy.optimize.linprog`` instead of its
-    NumPy simplex."""
+    solved by HiGHS through ``scipy.optimize.linprog`` instead of the
+    NumPy simplex ``noc.polyhedral.linear_program``."""
     from scipy.optimize import linprog
 
     bounds = [(-1.0, 1.0)] * dim
@@ -359,6 +362,85 @@ def lp_coordinate_range(A_le, A_eq, dim: int) -> float:
             if res.success:
                 peak = max(peak, abs(float(res.x[s])))
     return peak
+
+
+def _highs(c, A, b, **options):
+    from scipy.optimize import linprog
+
+    return linprog(c, A_ub=A, b_ub=np.asarray(b, float),
+                   bounds=[(None, None)] * A.shape[1], method="highs",
+                   options=options)
+
+
+def polyhedron_is_empty(A, b) -> bool:
+    """The emptiness test of ``noc.cones.Polyhedron``: one HiGHS
+    feasibility LP over {x : A x <= b}, x free, at HiGHS's default
+    tolerances."""
+    A = np.atleast_2d(np.asarray(A, float))
+    return not _highs(np.zeros(A.shape[1]), A, b).success
+
+
+def polyhedron_bounding_box(A, b) -> tuple[np.ndarray, np.ndarray]:
+    """``noc.polyhedral.polyhedron_bounding_box`` by 2·dim HiGHS LPs;
+    raises ValueError when one fails (empty or unbounded).  HiGHS's
+    default feasibility tolerances are 1e-7, so a vertex of a slab 1e-6
+    wide may violate a row by 5e-8; these LPs tighten them to 1e-10."""
+    A = np.atleast_2d(np.asarray(A, float))
+    dim = A.shape[1]
+    lo, hi = np.empty(dim), np.empty(dim)
+    for i in range(dim):
+        for sign, target in ((1.0, lo), (-1.0, hi)):
+            res = _highs(sign * np.eye(dim)[i], A, b,
+                         primal_feasibility_tolerance=1e-10,
+                         dual_feasibility_tolerance=1e-10)
+            if not res.success:
+                raise ValueError(f"polyhedron empty or unbounded along "
+                                 f"coordinate {i + 1}: {res.message}")
+            target[i] = sign * res.fun
+    return lo, hi
+
+
+# ----------------------------------------------------------------------------
+# brute-force extreme rays of a polyhedral cone
+# ----------------------------------------------------------------------------
+
+def _null_basis(M: np.ndarray, dim: int, tol: float = 1e-9) -> np.ndarray:
+    """Orthonormal rows spanning {x : M x = 0}."""
+    if M.shape[0] == 0:
+        return np.eye(dim)
+    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    return vh[int(np.sum(s > tol * max(1.0, s[0]))):]
+
+
+def extreme_rays_brute_force(A_le, A_eq, dim: int, tol: float = 1e-9):
+    """(lineality, rays) of {x : A_eq x = 0, A_le x <= 0}, the rays
+    |.|_inf-normalized and sorted, without double description.
+
+    The lineality space L is the null space of every row.  In the space
+    V = {A_eq x = 0} ∩ L⊥, of dimension d', the cone is pointed, and each
+    extreme ray spans the null space of d' - 1 of its tight inequality rows
+    there.  So every (d' - 1)-subset of the inequality rows is tried: a
+    subset whose rows leave one direction in V gives a ray when that
+    direction or its negative satisfies every row.
+    """
+    A_le = np.reshape(np.asarray(A_le, float), (-1, dim))
+    A_eq = np.reshape(np.asarray(A_eq, float), (-1, dim))
+    lin = _null_basis(np.vstack([A_eq, A_le]), dim)
+    space = np.vstack([A_eq, lin])
+    free = _null_basis(space, dim).shape[0]      # d'
+    rays = []
+    subsets = itertools.combinations(range(A_le.shape[0]), free - 1) if free else ()
+    for subset in subsets:
+        basis = _null_basis(np.vstack([space, A_le[list(subset)]]), dim)
+        if basis.shape[0] != 1:
+            continue
+        for r in (basis[0], -basis[0]):
+            if not A_le.size or (A_le @ r).max() <= tol:
+                r = r / np.abs(r).max()
+                if not any(np.abs(r - q).max() <= 1e-7 for q in rays):
+                    rays.append(r)
+    rays.sort(key=lambda r: tuple(np.round(r, 9)))
+    return lin, np.array(rays).reshape(-1, dim)
 
 
 # ----------------------------------------------------------------------------

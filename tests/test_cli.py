@@ -1124,6 +1124,22 @@ def test_oracle_cone_memberships(capsys):
     capsys.readouterr()
 
 
+def test_a_non_finite_polyhedron_row_exits_2_with_one_line(capsys):
+    assert main(["oracle", "cone", "polyhedron ; row nan 1", "0", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: polyhedron rows must be finite\n"
+
+
+def test_a_grid_search_over_an_unbounded_polyhedron_exits_2_with_one_line(
+        tmp_path, capsys):
+    quadrant = ("noc 1\nkind op\ndim 2\ndomain {\n  polyhedron\n"
+                "  row -1.0 0.0 0.0\n  row 0.0 -1.0 0.0\n}\n"
+                "point 0.0 0.0\ncost x1 + x2\nresolution 0.01\n")
+    assert _check([_write(tmp_path, "quadrant.noc", quadrant)]) == 2
+    assert capsys.readouterr().err == ("error: base set is unbounded; the grid "
+                                       "oracle needs a bounded set\n")
+
+
 # ----------------------------------------------------------------------------
 # installed entry point
 # ----------------------------------------------------------------------------
@@ -1143,36 +1159,25 @@ def test_subprocess_carries_exit_code(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_control_checks_leave_scipy_unloaded():
-    # SciPy serves the op LPs only; the control path must not import it
-    code = (
-        "import sys\n"
-        "import noc.cli\n"
-        "assert 'scipy' not in sys.modules, 'import noc.cli'\n"
-        "for name in ('ccs126', 'linear-lq-euclid'):\n"
-        "    noc.cli.main(['check', 'preset:' + name, '--grid', '100'])\n"
-        "    assert 'scipy' not in sys.modules, name\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_op_checks_load_scipy_only_for_a_polyhedron():
-    # the separator cone's cross-check is a NumPy simplex: an op check over
-    # balls and boxes runs without SciPy, which serves only the LPs of a
-    # polyhedron set
-    runs = (["op-disc.noc"], ["op-parabola.noc"],
+def test_no_command_loads_scipy():
+    # every linear program, polyhedron sets included, is a NumPy simplex
+    runs = (["preset:ccs126", "--grid", "100"],
+            ["preset:linear-lq-euclid", "--grid", "100"],
+            ["op-disc.noc"], ["op-parabola.noc"],
             ["op-parabola.noc", "--tol", "qualify=1.5"],
-            ["op-halfspace-box.noc"])
+            ["op-halfspace-box.noc"], ["ocp-rows-direction.noc"],
+            ["op-triangle.noc"])
     code = ("import sys\n"
             "import noc.cli\n"
+            "assert 'scipy' not in sys.modules, 'import noc.cli'\n"
             f"for args in {runs!r}:\n"
-            "    path = 'docs/conformance/valid/' + args[0]\n"
+            "    path = args[0] if args[0].startswith('preset:') else "
+            "'docs/conformance/valid/' + args[0]\n"
             "    assert noc.cli.main(['check', path] + args[1:]) in (0, 3)\n"
             "    assert 'scipy' not in sys.modules, args\n"
-            "noc.cli.main(['oracle', 'cone', "
-            "'polyhedron ; row -1 0 0 ; row 0 -1 0', '0 0', '1 1'])\n"
-            "assert 'scipy' in sys.modules\n")
+            "assert noc.cli.main(['oracle', 'cone', "
+            "'polyhedron ; row -1 0 0 ; row 0 -1 0', '0 0', '1 1']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'oracle cone'\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, cwd=Path(__file__).resolve().parent.parent)
     assert proc.returncode == 0, proc.stderr

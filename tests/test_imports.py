@@ -6,8 +6,8 @@ that function's body.  Names listed in ``__all__`` and ``from
 __future__`` imports are exempt, and a name read only in a string
 annotation counts as read.
 
-Also: ``noc.optproblem`` imports nothing of the control stack and
-nothing of SciPy, at any scope.
+Also: ``noc.optproblem`` imports nothing of the control stack, and no
+module imports anything of SciPy, at any scope.
 """
 from __future__ import annotations
 
@@ -108,10 +108,10 @@ def test_optproblem_imports_nothing_of_the_control_stack():
     assert imported_modules(source) & control == set()
 
 
-def test_optproblem_imports_nothing_of_scipy():
-    # the separator cone's cross-check is a NumPy simplex; SciPy serves only
-    # the LPs of a polyhedron set, in noc.cones and noc.polyhedral
-    source = (PACKAGE / "optproblem.py").read_text(encoding="utf-8")
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # every linear program is noc.polyhedral.linear_program, a NumPy simplex
+    source = path.read_text(encoding="utf-8")
     assert not {m for m in imported_modules(source) if m.split(".")[0] == "scipy"}
 
 

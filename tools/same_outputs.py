@@ -27,8 +27,9 @@ only is run in both, and fails in the other):
   point to point on a curved chart but which stops at first order, and
   one of ``perfbench/sphere.noc``, the compared sweep that reaches the
   second-order form and its curvature term on a curved chart;
-* three ``oracle cone`` queries: a first- and a second-order member of a
-  disc's cones, and a non-member of a box's.
+* four ``oracle cone`` queries: a first- and a second-order member of a
+  disc's cones, a non-member of a box's, and a member of a quadrant's,
+  given as a ``polyhedron``.
 
 Reports are written into a temporary directory, never into a checkout.
 For every command the exit code, stdout, stderr without its ``elapsed:``
@@ -100,7 +101,9 @@ def commands(old: Path, new: Path, fine_disc: Path,
              (["sweep", "perfbench/sphere.noc", "--param", "T=0.3,0.5,0.7"], False),
              (["oracle", "cone", "ball 0 0 1", "0 -1", "1 0"], False),
              (["oracle", "cone", "ball 0 0 1", "0 -1", "1 0", "0 0.5"], False),
-             (["oracle", "cone", "box -1 -1 1 1", "1 0", "1 0"], False)]
+             (["oracle", "cone", "box -1 -1 1 1", "1 0", "1 0"], False),
+             (["oracle", "cone", "polyhedron ; row -1 0 0 ; row 0 -1 0", "0 0",
+               "1 1"], False)]
     return runs
 
 
