@@ -1159,20 +1159,33 @@ def test_subprocess_carries_exit_code(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_no_command_loads_scipy():
-    # every linear program, polyhedron sets included, is a NumPy simplex
-    runs = (["preset:ccs126", "--grid", "100"],
-            ["preset:linear-lq-euclid", "--grid", "100"],
-            ["op-disc.noc"], ["op-parabola.noc"],
+def test_control_checks_leave_scipy_unloaded():
+    # no linear program of the package needs SciPy, so no control check may
+    # import it
+    code = (
+        "import sys\n"
+        "import noc.cli\n"
+        "assert 'scipy' not in sys.modules, 'import noc.cli'\n"
+        "for name in ('ccs126', 'linear-lq-euclid'):\n"
+        "    assert noc.cli.main(['check', 'preset:' + name, '--grid', '100'])"
+        " in (0, 3)\n"
+        "    assert 'scipy' not in sys.modules, name\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_op_checks_leave_scipy_unloaded():
+    # every linear program of an op check, polyhedron sets included, is a
+    # NumPy simplex
+    runs = (["op-disc.noc"], ["op-parabola.noc"],
             ["op-parabola.noc", "--tol", "qualify=1.5"],
             ["op-halfspace-box.noc"], ["ocp-rows-direction.noc"],
             ["op-triangle.noc"])
     code = ("import sys\n"
             "import noc.cli\n"
-            "assert 'scipy' not in sys.modules, 'import noc.cli'\n"
             f"for args in {runs!r}:\n"
-            "    path = args[0] if args[0].startswith('preset:') else "
-            "'docs/conformance/valid/' + args[0]\n"
+            "    path = 'docs/conformance/valid/' + args[0]\n"
             "    assert noc.cli.main(['check', path] + args[1:]) in (0, 3)\n"
             "    assert 'scipy' not in sys.modules, args\n"
             "assert noc.cli.main(['oracle', 'cone', "
