@@ -49,6 +49,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cones import Box
+from .draws import Stream
 from .errors import (BasePointMismatch, BoundViolated, ChartEscape, NocError,
                      NonFiniteState)
 from .expr import _compile_blocks, _finite, compile_expr, parse_expr, python_source
@@ -525,7 +526,7 @@ def _validation_draws(problem: ControlProblem, probe_base, seed: int,
     kept = problem._draws.get(key)
     if kept is not None and (kept[1] is not None or not pairs):
         return kept
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     unit = _unit_probe_points(problem, probe_base, rng)
     drawn = (unit, _point_pairs(problem, probe_base, rng) if pairs else None)
     for a in list(unit) + [y for ep_pairs in drawn[1] or () for pair in ep_pairs

@@ -14,12 +14,19 @@ implicit name ``T``, and a parameter named ``pi`` shadows the constant.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+try:                                    # the interpreter's own SHA-256, not OpenSSL's
+    from _sha2 import sha256            # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .cones import Ball, Box, Polyhedron, ProductSet, set_dim
 from .errors import ProblemFileError
@@ -157,7 +164,7 @@ class ProblemFile:
 
     def digest(self) -> str:
         text = serialize_problem_file(self)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return sha256(text.encode("utf-8")).hexdigest()
 
     def with_param(self, name: str, value: float) -> "ProblemFile":
         if name in ("T", "horizon"):

@@ -1197,17 +1197,25 @@ def test_op_checks_leave_scipy_unloaded():
 
 
 _CONTROL_STACK = ("noc.conditions", "noc.dynamics", "noc.geometry")
+# draws come from noc.draws and the digest from the interpreter's own
+# SHA-256, so no command loads numpy.random or OpenSSL
+_OPENSSL = ("numpy.random", "hashlib", "_hashlib", "secrets")
 
 
 @pytest.mark.parametrize("argv, loaded, unloaded", [
     (["check", "docs/conformance/valid/op-parabola.noc"], ("noc.optproblem",),
      _CONTROL_STACK),
+    (["check", "docs/conformance/valid/op-disc.noc", "--report", "{tmp}"],
+     ("noc.optproblem",), _CONTROL_STACK + _OPENSSL),
     (["check", "preset:ccs126", "--grid", "50"], _CONTROL_STACK,
-     ("noc.optproblem",)),
+     ("noc.optproblem",) + _OPENSSL),
+    (["sweep", "preset:ccs126", "--grid", "50", "--param", "T=0.3,0.5"],
+     _CONTROL_STACK, ("noc.optproblem",) + _OPENSSL),
     (["oracle", "cone", "ball 0 0 1", "0 -1", "1 0"], ("noc.cones",),
-     _CONTROL_STACK + ("noc.optproblem",)),
-], ids=["op-check", "control-check", "oracle"])
-def test_each_command_loads_only_its_own_stack(argv, loaded, unloaded):
+     _CONTROL_STACK + ("noc.optproblem",) + _OPENSSL),
+], ids=["op-check", "op-check-report", "control-check", "sweep", "oracle"])
+def test_each_command_loads_only_its_own_stack(tmp_path, argv, loaded, unloaded):
+    argv = [a.format(tmp=tmp_path / "report.json") for a in argv]
     code = ("import sys\n"
             "import noc.cli\n"
             f"noc.cli.main({argv!r})\n"

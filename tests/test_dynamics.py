@@ -107,7 +107,7 @@ def test_rebind_problem_keeps_the_horizon_and_rhs_checks():
 
 
 @pytest.mark.parametrize("values, fragment", [
-    ({"k": 1e308, "c": 0.0}, "dynamics block rhs_uu is not finite"),
+    ({"k": 1.5e308, "c": 0.0}, "dynamics block rhs_uu is not finite"),
     ({"k": 0.0, "c": -1.0}, "endpoint map 'cost' is not finite"),
     ({"k": 1e300, "c": 1e12}, None),
 ])
@@ -115,10 +115,11 @@ def test_rebind_problem_fails_where_make_problem_does(values, fragment):
     # a block that overflows where the rhs does not, and an endpoint map
     # that is NaN, are caught at rebound values as at a fresh build; large
     # values of exact parts, which central differences could not check,
-    # pass both ways
+    # pass both ways. k*u1^2/(1 + u1^2) stays below k at every u1, while
+    # its rhs_uu, 2k(1 - 3u1^2)/(1 + u1^2)^3, overflows for |u1| < 0.3
     def parts(v):
-        return (dynamics_from_expressions(("y2 + k", "-y1 + k*u1^2"), 2, 1,
-                                          params=v),
+        return (dynamics_from_expressions(("y2 + k", "-y1 + k*(u1^2/(1 + u1^2))"),
+                                          2, 1, params=v),
                 endpoint_from_expressions("c + sqrt(c) + yT1", 2, label="cost",
                                           params=v))
 

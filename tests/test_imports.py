@@ -6,8 +6,9 @@ that function's body.  Names listed in ``__all__`` and ``from
 __future__`` imports are exempt, and a name read only in a string
 annotation counts as read.
 
-Also: ``noc.optproblem`` imports nothing of the control stack, and no
-module imports anything of SciPy, at any scope.
+Also: ``noc.optproblem`` imports nothing of the control stack, no
+module imports anything of SciPy, at any scope, and none imports
+``numpy.random`` or ``hashlib`` or reads ``np.random``.
 """
 from __future__ import annotations
 
@@ -113,6 +114,63 @@ def test_no_module_imports_scipy(path):
     # every linear program is noc.polyhedral.linear_program, a NumPy simplex
     source = path.read_text(encoding="utf-8")
     assert not {m for m in imported_modules(source) if m.split(".")[0] == "scipy"}
+
+
+def _fallback_nodes(tree) -> set:
+    """The nodes inside ``except ImportError`` handlers: imports that run
+    only where an earlier one failed."""
+    return {id(node) for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler)
+            and isinstance(handler.type, ast.Name)
+            and handler.type.id == "ImportError"
+            for stmt in handler.body for node in ast.walk(stmt)}
+
+
+def openssl_uses(source: str) -> set:
+    """The imports of ``numpy.random`` or ``hashlib``, and the reads of
+    ``np.random`` or ``numpy.random``, in ``source``; an import in an
+    ``except ImportError`` fallback does not count."""
+    tree = ast.parse(source)
+    fallback = _fallback_nodes(tree)
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in fallback:
+            continue
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names
+                      if a.name.startswith(("numpy.random", "hashlib"))}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            module = node.module or ""
+            if module.startswith(("numpy.random", "hashlib")):
+                found.add(module)
+            elif module == "numpy":
+                found |= {f"numpy.{a.name}" for a in node.names if a.name == "random"}
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy")):
+            found.add(f"{node.value.id}.random")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_numpy_random_or_hashlib(path):
+    # numpy.random and hashlib load OpenSSL (numpy.random through secrets);
+    # draws come from noc.draws, the digest from the interpreter's SHA-256
+    assert openssl_uses(path.read_text(encoding="utf-8")) == set()
+
+
+def test_the_walk_finds_numpy_random_and_hashlib():
+    source = ("import numpy as np\n"
+              "import hashlib\n"
+              "from numpy import random\n"
+              "from numpy.random import default_rng\n"
+              "try:\n"
+              "    from _sha256 import sha256\n"
+              "except ImportError:\n"
+              "    from hashlib import sha256\n"
+              "def f():\n"
+              "    return np.random.default_rng(0)\n")
+    assert openssl_uses(source) == {"hashlib", "numpy.random", "np.random"}
 
 
 def test_the_walk_finds_a_nested_relative_import():

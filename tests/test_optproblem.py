@@ -41,11 +41,11 @@ from noc.cones import (Ball, Box, Polyhedron, ProductSet,
                        tangent_cone_vrep)
 from noc.errors import EmptySecondCone, NocError, PointNotInSet, \
     ResolutionTooCoarse
-from noc.optproblem import (_lp_coordinate_range, build_separation,
+from noc.optproblem import (_lp_coordinate_range, _record, build_separation,
                             make_opt_problem, op_bruteforce, op_first_order,
                             op_second_order, opt_scalar_from_expression,
                             validate_expansion)
-from noc.polyhedral import clean_rows
+from noc.polyhedral import ACTIVITY_TOL, clean_rows
 
 from _problems import ccs126_nominal_controls, make_ccs126
 from _reference import control_problem_as_op, lp_coordinate_range
@@ -380,6 +380,26 @@ def test_parabola_refutation_admits_no_separator():
     sep = build_separation(_parabola_problem(), np.zeros(2), [1.0, 0.0],
                            num_samples=100)
     assert sep.separator is None
+
+
+@pytest.mark.parametrize("problem, point, direction", [
+    (_ball3_problem(), [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]),
+    (_parabola_problem(), [0.0, 0.0], [1.0, 0.0]),
+], ids=["ball3", "parabola"])
+def test_the_separation_outcome_does_not_depend_on_the_lineality_draws(
+        problem, point, direction):
+    # the second cone has lineality that the image map does not annihilate,
+    # so the sampled image points move with the normal draws of the seed
+    point, direction = np.array(point), np.array(direction)
+    candidate = _record(problem, point, ACTIVITY_TOL, direction)
+    assert np.any(candidate.cone.lineality @ candidate.gradients.T != 0.0)
+    outcomes = []
+    for seed in (0, 1):
+        sep = build_separation(problem, point, direction, seed=seed)
+        outcomes.append((None if sep.separator is None
+                         else sep.separator.tobytes(),
+                         sep.max_kappa_pairing <= 1e-9))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_separator_agrees_with_second_order_multiplier():
@@ -875,6 +895,33 @@ def test_the_scan_never_writes_the_lattice(monkeypatch, domain, cost, point):
     assert bf.num_feasible == count
     assert bf.best_value == value == -1.0
     assert bf.best_point.tobytes() == where.tobytes()
+
+
+def test_a_slab_allocates_one_float_column_beyond_the_lattice():
+    # the ball's distances and the masked cost go into _slab_scratch, the
+    # same memory for every slab, so the only slab-sized float array a
+    # slab allocates is its cost: slab-sized arrays freed at the end of
+    # every slab can make glibc trim the heap top and fault it in again
+    import tracemalloc
+
+    import noc.optproblem
+
+    problem = make_opt_problem(Ball(center=(0.0, 0.0), radius=1.0),
+                               opt_scalar_from_expression("x1 + 1", 2))
+    op_bruteforce(problem, [-1.0, 0.0], 2e-3)       # allocates the scratch
+    rows, inner = noc.optproblem._slab_shape([1001, 1001])
+    column = 8 * rows * inner
+    tracemalloc.start()
+    try:
+        bf = op_bruteforce(problem, [-1.0, 0.0], 2e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bf.verdict == "confirmed"
+    # the lattice buffer's two columns, the cost's column, the one-byte
+    # masks and a thin slab's gathered points stay below four columns
+    # (3.7); two float temporaries of a slab at once pass them (4.2)
+    assert peak < 4 * column
 
 
 def test_a_cost_not_finite_without_a_flag_is_skipped_in_place():

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import noc.dynamics
+from noc.draws import Stream
 from noc.dynamics import (dynamics_from_expressions, endpoint_from_expressions,
                           make_problem, rebind_problem)
 from noc.errors import NocError
@@ -247,7 +248,8 @@ def test_validation_evaluates_its_stencils_in_batches():
 @pytest.mark.parametrize("horizon", [0.1, 0.5, 1e300])
 def test_a_rebound_problem_reuses_the_draws_of_a_fresh_build(monkeypatch, horizon):
     # the probes a rebound problem checks are, bit for bit, those a fresh
-    # make_problem at its horizon draws, with t drawn as rng.uniform(0, T);
+    # make_problem at its horizon draws from noc's seeded stream, with t
+    # drawn as uniform(0, T);
     # the rebound problem draws nothing
     seen, draws = [], collections.Counter()
     check_blocks = noc.dynamics._check_blocks
@@ -275,10 +277,10 @@ def test_a_rebound_problem_reuses_the_draws_of_a_fresh_build(monkeypatch, horizo
         make_problem(euclidean(2), horizon, dyn.rebind({"k": 2.0}), cost,
                      probe_base=base)
     assert draws["probes"] == 2
-    rng = np.random.default_rng(0)
+    rng = Stream(0)
     replay = []
     for _ in range(20):
-        t = rng.uniform(0.0, horizon)
+        t = rng.uniform(0.0, horizon, ())
         while True:
             y = base + 0.1 * rng.standard_normal(2)
             if valid_point(euclidean(2), y):
