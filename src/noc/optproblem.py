@@ -67,17 +67,18 @@ class OptScalar:
     """One scalar row of the program: value, gradient, and the directional
     second derivative d^2/de^2 f(e + t y) at t = 0 (no full Hessian needed).
 
-    ``value_many`` evaluates a whole (P, N) batch of points at once and
-    returns P values (or one value for a constant row); the grid oracle
-    scans with it.  The batch is a view whose coordinate columns are
-    contiguous but which may not be C-contiguous; it is reused for the next
-    batch, so it must be neither kept nor written.
+    ``value_many`` evaluates many points at once, the grid oracle scans
+    with it: it takes the N coordinate arrays, which broadcast together
+    to the shape of the points (a lattice slab passes each axis's values
+    along its own array dimension), and returns values that broadcast to
+    that shape (one value for a constant row).  The coordinate arrays are
+    views of the grid's axes, so they must be neither kept nor written.
     """
 
     value: object                 # e -> float
     grad: object                  # e -> (N,) array
     second: object                # (e, y) -> float
-    value_many: object            # (P, N) points -> (P,) values
+    value_many: object            # N coordinate arrays -> values
     label: str = "scalar"
 
 
@@ -110,8 +111,8 @@ def opt_scalar_from_expression(text: str, dim: int, label: str | None = None,
     def second(e, y):
         return float(y @ hessian(1, *e, *pvals)[0][0] @ y)
 
-    def value_many(points):
-        return np.asarray(fn(*points.T, *pvals), float)
+    def value_many(*columns):
+        return np.asarray(fn(*columns, *pvals), float)
 
     return OptScalar(value=value, grad=grad, second=second,
                      value_many=value_many, label=label or text)
@@ -566,8 +567,8 @@ def build_separation(problem: OptProblem, point, direction, *,
 # ----------------------------------------------------------------------------
 
 GRID_POINT_LIMIT = 2 ** 30   # lattices above this are refused, not scanned
-CHUNK_POINTS = 32768         # lattice points per slab: 256 KiB a column,
-                             # so every per-slab array stays in cache
+CHUNK_POINTS = 32768         # lattice points per slab: 256 KiB a float
+                             # column, so every per-slab array stays in cache
 
 def _bounding_box(U) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(U, Ball):
@@ -596,65 +597,124 @@ def _bounding_box(U) -> tuple[np.ndarray, np.ndarray]:
 _SCRATCH = threading.local()
 
 
-def _slab_scratch(n: int) -> np.ndarray:
-    """Two float columns of length ``n``, the same memory for every slab
-    this thread scans: the ball's distance columns in ``_membership_mask``,
+def _slab_scratch(n: int, k: int = 1) -> np.ndarray:
+    """``k`` float columns of length ``n``, the same memory for every slab
+    this thread scans: a polyhedron's materialized points (one column a
+    coordinate) or the ball's squared distances in ``_membership_mask``,
     then the masked cost of ``_scan_in_place``.  Slab-sized temporaries
     freed at the end of every slab can leave the heap top above glibc's
     trim threshold, which then returns it to the system and faults it in
     again for the next slab; depending on the heap's layout at start-up
     that took the 7.7 M-point op-disc grid check from 2,000 to 45,000
-    minor faults and from 36 to 90 ms (glibc, 2-core x86-64 VM).  A batch
-    above CHUNK_POINTS gets fresh columns."""
+    minor faults and from 36 to 90 ms (glibc, 2-core x86-64 VM).  The
+    memory grows to the most columns asked for; a batch above
+    CHUNK_POINTS gets fresh columns."""
     buf = getattr(_SCRATCH, "buf", None)
-    if buf is None or buf.shape[1] < n:
+    if buf is None or buf.shape[1] < n or buf.shape[0] < k:
         if n > CHUNK_POINTS:
-            return np.empty((2, n))
-        buf = _SCRATCH.buf = np.empty((2, CHUNK_POINTS))
-    return buf[:, :n]
+            return np.empty((k, n))
+        rows = k if buf is None else max(k, buf.shape[0])
+        buf = _SCRATCH.buf = np.empty((rows, CHUNK_POINTS))
+    return buf[:k, :n]
 
 
-def _membership_mask(U, pts: np.ndarray) -> np.ndarray:
-    """Vectorized membership over a (P, N) batch, one coordinate column (or
-    one constraint row) at a time."""
+class _Slab:
+    """Grid points held by their coordinate columns, which broadcast
+    together to the array shape ``block``, one point an element, in C
+    order.  A lattice slab's columns are open: each axis's values along
+    its own array dimension, of size 1 along the others.  A gathered
+    slab's columns hold one value per point, and its block is their
+    shape.  ``shape`` is (points, coordinates), that of the (P, N) array
+    of the points; ``axes`` numbers the columns' lattice axes, and
+    ``memo`` keeps what a scan derives from its trailing axes, which all
+    its slabs share (``_per_axis``)."""
+
+    __slots__ = ("columns", "block", "shape", "axes", "memo")
+
+    def __init__(self, columns, block=None, axes=None, memo=None):
+        self.columns = tuple(columns)
+        self.block = self.columns[0].shape if block is None else block
+        self.shape = (math.prod(self.block), len(self.columns))
+        self.axes = range(len(self.columns)) if axes is None else axes
+        self.memo = {} if memo is None else memo
+
+    def factor(self, s: slice) -> "_Slab":
+        """The coordinates ``s`` of the same points (a product's factor)."""
+        return _Slab(self.columns[s], self.block, self.axes[s], self.memo)
+
+
+def _per_axis(slab: _Slab, U, term) -> list:
+    """``term(a)`` of every column a of ``slab`` for the set ``U``: the
+    leading axis's on every slab, a trailing axis's once per scan, kept in
+    the scan's memo."""
+    out = []
+    for a, axis in enumerate(slab.axes):
+        if axis == 0:
+            out.append(term(a))
+            continue
+        key = (id(U), axis)
+        if key not in slab.memo:
+            slab.memo[key] = term(a)
+        out.append(slab.memo[key])
+    return out
+
+
+def _membership_mask(U, pts) -> np.ndarray:
+    """Vectorized membership of a lattice slab (``_Slab``) or a (P, N)
+    array of points, as a mask of the slab's ``block`` shape ((P,) for an
+    array).  A ball adds the squared distances of the columns by
+    broadcasting, in axis order, into the slab scratch, and a box ANDs its
+    per-axis interval tests; both take each axis's term once
+    (``_per_axis``).  A polyhedron tests one row at a time on the points
+    materialized column by column in the scratch (``pts @ row`` is BLAS,
+    not an elementwise sum).  A product tests each factor on its own
+    columns."""
+    slab = pts if isinstance(pts, _Slab) else _Slab(pts.T)
     if isinstance(U, Ball):
         c = np.asarray(U.center, float)
-        d, dist2 = _slab_scratch(pts.shape[0])
-        np.subtract(pts[:, 0], c[0], out=d)
-        np.multiply(d, d, out=dist2)
-        for a in range(1, c.size):
-            np.subtract(pts[:, a], c[a], out=d)
-            d *= d
-            dist2 += d
+
+        def square(a):
+            d = slab.columns[a] - c[a]
+            return d * d
+
+        terms = _per_axis(slab, U, square)
+        dist2 = terms[0]
+        for term in terms[1:-1]:
+            dist2 = dist2 + term
+        if len(terms) > 1:
+            shape = tuple(map(max, dist2.shape, terms[-1].shape))
+            dist2 = np.add(dist2, terms[-1], out=_slab_scratch(
+                math.prod(shape))[0].reshape(shape))
         return dist2 <= U.radius ** 2 + 1e-12
     if isinstance(U, Box):
         lo = np.asarray(U.lower, float) - 1e-12
         hi = np.asarray(U.upper, float) + 1e-12
-        mask = np.ones(pts.shape[0], bool)
-        for a in range(lo.size):
-            mask &= pts[:, a] >= lo[a]
-            mask &= pts[:, a] <= hi[a]
+
+        def inside(a):
+            col = slab.columns[a]
+            return (col >= lo[a]) & (col <= hi[a])
+
+        terms = _per_axis(slab, U, inside)
+        mask = terms[0]
+        for term in terms[1:]:
+            mask = mask & term
         return mask
     if isinstance(U, Polyhedron):
         A = np.asarray(U.A, float)
         b = np.asarray(U.b, float) + 1e-12
-        mask = np.ones(pts.shape[0], bool)
+        cols = _slab_scratch(*slab.shape)
+        for col, values in zip(cols, slab.columns):
+            np.copyto(col.reshape(slab.block), values)
+        mask = np.ones(slab.shape[0], bool)
         for row, bound in zip(A, b):
-            mask &= pts @ row <= bound
-        return mask
+            mask &= cols.T @ row <= bound
+        return mask.reshape(slab.block)
     if isinstance(U, ProductSet):
-        mask = np.ones(pts.shape[0], bool)
+        mask = np.ones(slab.block, bool)
         for f, s in zip(U.factors, _product_slices(U)):
-            mask &= _membership_mask(f, pts[:, s])
+            mask &= _membership_mask(f, slab.factor(s))
         return mask
     raise TypeError(f"not a convex set: {U!r}")
-
-
-def _row_values(row: OptScalar, pts: np.ndarray) -> np.ndarray:
-    vals = np.asarray(row.value_many(pts), float)
-    if vals.ndim == 0:            # constant expression
-        vals = np.full(pts.shape[0], float(vals))
-    return vals
 
 
 def _lipschitz_estimate(row: OptScalar, lo: np.ndarray, hi: np.ndarray,
@@ -721,114 +781,121 @@ def _slab_shape(counts: list[int]) -> tuple[int, int]:
 
 
 def _lattice_chunks(axes: list[np.ndarray]):
-    """Yield the C-ordered lattice of ``axes`` as (P, dim) slabs of whole
-    leading-axis rows (``_slab_shape``).  Every slab is the transposed
-    view ``buf[:, :P].T`` of one column-major (dim, rows*inner) buffer:
-    each coordinate column is contiguous, the slab is not C-contiguous.
-    The trailing coordinates are written once; only column 0 changes, so
-    a slab is valid until the next one is drawn."""
+    """Yield the C-ordered lattice of ``axes`` as slabs (``_Slab``) of
+    whole leading-axis rows (``_slab_shape``), held by their open
+    coordinates: the slab's slice of the leading axis shaped (rows, 1[, 1])
+    and each trailing axis shaped once per scan, e.g. (1, K1[, 1]).  No
+    point is materialized; every row, the cost and the domain test
+    evaluate on a slab by broadcasting."""
     dim = len(axes)
     counts = [ax.size for ax in axes]
-    rows, inner = _slab_shape(counts)
-    buf = np.empty((dim, rows * inner))
-    lattice = buf.reshape([dim, rows] + counts[1:])
-    for a in range(1, dim):
-        lattice[a] = axes[a].reshape([-1 if k == a else 1
-                                      for k in range(dim)])
+    rows, _ = _slab_shape(counts)
+    lead, *trailing = [ax.reshape([-1 if k == a else 1 for k in range(dim)])
+                       for a, ax in enumerate(axes)]
+    memo = {}
     for start in range(0, counts[0], rows):
-        lead = axes[0][start:start + rows]
-        lattice[0, :lead.size] = lead.reshape([-1] + [1] * (dim - 1))
-        yield buf[:, :lead.size * inner].T
+        part = lead[start:start + rows]
+        yield _Slab((part, *trailing), (part.shape[0], *counts[1:]),
+                    memo=memo)
 
 
-def _compress_rows(keep: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The rows of the (P, dim) batch ``pts`` where ``keep`` holds, in
-    order, as the (K, dim) transposed view of a fresh column-major
-    (dim, K) array.  Each coordinate column is gathered on its own through
-    one index array; the indices are in range by construction, and mode
-    "clip" spares ``take`` a buffered copy of ``out``."""
-    idx = np.flatnonzero(keep)
-    out = np.empty((pts.shape[1], idx.size))
-    for a, col in enumerate(out):
-        np.take(pts[:, a], idx, out=col, mode="clip")
-    return out.T
+def _gather(slab: _Slab, keep: np.ndarray) -> _Slab:
+    """The points of ``slab`` where ``keep`` holds, in order, as a slab of
+    one value per point in each column: each column, broadcast to the
+    slab's block, is indexed by the mask."""
+    return _Slab(col[keep] if col.shape == keep.shape
+                 else np.broadcast_to(col, keep.shape)[keep]
+                 for col in slab.columns)
 
 
-def _cost_minimum(cost: OptScalar, sel: np.ndarray):
-    """(count, non-finite count, best value, best point) of the gathered
-    (K, dim) feasible points ``sel``: points whose cost is not finite are
-    counted and gathered out (a NaN would hide every value after it from
-    argmin); the best point is the first finite minimizer, copied out, and
-    None when there is none."""
+def _point(slab: _Slab, flat: int) -> np.ndarray:
+    """The coordinates of the point at C-order flat index ``flat``: each
+    from its column, at the point's index along the column's axis."""
+    index = np.unravel_index(flat, slab.block)
+    if len(index) == 1:
+        index *= len(slab.columns)
+    return np.array([col.reshape(-1)[i]
+                     for col, i in zip(slab.columns, index)])
+
+
+def _cost_minimum(cost: OptScalar, sel: _Slab):
+    """(count, non-finite count, best value, best point) of the feasible
+    points ``sel``: points whose cost is not finite are counted and
+    gathered out (a NaN would hide every value after it from argmin); the
+    best point is the first finite minimizer, and None when there is
+    none."""
     count = sel.shape[0]
-    vals = _row_values(cost, sel)
+    vals = cost.value_many(*sel.columns)
+    if np.shape(vals) != sel.block:
+        vals = np.broadcast_to(vals, sel.block)
     ok = np.isfinite(vals)
     skipped = count - int(np.count_nonzero(ok))
     if skipped == count:
         return count, skipped, math.inf, None
     if skipped:
-        sel, vals = _compress_rows(ok, sel), vals[ok]
+        sel, vals = _gather(sel, ok), vals[ok]
     best = int(np.argmin(vals))
-    return count, skipped, float(vals[best]), sel[best].copy()
+    return count, skipped, float(vals.flat[best]), _point(sel, best)
 
 
-def _scan_gathered(problem: OptProblem, slabs: list[float], chunk: np.ndarray,
+def _scan_gathered(problem: OptProblem, slabs: list[float], chunk: _Slab,
                    mask: np.ndarray):
     """``_scan_chunk`` of a slab whose domain members are ``mask``, with
-    the members gathered into fresh arrays (``_compress_rows``) before any
-    row is evaluated, and the points that pass every row gathered again
-    before the cost, so no row or cost is evaluated off the feasible
-    set."""
+    the members gathered (``_gather``) before any row is evaluated, and
+    the points that pass every row gathered again before the cost, so no
+    row or cost is evaluated off the feasible set."""
     if not mask.any():
         return 0, 0, math.inf, None
-    sel = chunk if mask.all() else _compress_rows(mask, chunk)
-    feas = np.ones(sel.shape[0], bool)
+    sel = chunk if mask.all() else _gather(chunk, mask)
+    feas = np.ones(sel.block, bool)
     for row in problem.inequalities:
-        feas &= _row_values(row, sel) <= 1e-9
+        feas &= row.value_many(*sel.columns) <= 1e-9
         if not feas.any():
             return 0, 0, math.inf, None
     for row, slab in zip(problem.equalities, slabs):
-        feas &= np.abs(_row_values(row, sel)) <= slab
+        feas &= np.abs(row.value_many(*sel.columns)) <= slab
         if not feas.any():
             return 0, 0, math.inf, None
     if not feas.all():
-        sel = _compress_rows(feas, sel)
+        sel = _gather(sel, feas)
     return _cost_minimum(problem.cost, sel)
 
 
-def _scan_in_place(problem: OptProblem, slabs: list[float],
-                   chunk: np.ndarray, mask: np.ndarray):
+def _scan_in_place(problem: OptProblem, slabs: list[float], chunk: _Slab,
+                   mask: np.ndarray):
     """``_scan_chunk`` of a slab whose domain members are ``mask``, with
-    every row and the cost evaluated on the slab's own columns, the cost
-    copied into the slab scratch (``_slab_scratch``) and the points that
-    fail masked to +inf there before one argmin.  When fewer than
-    half the slab's points pass the rows, they are gathered for the cost
-    instead.  A row's value array is never written: a bare coordinate
-    returns a view of the lattice."""
-    feas = mask.copy()
+    every row and the cost evaluated on the slab's open coordinates, and
+    the cost broadcast into the slab scratch (``_slab_scratch``) at the
+    points that pass, +inf at the others, before one argmin.  When fewer
+    than half the slab's points pass the rows, they are gathered for the
+    cost instead.  A row's value array is never written: a bare coordinate
+    returns a view of its axis."""
+    feas = mask
     for row in problem.inequalities:
-        feas &= _row_values(row, chunk) <= 1e-9
+        feas = feas & (row.value_many(*chunk.columns) <= 1e-9)
     for row, slab in zip(problem.equalities, slabs):
-        feas &= np.abs(_row_values(row, chunk)) <= slab
+        feas = feas & (np.abs(row.value_many(*chunk.columns)) <= slab)
     count = int(np.count_nonzero(feas))
     if 2 * count < feas.size:
         if not count:
             return 0, 0, math.inf, None
-        return _cost_minimum(problem.cost, _compress_rows(feas, chunk))
-    vals = _slab_scratch(feas.size)[0]
-    np.copyto(vals, _row_values(problem.cost, chunk))
-    np.copyto(vals, math.inf, where=~feas)
-    ok = np.isfinite(vals)
-    skipped = count - int(np.count_nonzero(ok))
-    if skipped == count:
-        return count, skipped, math.inf, None
-    if skipped:
+        return _cost_minimum(problem.cost, _gather(chunk, feas))
+    cost = problem.cost.value_many(*chunk.columns)
+    vals = _slab_scratch(feas.size)[0].reshape(feas.shape)
+    vals.fill(math.inf)
+    np.copyto(vals, cost, where=feas)
+    skipped = 0
+    if not np.isfinite(cost).all():
+        ok = np.isfinite(vals)
+        skipped = count - int(np.count_nonzero(ok))
+        if skipped == count:
+            return count, skipped, math.inf, None
         vals[~ok] = math.inf
     best = int(np.argmin(vals))
-    return count, skipped, float(vals[best]), chunk[best].copy()
+    return count, skipped, float(vals.flat[best]), _point(chunk, best)
 
 
-def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: np.ndarray):
+def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: _Slab):
     """(feasible count, non-finite count, best value, best point) of one
     lattice slab.  Feasible points with a non-finite cost are counted and
     skipped; the best point is the first finite minimizer in C order,
@@ -863,18 +930,20 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
     improvements inside the slack raise ResolutionTooCoarse because the
     grid cannot distinguish them from discretization error, and so does a
     gradient bound that is not finite for an equality row or, when the
-    verdict rests on it, for the cost.  The lattice is streamed in
-    column-major slabs of at most CHUNK_POINTS points (one leading-axis
-    row when a row is larger), small enough that a slab's points, its row
-    values and any points gathered from it stay in cache, so memory does
-    not grow with the grid; grids above GRID_POINT_LIMIT points are
-    refused.  A slab at least half inside the domain is scanned in place,
-    its infeasible points masked to +inf before one argmin; a thinner
-    slab, or one whose in-place scan raises a floating-point flag, is
-    scanned by gathering its feasible points (``_scan_chunk``).  Feasible
-    points whose cost is not finite are skipped and counted; the verdict
-    is 'empty' when no feasible point has a finite cost, and a slab best
-    that is not finite anyway raises NocError.
+    verdict rests on it, for the cost.  The lattice is streamed in slabs
+    of at most CHUNK_POINTS points (one leading-axis row when a row is
+    larger), each held by its open coordinates, so no point is
+    materialized: rows, cost and domain test broadcast over the slab's
+    axes, and a slab's masks, its scratch and any points gathered from it
+    stay in cache, so memory does not grow with the grid; grids above
+    GRID_POINT_LIMIT points are refused.  A slab at least half inside the
+    domain is scanned in place, its infeasible points masked to +inf
+    before one argmin; a thinner slab, or one whose in-place scan raises a
+    floating-point flag, is scanned by gathering its feasible points
+    (``_scan_chunk``).  Feasible points whose cost is not finite are
+    skipped and counted; the verdict is 'empty' when no feasible point has
+    a finite cost, and a slab best that is not finite anyway raises
+    NocError.
     """
     e = np.asarray(point, float)
     _require_in_domain(problem, e)

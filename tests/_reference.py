@@ -518,7 +518,8 @@ def christoffel_fd(chart, x) -> np.ndarray:
 def _difference_row(value, label: str) -> OptScalar:
     """An op row from a value callback alone: the gradient by central
     differences (step FD1_SCALE), the second derivative along y by a
-    second difference (step FD2_SCALE) and batches one point at a time."""
+    second difference (step FD2_SCALE) and batches one point at a time,
+    in the shape the coordinate arrays broadcast to."""
 
     def grad(e):
         h = fd_step(e, FD1_SCALE)
@@ -534,8 +535,10 @@ def _difference_row(value, label: str) -> OptScalar:
         h = fd_step(e, FD2_SCALE)
         return (value(e + h * y) - 2.0 * value(e) + value(e - h * y)) / (h * h)
 
-    def value_many(points):
-        return np.array([value(p) for p in points])
+    def value_many(*columns):
+        columns = np.broadcast_arrays(*columns)
+        points = np.stack([c.ravel() for c in columns], axis=1)
+        return np.array([value(p) for p in points]).reshape(columns[0].shape)
 
     return OptScalar(value=value, grad=grad, second=second,
                      value_many=value_many, label=label)

@@ -92,3 +92,36 @@ def test_a_checkout_against_itself_writes_every_field(capsys):
         assert len(metric["old"]["runs"]) == len(metric["new"]["runs"]) == 1
         assert metric["verdict"] in ("gain", "flat", "worse", "unresolved")
     assert "sphere-check latency_p50_s: old" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("side", ["old", "new"])
+@pytest.mark.parametrize("top", ["src/noc", "perfbench"])
+def test_a_checkout_with_bytecode_is_refused(tmp_path, capsys, side, top):
+    # a checkout whose commands ran with bytecode writing on keeps its
+    # compiled modules and starts faster than a fresh one: setup_s would
+    # compare the caches, not the code
+    for name in ("old", "new"):
+        (tmp_path / name / "src" / "noc").mkdir(parents=True)
+        (tmp_path / name / "perfbench").mkdir()
+    cache = tmp_path / side / top / "__pycache__"
+    cache.mkdir()
+    assert bench_pairs.main([str(tmp_path / "old"), str(tmp_path / "new"),
+                             "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(cache) in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_the_runs_write_no_bytecode(monkeypatch, tmp_path):
+    seen = []
+
+    def run(argv, **kwargs):
+        seen.append(kwargs["env"])
+        line = json.dumps(_result(1.0, 1.0))
+        return bench_pairs.subprocess.CompletedProcess(argv, 0, line + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.run_once(tmp_path, "op-grid", 0.1)["correct"]
+    env = dict(bench_pairs.os.environ)
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    assert seen == [env]

@@ -9,8 +9,12 @@ OLD and NEW are the roots of two checkouts (``git archive <commit> | tar
 -x -C <dir>`` makes one).  For every workload (default: all that
 ``BENCHMARK.json`` lists) it runs ``perfbench/run.py --workload W --trace 0
 --seconds S`` K times in each checkout, alternating which side runs first,
-each run in its own process with the checkout as working directory.  S is
-the ``run_seconds`` of NEW's ``BENCHMARK.json``.
+each run in its own process with the checkout as working directory and
+``PYTHONDONTWRITEBYTECODE=1``.  S is the ``run_seconds`` of NEW's
+``BENCHMARK.json``.  A checkout that holds a ``__pycache__`` directory
+under ``src/`` or ``perfbench/`` is refused (exit 2): its compiled
+bytecode spares its runs the compile time the other side pays, which
+``setup_s`` measures.
 
 The file written holds, per workload and per end-to-end metric of NEW's
 ``BENCHMARK.json``: each side's runs, median and quartiles, the pairs
@@ -44,12 +48,21 @@ import numpy as np
 SIDES = ("old", "new")
 
 
+def bytecode_caches(root: Path) -> list:
+    """The ``__pycache__`` directories under ``src/`` and ``perfbench/``
+    of the checkout ``root``."""
+    return sorted(path for top in ("src", "perfbench")
+                  for path in (root / top).rglob("__pycache__") if path.is_dir())
+
+
 def run_once(root: Path, workload: str, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run in ``root``: its result line."""
+    """One ``perfbench/run.py --trace 0`` run in ``root``, writing no
+    bytecode: its result line."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--trace", "0", "--seconds", str(seconds)],
-        cwd=root, capture_output=True, text=True)
+        cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{root}: perfbench {workload} exited "
@@ -147,6 +160,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = parser.parse_args(argv)
     old, new = args.old.resolve(), args.new.resolve()
+    for root in (old, new):
+        caches = bytecode_caches(root)
+        if caches:
+            print(f"bench_pairs: {caches[0]} holds compiled bytecode; "
+                  f"compare checkouts without it", file=sys.stderr)
+            return 2
     seconds = json.loads((new / "BENCHMARK.json").read_text())["run_seconds"]
     result = compare(old, new, args.workload, args.pairs, seconds)
     args.out.write_text(json.dumps(result, indent=2) + "\n")
