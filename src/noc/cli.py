@@ -49,7 +49,7 @@ from .polyhedral import ACTIVITY_TOL
 from .presets import load_preset, preset_notes
 from .problemfile import (ControlModel, ProblemFile, build_control_problem,
                           build_direction_arrays, build_nominal_controls,
-                          build_opt_problem, build_set, parse_problem_file,
+                          build_opt_problem, parse_problem_file,
                           parse_set_inline, serialize_problem_file)
 from .report import (index_sets_payload, multiplier_payload, sweep_csv,
                      write_report)
@@ -576,7 +576,7 @@ def _vector(text: str, what: str) -> np.ndarray:
 
 
 def _cmd_oracle(args) -> int:
-    U = build_set(parse_set_inline(args.set))
+    U = parse_set_inline(args.set)
     u = _vector(args.u, "u")
     v = _vector(args.v, "v")
     if args.w is None:

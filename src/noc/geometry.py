@@ -140,6 +140,8 @@ def _components(v, n: int) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 def euclidean(n: int) -> ManifoldChart:
+    if n < 1:
+        raise ValueError("dim must be positive")
     return ManifoldChart(kind="euclidean", dim=n)
 
 

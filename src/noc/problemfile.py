@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +40,6 @@ __all__ = [
     "build_direction_arrays",
     "build_nominal_controls",
     "build_opt_problem",
-    "build_set",
     "parse_problem_file",
     "parse_set_inline",
     "serialize_problem_file",
@@ -136,7 +136,7 @@ class ProblemFile:
 
     kind: str
     schema_version: int = SCHEMA_VERSION
-    chart: tuple | None = None          # ("euclidean", n) | ("sphere", r)
+    chart: tuple | None = None          # (type, value), see _CHART_KINDS
     cells: int | None = None
     horizon: float | None = None
     params: tuple = ()                  # ((name, value), ...) in file order
@@ -147,12 +147,12 @@ class ProblemFile:
     cost_text: str | None = None
     inequality_texts: tuple = ()
     equality_texts: tuple = ()
-    control_set: tuple | None = None    # set spec (nested tuples)
+    control_set: object = None          # built Ball | Box | Polyhedron | ProductSet
     control_texts: tuple | None = None  # nominal control, exprs in t
     direction: DirectionSpec | None = None
     tolerances: tuple = ()              # ((key, value), ...)
     dim: int | None = None              # op only
-    domain: tuple | None = None         # op only, set spec
+    domain: object = None               # op only, built set
     point: tuple | None = None          # op only
     resolution: float | None = None     # op only, optional grid oracle
 
@@ -178,10 +178,13 @@ class ProblemFile:
 
 
 # ----------------------------------------------------------------------------
-# convex-set specs
+# convex sets
 # ----------------------------------------------------------------------------
 
-def _parse_set_nodes(nodes: tuple, where: str) -> tuple:
+def _parse_set_nodes(nodes: tuple, where: str):
+    """The set written in ``nodes``. A malformed line raises a
+    ProblemFileError naming ``where``; a set its class refuses raises the
+    class's ValueError."""
     if not nodes:
         raise ProblemFileError(f"{where}: empty set block")
     head = nodes[0]
@@ -194,7 +197,7 @@ def _parse_set_nodes(nodes: tuple, where: str) -> tuple:
                 f"line {head.line_no}: {where}: ball needs center "
                 f"coordinates and a radius")
         _only_one_line(nodes, where)
-        return ("ball", vals[:-1], vals[-1])
+        return Ball(center=vals[:-1], radius=vals[-1])
     if tag == "box":
         vals = _floats(head, where)
         if len(vals) < 2 or len(vals) % 2:
@@ -203,7 +206,7 @@ def _parse_set_nodes(nodes: tuple, where: str) -> tuple:
                 f"values (lower bounds then upper bounds)")
         _only_one_line(nodes, where)
         half = len(vals) // 2
-        return ("box", vals[:half], vals[half:])
+        return Box(lower=vals[:half], upper=vals[half:])
     if tag == "polyhedron":
         rows = []
         for node in nodes[1:]:
@@ -224,7 +227,8 @@ def _parse_set_nodes(nodes: tuple, where: str) -> tuple:
             raise ProblemFileError(
                 f"line {head.line_no}: {where}: polyhedron rows must have "
                 f"equal length")
-        return ("polyhedron", tuple(rows))
+        return Polyhedron(A=tuple(r[:-1] for r in rows),
+                          b=tuple(r[-1] for r in rows))
     if tag == "product":
         raise ProblemFileError(
             f"line {head.line_no}: {where}: write product factors as "
@@ -240,74 +244,61 @@ def _only_one_line(nodes: tuple, where: str):
             f"line {nodes[1].line_no}: {where}: unexpected extra line")
 
 
-def _parse_set_block(node: _Node, where: str) -> tuple:
+def _parse_set_block(node: _Node, where: str):
     if node.children is None:
         raise ProblemFileError(
             f"line {node.line_no}: {where} must be a block")
     kids = node.children
     if not kids:
         raise ProblemFileError(f"line {node.line_no}: {where}: empty block")
-    if len(kids) == 1 and kids[0].children is not None \
-            and _tokens(kids[0])[0] == "product":
-        factors = []
-        for sub in kids[0].children:
-            if sub.children is None:
+    try:
+        if len(kids) == 1 and kids[0].children is not None \
+                and _tokens(kids[0])[0] == "product":
+            factors = []
+            for sub in kids[0].children:
+                if sub.children is None:
+                    raise ProblemFileError(
+                        f"line {sub.line_no}: {where}: product factors are "
+                        f"'factor {{ ... }}' blocks")
+                factors.append(_parse_set_nodes(sub.children, where))
+            if not factors:
                 raise ProblemFileError(
-                    f"line {sub.line_no}: {where}: product factors are "
-                    f"'factor {{ ... }}' blocks")
-            factors.append(_parse_set_nodes(sub.children, where))
-        if not factors:
-            raise ProblemFileError(
-                f"line {kids[0].line_no}: {where}: empty product")
-        return ("product", tuple(factors))
-    return _parse_set_nodes(kids, where)
+                    f"line {kids[0].line_no}: {where}: empty product")
+            return ProductSet(tuple(factors))
+        return _parse_set_nodes(kids, where)
+    except ValueError as ex:
+        raise ProblemFileError(f"{where}: {ex}") from None
 
 
-def parse_set_inline(text: str) -> tuple:
-    """Parse a one-argument set description, e.g. ``"ball 0 0 1"`` or
-    ``"polyhedron ; row -1 0 0 ; row 0 -1 0"`` (';' separates lines)."""
+def parse_set_inline(text: str):
+    """The convex set of a one-argument description, e.g. ``"ball 0 0 1"``
+    or ``"polyhedron ; row -1 0 0 ; row 0 -1 0"`` (';' separates lines):
+    a built ``Ball``, ``Box`` or ``Polyhedron``."""
     lines = [seg.strip() for seg in text.split(";") if seg.strip()]
     if not lines:
         raise ProblemFileError("empty set description")
     nodes = tuple(_Node(i + 1, line) for i, line in enumerate(lines))
-    return _parse_set_nodes(nodes, "set")
+    try:
+        return _parse_set_nodes(nodes, "set")
+    except ValueError as ex:
+        raise ProblemFileError(str(ex)) from None
 
 
-def build_set(spec: tuple):
-    """Instantiate a convex set from its parsed spec."""
-    tag = spec[0]
-    if tag == "ball":
-        return Ball(center=tuple(spec[1]), radius=float(spec[2]))
-    if tag == "box":
-        return Box(lower=tuple(spec[1]), upper=tuple(spec[2]))
-    if tag == "polyhedron":
-        rows = spec[1]
-        return Polyhedron(A=tuple(r[:-1] for r in rows),
-                          b=tuple(r[-1] for r in rows))
-    if tag == "product":
-        return ProductSet(tuple(build_set(f) for f in spec[1]))
-    raise ProblemFileError(f"unknown set spec {tag!r}")
-
-
-def _serialize_set(spec: tuple, pad: str) -> list[str]:
-    tag = spec[0]
-    if tag == "ball":
-        return [f"{pad}ball {_nums(spec[1])} {_num(spec[2])}"]
-    if tag == "box":
-        return [f"{pad}box {_nums(spec[1])} {_nums(spec[2])}"]
-    if tag == "polyhedron":
-        out = [f"{pad}polyhedron"]
-        out += [f"{pad}row {_nums(r)}" for r in spec[1]]
-        return out
-    if tag == "product":
-        out = [f"{pad}product {{"]
-        for f in spec[1]:
-            out.append(f"{pad}  factor {{")
-            out += _serialize_set(f, pad + "    ")
-            out.append(f"{pad}  }}")
-        out.append(f"{pad}}}")
-        return out
-    raise ProblemFileError(f"unknown set spec {tag!r}")
+def _serialize_set(U, pad: str) -> list[str]:
+    if isinstance(U, Ball):
+        return [f"{pad}ball {_nums(U.center)} {_num(U.radius)}"]
+    if isinstance(U, Box):
+        return [f"{pad}box {_nums(U.lower)} {_nums(U.upper)}"]
+    if isinstance(U, Polyhedron):
+        return [f"{pad}polyhedron"] + [f"{pad}row {_nums(a)} {_num(b)}"
+                                       for a, b in zip(U.A, U.b)]
+    out = [f"{pad}product {{"]
+    for f in U.factors:
+        out.append(f"{pad}  factor {{")
+        out += _serialize_set(f, pad + "    ")
+        out.append(f"{pad}  }}")
+    out.append(f"{pad}}}")
+    return out
 
 
 def _num(x: float) -> str:
@@ -369,7 +360,8 @@ def parse_problem_file(text: str) -> ProblemFile:
             fields["chart"] = _parse_chart(node)
         elif key == "grid":
             once(node, key)
-            fields.update(_parse_grid(node))
+            grid = _key_values(node, "grid", {"cells": int, "horizon": float})
+            fields.update((k, v) for k, (v, _) in grid.items())
         elif key == "param":
             name_val = _tokens(node)[1:]
             if len(name_val) != 2:
@@ -426,7 +418,10 @@ def parse_problem_file(text: str) -> ProblemFile:
             fields["direction"] = _parse_direction(node)
         elif key == "tolerances":
             once(node, key)
-            tolerances += _parse_tolerances(node)
+            tols = _key_values(node, "tolerances", dict.fromkeys(
+                ("activity", "row", "margin", "stationarity", "qualify"),
+                float), "tolerances: value", "'key value'")
+            tolerances += [(k, v) for k, (v, _) in tols.items()]
         elif key == "dim":
             once(node, key)
             try:
@@ -484,81 +479,88 @@ def _expr_block(node: _Node, what: str) -> tuple:
     return tuple(texts)
 
 
-def _parse_chart(node: _Node) -> tuple:
+_TYPE_NAMES = {int: "an integer", float: "a number"}
+
+
+def _key_values(node: _Node, what: str, types: dict, value_label: str = "",
+                line_form: str = "'key value' lines") -> dict:
+    """The ``key value`` lines of block ``node`` as {key: (value, line)},
+    in file order.  ``types`` maps each key the block takes to the type of
+    its value (str, int or float).  A line that is not two tokens, an
+    unknown or repeated key and a value that does not convert are refused,
+    the last with ``value_label`` (default ``what.key``) in its message."""
     if node.children is None:
-        raise ProblemFileError(f"line {node.line_no}: chart must be a block")
-    kv = {}
-    for sub in node.children:
-        toks = _tokens(sub)
-        if len(toks) != 2:
-            raise ProblemFileError(
-                f"line {sub.line_no}: chart: expected 'key value' lines")
-        kv[toks[0]] = (sub, toks[1])
-    if "type" not in kv:
-        raise ProblemFileError(f"line {node.line_no}: chart: missing 'type'")
-    ctype = kv["type"][1]
-    if ctype == "euclidean":
-        if "dim" not in kv:
-            raise ProblemFileError(
-                f"line {node.line_no}: chart: euclidean needs 'dim'")
-        try:
-            return ("euclidean", int(kv["dim"][1]))
-        except ValueError:
-            raise ProblemFileError(
-                f"line {kv['dim'][0].line_no}: chart.dim must be an "
-                f"integer") from None
-    if ctype == "sphere":
-        radius = kv.get("radius")
-        if radius is None:
-            return ("sphere", 1.0)
-        try:
-            value = float(radius[1])
-        except ValueError:
-            raise ProblemFileError(
-                f"line {radius[0].line_no}: chart.radius must be a "
-                f"number") from None
-        from .geometry import sphere
-
-        try:
-            sphere(value)               # the radius rule lives there
-        except ValueError:
-            raise ProblemFileError(
-                f"line {radius[0].line_no}: chart.radius must be positive "
-                f"and finite") from None
-        return ("sphere", value)
-    raise ProblemFileError(
-        f"line {kv['type'][0].line_no}: chart.type: expected euclidean or "
-        f"sphere, got {ctype!r}")
-
-
-def _parse_grid(node: _Node) -> dict:
-    if node.children is None:
-        raise ProblemFileError(f"line {node.line_no}: grid must be a block")
+        raise ProblemFileError(f"line {node.line_no}: {what} must be a block")
     out = {}
     for sub in node.children:
         toks = _tokens(sub)
-        if len(toks) != 2:
+        if len(toks) != 2 or sub.children is not None:
             raise ProblemFileError(
-                f"line {sub.line_no}: grid: expected 'key value' lines")
-        key, val = toks
-        if key == "cells":
-            try:
-                out["cells"] = int(val)
-            except ValueError:
-                raise ProblemFileError(
-                    f"line {sub.line_no}: grid.cells must be an integer") \
-                    from None
-        elif key == "horizon":
-            try:
-                out["horizon"] = float(val)
-            except ValueError:
-                raise ProblemFileError(
-                    f"line {sub.line_no}: grid.horizon must be a number") \
-                    from None
-        else:
+                f"line {sub.line_no}: {what}: expected {line_form}")
+        key, text = toks
+        if key not in types:
             raise ProblemFileError(
-                f"line {sub.line_no}: grid: unknown key {key!r}")
+                f"line {sub.line_no}: {what}: unknown key {key!r} "
+                f"(known: {', '.join(types)})")
+        if key in out:
+            raise ProblemFileError(
+                f"line {sub.line_no}: {what}: duplicate {key!r}")
+        try:
+            out[key] = (types[key](text), sub.line_no)
+        except ValueError:
+            raise ProblemFileError(
+                f"line {sub.line_no}: {value_label or f'{what}.{key}'} must "
+                f"be {_TYPE_NAMES[types[key]]}") from None
     return out
+
+
+class _ChartKind(NamedTuple):
+    key: str            # the one key the type takes besides 'type'
+    default: object     # the key's value when it is left out; None: required
+    convert: type       # int or float
+
+
+# One entry per chart type.  The type names its noc.geometry constructor,
+# which takes the key's value and holds its rule: it raises a ValueError
+# whose message starts with the key's name.
+_CHART_KINDS = {
+    "euclidean": _ChartKind("dim", None, int),
+    "sphere": _ChartKind("radius", 1.0, float),
+}
+
+
+def _chart(spec: tuple):
+    """The noc.geometry chart of a chart spec ``(type, value)``."""
+    from . import geometry
+
+    return getattr(geometry, spec[0])(spec[1])
+
+
+def _parse_chart(node: _Node) -> tuple:
+    types = {"type": str} | {k.key: k.convert for k in _CHART_KINDS.values()}
+    kv = _key_values(node, "chart", types)
+    if "type" not in kv:
+        raise ProblemFileError(f"line {node.line_no}: chart: missing 'type'")
+    ctype, line = kv.pop("type")
+    kind = _CHART_KINDS.get(ctype)
+    if kind is None:
+        raise ProblemFileError(
+            f"line {line}: chart.type: expected {' or '.join(_CHART_KINDS)}, "
+            f"got {ctype!r}")
+    for key, (_, line) in kv.items():
+        if key != kind.key:
+            raise ProblemFileError(
+                f"line {line}: chart: type {ctype} takes {kind.key!r}, not "
+                f"{key!r}")
+    value, line = kv.get(kind.key, (kind.default, node.line_no))
+    if value is None:
+        raise ProblemFileError(
+            f"line {node.line_no}: chart: {ctype} needs {kind.key!r}")
+    try:
+        _chart((ctype, value))
+    except ValueError as ex:
+        raise ProblemFileError(f"line {line}: chart.{ex}") from None
+    return (ctype, value)
 
 
 def _parse_endpoint(node: _Node):
@@ -596,13 +598,14 @@ def _parse_direction(node: _Node) -> DirectionSpec:
     v_texts = rows = start_rate = y = None
     sigmas: list = []
     ws: list = []
+    seen: set = set()
     for sub in node.children:
-        toks = _tokens(sub)
-        key = toks[0]
+        key = _tokens(sub)[0]
+        if key in seen and key not in ("sigma", "w"):
+            raise ProblemFileError(
+                f"line {sub.line_no}: direction: duplicate {key!r}")
+        seen.add(key)
         if key == "v":
-            if v_texts is not None:
-                raise ProblemFileError(
-                    f"line {sub.line_no}: direction: duplicate 'v'")
             parts = sub.text[1:].strip()
             if sub.children is not None or not parts:
                 raise ProblemFileError(
@@ -642,37 +645,6 @@ def _parse_direction(node: _Node) -> DirectionSpec:
                 f"line {sub.line_no}: direction: unknown key {key!r}")
     return DirectionSpec(v_texts=v_texts, rows=rows, start_rate=start_rate,
                          sigmas=tuple(sigmas), ws=tuple(ws), y=y)
-
-
-def _parse_tolerances(node: _Node) -> list:
-    if node.children is None:
-        raise ProblemFileError(
-            f"line {node.line_no}: tolerances must be a block")
-    known = ("activity", "row", "margin", "stationarity", "qualify")
-    out = []
-    for sub in node.children:
-        toks = _tokens(sub)
-        if len(toks) != 2:
-            raise ProblemFileError(
-                f"line {sub.line_no}: tolerances: expected 'key value'")
-        if toks[0] not in known:
-            raise ProblemFileError(
-                f"line {sub.line_no}: tolerances: unknown key {toks[0]!r} "
-                f"(known: {', '.join(known)})")
-        try:
-            out.append((toks[0], float(toks[1])))
-        except ValueError:
-            raise ProblemFileError(
-                f"line {sub.line_no}: tolerances: value must be a number") \
-                from None
-    return out
-
-
-def _checked_set(spec: tuple, where: str):
-    try:
-        return build_set(spec)
-    except (ValueError, TypeError) as ex:
-        raise ProblemFileError(f"{where}: {ex}") from None
 
 
 def _validate_numbers(pf: ProblemFile):
@@ -726,7 +698,7 @@ def _validate_fields(pf: ProblemFile):
                 raise ProblemFileError(
                     "kind 'ocpe': endpoint rows are generated by the "
                     "augmentation; inequality/equality lines do not apply")
-        n = pf.chart[1] if pf.chart[0] == "euclidean" else 2
+        n = _chart(pf.chart).dim
         if len(pf.start) != n:
             raise ProblemFileError(
                 f"start: expected {n} coordinates, got {len(pf.start)}")
@@ -737,7 +709,7 @@ def _validate_fields(pf: ProblemFile):
             raise ProblemFileError(
                 f"dynamics: expected {n} expressions, got "
                 f"{len(pf.dynamics_texts)}")
-        m = set_dim(_checked_set(pf.control_set, "control_set"))
+        m = set_dim(pf.control_set)
         if len(pf.control_texts) != m:
             raise ProblemFileError(
                 f"control: expected {m} expressions (the control-set "
@@ -783,7 +755,7 @@ def _validate_fields(pf: ProblemFile):
         N = pf.dim
         if N <= 0:
             raise ProblemFileError("dim must be positive")
-        if set_dim(_checked_set(pf.domain, "domain")) != N:
+        if set_dim(pf.domain) != N:
             raise ProblemFileError(
                 f"domain: set dimension differs from dim {N}")
         if len(pf.point) != N:
@@ -812,13 +784,10 @@ def serialize_problem_file(pf: ProblemFile) -> str:
     Parsing the output reproduces an equal ProblemFile."""
     out = [f"noc {pf.schema_version}", f"kind {pf.kind}"]
     if pf.chart is not None:
-        out.append("chart {")
-        out.append(f"  type {pf.chart[0]}")
-        if pf.chart[0] == "euclidean":
-            out.append(f"  dim {pf.chart[1]}")
-        else:
-            out.append(f"  radius {_num(pf.chart[1])}")
-        out.append("}")
+        ctype, value = pf.chart
+        kind = _CHART_KINDS[ctype]
+        out += ["chart {", f"  type {ctype}",
+                f"  {kind.key} {kind.convert(value)!r}", "}"]
     if pf.cells is not None or pf.horizon is not None:
         out.append("grid {")
         if pf.cells is not None:
@@ -902,27 +871,18 @@ def _effective_params(pf: ProblemFile) -> dict:
     return values
 
 
-def _chart_of(pf: ProblemFile):
-    from .geometry import euclidean, sphere
-
-    if pf.chart[0] == "euclidean":
-        return euclidean(pf.chart[1])
-    return sphere(pf.chart[1])
-
-
 def _compile_control_problem(pf: ProblemFile, values: dict):
     from .conditions import mayer_augment
     from .dynamics import (dynamics_from_expressions,
                            endpoint_from_expressions, make_problem)
 
-    chart = _chart_of(pf)
+    chart = _chart(pf.chart)
     n = chart.dim
-    control_set = build_set(pf.control_set)
-    m = set_dim(control_set)
+    m = set_dim(pf.control_set)
     if pf.kind == "ocpe":
         return mayer_augment(chart, pf.horizon, pf.dynamics_texts,
                              pf.running_cost, pf.start, pf.end, m,
-                             control_set, params=values)
+                             pf.control_set, params=values)
     dynamics = dynamics_from_expressions(pf.dynamics_texts, n, m,
                                          params=values)
     cost = endpoint_from_expressions(pf.cost_text, n, label="cost",
@@ -935,7 +895,7 @@ def _compile_control_problem(pf: ProblemFile, values: dict):
                 for i, t in enumerate(pf.equality_texts))
     return make_problem(chart, pf.horizon, dynamics, cost,
                         inequality_maps=ineqs, equality_maps=eqs,
-                        control_set=control_set, probe_base=pf.start)
+                        control_set=pf.control_set, probe_base=pf.start)
 
 
 class ControlModel:
@@ -1036,7 +996,7 @@ def build_direction_arrays(pf: ProblemFile, model: ControlModel | None = None):
         v = np.asarray(d.rows, float)
     else:
         v = _eval_time_rows(d.v_texts, pf, "direction.v", model)
-    n = pf.chart[1] if pf.chart[0] == "euclidean" else 2
+    n = _chart(pf.chart).dim
     aug = 1 if pf.kind == "ocpe" else 0
     start_rate = np.zeros(n + aug)
     if d.start_rate is not None:
@@ -1065,7 +1025,7 @@ def build_opt_problem(pf: ProblemFile):
                                           params=values)
 
     return make_opt_problem(
-        build_set(pf.domain),
+        pf.domain,
         row(pf.cost_text, "cost"),
         inequalities=[row(t, f"inequality {i}")
                       for i, t in enumerate(pf.inequality_texts)],

@@ -14,7 +14,7 @@ from noc.presets import PRESET_NAMES, load_preset, preset_notes, preset_text
 from noc.problemfile import (ControlModel, build_control_problem,
                              build_direction_arrays,
                              build_nominal_controls, build_opt_problem,
-                             build_set, parse_problem_file, parse_set_inline,
+                             parse_problem_file, parse_set_inline,
                              serialize_problem_file)
 
 # ----------------------------------------------------------------------------
@@ -112,8 +112,8 @@ def test_full_op_file_roundtrip():
     assert pf.kind == "op"
     assert pf.dim == 2
     assert pf.params == (("a", 0.25),)
-    assert pf.domain == ("product", (("box", (-1.0,), (1.0,)),
-                                     ("ball", (0.0,), 1.5)))
+    assert pf.domain == ProductSet((Box(lower=(-1.0,), upper=(1.0,)),
+                                    Ball(center=(0.0,), radius=1.5)))
     assert pf.inequality_texts == ("x2 - 1.0",)
     assert pf.equality_texts == ("x2 + -1.0*x1^2",)
     assert pf.direction.y == (1.0, 0.0)
@@ -124,7 +124,7 @@ def test_full_op_file_roundtrip():
 
 def test_rows_direction_file_roundtrip():
     pf = parse_problem_file(OCP_ROWS)
-    assert pf.control_set == ("polyhedron", ((-1.0, 0.0), (1.0, 1.0)))
+    assert pf.control_set == Polyhedron(A=((-1.0,), (1.0,)), b=(0.0, 1.0))
     d = pf.direction
     assert d.rows == ((1.0,), (-1.0,), (1.0,), (-1.0,))
     assert d.start_rate == (0.0,)
@@ -202,6 +202,19 @@ def test_malformed_blocks_point_at_fields():
         (_edit(ccs, "  v 1 ; 0", "  y 1.0 0.0"), "kind 'op'"),
         (ccs + "tolerances {\n  fuzz 1.0\n}\n", "unknown key 'fuzz'"),
         (ccs + "resolution 0.1\n", "does not apply"),
+        (_edit(ccs, "  v 1 ; 0", "  rows {\n    1.0 0.0\n  }\n"
+                                 "  rows {\n    1.0 0.0\n  }"),
+         "direction: duplicate 'rows'"),
+        (_edit(ccs, "  v 1 ; 0", "  v 1 ; 0\n  start_rate 0 0\n"
+                                 "  start_rate 1 0"),
+         "direction: duplicate 'start_rate'"),
+        (_edit(ccs, "  v 1 ; 0", "  v 1 ; 0\n  y 1.0\n  y 1.0"),
+         "direction: duplicate 'y'"),
+        (_edit(ccs, "  dim 2", "  dim 2\n  dim 3"), "chart: duplicate 'dim'"),
+        (_edit(ccs, "  dim 2", "  dim 2\n  dim {\n  }"),
+         "chart: expected 'key value' lines"),
+        (ccs + "tolerances {\n  margin 1e-6\n  margin 1e-3\n}\n",
+         "tolerances: duplicate 'margin'"),
     ]
     for text, fragment in cases:
         with pytest.raises(ProblemFileError, match=fragment):
@@ -243,29 +256,62 @@ def test_ocpe_requires_running_cost_and_end():
 
 
 # ----------------------------------------------------------------------------
-# set specs
+# convex sets
 # ----------------------------------------------------------------------------
 
-def test_build_set_instantiates_each_kind():
-    assert build_set(("ball", (0.0, 0.0), 2.0)) == Ball(center=(0.0, 0.0),
-                                                        radius=2.0)
-    assert build_set(("box", (-1.0,), (1.0,))) == Box(lower=(-1.0,),
-                                                      upper=(1.0,))
-    poly = build_set(("polyhedron", ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0))))
+def _op_file(set_lines: str, dim: int) -> str:
+    """An op file whose domain block holds ``set_lines``."""
+    return (f"noc 1\nkind op\ndim {dim}\ndomain {{\n{set_lines}\n}}\n"
+            f"point {' '.join(['0.0'] * dim)}\ncost x1\n")
+
+
+def test_parsing_builds_each_set_kind():
+    assert parse_set_inline("ball 0 0 2") == Ball(center=(0.0, 0.0),
+                                                  radius=2.0)
+    assert parse_set_inline("box -1 1") == Box(lower=(-1.0,), upper=(1.0,))
+    poly = parse_set_inline("polyhedron ; row -1 0 0 ; row 0 -1 0")
     assert isinstance(poly, Polyhedron) and len(poly.A) == 2
-    prod = build_set(("product", (("box", (0.0,), (1.0,)),
-                                  ("ball", (0.0, 0.0), 1.0))))
+    prod = parse_problem_file(_op_file(
+        "product {\nfactor {\nbox 0 1\n}\nfactor {\nball 0 0 1\n}\n}",
+        3)).domain
     assert isinstance(prod, ProductSet) and set_dim(prod) == 3
 
 
 def test_parse_set_inline_forms():
-    assert parse_set_inline("ball 0 0 1") == ("ball", (0.0, 0.0), 1.0)
-    spec = parse_set_inline("polyhedron ; row -1 0 0 ; row 0 -1 0")
-    assert spec == ("polyhedron", ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)))
+    assert parse_set_inline("ball 0 0 1") == Ball(center=(0.0, 0.0),
+                                                  radius=1.0)
+    poly = parse_set_inline("polyhedron ; row -1 0 0 ; row 0 -1 0")
+    assert poly == Polyhedron(A=((-1.0, 0.0), (0.0, -1.0)), b=(0.0, 0.0))
     with pytest.raises(ProblemFileError, match="unknown set kind"):
         parse_set_inline("simplex 1 2 3")
     with pytest.raises(ProblemFileError, match="empty set"):
         parse_set_inline(" ; ")
+
+
+# each kind's domain block in canonical form, its dimension and, but for the
+# product, the same set written inline
+SET_CASES = {
+    "ball": ("  ball -0.0 0.5 2.0", 2, "ball -0 0.5 2"),
+    "box": ("  box -inf 0.0 inf 1.0", 2, "box -inf 0 inf 1"),
+    "polyhedron": ("  polyhedron\n  row -1.0 0.0 0.0\n  row 0.0 -1.0 -0.0", 2,
+                   "polyhedron ; row -1 0 0 ; row 0 -1 -0"),
+    "product": ("  product {\n    factor {\n      box -1.0 1.0\n    }\n"
+                "    factor {\n      polyhedron\n      row 1.0 -1.0 0.5\n"
+                "    }\n  }", 3, None),
+}
+
+
+@pytest.mark.parametrize("block,dim,inline", SET_CASES.values(),
+                         ids=SET_CASES)
+def test_each_set_kind_round_trips(block, dim, inline):
+    text = _op_file(block, dim)
+    pf = parse_problem_file(text)
+    assert serialize_problem_file(pf) == text
+    assert parse_problem_file(text).domain == pf.domain
+    if inline is not None:
+        U = parse_set_inline(inline)
+        assert U == pf.domain
+        assert serialize_problem_file(replace(pf, domain=U)) == text
 
 
 # ----------------------------------------------------------------------------
