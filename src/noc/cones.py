@@ -72,6 +72,10 @@ class Ball(_ConvexSet):
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError("ball center must be finite")
+        if not math.isfinite(self.radius):
+            raise ValueError("ball radius must be finite")
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
 

@@ -818,12 +818,12 @@ def _point(slab: _Slab, flat: int) -> np.ndarray:
                      for col, i in zip(slab.columns, index)])
 
 
-def _cost_minimum(cost: OptScalar, sel: _Slab):
+def _cost_minimum(cost: OptScalar, sel: _Slab, bound: float):
     """(count, non-finite count, best value, best point) of the feasible
     points ``sel``: points whose cost is not finite are counted and
     gathered out (a NaN would hide every value after it from argmin); the
-    best point is the first finite minimizer, and None when there is
-    none."""
+    best point is the first finite minimizer, and None when there is none
+    or when its value does not go below ``bound``."""
     count = sel.shape[0]
     vals = cost.value_many(*sel.columns)
     if np.shape(vals) != sel.block:
@@ -834,19 +834,31 @@ def _cost_minimum(cost: OptScalar, sel: _Slab):
         return count, skipped, math.inf, None
     if skipped:
         sel, vals = _gather(sel, ok), vals[ok]
+    return _below(count, skipped, sel, vals, bound)
+
+
+def _below(count: int, skipped: int, sel: _Slab, vals: np.ndarray,
+           bound: float):
+    """The scan result of the feasible values ``vals`` (finite, or +inf
+    where masked) of the points ``sel``: the first arg-min and its point
+    (``_point``) when its value goes below ``bound``, no point otherwise,
+    so an equal value leaves the best point to an earlier slab."""
     best = int(np.argmin(vals))
-    return count, skipped, float(vals.flat[best]), _point(sel, best)
+    value = float(vals.flat[best])
+    if value >= bound:
+        return count, skipped, math.inf, None
+    return count, skipped, value, _point(sel, best)
 
 
 def _scan_gathered(problem: OptProblem, slabs: list[float], chunk: _Slab,
-                   mask: np.ndarray):
-    """``_scan_chunk`` of a slab whose domain members are ``mask``, with
-    the members gathered (``_gather``) before any row is evaluated, and
-    the points that pass every row gathered again before the cost, so no
-    row or cost is evaluated off the feasible set."""
-    if not mask.any():
+                   mask: np.ndarray, inside: int, bound: float):
+    """``_scan_chunk`` of a slab whose ``inside`` domain members are
+    ``mask``, with the members gathered (``_gather``) before any row is
+    evaluated, and the points that pass every row gathered again before
+    the cost, so no row or cost is evaluated off the feasible set."""
+    if not inside:
         return 0, 0, math.inf, None
-    sel = chunk if mask.all() else _gather(chunk, mask)
+    sel = chunk if inside == mask.size else _gather(chunk, mask)
     feas = np.ones(sel.block, bool)
     for row in problem.inequalities:
         feas &= row.value_many(*sel.columns) <= 1e-9
@@ -858,63 +870,74 @@ def _scan_gathered(problem: OptProblem, slabs: list[float], chunk: _Slab,
             return 0, 0, math.inf, None
     if not feas.all():
         sel = _gather(sel, feas)
-    return _cost_minimum(problem.cost, sel)
+    return _cost_minimum(problem.cost, sel, bound)
 
 
 def _scan_in_place(problem: OptProblem, slabs: list[float], chunk: _Slab,
-                   mask: np.ndarray):
-    """``_scan_chunk`` of a slab whose domain members are ``mask``, with
-    every row and the cost evaluated on the slab's open coordinates, and
-    the cost broadcast into the slab scratch (``_slab_scratch``) at the
-    points that pass, +inf at the others, before one argmin.  When fewer
-    than half the slab's points pass the rows, they are gathered for the
-    cost instead.  A row's value array is never written: a bare coordinate
-    returns a view of its axis."""
+                   mask: np.ndarray, inside: int, bound: float):
+    """``_scan_chunk`` of a slab whose ``inside`` domain members are
+    ``mask``, with every row and the cost evaluated on the slab's open
+    coordinates.  When the cost is finite everywhere on the slab and its
+    least value, feasible or not, is not below ``bound``, the slab is
+    counted and nothing more; otherwise the cost is broadcast into the
+    slab scratch (``_slab_scratch``) at the points that pass, +inf at the
+    others, before one argmin.  When fewer than half the slab's points
+    pass the rows, they are gathered for the cost instead.  A row's value
+    array is never written: a bare coordinate returns a view of its
+    axis."""
     feas = mask
     for row in problem.inequalities:
         feas = feas & (row.value_many(*chunk.columns) <= 1e-9)
     for row, slab in zip(problem.equalities, slabs):
         feas = feas & (np.abs(row.value_many(*chunk.columns)) <= slab)
-    count = int(np.count_nonzero(feas))
+    count = inside if feas is mask else int(np.count_nonzero(feas))
     if 2 * count < feas.size:
         if not count:
             return 0, 0, math.inf, None
-        return _cost_minimum(problem.cost, _gather(chunk, feas))
+        return _cost_minimum(problem.cost, _gather(chunk, feas), bound)
     cost = problem.cost.value_many(*chunk.columns)
+    low, high = float(cost.min()), float(cost.max())
+    finite = math.isfinite(low) and math.isfinite(high)
+    if finite and low >= bound:
+        return count, 0, math.inf, None
     vals = _slab_scratch(feas.size)[0].reshape(feas.shape)
     vals.fill(math.inf)
     np.copyto(vals, cost, where=feas)
     skipped = 0
-    if not np.isfinite(cost).all():
+    if not finite:
         ok = np.isfinite(vals)
         skipped = count - int(np.count_nonzero(ok))
         if skipped == count:
             return count, skipped, math.inf, None
         vals[~ok] = math.inf
-    best = int(np.argmin(vals))
-    return count, skipped, float(vals.flat[best]), _point(chunk, best)
+    return _below(count, skipped, chunk, vals, bound)
 
 
-def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: _Slab):
+def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: _Slab,
+                bound: float):
     """(feasible count, non-finite count, best value, best point) of one
     lattice slab.  Feasible points with a non-finite cost are counted and
     skipped; the best point is the first finite minimizer in C order,
-    copied out, and None when there is none.
+    copied out, and None when there is none or when its value does not go
+    below ``bound``, the best value of the slabs before, so ties go to the
+    earlier slab.  A slab whose cost cannot go below the bound is counted
+    but not arg-minned (``_scan_in_place``).
 
-    The domain mask is computed once.  A slab with fewer than half its
-    points in the domain is gathered (``_scan_gathered``); any other is
-    scanned in place (``_scan_in_place``) with floating-point flags
-    raised, and a slab that raises one anywhere, feasible or not, is
-    scanned again gathered, so its numerical warnings are exactly those
-    of the feasible points."""
+    The domain mask is computed and counted once.  A slab with fewer than
+    half its points in the domain is gathered (``_scan_gathered``); any
+    other is scanned in place (``_scan_in_place``) with floating-point
+    flags raised, and a slab that raises one anywhere, feasible or not, is
+    scanned again gathered, so its numerical warnings are exactly those of
+    the feasible points."""
     mask = _membership_mask(problem.domain, chunk)
-    if 2 * int(np.count_nonzero(mask)) < mask.size:
-        return _scan_gathered(problem, slabs, chunk, mask)
+    inside = int(np.count_nonzero(mask))
+    if 2 * inside < mask.size:
+        return _scan_gathered(problem, slabs, chunk, mask, inside, bound)
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return _scan_in_place(problem, slabs, chunk, mask)
+            return _scan_in_place(problem, slabs, chunk, mask, inside, bound)
     except FloatingPointError:
-        return _scan_gathered(problem, slabs, chunk, mask)
+        return _scan_gathered(problem, slabs, chunk, mask, inside, bound)
 
 
 def op_bruteforce(problem: OptProblem, point, resolution: float, *,
@@ -940,10 +963,13 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
     domain is scanned in place, its infeasible points masked to +inf
     before one argmin; a thinner slab, or one whose in-place scan raises a
     floating-point flag, is scanned by gathering its feasible points
-    (``_scan_chunk``).  Feasible points whose cost is not finite are
-    skipped and counted; the verdict is 'empty' when no feasible point has
-    a finite cost, and a slab best that is not finite anyway raises
-    NocError.
+    (``_scan_chunk``).  Each slab is scanned against the best value found
+    so far: one whose cost cannot go below it is counted but not
+    arg-minned, and a slab gives a point only when it goes below it, so
+    ties go to the first feasible point in C order.  Feasible points whose
+    cost is not finite are skipped and counted; the verdict is 'empty'
+    when no feasible point has a finite cost, and a slab best that is not
+    finite anyway raises NocError.
     """
     e = np.asarray(point, float)
     _require_in_domain(problem, e)
@@ -966,7 +992,8 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
 
     num_feasible, num_nonfinite, best_value, best_point = 0, 0, math.inf, None
     for chunk in _lattice_chunks(axes):
-        count, skipped, value, where = _scan_chunk(problem, slabs, chunk)
+        count, skipped, value, where = _scan_chunk(problem, slabs, chunk,
+                                                   best_value)
         num_feasible += count
         num_nonfinite += skipped
         if where is not None and not math.isfinite(value):

@@ -241,8 +241,8 @@ def test_a_non_finite_slab_best_exits_2_with_one_line(tmp_path, capsys,
 
     scan_chunk = noc.optproblem._scan_chunk
 
-    def planted(problem, slabs, chunk):
-        count, skipped, _, where = scan_chunk(problem, slabs, chunk)
+    def planted(problem, slabs, chunk, bound):
+        count, skipped, _, where = scan_chunk(problem, slabs, chunk, bound)
         return count, skipped, float("nan"), where
 
     monkeypatch.setattr(noc.optproblem, "_scan_chunk", planted)
@@ -1128,6 +1128,17 @@ def test_a_non_finite_polyhedron_row_exits_2_with_one_line(capsys):
     assert main(["oracle", "cone", "polyhedron ; row nan 1", "0", "1"]) == 2
     err = capsys.readouterr().err
     assert err == "error: polyhedron rows must be finite\n"
+
+
+@pytest.mark.parametrize("ball, message", [
+    ("ball nan 0 1", "ball center must be finite"),
+    ("ball 0 0 inf", "ball radius must be finite")],
+    ids=["nan-center", "inf-radius"])
+def test_a_non_finite_ball_exits_2_with_one_line(capsys, ball, message):
+    assert main(["oracle", "cone", ball, "0 0", "1 0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_a_grid_search_over_an_unbounded_polyhedron_exits_2_with_one_line(

@@ -772,6 +772,20 @@ _SCAN_CASES = {
     "disc-constant-cost": (Ball(center=(0.0, 0.0), radius=1.0),
                            ((-1.0, -1.0), (1.0, 1.0)),
                            "3", (), (), [0.0, 0.0], 2e-3),
+    # the same, with every slab scanned in place and a 0-d cost value:
+    # every slab after the first ties the best value so far
+    "box-constant-cost": (Box(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
+                          ((-1.0, -1.0), (1.0, 1.0)),
+                          "3", (), (), [0.0, 0.0], 2e-3),
+    # each of the 32 slabs in place holds the same least value, on its
+    # every row: the first row of the first slab must win
+    "box-x2-squared-ties": (Box(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
+                            ((-1.0, -1.0), (1.0, 1.0)),
+                            "x2^2", (), (), [0.0, 0.0], 2e-3),
+    # disc-many-chunks mirrored: every slab goes below the slabs before it
+    "disc-mirrored": (Ball(center=(0.0, 0.0), radius=1.0),
+                      ((-1.0, -1.0), (1.0, 1.0)),
+                      "-x1 - 0.1*x2", (), (), [1.0, 0.0], 2e-3),
     # the cost is NaN below x2 = -0.9 in every feasible slab: the first 23
     # of 32 slabs are wholly feasible (x1 < 0.5), the 24th partly, the last
     # eight not at all
@@ -1028,6 +1042,63 @@ def test_a_cost_not_finite_without_a_flag_is_skipped_in_place():
     assert bf.verdict == "confirmed"
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_a_later_slab_with_a_non_finite_cost_is_scanned(bad):
+    # the 51 rows with x1 > 0.899 hold feasible points of cost +inf or NaN,
+    # raising no floating-point flag, and every finite cost there lies above
+    # the best value of the first slab: the scan must still count each
+    # skipped point, not set the slab aside unread
+    from noc.optproblem import OptScalar
+
+    def value_many(x1, x2):
+        return np.where(x1 > 0.899, bad, x1 + x2)
+
+    cost = OptScalar(value=lambda e: float(value_many(*e)),
+                     grad=lambda e: np.ones(2), second=lambda e, y: 0.0,
+                     value_many=value_many)
+    problem = make_opt_problem(Box(lower=(-1.0, -1.0), upper=(1.0, 1.0)), cost)
+    bf = op_bruteforce(problem, [-1.0, -1.0], 2e-3)
+    count, nonfinite, value, where = _full_mesh_reference(
+        problem, (-1.0, -1.0), (1.0, 1.0), 2e-3, 0.0)
+    assert (bf.num_feasible, bf.num_nonfinite) == (count, nonfinite) \
+        == (1001 ** 2, 51 * 1001)
+    assert bf.best_value == value == -2.0
+    assert bf.best_point.tobytes() == where.tobytes()
+    assert bf.verdict == "confirmed"
+
+
+@pytest.mark.parametrize("cost", ["x1 + 1", "3"], ids=["op-disc", "constant"])
+def test_only_a_slab_that_lowers_the_best_value_takes_its_point(monkeypatch,
+                                                                 cost):
+    # op-disc's cost x1 + 1 grows from slab to slab, and a constant cost
+    # ties in every slab, so only the first slab goes below the best value
+    # so far; no later slab, in place or gathered, may look up the
+    # coordinates of its arg-min
+    import noc.optproblem
+
+    scan_chunk, point = noc.optproblem._scan_chunk, noc.optproblem._point
+    looked_up, slabs = [], []
+
+    def spying_point(slab, flat):
+        looked_up.append(flat)
+        return point(slab, flat)
+
+    def recording(problem, slabs_, chunk, bound):
+        before = len(looked_up)
+        result = scan_chunk(problem, slabs_, chunk, bound)
+        slabs.append((bound, result[2], result[3] is not None,
+                      len(looked_up) - before))
+        return result
+
+    monkeypatch.setattr(noc.optproblem, "_point", spying_point)
+    monkeypatch.setattr(noc.optproblem, "_scan_chunk", recording)
+    bf = op_bruteforce(_disc_problem(cost), DISC_POINT, 2e-3)
+    assert bf.verdict == "confirmed" and len(slabs) == 32
+    for bound, value, found, lookups in slabs:
+        assert found == (value < bound) and lookups == found
+    assert [found for _, _, found, _ in slabs] == [True] + [False] * 31
+
+
 def test_a_non_finite_slab_best_is_an_error(monkeypatch):
     # a NaN best value would fail every comparison in the fold and leave
     # a verdict resting on it
@@ -1036,17 +1107,18 @@ def test_a_non_finite_slab_best_is_an_error(monkeypatch):
     scan_chunk = noc.optproblem._scan_chunk
     slabs = []
 
-    def planted(problem, slabs_, chunk):
+    def planted(problem, slabs_, chunk, bound):
         slabs.append(None)
-        count, skipped, value, where = scan_chunk(problem, slabs_, chunk)
+        count, skipped, value, where = scan_chunk(problem, slabs_, chunk,
+                                                  bound)
         if len(slabs) == 2 and where is not None:
             value = float("nan")
         return count, skipped, value, where
 
     monkeypatch.setattr(noc.optproblem, "_scan_chunk", planted)
-    _, _, _, _, _, point, res = _SCAN_CASES["disc-many-chunks"]
+    _, _, _, _, _, point, res = _SCAN_CASES["disc-mirrored"]
     with pytest.raises(NocError, match=r"best cost of a lattice slab is nan"):
-        op_bruteforce(_scan_problem("disc-many-chunks"), point, res)
+        op_bruteforce(_scan_problem("disc-mirrored"), point, res)
     assert len(slabs) == 2
 
 
