@@ -599,9 +599,11 @@ _SCRATCH = threading.local()
 
 def _slab_scratch(n: int, k: int = 1) -> np.ndarray:
     """``k`` float columns of length ``n``, the same memory for every slab
-    this thread scans: a polyhedron's materialized points (one column a
-    coordinate) or the ball's squared distances in ``_membership_mask``,
-    then the masked cost of ``_scan_in_place``.  Slab-sized temporaries
+    this thread scans: a polyhedron's materialized points in
+    ``_membership_mask`` (one column a coordinate), then the masked cost
+    of ``_masked_minimum``.  A ball's membership writes none: it compares
+    one axis's squares with a threshold per lattice line
+    (``_line_thresholds``).  Slab-sized temporaries
     freed at the end of every slab can leave the heap top above glibc's
     trim threshold, which then returns it to the system and faults it in
     again for the next slab; depending on the heap's layout at start-up
@@ -627,20 +629,28 @@ class _Slab:
     shape.  ``shape`` is (points, coordinates), that of the (P, N) array
     of the points; ``axes`` numbers the columns' lattice axes, and
     ``memo`` keeps what a scan derives from its trailing axes, which all
-    its slabs share (``_per_axis``)."""
+    its slabs share (``_per_axis``).  A lattice slab also holds
+    ``lattice``, the open axes of the whole lattice by axis number, and
+    ``start``, the index of its first row on the leading axis; other
+    slabs hold None for both."""
 
-    __slots__ = ("columns", "block", "shape", "axes", "memo")
+    __slots__ = ("columns", "block", "shape", "axes", "memo", "lattice",
+                 "start")
 
-    def __init__(self, columns, block=None, axes=None, memo=None):
+    def __init__(self, columns, block=None, axes=None, memo=None,
+                 lattice=None, start=None):
         self.columns = tuple(columns)
         self.block = self.columns[0].shape if block is None else block
         self.shape = (math.prod(self.block), len(self.columns))
         self.axes = range(len(self.columns)) if axes is None else axes
         self.memo = {} if memo is None else memo
+        self.lattice = lattice
+        self.start = start
 
     def factor(self, s: slice) -> "_Slab":
         """The coordinates ``s`` of the same points (a product's factor)."""
-        return _Slab(self.columns[s], self.block, self.axes[s], self.memo)
+        return _Slab(self.columns[s], self.block, self.axes[s], self.memo,
+                     self.lattice, self.start)
 
 
 def _per_axis(slab: _Slab, U, term) -> list:
@@ -659,33 +669,89 @@ def _per_axis(slab: _Slab, U, term) -> list:
     return out
 
 
+def _line_thresholds(sums: np.ndarray, values: np.ndarray,
+                     bound: float) -> np.ndarray:
+    """The largest of ``values`` (sorted and distinct) that each lattice
+    line admits, or -inf where it admits none.  A line whose earlier
+    squared distances sum to s admits t when fl(s + t) <= ``bound``;
+    rounded addition is monotone in t, so what a line admits is a prefix
+    of ``values``.  A searchsorted of the rounded bound - s guesses each
+    line's last index, which is then stepped up and down, one distinct
+    value at a time, on that same rounded sum until it is exact."""
+    n = values.size
+    i = np.searchsorted(values, bound - sums, side="right") - 1
+
+    def admits(j):
+        return (j >= 0) & (j < n) & (sums + values[np.clip(j, 0, n - 1)]
+                                     <= bound)
+
+    while (step := admits(i + 1)).any():
+        i += step
+    while (step := (i >= 0) & ~admits(i)).any():
+        i -= step
+    return np.where(i >= 0, values[np.maximum(i, 0)], -np.inf)
+
+
+def _ball_mask(U: Ball, slab: _Slab) -> np.ndarray:
+    """``_membership_mask`` of a ball: a point is in it when the rounded
+    sum of its squared distances along the columns, added in axis order,
+    is at most radius**2 + 1e-12.  On a lattice slab of two or more
+    columns, a line (the points that share every column but the last)
+    holds the points whose last square is at most its threshold
+    (``_line_thresholds``), so the mask is one broadcast comparison.  The
+    thresholds are derived once per scan when the earlier squares come
+    from one axis, and a slab takes its rows' share of the leading
+    axis's; with more earlier axes (a 3-D ball), per slab from its own
+    lines.  A point array, a gathered slab and a 1-D ball add the squares
+    densely."""
+    c = np.asarray(U.center, float)
+    bound = U.radius ** 2 + 1e-12
+
+    def square(a):
+        d = slab.columns[a] - c[a]
+        return d * d
+
+    if slab.lattice is None or len(slab.columns) == 1:
+        terms = _per_axis(slab, U, square)
+        dist2 = terms[0]
+        for term in terms[1:]:
+            dist2 = dist2 + term
+        return dist2 <= bound
+    axes = slab.axes
+    key = (id(U), "lines")
+    if key not in slab.memo:
+        last = square(-1)
+        values = np.unique(last)
+        per_scan = None
+        if len(axes) == 2:
+            d = slab.lattice[axes[0]] - c[0]
+            per_scan = _line_thresholds(d * d, values, bound)
+        slab.memo[key] = last, values, per_scan
+    last, values, theta = slab.memo[key]
+    if theta is None:
+        terms = _per_axis(slab.factor(slice(-1)), U, square)
+        sums = terms[0]
+        for term in terms[1:]:
+            sums = sums + term
+        theta = _line_thresholds(sums, values, bound)
+    elif axes[0] == 0:
+        theta = theta[slab.start:slab.start + slab.block[0]]
+    return last <= theta
+
+
 def _membership_mask(U, pts) -> np.ndarray:
     """Vectorized membership of a lattice slab (``_Slab``) or a (P, N)
     array of points, as a mask of the slab's ``block`` shape ((P,) for an
-    array).  A ball adds the squared distances of the columns by
-    broadcasting, in axis order, into the slab scratch, and a box ANDs its
-    per-axis interval tests; both take each axis's term once
+    array).  A ball compares, on a lattice slab, its last axis's squared
+    distances with one threshold per lattice line (``_ball_mask``), and a
+    box ANDs its per-axis interval tests taking each axis's term once
     (``_per_axis``).  A polyhedron tests one row at a time on the points
     materialized column by column in the scratch (``pts @ row`` is BLAS,
     not an elementwise sum).  A product tests each factor on its own
     columns."""
     slab = pts if isinstance(pts, _Slab) else _Slab(pts.T)
     if isinstance(U, Ball):
-        c = np.asarray(U.center, float)
-
-        def square(a):
-            d = slab.columns[a] - c[a]
-            return d * d
-
-        terms = _per_axis(slab, U, square)
-        dist2 = terms[0]
-        for term in terms[1:-1]:
-            dist2 = dist2 + term
-        if len(terms) > 1:
-            shape = tuple(map(max, dist2.shape, terms[-1].shape))
-            dist2 = np.add(dist2, terms[-1], out=_slab_scratch(
-                math.prod(shape))[0].reshape(shape))
-        return dist2 <= U.radius ** 2 + 1e-12
+        return _ball_mask(U, slab)
     if isinstance(U, Box):
         lo = np.asarray(U.lower, float) - 1e-12
         hi = np.asarray(U.upper, float) + 1e-12
@@ -786,17 +852,20 @@ def _lattice_chunks(axes: list[np.ndarray]):
     coordinates: the slab's slice of the leading axis shaped (rows, 1[, 1])
     and each trailing axis shaped once per scan, e.g. (1, K1[, 1]).  No
     point is materialized; every row, the cost and the domain test
-    evaluate on a slab by broadcasting."""
+    evaluate on a slab by broadcasting.  Each slab also holds the whole
+    lattice's open axes and its first row, so a domain test can derive a
+    per-row quantity once per scan and take the slab's rows of it."""
     dim = len(axes)
     counts = [ax.size for ax in axes]
     rows, _ = _slab_shape(counts)
-    lead, *trailing = [ax.reshape([-1 if k == a else 1 for k in range(dim)])
-                       for a, ax in enumerate(axes)]
+    lattice = tuple(ax.reshape([-1 if k == a else 1 for k in range(dim)])
+                    for a, ax in enumerate(axes))
+    lead, *trailing = lattice
     memo = {}
     for start in range(0, counts[0], rows):
         part = lead[start:start + rows]
         yield _Slab((part, *trailing), (part.shape[0], *counts[1:]),
-                    memo=memo)
+                    memo=memo, lattice=lattice, start=start)
 
 
 def _gather(slab: _Slab, keep: np.ndarray) -> _Slab:
@@ -873,44 +942,61 @@ def _scan_gathered(problem: OptProblem, slabs: list[float], chunk: _Slab,
     return _cost_minimum(problem.cost, sel, bound)
 
 
+def _open_cost(cost: OptScalar, chunk: _Slab, bound: float):
+    """(values, finite): the cost on the slab's open coordinates, and
+    whether every value is finite.  The values are None when every one is
+    finite and none is below ``bound``, so no point of the slab can go
+    below it."""
+    vals = np.asarray(cost.value_many(*chunk.columns))
+    low, high = float(vals.min()), float(vals.max())
+    finite = math.isfinite(low) and math.isfinite(high)
+    return (None if finite and low >= bound else vals), finite
+
+
+def _masked_minimum(chunk: _Slab, feas: np.ndarray, count: int,
+                    vals: np.ndarray, finite: bool, bound: float):
+    """The scan result of the slab's ``count`` feasible points ``feas``,
+    whose costs are ``vals`` on the open coordinates (``finite`` when
+    every one is): the costs are broadcast into the slab scratch
+    (``_slab_scratch``) at the feasible points, +inf at the others, and
+    non-finite ones skipped, before one argmin.  The cost's array is never
+    written: a bare coordinate returns a view of its axis."""
+    out = _slab_scratch(feas.size)[0].reshape(feas.shape)
+    out.fill(math.inf)
+    np.copyto(out, vals, where=feas)
+    skipped = 0
+    if not finite:
+        ok = np.isfinite(out)
+        skipped = count - int(np.count_nonzero(ok))
+        if skipped == count:
+            return count, skipped, math.inf, None
+        out[~ok] = math.inf
+    return _below(count, skipped, chunk, out, bound)
+
+
 def _scan_in_place(problem: OptProblem, slabs: list[float], chunk: _Slab,
                    mask: np.ndarray, inside: int, bound: float):
-    """``_scan_chunk`` of a slab whose ``inside`` domain members are
-    ``mask``, with every row and the cost evaluated on the slab's open
+    """``_scan_chunk`` of a slab with rows whose ``inside`` domain members
+    are ``mask``, with every row and the cost evaluated on the slab's open
     coordinates.  When the cost is finite everywhere on the slab and its
     least value, feasible or not, is not below ``bound``, the slab is
-    counted and nothing more; otherwise the cost is broadcast into the
-    slab scratch (``_slab_scratch``) at the points that pass, +inf at the
-    others, before one argmin.  When fewer than half the slab's points
-    pass the rows, they are gathered for the cost instead.  A row's value
-    array is never written: a bare coordinate returns a view of its
-    axis."""
+    counted and nothing more; otherwise its feasible points are arg-minned
+    in place (``_masked_minimum``).  When fewer than half the slab's
+    points pass the rows, they are gathered for the cost instead."""
     feas = mask
     for row in problem.inequalities:
         feas = feas & (row.value_many(*chunk.columns) <= 1e-9)
     for row, slab in zip(problem.equalities, slabs):
         feas = feas & (np.abs(row.value_many(*chunk.columns)) <= slab)
-    count = inside if feas is mask else int(np.count_nonzero(feas))
+    count = int(np.count_nonzero(feas))
     if 2 * count < feas.size:
         if not count:
             return 0, 0, math.inf, None
         return _cost_minimum(problem.cost, _gather(chunk, feas), bound)
-    cost = problem.cost.value_many(*chunk.columns)
-    low, high = float(cost.min()), float(cost.max())
-    finite = math.isfinite(low) and math.isfinite(high)
-    if finite and low >= bound:
+    vals, finite = _open_cost(problem.cost, chunk, bound)
+    if vals is None:
         return count, 0, math.inf, None
-    vals = _slab_scratch(feas.size)[0].reshape(feas.shape)
-    vals.fill(math.inf)
-    np.copyto(vals, cost, where=feas)
-    skipped = 0
-    if not finite:
-        ok = np.isfinite(vals)
-        skipped = count - int(np.count_nonzero(ok))
-        if skipped == count:
-            return count, skipped, math.inf, None
-        vals[~ok] = math.inf
-    return _below(count, skipped, chunk, vals, bound)
+    return _masked_minimum(chunk, feas, count, vals, finite, bound)
 
 
 def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: _Slab,
@@ -921,23 +1007,40 @@ def _scan_chunk(problem: OptProblem, slabs: list[float], chunk: _Slab,
     copied out, and None when there is none or when its value does not go
     below ``bound``, the best value of the slabs before, so ties go to the
     earlier slab.  A slab whose cost cannot go below the bound is counted
-    but not arg-minned (``_scan_in_place``).
+    but not arg-minned.
 
-    The domain mask is computed and counted once.  A slab with fewer than
-    half its points in the domain is gathered (``_scan_gathered``); any
-    other is scanned in place (``_scan_in_place``) with floating-point
-    flags raised, and a slab that raises one anywhere, feasible or not, is
-    scanned again gathered, so its numerical warnings are exactly those of
-    the feasible points."""
+    The domain mask is computed and counted once, and a slab with no
+    member is done.  Without rows, the cost is first evaluated once on the
+    slab's open coordinates (``_open_cost``) with floating-point flags
+    raised: when it is finite and nowhere below the bound, the slab's
+    feasible count is its domain count and nothing more is done; when it
+    raises no flag, a slab at least half inside the domain is arg-minned
+    on those values (``_masked_minimum``).  With rows, a slab at least
+    half inside the domain is scanned in place (``_scan_in_place``) with
+    the flags raised.  Every other slab, and every slab whose cost or rows
+    raise a flag anywhere, feasible or not, is gathered
+    (``_scan_gathered``), so its numerical warnings are exactly those of
+    the feasible points; no slab is evaluated more than twice."""
     mask = _membership_mask(problem.domain, chunk)
     inside = int(np.count_nonzero(mask))
-    if 2 * inside < mask.size:
-        return _scan_gathered(problem, slabs, chunk, mask, inside, bound)
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return _scan_in_place(problem, slabs, chunk, mask, inside, bound)
-    except FloatingPointError:
-        return _scan_gathered(problem, slabs, chunk, mask, inside, bound)
+    if inside:
+        thick = 2 * inside >= mask.size
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                if problem.inequalities or problem.equalities:
+                    if thick:
+                        return _scan_in_place(problem, slabs, chunk, mask,
+                                              inside, bound)
+                else:
+                    vals, finite = _open_cost(problem.cost, chunk, bound)
+                    if vals is None:
+                        return inside, 0, math.inf, None
+                    if thick:
+                        return _masked_minimum(chunk, mask, inside, vals,
+                                               finite, bound)
+        except FloatingPointError:
+            pass
+    return _scan_gathered(problem, slabs, chunk, mask, inside, bound)
 
 
 def op_bruteforce(problem: OptProblem, point, resolution: float, *,
@@ -959,14 +1062,17 @@ def op_bruteforce(problem: OptProblem, point, resolution: float, *,
     materialized: rows, cost and domain test broadcast over the slab's
     axes, and a slab's masks, its scratch and any points gathered from it
     stay in cache, so memory does not grow with the grid; grids above
-    GRID_POINT_LIMIT points are refused.  A slab at least half inside the
-    domain is scanned in place, its infeasible points masked to +inf
-    before one argmin; a thinner slab, or one whose in-place scan raises a
-    floating-point flag, is scanned by gathering its feasible points
-    (``_scan_chunk``).  Each slab is scanned against the best value found
-    so far: one whose cost cannot go below it is counted but not
-    arg-minned, and a slab gives a point only when it goes below it, so
-    ties go to the first feasible point in C order.  Feasible points whose
+    GRID_POINT_LIMIT points are refused.  A ball's domain test is one
+    comparison per point with a threshold per lattice line, derived once
+    per scan for a disc (``_ball_mask``).  Each slab is scanned against
+    the best value found so far: one whose cost cannot go below it is
+    counted but not arg-minned, tested before any point is gathered when
+    the problem has no rows, and a slab gives a point only when it goes
+    below it, so ties go to the first feasible point in C order.  A slab
+    at least half inside the domain is otherwise scanned in place, its
+    infeasible points masked to +inf before one argmin; a thinner slab,
+    or one whose cost or rows raise a floating-point flag, is scanned by
+    gathering its feasible points (``_scan_chunk``).  Feasible points whose
     cost is not finite are skipped and counted; the verdict is 'empty'
     when no feasible point has a finite cost, and a slab best that is not
     finite anyway raises NocError.

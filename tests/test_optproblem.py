@@ -33,7 +33,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from noc.cones import (Ball, Box, Polyhedron, ProductSet,
@@ -692,6 +692,105 @@ def test_membership_mask_matches_reference_off_the_lattice():
         np.testing.assert_array_equal(_membership_mask(U, pts), expected)
 
 
+@st.composite
+def _ball_lattices(draw):
+    """(domain, ball, the ball's lattice axes, axes, slab points) of a
+    lattice ball check: a ball alone on a 1-, 2- or 3-D lattice, or a
+    disc on the leading or trailing two axes of a 3-D product with a
+    box.  Each axis is a few evenly spaced values; the centre is a lattice
+    point or off the lattice; the radius reaches a drawn lattice point
+    (exactly, or 1 ulp either side), is too small for any point or covers
+    the whole box.  The last ball axis may gain values a few ulps apart
+    around where a drawn line leaves the ball, and any axis values near
+    1e154 or 1e160, whose squares (or their sums) overflow to inf."""
+    dim = draw(st.integers(1, 3))
+    layout = draw(st.sampled_from(["ball", "box-ball", "ball-box"]
+                                  if dim == 3 else ["ball"]))
+    ball_axes = {"ball": list(range(dim)), "box-ball": [1, 2],
+                 "ball-box": [0, 1]}[layout]
+    ends = st.floats(-4.0, 4.0, allow_nan=False)
+    axes = [np.linspace(*sorted((draw(ends), draw(ends))),
+                        draw(st.integers(1, 7))) for _ in range(dim)]
+    if draw(st.booleans()):
+        centre = [draw(st.sampled_from(axes[a].tolist())) for a in ball_axes]
+    else:
+        centre = [draw(ends) for _ in ball_axes]
+    point = [draw(st.sampled_from(axes[a].tolist())) for a in ball_axes]
+    reach = float(np.sqrt(sum((p - c) ** 2 for p, c in zip(point, centre))))
+    kind = draw(st.sampled_from(["hit", "above", "below", "tiny", "cover"]))
+    radius = {"hit": reach, "above": np.nextafter(reach, np.inf),
+              "below": np.nextafter(reach, -np.inf), "tiny": 1e-9,
+              "cover": 1e3}[kind]
+    radius = float(radius) if radius > 0 else 1e-9
+    bound = radius ** 2 + 1e-12
+    if len(ball_axes) > 1 and draw(st.booleans()):
+        # ulp-spaced values where the drawn point's line leaves the ball
+        *earlier, last = ball_axes
+        s = sum((draw(st.sampled_from(axes[a].tolist())) - centre[i]) ** 2
+                for i, a in enumerate(earlier))
+        x = centre[-1] + float(np.sqrt(max(bound - s, 0.0)))
+        near = [x]
+        for _ in range(draw(st.integers(1, 6))):
+            near = [np.nextafter(near[0], -np.inf), *near,
+                    np.nextafter(near[-1], np.inf)]
+        axes[last] = np.concatenate([axes[last], near])
+    for a in range(dim):
+        if draw(st.booleans()) and draw(st.booleans()):
+            huge = draw(st.sampled_from([1e154, -1.3e154, 1e160]))
+            axes[a] = np.append(axes[a], huge)
+    ball = Ball(center=tuple(centre), radius=radius)
+    domain = {"ball": ball,
+              "box-ball": ProductSet((Box(lower=(-1.0,), upper=(1.0,)),
+                                      ball)),
+              "ball-box": ProductSet((ball, Box(lower=(-1.0,),
+                                                upper=(1.0,))))}[layout]
+    chunk = draw(st.sampled_from([1, 5, 40, 10 ** 6]))
+    return domain, ball, ball_axes, axes, chunk
+
+
+# with r the radius, t = 0.8509656052975975**2 is at most the rounded
+# r**2 + 1e-12 - s, s = 0.43299626751813686**2, yet the rounded s + t is
+# above r**2 + 1e-12: the guessed threshold must step down
+_STEP_DOWN = Ball(center=(0.0, 0.0), radius=0.9547922439374674)
+
+
+@given(_ball_lattices())
+@example((_STEP_DOWN, _STEP_DOWN, [0, 1],
+          [np.array([0.43299626751813686]), np.array([0.8509656052975975])],
+          10 ** 6))
+def test_the_ball_mask_of_a_lattice_is_the_rounded_sum_of_its_squares(case):
+    # the mask of every lattice slab, laid end to end, must be bit for bit
+    # the old dense test: the squared distances added in axis order,
+    # broadcast over the whole lattice, at most radius**2 + 1e-12
+    from unittest import mock
+
+    import noc.optproblem
+
+    domain, ball, ball_axes, axes, chunk = case
+    dim = len(axes)
+    open_axes = [ax.reshape([-1 if k == a else 1 for k in range(dim)])
+                 for a, ax in enumerate(axes)]
+    c = np.asarray(ball.center, float)
+    block = tuple(ax.size for ax in axes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist2 = None
+        for i, a in enumerate(ball_axes):
+            d = open_axes[a] - c[i]
+            dist2 = d * d if dist2 is None else dist2 + d * d
+        expected = np.broadcast_to(dist2 <= ball.radius ** 2 + 1e-12, block)
+        if isinstance(domain, ProductSet):
+            box = 0 if ball_axes == [1, 2] else 2
+            expected = expected & (np.abs(open_axes[box]) <= 1.0 + 1e-12)
+        with mock.patch.object(noc.optproblem, "CHUNK_POINTS", chunk):
+            slabs = list(noc.optproblem._lattice_chunks(axes))
+            masks = [noc.optproblem._membership_mask(domain, slab)
+                     for slab in slabs]
+    for slab, mask in zip(slabs, masks):
+        assert isinstance(mask, np.ndarray) and mask.dtype == bool
+        assert mask.shape == slab.block
+    np.testing.assert_array_equal(np.concatenate(masks), expected)
+
+
 def _full_mesh_reference(problem, lo, hi, resolution, slab):
     """num_feasible, num_nonfinite, best finite value and its first arg-min
     in C order over the whole lattice at once, the way the scan is
@@ -989,11 +1088,12 @@ def test_the_scan_never_writes_the_axes(monkeypatch, domain, cost, point):
 
 
 def test_a_slab_allocates_one_float_column_beyond_the_lattice():
-    # the ball's distances and the masked cost go into _slab_scratch, the
-    # same memory for every slab, and the lattice is never materialized,
-    # so a slab allocates no slab-sized float array of its own beyond a
-    # thin slab's gathered points: slab-sized arrays freed at the end of
-    # every slab can make glibc trim the heap top and fault it in again
+    # the ball's test is one comparison per point, the masked cost goes
+    # into _slab_scratch, the same memory for every slab, and the lattice
+    # is never materialized, so a slab allocates no slab-sized float array
+    # of its own beyond a thin slab's gathered points: slab-sized arrays
+    # freed at the end of every slab can make glibc trim the heap top and
+    # fault it in again
     import tracemalloc
 
     import noc.optproblem
@@ -1097,6 +1197,46 @@ def test_only_a_slab_that_lowers_the_best_value_takes_its_point(monkeypatch,
     for bound, value, found, lookups in slabs:
         assert found == (value < bound) and lookups == found
     assert [found for _, _, found, _ in slabs] == [True] + [False] * 31
+
+
+@pytest.mark.parametrize("name", ["op-disc", "disc-mirrored"])
+def test_a_slab_is_gathered_only_when_its_cost_can_go_below_the_best_value(
+        monkeypatch, name):
+    # op-disc's cost x1 + 1 grows from slab to slab, so after the first
+    # no thin edge slab can go below the best value so far, and none may
+    # be gathered; every slab of disc-mirrored goes below it, so each of
+    # its five thin slabs is gathered once, as before pruning reached them
+    import noc.optproblem
+
+    scan_chunk, gather = noc.optproblem._scan_chunk, noc.optproblem._gather
+    gathers, slabs = [], []
+
+    def counting(slab, keep):
+        gathers.append(keep.shape)
+        return gather(slab, keep)
+
+    def recording(problem, slabs_, chunk, bound):
+        before = len(gathers)
+        result = scan_chunk(problem, slabs_, chunk, bound)
+        pts = np.stack([np.broadcast_to(col, chunk.block).ravel()
+                        for col in chunk.columns], axis=1)
+        inside = _reference_member(problem.domain, pts)
+        vals = problem.cost.value_many(*pts[inside].T)
+        slabs.append((bool(vals.min() < bound), 2 * inside.sum() < inside.size,
+                      len(gathers) - before))
+        return result
+
+    monkeypatch.setattr(noc.optproblem, "_gather", counting)
+    monkeypatch.setattr(noc.optproblem, "_scan_chunk", recording)
+    if name == "op-disc":
+        problem, point = _disc_problem(), DISC_POINT
+    else:
+        problem, point = _scan_problem(name), _SCAN_CASES[name][5]
+    bf = op_bruteforce(problem, point, 2e-3)
+    assert len(slabs) == 32 and bf.best_point is not None
+    assert [n for _, _, n in slabs] == [int(below and thin)
+                                        for below, thin, _ in slabs]
+    assert len(gathers) == {"op-disc": 1, "disc-mirrored": 5}[name]
 
 
 def test_a_non_finite_slab_best_is_an_error(monkeypatch):
