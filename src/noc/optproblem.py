@@ -705,7 +705,6 @@ def _ball_mask(U: Ball, slab: _Slab) -> np.ndarray:
     lines.  A point array, a gathered slab and a 1-D ball add the squares
     densely."""
     c = np.asarray(U.center, float)
-    bound = U.radius ** 2 + 1e-12
 
     def square(a):
         d = slab.columns[a] - c[a]
@@ -716,7 +715,7 @@ def _ball_mask(U: Ball, slab: _Slab) -> np.ndarray:
         dist2 = terms[0]
         for term in terms[1:]:
             dist2 = dist2 + term
-        return dist2 <= bound
+        return dist2 <= U.radius ** 2 + 1e-12
     axes = slab.axes
     key = (id(U), "lines")
     if key not in slab.memo:
@@ -724,13 +723,15 @@ def _ball_mask(U: Ball, slab: _Slab) -> np.ndarray:
         # np.unique would give the same values, but its first call touches
         # about 1.7 MB more of NumPy than a sort (peak RSS, NumPy 2.4)
         ordered = np.sort(last, axis=None)
-        values = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        distinct = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        values = ordered[distinct]
+        bound = U.radius ** 2 + 1e-12
         per_scan = None
         if len(axes) == 2:
             d = slab.lattice[axes[0]] - c[0]
             per_scan = _line_thresholds(d * d, values, bound)
-        slab.memo[key] = last, values, per_scan
-    last, values, theta = slab.memo[key]
+        slab.memo[key] = last, values, bound, per_scan
+    last, values, bound, theta = slab.memo[key]
     if theta is None:
         terms = _per_axis(slab.factor(slice(-1)), U, square)
         sums = terms[0]
