@@ -20,7 +20,8 @@ from .cones import (_per_row, _RowGroups, adjacent_cone_member,
                     second_cone_vrep, tangent_cone_vrep)
 from .dynamics import (ControlProblem, FieldAlongCurve, Trajectory,
                        TrajectoryJet, _adjoint_chain, _check_direction_shape,
-                       _endpoint_christoffel, _stackable, _sum_over,
+                       _at_sides, _endpoint_christoffel, _node_leading,
+                       _stackable, _sum_over,
                        _variational_chain, dynamics_from_expressions,
                        endpoint_from_expressions, integrate_adjoint,
                        integrate_variational, lagrange_data, make_problem,
@@ -229,14 +230,19 @@ class _MultiplierJet:
 
     Column s holds the quantity for the unit multiplier e_s, so the value
     for a multiplier w is the contraction with w. ``adjoint`` is (N+1, n,
-    dim); ``endpoint`` holds the LagrangeData of each unit slot; ``hu`` is
-    the Hamiltonian control gradient on both sides of every cell,
-    (2, N, m, dim), with sides laid out as in ``TrajectoryJet``.
+    dim); ``endpoint`` holds the LagrangeData of each unit slot. The
+    adjoint at both sides of every cell, ``adjoint_sides`` (n, dim, 2, N),
+    and the Hamiltonian control gradient there, ``hu_sides``
+    (m, dim, 2, N), are node-innermost like the per-side arrays of
+    ``TrajectoryJet``; ``hu`` holds the gradient's values as the
+    C-contiguous (2, N, m, dim) array that ``_generator_rows`` multiplies.
     """
 
     jet: TrajectoryJet
     adjoint: np.ndarray
     endpoint: tuple
+    adjoint_sides: np.ndarray
+    hu_sides: np.ndarray
     hu: np.ndarray
 
 
@@ -254,25 +260,28 @@ def _multiplier_jet(problem: ControlProblem, trajectory: Trajectory) -> _Multipl
         problem, trajectory, np.stack([d.grad_end for d in endpoint], axis=-1))
     jet = trajectory_jet(problem, trajectory)
     adjoint = integrate_adjoint(problem, trajectory, slots, _iterates=iterates).values
-    hu = _adjoint_pairing(jet.fu, adjoint[jet.nodes])
-    return _MultiplierJet(jet=jet, adjoint=adjoint, endpoint=endpoint, hu=hu)
+    adjoint_sides = _at_sides(np.moveaxis(adjoint, 0, -1))
+    hu_sides = _adjoint_pairing(jet.fu, adjoint_sides)
+    return _MultiplierJet(jet=jet, adjoint=adjoint, endpoint=endpoint,
+                          adjoint_sides=adjoint_sides, hu_sides=hu_sides,
+                          hu=_node_leading(hu_sides))
 
 
 def _adjoint_pairing(vectors: np.ndarray, at_sides: np.ndarray) -> np.ndarray:
-    """Pair per-side vectors (2, N, n, ...) with the adjoint columns at the
-    sides' nodes (2, N, n, dim): (2, N, ..., dim), the products over the
-    state index added in index order for every side and cell at once."""
-    shape = at_sides.shape[:2] + (1,) * (vectors.ndim - 3) + at_sides.shape[3:]
-    return _sum_over((vectors[:, :, k, ..., None], at_sides[:, :, k].reshape(shape))
-                     for k in range(vectors.shape[2]))
+    """Pair node-innermost per-side vectors (n, ..., 2, N) with the adjoint
+    columns at the sides' nodes (n, dim, 2, N): (..., dim, 2, N), the
+    products over the state index added in index order for every side and
+    cell at once."""
+    return _sum_over((vectors[k][..., None, :, :], at_sides[k])
+                     for k in range(len(vectors)))
 
 
 def _direction_pairing(directions: np.ndarray, hu: np.ndarray) -> np.ndarray:
-    """Pair control rows (..., N, m) with the Hamiltonian control gradient
-    hu (2, N, m, dim): (..., 2, N, dim), the products over the control
-    index added in index order."""
-    rows = directions[..., None, :, :, None]                    # (..., 1, N, m, 1)
-    return _sum_over((rows[..., a, :], hu[..., a, :]) for a in range(hu.shape[2]))
+    """Pair control rows (..., N, m) with the node-innermost Hamiltonian
+    control gradient hu (m, dim, 2, N): (..., dim, 2, N), the products over
+    the control index added in index order."""
+    rows = np.moveaxis(directions, -1, 0)[..., None, None, :]   # (m, ..., 1, 1, N)
+    return _sum_over((rows[a], hu[a]) for a in range(len(hu)))
 
 
 def _multiplier_cone_rows(problem: ControlProblem, trajectory: Trajectory,
@@ -355,7 +364,8 @@ def _stationarity(mjet: _MultiplierJet, direction: SingularDirection,
                   W: np.ndarray) -> np.ndarray:
     """Per column of W (dim, R): the largest |hu paired with v| over both
     sides of every cell."""
-    paired = _direction_pairing(direction.control_directions, mjet.hu)
+    paired = _node_leading(_direction_pairing(direction.control_directions,
+                                              mjet.hu_sides))
     return np.max(np.abs(paired @ W), axis=(0, 1))
 
 
@@ -400,19 +410,20 @@ def _form_coefficients(mjet: _MultiplierJet, direction: SingularDirection,
     The integrands are the control gradient paired with each candidate
     (``_direction_pairing``) and each of the jet's form integrands paired
     with the adjoint at its side's node (``_adjoint_pairing``), for every
-    side and cell at once, before the cellwise trapezoid rule.
+    side and cell at once, node-innermost, before the cellwise trapezoid
+    rule, which gets them as (2, N, dim) arrays.
     """
     grid = mjet.jet.trajectory.grid
     X = direction.field.values
     v = direction.control_directions
-    at_sides = mjet.adjoint[mjet.jet.nodes]                     # (2, N, n, dim)
 
-    def integral(paired):                                      # (2, N, ...)
+    def integral(paired):                                      # (dim, 2, N)
+        paired = _node_leading(paired)
         return trapezoid_cellwise(grid, paired[0], paired[1])
 
-    by_sigma = _direction_pairing(np.stack(sigmas), mjet.hu)   # (S, 2, N, dim)
+    by_sigma = _direction_pairing(np.stack(sigmas), mjet.hu_sides)  # (S, dim, 2, N)
     sigma = np.array([integral(p) for p in by_sigma]).reshape(len(sigmas), -1)
-    terms = {name: integral(_adjoint_pairing(vec, at_sides))
+    terms = {name: integral(_adjoint_pairing(vec, mjet.adjoint_sides))
              for name, vec in mjet.jet.form_integrands(X, v).items()}
     X0, XT = X[0], X[-1]
     terms["start_start"] = np.array([0.5 * X0 @ d.hess_start_start @ X0

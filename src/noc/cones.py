@@ -74,10 +74,13 @@ class Ball(_ConvexSet):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if not all(map(math.isfinite, self.center)):
             raise ValueError("ball center must be finite")
-        if not math.isfinite(self.radius):
+        radius = float(self.radius)
+        if not math.isfinite(radius):
             raise ValueError("ball radius must be finite")
-        if not self.radius > 0:
+        if not radius > 0:
             raise ValueError("ball radius must be positive")
+        if not math.isfinite(radius * radius):
+            raise ValueError("ball radius must have a finite square")
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,9 @@ from .errors import (BasePointMismatch, BoundViolated, ChartEscape, NocError,
                      NonFiniteState)
 from .expr import _compile_blocks, _finite, compile_expr, parse_expr, python_source
 from .geometry import (CotangentVector, ManifoldChart, TangentVector,
-                       christoffel, christoffel_apply, curvature, dchristoffel,
-                       exp_map, log_map, norm, valid_point)
+                       _christoffel_nodes, _curvature_nodes, _dchristoffel_nodes,
+                       christoffel, christoffel_apply, exp_map, log_map, norm,
+                       valid_point)
 
 __all__ = [
     "ControlProblem", "DynamicsModel", "EndpointMap", "FieldAlongCurve",
@@ -94,7 +95,9 @@ class DynamicsModel:
     ``blocks_many`` evaluates all six blocks over a batch of B points at
     once: ``blocks_many(t, y, u)`` with t (B,), y (B, n) and u (B, m)
     returns (f, f_y, f_u, f_yy, f_yu, f_uu), each a new array with a
-    leading batch axis. ``dynamics_from_expressions`` sets it to one
+    leading batch axis; ``blocks_many(t, y, u, nodes_last=True)`` returns
+    the same values with the batch axis last, f (n, B) .. f_uu (n, m, m, B),
+    the layout of ``TrajectoryJet``. ``dynamics_from_expressions`` sets it to one
     generated function that fills the six preallocated blocks, one element
     expression per entry (``noc.expr._compile_blocks``), and the per-node
     blocks ``rhs_y`` .. ``rhs_uu`` are its one-point views, so a model has
@@ -199,10 +202,10 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
             return rhs_block(1, t, *np.asarray(y, float), *np.asarray(u, float),
                              *pvals)[0][0]
 
-        def blocks_many(t, y, u):
+        def blocks_many(t, y, u, nodes_last=False):
             t = np.asarray(t, float)
             return all_blocks(t.shape[0], t, *np.asarray(y, float).T,
-                              *np.asarray(u, float).T, *pvals)
+                              *np.asarray(u, float).T, *pvals, last=nodes_last)
 
         def at_point(k):
             return lambda t, y, u: blocks_many([t], [y], [u])[k][0]
@@ -498,8 +501,9 @@ def _validate_endpoints(problem: ControlProblem, pairs, only=None):
 def _check_endpoint_map(ep: EndpointMap, pairs):
     """Require ``ep``'s value, gradients and Hessian blocks, evaluated at
     every point pair, to be finite."""
-    parts = [(ep.value(a, b), *ep.grad(a, b), *ep.hess(a, b)) for a, b in pairs]
-    if not all(np.all(np.isfinite(part)) for pair in parts for part in pair):
+    parts = [np.ravel(part) for a, b in pairs
+             for part in (ep.value(a, b), *ep.grad(a, b), *ep.hess(a, b))]
+    if not np.isfinite(np.concatenate(parts)).all():
         raise NocError(f"endpoint map {ep.label!r} is not finite at a "
                        f"validation point pair")
 
@@ -1162,6 +1166,13 @@ def _sum_over(pairs) -> np.ndarray:
     on the sphere, whose cost accumulator is a third, flat coordinate; Γ
     and ∂Γ vanish at that index, so t2 is a zero and both orders give the
     same bits.
+
+    Every kernel built on it takes its operands node-innermost, component
+    axes first and the side and node axes last (the layout of
+    ``TrajectoryJet``), so each product runs over contiguous rows of all
+    nodes at once rather than over the few entries of one node's tensor.
+    The layout does not change a bit: every entry is the same products
+    added in the same order.
     """
     pairs = iter(pairs)
     a, b = next(pairs)
@@ -1173,7 +1184,10 @@ def _sum_over(pairs) -> np.ndarray:
 
 
 def _covariant_blocks(f, fy, fu, fyy, fyu, gamma=None, dgamma=None):
-    """Covariant derivatives of the dynamics, batched over leading axes.
+    """Covariant derivatives of the dynamics, batched over trailing node
+    axes: f (n, ...), fy (n, n, ...), fu (n, m, ...), fyy (n, n, n, ...),
+    fyu (n, n, m, ...), gamma (n, n, n, ...) and dgamma (n, n, n, n, ...),
+    the component axes first (no trailing axes for one point).
 
     Returns (A, H2, M): the state Jacobian A^k_j = d_j f^k + Γ^k_{jm} f^m,
     the Hessian (∇²f)^k_{ij} = ∇_i (∇f)^k_j and the mixed block
@@ -1190,95 +1204,115 @@ def _covariant_blocks(f, fy, fu, fyy, fyu, gamma=None, dgamma=None):
     """
     if gamma is None:
         return fy, fyy, fyu
-    n = f.shape[-1]
-    idx = range(n)
-    gf = _sum_over((gamma[..., m], f[..., None, None, m]) for m in idx)
+    idx = range(len(f))
+    gf = _sum_over((gamma[:, :, m], f[m]) for m in idx)
     A = fy + gf
-    H2 = fyy + _sum_over((np.swapaxes(dgamma[..., m], -3, -2),
-                          f[..., None, None, None, m]) for m in idx)
-    H2 += _sum_over((gamma[..., None, :, m], fy[..., None, m, :, None]) for m in idx)
-    H2 += _sum_over((gamma[..., m, None], fy[..., None, None, m, :]) for m in idx)
-    H2 += _sum_over((gamma[..., m, None], gf[..., None, None, m, :]) for m in idx)
-    H2 -= _sum_over((gamma[..., None, m, :, :], fy[..., None, None, m]) for m in idx)
-    H2 -= _sum_over((gamma[..., None, m, :, :], gf[..., None, None, m]) for m in idx)
-    M = fyu + _sum_over((gamma[..., m, None], fu[..., None, None, m, :]) for m in idx)
+    H2 = fyy + _sum_over((np.swapaxes(dgamma[:, :, :, m], 0, 1), f[m]) for m in idx)
+    H2 += _sum_over((gamma[:, None, :, m], fy[m][None, :, None]) for m in idx)
+    H2 += _sum_over((gamma[:, :, m, None], fy[m][None, None]) for m in idx)
+    H2 += _sum_over((gamma[:, :, m, None], gf[m][None, None]) for m in idx)
+    H2 -= _sum_over((gamma[m][None], fy[:, m, None, None]) for m in idx)
+    H2 -= _sum_over((gamma[m][None], gf[:, m, None, None]) for m in idx)
+    M = fyu + _sum_over((gamma[:, :, m, None], fu[m][None, None]) for m in idx)
     return A, H2, M
 
 
 def _curvature_vectors(riemann, X, f):
-    """R(X, f)X, batched over leading axes: R^l_{ijk} X^i f^j X^k, the
-    products ((R X^i) f^j) X^k added in (i, j, k) order."""
-    n = X.shape[-1]
-    return _sum_over((riemann[..., i, j, k] * X[..., i, None] * f[..., j, None],
-                      X[..., k, None])
+    """R(X, f)X, batched over trailing node axes: R^l_{ijk} X^i f^j X^k for
+    riemann (n, n, n, n, ...), X and f (n, ...), the products
+    ((R X^i) f^j) X^k added in (i, j, k) order."""
+    n = len(X)
+    return _sum_over((riemann[:, i, j, k] * X[i] * f[j], X[k])
                      for i in range(n) for j in range(n) for k in range(n))
+
+
+def _at_sides(values) -> np.ndarray:
+    """Node values (..., N+1), the nodes innermost, at both sides of every
+    cell: (..., 2, N), side 0 the cell's left node and side 1 its right."""
+    return np.stack((values[..., :-1], values[..., 1:]), axis=-2)
+
+
+def _node_leading(a) -> np.ndarray:
+    """A node-innermost array (..., 2, N) as the C-contiguous (2, N, ...)
+    array of the same values: the layout in which ``noc.conditions`` hands
+    the pairings to BLAS (the trapezoid's ``np.dot``, ``_generator_rows``,
+    ``_stationarity``), whose sums round by the memory order they read."""
+    return np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1)))
 
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryJet:
     """Derivative data of the dynamics along a trajectory, built once.
 
-    Per-side arrays have leading axes (2, N): side 0 is cell i's left node
-    t_i, side 1 its right node t_{i+1}, both with cell i's control; ``nodes``
-    maps each side to its grid node. ``hess`` and ``mixed`` are the
-    covariant blocks of ``_covariant_blocks`` (plain derivatives on flat
-    charts); ``riemann`` holds R^l_{ijk} at every node, None on flat charts.
-    Paired with an adjoint covector these give every integrand of the
-    second-order form, so one jet serves every multiplier.
+    Per-side arrays are node-innermost: their component axes come first,
+    then the axes (2, N) of side and cell, side 0 being cell i's left node
+    t_i and side 1 its right node t_{i+1}, both with cell i's control;
+    ``nodes`` maps each side to its grid node. ``hess`` and ``mixed`` are
+    the covariant blocks of ``_covariant_blocks`` (plain derivatives on
+    flat charts); ``riemann`` holds R^l_{ijk} at every grid node, the nodes
+    innermost, None on flat charts. Paired with an adjoint covector these
+    give every integrand of the second-order form, so one jet serves every
+    multiplier.
     """
 
     trajectory: Trajectory
     nodes: np.ndarray      # (2, N)
-    f: np.ndarray          # (2, N, n)
-    fu: np.ndarray         # (2, N, n, m)
-    fuu: np.ndarray        # (2, N, n, m, m)
-    hess: np.ndarray       # (2, N, n, n, n)
-    mixed: np.ndarray      # (2, N, n, n, m)
-    riemann: np.ndarray | None   # (N+1, n, n, n, n)
+    f: np.ndarray          # (n, 2, N)
+    fu: np.ndarray         # (n, m, 2, N)
+    fuu: np.ndarray        # (n, m, m, 2, N)
+    hess: np.ndarray       # (n, n, n, 2, N)
+    mixed: np.ndarray      # (n, n, m, 2, N)
+    riemann: np.ndarray | None   # (n, n, n, n, N+1)
 
     def form_integrands(self, first_values, directions) -> dict:
         """The state, mixed, control and curvature integrands of the
         second-order form for first-order field values X (N+1, n) and
         control directions v (N, m), before pairing with the adjoint.
 
-        Each entry is (2, N, n): the vector whose pairing with the adjoint
+        Each entry is (n, 2, N): the vector whose pairing with the adjoint
         covector at the side's node gives that summand's integrand there.
         """
-        X = np.asarray(first_values, float)[self.nodes]
-        v = np.asarray(directions, float)
-        n, m = self.fu.shape[-2:]
+        X = _at_sides(np.asarray(first_values, float).T)
+        v = np.asarray(directions, float).T
+        n, m = self.fu.shape[:2]
         out = {
             "state_state": 0.5 * _sum_over(
-                (self.hess[..., i, j] * X[..., i, None], X[..., j, None])
+                (self.hess[:, i, j] * X[i], X[j])
                 for i in range(n) for j in range(n)),
             "state_control": _sum_over(
-                (self.mixed[..., j, a] * X[..., j, None], v[:, a, None])
+                (self.mixed[:, j, a] * X[j], v[a])
                 for j in range(n) for a in range(m)),
             "control_control": 0.5 * _sum_over(
-                (self.fuu[..., a, b] * v[:, a, None], v[:, b, None])
+                (self.fuu[:, a, b] * v[a], v[b])
                 for a in range(m) for b in range(m)),
         }
         out["curvature"] = (np.zeros_like(X) if self.riemann is None else
-                            -0.5 * _curvature_vectors(self.riemann[self.nodes],
+                            -0.5 * _curvature_vectors(_at_sides(self.riemann),
                                                       X, self.f))
         return out
 
 
 def trajectory_jet(problem: ControlProblem, trajectory: Trajectory) -> TrajectoryJet:
     """Evaluate f and its first and second derivatives on both sides of every
-    cell, plus Γ, ∂Γ and R at every node on curved charts."""
+    cell, plus Γ, ∂Γ and R at every node on curved charts, all node-innermost:
+    the blocks from one ``blocks_many`` call with ``nodes_last`` and the
+    chart tensors from geometry's node-innermost builders."""
     N, n = trajectory.num_cells, problem.state_dim
     nodes = np.stack([np.arange(N), np.arange(1, N + 1)])
-    controls = np.concatenate([trajectory.controls, trajectory.controls])
-    blocks = _blocks_along(problem.dynamics, trajectory.grid[nodes].ravel(),
-                           trajectory.states[nodes].reshape(2 * N, n), controls)
-    f, fy, fu, fyy, fyu, fuu = (b.reshape((2, N) + b.shape[1:]) for b in blocks)
+    u = trajectory.controls.T
+    blocks = problem.dynamics.blocks_many(
+        _at_sides(trajectory.grid).ravel(),
+        _at_sides(trajectory.states.T).reshape(n, 2 * N).T,
+        np.concatenate([u, u], axis=1).T, nodes_last=True)
+    f, fy, fu, fyy, fyu, fuu = (np.asarray(b, float).reshape(b.shape[:-1] + (2, N))
+                                for b in blocks)
     chart = problem.chart
     geometry, riemann = (None, None), None
     if chart.kind != "euclidean":
-        geometry = (christoffel(chart, trajectory.states)[nodes],
-                    dchristoffel(chart, trajectory.states)[nodes])
-        riemann = curvature(chart, trajectory.states).components
+        states = trajectory.states
+        geometry = (_at_sides(_christoffel_nodes(chart, states)),
+                    _at_sides(_dchristoffel_nodes(chart, states)))
+        riemann = _curvature_nodes(chart, states)
     _, hess, mixed = _covariant_blocks(f, fy, fu, fyy, fyu, *geometry)
     return TrajectoryJet(trajectory=trajectory, nodes=nodes, f=f, fu=fu, fuu=fuu,
                          hess=hess, mixed=mixed, riemann=riemann)
@@ -1308,7 +1342,9 @@ def trapezoid_cellwise(grid, left_values, right_values) -> float | np.ndarray:
     dt = np.diff(np.asarray(grid, float))
     L = np.asarray(left_values, float)
     R = np.asarray(right_values, float)
-    return np.tensordot(dt, 0.5 * (L + R), axes=(0, 0))
+    avg = 0.5 * (L + R)
+    # the product np.tensordot(dt, avg, axes=(0, 0)) forms, without its wrapper
+    return np.dot(dt.reshape(1, len(dt)), avg.reshape(len(dt), -1)).reshape(avg.shape[1:])
 
 
 def refine_controls(controls, factor: int) -> np.ndarray:

@@ -597,8 +597,9 @@ def compile_expr(node: Expr, varnames: tuple[str, ...]):
 
 
 def _compile_blocks(entries, names):
-    """``blocks(size, *args)``: a tuple of arrays, one per block of
-    ``entries``, each of shape (size,) + that block's shape.
+    """``blocks(size, *args, last=False)``: a tuple of arrays, one per block
+    of ``entries``, each of shape (size,) + that block's shape, or with
+    ``last`` that block's shape + (size,), the points innermost.
 
     ``entries`` holds each block's expressions, nested as the block's
     trailing axes; ``args`` are the values of ``names``, arrays of length
@@ -613,17 +614,20 @@ def _compile_blocks(entries, names):
     Entries that are the literal +0.0 are left to the zero fill.
     """
     args = {name: f"a{i}" for i, name in enumerate(names)}
-    lines = [f"def blocks(size, {', '.join(args.values())}):"]
+    lines = [f"def blocks({', '.join(['size', *args.values()])}, *, last=False):"]
     for b, block in enumerate(entries):
-        shape = np.shape(block)
-        lines.append(f"    b{b} = np.zeros((size, {', '.join(map(str, shape))}))")
-        for index in np.ndindex(*shape):
+        shape = "".join(f"{k}, " for k in np.shape(block))
+        points_first = "".join(f"{k}, " for k in range(-1, np.ndim(block)))
+        # w{b} views the block with the points first, whichever its layout
+        lines += [f"    b{b} = np.zeros(({shape}size) if last else (size, {shape}))",
+                  f"    w{b} = b{b}.transpose({points_first}) if last else b{b}"]
+        for index in np.ndindex(*np.shape(block)):
             e = block
             for k in index:
                 e = e[k]
             if isinstance(e, Num) and str(e) == "0.0":     # not -0.0
                 continue
-            lines.append(f"    b{b}[:, {', '.join(map(str, index))}] = "
+            lines.append(f"    w{b}[:, {', '.join(map(str, index))}] = "
                          f"{python_source(e, 'np', args)}")
     lines.append(f"    return ({''.join(f'b{b}, ' for b in range(len(entries)))})")
     namespace = {"np": np, "__builtins__": {}}

@@ -12,7 +12,11 @@ the chart.
 ``christoffel_apply`` and ``valid_point`` also take a (K, n) array of points
 and return one result per point along a leading K axis; a single (n,) point
 gives a single result. Every kind evaluates a batch in one array
-expression.
+expression. Γ, ∂Γ and R are built with the points innermost, one builder
+per kind (``_christoffel_nodes``, ``_dchristoffel_nodes``,
+``_curvature_nodes``), the layout the trajectory jet of ``noc.dynamics``
+takes them in; ``christoffel``, ``dchristoffel`` and ``curvature`` return
+the builder's values with the points moved first, as a C-ordered copy.
 
 Conventions
 -----------
@@ -343,44 +347,59 @@ def metric_inverse(chart: ManifoldChart, x) -> np.ndarray:
 
 def _conformal_gamma(dphi: np.ndarray) -> np.ndarray:
     """Γ^k_{ij} = δ_ki d_jφ + δ_kj d_iφ - δ_ij d_kφ for metric e^{2φ}δ given
-    the gradient of φ, over leading axes: broadcast products with δ,
-    accumulated onto zeros (a -0.0 product adds as +0.0)."""
-    n = dphi.shape[-1]
-    eye = np.eye(n)
-    gamma = np.zeros(dphi.shape + (n, n))
-    gamma += eye[:, :, None] * dphi[..., None, None, :]
-    gamma += eye[:, None, :] * dphi[..., None, :, None]
-    gamma -= eye * dphi[..., :, None, None]
+    the gradient of φ, dphi (n, ...), over its trailing axes: gamma
+    (n, n, n, ...), broadcast products with δ accumulated onto zeros (a
+    -0.0 product adds as +0.0)."""
+    n = dphi.shape[0]
+    eye = np.eye(n).reshape((n, n) + (1,) * (dphi.ndim - 1))
+    gamma = np.zeros((n, n) + dphi.shape)
+    gamma += eye[:, :, None] * dphi[None, None]
+    gamma += eye[:, None, :] * dphi[None, :, None]
+    gamma -= eye[None] * dphi[:, None, None]
     return gamma
+
+
+def _nodes_first(a: np.ndarray, lead: tuple) -> np.ndarray:
+    """A tensor with its points on the last axis, (..., K), as the C-ordered
+    stack (K, ...) reshaped to ``lead`` + (...)."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(lead + a.shape[:-1])
 
 
 def christoffel(chart: ManifoldChart, x) -> np.ndarray:
     """Γ^k_{ij}; closed form for built-in kinds, exact derivatives of the
     metric for custom charts.  At a (K, n) array of points, a (K, n, n, n)
-    stack."""
+    stack: ``_christoffel_nodes`` with the points moved first."""
     pts, lead = _points(chart, x)
+    if chart.kind == "custom":
+        return _symbolic_gamma(chart, pts).reshape(lead + (chart.dim,) * 3)
+    return _nodes_first(_christoffel_nodes(chart, pts), lead)
+
+
+def _christoffel_nodes(chart: ManifoldChart, pts: np.ndarray) -> np.ndarray:
+    """Γ^k_{ij} at a (K, n) array of points as gamma[k, i, j, K], the points
+    innermost."""
     n = chart.dim
     if chart.kind == "euclidean":
-        gamma = np.zeros((len(pts), n, n, n))
+        gamma = np.zeros((n, n, n, len(pts)))
     elif chart.kind == "sphere" and chart.coords == "stereographic":
         denom = chart.radius ** 2 + _sqnorm(pts)
-        gamma = _conformal_gamma(-2.0 * pts / denom[:, None])
+        gamma = _conformal_gamma(-2.0 * pts.T / denom)
     elif chart.kind == "sphere":
         st, ct = _polar_sin_cos(pts)
-        gamma = np.zeros((len(pts), 2, 2, 2))
-        gamma[:, 0, 1, 1] = -st * ct
-        gamma[:, 1, 0, 1] = gamma[:, 1, 1, 0] = ct / st
+        gamma = np.zeros((2, 2, 2, len(pts)))
+        gamma[0, 1, 1] = -st * ct
+        gamma[1, 0, 1] = gamma[1, 1, 0] = ct / st
     elif chart.kind == "hyperbolic":
-        dphi = np.zeros((len(pts), n))
-        dphi[:, -1] = -1.0 / _half_space_heights(pts, "Christoffels")
+        dphi = np.zeros((n, len(pts)))
+        dphi[-1] = -1.0 / _half_space_heights(pts, "Christoffels")
         gamma = _conformal_gamma(dphi)
     elif chart.kind == "product":
-        gamma = np.zeros((len(pts), n, n, n))
+        gamma = np.zeros((n, n, n, len(pts)))
         for f, s in zip(chart.factors, _factor_slices(chart)):
-            gamma[:, s, s, s] = christoffel(f, pts[:, s])
+            gamma[s, s, s] = _christoffel_nodes(f, pts[:, s])
     else:
-        gamma = _symbolic_gamma(chart, pts)
-    return gamma.reshape(lead + (n, n, n))
+        gamma = np.moveaxis(_symbolic_gamma(chart, pts), 0, -1)
+    return gamma
 
 
 def _symbolic_metric_derivs(chart: ManifoldChart, pts: np.ndarray, order: int) -> tuple:
@@ -426,39 +445,50 @@ def _symbolic_gamma(chart: ManifoldChart, pts: np.ndarray) -> np.ndarray:
 
 def dchristoffel(chart: ManifoldChart, x) -> np.ndarray:
     """dGamma[m, k, i, j] = d_m Γ^k_{ij}; at a (K, n) array of points, a
-    (K, n, n, n, n) stack.
+    (K, n, n, n, n) stack: ``_dchristoffel_nodes`` with the points moved
+    first.
 
     Built-in kinds use closed-form derivatives; custom charts use the exact
     second derivatives of their metric.
     """
     pts, lead = _points(chart, x)
+    if chart.kind == "custom":
+        return _symbolic_dgamma(chart, pts).reshape(lead + (chart.dim,) * 4)
+    return _nodes_first(_dchristoffel_nodes(chart, pts), lead)
+
+
+def _dchristoffel_nodes(chart: ManifoldChart, pts: np.ndarray) -> np.ndarray:
+    """d_m Γ^k_{ij} at a (K, n) array of points as d[m, k, i, j, K], the
+    points innermost."""
     n = chart.dim
     K = len(pts)
     if chart.kind == "euclidean":
-        d = np.zeros((K, n, n, n, n))
+        d = np.zeros((n, n, n, n, K))
     elif chart.kind == "sphere" and chart.coords == "stereographic":
         denom = chart.radius ** 2 + _sqnorm(pts)
-        # d_m dphi_i = -2 δ_mi/denom + 4 x_i x_m / denom^2
-        ddphi = (-2.0 * np.eye(2) / denom[:, None, None]
-                 + 4.0 * (pts[:, :, None] * pts[:, None, :]) / (denom * denom)[:, None, None])
-        d = _conformal_gamma(ddphi)      # d_m Γ: Γ's formula with d_m dphi
+        x = pts.T
+        # ddphi[i, m] = d_m dphi_i = -2 δ_mi/denom + 4 x_i x_m / denom^2
+        ddphi = (-2.0 * np.eye(2)[:, :, None] / denom
+                 + 4.0 * (x[None, :, :] * x[:, None, :]) / (denom * denom))
+        # d_m Γ: Γ's formula with d_m dphi, m moved first
+        d = np.moveaxis(_conformal_gamma(ddphi), 3, 0)
     elif chart.kind == "sphere":
         st, ct = _polar_sin_cos(pts)
-        d = np.zeros((K, 2, 2, 2, 2))
+        d = np.zeros((2, 2, 2, 2, K))
         # only θ-derivatives are nonzero
-        d[:, 0, 0, 1, 1] = -(ct * ct - st * st)          # d_θ(-sinθcosθ) = -cos2θ
-        d[:, 0, 1, 0, 1] = d[:, 0, 1, 1, 0] = -1.0 / (st * st)  # d_θ cotθ
+        d[0, 0, 1, 1] = -(ct * ct - st * st)          # d_θ(-sinθcosθ) = -cos2θ
+        d[0, 1, 0, 1] = d[0, 1, 1, 0] = -1.0 / (st * st)  # d_θ cotθ
     elif chart.kind == "hyperbolic":
-        h = pts[:, -1, None, None, None]
-        d = np.zeros((K, n, n, n, n))
-        d[:, -1] = -(christoffel(chart, pts) * h) / (h * h)  # Γ h does not depend on h
+        h = pts[:, -1]
+        d = np.zeros((n, n, n, n, K))
+        d[-1] = -(_christoffel_nodes(chart, pts) * h) / (h * h)  # Γ h does not depend on h
     elif chart.kind == "product":
-        d = np.zeros((K, n, n, n, n))
+        d = np.zeros((n, n, n, n, K))
         for f, s in zip(chart.factors, _factor_slices(chart)):
-            d[:, s, s, s, s] = dchristoffel(f, pts[:, s])
+            d[s, s, s, s] = _dchristoffel_nodes(f, pts[:, s])
     else:
-        d = _symbolic_dgamma(chart, pts)
-    return d.reshape(lead + (n,) * 4)
+        d = np.moveaxis(_symbolic_dgamma(chart, pts), 0, -1)
+    return d
 
 
 def _symbolic_dgamma(chart: ManifoldChart, pts: np.ndarray) -> np.ndarray:
@@ -481,13 +511,14 @@ def christoffel_apply(chart: ManifoldChart, x, a, b) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 def _constant_curvature_tensor(K: float, g: np.ndarray) -> np.ndarray:
-    """R^l_{ijk} = K (g_jk δ_li - g_ik δ_lj): broadcast products with δ,
-    accumulated onto zeros (a -0.0 product adds as +0.0)."""
-    n = g.shape[-1]
-    eye = np.eye(n)
-    R = np.zeros(g.shape[:-2] + (n,) * 4)
-    R += g[..., None, None, :, :] * eye[:, :, None, None]
-    R -= g[..., None, :, None, :] * eye[:, None, :, None]
+    """R^l_{ijk} = K (g_jk δ_li - g_ik δ_lj) over the trailing axes of g
+    (n, n, ...): R (n, n, n, n, ...), broadcast products with δ accumulated
+    onto zeros (a -0.0 product adds as +0.0)."""
+    n = g.shape[0]
+    eye = np.eye(n).reshape((n, n) + (1,) * (g.ndim - 2))
+    R = np.zeros((n, n) + g.shape)
+    R += g[None, None] * eye[:, :, None, None]
+    R -= g[None, :, None, :] * eye[:, None, :, None]
     R *= K
     return R
 
@@ -507,22 +538,33 @@ def curvature_fd(chart: ManifoldChart, x) -> CurvatureTensor:
 
 def curvature(chart: ManifoldChart, x) -> CurvatureTensor:
     """R^l_{ijk} at x; at a (K, n) array of points the components are a
-    (K, n, n, n, n) stack based at those points."""
+    (K, n, n, n, n) stack based at those points: ``_curvature_nodes`` with
+    the points moved first."""
     x = _arr(x)
+    if chart.kind == "custom":
+        return curvature_fd(chart, x)
+    pts, lead = _points(chart, x)
+    return CurvatureTensor(base=x, components=_nodes_first(_curvature_nodes(chart, pts), lead))
+
+
+def _curvature_nodes(chart: ManifoldChart, pts: np.ndarray) -> np.ndarray:
+    """R^l_{ijk} at a (K, n) array of points as R[l, i, j, k, K], the points
+    innermost."""
     n = chart.dim
     if chart.kind == "euclidean":
-        R = np.zeros(x.shape[:-1] + (n,) * 4)
+        R = np.zeros((n,) * 4 + (len(pts),))
     elif chart.kind == "sphere":
-        R = _constant_curvature_tensor(1.0 / chart.radius ** 2, metric(chart, x))
+        R = _constant_curvature_tensor(1.0 / chart.radius ** 2,
+                                       np.moveaxis(metric(chart, pts), 0, -1))
     elif chart.kind == "hyperbolic":
-        R = _constant_curvature_tensor(-chart.curv, metric(chart, x))
+        R = _constant_curvature_tensor(-chart.curv, np.moveaxis(metric(chart, pts), 0, -1))
     elif chart.kind == "product":
-        R = np.zeros(x.shape[:-1] + (n,) * 4)
+        R = np.zeros((n,) * 4 + (len(pts),))
         for f, s in zip(chart.factors, _factor_slices(chart)):
-            R[..., s, s, s, s] = curvature(f, x[..., s]).components
+            R[s, s, s, s] = _curvature_nodes(f, pts[:, s])
     else:
-        return curvature_fd(chart, x)
-    return CurvatureTensor(base=x, components=R)
+        R = np.moveaxis(curvature_fd(chart, pts).components, 0, -1)
+    return R
 
 
 def riemann_apply(chart: ManifoldChart, p_tilde, X, F, Y) -> float:

@@ -7,7 +7,9 @@ trajectory at once, from one trajectory jet and one matrix adjoint
 compute the same quantities one node, one point or one multiplier at a
 time, so the tests can hold the batched path against them.  A section
 keeps the ``np.einsum`` formulas of the checker's contraction kernels,
-which the checker now builds from ordered broadcast products.  Another
+which the checker now builds from ordered broadcast products, and the
+next one those kernels as they were with the node axes leading, before
+the jet became node-innermost.  Another
 keeps the HiGHS linear programs behind the separator cone's cross-check,
 a polyhedron's emptiness test and its bounding box, which the checker
 solves with a NumPy simplex of its own, and a brute-force enumerator of a
@@ -277,7 +279,9 @@ def curvature_vectors(riemann, X, f):
 
 
 def form_integrands(jet, first_values, directions) -> dict:
-    """``TrajectoryJet.form_integrands`` of ``jet``."""
+    """``TrajectoryJet.form_integrands`` of ``jet``, whose per-side arrays
+    are node-leading (2, N, ...) and its ``riemann`` (N+1, n, n, n, n):
+    (2, N, n) each."""
     X = np.asarray(first_values, float)[jet.nodes]
     v = np.asarray(directions, float)
     out = {
@@ -335,6 +339,85 @@ def constant_curvature_tensor(K: float, g):
     """``geometry._constant_curvature_tensor``: K (g_jk δ_li - g_ik δ_lj)."""
     eye = np.eye(g.shape[-1])
     return K * (np.einsum("...jk,li->...lijk", g, eye) - np.einsum("...ik,lj->...lijk", g, eye))
+
+
+# ----------------------------------------------------------------------------
+# node-leading forms of the jet kernels
+# ----------------------------------------------------------------------------
+#
+# The checker's jet kernels as they were before the jet became node-innermost:
+# the same ordered products (``dynamics._sum_over``) on arrays whose side and
+# node axes lead and whose component axes are innermost.  Every entry is the
+# same float operations in the same order, so these agree with the kernels
+# bit for bit once the axes are moved.
+
+def node_leading_covariant_blocks(f, fy, fu, fyy, fyu, gamma=None, dgamma=None):
+    """``dynamics._covariant_blocks`` with the node axes leading: f (..., n),
+    fy (..., n, n), ..., gamma (..., n, n, n), dgamma (..., n, n, n, n)."""
+    if gamma is None:
+        return fy, fyy, fyu
+    sum_over = dynamics._sum_over
+    idx = range(f.shape[-1])
+    gf = sum_over((gamma[..., m], f[..., None, None, m]) for m in idx)
+    A = fy + gf
+    H2 = fyy + sum_over((np.swapaxes(dgamma[..., m], -3, -2),
+                         f[..., None, None, None, m]) for m in idx)
+    H2 += sum_over((gamma[..., None, :, m], fy[..., None, m, :, None]) for m in idx)
+    H2 += sum_over((gamma[..., m, None], fy[..., None, None, m, :]) for m in idx)
+    H2 += sum_over((gamma[..., m, None], gf[..., None, None, m, :]) for m in idx)
+    H2 -= sum_over((gamma[..., None, m, :, :], fy[..., None, None, m]) for m in idx)
+    H2 -= sum_over((gamma[..., None, m, :, :], gf[..., None, None, m]) for m in idx)
+    M = fyu + sum_over((gamma[..., m, None], fu[..., None, None, m, :]) for m in idx)
+    return A, H2, M
+
+
+def node_leading_curvature_vectors(riemann, X, f):
+    """``dynamics._curvature_vectors`` with the node axes leading."""
+    n = X.shape[-1]
+    return dynamics._sum_over((riemann[..., i, j, k] * X[..., i, None] * f[..., j, None],
+                               X[..., k, None])
+                              for i in range(n) for j in range(n) for k in range(n))
+
+
+def node_leading_form_integrands(jet, first_values, directions) -> dict:
+    """``TrajectoryJet.form_integrands`` of a jet whose per-side arrays are
+    (2, N, ...) and whose ``riemann`` is (N+1, n, n, n, n): (2, N, n) each."""
+    sum_over = dynamics._sum_over
+    X = np.asarray(first_values, float)[jet.nodes]
+    v = np.asarray(directions, float)
+    n, m = jet.fu.shape[-2:]
+    out = {
+        "state_state": 0.5 * sum_over(
+            (jet.hess[..., i, j] * X[..., i, None], X[..., j, None])
+            for i in range(n) for j in range(n)),
+        "state_control": sum_over(
+            (jet.mixed[..., j, a] * X[..., j, None], v[:, a, None])
+            for j in range(n) for a in range(m)),
+        "control_control": 0.5 * sum_over(
+            (jet.fuu[..., a, b] * v[:, a, None], v[:, b, None])
+            for a in range(m) for b in range(m)),
+    }
+    out["curvature"] = (np.zeros_like(X) if jet.riemann is None else
+                        -0.5 * node_leading_curvature_vectors(jet.riemann[jet.nodes],
+                                                              X, jet.f))
+    return out
+
+
+def node_leading_adjoint_pairing(vectors, at_sides):
+    """``conditions._adjoint_pairing`` for vectors (2, N, n, ...) and the
+    adjoint at the sides (2, N, n, dim): (2, N, ..., dim)."""
+    shape = at_sides.shape[:2] + (1,) * (vectors.ndim - 3) + at_sides.shape[3:]
+    return dynamics._sum_over((vectors[:, :, k, ..., None],
+                               at_sides[:, :, k].reshape(shape))
+                              for k in range(vectors.shape[2]))
+
+
+def node_leading_direction_pairing(directions, hu):
+    """``conditions._direction_pairing`` for rows (..., N, m) and hu
+    (2, N, m, dim): (..., 2, N, dim)."""
+    rows = directions[..., None, :, :, None]                    # (..., 1, N, m, 1)
+    return dynamics._sum_over((rows[..., a, :], hu[..., a, :])
+                              for a in range(hu.shape[2]))
 
 
 # ----------------------------------------------------------------------------

@@ -943,17 +943,19 @@ def test_a_sweep_draws_compiles_and_classifies_once(monkeypatch, capsys):
 def test_a_sphere_check_takes_christoffel_symbols_once_per_endpoint(
         monkeypatch, capsys):
     # the three unit multiplier slots share the symbols at the two
-    # endpoints; the jet takes them at every node in one more call
+    # endpoints; the jet takes them at every node in one more call, of the
+    # node-innermost builder behind christoffel
     import collections
 
     import noc.geometry
 
     counts = collections.Counter()
-    _count_calls(monkeypatch, noc.geometry, "christoffel", counts)
+    for name in ("christoffel", "_christoffel_nodes"):
+        _count_calls(monkeypatch, noc.geometry, name, counts)
     sphere = Path(__file__).resolve().parent.parent / "perfbench" / "sphere.noc"
     assert _check([str(sphere)]) == 0
     assert "verdict: consistent" in capsys.readouterr().out
-    assert counts == {"christoffel": 3}
+    assert counts == {"christoffel": 2, "_christoffel_nodes": 2 + 1}
 
 
 @pytest.mark.parametrize("name", ["op-parabola.noc", "op-disc.noc"])
@@ -1132,8 +1134,9 @@ def test_a_non_finite_polyhedron_row_exits_2_with_one_line(capsys):
 
 @pytest.mark.parametrize("ball, message", [
     ("ball nan 0 1", "ball center must be finite"),
-    ("ball 0 0 inf", "ball radius must be finite")],
-    ids=["nan-center", "inf-radius"])
+    ("ball 0 0 inf", "ball radius must be finite"),
+    ("ball 0 0 1e200", "ball radius must have a finite square")],
+    ids=["nan-center", "inf-radius", "overflowing-radius"])
 def test_a_non_finite_ball_exits_2_with_one_line(capsys, ball, message):
     assert main(["oracle", "cone", ball, "0 0", "1 0"]) == 2
     captured = capsys.readouterr()

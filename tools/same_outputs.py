@@ -12,7 +12,12 @@ that checkout's own files (a conformance file found in one checkout
 only is run in both, and fails in the other):
 
 * ``check --report`` on every valid conformance file, on both presets,
-  on ``perfbench/sphere.noc``, on ``op-parabola.noc --tol qualify=1.5``,
+  on ``perfbench/sphere.noc``, on NEW's ``perfbench/sphere.noc``
+  rewritten to radius 0.5 and to radius 2 and on ``OCPE_SPHERE``, an
+  integral-cost problem on the unit sphere whose cost accumulator makes
+  n = 3, all three written into the temporary directory (the curved-chart
+  second-order form, its curvature term and the chart tensors at other
+  radii), on ``op-parabola.noc --tol qualify=1.5``,
   on NEW's ``op-disc.noc`` rewritten to ``resolution 0.002`` in the
   temporary directory, whose 1001 x 1001 grid search runs over several
   lattice slabs, and on a disc written there whose cost
@@ -69,6 +74,63 @@ def write_fine_disc(root: Path, tmp: Path) -> Path:
     return path
 
 
+# an integral-cost problem on the sphere: the cost accumulator makes n = 3;
+# the control is the extremal u = p, so the adjoint, H2 and the curvature
+# term are nonzero on the sphere's two coordinates
+OCPE_SPHERE = """\
+noc 1
+kind ocpe
+chart {
+  type sphere
+  radius 1.0
+}
+grid {
+  cells 50
+  horizon 1.0
+}
+param pi 3.141592653589793
+start 0.1 0.0
+end 0.3 -0.1
+dynamics {
+  u1
+  u2
+}
+running_cost 0.5*(u1^2 + u2^2)
+control_set {
+  box -1.0 -1.0 1.0 1.0
+}
+control {
+  0.2
+  -0.1
+}
+direction {
+  v sin(2*pi*t) ; cos(2*pi*t)
+}
+"""
+
+
+def on_radius(text: str, radius: float) -> str:
+    """The problem file ``text``, whose chart has one ``radius`` line, with
+    that radius."""
+    lines = text.splitlines()
+    found = [i for i, line in enumerate(lines) if line.strip().startswith("radius ")]
+    if len(found) != 1:
+        raise ValueError("expected one radius line")
+    lines[found[0]] = f"  radius {radius!r}"
+    return "\n".join(lines) + "\n"
+
+
+def write_spheres(root: Path, tmp: Path) -> list[Path]:
+    """``perfbench/sphere.noc`` of the checkout ``root`` at radius 0.5 and
+    2, and ``OCPE_SPHERE``, written into ``tmp``."""
+    sphere = (root / "perfbench" / "sphere.noc").read_text(encoding="utf-8")
+    texts = {"sphere-r0.5.noc": on_radius(sphere, 0.5),
+             "sphere-r2.noc": on_radius(sphere, 2.0), "ocpe-sphere.noc": OCPE_SPHERE}
+    for name, text in texts.items():
+        (tmp / name).write_text(text, encoding="utf-8")
+    return [tmp / name for name in texts]
+
+
 def write_nan_disc(tmp: Path) -> Path:
     """An op problem on the unit disc whose cost is NaN where x1 < -0.5,
     with a grid search at resolution 0.002, written into ``tmp``."""
@@ -79,15 +141,16 @@ def write_nan_disc(tmp: Path) -> Path:
     return path
 
 
-def commands(old: Path, new: Path, fine_disc: Path,
-             nan_disc: Path) -> list[tuple[list[str], bool]]:
+def commands(old: Path, new: Path, fine_disc: Path, nan_disc: Path,
+             spheres: list[Path]) -> list[tuple[list[str], bool]]:
     """(arguments, writes a report) of every command to compare."""
     runs = [(["check", path], True) for path in _conformance(old, new, VALID)]
     runs += [(["check", path], False) for path in _conformance(old, new, INVALID)]
     runs += [(["check", "preset:ccs126"], True),
              (["check", "preset:linear-lq-euclid"], True),
-             (["check", "perfbench/sphere.noc"], True),
-             (["check", f"{VALID}/op-parabola.noc", "--tol", "qualify=1.5"], True),
+             (["check", "perfbench/sphere.noc"], True)]
+    runs += [(["check", str(path)], True) for path in spheres]
+    runs += [(["check", f"{VALID}/op-parabola.noc", "--tol", "qualify=1.5"], True),
              (["check", str(fine_disc)], True),
              (["check", str(nan_disc)], True),
              (["sweep", "preset:ccs126", "--grid", "400", "--param",
@@ -145,7 +208,7 @@ def main(argv=None) -> int:
     diffs: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
         runs = commands(old, new, write_fine_disc(new, Path(tmp)),
-                        write_nan_disc(Path(tmp)))
+                        write_nan_disc(Path(tmp)), write_spheres(new, Path(tmp)))
         for i, (args, writes_report) in enumerate(runs):
             results = []
             for side, root in (("old", old), ("new", new)):

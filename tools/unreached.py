@@ -111,7 +111,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs = same_outputs.commands(
             ROOT, ROOT, same_outputs.write_fine_disc(ROOT, Path(tmp)),
-            same_outputs.write_nan_disc(Path(tmp)))
+            same_outputs.write_nan_disc(Path(tmp)),
+            same_outputs.write_spheres(ROOT, Path(tmp)))
         missed = unreached(entered(runs, demos))
     for path, line, name, count in missed:
         print(f"{path}:{line} {name} ({count} lines)")
