@@ -370,8 +370,6 @@ def christoffel(chart: ManifoldChart, x) -> np.ndarray:
     metric for custom charts.  At a (K, n) array of points, a (K, n, n, n)
     stack: ``_christoffel_nodes`` with the points moved first."""
     pts, lead = _points(chart, x)
-    if chart.kind == "custom":
-        return _symbolic_gamma(chart, pts).reshape(lead + (chart.dim,) * 3)
     return _nodes_first(_christoffel_nodes(chart, pts), lead)
 
 
@@ -452,8 +450,6 @@ def dchristoffel(chart: ManifoldChart, x) -> np.ndarray:
     second derivatives of their metric.
     """
     pts, lead = _points(chart, x)
-    if chart.kind == "custom":
-        return _symbolic_dgamma(chart, pts).reshape(lead + (chart.dim,) * 4)
     return _nodes_first(_dchristoffel_nodes(chart, pts), lead)
 
 
@@ -541,8 +537,6 @@ def curvature(chart: ManifoldChart, x) -> CurvatureTensor:
     (K, n, n, n, n) stack based at those points: ``_curvature_nodes`` with
     the points moved first."""
     x = _arr(x)
-    if chart.kind == "custom":
-        return curvature_fd(chart, x)
     pts, lead = _points(chart, x)
     return CurvatureTensor(base=x, components=_nodes_first(_curvature_nodes(chart, pts), lead))
 
