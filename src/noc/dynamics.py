@@ -192,7 +192,7 @@ def dynamics_from_expressions(texts, state_dim: int, control_dim: int,
                [[[d[a][k].diff(b) for b in unames] for a in ynames] for k in range(n)],
                [[[d[a][k].diff(b) for b in unames] for a in unames] for k in range(n)])
     rhs_block = _compile_blocks((exprs,), names)
-    all_blocks = _compile_blocks(entries, names)
+    all_blocks = _compile_blocks(entries, names, points_last=True)
     float_cell = _compile_rk4_cell(exprs, ynames, unames, pnames)
 
     def bind(values) -> DynamicsModel:

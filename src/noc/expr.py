@@ -596,10 +596,28 @@ def compile_expr(node: Expr, varnames: tuple[str, ...]):
     return eval(src, {"np": np, "__builtins__": {}})  # noqa: S307 - AST-derived source
 
 
-def _compile_blocks(entries, names):
-    """``blocks(size, *args, last=False)``: a tuple of arrays, one per block
-    of ``entries``, each of shape (size,) + that block's shape, or with
-    ``last`` that block's shape + (size,), the points innermost.
+def _allocator(size: int, last: bool):
+    """``alloc(shape)`` -> (block, view): a zero block of ``size`` points
+    and the trailing ``shape``, the points first, or with ``last`` the
+    points last; ``view`` is the block with the points first, which the
+    generated source of ``_compile_blocks`` writes through."""
+    if not last:
+        def alloc(shape):
+            block = np.zeros((size,) + shape)
+            return block, block
+    else:
+        def alloc(shape):
+            block = np.zeros(shape + (size,))
+            return block, block.transpose((len(shape),) + tuple(range(len(shape))))
+    return alloc
+
+
+def _compile_blocks(entries, names, points_last: bool = False):
+    """``blocks(size, *args)``: a tuple of arrays, one per block of
+    ``entries``, each of shape (size,) + that block's shape. With
+    ``points_last`` it is ``blocks(size, *args, last=False)``, and
+    ``last`` gives each block that block's shape + (size,) instead, the
+    points innermost.
 
     ``entries`` holds each block's expressions, nested as the block's
     trailing axes; ``args`` are the values of ``names``, arrays of length
@@ -614,22 +632,28 @@ def _compile_blocks(entries, names):
     Entries that are the literal +0.0 are left to the zero fill.
     """
     args = {name: f"a{i}" for i, name in enumerate(names)}
-    lines = [f"def blocks({', '.join(['size', *args.values()])}, *, last=False):"]
+    signature = ", ".join(["size", *args.values()])
+    if points_last:
+        lines = [f"def blocks({signature}, *, last=False):",
+                 "    alloc = _allocator(size, last)"]
+    else:
+        lines = [f"def blocks({signature}):"]
+    # the entries are written through a view of each block with the
+    # points first, w{b}, when the block may have them last
+    view = "w" if points_last else "b"
     for b, block in enumerate(entries):
-        shape = "".join(f"{k}, " for k in np.shape(block))
-        points_first = "".join(f"{k}, " for k in range(-1, np.ndim(block)))
-        # w{b} views the block with the points first, whichever its layout
-        lines += [f"    b{b} = np.zeros(({shape}size) if last else (size, {shape}))",
-                  f"    w{b} = b{b}.transpose({points_first}) if last else b{b}"]
-        for index in np.ndindex(*np.shape(block)):
+        shape = np.shape(block)
+        lines.append(f"    b{b}, w{b} = alloc({shape!r})" if points_last else
+                     f"    b{b} = np.zeros((size, {', '.join(map(str, shape))}))")
+        for index in np.ndindex(*shape):
             e = block
             for k in index:
                 e = e[k]
             if isinstance(e, Num) and str(e) == "0.0":     # not -0.0
                 continue
-            lines.append(f"    w{b}[:, {', '.join(map(str, index))}] = "
+            lines.append(f"    {view}{b}[:, {', '.join(map(str, index))}] = "
                          f"{python_source(e, 'np', args)}")
     lines.append(f"    return ({''.join(f'b{b}, ' for b in range(len(entries)))})")
-    namespace = {"np": np, "__builtins__": {}}
+    namespace = {"np": np, "_allocator": _allocator, "__builtins__": {}}
     exec("\n".join(lines), namespace)  # noqa: S102 - AST-derived source
     return namespace["blocks"]
