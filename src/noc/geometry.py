@@ -362,7 +362,10 @@ def _conformal_gamma(dphi: np.ndarray) -> np.ndarray:
 def _nodes_first(a: np.ndarray, lead: tuple) -> np.ndarray:
     """A tensor with its points on the last axis, (..., K), as the C-ordered
     stack (K, ...) reshaped to ``lead`` + (...)."""
-    return np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(lead + a.shape[:-1])
+    shape = lead + a.shape[:-1]
+    if a.shape[-1] == 1:        # one point: no axis to move
+        return np.ascontiguousarray(a.reshape(shape))
+    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1))).copy().reshape(shape)
 
 
 def christoffel(chart: ManifoldChart, x) -> np.ndarray:
